@@ -15,17 +15,18 @@ kind) pair and records the rest as skipped with a reason.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .graphs import (
     Graph,
     GraphMatrixKind,
     StructureReport,
     classify,
-    common_neighbors,
     degrees,
     randic_index,
 )
@@ -228,6 +229,20 @@ def regular_bipartite_lambda2_bounds(
     ]
 
 
+def _common_neighbor_rows(g: Graph) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+    """Yield (i, row) for every vertex i, row holding (k, [k ~ i], N(i,k)) for k != i.
+
+    N(i,k) = |N(i) & N(k)| is one bitmask popcount per pair.
+    """
+    masks = [g.neighbors_mask(v) for v in range(1, g.n + 1)]
+    for i, mask_i in enumerate(masks, 1):
+        yield i, [
+            (k, mask_i >> k & 1, (mask_i & mask_k).bit_count())
+            for k, mask_k in enumerate(masks, 1)
+            if k != i
+        ]
+
+
 def regular_common_neighbor_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
@@ -247,20 +262,9 @@ def regular_common_neighbor_bounds(
     d = rep.regular
     best_alpha = -math.inf
     best_beta = -math.inf
-    for i in range(1, n + 1):
-        mask = g.neighbors_mask(i)
-        min_alpha = math.inf
-        min_beta = math.inf
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            two_n = 2 * common_neighbors(g, i, k)
-            if mask >> k & 1:
-                alpha, beta = 1 + two_n, 3 + two_n
-            else:
-                alpha, beta = two_n, two_n
-            min_alpha = min(min_alpha, alpha)
-            min_beta = min(min_beta, beta)
+    for _, row in _common_neighbor_rows(g):
+        min_alpha = min(2 * c + adj for _, adj, c in row)
+        min_beta = min(2 * c + 3 * adj for _, adj, c in row)
         best_alpha = max(best_alpha, min_alpha)
         best_beta = max(best_beta, min_beta)
     lower = -2.0 * d + max(best_alpha, d)
@@ -279,8 +283,26 @@ def regular_brauer_common_neighbor_bounds(
     """Common-neighbour oval bounds for a connected d-regular graph.
 
     For each deflation row i and pair {j, k} of the other vertices the
-    deflated oval sections to a real interval whose endpoints depend on how
-    many of j, k are adjacent to i (both / neither / exactly one).
+    deflated oval sections to a real interval [alpha, beta] whose endpoints
+    depend on how many of j, k are adjacent to i.  With
+    x_j = d - N(i,j) - 1 for a neighbour j of i and y_j = d - N(i,j) for a
+    non-neighbour:
+
+        both adjacent:  -1   -/+ 2 sqrt(x_j x_k)
+        neither:             -/+ 2 sqrt(y_j y_k)
+        exactly one:    -1/2 -/+ sqrt(1/4 + 4 x_j y_k)
+
+    Row i contributes the smallest alpha and the largest beta over its
+    pairs; the bound is the largest such alpha and the smallest such beta
+    over the rows.
+
+    Both x_j >= 0 (j is not its own neighbour, so N(i,j) <= d - 1) and
+    y_j >= 0, and alpha falls while beta rises with the product under the
+    root.  So within each class the extreme alpha and beta come from the
+    largest product: the two largest x, the two largest y, or the largest
+    x times the largest y.  A row therefore needs only its top two values
+    per class, O(n) work instead of O(n^2) pairs, and the roots see the
+    same integers as the pair loop, so the floats are identical.
     """
     rep = _structure(g, rep)
     n = g.n
@@ -290,30 +312,27 @@ def regular_brauer_common_neighbor_bounds(
     d = rep.regular
     lower = -math.inf
     upper = math.inf
-    for i in range(1, n + 1):
-        mask = g.neighbors_mask(i)
-        min_alpha = math.inf
-        max_beta = -math.inf
-        others = [k for k in range(1, n + 1) if k != i]
-        for j, k in combinations(others, 2):
-            nj = common_neighbors(g, i, j)
-            nk = common_neighbors(g, i, k)
-            j_adj = bool(mask >> j & 1)
-            k_adj = bool(mask >> k & 1)
-            if j_adj and k_adj:
-                root = 2.0 * math.sqrt((d - nj - 1) * (d - nk - 1))
-                alpha, beta = -1.0 - root, -1.0 + root
-            elif not j_adj and not k_adj:
-                root = 2.0 * math.sqrt((d - nj) * (d - nk))
-                alpha, beta = -root, root
-            else:
-                n_adj, n_non = (nj, nk) if j_adj else (nk, nj)
-                root = math.sqrt(0.25 + 4.0 * (d - n_adj - 1) * (d - n_non))
-                alpha, beta = -0.5 - root, -0.5 + root
-            min_alpha = min(min_alpha, alpha)
-            max_beta = max(max_beta, beta)
-        lower = max(lower, min_alpha)
-        upper = min(upper, max_beta)
+    for _, row in _common_neighbor_rows(g):
+        xs = [d - c - 1 for _, adj, c in row if adj]
+        ys = [d - c for _, adj, c in row if not adj]
+        alphas = []
+        betas = []
+        if len(xs) >= 2:
+            x1, x2 = heapq.nlargest(2, xs)
+            root = 2.0 * math.sqrt(x1 * x2)
+            alphas.append(-1.0 - root)
+            betas.append(-1.0 + root)
+        if len(ys) >= 2:
+            y1, y2 = heapq.nlargest(2, ys)
+            root = 2.0 * math.sqrt(y1 * y2)
+            alphas.append(-root)
+            betas.append(root)
+        if xs and ys:
+            root = math.sqrt(0.25 + 4.0 * max(xs) * max(ys))
+            alphas.append(-0.5 - root)
+            betas.append(-0.5 + root)
+        lower = max(lower, min(alphas))
+        upper = min(upper, max(betas))
     assumptions = ("connected", f"{d}-regular")
     return [
         BoundInterval(LAMBDA_2, lower, upper, "Thm3.9", assumptions),
@@ -486,20 +505,10 @@ def laplacian_common_neighbor_bounds(
     ds = [g.degree(v) for v in range(1, n + 1)]
     lower = -math.inf
     upper = math.inf
-    for i in range(1, n + 1):
-        mask = g.neighbors_mask(i)
+    for i, row in _common_neighbor_rows(g):
         di = ds[i - 1]
-        min_alpha = math.inf
-        max_beta = -math.inf
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            two_n = 2 * common_neighbors(g, i, k)
-            adj = 1 if mask >> k & 1 else 0
-            alpha = -di + two_n + adj
-            beta = di + 2 * ds[k - 1] - two_n - adj
-            min_alpha = min(min_alpha, alpha)
-            max_beta = max(max_beta, beta)
+        min_alpha = min(-di + 2 * c + adj for _, adj, c in row)
+        max_beta = max(di + 2 * ds[k - 1] - 2 * c - adj for k, adj, c in row)
         lower = max(lower, min_alpha)
         upper = min(upper, max_beta)
     assumptions = ("connected",)

@@ -10,6 +10,7 @@ small graphs.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -204,15 +205,25 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("graph JSON must have keys 'n' and 'edges'") from None
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of pairs")
+    n = _json_int(n, "'n'")
     pairs = []
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise ValueError(f"bad edge entry {e!r}")
-        u, v = e
-        if not (1 <= int(u) <= int(n) and 1 <= int(v) <= int(n)):
+        u, v = (_json_int(x, f"edge label in {e!r}") for x in e)
+        if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge label out of range in {e!r}")
-        pairs.append((int(u), int(v)))
-    return Graph.from_edges(int(n), pairs)
+        pairs.append((u, v))
+    return Graph.from_edges(n, pairs)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON number that is an exact integer (``3`` or ``3.0``); bools and the rest are errors."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

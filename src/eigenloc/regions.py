@@ -15,6 +15,7 @@ never from a rasterisation.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -65,8 +66,10 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError(f"disk radius must be nonnegative, got {self.radius}")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"disk radius must be finite and nonnegative, got {self.radius}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"disk centre must be finite, got {self.center}")
 
     def slack(self, z: complex) -> float:
         return self.radius - abs(z - self.center)
@@ -81,10 +84,12 @@ class CassiniOval:
     radius_product: float
 
     def __post_init__(self) -> None:
-        if self.radius_product < 0:
+        if not 0 <= self.radius_product < math.inf:
             raise ValueError(
-                f"oval radius product must be nonnegative, got {self.radius_product}"
+                f"oval radius product must be finite and nonnegative, got {self.radius_product}"
             )
+        if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
+            raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
 
     def slack(self, z: complex) -> float:
         return self.radius_product - abs(z - self.focus_a) * abs(z - self.focus_b)
@@ -564,16 +569,28 @@ def matrix_to_json(matrix) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
+    """Parse :func:`matrix_to_json` output.
+
+    ``n`` must equal the row count (``2.7`` or ``true`` never does), every
+    cell must be ``{"re": x, "im": y}`` and every entry finite; anything
+    else is a ValueError.
+    """
     obj = json.loads(text)
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         entries = obj["entries"]
     except (TypeError, KeyError):
         raise ValueError("matrix JSON must have keys 'n' and 'entries'") from None
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError("matrix entries are not n rows of n values")
-    a = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, cell in enumerate(row):
-            a[i, j] = complex(float(cell["re"]), float(cell["im"]))
+    try:
+        if isinstance(n, bool) or len(entries) != n or any(len(row) != n for row in entries):
+            raise ValueError("matrix entries are not n rows of n values")
+        n = len(entries)
+        a = np.empty((n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, cell in enumerate(row):
+                a[i, j] = complex(float(cell["re"]), float(cell["im"]))
+    except (TypeError, KeyError):
+        raise ValueError("matrix cells must be {'re': number, 'im': number}") from None
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a

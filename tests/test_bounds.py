@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +34,8 @@ from eigenloc.graphs import (
     Graph,
     GraphMatrixKind,
     build_matrix,
+    circulant,
+    classify,
     common_neighbors,
     complete,
     complete_bipartite,
@@ -610,3 +614,139 @@ class TestRegionVsFormula:
         points += list(section.isolated_points)
         assert min(points) >= lo - 1e-8
         assert max(points) <= hi + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# exactness of the common-neighbour theorems against literal pair loops
+
+
+def relabelled(g, seed):
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def random_connected(n, p, seed):
+    """A random spanning tree on 1..n plus each other pair with probability p."""
+    rng = random.Random(seed)
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    edges += [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def exactness_regular_corpus():
+    """Connected regular graphs: circulants with 1-3 offsets (n <= 40), their
+    relabellings, K_n and Petersen (rows without non-neighbours in K_n), cycles."""
+    rng = random.Random(7)
+    graphs = []
+    for n in range(3, 41):
+        for r in (1, 2, 3):
+            pool = list(combinations(range(1, n // 2 + 1), r))
+            if pool:
+                g = circulant(n, rng.choice(pool))
+                graphs += [g, relabelled(g, n * 10 + r)]
+    graphs += [complete(n) for n in range(2, 12)]
+    graphs += [cycle(n) for n in range(3, 25)]
+    graphs += [petersen(), relabelled(petersen(), 1), cube_q3()]
+    return [g for g in graphs if classify(g).connected]
+
+
+def exactness_laplacian_corpus():
+    graphs = exactness_regular_corpus()
+    graphs += [random_connected(n, p, 100 * n + k) for n in range(2, 25) for k, p in enumerate((0.1, 0.3, 0.6))]
+    graphs += [star(n) for n in range(2, 9)] + [path(n) for n in range(2, 9)] + [wheel(6)]
+    return graphs
+
+
+def reference_thm37(g):
+    """Thm3.7 per (i, k): the disk centred at -[k ~ i] with radius 2d - 2N(i,k) - 2[k ~ i]."""
+    d, n = classify(g).regular, g.n
+    row_lower, row_upper = [], []
+    for i in range(1, n + 1):
+        lefts, rights = [], []
+        for k in range(1, n + 1):
+            if k == i:
+                continue
+            adj = 1 if g.has_edge(i, k) else 0
+            radius = 2 * d - 2 * common_neighbors(g, i, k) - 2 * adj
+            lefts.append(-adj - radius)
+            rights.append(-adj + radius)
+        row_lower.append(min(lefts))
+        row_upper.append(max(rights))
+    lower = max(max(row_lower), -d)
+    upper = min(min(row_upper), d)
+    return float(lower), float(upper)
+
+
+def reference_thm39(g):
+    """Thm3.9 per (i, {j, k}): the three interval classes of the docstring."""
+    d, n = classify(g).regular, g.n
+    lower, upper = -math.inf, math.inf
+    for i in range(1, n + 1):
+        common = {v: common_neighbors(g, i, v) for v in range(1, n + 1) if v != i}
+        alphas, betas = [], []
+        for j, k in combinations(common, 2):
+            nj, nk = common[j], common[k]
+            j_adj, k_adj = g.has_edge(i, j), g.has_edge(i, k)
+            if j_adj and k_adj:
+                root = 2.0 * math.sqrt((d - nj - 1) * (d - nk - 1))
+                alpha, beta = -1.0 - root, -1.0 + root
+            elif not j_adj and not k_adj:
+                root = 2.0 * math.sqrt((d - nj) * (d - nk))
+                alpha, beta = -root, root
+            else:
+                n_adj, n_non = (nj, nk) if j_adj else (nk, nj)
+                root = math.sqrt(0.25 + 4.0 * (d - n_adj - 1) * (d - n_non))
+                alpha, beta = -0.5 - root, -0.5 + root
+            alphas.append(alpha)
+            betas.append(beta)
+        lower = max(lower, min(alphas))
+        upper = min(upper, max(betas))
+    return lower, upper
+
+
+def reference_thm53(g):
+    """Thm5.3 per (i, k): alpha = -d_i + 2N(i,k) + [k ~ i], beta = d_i + 2d_k - 2N(i,k) - [k ~ i]."""
+    n = g.n
+    ds = [g.degree(v) for v in range(1, n + 1)]
+    lower, upper = -math.inf, math.inf
+    for i in range(1, n + 1):
+        alphas, betas = [], []
+        for k in range(1, n + 1):
+            if k == i:
+                continue
+            common = common_neighbors(g, i, k)
+            adj = 1 if g.has_edge(i, k) else 0
+            alphas.append(-ds[i - 1] + 2 * common + adj)
+            betas.append(ds[i - 1] + 2 * ds[k - 1] - 2 * common - adj)
+        lower = max(lower, min(alphas))
+        upper = min(upper, max(betas))
+    return float(lower), float(upper)
+
+
+class TestCommonNeighborExactness:
+    def test_thm37_matches_pair_loop(self):
+        for g in exactness_regular_corpus():
+            for b in regular_common_neighbor_bounds(g):
+                assert (b.lower, b.upper) == reference_thm37(g), (g.n, sorted(g.edges))
+
+    def test_thm39_matches_pair_loop(self):
+        for g in exactness_regular_corpus():
+            if g.n < 3:
+                continue
+            for b in regular_brauer_common_neighbor_bounds(g):
+                assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
+
+    def test_thm53_matches_pair_loop(self):
+        for g in exactness_laplacian_corpus():
+            for b in laplacian_common_neighbor_bounds(g):
+                assert (b.lower, b.upper) == reference_thm53(g), (g.n, sorted(g.edges))
+
+    def test_corpus_covers_every_row_shape(self):
+        regular = exactness_regular_corpus()
+        # rows with no non-neighbour (K_n), exactly two neighbours (cycles),
+        # and both classes populated (Petersen, sparse circulants)
+        assert any(g.m == g.n * (g.n - 1) // 2 and g.n >= 3 for g in regular)
+        assert any(classify(g).regular == 2 and g.n >= 5 for g in regular)
+        assert any(classify(g).regular == 6 and g.n >= 20 for g in regular)
+        assert any(classify(g).regular is None for g in exactness_laplacian_corpus())

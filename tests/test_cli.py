@@ -208,6 +208,34 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestBadInputExitCodes:
+    @pytest.fixture
+    def nan_matrix_file(self, tmp_path):
+        a = ROWSUM_3X3.astype(complex)
+        a[0, 1] = complex(math.nan, 0.0)
+        path = tmp_path / "nan.json"
+        path.write_text(matrix_to_json(a))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["regions", "--method", "gersgorin"]], ids=["verify", "regions"]
+    )
+    def test_nan_matrix_exits_1(self, argv, nan_matrix_file, capsys):
+        assert main(argv + ["--matrix-file", nan_matrix_file]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "--matrix", "adjacency"], ["verify"]], ids=["bounds", "verify"]
+    )
+    def test_fractional_graph_json_exits_1(self, argv, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text('{"n": 2.7, "edges": [[1.9, 2]]}')
+        assert main(argv + ["--edges", str(path)]) == 1
+        assert "integer" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_complete_adjacency_sharp_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -75,6 +75,29 @@ class TestParsing:
         with pytest.raises(ValueError):
             graph_from_json(json.dumps({"n": 2, "edges": [[1, 1]]}))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2.7, "edges": [[1, 2]]}',
+            '{"n": 3, "edges": [[1.9, 2]]}',
+            '{"n": 3, "edges": [[1, 2.5]]}',
+            '{"n": true, "edges": []}',
+            '{"n": 3, "edges": [[true, 2]]}',
+            '{"n": "3", "edges": [[1, 2]]}',
+            '{"n": NaN, "edges": []}',
+            '{"n": Infinity, "edges": []}',
+            '{"n": 3, "edges": [[1, NaN]]}',
+            '{"n": 3, "edges": [[-Infinity, 2]]}',
+        ],
+    )
+    def test_json_rejects_non_integers(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)
+
+    def test_json_accepts_integral_floats(self):
+        g = graph_from_json('{"n": 3.0, "edges": [[1.0, 2], [2, 3]]}')
+        assert g == path(3)
+
 
 class TestFamilies:
     def test_complete_edge_count(self):

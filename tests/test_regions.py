@@ -379,6 +379,22 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json(json.dumps({"n": 2, "entries": [[{"re": 1, "im": 0}]]}))
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 1.5, "entries": [[{"re": 1, "im": 0}]]},
+            {"n": True, "entries": [[{"re": 1, "im": 0}]]},
+            {"n": "1", "entries": [[{"re": 1, "im": 0}]]},
+            {"n": 1, "entries": [[5]]},
+            {"n": 1, "entries": [[{"re": 1}]]},
+            {"n": 1, "entries": [[{"re": [1], "im": 0}]]},
+            {"n": 1, "entries": 7},
+        ],
+    )
+    def test_matrix_json_rejects_malformed(self, obj):
+        with pytest.raises(ValueError):
+            matrix_from_json(json.dumps(obj))
+
     def test_bad_region_node_rejected(self):
         with pytest.raises(ValueError):
             region_from_json({"op": "xor", "children": []})
@@ -407,3 +423,37 @@ def test_disk_rejects_negative_radius():
 def test_oval_rejects_negative_product():
     with pytest.raises(ValueError):
         CassiniOval(0.0j, 0.0j, -1.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_disk_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError):
+        Disk(0.0j, radius)
+
+
+@pytest.mark.parametrize("center", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+def test_disk_rejects_non_finite_centre(center):
+    with pytest.raises(ValueError):
+        Disk(center, 1.0)
+
+
+@pytest.mark.parametrize("product", [math.nan, math.inf])
+def test_oval_rejects_non_finite_product(product):
+    with pytest.raises(ValueError):
+        CassiniOval(0.0j, 1.0 + 0.0j, product)
+
+
+@pytest.mark.parametrize(
+    "foci", [(complex(math.nan, 0.0), 1.0j), (0.0j, complex(-math.inf, 0.0))]
+)
+def test_oval_rejects_non_finite_foci(foci):
+    with pytest.raises(ValueError):
+        CassiniOval(foci[0], foci[1], 1.0)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_matrix_json_rejects_non_finite_entries(value):
+    text = matrix_to_json(ROWSUM_3X3).replace('"im": 0.0', f'"im": {value}', 1)
+    assert text != matrix_to_json(ROWSUM_3X3)
+    with pytest.raises(ValueError):
+        matrix_from_json(text)
