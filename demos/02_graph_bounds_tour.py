@@ -8,14 +8,7 @@ graphs, complete bipartite graphs, stars) come out with zero slack.
 Run:  python demos/02_graph_bounds_tour.py
 """
 
-from eigenloc import (
-    GraphMatrixKind,
-    build_matrix,
-    bounds_report,
-    generate,
-    normalized_spectrum,
-    symmetric_eigenvalues,
-)
+from eigenloc import GraphMatrixKind, bounds_report, generate, graph_spectrum
 
 TARGET_POSITION = {"lambda_1": 0, "lambda_2": 1, "lambda_n_minus_1": -2, "lambda_n": -1}
 
@@ -29,12 +22,6 @@ GRAPHS = [
 ]
 
 
-def oracle(g, kind):
-    if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return normalized_spectrum(g).values
-    return symmetric_eigenvalues(build_matrix(g, kind)).values
-
-
 for label, g in GRAPHS:
     print(f"\n=== {label}  (n={g.n}, m={g.m}) ===")
     for kind in GraphMatrixKind:
@@ -43,7 +30,7 @@ for label, g in GRAPHS:
             skips = ", ".join(f"{t}: {r}" for t, r in report.skipped)
             print(f"  {kind.value:<11} nothing applies ({skips})")
             continue
-        values = oracle(g, kind)
+        values = graph_spectrum(g, kind).values
         print(f"  {kind.value}:")
         for b in report.bounds:
             value = values[TARGET_POSITION[b.target]]

@@ -52,6 +52,7 @@ from .oracle import (
     Spectrum,
     symmetric_eigenvalues,
     normalized_spectrum,
+    graph_spectrum,
     charpoly,
     complex_eigenvalues,
 )

@@ -7,10 +7,14 @@ target lambda_1 and lambda_{n-1} (the algebraic connectivity).  Each
 theorem is tagged with a stable identifier ("Thm3.1", "Cor3.6", ...) that
 the report JSON, the CSV output and the verify scope filters all share.
 
-Structural preconditions (connected, regular, bipartite, dominating
-vertex) are enforced through :func:`eigenloc.graphs.classify`;
-:func:`bounds_report` runs every applicable theorem for a (graph, matrix
-kind) pair and records the rest as skipped with a reason.
+One registry maps each tag to its matrix kind, its structural
+preconditions (connected, regular, bipartite, biregular, dominating
+vertex, read from :func:`eigenloc.graphs.classify`), its minimum n and its
+theorem function.  :func:`bounds_report` runs every applicable theorem of
+the registry for a (graph, matrix kind) pair and records the rest as
+skipped with the first failing precondition as the reason.  A theorem
+function called directly on a graph it does not apply to raises
+``ValueError("<tag>: <skip reason>")``, e.g. ``"Thm3.1: not regular"``.
 """
 
 from __future__ import annotations
@@ -62,20 +66,39 @@ LAMBDA_N = "lambda_n"
 
 TARGET_ALIASES = {LAMBDA_N_MINUS_1: "algebraic_connectivity"}
 
-THEOREM_TAGS = (
-    "Thm3.1",
-    "Thm3.4",
-    "Cor3.6",
-    "Thm3.7",
-    "Thm3.9",
-    "Thm4.1",
-    "Thm4.3",
-    "Thm4.4",
-    "Thm4.5",
-    "Thm5.2",
-    "Thm5.3",
-    "Thm5.4",
-)
+_ADJ = GraphMatrixKind.ADJACENCY
+_NORM = GraphMatrixKind.NORMALIZED_ADJACENCY
+_LAP = GraphMatrixKind.LAPLACIAN
+
+# The theorem catalogue: tag -> (matrix kind, preconditions in check order,
+# minimum n, theorem function).  The function is stored by name and looked up
+# in this module's namespace at call time, so a wrapper rebound onto the
+# module attribute (a profiler or tracer) sees every call bounds_report makes.
+_REGISTRY: dict[str, tuple[GraphMatrixKind, tuple[str, ...], int, str]] = {
+    "Thm3.1": (_ADJ, ("connected", "regular"), 3, "regular_adjacency_bounds"),
+    "Thm3.4": (_ADJ, ("connected", "bipartite", "biregular"), 4, "biregular_bipartite_lambda2_bounds"),
+    "Cor3.6": (_ADJ, ("connected", "regular", "bipartite"), 4, "regular_bipartite_lambda2_bounds"),
+    "Thm3.7": (_ADJ, ("connected", "regular"), 2, "regular_common_neighbor_bounds"),
+    "Thm3.9": (_ADJ, ("connected", "regular"), 3, "regular_brauer_common_neighbor_bounds"),
+    "Thm4.1": (_NORM, ("connected",), 3, "normalized_trace_bounds"),
+    "Thm4.3": (_NORM, ("connected", "bipartite"), 4, "normalized_bipartite_lambda2_bounds"),
+    "Thm4.4": (_NORM, ("connected", "dominating"), 3, "normalized_dominating_gersgorin_bounds"),
+    "Thm4.5": (_NORM, ("connected", "dominating"), 3, "normalized_dominating_brauer_bounds"),
+    "Thm5.2": (_LAP, ("connected",), 3, "laplacian_trace_bounds"),
+    "Thm5.3": (_LAP, ("connected",), 2, "laplacian_common_neighbor_bounds"),
+    "Thm5.4": (_LAP, ("connected", "dominating"), 3, "laplacian_dominating_brauer_bounds"),
+}
+
+# precondition name -> (test on the structure report, skip reason when it fails)
+_PRECONDITIONS = {
+    "connected": (lambda rep: rep.connected, "not connected"),
+    "regular": (lambda rep: rep.regular is not None, "not regular"),
+    "bipartite": (lambda rep: rep.bipartite, "not bipartite"),
+    "biregular": (lambda rep: rep.biregular is not None, "not biregular"),
+    "dominating": (lambda rep: bool(rep.dominating), "no dominating vertex"),
+}
+
+THEOREM_TAGS = tuple(_REGISTRY)
 
 _RADICAND_FLOOR = -1e-9
 
@@ -132,6 +155,25 @@ def _need(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _skip_reason(tag: str, rep: StructureReport, n: int) -> str | None:
+    """The first failing precondition of theorem ``tag``, or None when it applies."""
+    _, preconditions, min_n, _ = _REGISTRY[tag]
+    for name in preconditions:
+        holds, reason = _PRECONDITIONS[name]
+        if not holds(rep):
+            return reason
+    return None if n >= min_n else f"needs n >= {min_n}"
+
+
+def _checked(tag: str, g: Graph, rep: StructureReport | None) -> StructureReport:
+    """Classify ``g`` if needed; raise ValueError("<tag>: <skip reason>") unless ``tag`` applies."""
+    rep = rep if rep is not None else classify(g)
+    reason = _skip_reason(tag, rep, g.n)
+    if reason is not None:
+        raise ValueError(f"{tag}: {reason}")
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # generic two-trace engine
 
@@ -167,19 +209,12 @@ def trace_bounds(
 # adjacency matrix of regular / biregular graphs
 
 
-def _structure(g: Graph, rep: StructureReport | None) -> StructureReport:
-    return rep if rep is not None else classify(g)
-
-
 def regular_adjacency_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
     """Two-trace intervals for lambda_2 and lambda_n of a connected regular graph."""
-    rep = _structure(g, rep)
+    rep = _checked("Thm3.1", g, rep)
     n = g.n
-    _need(rep.connected, "Thm3.1 needs a connected graph")
-    _need(rep.regular is not None, "Thm3.1 needs a regular graph")
-    _need(n >= 3, "Thm3.1 needs n >= 3")
     d = rep.regular
     rad = n * d * (n - d - 1)
     base = -d / (n - 1.0)
@@ -196,12 +231,8 @@ def biregular_bipartite_lambda2_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
     """lambda_2 interval for a connected (c,d)-biregular bipartite graph."""
-    rep = _structure(g, rep)
+    rep = _checked("Thm3.4", g, rep)
     n = g.n
-    _need(rep.connected, "Thm3.4 needs a connected graph")
-    _need(rep.bipartite, "Thm3.4 needs a bipartite graph")
-    _need(rep.biregular is not None, "Thm3.4 needs a biregular graph")
-    _need(n >= 4, "Thm3.4 needs n >= 4")
     c, d = rep.biregular
     excess = g.m - c * d
     lo = _clamped_sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)), "Thm3.4")
@@ -215,12 +246,8 @@ def regular_bipartite_lambda2_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
     """lambda_2 interval for a connected d-regular bipartite graph."""
-    rep = _structure(g, rep)
+    rep = _checked("Cor3.6", g, rep)
     n = g.n
-    _need(rep.connected, "Cor3.6 needs a connected graph")
-    _need(rep.regular is not None, "Cor3.6 needs a regular graph")
-    _need(rep.bipartite, "Cor3.6 needs a bipartite graph")
-    _need(n >= 4, "Cor3.6 needs n >= 4")
     d = rep.regular
     lo = _clamped_sqrt(d * (n - 2.0 * d) / ((n - 2.0) * (n - 3.0)), "Cor3.6")
     hi = _clamped_sqrt(d * (n - 3.0) * (n - 2.0 * d) / (n - 2.0), "Cor3.6")
@@ -254,11 +281,8 @@ def regular_common_neighbor_bounds(
     The chain L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both
     targets.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm3.7", g, rep)
     n = g.n
-    _need(rep.connected, "Thm3.7 needs a connected graph")
-    _need(rep.regular is not None, "Thm3.7 needs a regular graph")
-    _need(n >= 2, "Thm3.7 needs n >= 2")
     d = rep.regular
     best_alpha = -math.inf
     best_beta = -math.inf
@@ -304,11 +328,8 @@ def regular_brauer_common_neighbor_bounds(
     per class, O(n) work instead of O(n^2) pairs, and the roots see the
     same integers as the pair loop, so the floats are identical.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm3.9", g, rep)
     n = g.n
-    _need(rep.connected, "Thm3.9 needs a connected graph")
-    _need(rep.regular is not None, "Thm3.9 needs a regular graph")
-    _need(n >= 3, "Thm3.9 needs n >= 3")
     d = rep.regular
     lower = -math.inf
     upper = math.inf
@@ -353,10 +374,8 @@ def normalized_trace_bounds(
     trace -1 and squared trace 2R - 1, so the spread radicand is
     2(n-1)R - n.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm4.1", g, rep)
     n = g.n
-    _need(rep.connected, "Thm4.1 needs a connected graph")
-    _need(n >= 3, "Thm4.1 needs n >= 3")
     r_minus_1 = randic_index(g, -1.0)
     rad = 2.0 * (n - 1.0) * r_minus_1 - n
     base = -1.0 / (n - 1.0)
@@ -373,23 +392,14 @@ def normalized_bipartite_lambda2_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
-    rep = _structure(g, rep)
+    rep = _checked("Thm4.3", g, rep)
     n = g.n
-    _need(rep.connected, "Thm4.3 needs a connected graph")
-    _need(rep.bipartite, "Thm4.3 needs a bipartite graph")
-    _need(n >= 4, "Thm4.3 needs n >= 4")
     rad = randic_index(g, -1.0) - 1.0
     lo = _clamped_sqrt(2.0 * rad / ((n - 2.0) * (n - 3.0)), "Thm4.3")
     hi = _clamped_sqrt(2.0 * (n - 3.0) * rad / (n - 2.0), "Thm4.3")
     return [
         BoundInterval(LAMBDA_2, lo, hi, "Thm4.3", ("connected", "bipartite")),
     ]
-
-
-def _dominating_or_fail(rep: StructureReport, theorem: str) -> tuple[int, ...]:
-    _need(rep.connected, f"{theorem} needs a connected graph")
-    _need(bool(rep.dominating), f"{theorem} needs a dominating vertex")
-    return rep.dominating
 
 
 def normalized_dominating_gersgorin_bounds(
@@ -400,13 +410,11 @@ def normalized_dominating_gersgorin_bounds(
     Each dominating vertex i yields valid bounds; the tightest over all
     dominating vertices is reported.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm4.4", g, rep)
     n = g.n
-    dominating = _dominating_or_fail(rep, "Thm4.4")
-    _need(n >= 3, "Thm4.4 needs n >= 3")
     ds = [g.degree(v) for v in range(1, n + 1)]
     best = -math.inf
-    for i in dominating:
+    for i in rep.dominating:
         t = min(
             1.0 / ds[k - 1] + 2.0 * ds[k - 1] / (n - 1.0)
             for k in range(1, n + 1)
@@ -431,10 +439,8 @@ def normalized_dominating_brauer_bounds(
     sqrt(rho_j * rho_k) over pairs of remaining vertices, where rho is the
     deflated deleted row sum 2 - 1/d - (2d-1)/(n-1) >= 0.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm4.5", g, rep)
     n = g.n
-    dominating = _dominating_or_fail(rep, "Thm4.5")
-    _need(n >= 3, "Thm4.5 needs n >= 3")
     ds = [g.degree(v) for v in range(1, n + 1)]
     rho = [
         max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) if d > 0 else 0.0
@@ -442,7 +448,7 @@ def normalized_dominating_brauer_bounds(
     ]
     centre = -1.0 / (n - 1.0)
     best_half = math.inf
-    for i in dominating:
+    for i in rep.dominating:
         rest = sorted((rho[k - 1] for k in range(1, n + 1) if k != i), reverse=True)
         best_half = min(best_half, math.sqrt(rest[0] * rest[1]))
     assumptions = ("connected", "dominating vertex")
@@ -465,10 +471,8 @@ def laplacian_trace_bounds(
     sum(d^2) + sum(d), giving mean n*avg/(n-1) and spread radicand
     S = sum(d^2) + n*avg - (n*avg)^2/(n-1).
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm5.2", g, rep)
     n = g.n
-    _need(rep.connected, "Thm5.2 needs a connected graph")
-    _need(n >= 3, "Thm5.2 needs n >= 3")
     prof = degrees(g)
     sum_d = float(sum(prof.degrees))
     m = sum_d / (n - 1.0)
@@ -498,10 +502,8 @@ def laplacian_common_neighbor_bounds(
     combined as max over i of min over k for the lower bound and min over
     i of max over k for the upper.
     """
-    rep = _structure(g, rep)
+    rep = _checked("Thm5.3", g, rep)
     n = g.n
-    _need(rep.connected, "Thm5.3 needs a connected graph")
-    _need(n >= 2, "Thm5.3 needs n >= 2")
     ds = [g.degree(v) for v in range(1, n + 1)]
     lower = -math.inf
     upper = math.inf
@@ -535,15 +537,13 @@ def laplacian_dominating_brauer_bounds(
     """
     if mode not in ("published", "corrected"):
         raise ValueError(f"mode must be 'published' or 'corrected', got {mode!r}")
-    rep = _structure(g, rep)
+    rep = _checked("Thm5.4", g, rep)
     n = g.n
-    dominating = _dominating_or_fail(rep, "Thm5.4")
-    _need(n >= 3, "Thm5.4 needs n >= 3")
     ds = [g.degree(v) for v in range(1, n + 1)]
     offset = 0 if mode == "published" else 1
     best_lower = -math.inf
     best_upper = math.inf
-    for i in dominating:
+    for i in rep.dominating:
         rest = [k for k in range(1, n + 1) if k != i]
         lo_i = math.inf
         hi_i = -math.inf
@@ -567,73 +567,7 @@ def laplacian_dominating_brauer_bounds(
 # report assembly
 
 
-def _applicability(rep: StructureReport, n: int) -> dict[str, str | None]:
-    """Skip reason per theorem tag, or None when applicable."""
-
-    def needs(*conds: tuple[bool, str]) -> str | None:
-        for ok, reason in conds:
-            if not ok:
-                return reason
-        return None
-
-    connected = (rep.connected, "not connected")
-    regular = (rep.regular is not None, "not regular")
-    bipartite = (rep.bipartite, "not bipartite")
-    biregular = (rep.biregular is not None, "not biregular")
-    dominating = (bool(rep.dominating), "no dominating vertex")
-    return {
-        "Thm3.1": needs(connected, regular, (n >= 3, "needs n >= 3")),
-        "Thm3.4": needs(connected, bipartite, biregular, (n >= 4, "needs n >= 4")),
-        "Cor3.6": needs(connected, regular, bipartite, (n >= 4, "needs n >= 4")),
-        "Thm3.7": needs(connected, regular, (n >= 2, "needs n >= 2")),
-        "Thm3.9": needs(connected, regular, (n >= 3, "needs n >= 3")),
-        "Thm4.1": needs(connected, (n >= 3, "needs n >= 3")),
-        "Thm4.3": needs(connected, bipartite, (n >= 4, "needs n >= 4")),
-        "Thm4.4": needs(connected, dominating, (n >= 3, "needs n >= 3")),
-        "Thm4.5": needs(connected, dominating, (n >= 3, "needs n >= 3")),
-        "Thm5.2": needs(connected, (n >= 3, "needs n >= 3")),
-        "Thm5.3": needs(connected, (n >= 2, "needs n >= 2")),
-        "Thm5.4": needs(connected, dominating, (n >= 3, "needs n >= 3")),
-    }
-
-
-_KIND_THEOREMS = {
-    GraphMatrixKind.ADJACENCY: ("Thm3.1", "Thm3.4", "Cor3.6", "Thm3.7", "Thm3.9"),
-    GraphMatrixKind.NORMALIZED_ADJACENCY: ("Thm4.1", "Thm4.3", "Thm4.4", "Thm4.5"),
-    GraphMatrixKind.LAPLACIAN: ("Thm5.2", "Thm5.3", "Thm5.4"),
-}
-
-
-def _runner(tag: str, g: Graph, rep: StructureReport, mode: str) -> list[BoundInterval]:
-    if tag == "Thm3.1":
-        return regular_adjacency_bounds(g, rep)
-    if tag == "Thm3.4":
-        return biregular_bipartite_lambda2_bounds(g, rep)
-    if tag == "Cor3.6":
-        return regular_bipartite_lambda2_bounds(g, rep)
-    if tag == "Thm3.7":
-        return regular_common_neighbor_bounds(g, rep)
-    if tag == "Thm3.9":
-        return regular_brauer_common_neighbor_bounds(g, rep)
-    if tag == "Thm4.1":
-        return normalized_trace_bounds(g, rep)
-    if tag == "Thm4.3":
-        return normalized_bipartite_lambda2_bounds(g, rep)
-    if tag == "Thm4.4":
-        return normalized_dominating_gersgorin_bounds(g, rep)
-    if tag == "Thm4.5":
-        return normalized_dominating_brauer_bounds(g, rep)
-    if tag == "Thm5.2":
-        return laplacian_trace_bounds(g, rep)
-    if tag == "Thm5.3":
-        return laplacian_common_neighbor_bounds(g, rep)
-    if tag == "Thm5.4":
-        return laplacian_dominating_brauer_bounds(g, rep, mode=mode)
-    raise ValueError(f"unknown theorem tag {tag!r}")
-
-
-def graph_summary(g: Graph, rep: StructureReport | None = None) -> dict:
-    rep = _structure(g, rep)
+def graph_summary(g: Graph, rep: StructureReport) -> dict:
     return {
         "n": g.n,
         "m": g.m,
@@ -655,15 +589,18 @@ def bounds_report(
     a combined best interval; skips are data, not errors.
     """
     rep = classify(g)
-    reasons = _applicability(rep, g.n)
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []
-    for tag in _KIND_THEOREMS[kind]:
-        reason = reasons[tag]
-        if reason is None:
-            bounds.extend(_runner(tag, g, rep, mode))
-        else:
+    for tag, (tag_kind, _, _, name) in _REGISTRY.items():
+        if tag_kind != kind:
+            continue
+        reason = _skip_reason(tag, rep, g.n)
+        if reason is not None:
             skipped.append((tag, reason))
+        elif tag == "Thm5.4":
+            bounds.extend(globals()[name](g, rep, mode=mode))
+        else:
+            bounds.extend(globals()[name](g, rep))
     by_target: dict[str, list[BoundInterval]] = {}
     for b in bounds:
         by_target.setdefault(b.target, []).append(b)

@@ -126,12 +126,6 @@ def check_region(name: str, region, eigenvalues, tol: float) -> CheckResult:
     return CheckResult(name=name, target="spectrum", passed=slack >= -tol, slack=slack)
 
 
-def _oracle_values(g: gr.Graph, kind: gr.GraphMatrixKind) -> tuple[float, ...]:
-    if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return orc.normalized_spectrum(g).values
-    return orc.symmetric_eigenvalues(gr.build_matrix(g, kind)).values
-
-
 def _scope_filter(scope: str) -> set[str] | None:
     if not scope or scope == "all":
         return None
@@ -152,7 +146,7 @@ def verify_graph(
     for kind_name, kind in _KINDS.items():
         if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and has_isolated:
             continue
-        values = _oracle_values(g, kind)
+        values = orc.graph_spectrum(g, kind).values
         report = bd.bounds_report(g, kind, mode=mode)
         for bound in report.bounds:
             if wanted is not None and bound.theorem not in wanted:
@@ -454,7 +448,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for family, sizes in specs:
             for n in sizes:
                 g = _sweep_graph(family, n)
-                values = _oracle_values(g, kind)
+                values = orc.graph_spectrum(g, kind).values
                 report = bd.bounds_report(g, kind, mode=args.mode)
                 for bound in report.bounds:
                     oracle_value = values[_TARGET_INDEX[bound.target]]

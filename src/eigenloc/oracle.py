@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .graphs import Graph, classify
+from .graphs import Graph, GraphMatrixKind, build_matrix, classify
 
 __all__ = [
     "Spectrum",
     "symmetric_eigenvalues",
     "normalized_spectrum",
+    "graph_spectrum",
     "charpoly",
     "complex_eigenvalues",
     "spectrum_to_json",
@@ -86,10 +87,13 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
     if n > _MAX_SYMMETRIC_DIM:
         raise ValueError(f"dimension {n} exceeds the {_MAX_SYMMETRIC_DIM} cap")
     if np.iscomplexobj(a):
-        if np.max(np.abs(a.imag)) > 1e-12:
+        # negated so that a NaN imaginary part is rejected too
+        if not np.max(np.abs(a.imag)) <= 1e-12:
             raise ValueError("matrix has a non-negligible imaginary part")
         a = a.real
     a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric")
     a = (a + a.T) / 2.0
@@ -171,6 +175,17 @@ def normalized_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
     return spec
 
 
+def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
+    """Spectrum of the ``kind`` matrix of ``g`` by the Jacobi route.
+
+    The normalized adjacency goes through :func:`normalized_spectrum`, whose
+    symmetric similar matrix keeps the values exactly real.
+    """
+    if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
+        return normalized_spectrum(g)
+    return symmetric_eigenvalues(build_matrix(g, kind))
+
+
 # ---------------------------------------------------------------------------
 # characteristic-polynomial route (general complex)
 
@@ -188,6 +203,8 @@ def charpoly(matrix) -> np.ndarray:
     n = a.shape[0]
     if n > _MAX_CHARPOLY_DIM:
         raise ValueError(f"dimension {n} exceeds the {_MAX_CHARPOLY_DIM} cap")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     work = a.astype(np.clongdouble)
     eye = np.eye(n, dtype=np.clongdouble)
     coeffs = [np.clongdouble(1.0)]

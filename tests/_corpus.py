@@ -32,7 +32,6 @@ from eigenloc.bounds import (
 from eigenloc.graphs import (
     Graph,
     GraphMatrixKind,
-    build_matrix,
     circulant,
     complete,
     complete_bipartite,
@@ -42,7 +41,7 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import normalized_spectrum, symmetric_eigenvalues
+from eigenloc.oracle import graph_spectrum
 
 TARGET_INDEX = {LAMBDA_1: -1, LAMBDA_2: -2, LAMBDA_N: 0, LAMBDA_N_MINUS_1: 1}
 # index into an ASCENDING eigenvalue array
@@ -317,12 +316,6 @@ def bulk_soundness_violations(
 # per-graph library path
 
 
-def oracle_values(g: Graph, kind: GraphMatrixKind) -> tuple[float, ...]:
-    if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return normalized_spectrum(g).values
-    return symmetric_eigenvalues(build_matrix(g, kind)).values
-
-
 _POSITION = {LAMBDA_1: 0, LAMBDA_2: 1, LAMBDA_N_MINUS_1: -2, LAMBDA_N: -1}
 # index into a DESCENDING eigenvalue tuple
 
@@ -342,7 +335,7 @@ def check_graph_with_library(
         ]
         if not intervals:
             continue
-        values = oracle_values(g, kind)
+        values = graph_spectrum(g, kind).values
         for bound in intervals:
             value = values[_POSITION[bound.target]]
             checks += 1

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import eigenloc.bounds as bounds_module
 from eigenloc.bounds import (
     LAMBDA_1,
     LAMBDA_2,
@@ -466,7 +467,7 @@ class TestReports:
         assert report.skipped == ()
 
     def test_every_theorem_listed_exactly_once(self):
-        from eigenloc.bounds import _KIND_THEOREMS
+        from eigenloc.bounds import _REGISTRY
 
         for g in (petersen(), star(5), path(4), cycle(6)):
             for kind in GraphMatrixKind:
@@ -474,8 +475,41 @@ class TestReports:
                 applied = {b.theorem for b in report.bounds}
                 skipped = [t for t, _ in report.skipped]
                 assert applied.isdisjoint(skipped)
-                assert applied | set(skipped) == set(_KIND_THEOREMS[kind])
+                assert applied | set(skipped) == {
+                    tag for tag, entry in _REGISTRY.items() if entry[0] == kind
+                }
                 assert len(skipped) == len(set(skipped))
+
+    def test_direct_call_raises_exactly_when_report_skips(self):
+        from eigenloc.bounds import _REGISTRY
+
+        disconnected = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])
+        corpus = (
+            complete(1), complete(2), path(3), cycle(4), complete(4), star(5),
+            path(5), petersen(), complete_bipartite(3, 4), disconnected,
+        )
+        seen_reasons = set()
+        for g in corpus:
+            for kind in GraphMatrixKind:
+                report = bounds_report(g, kind)
+                reasons = dict(report.skipped)
+                applied = {b.theorem for b in report.bounds}
+                for tag, (tag_kind, _, _, name) in _REGISTRY.items():
+                    if tag_kind != kind:
+                        continue
+                    fn = getattr(bounds_module, name)
+                    if tag in reasons:
+                        seen_reasons.add(reasons[tag])
+                        with pytest.raises(ValueError) as err:
+                            fn(g)
+                        assert str(err.value) == f"{tag}: {reasons[tag]}"
+                    else:
+                        assert tag in applied
+                        assert {b.theorem for b in fn(g)} == {tag}
+        assert {
+            "not connected", "not regular", "not bipartite", "not biregular",
+            "no dominating vertex", "needs n >= 2", "needs n >= 3", "needs n >= 4",
+        } <= seen_reasons
 
     def test_combined_is_intersection(self):
         report = bounds_report(complete(6), GraphMatrixKind.LAPLACIAN)

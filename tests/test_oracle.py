@@ -212,3 +212,26 @@ def test_spectrum_json():
 def test_symmetric_dimension_cap():
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.zeros((2049, 2049)))
+
+
+def _with_off_diagonal_pair(value, dtype=float):
+    a = np.eye(3, dtype=dtype)
+    a[0, 1] = a[1, 0] = value
+    return a
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [complex(1.0, np.nan)])
+def test_symmetric_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(_with_off_diagonal_pair(value, type(value)))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_complex_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        charpoly(_with_off_diagonal_pair(value))
+    with pytest.raises(ValueError):
+        complex_eigenvalues(_with_off_diagonal_pair(value))
