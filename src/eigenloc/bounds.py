@@ -19,12 +19,12 @@ function called directly on a graph it does not apply to raises
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -256,18 +256,26 @@ def regular_bipartite_lambda2_bounds(
     ]
 
 
-def _common_neighbor_rows(g: Graph) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
-    """Yield (i, row) for every vertex i, row holding (k, [k ~ i], N(i,k)) for k != i.
+@functools.lru_cache(maxsize=1)
+def _common_neighbor_rows(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """(i, row) for every vertex i, row holding (k, [k ~ i], N(i,k)) for k != i.
 
-    N(i,k) = |N(i) & N(k)| is one bitmask popcount per pair.
+    N(i,k) = |N(i) & N(k)| is one bitmask popcount per pair.  The rows of
+    the last graph are kept, so the theorems of one report, or of reports
+    on an equal graph, build them once.
     """
     masks = [g.neighbors_mask(v) for v in range(1, g.n + 1)]
-    for i, mask_i in enumerate(masks, 1):
-        yield i, [
-            (k, mask_i >> k & 1, (mask_i & mask_k).bit_count())
-            for k, mask_k in enumerate(masks, 1)
-            if k != i
-        ]
+    return tuple(
+        (
+            i,
+            tuple(
+                (k, mask_i >> k & 1, (mask_i & mask_k).bit_count())
+                for k, mask_k in enumerate(masks, 1)
+                if k != i
+            ),
+        )
+        for i, mask_i in enumerate(masks, 1)
+    )
 
 
 def regular_common_neighbor_bounds(

@@ -784,3 +784,14 @@ class TestCommonNeighborExactness:
         assert any(classify(g).regular == 2 and g.n >= 5 for g in regular)
         assert any(classify(g).regular == 6 and g.n >= 20 for g in regular)
         assert any(classify(g).regular is None for g in exactness_laplacian_corpus())
+
+    def test_rows_built_once_per_graph(self):
+        rows = bounds_module._common_neighbor_rows
+        rows.cache_clear()
+        g = circulant(30, (1, 4))
+        bounds_report(g, GraphMatrixKind.ADJACENCY)  # Thm3.7 and Thm3.9
+        assert rows.cache_info().misses == 1
+        same = Graph.from_edges(30, sorted(g.edges, reverse=True))
+        bounds_report(same, GraphMatrixKind.LAPLACIAN)  # Thm5.3 on an equal graph
+        assert rows.cache_info().misses == 1
+        assert rows.cache_info().hits == 2

@@ -5,18 +5,25 @@ import json
 import numpy as np
 import pytest
 
+from eigenloc import oracle
 from eigenloc.graphs import (
     GraphMatrixKind,
     build_matrix,
+    circulant,
     complete,
+    complete_minus_edge,
     cycle,
     path,
     petersen,
     star,
 )
 from eigenloc.oracle import (
+    Spectrum,
+    _rotation_tangents,
+    _round_robin_move,
     charpoly,
     complex_eigenvalues,
+    graph_spectrum,
     normalized_spectrum,
     spectrum_to_json,
     symmetric_eigenvalues,
@@ -67,6 +74,121 @@ class TestJacobi:
             ours = np.array(symmetric_eigenvalues(a).values)
             lapack = np.linalg.eigvalsh(a)[::-1]
             assert np.max(np.abs(ours - lapack)) <= 1e-9
+
+
+def assert_matches_eigvalsh(a, spec):
+    a = np.asarray(a, dtype=float)
+    lapack = np.linalg.eigvalsh(a)[::-1]
+    bound = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+    assert np.max(np.abs(np.array(spec.values) - lapack)) <= bound
+
+
+def symmetric_graph_matrix(g, kind):
+    """The kind matrix of g, or for the normalized adjacency its symmetric similar form."""
+    if kind != GraphMatrixKind.NORMALIZED_ADJACENCY:
+        return build_matrix(g, kind)
+    root = np.sqrt([g.degree(v) for v in range(1, g.n + 1)])
+    return build_matrix(g, GraphMatrixKind.ADJACENCY) / np.outer(root, root)
+
+
+class TestRoundRobinJacobi:
+    def test_schedule_pairs_every_index_pair_once_per_sweep(self):
+        for m in range(2, 65, 2):
+            move = _round_robin_move(m)
+            slots = np.arange(m)
+            met = []
+            for _ in range(m - 1):
+                pairs = slots.reshape(-1, 2)
+                assert len(set(pairs.ravel().tolist())) == m  # the round's pairs are disjoint
+                met += [frozenset(p) for p in pairs.tolist()]
+                slots = slots[move]
+            assert len(met) == len(set(met)) == m * (m - 1) // 2
+            assert slots.tolist() == list(range(m))  # a sweep ends where it started
+
+    @pytest.mark.parametrize("n", [1, 3, 91])
+    def test_padding_path_agrees_with_lapack(self, n):
+        a = random_symmetric(np.random.default_rng(n), n)
+        spec = symmetric_eigenvalues(a)
+        assert len(spec) == n
+        assert_matches_eigvalsh(a, spec)
+
+    @pytest.mark.parametrize("kind", list(GraphMatrixKind), ids=lambda k: k.value)
+    def test_large_circulant_agrees_with_lapack(self, kind):
+        g = circulant(90, (1, 2))
+        spec = graph_spectrum(g, kind)
+        assert_matches_eigvalsh(symmetric_graph_matrix(g, kind), spec)
+        assert 1 <= spec.iterations <= 15
+
+    def test_random_symmetric_agrees_with_lapack(self):
+        rng = np.random.default_rng(20)
+        for n in (2, 4, 5, 16, 17, 33, 64):
+            for scale in (1e-3, 2.0, 1e3):
+                a = random_symmetric(rng, n, scale)
+                assert_matches_eigvalsh(a, symmetric_eigenvalues(a))
+
+    def test_flush_branch(self):
+        t, left = _rotation_tangents(np.array([[1.0], [1.0]]), np.array([1e-300]), 0.0)
+        assert t.tolist() == [0.0]
+        assert left.tolist() == [0.0]
+        spec = symmetric_eigenvalues(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+        assert spec.values == (1.0, 1.0)
+        assert spec.max_residual == 0.0
+
+    def test_large_theta_branch(self):
+        theta = (1.0 - 0.0) / (2.0 * 1e-160)
+        assert theta > 1e150
+        t, left = _rotation_tangents(np.array([[0.0], [1.0]]), np.array([1e-160]), 0.0)
+        assert t.tolist() == [1.0 / (2.0 * theta)]
+        assert left.tolist() == [0.0]
+        a = np.array([[0.0, 1e-160], [1e-160, 1.0]])
+        assert symmetric_eigenvalues(a).values == (1.0, 0.0)
+        rotated = symmetric_eigenvalues(a, tol=0.0)
+        assert rotated.iterations == 1
+        assert rotated.values == pytest.approx((1.0, 0.0), abs=1e-300)
+        assert rotated.max_residual == 0.0
+
+    def test_pivot_below_target_is_kept(self):
+        # the 1e-15 pivot between equal diagonals is under tol * ||A||_F / 4,
+        # so it is neither rotated (45 degrees) nor dropped from the certificate
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = 1.0
+        a[2, 2] = a[3, 3] = 1.0
+        a[2, 3] = a[3, 2] = 1e-15
+        spec = symmetric_eigenvalues(a)
+        assert spec.values == (1.0, 1.0, 1.0, -1.0)
+        assert spec.iterations == 1
+        assert spec.max_residual == pytest.approx(np.sqrt(2) * 1e-15 / np.linalg.norm(a), rel=1e-9, abs=0)
+
+    def test_equal_diagonal_cluster_converges(self):
+        # rotating rounding noise inside the 30-fold eigenvalue -1/31 used to
+        # stall the round-robin ordering in 50 sweeps
+        g = complete_minus_edge(32)
+        spec = normalized_spectrum(g)
+        assert spec.iterations <= 15
+        assert_matches_eigvalsh(symmetric_graph_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY), spec)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_JACOBI_SWEEPS", 1)
+        a = random_symmetric(np.random.default_rng(4), 20)
+        with pytest.raises(RuntimeError, match="did not reach tolerance in 1 sweeps"):
+            symmetric_eigenvalues(a)
+
+    def test_repeatable(self):
+        a = random_symmetric(np.random.default_rng(6), 37)
+        assert symmetric_eigenvalues(a) == symmetric_eigenvalues(a)
+
+
+class TestEmptyMatrix:
+    def test_charpoly_is_constant_one(self):
+        coeffs = charpoly(np.zeros((0, 0)))
+        assert coeffs.dtype == complex
+        assert coeffs.tolist() == [1 + 0j]
+
+    @pytest.mark.parametrize("solver", [symmetric_eigenvalues, complex_eigenvalues])
+    def test_empty_spectrum(self, solver):
+        spec = solver(np.zeros((0, 0)))
+        assert spec == Spectrum((), 0.0)
+        assert len(spec) == 0
 
 
 class TestNormalizedSpectrum:
@@ -207,6 +329,11 @@ def test_spectrum_json():
     obj = json.loads(spectrum_to_json(spec))
     assert np.allclose(obj["values"], [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
     assert obj["residual"] <= 1e-12
+    assert set(obj) == {"values", "residual"}
+
+
+def test_complex_counts_aberth_iterations():
+    assert complex_eigenvalues(np.diag([1.0, 2.0, 3.0])).iterations >= 1
 
 
 def test_symmetric_dimension_cap():
