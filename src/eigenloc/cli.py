@@ -234,50 +234,30 @@ def _auto_window(leaves, eigenvalues) -> tuple[float, float, float, float]:
     return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
 
 
-def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[list[complex]]:
-    """Boundary polylines by radial scanning; one loop, or two when pinched."""
+def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
+    """Closed boundary polylines from the polar form; one loop, or two when pinched.
+
+    With c the midpoint and d the half-difference of the foci,
+    |z-a| |z-b| = |(z-c)^2 - d^2|, so the boundary is z = c + sqrt(d^2 + p e^{it}).
+    When p >= |d|^2 the radicand winds round 0 and t runs over [0, 4 pi];
+    written as e^{it/2} sqrt(p + d^2 e^{-it}), the radicand left has a
+    nonnegative real part, so the principal root is continuous (the
+    lemniscate p = |d|^2 included).  Otherwise the oval splits into the two
+    loops c +- d sqrt(1 + (p / d^2) e^{it}) over [0, 2 pi].
+    """
     p = oval.radius_product
     if p <= 0.0:
         return []
-
-    def margin(z: complex) -> float:
-        return abs(z - oval.focus_a) * abs(z - oval.focus_b) - p
-
-    def trace(centre: complex, count: int) -> list[complex]:
-        span = abs(oval.focus_a - oval.focus_b) + math.sqrt(p) + 1.0
-        loop = []
-        for idx in range(count):
-            angle = 2.0 * math.pi * idx / count
-            ray = complex(math.cos(angle), math.sin(angle))
-            lo, hi = 0.0, span
-            flo = margin(centre)
-            # outermost crossing along the ray: coarse scan then bisection
-            ts = [span * j / 64.0 for j in range(65)]
-            vals = [margin(centre + t * ray) for t in ts]
-            bracket = None
-            for j in range(64, 0, -1):
-                if (vals[j] > 0.0) != (vals[j - 1] > 0.0):
-                    bracket = (ts[j - 1], ts[j], vals[j - 1])
-                    break
-            if bracket is None:
-                loop.append(centre)
-                continue
-            lo, hi, flo = bracket
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                fm = margin(centre + mid * ray)
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            loop.append(centre + 0.5 * (lo + hi) * ray)
-        loop.append(loop[0])
-        return loop
-
-    midpoint = 0.5 * (oval.focus_a + oval.focus_b)
-    if margin(midpoint) <= 0.0:
-        return [trace(midpoint, points)]
-    return [trace(oval.focus_a, points // 2), trace(oval.focus_b, points // 2)]
+    c = 0.5 * (oval.focus_a + oval.focus_b)
+    d = 0.5 * (oval.focus_b - oval.focus_a)
+    if p >= abs(d) * abs(d):
+        t = np.linspace(0.0, 4.0 * math.pi, points, endpoint=False)
+        loops = [c + np.exp(0.5j * t) * np.sqrt(p + d * d * np.exp(-1j * t))]
+    else:
+        t = np.linspace(0.0, 2.0 * math.pi, points // 2, endpoint=False)
+        half = d * np.sqrt(1.0 + p / (d * d) * np.exp(1j * t))
+        loops = [c + half, c - half]
+    return [np.append(loop, loop[0]) for loop in loops]
 
 
 def region_to_svg(
@@ -288,8 +268,9 @@ def region_to_svg(
 ) -> str:
     """Render leaf boundaries plus eigenvalue markers as a standalone SVG.
 
-    Disks become circles, ovals 512-point polylines traced from the
-    implicit curve, point leaves small diamonds, eigenvalues filled dots.
+    Disks become circles, ovals closed 512-point polylines from the oval's
+    polar form (two 256-point loops when it is pinched), point leaves small
+    diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.
     """
     leaves = _region_leaves(region)

@@ -124,9 +124,10 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
     applies m / 2 disjoint plane rotations at once as whole-array updates
     on a working matrix kept in pair order, then permutes it to the next
     round's pairs with :func:`_round_robin_move`.  Sweeps run until the
-    off-diagonal Frobenius mass drops below ``tol * max(1, ||A||_F)``;
-    raises if 50 sweeps do not get there.  The certificate is the final
-    relative off-diagonal mass and ``iterations`` the number of sweeps.
+    off-diagonal Frobenius mass drops below ``tol * ||A||_F``, a target
+    relative to the matrix at every scale; raises if 50 sweeps do not get
+    there.  The certificate is the final off-diagonal mass over ``||A||_F``
+    (0 for the zero matrix) and ``iterations`` the number of sweeps.
 
     Pivots below that target divided by m are skipped and kept: once every
     off-diagonal entry is that small the stopping rule holds, and rotating
@@ -165,7 +166,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
     pq = pp + 1
     qp = pp + m
 
-    scale = max(1.0, float(np.linalg.norm(a)))
+    scale = float(np.linalg.norm(a))
     threshold = tol * scale
     skip_below = threshold / m
     off = _off_mass(a)
@@ -199,7 +200,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
         off = _off_mass(a)
     # a full sweep returns every index to its slot, so the pad is the last
     values = tuple(sorted((float(x) for x in np.diag(a)[:n]), reverse=True))
-    return Spectrum(values=values, max_residual=off / scale, iterations=sweeps)
+    return Spectrum(values=values, max_residual=off / scale if scale else 0.0, iterations=sweeps)
 
 
 def normalized_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
@@ -50,9 +51,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-_OVAL_SCAN_POINTS = 10_000
-
 
 # ---------------------------------------------------------------------------
 # region tree
@@ -100,6 +98,10 @@ class PointSet:
     """Finite set of complex points; membership means being within tolerance."""
 
     points: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        if not all(cmath.isfinite(p) for p in self.points):
+            raise ValueError(f"points must be finite, got {self.points}")
 
     def slack(self, z: complex) -> float:
         if not self.points:
@@ -407,19 +409,8 @@ def _disk_section(disk: Disk) -> RealSection:
     return RealSection(((x - half, x + half),), ())
 
 
-def _oval_quartic(oval: CassiniOval):
-    a1, b1 = oval.focus_a.real, oval.focus_a.imag
-    a2, b2 = oval.focus_b.real, oval.focus_b.imag
-    p2 = oval.radius_product * oval.radius_product
-
-    def q(x):
-        return ((x - a1) ** 2 + b1 * b1) * ((x - a2) ** 2 + b2 * b2) - p2
-
-    return q
-
-
 def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
-    p = oval.radius_product
+    a, b, p = oval.focus_a, oval.focus_b, oval.radius_product
     if p == 0.0:
         pts = [
             f.real
@@ -427,61 +418,76 @@ def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
             if abs(f.imag) <= tol
         ]
         return _normalized_section([], pts, tol)
-    q = _oval_quartic(oval)
-    lo = min(oval.focus_a.real, oval.focus_b.real) - p - 1.0
-    hi = max(oval.focus_a.real, oval.focus_b.real) + p + 1.0
-    xs = np.linspace(lo, hi, _OVAL_SCAN_POINTS + 1)
-    vals = q(xs)
+    # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
+    # oval, with y = x - s measured from the centre so that no coefficient
+    # cancels against the foci's distance from the origin
+    s = 0.5 * (a.real + b.real)
+    u, v = a - s, b - s
+    q = np.polymul(
+        [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
+        [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
+    )
+    q[-1] -= p * p
+    dq = np.polyder(q)
+    d2q = np.polyder(dq)
 
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(float(xs[i]))
-        elif (v0 < 0.0) != (v1 < 0.0):
-            roots.append(_bisect_root(q, float(xs[i]), float(xs[i + 1]), float(v0)))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    roots = sorted(roots)
+    def spread(y: float) -> float:
+        return abs(y - u) * abs(y - v)
 
-    scale = max(1.0, abs(lo), abs(hi))
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-12 * scale:
-            deduped.append(r)
-    intervals = []
-    for left, right in zip(deduped, deduped[1:]):
-        if q(0.5 * (left + right)) <= 0.0:
-            intervals.append((left, right))
-    return _normalized_section(intervals, [], tol)
+    def exact_q(y: float) -> float:
+        # q in factored form, exact where the expanded coefficients cancel
+        m = spread(y)
+        return m * m - p * p
 
+    def polish(y: float) -> float:
+        slope = np.polyval(dq, y)
+        return float(y if slope == 0.0 else y - exact_q(y) / slope)
 
-def _bisect_root(q, lo: float, hi: float, q_lo: float) -> float:
-    scale = max(1.0, abs(lo), abs(hi))
-    for _ in range(100):
-        if hi - lo <= 1e-12 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        qm = q(mid)
-        if qm == 0.0:
-            return mid
-        if (qm < 0.0) == (q_lo < 0.0):
-            lo, q_lo = mid, qm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Every root of q must be among the ends; ends that are not roots only
+    # split an interval or a gap, whose sign is read at its midpoint.  Two
+    # roots closer than about sqrt(eps) come back from np.roots as a complex
+    # pair or as a spread-out real pair round the extremum of q between
+    # them: the extremum as an end fences off the spurious pair, and the
+    # quadratic model of q there gives the true pair.
+    roots = np.roots(q)
+    ends = [polish(y) for y in roots[roots.imag == 0.0].real]
+    touches = []
+    critical = np.roots(dq)
+    for y in critical[critical.imag == 0.0].real:
+        y = float(y)
+        g, curvature = exact_q(y), float(np.polyval(d2q, y))
+        ends.append(y)
+        if g * curvature < 0.0:
+            half = math.sqrt(-2.0 * g / curvature)
+            ends += [y - half, y + half]
+        # a tangency is a double root of q but a simple root of q'
+        if p - spread(y) >= -tol:
+            touches.append(s + y)
+    ends.sort()
+    intervals = [
+        (s + left, s + right)
+        for left, right in zip(ends, ends[1:])
+        if left < right and spread(0.5 * (left + right)) <= p
+    ]
+    return _normalized_section(intervals, touches, tol)
 
 
 def real_section(region: Region, tol: float = 1e-9) -> RealSection:
     """The region's intersection with the real axis as intervals + points.
 
-    Disks section analytically; ovals by locating the real roots of the
-    degree-4 margin polynomial with a sign-change scan and bisection, then
-    keeping the sign-negative gaps; unions and intersections by interval
-    algebra.  ``tol`` controls how close to the axis a point leaf must be
-    to count as real and how point matching behaves under intersection.
-    Tangency points of ovals (double roots without a sign change) may be
-    dropped; tangent disks keep their zero-width interval.
+    Disks section analytically.  An oval's section is where the quartic
+    ``q(x) = |x-a|^2 |x-b|^2 - p^2``, written about the oval's centre, is
+    at most 0.  Its exactly-real roots (``np.roots``, each polished by one
+    Newton step) and the real roots of ``q'`` cut the axis into pieces, and
+    the pieces with nonnegative slack at their midpoint are kept; two roots
+    too close for ``np.roots`` to resolve are found from the quadratic
+    model of ``q`` at the extremum between them.  A point where an oval
+    only touches the axis is a double root of ``q``; it is found as a real
+    root of ``q'`` and kept as an isolated point when its slack is at least
+    ``-tol``.  Unions and intersections combine by interval algebra.
+    ``tol`` also controls how close to the axis a point leaf must be to
+    count as real and how point matching behaves under intersection.
+    Tangent disks keep their zero-width interval.
     """
     if isinstance(region, Disk):
         return _disk_section(region)
@@ -537,25 +543,42 @@ def region_to_json(region: Region) -> dict:
     raise TypeError(f"not a region: {region!r}")
 
 
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _json_pair(value) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"not a [re, im] pair: {value!r}")
+    return complex(_json_number(value[0]), _json_number(value[1]))
+
+
 def region_from_json(obj: dict) -> Region:
+    """Parse :func:`region_to_json` output.
+
+    Numbers must be ints or floats (``true`` is not one), pairs must be
+    ``[re, im]`` and every value finite; any malformed node is a ValueError.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"bad region node {obj!r}")
-    if "disk" in obj:
-        d = obj["disk"]
-        return Disk(complex(d["center"][0], d["center"][1]), float(d["radius"]))
-    if "oval" in obj:
-        o = obj["oval"]
-        return CassiniOval(
-            complex(o["a"][0], o["a"][1]),
-            complex(o["b"][0], o["b"][1]),
-            float(o["p"]),
-        )
-    if "points" in obj:
-        return PointSet(tuple(complex(p[0], p[1]) for p in obj["points"]))
-    if obj.get("op") == "union":
-        return RegionUnion(tuple(region_from_json(c) for c in obj["children"]))
-    if obj.get("op") == "intersection":
-        return RegionIntersection(tuple(region_from_json(c) for c in obj["children"]))
+    try:
+        if "disk" in obj:
+            d = obj["disk"]
+            return Disk(_json_pair(d["center"]), _json_number(d["radius"]))
+        if "oval" in obj:
+            o = obj["oval"]
+            return CassiniOval(_json_pair(o["a"]), _json_pair(o["b"]), _json_number(o["p"]))
+        if "points" in obj:
+            return PointSet(tuple(_json_pair(p) for p in obj["points"]))
+        if obj.get("op") == "union":
+            return RegionUnion(tuple(region_from_json(c) for c in obj["children"]))
+        if obj.get("op") == "intersection":
+            return RegionIntersection(tuple(region_from_json(c) for c in obj["children"]))
+    except (TypeError, KeyError, OverflowError) as exc:
+        # OverflowError: an integer past the double range
+        raise ValueError(f"bad region node {obj!r}: {exc}") from None
     raise ValueError(f"bad region node {obj!r}")
 
 
@@ -572,8 +595,9 @@ def matrix_from_json(text: str) -> np.ndarray:
     """Parse :func:`matrix_to_json` output.
 
     ``n`` must equal the row count (``2.7`` or ``true`` never does), every
-    cell must be ``{"re": x, "im": y}`` and every entry finite; anything
-    else is a ValueError.
+    cell must be ``{"re": x, "im": y}`` with numbers x and y (``true`` and
+    ``"1"`` are not numbers) and every entry finite; anything else is a
+    ValueError.
     """
     obj = json.loads(text)
     try:
@@ -588,8 +612,8 @@ def matrix_from_json(text: str) -> np.ndarray:
         a = np.empty((n, n), dtype=complex)
         for i, row in enumerate(entries):
             for j, cell in enumerate(row):
-                a[i, j] = complex(float(cell["re"]), float(cell["im"]))
-    except (TypeError, KeyError):
+                a[i, j] = complex(_json_number(cell["re"]), _json_number(cell["im"]))
+    except (TypeError, KeyError, OverflowError):
         raise ValueError("matrix cells must be {'re': number, 'im': number}") from None
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # 3x3 complex matrix with constant row sum 2+2i; its first deflation is
 # [[1, -i], [-1, 0]].  Used across the region and oracle tests.
@@ -76,3 +77,9 @@ def random_region(rng):
     if rng.random() < 0.5:
         return union()
     return RegionIntersection(tuple(union() for _ in range(rng.integers(2, 4))))
+
+
+# Hypothesis draws the same examples on every run and keeps no example
+# database, so every test run checks the same cases.
+settings.register_profile("eigenloc", derandomize=True, database=None, deadline=None)
+settings.load_profile("eigenloc")

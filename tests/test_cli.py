@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from eigenloc.bounds import BoundInterval
-from eigenloc.cli import check_interval, main, region_to_svg
+from eigenloc.cli import _oval_boundary, check_interval, main, region_to_svg
 from eigenloc.graphs import GraphMatrixKind, build_matrix, cycle
 from eigenloc.regions import (
+    CassiniOval,
     matrix_to_json,
     real_section,
     region_from_json,
@@ -300,7 +301,39 @@ def test_console_entry_point_end_to_end(tmp_path):
 
 
 def test_svg_pinched_oval_renders_two_loops():
-    from eigenloc.regions import CassiniOval
-
     svg = region_to_svg(CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0))
     assert svg.count('class="oval"') == 2
+
+
+@pytest.mark.parametrize(
+    "oval, loops",
+    [
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.5), 1),
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), 1),  # lemniscate p = |d|^2
+        (CassiniOval(0.0j, 2.0j, 1.0), 1),  # lemniscate across the real axis
+        (CassiniOval(3.0 + 1.0j, 3.0 + 1.0j, 2.0), 1),  # circle
+        (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 7.0), 1),
+        (CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0), 2),
+        (CassiniOval(0.0j, 1000.0 + 0.0j, 1.0), 2),
+        (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 3.0), 2),
+    ],
+)
+def test_oval_boundary_lies_on_the_oval(oval, loops):
+    traced = _oval_boundary(oval, 512)
+    assert len(traced) == loops
+    p = oval.radius_product
+    for loop in map(np.asarray, traced):
+        assert len(loop) == 512 // loops + 1
+        assert loop[0] == loop[-1]
+        error = np.abs(np.abs(loop - oval.focus_a) * np.abs(loop - oval.focus_b) - p)
+        assert np.max(error) <= 1e-9 * max(1.0, p)
+        # no branch jump: every step is short against the loop's extent
+        extent = np.ptp(loop.real) + np.ptp(loop.imag)
+        assert np.max(np.abs(np.diff(loop))) <= 0.2 * extent
+
+
+def test_lemniscate_boundary_draws_both_lobes():
+    (loop,) = _oval_boundary(CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), 512)
+    loop = np.asarray(loop)
+    assert np.sum(loop.real < -0.5) > 100
+    assert np.sum(loop.real > 0.5) > 100

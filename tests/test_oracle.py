@@ -58,6 +58,20 @@ class TestJacobi:
         spec = symmetric_eigenvalues(random_symmetric(rng, 12), tol=1e-12)
         assert 0 <= spec.max_residual <= 1e-12
 
+    def test_tiny_matrix_is_rotated(self):
+        # the stopping target is relative to ||A||_F, not floored at 1
+        spec = symmetric_eigenvalues(1e-20 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert spec.values == pytest.approx((1e-20, -1e-20), rel=1e-12)
+        assert spec.iterations >= 1
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-8])
+    def test_below_unit_scale_agrees_with_lapack(self, scale):
+        a = random_symmetric(np.random.default_rng(21), 12, scale)
+        spec = symmetric_eigenvalues(a)
+        expected = np.sort(np.linalg.eigvalsh(a))[::-1]
+        assert np.max(np.abs(np.array(spec.values) - expected)) <= 1e-12 * np.linalg.norm(a, 2)
+        assert spec.max_residual <= 1e-12
+
     def test_values_sorted_descending(self):
         rng = np.random.default_rng(3)
         spec = symmetric_eigenvalues(random_symmetric(rng, 9))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle
 from eigenloc.oracle import charpoly, complex_eigenvalues, symmetric_eigenvalues
@@ -312,6 +314,70 @@ class TestRealSection:
         section = real_section(CassiniOval(1.0 + 0.0j, 2.0 + 1.0j, 0.0))
         assert section.isolated_points == (1.0,)
 
+    def test_far_foci_oval_has_both_components(self):
+        # two tiny loops round 0 and 1000, far smaller than any fixed scan step
+        section = real_section(CassiniOval(0.0j, 1000.0 + 0.0j, 1.0))
+        assert len(section.intervals) == 2
+        ends = [x for interval in section.intervals for x in interval]
+        expected = [
+            500.0 - math.sqrt(250000.0 + 1.0),
+            500.0 - math.sqrt(250000.0 - 1.0),
+            500.0 + math.sqrt(250000.0 - 1.0),
+            500.0 + math.sqrt(250000.0 + 1.0),
+        ]
+        assert ends == [pytest.approx(x, abs=1e-9) for x in expected]
+
+    @pytest.mark.parametrize(
+        "oval, touch",
+        [
+            (CassiniOval(2.0 + 0.5j, 2.0 + 0.5j, 0.25), 2.0),
+            (CassiniOval(-1.0 + 1.0j, 1.0 + 1.0j, 2.0), 0.0),
+        ],
+    )
+    def test_tangent_oval_keeps_touching_point(self, oval, touch):
+        section = real_section(oval)
+        assert section.intervals == ()
+        assert section.isolated_points == (pytest.approx(touch, abs=1e-9),)
+
+    def test_small_lobe_off_centre_keeps_its_width(self):
+        # the roots near 1 are 4e-8 apart, closer than np.roots resolves
+        p = 2.0**-24
+        section = real_section(CassiniOval(1.0 + 0.0j, 4.0 + 0.0j, p))
+        assert len(section.intervals) == 2
+        lo, hi = section.intervals[0]
+        assert lo < 1.0 < hi
+        assert hi - lo == pytest.approx(2.0 * p / 3.0, rel=1e-6)
+
+    def test_small_disk_far_from_origin(self):
+        p = 2.0**-23
+        section = real_section(CassiniOval(29.0 + 0.0j, 29.0 + 0.0j, p))
+        ((lo, hi),) = section.intervals
+        assert lo == pytest.approx(29.0 - math.sqrt(p), abs=1e-12)
+        assert hi == pytest.approx(29.0 + math.sqrt(p), abs=1e-12)
+
+    def test_vanishing_lobe_gives_no_spurious_interval(self):
+        # np.roots spreads the double root at the left focus to a real pair
+        # about 1e-8 apart; x = 0 lies between them but outside the oval
+        oval = CassiniOval(-1e-9 + 0.0j, 1.0 + 0.46875j, 1e-64)
+        assert region_slack(oval, 0.0) < -1e-9
+        assert not section_contains(real_section(oval), 0.0)
+
+    # p > 0: a zero-product oval sections to the foci within tol (a distance)
+    # of the axis, by design, which slack in product units does not measure
+    @settings(max_examples=300)
+    @given(
+        a=st.complex_numbers(max_magnitude=50.0),
+        b=st.complex_numbers(max_magnitude=50.0),
+        p=st.floats(0.0, 1000.0, exclude_min=True),
+        xs=st.lists(st.floats(-200.0, 200.0), max_size=20),
+    )
+    def test_oval_section_agrees_with_membership(self, a, b, p, xs):
+        oval = CassiniOval(a, b, p)
+        section = real_section(oval)
+        for x in xs + [a.real, b.real]:
+            if abs(region_slack(oval, complex(x, 0.0))) > 1e-9:
+                assert section_contains(section, x) == region_contains(oval, complex(x, 0.0))
+
     def test_union_and_intersection_algebra(self):
         union = RegionUnion((Disk(0.0j, 1.0), Disk(1.5 + 0.0j, 1.0)))
         sec = real_section(union)
@@ -389,6 +455,9 @@ class TestJson:
             {"n": 1, "entries": [[{"re": 1}]]},
             {"n": 1, "entries": [[{"re": [1], "im": 0}]]},
             {"n": 1, "entries": 7},
+            {"n": 1, "entries": [[{"re": 10**400, "im": 0}]]},
+            {"n": 1, "entries": [[{"re": True, "im": 0}]]},
+            {"n": 1, "entries": [[{"re": 1, "im": "2.5"}]]},
         ],
     )
     def test_matrix_json_rejects_malformed(self, obj):
@@ -398,6 +467,27 @@ class TestJson:
     def test_bad_region_node_rejected(self):
         with pytest.raises(ValueError):
             region_from_json({"op": "xor", "children": []})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"disk": 1},
+            {"disk": {"center": [0, 0]}},
+            {"disk": {"center": [0, 0], "radius": "1"}},
+            {"disk": {"center": [10**400, 0], "radius": 1}},
+            {"oval": {"a": [0, 0], "b": [1, 0], "p": True}},
+            {"oval": {"a": [0, 0, 0], "b": [1, 0], "p": 1}},
+            {"points": [[1]]},
+            {"points": [[math.nan, 0.0]]},
+            {"points": 3},
+            {"op": "union", "children": 5},
+            {"op": "intersection"},
+            [],
+        ],
+    )
+    def test_malformed_region_node_rejected(self, obj):
+        with pytest.raises(ValueError):
+            region_from_json(obj)
 
 
 def test_constructed_regions_have_depth_at_most_three():
@@ -449,6 +539,12 @@ def test_oval_rejects_non_finite_product(product):
 def test_oval_rejects_non_finite_foci(foci):
     with pytest.raises(ValueError):
         CassiniOval(foci[0], foci[1], 1.0)
+
+
+@pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
+def test_point_set_rejects_non_finite_points(point):
+    with pytest.raises(ValueError):
+        PointSet((1.0 + 0.0j, point))
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"'])
