@@ -43,7 +43,7 @@ print("\ndeflating at row 1 gives a 2x2 matrix carrying the rest of the spectrum
 print(deflate(A, 1))
 
 spectrum = complex_eigenvalues(A)
-print(f"\noracle spectrum (residual {spectrum.max_residual:.1e}):")
+print(f"\noracle spectrum (backward error {spectrum.max_residual:.1e}):")
 for z in spectrum.values:
     print(f"  {z:.6f}")
 

@@ -34,7 +34,11 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "FAMILY_NAMES",
+    "MAX_VERTICES",
 ]
+
+# largest vertex count a graph may have, and the Jacobi oracle's dimension cap
+MAX_VERTICES = 2048
 
 
 class GraphMatrixKind(Enum):
@@ -61,6 +65,8 @@ class Graph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count {self.n} exceeds the {MAX_VERTICES} cap")
         adj = [0] * (self.n + 1)
         for e in self.edges:
             u, v = e

@@ -412,17 +412,16 @@ def _disk_section(disk: Disk) -> RealSection:
 def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
     a, b, p = oval.focus_a, oval.focus_b, oval.radius_product
     if p == 0.0:
-        pts = [
-            f.real
-            for f in (oval.focus_a, oval.focus_b)
-            if abs(f.imag) <= tol
-        ]
+        pts = [float(f.real) for f in (a, b) if oval.slack(f.real) >= -tol]
         return _normalized_section([], pts, tol)
     # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
-    # oval, with y = x - s measured from the centre so that no coefficient
-    # cancels against the foci's distance from the origin
+    # oval, with y = (x - s) / scale measured from the centre so that no
+    # coefficient cancels against the foci's distance from the origin, and
+    # in units of the oval's size so that none overflows; scale is a power
+    # of two, so dividing by it is exact
     s = 0.5 * (a.real + b.real)
-    u, v = a - s, b - s
+    scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
+    u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
     q = np.polymul(
         [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
         [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
@@ -430,6 +429,7 @@ def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
     q[-1] -= p * p
     dq = np.polyder(q)
     d2q = np.polyder(dq)
+    touch_tol = tol / scale / scale
 
     def spread(y: float) -> float:
         return abs(y - u) * abs(y - v)
@@ -461,11 +461,11 @@ def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
             half = math.sqrt(-2.0 * g / curvature)
             ends += [y - half, y + half]
         # a tangency is a double root of q but a simple root of q'
-        if p - spread(y) >= -tol:
-            touches.append(s + y)
+        if p - spread(y) >= -touch_tol:
+            touches.append(s + scale * y)
     ends.sort()
     intervals = [
-        (s + left, s + right)
+        (s + scale * left, s + scale * right)
         for left, right in zip(ends, ends[1:])
         if left < right and spread(0.5 * (left + right)) <= p
     ]

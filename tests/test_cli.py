@@ -236,6 +236,13 @@ class TestBadInputExitCodes:
         assert main(argv + ["--edges", str(path)]) == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2049, 10**19])
+    def test_too_many_vertices_exits_1(self, n, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": n, "edges": [[1, 2]]}))
+        assert main(["verify", "--edges", str(path)]) == 1
+        assert "cap" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_complete_adjacency_sharp_rows(self, tmp_path):

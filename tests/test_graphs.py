@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eigenloc.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphMatrixKind,
     build_matrix,
@@ -97,6 +98,19 @@ class TestParsing:
     def test_json_accepts_integral_floats(self):
         g = graph_from_json('{"n": 3.0, "edges": [[1.0, 2], [2, 3]]}')
         assert g == path(3)
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**19])
+    def test_vertex_cap(self, n):
+        # checked before the per-vertex masks are allocated
+        with pytest.raises(ValueError, match="cap"):
+            Graph(n, frozenset())
+        with pytest.raises(ValueError, match="cap"):
+            graph_from_json(json.dumps({"n": n, "edges": [[1, 2]]}))
+        with pytest.raises(ValueError, match="cap"):
+            parse_edge_list(f"{n} 1\n1 2")
+
+    def test_vertex_cap_is_inclusive(self):
+        assert Graph(MAX_VERTICES, frozenset()).n == MAX_VERTICES
 
 
 class TestFamilies:

@@ -1,6 +1,10 @@
-"""Eigensolver oracles: Jacobi route, polynomial route, cross-agreement."""
+"""Eigensolver oracles: Jacobi route, Aberth route, cross-agreement."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +37,21 @@ from eigenloc.regions import deflate
 from .conftest import GAMMA_3X3, ROWSUM_3X3, match_multisets, random_constant_rowsum_matrix
 
 
+EPS = np.finfo(float).eps
+
+
 def random_symmetric(rng, n, scale=2.0):
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2
+
+
+def backward_error(a, values):
+    """Largest sigma_min(z I - A) / ||A||_F over the values z."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(len(a))
+    return max(
+        np.linalg.svd(z * eye - a, compute_uv=False)[-1] for z in values
+    ) / np.linalg.norm(a)
 
 
 class TestJacobi:
@@ -243,6 +259,8 @@ class TestCharpoly:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             charpoly(np.eye(65))
+        with pytest.raises(ValueError):
+            complex_eigenvalues(np.eye(65))
 
 
 class TestComplexEigenvalues:
@@ -265,8 +283,29 @@ class TestComplexEigenvalues:
         assert spec.values == pytest.approx([3.0, 1.0 + 1.0j, 1.0 - 1.0j], abs=1e-12)
 
     def test_residual_recorded(self, rowsum_matrix):
-        spec = complex_eigenvalues(rowsum_matrix, tol=1e-20)
-        assert spec.max_residual <= 1e-20
+        spec = complex_eigenvalues(rowsum_matrix)
+        beta = backward_error(rowsum_matrix, spec.values)
+        assert spec.max_residual <= 4 * 3 * EPS
+        assert beta / 2 <= spec.max_residual <= 2 * beta
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unit_square_random_matrix(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) + 1j * rng.random((n, n))
+        spec = complex_eigenvalues(a)
+        beta = backward_error(a, spec.values)
+        assert beta <= 1e-12
+        assert beta / 2 <= spec.max_residual <= 2 * beta
+        match_multisets(spec.values, np.linalg.eigvals(a), 1e-10)
+
+    def test_large_multiplicity_cluster(self):
+        # adjacency of K_20 has eigenvalue -1 with multiplicity 19
+        a = build_matrix(complete(20), GraphMatrixKind.ADJACENCY)
+        spec = complex_eigenvalues(a)
+        assert spec.iterations <= oracle._MAX_ABERTH_ITERATIONS
+        assert spec.max_residual <= 4 * 20 * EPS
+        match_multisets(spec.values, [19.0] + [-1.0] * 19, 1e-8)
 
     def test_repeated_roots(self):
         # adjacency of K_6 has eigenvalue -1 with multiplicity 5
@@ -376,3 +415,18 @@ def test_complex_rejects_non_finite(value):
         charpoly(_with_off_diagonal_pair(value))
     with pytest.raises(ValueError):
         complex_eigenvalues(_with_off_diagonal_pair(value))
+
+
+def test_complex_route_needs_no_mpmath():
+    # a None entry in sys.modules makes any import of mpmath fail
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "import numpy as np, eigenloc\n"
+        "print(eigenloc.complex_eigenvalues(np.diag([1.0, 2j])).values)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

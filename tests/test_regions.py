@@ -313,6 +313,10 @@ class TestRealSection:
     def test_zero_product_oval_gives_real_foci(self):
         section = real_section(CassiniOval(1.0 + 0.0j, 2.0 + 1.0j, 0.0))
         assert section.isolated_points == (1.0,)
+        # a focus 1e-9 off the axis is judged by slack, -2e-9 at x = 0
+        section = real_section(CassiniOval(2, 1e-9j, 0))
+        assert section.isolated_points == (2.0,)
+        assert all(type(x) is float for x in section.isolated_points)
 
     def test_far_foci_oval_has_both_components(self):
         # two tiny loops round 0 and 1000, far smaller than any fixed scan step
@@ -332,12 +336,26 @@ class TestRealSection:
         [
             (CassiniOval(2.0 + 0.5j, 2.0 + 0.5j, 0.25), 2.0),
             (CassiniOval(-1.0 + 1.0j, 1.0 + 1.0j, 2.0), 0.0),
+            (CassiniOval(1000.0j, 1000.0j, 1e6), 0.0),
         ],
     )
     def test_tangent_oval_keeps_touching_point(self, oval, touch):
         section = real_section(oval)
         assert section.intervals == ()
         assert section.isolated_points == (pytest.approx(touch, abs=1e-9),)
+
+    def test_large_near_miss_is_not_a_touch(self):
+        # the disk of radius sqrt(1e6 - 1e-6) round 1000j misses 0 by a slack
+        # of -1e-6, judged in the oval's own units, not the scaled quartic's
+        oval = CassiniOval(1000.0j, 1000.0j, 1e6 - 1e-6)
+        assert region_slack(oval, 0.0) < -1e-9
+        assert real_section(oval).is_empty()
+
+    def test_huge_oval_does_not_overflow(self):
+        # p^2 and the quartic's constant term overflow unless it is scaled
+        ((lo, hi),) = real_section(CassiniOval(0.0j, 1.0 + 0.0j, 1e200)).intervals
+        assert lo <= 0.0 and 1.0 <= hi
+        assert (lo, hi) == (pytest.approx(-1e100), pytest.approx(1e100))
 
     def test_small_lobe_off_centre_keeps_its_width(self):
         # the roots near 1 are 4e-8 apart, closer than np.roots resolves
@@ -362,13 +380,11 @@ class TestRealSection:
         assert region_slack(oval, 0.0) < -1e-9
         assert not section_contains(real_section(oval), 0.0)
 
-    # p > 0: a zero-product oval sections to the foci within tol (a distance)
-    # of the axis, by design, which slack in product units does not measure
     @settings(max_examples=300)
     @given(
         a=st.complex_numbers(max_magnitude=50.0),
         b=st.complex_numbers(max_magnitude=50.0),
-        p=st.floats(0.0, 1000.0, exclude_min=True),
+        p=st.floats(0.0, 1000.0),
         xs=st.lists(st.floats(-200.0, 200.0), max_size=20),
     )
     def test_oval_section_agrees_with_membership(self, a, b, p, xs):
