@@ -122,7 +122,7 @@ def check_interval(
 
 def check_region(name: str, region, eigenvalues, tol: float) -> CheckResult:
     """PASS iff every oracle eigenvalue lies in the region within tol."""
-    slack = min(rg.region_slack(region, z) for z in eigenvalues)
+    slack = float(rg.region_slack_grid(region, eigenvalues).min())
     return CheckResult(name=name, target="spectrum", passed=slack >= -tol, slack=slack)
 
 
@@ -203,31 +203,12 @@ def _build_region_or_none(matrix, method: str):
 # SVG rendering
 
 
-def _region_leaves(region) -> list:
-    if isinstance(region, (rg.Disk, rg.CassiniOval, rg.PointSet)):
-        return [region]
-    return [leaf for child in region.children for leaf in _region_leaves(child)]
-
-
 def _auto_window(leaves, eigenvalues) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for leaf in leaves:
-        if isinstance(leaf, rg.Disk):
-            xs += [leaf.center.real - leaf.radius, leaf.center.real + leaf.radius]
-            ys += [leaf.center.imag - leaf.radius, leaf.center.imag + leaf.radius]
-        elif isinstance(leaf, rg.CassiniOval):
-            spread = math.sqrt(leaf.radius_product) + abs(leaf.focus_a - leaf.focus_b)
-            for f in (leaf.focus_a, leaf.focus_b):
-                xs += [f.real - spread, f.real + spread]
-                ys += [f.imag - spread, f.imag + spread]
-        else:
-            xs += [p.real for p in leaf.points]
-            ys += [p.imag for p in leaf.points]
-    xs += [z.real for z in eigenvalues]
-    ys += [z.imag for z in eigenvalues]
-    if not xs:
+    corners = [z for leaf in leaves for z in leaf.extent()] + list(eigenvalues)
+    if not corners:
         return (-1.0, 1.0, -1.0, 1.0)
+    xs = [z.real for z in corners]
+    ys = [z.imag for z in corners]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.1 * max(x1 - x0, y1 - y0, 1.0)
@@ -273,7 +254,7 @@ def region_to_svg(
     diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.
     """
-    leaves = _region_leaves(region)
+    leaves = region.leaves()
     if window is None:
         window = _auto_window(leaves, eigenvalues)
     x0, x1, y0, y1 = window
@@ -342,6 +323,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_regions(args: argparse.Namespace) -> int:
     try:
         matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
+        window = _parse_window(args.window) if args.window else None
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -359,7 +341,6 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         return 3 if method.startswith("rowsum") else 1
     if args.emit == "svg":
         eigenvalues = orc.complex_eigenvalues(matrix).values
-        window = _parse_window(args.window) if args.window else None
         payload = region_to_svg(region, eigenvalues, window)
     else:
         payload = json.dumps(rg.region_to_json(region), indent=2)
@@ -375,6 +356,8 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     if len(fields) != 4:
         raise ValueError("window must be 'x0:x1:y0:y1'")
     x0, x1, y0, y1 = (float(f) for f in fields)
+    if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
+        raise ValueError(f"window {text!r} needs finite x0 < x1 and y0 < y1")
     return (x0, x1, y0, y1)
 
 

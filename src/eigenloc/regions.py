@@ -10,12 +10,14 @@ often properly contained in the classical ones.
 Regions are kept symbolic: a small composition tree of disks, ovals and
 finite point sets under union/intersection.  Membership, signed slack and
 the intersection with the real axis are all computed from the parameters,
-never from a rasterisation.
+never from a rasterisation.  Each node class owns its ``slack`` (one numpy
+path for a point or an array of points), ``section`` and ``to_json``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import numbers
@@ -51,284 +53,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-# ---------------------------------------------------------------------------
-# region tree
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk { z : |z - center| <= radius }."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.radius < math.inf:
-            raise ValueError(f"disk radius must be finite and nonnegative, got {self.radius}")
-        if not cmath.isfinite(self.center):
-            raise ValueError(f"disk centre must be finite, got {self.center}")
-
-    def slack(self, z: complex) -> float:
-        return self.radius - abs(z - self.center)
-
-
-@dataclass(frozen=True)
-class CassiniOval:
-    """Closed oval { z : |z - focus_a| * |z - focus_b| <= radius_product }."""
-
-    focus_a: complex
-    focus_b: complex
-    radius_product: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.radius_product < math.inf:
-            raise ValueError(
-                f"oval radius product must be finite and nonnegative, got {self.radius_product}"
-            )
-        if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
-            raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
-
-    def slack(self, z: complex) -> float:
-        return self.radius_product - abs(z - self.focus_a) * abs(z - self.focus_b)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Finite set of complex points; membership means being within tolerance."""
-
-    points: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if not all(cmath.isfinite(p) for p in self.points):
-            raise ValueError(f"points must be finite, got {self.points}")
-
-    def slack(self, z: complex) -> float:
-        if not self.points:
-            return -math.inf
-        return -min(abs(z - p) for p in self.points)
-
-
-@dataclass(frozen=True)
-class RegionUnion:
-    children: tuple["Region", ...]
-
-    def slack(self, z: complex) -> float:
-        return max((c.slack(z) for c in self.children), default=-math.inf)
-
-
-@dataclass(frozen=True)
-class RegionIntersection:
-    children: tuple["Region", ...]
-
-    def slack(self, z: complex) -> float:
-        return min((c.slack(z) for c in self.children), default=-math.inf)
-
-
-Region = Union[Disk, CassiniOval, PointSet, RegionUnion, RegionIntersection]
-
-
-def region_slack(region: Region, z: complex) -> float:
-    """Signed margin of ``z``: >= 0 inside, < 0 outside, 0 on the boundary.
-
-    Slack is measured against each leaf's defining inequality (distance for
-    disks and point sets, distance product for ovals), combined as max over
-    unions and min over intersections.
-    """
-    return region.slack(complex(z))
-
-
-def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
-    """Membership with slack >= -tol; ``tol`` must be nonnegative."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return region.slack(complex(z)) >= -tol
-
-
-def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`region_slack` over an array of complex points."""
-    zs = np.asarray(zs, dtype=complex)
-    if isinstance(region, Disk):
-        return region.radius - np.abs(zs - region.center)
-    if isinstance(region, CassiniOval):
-        return region.radius_product - np.abs(zs - region.focus_a) * np.abs(
-            zs - region.focus_b
-        )
-    if isinstance(region, PointSet):
-        out = np.full(zs.shape, -np.inf)
-        for p in region.points:
-            out = np.maximum(out, -np.abs(zs - p))
-        return out
-    if isinstance(region, RegionUnion):
-        out = np.full(zs.shape, -np.inf)
-        for child in region.children:
-            out = np.maximum(out, region_slack_grid(child, zs))
-        return out
-    if isinstance(region, RegionIntersection):
-        out = np.full(zs.shape, np.inf)
-        for child in region.children:
-            out = np.minimum(out, region_slack_grid(child, zs))
-        return out
-    raise TypeError(f"not a region: {region!r}")
-
-
-# ---------------------------------------------------------------------------
-# complex-matrix plumbing
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
-    return a
-
-
-def row_sums(matrix) -> np.ndarray:
-    """Complex sum of each row."""
-    return _as_matrix(matrix).sum(axis=1)
-
-
-def constant_row_sum(matrix, tol: float | None = None) -> complex | None:
-    """The common row sum when all rows agree within tolerance, else None.
-
-    The default tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices
-    are exact while user matrices may carry float noise.  Agreement is
-    measured as the maximum pairwise deviation between row sums.
-    """
-    sums = row_sums(matrix)
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
-    deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
-    if deviation > tol:
-        return None
-    return complex(sums.mean())
-
-
-def _require_gamma(matrix, tol: float | None) -> tuple[np.ndarray, complex]:
-    a = _as_matrix(matrix)
-    gamma = constant_row_sum(a, tol)
-    if gamma is None:
-        raise ValueError("matrix does not have a constant row sum within tolerance")
-    return a, gamma
-
-
-def deleted_row_sums(matrix) -> np.ndarray:
-    """r_i = sum over j != i of |a_ij|, for each row i."""
-    a = _as_matrix(matrix)
-    return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-
-
-def deflate(matrix, k: int, tol: float | None = None) -> np.ndarray:
-    """Deflated matrix of dimension n-1 for a constant-row-sum matrix.
-
-    Entry (u, v) of the result is ``a_uv - a_kv`` for u, v ranging over the
-    indices other than ``k`` (1-based).  The spectrum of the input equals
-    the row sum plus the spectrum of the result, as multisets.
-    """
-    a, _ = _require_gamma(matrix, tol)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("cannot deflate a 1x1 matrix")
-    if not (1 <= k <= n):
-        raise ValueError(f"deflation index {k} out of range 1..{n}")
-    keep = [u for u in range(n) if u != k - 1]
-    return a[np.ix_(keep, keep)] - a[k - 1, keep][None, :]
-
-
-# ---------------------------------------------------------------------------
-# the four inclusion regions
-
-
-def gersgorin_region(matrix) -> RegionUnion:
-    """Union of the n disks centred at a_ii with radius r_i."""
-    a = _as_matrix(matrix)
-    r = deleted_row_sums(a)
-    return RegionUnion(
-        tuple(Disk(complex(a[i, i]), float(r[i])) for i in range(a.shape[0]))
-    )
-
-
-def brauer_region(matrix) -> RegionUnion:
-    """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
-    a = _as_matrix(matrix)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("the oval region needs dimension >= 2")
-    r = deleted_row_sums(a)
-    return RegionUnion(
-        tuple(
-            CassiniOval(complex(a[i, i]), complex(a[j, j]), float(r[i] * r[j]))
-            for i, j in combinations(range(n), 2)
-        )
-    )
-
-
-def rowsum_gersgorin_region(
-    matrix, tol: float | None = None, with_gamma: bool = True
-) -> RegionIntersection:
-    """Intersection over deflation rows i of the deflated disk unions.
-
-    Component i is the union over k != i of the disk centred at
-    ``a_kk - a_ik`` with radius ``sum over j not in {i, k} of |a_kj - a_ij|``
-    (the entries of the i-deflated matrix), together with the forced
-    eigenvalue gamma as a point leaf.  ``with_gamma=False`` drops the point
-    leaves; the result then only encloses the deflated spectra, which is
-    what the closed-form bound derivations consume.
-    """
-    a, gamma = _require_gamma(matrix, tol)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("the deflated disk region needs dimension >= 2")
-    components = []
-    for i in range(n):
-        leaves: list[Region] = []
-        for k in range(n):
-            if k == i:
-                continue
-            radius = sum(
-                abs(a[k, j] - a[i, j]) for j in range(n) if j != i and j != k
-            )
-            leaves.append(Disk(complex(a[k, k] - a[i, k]), float(radius)))
-        if with_gamma:
-            leaves.append(PointSet((gamma,)))
-        components.append(RegionUnion(tuple(leaves)))
-    return RegionIntersection(tuple(components))
-
-
-def rowsum_brauer_region(
-    matrix, tol: float | None = None, with_gamma: bool = True
-) -> RegionIntersection:
-    """Intersection over deflation rows i of the deflated oval unions.
-
-    Component i is the union over unordered pairs {j, k} of the remaining
-    indices of the oval with foci ``a_jj - a_ij`` and ``a_kk - a_ik`` and
-    radius product ``r_j * r_k`` where ``r_j = sum over l not in {i, j} of
-    |a_jl - a_il|``, plus the forced eigenvalue gamma as a point leaf.
-    """
-    a, gamma = _require_gamma(matrix, tol)
-    n = a.shape[0]
-    if n < 3:
-        raise ValueError("the deflated oval region needs dimension >= 3")
-    components = []
-    for i in range(n):
-        rest = [k for k in range(n) if k != i]
-        r = {
-            j: sum(abs(a[j, l] - a[i, l]) for l in range(n) if l != i and l != j)
-            for j in rest
-        }
-        leaves: list[Region] = [
-            CassiniOval(
-                complex(a[j, j] - a[i, j]),
-                complex(a[k, k] - a[i, k]),
-                float(r[j] * r[k]),
-            )
-            for j, k in combinations(rest, 2)
-        ]
-        if with_gamma:
-            leaves.append(PointSet((gamma,)))
-        components.append(RegionUnion(tuple(leaves)))
-    return RegionIntersection(tuple(components))
-
 
 # ---------------------------------------------------------------------------
 # real-axis sections
@@ -380,167 +104,459 @@ def _normalized_section(
     return RealSection(tuple((lo, hi) for lo, hi in merged), tuple(kept))
 
 
-def _section_union(a: RealSection, b: RealSection, tol: float) -> RealSection:
-    return _normalized_section(
-        list(a.intervals) + list(b.intervals),
-        list(a.isolated_points) + list(b.isolated_points),
-        tol,
-    )
-
-
-def _section_intersection(a: RealSection, b: RealSection, tol: float) -> RealSection:
-    intervals = [
-        (max(lo1, lo2), min(hi1, hi2))
-        for lo1, hi1 in a.intervals
-        for lo2, hi2 in b.intervals
-        if max(lo1, lo2) <= min(hi1, hi2)
-    ]
-    points = [p for p in a.isolated_points if section_contains(b, p, tol)]
-    points += [p for p in b.isolated_points if section_contains(a, p, tol)]
-    return _normalized_section(intervals, points, tol)
-
-
-def _disk_section(disk: Disk) -> RealSection:
-    gap = disk.radius * disk.radius - disk.center.imag * disk.center.imag
-    if gap < 0:
-        return _EMPTY_SECTION
-    half = math.sqrt(gap)
-    x = disk.center.real
-    return RealSection(((x - half, x + half),), ())
-
-
-def _oval_section(oval: CassiniOval, tol: float) -> RealSection:
-    a, b, p = oval.focus_a, oval.focus_b, oval.radius_product
-    if p == 0.0:
-        pts = [float(f.real) for f in (a, b) if oval.slack(f.real) >= -tol]
-        return _normalized_section([], pts, tol)
-    # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
-    # oval, with y = (x - s) / scale measured from the centre so that no
-    # coefficient cancels against the foci's distance from the origin, and
-    # in units of the oval's size so that none overflows; scale is a power
-    # of two, so dividing by it is exact
-    s = 0.5 * (a.real + b.real)
-    scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
-    u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
-    q = np.polymul(
-        [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
-        [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
-    )
-    q[-1] -= p * p
-    dq = np.polyder(q)
-    d2q = np.polyder(dq)
-    touch_tol = tol / scale / scale
-
-    def spread(y: float) -> float:
-        return abs(y - u) * abs(y - v)
-
-    def exact_q(y: float) -> float:
-        # q in factored form, exact where the expanded coefficients cancel
-        m = spread(y)
-        return m * m - p * p
-
-    def polish(y: float) -> float:
-        slope = np.polyval(dq, y)
-        return float(y if slope == 0.0 else y - exact_q(y) / slope)
-
-    # Every root of q must be among the ends; ends that are not roots only
-    # split an interval or a gap, whose sign is read at its midpoint.  Two
-    # roots closer than about sqrt(eps) come back from np.roots as a complex
-    # pair or as a spread-out real pair round the extremum of q between
-    # them: the extremum as an end fences off the spurious pair, and the
-    # quadratic model of q there gives the true pair.
-    roots = np.roots(q)
-    ends = [polish(y) for y in roots[roots.imag == 0.0].real]
-    touches = []
-    critical = np.roots(dq)
-    for y in critical[critical.imag == 0.0].real:
-        y = float(y)
-        g, curvature = exact_q(y), float(np.polyval(d2q, y))
-        ends.append(y)
-        if g * curvature < 0.0:
-            half = math.sqrt(-2.0 * g / curvature)
-            ends += [y - half, y + half]
-        # a tangency is a double root of q but a simple root of q'
-        if p - spread(y) >= -touch_tol:
-            touches.append(s + scale * y)
-    ends.sort()
-    intervals = [
-        (s + scale * left, s + scale * right)
-        for left, right in zip(ends, ends[1:])
-        if left < right and spread(0.5 * (left + right)) <= p
-    ]
-    return _normalized_section(intervals, touches, tol)
-
-
-def real_section(region: Region, tol: float = 1e-9) -> RealSection:
-    """The region's intersection with the real axis as intervals + points.
-
-    Disks section analytically.  An oval's section is where the quartic
-    ``q(x) = |x-a|^2 |x-b|^2 - p^2``, written about the oval's centre, is
-    at most 0.  Its exactly-real roots (``np.roots``, each polished by one
-    Newton step) and the real roots of ``q'`` cut the axis into pieces, and
-    the pieces with nonnegative slack at their midpoint are kept; two roots
-    too close for ``np.roots`` to resolve are found from the quadratic
-    model of ``q`` at the extremum between them.  A point where an oval
-    only touches the axis is a double root of ``q``; it is found as a real
-    root of ``q'`` and kept as an isolated point when its slack is at least
-    ``-tol``.  Unions and intersections combine by interval algebra.
-    ``tol`` also controls how close to the axis a point leaf must be to
-    count as real and how point matching behaves under intersection.
-    Tangent disks keep their zero-width interval.
-    """
-    if isinstance(region, Disk):
-        return _disk_section(region)
-    if isinstance(region, CassiniOval):
-        return _oval_section(region, tol)
-    if isinstance(region, PointSet):
-        pts = [p.real for p in region.points if abs(p.imag) <= tol]
-        return _normalized_section([], pts, tol)
-    if isinstance(region, RegionUnion):
-        acc = _EMPTY_SECTION
-        for child in region.children:
-            acc = _section_union(acc, real_section(child, tol), tol)
-        return acc
-    if isinstance(region, RegionIntersection):
-        if not region.children:
-            return _EMPTY_SECTION
-        acc = real_section(region.children[0], tol)
-        for child in region.children[1:]:
-            acc = _section_intersection(acc, real_section(child, tol), tol)
-        return acc
-    raise TypeError(f"not a region: {region!r}")
-
-
 # ---------------------------------------------------------------------------
-# JSON interchange
+# region tree.  A class's _max_slack(nodes, z) is the largest slack over
+# several of its nodes, with the leaves along a trailing axis of z, so that a
+# union takes all its leaves of one class in one numpy pass.
+
+
+def _distance(z, c: complex):
+    # np.hypot of the parts rounds like Python's abs(complex); numpy's complex abs may not
+    d = z - c
+    return np.hypot(d.real, d.imag)
 
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+class _Leaf:
+    """Slack is ``_max_slack`` of the leaf alone; extent() bounds the leaf's drawing."""
+
+    def slack(self, z):
+        return self._max_slack((self,), z)
+
+    def leaves(self) -> tuple:
+        return (self,)
+
+
+class _Combination:
+    """Union or intersection of ``children``; with no children it is empty."""
+
+    def leaves(self) -> tuple:
+        return tuple(leaf for child in self.children for leaf in child.leaves())
+
+    @staticmethod
+    def _max_slack(nodes, z):
+        return functools.reduce(np.maximum, (node.slack(z) for node in nodes))
+
+    def section(self, tol: float) -> RealSection:
+        if not self.children:
+            return _EMPTY_SECTION
+        combine = functools.partial(self._section_op, tol=tol)
+        return functools.reduce(combine, (c.section(tol) for c in self.children))
+
+    def to_json(self) -> dict:
+        return {"op": self._op, "children": [child.to_json() for child in self.children]}
+
+
+@dataclass(frozen=True)
+class Disk(_Leaf):
+    """Closed disk { z : |z - center| <= radius }."""
+
+    center: complex
+    radius: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"disk radius must be finite and nonnegative, got {self.radius}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"disk centre must be finite, got {self.center}")
+
+    @staticmethod
+    def _max_slack(disks, z):
+        center = np.array([d.center for d in disks], dtype=complex)
+        radius = np.array([d.radius for d in disks], dtype=float)
+        return (radius - _distance(np.asarray(z)[..., None], center)).max(axis=-1)
+
+    def section(self, tol: float) -> RealSection:
+        gap = self.radius * self.radius - self.center.imag * self.center.imag
+        if gap < 0:
+            return _EMPTY_SECTION
+        half = math.sqrt(gap)
+        x = self.center.real
+        return RealSection(((x - half, x + half),), ())
+
+    def to_json(self) -> dict:
+        return {"disk": {"center": _pair(self.center), "radius": self.radius}}
+
+    def extent(self) -> tuple[complex, ...]:
+        corner = complex(self.radius, self.radius)
+        return (self.center - corner, self.center + corner)
+
+
+@dataclass(frozen=True)
+class CassiniOval(_Leaf):
+    """Closed oval { z : |z - focus_a| * |z - focus_b| <= radius_product }."""
+
+    focus_a: complex
+    focus_b: complex
+    radius_product: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.radius_product < math.inf:
+            raise ValueError(
+                f"oval radius product must be finite and nonnegative, got {self.radius_product}"
+            )
+        if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
+            raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
+
+    @staticmethod
+    def _max_slack(ovals, z):
+        a = np.array([o.focus_a for o in ovals], dtype=complex)
+        b = np.array([o.focus_b for o in ovals], dtype=complex)
+        p = np.array([o.radius_product for o in ovals], dtype=float)
+        z = np.asarray(z)[..., None]
+        return (p - _distance(z, a) * _distance(z, b)).max(axis=-1)
+
+    def section(self, tol: float) -> RealSection:
+        """Where ``q(x) = |x-a|^2 |x-b|^2 - p^2`` is <= 0, cut at the real roots of q and q'.
+
+        A point where the oval only touches the axis (a double root of q) and
+        the real point of each focus are kept as isolated points when their
+        slack is at least ``-tol``; the foci keep a lobe too narrow for the
+        quartic to resolve at their magnitude.
+        """
+        a, b, p = self.focus_a, self.focus_b, self.radius_product
+        points = [float(f.real) for f in (a, b) if self.slack(f.real) >= -tol]
+        if p == 0.0:
+            return _normalized_section([], points, tol)
+        # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
+        # oval, with y = (x - s) / scale measured from the centre so that no
+        # coefficient cancels against the foci's distance from the origin, and
+        # in units of the oval's size so that none overflows; scale is a power
+        # of two, so dividing by it is exact
+        s = 0.5 * (a.real + b.real)
+        scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
+        u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
+        q = np.polymul(
+            [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
+            [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
+        )
+        q[-1] -= p * p
+        dq = np.polyder(q)
+        d2q = np.polyder(dq)
+        touch_tol = tol / scale / scale
+
+        def spread(y: float) -> float:
+            return abs(y - u) * abs(y - v)
+
+        def exact_q(y: float) -> float:
+            # q in factored form, exact where the expanded coefficients cancel
+            m = spread(y)
+            return m * m - p * p
+
+        def polish(y: float) -> float:
+            slope = np.polyval(dq, y)
+            return float(y if slope == 0.0 else y - exact_q(y) / slope)
+
+        # Every root of q must be among the ends; ends that are not roots only
+        # split an interval or a gap, whose sign is read at its midpoint.  Two
+        # roots closer than about sqrt(eps) come back from np.roots as a complex
+        # pair or as a spread-out real pair round the extremum of q between
+        # them: the extremum as an end fences off the spurious pair, and the
+        # quadratic model of q there gives the true pair.
+        roots = np.roots(q)
+        ends = [polish(y) for y in roots[roots.imag == 0.0].real]
+        critical = np.roots(dq)
+        for y in critical[critical.imag == 0.0].real:
+            y = float(y)
+            g, curvature = exact_q(y), float(np.polyval(d2q, y))
+            ends.append(y)
+            if g * curvature < 0.0:
+                half = math.sqrt(-2.0 * g / curvature)
+                ends += [y - half, y + half]
+            # a tangency is a double root of q but a simple root of q'
+            if p - spread(y) >= -touch_tol:
+                points.append(s + scale * y)
+        ends.sort()
+        intervals = [
+            (s + scale * left, s + scale * right)
+            for left, right in zip(ends, ends[1:])
+            if left < right and spread(0.5 * (left + right)) <= p
+        ]
+        return _normalized_section(intervals, points, tol)
+
+    def to_json(self) -> dict:
+        oval = {"a": _pair(self.focus_a), "b": _pair(self.focus_b), "p": self.radius_product}
+        return {"oval": oval}
+
+    def extent(self) -> tuple[complex, ...]:
+        spread = math.sqrt(self.radius_product) + abs(self.focus_a - self.focus_b)
+        corner = complex(spread, spread)
+        return tuple(f + sign * corner for f in (self.focus_a, self.focus_b) for sign in (-1, 1))
+
+
+@dataclass(frozen=True)
+class PointSet(_Leaf):
+    """Finite set of complex points; membership means being within tolerance."""
+
+    points: tuple[complex, ...]
+
+    def __post_init__(self) -> None:
+        if not all(cmath.isfinite(p) for p in self.points):
+            raise ValueError(f"points must be finite, got {self.points}")
+
+    @staticmethod
+    def _max_slack(sets, z):
+        points = np.array([p for s in sets for p in s.points], dtype=complex)
+        return (-_distance(np.asarray(z)[..., None], points)).max(axis=-1, initial=-np.inf)
+
+    def section(self, tol: float) -> RealSection:
+        return _normalized_section([], [p.real for p in self.points if abs(p.imag) <= tol], tol)
+
+    def to_json(self) -> dict:
+        return {"points": [_pair(p) for p in self.points]}
+
+    def extent(self) -> tuple[complex, ...]:
+        return self.points
+
+
+@dataclass(frozen=True)
+class RegionUnion(_Combination):
+    """Points in some child; slack is the largest child slack."""
+
+    children: tuple["Region", ...]
+    _op = "union"
+
+    @staticmethod
+    def _section_op(a: RealSection, b: RealSection, tol: float) -> RealSection:
+        return _normalized_section(
+            list(a.intervals) + list(b.intervals),
+            list(a.isolated_points) + list(b.isolated_points),
+            tol,
+        )
+
+    def slack(self, z):
+        if not self.children:
+            return np.full(np.shape(z), -np.inf)
+        # each child class's _max_slack takes all its children at once
+        groups: dict[type, list] = {}
+        for child in self.children:
+            groups.setdefault(type(child), []).append(child)
+        return functools.reduce(np.maximum, (k._max_slack(nodes, z) for k, nodes in groups.items()))
+
+
+@dataclass(frozen=True)
+class RegionIntersection(_Combination):
+    """Points in every child; slack is the smallest child slack."""
+
+    children: tuple["Region", ...]
+    _op = "intersection"
+
+    @staticmethod
+    def _section_op(a: RealSection, b: RealSection, tol: float) -> RealSection:
+        intervals = [
+            (max(lo1, lo2), min(hi1, hi2))
+            for lo1, hi1 in a.intervals
+            for lo2, hi2 in b.intervals
+            if max(lo1, lo2) <= min(hi1, hi2)
+        ]
+        points = [p for p in a.isolated_points if section_contains(b, p, tol)]
+        points += [p for p in b.isolated_points if section_contains(a, p, tol)]
+        return _normalized_section(intervals, points, tol)
+
+    def slack(self, z):
+        if not self.children:
+            return np.full(np.shape(z), -np.inf)
+        return functools.reduce(np.minimum, (c.slack(z) for c in self.children))
+
+
+Region = Union[Disk, CassiniOval, PointSet, RegionUnion, RegionIntersection]
+
+
+def region_slack(region: Region, z: complex) -> float:
+    """Signed margin of ``z``: >= 0 inside, < 0 outside, 0 on the boundary.
+
+    Slack is measured against each leaf's defining inequality (distance for
+    disks and point sets, distance product for ovals), combined as max over
+    unions and min over intersections.
+    """
+    return float(region.slack(complex(z)))
+
+
+def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
+    """Membership with slack >= -tol; ``tol`` must be nonnegative."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    return region_slack(region, z) >= -tol
+
+
+def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
+    """:func:`region_slack` at each point of an array, bit for bit; a union
+    holds one (points x its leaves of one class) array at a time."""
+    return region.slack(np.asarray(zs, dtype=complex))
+
+
+def real_section(region: Region, tol: float = 1e-9) -> RealSection:
+    """The region's intersection with the real axis as intervals + points.
+
+    Disks section analytically and ovals in closed form (see
+    :meth:`CassiniOval.section`); unions and intersections combine by
+    interval algebra.  ``tol`` also controls how close to the axis a point
+    leaf must be to count as real and how point matching behaves under
+    intersection.  Tangent disks keep their zero-width interval.
+    """
+    return region.section(tol)
+
+
 def region_to_json(region: Region) -> dict:
     """Nested dict form: union/intersection nodes plus disk/oval/points leaves."""
-    if isinstance(region, Disk):
-        return {"disk": {"center": _pair(region.center), "radius": region.radius}}
-    if isinstance(region, CassiniOval):
-        return {
-            "oval": {
-                "a": _pair(region.focus_a),
-                "b": _pair(region.focus_b),
-                "p": region.radius_product,
-            }
+    return region.to_json()
+
+
+# ---------------------------------------------------------------------------
+# complex-matrix plumbing
+
+
+def _as_matrix(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
+    return a
+
+
+def row_sums(matrix) -> np.ndarray:
+    """Complex sum of each row."""
+    return _as_matrix(matrix).sum(axis=1)
+
+
+def constant_row_sum(matrix, tol: float | None = None) -> complex | None:
+    """The common row sum when all rows agree within tolerance, else None.
+
+    The default tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices
+    are exact while user matrices may carry float noise.  Agreement is
+    measured as the maximum pairwise deviation between row sums.
+    """
+    sums = row_sums(matrix)
+    if tol is None:
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
+    deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
+    if deviation > tol:
+        return None
+    return complex(sums.mean())
+
+
+def _require_gamma(matrix) -> tuple[np.ndarray, complex]:
+    a = _as_matrix(matrix)
+    gamma = constant_row_sum(a)
+    if gamma is None:
+        raise ValueError("matrix does not have a constant row sum within tolerance")
+    return a, gamma
+
+
+def deleted_row_sums(matrix) -> np.ndarray:
+    """r_i = sum over j != i of |a_ij|, for each row i."""
+    a = _as_matrix(matrix)
+    return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+
+
+def deflate(matrix, k: int) -> np.ndarray:
+    """Deflated matrix of dimension n-1 for a constant-row-sum matrix.
+
+    Entry (u, v) of the result is ``a_uv - a_kv`` for u, v ranging over the
+    indices other than ``k`` (1-based).  The spectrum of the input equals
+    the row sum plus the spectrum of the result, as multisets.
+    """
+    a, _ = _require_gamma(matrix)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("cannot deflate a 1x1 matrix")
+    if not (1 <= k <= n):
+        raise ValueError(f"deflation index {k} out of range 1..{n}")
+    keep = [u for u in range(n) if u != k - 1]
+    return a[np.ix_(keep, keep)] - a[k - 1, keep][None, :]
+
+
+# ---------------------------------------------------------------------------
+# the four inclusion regions
+
+
+def gersgorin_region(matrix) -> RegionUnion:
+    """Union of the n disks centred at a_ii with radius r_i."""
+    a = _as_matrix(matrix)
+    r = deleted_row_sums(a)
+    return RegionUnion(
+        tuple(Disk(complex(a[i, i]), float(r[i])) for i in range(a.shape[0]))
+    )
+
+
+def brauer_region(matrix) -> RegionUnion:
+    """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
+    a = _as_matrix(matrix)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("the oval region needs dimension >= 2")
+    r = deleted_row_sums(a)
+    return RegionUnion(
+        tuple(
+            CassiniOval(complex(a[i, i]), complex(a[j, j]), float(r[i] * r[j]))
+            for i, j in combinations(range(n), 2)
+        )
+    )
+
+
+def rowsum_gersgorin_region(matrix) -> RegionIntersection:
+    """Intersection over deflation rows i of the deflated disk unions.
+
+    Component i is the union over k != i of the disk centred at
+    ``a_kk - a_ik`` with radius ``sum over j not in {i, k} of |a_kj - a_ij|``
+    (the entries of the i-deflated matrix), together with the forced
+    eigenvalue gamma as a point leaf.
+    """
+    a, gamma = _require_gamma(matrix)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("the deflated disk region needs dimension >= 2")
+    components = []
+    for i in range(n):
+        leaves: list[Region] = []
+        for k in range(n):
+            if k == i:
+                continue
+            radius = sum(
+                abs(a[k, j] - a[i, j]) for j in range(n) if j != i and j != k
+            )
+            leaves.append(Disk(complex(a[k, k] - a[i, k]), float(radius)))
+        leaves.append(PointSet((gamma,)))
+        components.append(RegionUnion(tuple(leaves)))
+    return RegionIntersection(tuple(components))
+
+
+def rowsum_brauer_region(matrix) -> RegionIntersection:
+    """Intersection over deflation rows i of the deflated oval unions.
+
+    Component i is the union over unordered pairs {j, k} of the remaining
+    indices of the oval with foci ``a_jj - a_ij`` and ``a_kk - a_ik`` and
+    radius product ``r_j * r_k`` where ``r_j = sum over l not in {i, j} of
+    |a_jl - a_il|``, plus the forced eigenvalue gamma as a point leaf.
+    """
+    a, gamma = _require_gamma(matrix)
+    n = a.shape[0]
+    if n < 3:
+        raise ValueError("the deflated oval region needs dimension >= 3")
+    components = []
+    for i in range(n):
+        rest = [k for k in range(n) if k != i]
+        r = {
+            j: sum(abs(a[j, l] - a[i, l]) for l in range(n) if l != i and l != j)
+            for j in rest
         }
-    if isinstance(region, PointSet):
-        return {"points": [_pair(p) for p in region.points]}
-    if isinstance(region, RegionUnion):
-        return {"op": "union", "children": [region_to_json(c) for c in region.children]}
-    if isinstance(region, RegionIntersection):
-        return {
-            "op": "intersection",
-            "children": [region_to_json(c) for c in region.children],
-        }
-    raise TypeError(f"not a region: {region!r}")
+        leaves: list[Region] = [
+            CassiniOval(
+                complex(a[j, j] - a[i, j]),
+                complex(a[k, k] - a[i, k]),
+                float(r[j] * r[k]),
+            )
+            for j, k in combinations(rest, 2)
+        ]
+        leaves.append(PointSet((gamma,)))
+        components.append(RegionUnion(tuple(leaves)))
+    return RegionIntersection(tuple(components))
+
+
+# ---------------------------------------------------------------------------
+# JSON interchange
 
 
 def _json_number(value) -> float:

@@ -236,6 +236,16 @@ class TestBadInputExitCodes:
         assert main(argv + ["--edges", str(path)]) == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["a:b:c:d", "0:1:0", "0:0:0:0", "1:0:1:0", "0:inf:0:1"])
+    def test_bad_svg_window_exits_1(self, window, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(ROWSUM_3X3))
+        argv = ["regions", "--matrix-file", str(path), "--method", "gersgorin", "--emit", "svg"]
+        assert main(argv + [f"--window={window}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n", [2049, 10**19])
     def test_too_many_vertices_exits_1(self, n, tmp_path, capsys):
         path = tmp_path / "graph.json"

@@ -281,7 +281,14 @@ class TestContainment:
             zs = pts[:, 0] + 1j * pts[:, 1]
             grid = region_slack_grid(region, zs)
             for z, expected in zip(zs, grid):
-                assert region_slack(region, z) == pytest.approx(expected, abs=1e-12)
+                assert region_slack(region, z) == expected
+
+    def test_empty_intersection_is_nowhere(self):
+        empty = RegionIntersection(())
+        zs = np.array([0.0, 1.0 + 2.0j, -3.0j])
+        assert np.array_equal(region_slack_grid(empty, zs), np.full(3, -np.inf))
+        assert region_slack(empty, 0.0) == -math.inf
+        assert real_section(empty).is_empty()
 
 
 class TestRealSection:
@@ -350,6 +357,14 @@ class TestRealSection:
         oval = CassiniOval(1000.0j, 1000.0j, 1e6 - 1e-6)
         assert region_slack(oval, 0.0) < -1e-9
         assert real_section(oval).is_empty()
+
+    @pytest.mark.parametrize("focus, p", [(1e10, 1e-10), (1e200, 1e-100)])
+    def test_lobes_narrower_than_focus_rounding_keep_their_foci(self, focus, p):
+        # the lobes round +-focus are about p / (2 focus) wide, far below
+        # one unit in the last place of the focus, so only the foci remain
+        section = real_section(CassiniOval(complex(focus), complex(-focus), p))
+        assert section.intervals == ()
+        assert section.isolated_points == (-focus, focus)
 
     def test_huge_oval_does_not_overflow(self):
         # p^2 and the quartic's constant term overflow unless it is scaled
