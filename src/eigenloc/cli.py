@@ -252,8 +252,11 @@ def region_to_svg(
     Disks become circles, ovals closed 512-point polylines from the oval's
     polar form (two 256-point loops when it is pinched), point leaves small
     diamonds, eigenvalues filled dots.
-    Rendering convenience only; nothing downstream parses this.
+    Rendering convenience only; nothing downstream parses this.  A given
+    ``window`` must be finite with x0 < x1 and y0 < y1 (ValueError).
     """
+    if window is not None:
+        _check_window(window, window)
     leaves = region.leaves()
     if window is None:
         window = _auto_window(leaves, eigenvalues)
@@ -355,10 +358,15 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     fields = text.split(":")
     if len(fields) != 4:
         raise ValueError("window must be 'x0:x1:y0:y1'")
-    x0, x1, y0, y1 = (float(f) for f in fields)
+    window = tuple(float(f) for f in fields)
+    _check_window(window, text)
+    return window
+
+
+def _check_window(window: tuple[float, float, float, float], shown) -> None:
+    x0, x1, y0, y1 = window
     if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
-        raise ValueError(f"window {text!r} needs finite x0 < x1 and y0 < y1")
-    return (x0, x1, y0, y1)
+        raise ValueError(f"window {shown!r} needs finite x0 < x1 and y0 < y1")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

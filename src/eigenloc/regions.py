@@ -12,6 +12,13 @@ finite point sets under union/intersection.  Membership, signed slack and
 the intersection with the real axis are all computed from the parameters,
 never from a rasterisation.  Each node class owns its ``slack`` (one numpy
 path for a point or an array of points), ``section`` and ``to_json``.
+
+Underneath the tree, each union keeps a leaf table: the parameters of its
+disks, ovals and points as arrays, so that its slack is one (points x
+leaves) numpy pass and an intersection's is one such pass per component.
+The four builders fill the tables with array arithmetic and make no leaf
+objects; a builder's union makes its ``children`` from its table when they
+are first read.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Union
 
 import numpy as np
@@ -105,26 +111,110 @@ def _normalized_section(
 
 
 # ---------------------------------------------------------------------------
-# region tree.  A class's _max_slack(nodes, z) is the largest slack over
-# several of its nodes, with the leaves along a trailing axis of z, so that a
-# union takes all its leaves of one class in one numpy pass.
+# region tree
 
 
-def _distance(z, c: complex):
-    # np.hypot of the parts rounds like Python's abs(complex); numpy's complex abs may not
-    d = z - c
-    return np.hypot(d.real, d.imag)
+def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|z - c| into ``out``, as np.hypot of the parts, which rounds like
+    Python's abs(complex) (numpy's complex abs may not).  Where every
+    imaginary part of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0)
+    is |x|, C99 Annex F), so the far slower hypot is skipped."""
+    dx = z.real - c.real
+    dy = z.imag - c.imag
+    if np.count_nonzero(dy):
+        return np.hypot(dx, dy, out=out)
+    return np.abs(dx, out=out)
 
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-class _Leaf:
-    """Slack is ``_max_slack`` of the leaf alone; extent() bounds the leaf's drawing."""
+_DISK, _OVAL, _POINT = 0, 1, 2
+
+
+class _LeafTable:
+    """The leaves of one union as rows of arrays.
+
+    With ``d`` a point's distances to each of ``anchors`` followed by an
+    exact 1.0 (index -1), row k's slack is
+    ``bounds[k] - d[first[k]] * d[second[k]]``, which rounds exactly like
+    the leaf's own inequality:
+
+    - a disk (``kinds[k] == _DISK``): first its centre, second -1, bound its radius;
+    - an oval (``_OVAL``): first and second its foci, bound its radius product;
+    - a point (``_POINT``): first the point, second -1, bound -0.0, so that
+      the slack is the negated distance, -0.0 on the point itself.
+
+    The ovals of a builder share their foci, so a point's distance to each
+    focus is taken once, not once per oval.  ``nested`` holds the union's
+    children that are not leaves, whose slack is taken from the node.
+    """
+
+    def __init__(self, anchors, first, second, bounds, kinds, nested: tuple = ()) -> None:
+        self.anchors, self.first, self.second = anchors, first, second
+        self.bounds, self.kinds, self.nested = bounds, kinds, nested
+
+    @classmethod
+    def of(cls, nodes) -> "_LeafTable":
+        """The table of a union of ``nodes``, which are already validated."""
+        anchors: list[complex] = []
+        rows: list[tuple[int, int, int, float]] = []
+        for node in nodes:
+            at = len(anchors)
+            if isinstance(node, Disk):
+                anchors.append(node.center)
+                rows.append((_DISK, at, -1, node.radius))
+            elif isinstance(node, CassiniOval):
+                anchors += [node.focus_a, node.focus_b]
+                rows.append((_OVAL, at, at + 1, node.radius_product))
+            elif isinstance(node, PointSet):
+                anchors += node.points
+                rows += [(_POINT, at + k, -1, -0.0) for k in range(len(node.points))]
+        kinds, first, second, bounds = zip(*rows) if rows else ((), (), (), ())
+        return cls(
+            np.array(anchors, dtype=complex),
+            np.array(first, dtype=np.intp),
+            np.array(second, dtype=np.intp),
+            np.array(bounds, dtype=float),
+            kinds,
+            tuple(node for node in nodes if isinstance(node, _Combination)),
+        )
+
+    def leaves(self) -> tuple:
+        """Leaf objects in row order, a point set for each point."""
+        anchors = self.anchors.tolist()
+        made: list[Region] = []
+        for kind, a, b, bound in zip(
+            self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()
+        ):
+            if kind == _DISK:
+                made.append(Disk(anchors[a], bound))
+            elif kind == _OVAL:
+                made.append(CassiniOval(anchors[a], anchors[b], bound))
+            else:
+                made.append(PointSet((anchors[a],)))
+        return tuple(made)
 
     def slack(self, z):
-        return self._max_slack((self,), z)
+        z = np.asarray(z)
+        reach = np.empty(z.shape + (len(self.anchors) + 1,))
+        reach[..., -1] = 1.0
+        _distance(z[..., None], self.anchors, reach[..., :-1])
+        margin = reach[..., self.first]
+        margin *= reach[..., self.second]
+        np.subtract(self.bounds, margin, out=margin)
+        slack = np.maximum.reduce(margin, axis=-1, initial=-np.inf)
+        for node in self.nested:
+            slack = np.maximum(slack, node.slack(z))
+        return slack
+
+
+class _Leaf:
+    """Slack is that of a table of the leaf alone; extent() bounds the leaf's drawing."""
+
+    def slack(self, z):
+        return _LeafTable.of((self,)).slack(z)
 
     def leaves(self) -> tuple:
         return (self,)
@@ -135,10 +225,6 @@ class _Combination:
 
     def leaves(self) -> tuple:
         return tuple(leaf for child in self.children for leaf in child.leaves())
-
-    @staticmethod
-    def _max_slack(nodes, z):
-        return functools.reduce(np.maximum, (node.slack(z) for node in nodes))
 
     def section(self, tol: float) -> RealSection:
         if not self.children:
@@ -162,12 +248,6 @@ class Disk(_Leaf):
             raise ValueError(f"disk radius must be finite and nonnegative, got {self.radius}")
         if not cmath.isfinite(self.center):
             raise ValueError(f"disk centre must be finite, got {self.center}")
-
-    @staticmethod
-    def _max_slack(disks, z):
-        center = np.array([d.center for d in disks], dtype=complex)
-        radius = np.array([d.radius for d in disks], dtype=float)
-        return (radius - _distance(np.asarray(z)[..., None], center)).max(axis=-1)
 
     def section(self, tol: float) -> RealSection:
         gap = self.radius * self.radius - self.center.imag * self.center.imag
@@ -201,14 +281,6 @@ class CassiniOval(_Leaf):
         if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
             raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
 
-    @staticmethod
-    def _max_slack(ovals, z):
-        a = np.array([o.focus_a for o in ovals], dtype=complex)
-        b = np.array([o.focus_b for o in ovals], dtype=complex)
-        p = np.array([o.radius_product for o in ovals], dtype=float)
-        z = np.asarray(z)[..., None]
-        return (p - _distance(z, a) * _distance(z, b)).max(axis=-1)
-
     def section(self, tol: float) -> RealSection:
         """Where ``q(x) = |x-a|^2 |x-b|^2 - p^2`` is <= 0, cut at the real roots of q and q'.
 
@@ -218,7 +290,8 @@ class CassiniOval(_Leaf):
         quartic to resolve at their magnitude.
         """
         a, b, p = self.focus_a, self.focus_b, self.radius_product
-        points = [float(f.real) for f in (a, b) if self.slack(f.real) >= -tol]
+        feet = np.array([a.real, b.real])
+        points = [float(x) for x, margin in zip(feet, self.slack(feet)) if margin >= -tol]
         if p == 0.0:
             return _normalized_section([], points, tol)
         # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
@@ -297,11 +370,6 @@ class PointSet(_Leaf):
         if not all(cmath.isfinite(p) for p in self.points):
             raise ValueError(f"points must be finite, got {self.points}")
 
-    @staticmethod
-    def _max_slack(sets, z):
-        points = np.array([p for s in sets for p in s.points], dtype=complex)
-        return (-_distance(np.asarray(z)[..., None], points)).max(axis=-1, initial=-np.inf)
-
     def section(self, tol: float) -> RealSection:
         return _normalized_section([], [p.real for p in self.points if abs(p.imag) <= tol], tol)
 
@@ -314,10 +382,29 @@ class PointSet(_Leaf):
 
 @dataclass(frozen=True)
 class RegionUnion(_Combination):
-    """Points in some child; slack is the largest child slack."""
+    """Points in some child; slack is the largest child slack.
+
+    Slack comes from the union's leaf table, made from ``children`` on the
+    first call.  A builder's union starts from its table instead and makes
+    ``children`` from it when they are first read.
+    """
 
     children: tuple["Region", ...]
     _op = "union"
+
+    @classmethod
+    def _from_table(cls, table: _LeafTable) -> "RegionUnion":
+        union = object.__new__(cls)
+        object.__setattr__(union, "_table", table)
+        return union
+
+    def __getattr__(self, name: str):
+        # only reached when normal lookup fails: a table-made union's children
+        if name != "children" or "_table" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        children = self._table.leaves()
+        object.__setattr__(self, "children", children)
+        return children
 
     @staticmethod
     def _section_op(a: RealSection, b: RealSection, tol: float) -> RealSection:
@@ -328,13 +415,11 @@ class RegionUnion(_Combination):
         )
 
     def slack(self, z):
-        if not self.children:
-            return np.full(np.shape(z), -np.inf)
-        # each child class's _max_slack takes all its children at once
-        groups: dict[type, list] = {}
-        for child in self.children:
-            groups.setdefault(type(child), []).append(child)
-        return functools.reduce(np.maximum, (k._max_slack(nodes, z) for k, nodes in groups.items()))
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = _LeafTable.of(self.children)
+            object.__setattr__(self, "_table", table)
+        return table.slack(z)
 
 
 @dataclass(frozen=True)
@@ -384,7 +469,7 @@ def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
 
 def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
     """:func:`region_slack` at each point of an array, bit for bit; a union
-    holds one (points x its leaves of one class) array at a time."""
+    holds one (points x its leaves) array at a time."""
     return region.slack(np.asarray(zs, dtype=complex))
 
 
@@ -472,12 +557,57 @@ def deflate(matrix, k: int) -> np.ndarray:
 # the four inclusion regions
 
 
+def _require_finite(*arrays) -> None:
+    # a NaN or infinite entry, or an overflow, is a parameter no leaf accepts
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("region parameters must be finite; the matrix has a NaN or "
+                         "infinite entry or its row sums overflow")
+
+
+def _deflated_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disk centres and radii of every deflation, shape (n, n - 1) each.
+
+    Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
+    and the radius ``sum over l not in {i, k} of |a_kl - a_il|``.  The sum
+    runs left to right over l, with the skipped terms added as +0.0, so it
+    rounds exactly like Python's ``sum`` over the same terms.
+    """
+    n = a.shape[0]
+    radii = np.zeros((n, n))
+    term = np.empty((n, n))
+    for l in range(n):
+        _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
+        term[l, :] = 0.0
+        term[:, l] = 0.0
+        radii += term
+    centers = a.diagonal()[None, :] - a
+    off = ~np.eye(n, dtype=bool)
+    return centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
+
+
+def _deflation_components(anchors, first, second, bounds, kind: int, gamma: complex):
+    """Intersection over i of the union of the leaves of one ``kind`` with row
+    i of ``anchors`` and ``bounds`` (``first`` and ``second`` are shared)
+    and the point gamma."""
+    n, count = anchors.shape
+    anchors = np.column_stack([anchors, np.full(n, gamma)])
+    bounds = np.column_stack([bounds, np.full(n, -0.0)])
+    first, second = np.append(first, count), np.append(second, -1)
+    kinds = (kind,) * (len(first) - 1) + (_POINT,)
+    return RegionIntersection(tuple(
+        RegionUnion._from_table(_LeafTable(anchors[i], first, second, bounds[i], kinds))
+        for i in range(n)
+    ))
+
+
 def gersgorin_region(matrix) -> RegionUnion:
     """Union of the n disks centred at a_ii with radius r_i."""
     a = _as_matrix(matrix)
-    r = deleted_row_sums(a)
-    return RegionUnion(
-        tuple(Disk(complex(a[i, i]), float(r[i])) for i in range(a.shape[0]))
+    n = a.shape[0]
+    centers, radii = a.diagonal().copy(), deleted_row_sums(a)
+    _require_finite(centers, radii)
+    return RegionUnion._from_table(
+        _LeafTable(centers, np.arange(n), np.full(n, -1), radii, (_DISK,) * n)
     )
 
 
@@ -487,13 +617,11 @@ def brauer_region(matrix) -> RegionUnion:
     n = a.shape[0]
     if n < 2:
         raise ValueError("the oval region needs dimension >= 2")
-    r = deleted_row_sums(a)
-    return RegionUnion(
-        tuple(
-            CassiniOval(complex(a[i, i]), complex(a[j, j]), float(r[i] * r[j]))
-            for i, j in combinations(range(n), 2)
-        )
-    )
+    foci, r = a.diagonal().copy(), deleted_row_sums(a)
+    i, j = np.triu_indices(n, 1)  # the pairs i < j in the order of combinations()
+    products = r[i] * r[j]
+    _require_finite(foci, products)
+    return RegionUnion._from_table(_LeafTable(foci, i, j, products, (_OVAL,) * len(i)))
 
 
 def rowsum_gersgorin_region(matrix) -> RegionIntersection:
@@ -508,19 +636,11 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 2:
         raise ValueError("the deflated disk region needs dimension >= 2")
-    components = []
-    for i in range(n):
-        leaves: list[Region] = []
-        for k in range(n):
-            if k == i:
-                continue
-            radius = sum(
-                abs(a[k, j] - a[i, j]) for j in range(n) if j != i and j != k
-            )
-            leaves.append(Disk(complex(a[k, k] - a[i, k]), float(radius)))
-        leaves.append(PointSet((gamma,)))
-        components.append(RegionUnion(tuple(leaves)))
-    return RegionIntersection(tuple(components))
+    centers, radii = _deflated_leaves(a)
+    _require_finite(centers, radii, gamma)
+    return _deflation_components(
+        centers, np.arange(n - 1), np.full(n - 1, -1), radii, _DISK, gamma
+    )
 
 
 def rowsum_brauer_region(matrix) -> RegionIntersection:
@@ -535,24 +655,11 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 3:
         raise ValueError("the deflated oval region needs dimension >= 3")
-    components = []
-    for i in range(n):
-        rest = [k for k in range(n) if k != i]
-        r = {
-            j: sum(abs(a[j, l] - a[i, l]) for l in range(n) if l != i and l != j)
-            for j in rest
-        }
-        leaves: list[Region] = [
-            CassiniOval(
-                complex(a[j, j] - a[i, j]),
-                complex(a[k, k] - a[i, k]),
-                float(r[j] * r[k]),
-            )
-            for j, k in combinations(rest, 2)
-        ]
-        leaves.append(PointSet((gamma,)))
-        components.append(RegionUnion(tuple(leaves)))
-    return RegionIntersection(tuple(components))
+    centers, radii = _deflated_leaves(a)
+    j, k = np.triu_indices(n - 1, 1)  # the pairs in the order of combinations()
+    products = radii[:, j] * radii[:, k]
+    _require_finite(centers, products, gamma)
+    return _deflation_components(centers, j, k, products, _OVAL, gamma)
 
 
 # ---------------------------------------------------------------------------

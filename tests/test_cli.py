@@ -13,6 +13,7 @@ from eigenloc.cli import _oval_boundary, check_interval, main, region_to_svg
 from eigenloc.graphs import GraphMatrixKind, build_matrix, cycle
 from eigenloc.regions import (
     CassiniOval,
+    Disk,
     matrix_to_json,
     real_section,
     region_from_json,
@@ -315,6 +316,15 @@ def test_console_entry_point_end_to_end(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["matrix"] == "laplacian"
+
+
+@pytest.mark.parametrize(
+    "window", [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0)]
+)
+def test_svg_rejects_bad_window(window):
+    # (0, 0, 0, 0) once divided by zero and (1, 0, 1, 0) drew negative radii
+    with pytest.raises(ValueError, match="window"):
+        region_to_svg(Disk(0.0j, 1.0), window=window)
 
 
 def test_svg_pinched_oval_renders_two_loops():

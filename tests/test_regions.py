@@ -2,13 +2,14 @@
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle
+from eigenloc.graphs import GraphMatrixKind, build_matrix, circulant, complete, cycle, petersen
 from eigenloc.oracle import charpoly, complex_eigenvalues, symmetric_eigenvalues
 from eigenloc.regions import (
     CassiniOval,
@@ -584,3 +585,122 @@ def test_matrix_json_rejects_non_finite_entries(value):
     assert text != matrix_to_json(ROWSUM_3X3)
     with pytest.raises(ValueError):
         matrix_from_json(text)
+
+
+BUILDERS = (gersgorin_region, brauer_region, rowsum_gersgorin_region, rowsum_brauer_region)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize(
+    "entry",
+    [math.nan, complex(0.0, math.nan), math.inf, -math.inf, 1e308],
+    ids=["nan", "nan-imag", "inf", "-inf", "overflow"],
+)
+def test_builders_reject_non_finite_parameters(builder, entry):
+    # constant_row_sum lets each of these through, so the rowsum builders
+    # must reject the matrix themselves; 1e308 is finite but overflows the
+    # row sums, so the disk radii or oval products would be infinite
+    a = build_matrix(cycle(4), GraphMatrixKind.LAPLACIAN).astype(complex)
+    a[1, 2] = entry
+    if entry == 1e308:
+        a = np.full((4, 4), 1e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert constant_row_sum(a) is not None
+        with pytest.raises(ValueError):
+            builder(a)
+
+
+def _table_cases():
+    """Constant-row-sum matrices, real and complex, n = 3..12, and the three
+    graph matrices of a few graphs."""
+    rng = np.random.default_rng(81)
+    cases = []
+    for n in range(3, 13):
+        cases.append(random_constant_rowsum_matrix(rng, n)[0])
+        real = rng.standard_normal((n, n))
+        real[:, -1] += 1.5 - real.sum(axis=1)
+        cases.append(real)
+    for g in (cycle(7), complete(6), petersen(), circulant(12, (1, 3, 5))):
+        cases += [build_matrix(g, kind) for kind in GraphMatrixKind]
+    return cases
+
+
+def _probe_points(rng, a):
+    eigenvalues = np.linalg.eigvals(a)
+    scatter = rng.normal(size=(2, 40)) * (1.0 + np.abs(eigenvalues).max())
+    return (
+        np.concatenate([eigenvalues, scatter[0] + 1j * scatter[1]]),
+        # real points: on a real matrix, the path without hypot
+        np.concatenate([eigenvalues.real, scatter[0]]),
+    )
+
+
+class TestLeafTable:
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_built_region_matches_its_parsed_tree(self, builder):
+        rng = np.random.default_rng(82)
+        for a in _table_cases():
+            region = builder(a)
+            parsed = region_from_json(region_to_json(builder(a)))
+            for zs in _probe_points(rng, a):
+                built = region_slack_grid(region, zs)
+                assert built.tobytes() == region_slack_grid(parsed, zs).tobytes()
+                assert region_slack(region, zs[0]) == built[0]
+            assert region.leaves() == parsed.leaves()
+            assert region.children == parsed.children
+            assert region == parsed
+
+    def test_rowsum_leaves_match_python_sums(self):
+        # the definition, summed by Python's sum in ascending index order
+        for a in _table_cases():
+            n = a.shape[0]
+            want = [
+                [
+                    (
+                        complex(a[k, k] - a[i, k]),
+                        float(sum(abs(a[k, l] - a[i, l]) for l in range(n) if l not in (i, k))),
+                    )
+                    for k in range(n)
+                    if k != i
+                ]
+                for i in range(n)
+            ]
+            disks = rowsum_gersgorin_region(a).children
+            ovals = rowsum_brauer_region(a).children
+            for i in range(n):
+                assert [(d.center, d.radius) for d in disks[i].children[:-1]] == want[i]
+                got = [(o.focus_a, o.focus_b, o.radius_product) for o in ovals[i].children[:-1]]
+                assert got == [
+                    (cj, ck, rj * rk) for (cj, rj), (ck, rk) in combinations(want[i], 2)
+                ]
+
+    def test_hand_built_union_slack_is_exact(self):
+        # a union of every kind of node, nested ones included
+        inner = RegionIntersection((Disk(0.5j, 1.0), Disk(-0.5j, 1.0)))
+        union = RegionUnion(
+            (PointSet((2.0 + 0.0j, 3.0j)), CassiniOval(1.0 + 0.0j, -1.0 + 0.0j, 0.5), inner,
+             Disk(4.0 + 0.0j, 0.25), PointSet(()))
+        )
+        for z in (0.0j, 2.0 + 0.0j, 3.0j, 4.25 + 0.0j, 1.0 + 1.0j, 10.0 + 0.0j):
+            want = max(
+                -min(abs(z - 2.0), abs(z - 3.0j)),
+                0.5 - abs(z - 1.0) * abs(z + 1.0),
+                min(1.0 - abs(z - 0.5j), 1.0 - abs(z + 0.5j)),
+                0.25 - abs(z - 4.0),
+            )
+            assert region_slack(union, z) == want
+            assert region_slack_grid(union, [z, z])[1] == want
+        assert region_slack_grid(RegionUnion(()), [0.0, 1.0]).tolist() == [-math.inf, -math.inf]
+
+    def test_point_slack_is_negative_zero_on_the_point(self):
+        # a point leaf's slack is the negated distance; on K_4's adjacency
+        # every deflated disk and oval is a point at -1, so gamma = 3 is
+        # inside only through the point leaf
+        a = build_matrix(complete(4), GraphMatrixKind.ADJACENCY)
+        for region in (
+            PointSet((3.0 + 0.0j,)),
+            RegionUnion((Disk(0.0j, 1.0), PointSet((3.0 + 0.0j,)))),
+            rowsum_gersgorin_region(a),
+            rowsum_brauer_region(a),
+        ):
+            assert math.copysign(1.0, region_slack(region, 3.0)) == -1.0
