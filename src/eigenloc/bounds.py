@@ -30,9 +30,9 @@ from .graphs import (
     Graph,
     GraphMatrixKind,
     StructureReport,
+    _exact_randic_index,
     classify,
     degrees,
-    randic_index,
 )
 
 __all__ = [
@@ -384,8 +384,7 @@ def normalized_trace_bounds(
     """
     rep = _checked("Thm4.1", g, rep)
     n = g.n
-    r_minus_1 = randic_index(g, -1.0)
-    rad = 2.0 * (n - 1.0) * r_minus_1 - n
+    rad = float(2 * (n - 1) * _exact_randic_index(g, -1) - n)
     base = -1.0 / (n - 1.0)
     wide = _clamped_sqrt((n - 2.0) * rad, "Thm4.1") / (n - 1.0)
     narrow = _clamped_sqrt(rad / (n - 2.0), "Thm4.1") / (n - 1.0)
@@ -402,7 +401,7 @@ def normalized_bipartite_lambda2_bounds(
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
     rep = _checked("Thm4.3", g, rep)
     n = g.n
-    rad = randic_index(g, -1.0) - 1.0
+    rad = float(_exact_randic_index(g, -1) - 1)
     lo = _clamped_sqrt(2.0 * rad / ((n - 2.0) * (n - 3.0)), "Thm4.3")
     hi = _clamped_sqrt(2.0 * (n - 3.0) * rad / (n - 2.0), "Thm4.3")
     return [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -387,12 +387,23 @@ def randic_index(g: Graph, alpha: float) -> float:
     if alpha < 0 and g.n > 0 and min(ds) == 0:
         raise ValueError("negative exponent with an isolated vertex divides by zero")
     if float(alpha).is_integer():
-        exponent = int(alpha)
-        total = sum(
-            Fraction(ds[u - 1] * ds[v - 1]) ** exponent for u, v in g.edges
-        )
-        return float(total)
+        return float(_exact_randic_index(g, int(alpha)))
     return float(sum((ds[u - 1] * ds[v - 1]) ** alpha for u, v in g.edges))
+
+
+def _exact_randic_index(g: Graph, exponent: int) -> Fraction:
+    """The integer-exponent connectivity index as an exact rational.
+
+    The normalized two-trace bounds form their radicands from it in
+    rationals and round once: rounding the index first leaves about 4e-15
+    where K_n's radicand is exactly 0, and the square root turns that into
+    an interval error near 5e-10.
+    """
+    ds = [g.degree(i) for i in range(1, g.n + 1)]
+    products = Counter(ds[u - 1] * ds[v - 1] for u, v in g.edges)
+    return sum(
+        (count * Fraction(p) ** exponent for p, count in products.items()), Fraction(0)
+    )
 
 
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:

@@ -55,6 +55,8 @@ from eigenloc.regions import (
     rowsum_gersgorin_region,
 )
 
+from ._corpus import atlas_graphs
+
 
 def by_target(intervals):
     return {b.target: b for b in intervals}
@@ -268,6 +270,15 @@ class TestNormalizedTrace:
                 assert ivals[tgt].upper == pytest.approx(expected, abs=1e-12)
         eigs = normalized_spectrum(complete(4)).values
         assert eigs[1] == pytest.approx(-1 / 3, abs=1e-10)
+
+    def test_complete_reports_exactly(self):
+        # the radicand 2(n-1)R - n is exactly 0 on K_n; formed from a rounded
+        # R it came out near 4e-15, and its root emptied the combined
+        # lambda_2 interval at n = 27
+        for n in range(3, 121):
+            report = bounds_report(complete(n), GraphMatrixKind.NORMALIZED_ADJACENCY)
+            lam2 = by_target(b for b in report.bounds if b.theorem == "Thm4.1")[LAMBDA_2]
+            assert (lam2.lower, lam2.upper) == (-1.0 / (n - 1), -1.0 / (n - 1))
 
     def test_star_k13(self):
         ivals = by_target(normalized_trace_bounds(star(4)))
@@ -549,6 +560,23 @@ class TestReports:
                     assert a == b
                 else:
                     assert (a.lower, a.upper) != (b.lower, b.upper)
+
+    def test_relabelling_changes_no_interval(self):
+        # one graph per isomorphism class may stand for all its labellings;
+        # assumptions are left out, since Thm3.4 names (c,d) from vertex 1's side
+        def intervals(report):
+            return [(b.target, b.lower, b.upper, b.theorem)
+                    for b in report.bounds + report.combined]
+
+        for seed, (_, g) in enumerate(atlas_graphs()):
+            if not classify(g).connected:
+                continue
+            h = relabelled(g, seed)
+            for kind in GraphMatrixKind:
+                for mode in ("published", "corrected"):
+                    ours, theirs = bounds_report(g, kind, mode), bounds_report(h, kind, mode)
+                    assert intervals(ours) == intervals(theirs), (g.edges, h.edges, kind)
+                    assert ours.skipped == theirs.skipped
 
     def test_disconnected_graph_skips_everything(self):
         g = Graph.from_edges(4, [(1, 2), (3, 4)])

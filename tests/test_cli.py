@@ -40,6 +40,13 @@ class TestBoundsCommand:
         lam2 = [b for b in thm31 if b["target"] == "lambda_2"][0]
         assert (lam2["lower"], lam2["upper"]) == (-1.0, -1.0)
 
+    def test_complete_27_normalized(self, capsys):
+        code = main(["bounds", "--family", "complete", "--n", "27", "--matrix", "normalized"])
+        assert code == 0
+        obj = json.loads(capsys.readouterr().out)
+        lam2 = [b for b in obj["combined"] if b["target"] == "lambda_2"][0]
+        assert lam2["lower"] == lam2["upper"] == -1.0 / 26
+
     def test_edges_file_csv(self, tmp_path, capsys):
         edges = tmp_path / "g.txt"
         edges.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -28,6 +29,8 @@ from eigenloc.graphs import (
     randic_index,
     star,
 )
+
+from ._corpus import atlas_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -318,3 +321,27 @@ class TestClassify:
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(2, 2)])
+
+
+class TestAtlas:
+    """classify against networkx on every graph with 1 to 7 vertices, up to isomorphism."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_connected_count(self, n):
+        # unlabelled connected graphs on n vertices (OEIS A001349)
+        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}[n]
+        found = sum(1 for h, _ in atlas_graphs() if len(h) == n and nx.is_connected(h))
+        assert found == expected
+
+    def test_classify_matches_networkx(self):
+        assert len(atlas_graphs()) == 1252
+        for h, g in atlas_graphs():
+            rep = classify(g)
+            degree = dict(h.degree())
+            distinct = set(degree.values())
+            assert rep.connected == nx.is_connected(h)
+            assert rep.regular == (distinct.pop() if len(distinct) == 1 else None)
+            assert rep.bipartite == nx.is_bipartite(h)
+            assert rep.dominating == tuple(
+                v + 1 for v in sorted(h) if degree[v] == g.n - 1
+            )
