@@ -1,98 +1,25 @@
-"""Certify the vectorised sweep engine against the library, graph by graph.
+"""Certify the sweep's reference oracle against the package's eigensolvers.
 
-The exhaustive soundness sweep trusts tests/_corpus.bulk_bounds to compute
-the same intervals as eigenloc.bounds; this module proves that equivalence
-exhaustively for n <= 5 and on fixed random samples for n in {6, 7}, and
-checks the enumeration and batched oracle against known counts and the
-package's own eigensolvers.
+The soundness sweep (``tests/_corpus.check_graph_with_library``) checks each
+bound against LAPACK spectra of matrices it builds from the edge list, apart
+from ``build_matrix``.  This module checks that oracle against the package's
+own Jacobi route (``graph_spectrum``) on the connected 6-vertex atlas
+graphs, for every kind, whether or not a bound applies to the graph.
 """
 
 import numpy as np
-import pytest
 
-from eigenloc.bounds import bounds_report
-from eigenloc.graphs import GraphMatrixKind, build_matrix
-from eigenloc.oracle import symmetric_eigenvalues
+from eigenloc.graphs import GraphMatrixKind, classify
+from eigenloc.oracle import graph_spectrum
 
-from ._corpus import (
-    batch_bipartite,
-    batch_oracle,
-    bulk_bounds,
-    connected_graph_masks,
-    graph_from_mask,
-    masks_to_batch,
-)
-
-# labelled connected graphs on n vertices (a classical table)
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704}
-
-
-@pytest.mark.parametrize("n", sorted(CONNECTED_COUNTS))
-def test_enumeration_counts(n):
-    assert len(connected_graph_masks(n)) == CONNECTED_COUNTS[n]
-
-
-def test_bipartite_flags_match_classify():
-    from eigenloc.graphs import classify
-
-    masks = connected_graph_masks(5)
-    flags = batch_bipartite(masks, 5)
-    for mask, flag in zip(masks.tolist(), flags.tolist()):
-        assert classify(graph_from_mask(mask, 5)).bipartite == flag
+from ._corpus import _lapack_spectrum, atlas_graphs
 
 
 def test_batch_oracle_matches_package_oracle():
-    rng = np.random.default_rng(50)
-    masks = connected_graph_masks(6)
-    sample = masks[rng.choice(len(masks), 60, replace=False)]
-    a, deg = masks_to_batch(sample, 6)
-    lap, nrm = batch_oracle(a, deg)
-    for row, mask in enumerate(sample.tolist()):
-        g = graph_from_mask(mask, 6)
-        ours = symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.LAPLACIAN))
-        assert np.max(np.abs(lap[row][::-1] - np.array(ours.values))) <= 1e-9
-
-
-def _mode_of(tag):
-    if tag.startswith("Thm5.4"):
-        return "corrected" if "corrected" in tag else "published"
-    return "published"
-
-
-def _library_intervals(g):
-    out = {}
-    for kind in (GraphMatrixKind.NORMALIZED_ADJACENCY, GraphMatrixKind.LAPLACIAN):
-        for mode in ("published", "corrected"):
-            for b in bounds_report(g, kind, mode=mode).bounds:
-                tag = b.theorem if b.theorem != "Thm5.4" else f"Thm5.4[{mode}]"
-                out[(tag, b.target)] = (b.lower, b.upper)
-    return out
-
-
-def _assert_bulk_matches_library(masks, n):
-    records = bulk_bounds(masks, n)
-    for row, mask in enumerate(masks.tolist()):
-        g = graph_from_mask(mask, n)
-        expected = _library_intervals(g)
-        for rec in records:
-            key = (rec.theorem, rec.target)
-            if not rec.applicable[row]:
-                assert key not in expected, f"library applies {key} but bulk skips it"
-                continue
-            assert key in expected, f"bulk applies {key} but library skips it"
-            lo, hi = expected[key]
-            assert rec.lower[row] == pytest.approx(lo, abs=1e-12), (key, mask, n)
-            assert rec.upper[row] == pytest.approx(hi, abs=1e-12), (key, mask, n)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_bulk_bounds_match_library_exhaustively(n):
-    _assert_bulk_matches_library(connected_graph_masks(n), n)
-
-
-@pytest.mark.parametrize("n", [6, 7])
-def test_bulk_bounds_match_library_sampled(n):
-    rng = np.random.default_rng(51 + n)
-    masks = connected_graph_masks(n)
-    sample = masks[rng.choice(len(masks), 400, replace=False)]
-    _assert_bulk_matches_library(sample, n)
+    graphs = [g for _, g in atlas_graphs() if g.n == 6 and classify(g).connected]
+    assert len(graphs) == 112  # connected graphs on 6 vertices (OEIS A001349)
+    for g in graphs:
+        for kind in GraphMatrixKind:
+            ours = graph_spectrum(g, kind)
+            gap = np.max(np.abs(_lapack_spectrum(g, kind) - np.array(ours.values)))
+            assert gap <= 1e-9, (kind.value, g.edges, gap)
