@@ -7,14 +7,21 @@ target lambda_1 and lambda_{n-1} (the algebraic connectivity).  Each
 theorem is tagged with a stable identifier ("Thm3.1", "Cor3.6", ...) that
 the report JSON, the CSV output and the verify scope filters all share.
 
-One registry maps each tag to its matrix kind, its structural
-preconditions (connected, regular, bipartite, biregular, dominating
-vertex, read from :func:`eigenloc.graphs.classify`), its minimum n and its
-theorem function.  :func:`bounds_report` runs every applicable theorem of
-the registry for a (graph, matrix kind) pair and records the rest as
-skipped with the first failing precondition as the reason.  A theorem
-function called directly on a graph it does not apply to raises
-``ValueError("<tag>: <skip reason>")``, e.g. ``"Thm3.1: not regular"``.
+One registry maps each tag to its matrix kind, its targets, its structural
+preconditions (connected, regular, bipartite, biregular, dominating vertex,
+read from :func:`eigenloc.graphs.classify`), its minimum n and its theorem
+function.  Each precondition carries its skip reason and its assumption
+label, so a theorem function computes only the ends of its intervals.
+:func:`bounds_report` runs every applicable theorem of the registry for a
+(graph, matrix kind) pair and records the rest as skipped with the first
+failing precondition as the reason.  A theorem function called directly on
+a graph it does not apply to raises ``ValueError("<tag>: <skip reason>")``,
+e.g. ``"Thm3.1: not regular"``.
+
+The paper's bounds are a few formulas applied several times: Thm3.1 and
+Thm4.1 are one deflated two-trace bound, Thm3.4, Cor3.6 and Thm4.3 one
+bipartite lambda_2 bound, and Thm4.4, Thm4.5 and Thm5.4 deflate at one
+dominating vertex.
 """
 
 from __future__ import annotations
@@ -70,32 +77,35 @@ _ADJ = GraphMatrixKind.ADJACENCY
 _NORM = GraphMatrixKind.NORMALIZED_ADJACENCY
 _LAP = GraphMatrixKind.LAPLACIAN
 
-# The theorem catalogue: tag -> (matrix kind, preconditions in check order,
-# minimum n, theorem function).  The function is stored by name and looked up
-# in this module's namespace at call time, so a wrapper rebound onto the
-# module attribute (a profiler or tracer) sees every call bounds_report makes.
-_REGISTRY: dict[str, tuple[GraphMatrixKind, tuple[str, ...], int, str]] = {
-    "Thm3.1": (_ADJ, ("connected", "regular"), 3, "regular_adjacency_bounds"),
-    "Thm3.4": (_ADJ, ("connected", "bipartite", "biregular"), 4, "biregular_bipartite_lambda2_bounds"),
-    "Cor3.6": (_ADJ, ("connected", "regular", "bipartite"), 4, "regular_bipartite_lambda2_bounds"),
-    "Thm3.7": (_ADJ, ("connected", "regular"), 2, "regular_common_neighbor_bounds"),
-    "Thm3.9": (_ADJ, ("connected", "regular"), 3, "regular_brauer_common_neighbor_bounds"),
-    "Thm4.1": (_NORM, ("connected",), 3, "normalized_trace_bounds"),
-    "Thm4.3": (_NORM, ("connected", "bipartite"), 4, "normalized_bipartite_lambda2_bounds"),
-    "Thm4.4": (_NORM, ("connected", "dominating"), 3, "normalized_dominating_gersgorin_bounds"),
-    "Thm4.5": (_NORM, ("connected", "dominating"), 3, "normalized_dominating_brauer_bounds"),
-    "Thm5.2": (_LAP, ("connected",), 3, "laplacian_trace_bounds"),
-    "Thm5.3": (_LAP, ("connected",), 2, "laplacian_common_neighbor_bounds"),
-    "Thm5.4": (_LAP, ("connected", "dominating"), 3, "laplacian_dominating_brauer_bounds"),
+# The theorem catalogue: tag -> (matrix kind, targets, preconditions in check
+# order, minimum n, theorem function).  The function is stored by name and
+# looked up in this module's namespace at call time, so a wrapper rebound onto
+# the module attribute (a profiler or tracer) sees every call bounds_report
+# makes.
+_REGISTRY: dict[str, tuple[GraphMatrixKind, tuple[str, ...], tuple[str, ...], int, str]] = {
+    "Thm3.1": (_ADJ, (LAMBDA_2, LAMBDA_N), ("connected", "regular"), 3, "regular_adjacency_bounds"),
+    "Thm3.4": (_ADJ, (LAMBDA_2,), ("connected", "bipartite", "biregular"), 4, "biregular_bipartite_lambda2_bounds"),
+    "Cor3.6": (_ADJ, (LAMBDA_2,), ("connected", "regular", "bipartite"), 4, "regular_bipartite_lambda2_bounds"),
+    "Thm3.7": (_ADJ, (LAMBDA_2, LAMBDA_N), ("connected", "regular"), 2, "regular_common_neighbor_bounds"),
+    "Thm3.9": (_ADJ, (LAMBDA_2, LAMBDA_N), ("connected", "regular"), 3, "regular_brauer_common_neighbor_bounds"),
+    "Thm4.1": (_NORM, (LAMBDA_2, LAMBDA_N), ("connected",), 3, "normalized_trace_bounds"),
+    "Thm4.3": (_NORM, (LAMBDA_2,), ("connected", "bipartite"), 4, "normalized_bipartite_lambda2_bounds"),
+    "Thm4.4": (_NORM, (LAMBDA_2, LAMBDA_N), ("connected", "dominating"), 3, "normalized_dominating_gersgorin_bounds"),
+    "Thm4.5": (_NORM, (LAMBDA_2, LAMBDA_N), ("connected", "dominating"), 3, "normalized_dominating_brauer_bounds"),
+    "Thm5.2": (_LAP, (LAMBDA_1, LAMBDA_N_MINUS_1), ("connected",), 3, "laplacian_trace_bounds"),
+    "Thm5.3": (_LAP, (LAMBDA_1, LAMBDA_N_MINUS_1), ("connected",), 2, "laplacian_common_neighbor_bounds"),
+    "Thm5.4": (_LAP, (LAMBDA_1, LAMBDA_N_MINUS_1), ("connected", "dominating"), 3, "laplacian_dominating_brauer_bounds"),
 }
 
-# precondition name -> (test on the structure report, skip reason when it fails)
+# precondition name -> (test on the structure report, skip reason when it
+# fails, assumption label when it holds)
 _PRECONDITIONS = {
-    "connected": (lambda rep: rep.connected, "not connected"),
-    "regular": (lambda rep: rep.regular is not None, "not regular"),
-    "bipartite": (lambda rep: rep.bipartite, "not bipartite"),
-    "biregular": (lambda rep: rep.biregular is not None, "not biregular"),
-    "dominating": (lambda rep: bool(rep.dominating), "no dominating vertex"),
+    "connected": (lambda rep: rep.connected, "not connected", lambda rep: "connected"),
+    "regular": (lambda rep: rep.regular is not None, "not regular", lambda rep: f"{rep.regular}-regular"),
+    "bipartite": (lambda rep: rep.bipartite, "not bipartite", lambda rep: "bipartite"),
+    "biregular": (lambda rep: rep.biregular is not None, "not biregular",
+                  lambda rep: "({},{})-biregular".format(*sorted(rep.biregular))),
+    "dominating": (lambda rep: bool(rep.dominating), "no dominating vertex", lambda rep: "dominating vertex"),
 }
 
 THEOREM_TAGS = tuple(_REGISTRY)
@@ -150,16 +160,11 @@ def _clamped_sqrt(radicand: float, theorem: str) -> float:
     return math.sqrt(radicand)
 
 
-def _need(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
 def _skip_reason(tag: str, rep: StructureReport, n: int) -> str | None:
     """The first failing precondition of theorem ``tag``, or None when it applies."""
-    _, preconditions, min_n, _ = _REGISTRY[tag]
+    _, _, preconditions, min_n, _ = _REGISTRY[tag]
     for name in preconditions:
-        holds, reason = _PRECONDITIONS[name]
+        holds, reason, _ = _PRECONDITIONS[name]
         if not holds(rep):
             return reason
     return None if n >= min_n else f"needs n >= {min_n}"
@@ -172,6 +177,23 @@ def _checked(tag: str, g: Graph, rep: StructureReport | None) -> StructureReport
     if reason is not None:
         raise ValueError(f"{tag}: {reason}")
     return rep
+
+
+def _intervals(
+    tag: str, rep: StructureReport, *ends: tuple[float, float], extra: tuple[str, ...] = ()
+) -> list[BoundInterval]:
+    """``tag``'s intervals: one (lower, upper) pair per registry target, or one for all.
+
+    The assumptions are the labels of the theorem's preconditions, then ``extra``.
+    """
+    _, targets, preconditions, _, _ = _REGISTRY[tag]
+    assumptions = tuple(_PRECONDITIONS[name][2](rep) for name in preconditions) + extra
+    if len(ends) == 1:
+        ends *= len(targets)
+    return [
+        BoundInterval(target, lower, upper, tag, assumptions)
+        for target, (lower, upper) in zip(targets, ends, strict=True)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +213,13 @@ def trace_bounds(
 
     Returns the stats plus the lambda_1 and lambda_n intervals.
     """
-    _need(n >= 2, f"trace bounds need dimension >= 2, got {n}")
+    if n < 2:
+        raise ValueError(f"trace bounds need dimension >= 2, got {n}")
     m = trace / n
     variance = trace_sq / n - m * m
     if variance < 0.0:
-        _need(variance >= -1e-12, f"inconsistent traces: negative variance {variance}")
+        if variance < -1e-12:
+            raise ValueError(f"inconsistent traces: negative variance {variance}")
         variance = 0.0
     s = math.sqrt(variance)
     root = math.sqrt(n - 1.0)
@@ -203,6 +227,32 @@ def trace_bounds(
     top = BoundInterval(LAMBDA_1, m + s / root, m + s * root, "Thm1.4")
     bottom = BoundInterval(LAMBDA_N, m - s * root, m - s / root, "Thm1.4")
     return stats, top, bottom
+
+
+def _deflated_trace(
+    tag: str, g: Graph, rep: StructureReport, base: float, radicand: float
+) -> list[BoundInterval]:
+    """Thm3.1 and Thm4.1: lambda_2, lambda_n from the deflated mean and (n-1)^2 times its variance."""
+    n = g.n
+    wide = _clamped_sqrt((n - 2.0) * radicand, tag) / (n - 1.0)
+    narrow = _clamped_sqrt(radicand / (n - 2.0), tag) / (n - 1.0)
+    return _intervals(tag, rep, (base + narrow, base + wide), (base - wide, base - narrow))
+
+
+def _bipartite_lambda2(
+    tag: str, g: Graph, rep: StructureReport, excess: float
+) -> list[BoundInterval]:
+    """Thm3.4, Cor3.6 and Thm4.3: lambda_2 of a bipartite graph from its excess, m - cd or R_{-1} - 1."""
+    n = g.n
+    lo = _clamped_sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)), tag)
+    hi = _clamped_sqrt(2.0 * (n - 3.0) * excess / (n - 2.0), tag)
+    return _intervals(tag, rep, (lo, hi))
+
+
+def _degrees_but_dominating(g: Graph, rep: StructureReport) -> list[int]:
+    """Degrees of all but the first dominating vertex; all have degree n - 1, so any gives the same."""
+    i = rep.dominating[0]
+    return [g.degree(k) for k in range(1, g.n + 1) if k != i]
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +264,8 @@ def regular_adjacency_bounds(
 ) -> list[BoundInterval]:
     """Two-trace intervals for lambda_2 and lambda_n of a connected regular graph."""
     rep = _checked("Thm3.1", g, rep)
-    n = g.n
-    d = rep.regular
-    rad = n * d * (n - d - 1)
-    base = -d / (n - 1.0)
-    wide = _clamped_sqrt((n - 2.0) * rad, "Thm3.1") / (n - 1.0)
-    narrow = _clamped_sqrt(rad / (n - 2.0), "Thm3.1") / (n - 1.0)
-    assumptions = ("connected", f"{d}-regular")
-    return [
-        BoundInterval(LAMBDA_2, base + narrow, base + wide, "Thm3.1", assumptions),
-        BoundInterval(LAMBDA_N, base - wide, base - narrow, "Thm3.1", assumptions),
-    ]
+    n, d = g.n, rep.regular
+    return _deflated_trace("Thm3.1", g, rep, -d / (n - 1.0), n * d * (n - d - 1))
 
 
 def biregular_bipartite_lambda2_bounds(
@@ -232,28 +273,16 @@ def biregular_bipartite_lambda2_bounds(
 ) -> list[BoundInterval]:
     """lambda_2 interval for a connected (c,d)-biregular bipartite graph."""
     rep = _checked("Thm3.4", g, rep)
-    n = g.n
     c, d = rep.biregular
-    excess = g.m - c * d
-    lo = _clamped_sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)), "Thm3.4")
-    hi = _clamped_sqrt(2.0 * (n - 3.0) * excess / (n - 2.0), "Thm3.4")
-    return [
-        BoundInterval(LAMBDA_2, lo, hi, "Thm3.4", ("connected", "bipartite", f"({c},{d})-biregular")),
-    ]
+    return _bipartite_lambda2("Thm3.4", g, rep, g.m - c * d)
 
 
 def regular_bipartite_lambda2_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
-    """lambda_2 interval for a connected d-regular bipartite graph."""
+    """lambda_2 interval for a connected d-regular bipartite graph: Thm3.4 at c = d."""
     rep = _checked("Cor3.6", g, rep)
-    n = g.n
-    d = rep.regular
-    lo = _clamped_sqrt(d * (n - 2.0 * d) / ((n - 2.0) * (n - 3.0)), "Cor3.6")
-    hi = _clamped_sqrt(d * (n - 3.0) * (n - 2.0 * d) / (n - 2.0), "Cor3.6")
-    return [
-        BoundInterval(LAMBDA_2, lo, hi, "Cor3.6", ("connected", "bipartite", f"{d}-regular")),
-    ]
+    return _bipartite_lambda2("Cor3.6", g, rep, g.m - rep.regular**2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -290,7 +319,6 @@ def regular_common_neighbor_bounds(
     targets.
     """
     rep = _checked("Thm3.7", g, rep)
-    n = g.n
     d = rep.regular
     best_alpha = -math.inf
     best_beta = -math.inf
@@ -301,12 +329,7 @@ def regular_common_neighbor_bounds(
         best_beta = max(best_beta, min_beta)
     lower = -2.0 * d + max(best_alpha, d)
     upper = 2.0 * d - max(best_beta, d)
-    lower, upper = float(lower), float(upper)
-    assumptions = ("connected", f"{d}-regular")
-    return [
-        BoundInterval(LAMBDA_2, lower, upper, "Thm3.7", assumptions),
-        BoundInterval(LAMBDA_N, lower, upper, "Thm3.7", assumptions),
-    ]
+    return _intervals("Thm3.7", rep, (float(lower), float(upper)))
 
 
 def regular_brauer_common_neighbor_bounds(
@@ -337,7 +360,6 @@ def regular_brauer_common_neighbor_bounds(
     same integers as the pair loop, so the floats are identical.
     """
     rep = _checked("Thm3.9", g, rep)
-    n = g.n
     d = rep.regular
     lower = -math.inf
     upper = math.inf
@@ -362,11 +384,7 @@ def regular_brauer_common_neighbor_bounds(
             betas.append(-0.5 + root)
         lower = max(lower, min(alphas))
         upper = min(upper, max(betas))
-    assumptions = ("connected", f"{d}-regular")
-    return [
-        BoundInterval(LAMBDA_2, lower, upper, "Thm3.9", assumptions),
-        BoundInterval(LAMBDA_N, lower, upper, "Thm3.9", assumptions),
-    ]
+    return _intervals("Thm3.9", rep, (lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +403,7 @@ def normalized_trace_bounds(
     rep = _checked("Thm4.1", g, rep)
     n = g.n
     rad = float(2 * (n - 1) * _exact_randic_index(g, -1) - n)
-    base = -1.0 / (n - 1.0)
-    wide = _clamped_sqrt((n - 2.0) * rad, "Thm4.1") / (n - 1.0)
-    narrow = _clamped_sqrt(rad / (n - 2.0), "Thm4.1") / (n - 1.0)
-    assumptions = ("connected",)
-    return [
-        BoundInterval(LAMBDA_2, base + narrow, base + wide, "Thm4.1", assumptions),
-        BoundInterval(LAMBDA_N, base - wide, base - narrow, "Thm4.1", assumptions),
-    ]
+    return _deflated_trace("Thm4.1", g, rep, -1.0 / (n - 1.0), rad)
 
 
 def normalized_bipartite_lambda2_bounds(
@@ -400,47 +411,27 @@ def normalized_bipartite_lambda2_bounds(
 ) -> list[BoundInterval]:
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
     rep = _checked("Thm4.3", g, rep)
-    n = g.n
-    rad = float(_exact_randic_index(g, -1) - 1)
-    lo = _clamped_sqrt(2.0 * rad / ((n - 2.0) * (n - 3.0)), "Thm4.3")
-    hi = _clamped_sqrt(2.0 * (n - 3.0) * rad / (n - 2.0), "Thm4.3")
-    return [
-        BoundInterval(LAMBDA_2, lo, hi, "Thm4.3", ("connected", "bipartite")),
-    ]
+    return _bipartite_lambda2("Thm4.3", g, rep, float(_exact_randic_index(g, -1) - 1))
 
 
 def normalized_dominating_gersgorin_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
-    """Deflated-disk bounds when a dominating vertex exists.
+    """Deflated-disk bounds, deflating at a dominating vertex i.
 
-    Each dominating vertex i yields valid bounds; the tightest over all
-    dominating vertices is reported.
+    With t the smallest 1/d_k + 2d_k/(n-1) over the other vertices k, both
+    targets lie in [-2 - 2/(n-1) + t, 2 - t].
     """
     rep = _checked("Thm4.4", g, rep)
     n = g.n
-    ds = [g.degree(v) for v in range(1, n + 1)]
-    best = -math.inf
-    for i in rep.dominating:
-        t = min(
-            1.0 / ds[k - 1] + 2.0 * ds[k - 1] / (n - 1.0)
-            for k in range(1, n + 1)
-            if k != i
-        )
-        best = max(best, t)
-    lower = -2.0 - 2.0 / (n - 1.0) + best
-    upper = 2.0 - best
-    assumptions = ("connected", "dominating vertex")
-    return [
-        BoundInterval(LAMBDA_2, lower, upper, "Thm4.4", assumptions),
-        BoundInterval(LAMBDA_N, lower, upper, "Thm4.4", assumptions),
-    ]
+    t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in _degrees_but_dominating(g, rep))
+    return _intervals("Thm4.4", rep, (-2.0 - 2.0 / (n - 1.0) + t, 2.0 - t))
 
 
 def normalized_dominating_brauer_bounds(
     g: Graph, rep: StructureReport | None = None
 ) -> list[BoundInterval]:
-    """Deflated-oval bounds when a dominating vertex exists.
+    """Deflated-oval bounds, deflating at a dominating vertex.
 
     All ovals share the centre -1/(n-1); the half-width is the largest
     sqrt(rho_j * rho_k) over pairs of remaining vertices, where rho is the
@@ -448,21 +439,11 @@ def normalized_dominating_brauer_bounds(
     """
     rep = _checked("Thm4.5", g, rep)
     n = g.n
-    ds = [g.degree(v) for v in range(1, n + 1)]
-    rho = [
-        max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) if d > 0 else 0.0
-        for d in ds
-    ]
+    rest = _degrees_but_dominating(g, rep)
+    rho = sorted((max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) for d in rest), reverse=True)
     centre = -1.0 / (n - 1.0)
-    best_half = math.inf
-    for i in rep.dominating:
-        rest = sorted((rho[k - 1] for k in range(1, n + 1) if k != i), reverse=True)
-        best_half = min(best_half, math.sqrt(rest[0] * rest[1]))
-    assumptions = ("connected", "dominating vertex")
-    return [
-        BoundInterval(LAMBDA_2, centre - best_half, centre + best_half, "Thm4.5", assumptions),
-        BoundInterval(LAMBDA_N, centre - best_half, centre + best_half, "Thm4.5", assumptions),
-    ]
+    half = math.sqrt(rho[0] * rho[1])
+    return _intervals("Thm4.5", rep, (centre - half, centre + half))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +467,7 @@ def laplacian_trace_bounds(
     spread = prof.sum_squares + sum_d - sum_d * sum_d / (n - 1.0)
     wide = _clamped_sqrt((n - 2.0) * spread / (n - 1.0), "Thm5.2")
     narrow = _clamped_sqrt(spread / ((n - 1.0) * (n - 2.0)), "Thm5.2")
-    assumptions = ("connected",)
-    return [
-        BoundInterval(LAMBDA_1, m + narrow, m + wide, "Thm5.2", assumptions),
-        BoundInterval(LAMBDA_N_MINUS_1, m - wide, m - narrow, "Thm5.2", assumptions),
-    ]
+    return _intervals("Thm5.2", rep, (m + narrow, m + wide), (m - wide, m - narrow))
 
 
 def laplacian_common_neighbor_bounds(
@@ -510,8 +487,7 @@ def laplacian_common_neighbor_bounds(
     i of max over k for the upper.
     """
     rep = _checked("Thm5.3", g, rep)
-    n = g.n
-    ds = [g.degree(v) for v in range(1, n + 1)]
+    ds = [g.degree(v) for v in range(1, g.n + 1)]
     lower = -math.inf
     upper = math.inf
     for i, row in _common_neighbor_rows(g):
@@ -520,19 +496,15 @@ def laplacian_common_neighbor_bounds(
         max_beta = max(di + 2 * ds[k - 1] - 2 * c - adj for k, adj, c in row)
         lower = max(lower, min_alpha)
         upper = min(upper, max_beta)
-    assumptions = ("connected",)
-    return [
-        BoundInterval(LAMBDA_1, float(lower), float(upper), "Thm5.3", assumptions),
-        BoundInterval(LAMBDA_N_MINUS_1, float(lower), float(upper), "Thm5.3", assumptions),
-    ]
+    return _intervals("Thm5.3", rep, (float(lower), float(upper)))
 
 
 def laplacian_dominating_brauer_bounds(
     g: Graph, rep: StructureReport | None = None, mode: str = "published"
 ) -> list[BoundInterval]:
-    """Deflated-oval Laplacian bounds when a dominating vertex exists.
+    """Deflated-oval Laplacian bounds, deflating at a dominating vertex.
 
-    The oval for the pair {j, k} sections to
+    The oval for the pair {j, k} of remaining vertices sections to
 
         (d_j + d_k + 2 +/- sqrt((d_j - d_k)^2 + 4 r_j r_k)) / 2
 
@@ -546,28 +518,14 @@ def laplacian_dominating_brauer_bounds(
         raise ValueError(f"mode must be 'published' or 'corrected', got {mode!r}")
     rep = _checked("Thm5.4", g, rep)
     n = g.n
-    ds = [g.degree(v) for v in range(1, n + 1)]
     offset = 0 if mode == "published" else 1
-    best_lower = -math.inf
-    best_upper = math.inf
-    for i in rep.dominating:
-        rest = [k for k in range(1, n + 1) if k != i]
-        lo_i = math.inf
-        hi_i = -math.inf
-        for j, k in combinations(rest, 2):
-            dj, dk = ds[j - 1], ds[k - 1]
-            rj = n - offset - dj
-            rk = n - offset - dk
-            disc = math.sqrt((dj - dk) ** 2 + 4.0 * rj * rk)
-            lo_i = min(lo_i, 0.5 * (dj + dk + 2.0 - disc))
-            hi_i = max(hi_i, 0.5 * (dj + dk + 2.0 + disc))
-        best_lower = max(best_lower, lo_i)
-        best_upper = min(best_upper, hi_i)
-    assumptions = ("connected", "dominating vertex", mode)
-    return [
-        BoundInterval(LAMBDA_1, best_lower, best_upper, "Thm5.4", assumptions),
-        BoundInterval(LAMBDA_N_MINUS_1, best_lower, best_upper, "Thm5.4", assumptions),
-    ]
+    lower = math.inf
+    upper = -math.inf
+    for dj, dk in combinations(_degrees_but_dominating(g, rep), 2):
+        disc = math.sqrt((dj - dk) ** 2 + 4.0 * (n - offset - dj) * (n - offset - dk))
+        lower = min(lower, 0.5 * (dj + dk + 2.0 - disc))
+        upper = max(upper, 0.5 * (dj + dk + 2.0 + disc))
+    return _intervals("Thm5.4", rep, (lower, upper), extra=(mode,))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +556,7 @@ def bounds_report(
     rep = classify(g)
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []
-    for tag, (tag_kind, _, _, name) in _REGISTRY.items():
+    for tag, (tag_kind, _, _, _, name) in _REGISTRY.items():
         if tag_kind != kind:
             continue
         reason = _skip_reason(tag, rep, g.n)

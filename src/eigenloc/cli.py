@@ -8,9 +8,9 @@ Four subcommands:
   printing one PASS/FAIL line per check.
 * ``sweep``   -- CSV dataset of bounds vs oracle across family ranges.
 
-Exit codes: 0 success (verify: no FAIL), 1 parse/usage failure, 2 bounds
-report with zero applicable theorems, 3 row-sum region requested for a
-matrix without a constant row sum.
+Exit codes: 0 success (verify: no FAIL), 1 parse/usage failure or a complex
+eigensolve that does not converge, 2 bounds report with zero applicable
+theorems, 3 row-sum region requested for a matrix without a constant row sum.
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ __all__ = [
     "region_to_svg",
 ]
 
-_KINDS = {
-    "adjacency": gr.GraphMatrixKind.ADJACENCY,
-    "laplacian": gr.GraphMatrixKind.LAPLACIAN,
-    "normalized": gr.GraphMatrixKind.NORMALIZED_ADJACENCY,
-}
-
+_KIND_NAMES = sorted(kind.value for kind in gr.GraphMatrixKind)
 _REGION_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 
 _TARGET_INDEX = {
@@ -143,7 +138,7 @@ def verify_graph(
     wanted = _scope_filter(scope)
     has_isolated = any(g.degree(i) == 0 for i in range(1, g.n + 1))
     results: list[CheckResult] = []
-    for kind_name, kind in _KINDS.items():
+    for kind in gr.GraphMatrixKind:
         if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and has_isolated:
             continue
         values = orc.graph_spectrum(g, kind).values
@@ -159,7 +154,7 @@ def verify_graph(
             region = _build_region_or_none(matrix, method)
             if region is None:
                 continue
-            results.append(check_region(f"{method}[{kind_name}]", region, values, tol))
+            results.append(check_region(f"{method}[{kind.value}]", region, values, tol))
     return results
 
 
@@ -315,7 +310,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = bd.bounds_report(g, _KINDS[args.matrix], mode=args.mode)
+    report = bd.bounds_report(g, gr.GraphMatrixKind(args.matrix), mode=args.mode)
     if args.format == "csv":
         sys.stdout.write(bd.report_to_csv(report))
     else:
@@ -343,7 +338,11 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         print(f"error: {method} region unavailable for this matrix", file=sys.stderr)
         return 3 if method.startswith("rowsum") else 1
     if args.emit == "svg":
-        eigenvalues = orc.complex_eigenvalues(matrix).values
+        try:
+            eigenvalues = orc.complex_eigenvalues(matrix).values
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         payload = region_to_svg(region, eigenvalues, window)
     else:
         payload = json.dumps(rg.region_to_json(region), indent=2)
@@ -377,7 +376,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             g = _graph_from_args(args)
             results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for result in results:
@@ -413,7 +412,7 @@ def _sweep_graph(family: str, n: int) -> gr.Graph:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    kind = _KINDS[args.matrix]
+    kind = gr.GraphMatrixKind(args.matrix)
     rows = ["family,n,theorem,target,lower,upper,oracle,slack_lower,slack_upper"]
     try:
         specs = [_parse_sweep_spec(token) for token in args.spec]
@@ -453,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report for a graph")
     _add_graph_source(p_bounds)
-    p_bounds.add_argument("--matrix", choices=sorted(_KINDS), required=True)
+    p_bounds.add_argument("--matrix", choices=_KIND_NAMES, required=True)
     p_bounds.add_argument("--mode", choices=("published", "corrected"), default="published")
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.set_defaults(func=_cmd_bounds)
@@ -476,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bounds-vs-oracle CSV across family ranges")
     p_sweep.add_argument("spec", nargs="+", help="family:lo..hi[:step] or 'petersen'")
-    p_sweep.add_argument("--matrix", choices=sorted(_KINDS), required=True)
+    p_sweep.add_argument("--matrix", choices=_KIND_NAMES, required=True)
     p_sweep.add_argument("--mode", choices=("published", "corrected"), default="published")
     p_sweep.add_argument("--out", required=True, help="CSV path, or '-' for stdout")
     p_sweep.set_defaults(func=_cmd_sweep)

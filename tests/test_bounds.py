@@ -40,6 +40,7 @@ from eigenloc.graphs import (
     common_neighbors,
     complete,
     complete_bipartite,
+    complete_minus_edge,
     cycle,
     degrees,
     path,
@@ -460,6 +461,60 @@ class TestLaplacianDominatingBrauer:
             laplacian_dominating_brauer_bounds(star(4), mode="fixed")
 
 
+def reference_dominating(g, tag, mode="published"):
+    """Thm4.4, Thm4.5 or Thm5.4 at every dominating vertex i, tightest over i."""
+    n = g.n
+    ds = [g.degree(v) for v in range(1, n + 1)]
+    lowers, uppers = [], []
+    for i in classify(g).dominating:
+        rest = [ds[k - 1] for k in range(1, n + 1) if k != i]
+        if tag == "Thm4.4":
+            t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in rest)
+            lowers.append(-2.0 - 2.0 / (n - 1.0) + t)
+            uppers.append(2.0 - t)
+        elif tag == "Thm4.5":
+            rho = sorted((max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) for d in rest), reverse=True)
+            half = math.sqrt(rho[0] * rho[1])
+            lowers.append(-1.0 / (n - 1.0) - half)
+            uppers.append(-1.0 / (n - 1.0) + half)
+        else:
+            r = n - (0 if mode == "published" else 1)
+            ends = [
+                0.5 * (dj + dk + 2.0 + sign * math.sqrt((dj - dk) ** 2 + 4.0 * (r - dj) * (r - dk)))
+                for dj, dk in combinations(rest, 2)
+                for sign in (-1.0, 1.0)
+            ]
+            lowers.append(min(ends))
+            uppers.append(max(ends))
+    return max(lowers), min(uppers)
+
+
+class TestDominatingVertexChoice:
+    """Deflating at the first dominating vertex matches the tightest over all of them."""
+
+    def corpus(self):
+        graphs = [g for _, g in atlas_graphs() if g.n >= 3 and len(classify(g).dominating) >= 2]
+        graphs += [complete(n) for n in range(3, 13)]
+        graphs += [complete_minus_edge(n) for n in range(4, 13)]
+        return graphs
+
+    def test_every_dominating_vertex_gives_the_same_bound(self):
+        corpus = self.corpus()
+        assert len(corpus) > 60
+        for g in corpus:
+            assert len(classify(g).dominating) >= 2
+            for tag, fn, mode in (
+                ("Thm4.4", normalized_dominating_gersgorin_bounds, None),
+                ("Thm4.5", normalized_dominating_brauer_bounds, None),
+                ("Thm5.4", laplacian_dominating_brauer_bounds, "published"),
+                ("Thm5.4", laplacian_dominating_brauer_bounds, "corrected"),
+            ):
+                ivals = fn(g) if mode is None else fn(g, mode=mode)
+                expected = reference_dominating(g, tag, mode)
+                for b in ivals:
+                    assert (b.lower, b.upper) == expected, (tag, mode, sorted(g.edges))
+
+
 class TestReports:
     def test_k4_adjacency_applicability(self):
         report = bounds_report(complete(4), GraphMatrixKind.ADJACENCY)
@@ -510,7 +565,7 @@ class TestReports:
                 report = bounds_report(g, kind)
                 reasons = dict(report.skipped)
                 applied = {b.theorem for b in report.bounds}
-                for tag, (tag_kind, _, _, name) in _REGISTRY.items():
+                for tag, (tag_kind, _, _, _, name) in _REGISTRY.items():
                     if tag_kind != kind:
                         continue
                     fn = getattr(bounds_module, name)
@@ -562,10 +617,9 @@ class TestReports:
                     assert (a.lower, a.upper) != (b.lower, b.upper)
 
     def test_relabelling_changes_no_interval(self):
-        # one graph per isomorphism class may stand for all its labellings;
-        # assumptions are left out, since Thm3.4 names (c,d) from vertex 1's side
+        # one graph per isomorphism class may stand for all its labellings
         def intervals(report):
-            return [(b.target, b.lower, b.upper, b.theorem)
+            return [(b.target, b.lower, b.upper, b.theorem, b.assumptions)
                     for b in report.bounds + report.combined]
 
         for seed, (_, g) in enumerate(atlas_graphs()):
@@ -577,6 +631,32 @@ class TestReports:
                     ours, theirs = bounds_report(g, kind, mode), bounds_report(h, kind, mode)
                     assert intervals(ours) == intervals(theirs), (g.edges, h.edges, kind)
                     assert ours.skipped == theirs.skipped
+
+    def test_assumptions_name_the_registry_preconditions(self):
+        from eigenloc.bounds import _REGISTRY
+
+        def label(name, rep):
+            if name == "regular":
+                return f"{rep.regular}-regular"
+            if name == "biregular":
+                return f"({min(rep.biregular)},{max(rep.biregular)})-biregular"
+            return {"dominating": "dominating vertex"}.get(name, name)
+
+        corpus = [g for _, g in atlas_graphs()] + [star(9), complete_bipartite(5, 3), petersen(), cube_q3()]
+        applied = set()
+        for g in corpus:
+            rep = classify(g)
+            for kind in GraphMatrixKind:
+                for mode in ("published", "corrected"):
+                    for b in bounds_report(g, kind, mode).bounds:
+                        expected = tuple(label(name, rep) for name in _REGISTRY[b.theorem][2])
+                        if b.theorem == "Thm5.4":
+                            expected += (mode,)
+                        assert b.assumptions == expected, (g.edges, b)
+                        applied.add(b.theorem)
+        assert applied == set(_REGISTRY)
+        assert biregular_bipartite_lambda2_bounds(star(4))[0].assumptions == (
+            "connected", "bipartite", "(1,3)-biregular")
 
     def test_disconnected_graph_skips_everything(self):
         g = Graph.from_edges(4, [(1, 2), (3, 4)])

@@ -183,6 +183,17 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "PASS Thm3.1" in out and "PASS rowsum-gersgorin[laplacian]" in out
 
+    def test_region_check_names_follow_the_matrix_kinds(self, capsys):
+        assert main(["verify", "--family", "cycle", "--n", "5", "--scope", "gersgorin"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert names == ["gersgorin[adjacency]", "gersgorin[laplacian]", "gersgorin[normalized]"]
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    def test_matrix_choices(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--matrix {adjacency,laplacian,normalized}" in capsys.readouterr().out
+
     def test_sharp_scope_slack_zero(self, capsys):
         code = main(["verify", "--family", "complete", "--n", "6", "--scope", "Thm3.7"])
         out = capsys.readouterr().out
@@ -252,6 +263,22 @@ class TestBadInputExitCodes:
         assert main(argv + [f"--window={window}"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["regions", "--method", "gersgorin", "--emit", "svg"]],
+        ids=["verify", "regions-svg"],
+    )
+    def test_oracle_non_convergence_exits_1(self, argv, rowsum_file, capsys, monkeypatch):
+        import eigenloc.oracle as oracle
+
+        def stuck(matrix):
+            raise RuntimeError("Aberth iteration did not converge in 500 steps")
+
+        monkeypatch.setattr(oracle, "complex_eigenvalues", stuck)
+        assert main(argv + ["--matrix-file", rowsum_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Aberth iteration did not converge in 500 steps\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("n", [2049, 10**19])
