@@ -2,12 +2,12 @@
 
 Two independent routes are provided: round-robin (Brent-Luk) parallel
 Jacobi rotations for real symmetric matrices, applied as whole-array
-updates, and Aberth-Ehrlich simultaneous iteration on the matrix itself
-for general complex matrices, with Newton corrections from Jacobi's
-formula p'(z) / p(z) = tr((z I - A)^{-1}).  Neither calls a LAPACK
-eigensolver.  Every spectrum carries a certificate, a relative Frobenius
-backward error, so callers can see how accurate the values are, and the
-solver's iteration count.
+updates, and, for general complex matrices, Aberth-Ehrlich simultaneous
+iteration on the blocks of a Householder Hessenberg form, with Newton
+ratios p'(z) / p(z) from Hyman's back-substitution.  Neither calls a
+LAPACK eigensolver.  Every spectrum carries a certificate, a relative
+Frobenius backward error, so callers can see how accurate the values are,
+and the solver's iteration count.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ _MAX_JACOBI_SWEEPS = 50
 _MAX_ABERTH_ITERATIONS = 500
 # an Aberth root is frozen once its backward error is at most this times n
 _ABERTH_TARGET = 4.0 * np.finfo(float).eps
+# an Aberth root moving by at most this times ||B||_F may have stalled
+_STALL_STEP = np.finfo(float).eps ** 0.25
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,16 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
         raise ValueError(f"dimension {n} exceeds the {MAX_VERTICES} cap")
     if n == 0:
         return Spectrum(values=(), max_residual=0.0)
+    # both checks are relative to max |a_ij|, so they hold at every scale
     if np.iscomplexobj(a):
         # negated so that a NaN imaginary part is rejected too
-        if not np.max(np.abs(a.imag)) <= 1e-12:
+        if not np.max(np.abs(a.imag)) <= 1e-12 * np.max(np.abs(a)):
             raise ValueError("matrix has a non-negligible imaginary part")
         a = a.real
     a = np.array(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+    if np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a)):
         raise ValueError("matrix is not symmetric")
 
     m = n + n % 2
@@ -278,24 +281,173 @@ def charpoly(matrix) -> np.ndarray:
     return np.array([complex(c) for c in coeffs], dtype=complex)
 
 
+def _hessenberg(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction b = q h q^H with h upper Hessenberg, q unitary.
+
+    Column j's part x from the subdiagonal down is reflected onto
+    -phase * ||x|| e_1, with phase the sign of x_0 (Golub & Van Loan,
+    Matrix Computations, section 7.4), and the entries below the
+    subdiagonal are set to 0.  A column with ||x|| <= eps ||b||_F is not
+    reflected, only zeroed below the subdiagonal: its subdiagonal entry is
+    split off anyway, and ||b - q h q^H||_F counts what was zeroed.
+    """
+    n = b.shape[0]
+    tiny = np.finfo(float).eps * float(np.linalg.norm(b))
+    h = b.copy()
+    q = np.eye(n, dtype=complex)
+    for j in range(n - 2):
+        x = h[j + 1 :, j]
+        size = math.sqrt(np.vdot(x, x).real)
+        if size <= tiny or not x[1:].any():
+            h[j + 2 :, j] = 0.0
+            continue
+        x0 = complex(x[0])
+        phase = x0 / abs(x0) if x0 else 1.0
+        v = x.copy()
+        v[0] += phase * size
+        # the reflection is I - v v^H / (size (size + |x_0|)), as
+        # ||v||^2 = 2 size (size + |x_0|)
+        vh = v.conj() / (size * (size + abs(x0)))
+        h[j + 1 :, j + 1 :] -= v[:, None] * (vh @ h[j + 1 :, j + 1 :])
+        h[j + 1, j] = -phase * size
+        h[j + 2 :, j] = 0.0
+        h[:, j + 1 :] -= (h[:, j + 1 :] @ v)[:, None] * vh
+        q[:, j + 1 :] -= (q[:, j + 1 :] @ v)[:, None] * vh
+    return h, q
+
+
+def _hyman(
+    h: np.ndarray, z: np.ndarray, growth: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hyman's method on an unreduced Hessenberg block h at the points z.
+
+    Back-substitutes (h - z I) x = alpha e_1 with x_m = 1 from the last row
+    up, together with the z-derivative x' (Wilkinson, The Algebraic
+    Eigenvalue Problem, section 7.11), for every z at once.  By Cramer's
+    rule det(h - z I) is alpha times a constant, so p'(z) / p(z) =
+    alpha' / alpha, and the rank-one E = alpha e_1 x^H / ||x||^2 makes z an
+    eigenvalue of h - E, so ``|alpha| / ||x||`` is a backward error.
+    Returns alpha, alpha' and ||x||.
+
+    Column k of ``w`` holds x for the k-th point and column r + k its x'.
+    Row i grows them by at most 2^growth[i - 1]; once the growth since the
+    last rescale could pass 2^450, each point's x and x' are scaled by the
+    same power of two, which changes no ratio, so ||x||^2 cannot overflow
+    on a graded block.
+    """
+    m, r = h.shape[0], z.size
+    zz = np.concatenate((z, z))
+    w = np.zeros((m, 2 * r), dtype=complex)
+    w[m - 1, :r] = 1.0
+    grown = 0.0
+    for i in range(m - 1, 0, -1):
+        grown += growth[i - 1]
+        if grown > 450.0:
+            top = np.abs(w[i:]).max(axis=0)
+            exponent = np.frexp(np.maximum(top[:r], top[r:]))[1]
+            w[i:] *= np.ldexp(1.0, -np.concatenate((exponent, exponent)))
+            grown = growth[i - 1]
+        s = h[i, i:] @ w[i:] - zz * w[i]
+        s[r:] -= w[i, :r]
+        np.divide(s, -h[i, i - 1], out=w[i - 1])
+    s = h[0] @ w - zz * w[0]
+    s[r:] -= w[0, :r]
+    return s[:r], s[r:], np.sqrt(np.einsum("ij,ij->j", w[:, :r], w[:, :r].conj()).real)
+
+
+def _sigma_min(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sigma_min(z_i I - b) for each point z_i, by one batched SVD."""
+    shifted = z[:, None, None] * np.eye(b.shape[0]) - b
+    return np.linalg.svd(shifted, compute_uv=False)[:, -1]
+
+
+def _aberth_block(h: np.ndarray, b: np.ndarray, norm: float, slack: float):
+    """Aberth-Ehrlich on one unreduced Hessenberg block h of b's reduction.
+
+    Starts from points on a perturbed circle round c = tr(h) / m with
+    radius ||h - c I||_F / sqrt(m), which by Schur's inequality bounds the
+    root mean square of |lambda - c| over the eigenvalues.  Each step
+    runs :func:`_hyman` for the live roots and freezes a root once its
+    Hyman bound is at most ``slack``; the others move by the Aberth
+    correction.  The Hyman bound is about sigma_min(h - z I) / |u_1|, with
+    u the left singular vector, so it can stay far above the target when
+    u_1 is small, as under a tiny but unsplit subdiagonal.  A root whose
+    bound did not fall in its last step, while it moved by at most
+    eps^(1/4) ``norm``, has stalled (the roots of an m-fold defective
+    eigenvalue jitter by about eps^(1/m) and settle no further), and is
+    frozen once sigma_min(z I - b), from an SVD for that root alone, is at
+    most 4 n eps ``norm``.  Returns the roots and the number of steps;
+    raises after 500 steps with a root still live.
+    """
+    m = h.shape[0]
+    centre = np.trace(h) / m
+    radius = float(np.linalg.norm(h - centre * np.eye(m))) / math.sqrt(m)
+    k = np.arange(m)
+    z = centre + radius * np.exp(2j * np.pi * (k + 0.375) / m) * (1 + (k + 1) / (1000 * m))
+    # log2 of the bound (sum_j |h_ij| + 1) / |h_{i,i-1}|; with the factor
+    # (1 + |z|) it bounds the growth of x and x' over row i in _hyman
+    rows = np.log2(np.abs(np.triu(h)).sum(axis=1)[1:] + 1.0) - np.log2(np.abs(np.diag(h, -1)))
+    rows = rows.tolist()
+    target = _ABERTH_TARGET * b.shape[0] * norm
+    still = _STALL_STEP * norm
+    live = k
+    step = np.full(m, np.inf)  # the last correction of each live root
+    last = np.full(m, np.inf)  # the last Hyman bound of each live root
+    for iterations in range(_MAX_ABERTH_ITERATIONS + 1):
+        zlive = z[live]
+        grow = math.log2(1.0 + float(np.abs(zlive).max()))
+        alpha, dalpha, size = _hyman(h, zlive, [g + grow for g in rows])
+        bound = np.abs(alpha) / size
+        # false for a NaN bound, which so never counts as converged
+        done = bound <= slack
+        stalled = np.flatnonzero(~done & (bound >= last) & (step <= still))
+        if stalled.size:
+            done[stalled] = _sigma_min(b, zlive[stalled]) <= target
+        if done.any():
+            keep = ~done
+            live, zlive, alpha, dalpha, bound = (
+                live[keep], zlive[keep], alpha[keep], dalpha[keep], bound[keep]
+            )
+            if live.size == 0:
+                return z, iterations
+        if iterations == _MAX_ABERTH_ITERATIONS:
+            raise RuntimeError(
+                f"Aberth iteration did not converge in {_MAX_ABERTH_ITERATIONS} steps "
+                f"({live.size} of {m} roots of a Hessenberg block still live)"
+            )
+        gaps = zlive[:, None] - z
+        gaps[np.arange(live.size), live] = np.inf
+        correction = 1.0 / (dalpha / alpha - (1.0 / gaps).sum(axis=1))
+        z[live] = zlive - correction
+        step = np.abs(correction)
+        last = bound
+
+
 def complex_eigenvalues(matrix) -> Spectrum:
-    """All eigenvalues of a complex matrix by Aberth-Ehrlich on the matrix.
+    """All eigenvalues of a complex matrix by Hessenberg-Aberth.
 
-    The iteration runs on B = A / 2^k, with 2^k the power of two just
-    above max |a_ij|, from n points on a perturbed circle round tr(B) / n.
-    Each step forms z_i I - B for the live roots, freezes every root whose
-    backward error ``beta_i = sigma_min(z_i I - B) / ||B||_F`` is at most
-    4 n eps, and moves the others by the Aberth correction with the Newton
-    ratio p'(z) / p(z) = tr((z I - B)^{-1}) (Jacobi's formula).  Freezing
-    comes first because a root that lands on an eigenvalue makes z I - B
-    singular.  The iteration stops on beta alone, never on step size, and
-    raises after 500 steps with a root still live.  A cluster of m equal
-    eigenvalues converges linearly, by about (m - 1) / (m + 1) per step.
+    Works on B = A / 2^k, with 2^k the power of two just above max |a_ij|.
+    B is reduced once to upper Hessenberg form H = Q^H B Q by Householder
+    reflections (:func:`_hessenberg`, not an eigensolver), and H is split
+    wherever a subdiagonal entry is at most eps ||B||_F.  A 1 x 1 block is
+    its own eigenvalue; on each larger block Aberth-Ehrlich iteration runs
+    with Newton ratios from Hyman's method, in O(m^2) per root and step
+    (:func:`_aberth_block`; Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
+    Appl. 27, 2005, do the same for tridiagonal matrices).  An eigenvalue
+    with several eigenvectors, such as the -1 of K_n's adjacency, forces
+    splits, so no block holds a cluster that Aberth would approach only
+    linearly.  A root is frozen once its Hyman bound, plus ||B - Q H Q^H||_F
+    and the norm of the dropped subdiagonals, is at most 4 n eps ||B||_F:
+    an eigenvalue of a perturbed diagonal block is one of the perturbed
+    block-triangular matrix, so that sum is a backward error for B.
 
-    ``max_residual`` is the largest beta_i: each value is an exact
-    eigenvalue of some A + E with ||E||_F <= max_residual * ||A||_F.  An
-    m-fold defective eigenvalue is still only located to about
-    eps ** (1/m).
+    ``max_residual`` is the largest ``sigma_min(z I - B) / ||B||_F`` over
+    the final roots z, from one batched SVD; raises if that is above
+    4 n eps, or if a block has a root still live after 500 steps.  Each
+    value is an exact eigenvalue of some A + E with ||E||_F <=
+    max_residual * ||A||_F.  An m-fold defective eigenvalue is still only
+    located to about eps ** (1/m).  ``iterations`` is the largest number
+    of Aberth steps over the blocks, 0 when every block is 1 x 1.
     """
     a = _complex_square(matrix)
     n = a.shape[0]
@@ -304,32 +456,25 @@ def complex_eigenvalues(matrix) -> Spectrum:
         return Spectrum(values=(0j,) * n, max_residual=0.0)
     # exact division, and ||B||_F can neither overflow nor underflow
     scale = math.ldexp(1.0, math.frexp(big)[1])
-    a = a / scale
-    norm = float(np.linalg.norm(a))
-    eye = np.eye(n)
-    centre = np.trace(a) / n
-    radius = float(np.linalg.norm(a - centre * eye))
-    k = np.arange(n)
-    z = centre + radius * np.exp(2j * np.pi * (k + 0.375) / n) * (1 + (k + 1) / (1000 * n))
-    target = _ABERTH_TARGET * n
-    beta = np.zeros(n)
-    live = k
-    for iterations in range(_MAX_ABERTH_ITERATIONS + 1):
-        shifted = z[live, None, None] * eye - a
-        beta[live] = np.linalg.svd(shifted, compute_uv=False)[:, -1] / norm
-        # negated so that a NaN backward error never counts as converged
-        moving = ~(beta[live] <= target)
-        live, shifted = live[moving], shifted[moving]
-        if live.size == 0:
-            break
-        if iterations == _MAX_ABERTH_ITERATIONS:
-            raise RuntimeError(
-                f"Aberth iteration did not converge in {_MAX_ABERTH_ITERATIONS} steps "
-                f"(backward error {beta.max():.3e}, target {target:.3e})"
-            )
-        newton = np.trace(np.linalg.inv(shifted), axis1=1, axis2=2)
-        gaps = z[live, None] - z
-        gaps[np.arange(live.size), live] = np.inf
-        z[live] -= 1.0 / (newton - (1.0 / gaps).sum(axis=1))
+    b = a / scale
+    norm = float(np.linalg.norm(b))
+    target = _ABERTH_TARGET * n * norm
+    h, q = _hessenberg(b)
+    sub = np.abs(np.diag(h, -1))
+    cut = np.flatnonzero(sub <= np.finfo(float).eps * norm)
+    slack = target - float(np.linalg.norm(b - q @ h @ q.conj().T)) - float(np.linalg.norm(sub[cut]))
+    z = np.diag(h).copy()
+    iterations = 0
+    for lo, hi in zip(np.concatenate(([0], cut + 1)), np.concatenate((cut + 1, [n]))):
+        if hi - lo > 1:
+            z[lo:hi], steps = _aberth_block(h[lo:hi, lo:hi], b, norm, slack)
+            iterations = max(iterations, steps)
+    # the same test as a stalled root's, so a root frozen by it passes here
+    sigma = float(_sigma_min(b, z).max())
+    if not sigma <= target:
+        raise RuntimeError(
+            f"Aberth roots not certified (backward error {sigma / norm:.3e}, "
+            f"target {_ABERTH_TARGET * n:.3e})"
+        )
     values = sorted((complex(v) for v in z * scale), key=lambda v: (-v.real, -v.imag))
-    return Spectrum(values=tuple(values), max_residual=float(beta.max()), iterations=iterations)
+    return Spectrum(values=tuple(values), max_residual=sigma / norm, iterations=iterations)

@@ -786,21 +786,29 @@ def random_connected(n, p, seed):
     return Graph.from_edges(n, edges)
 
 
-def exactness_regular_corpus():
-    """Connected regular graphs: circulants with 1-3 offsets (n <= 40), their
-    relabellings, K_n and Petersen (rows without non-neighbours in K_n), cycles."""
+def exactness_regular_corpus(largest=40, relabel=True):
+    """Connected regular graphs: circulants with 1-3 offsets (n <= largest),
+    with their relabellings if ``relabel``, K_n and Petersen (rows without
+    non-neighbours in K_n), cycles."""
     rng = random.Random(7)
     graphs = []
-    for n in range(3, 41):
+    for n in range(3, largest + 1):
         for r in (1, 2, 3):
             pool = list(combinations(range(1, n // 2 + 1), r))
             if pool:
                 g = circulant(n, rng.choice(pool))
-                graphs += [g, relabelled(g, n * 10 + r)]
+                graphs += [g, relabelled(g, n * 10 + r)] if relabel else [g]
     graphs += [complete(n) for n in range(2, 12)]
     graphs += [cycle(n) for n in range(3, 25)]
-    graphs += [petersen(), relabelled(petersen(), 1), cube_q3()]
+    graphs += [petersen()] + ([relabelled(petersen(), 1)] if relabel else []) + [cube_q3()]
     return [g for g in graphs if classify(g).connected]
+
+
+def thm39_corpus():
+    """The regular corpus up to n = 24 and without relabelled copies: the
+    pair loop is O(n^3) per graph, and test_relabelling_changes_no_interval
+    checks relabelling on its own."""
+    return exactness_regular_corpus(largest=24, relabel=False)
 
 
 def exactness_laplacian_corpus():
@@ -830,30 +838,34 @@ def reference_thm37(g):
     return float(lower), float(upper)
 
 
-def reference_thm39(g):
-    """Thm3.9 per (i, {j, k}): the three interval classes of the docstring."""
+def thm39_rows(g):
+    """Thm3.9 per (i, {j, k}): for each row i, the (class, alpha, beta) of
+    every pair, with the three interval classes of the docstring."""
     d, n = classify(g).regular, g.n
-    lower, upper = -math.inf, math.inf
     for i in range(1, n + 1):
         common = {v: common_neighbors(g, i, v) for v in range(1, n + 1) if v != i}
-        alphas, betas = [], []
+        pairs = []
         for j, k in combinations(common, 2):
             nj, nk = common[j], common[k]
             j_adj, k_adj = g.has_edge(i, j), g.has_edge(i, k)
             if j_adj and k_adj:
                 root = 2.0 * math.sqrt((d - nj - 1) * (d - nk - 1))
-                alpha, beta = -1.0 - root, -1.0 + root
+                pairs.append(("adjacent", -1.0 - root, -1.0 + root))
             elif not j_adj and not k_adj:
                 root = 2.0 * math.sqrt((d - nj) * (d - nk))
-                alpha, beta = -root, root
+                pairs.append(("neither", -root, root))
             else:
                 n_adj, n_non = (nj, nk) if j_adj else (nk, nj)
                 root = math.sqrt(0.25 + 4.0 * (d - n_adj - 1) * (d - n_non))
-                alpha, beta = -0.5 - root, -0.5 + root
-            alphas.append(alpha)
-            betas.append(beta)
-        lower = max(lower, min(alphas))
-        upper = min(upper, max(betas))
+                pairs.append(("mixed", -0.5 - root, -0.5 + root))
+        yield pairs
+
+
+def reference_thm39(g):
+    lower, upper = -math.inf, math.inf
+    for pairs in thm39_rows(g):
+        lower = max(lower, min(alpha for _, alpha, _ in pairs))
+        upper = min(upper, max(beta for _, _, beta in pairs))
     return lower, upper
 
 
@@ -883,11 +895,24 @@ class TestCommonNeighborExactness:
                 assert (b.lower, b.upper) == reference_thm37(g), (g.n, sorted(g.edges))
 
     def test_thm39_matches_pair_loop(self):
-        for g in exactness_regular_corpus():
+        for g in thm39_corpus():
             if g.n < 3:
                 continue
             for b in regular_brauer_common_neighbor_bounds(g):
                 assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
+
+    def test_thm39_corpus_reaches_every_pair_class(self):
+        # each class gives some row's smallest alpha and some row's largest beta
+        lows, highs = set(), set()
+        for g in thm39_corpus():
+            if g.n < 3:
+                continue
+            for pairs in thm39_rows(g):
+                alpha = min(a for _, a, _ in pairs)
+                beta = max(b for _, _, b in pairs)
+                lows.update(c for c, a, _ in pairs if a == alpha)
+                highs.update(c for c, _, b in pairs if b == beta)
+        assert lows == highs == {"adjacent", "neither", "mixed"}
 
     def test_thm53_matches_pair_loop(self):
         for g in exactness_laplacian_corpus():

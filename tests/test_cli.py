@@ -10,7 +10,7 @@ import pytest
 
 from eigenloc.bounds import BoundInterval
 from eigenloc.cli import _oval_boundary, check_interval, main, region_to_svg
-from eigenloc.graphs import GraphMatrixKind, build_matrix, cycle
+from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -210,6 +210,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS gamma" in out and "PASS rowsum-brauer" in out
+
+    def test_complete_34_matrix_file(self, tmp_path, capsys):
+        # -1 is an eigenvalue with 33 independent eigenvectors
+        path = tmp_path / "k34.json"
+        path.write_text(matrix_to_json(build_matrix(complete(34), GraphMatrixKind.ADJACENCY)))
+        code = main(["verify", "--matrix-file", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "5/5 checks passed" in out
 
     def test_tampered_bound_fails(self):
         fake = BoundInterval("lambda_2", 0.5, 2.0, "Thm3.1")

@@ -97,6 +97,17 @@ class TestJacobi:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_asymmetric_below_unit_scale(self):
+        # nilpotent, so its eigenvalues are 0, not +-5e-21
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_eigenvalues(np.array([[0.0, 1e-20], [0.0, 0.0]]))
+
+    def test_rejects_imaginary_part_below_unit_scale(self):
+        # Hermitian with eigenvalues about +-1e-13; the real part alone gives +-1e-15
+        a = np.array([[0.0, 1e-15 + 1e-13j], [1e-15 - 1e-13j, 0.0]])
+        with pytest.raises(ValueError, match="imaginary"):
+            symmetric_eigenvalues(a)
+
     def test_agrees_with_lapack(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 5, 8, 13, 21):
@@ -312,6 +323,78 @@ class TestComplexEigenvalues:
         spec = complex_eigenvalues(build_matrix(complete(6), GraphMatrixKind.ADJACENCY))
         match_multisets(spec.values, [5.0] + [-1.0] * 5, 1e-8)
 
+    @pytest.mark.parametrize("n", [34, 40, 50, 64])
+    @pytest.mark.parametrize(
+        "kind", [GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN], ids=lambda k: k.value
+    )
+    def test_complete_graph_certifies(self, n, kind):
+        # -1 (adjacency) and n (Laplacian) have n - 1 independent eigenvectors;
+        # the Hessenberg split leaves no block that has to resolve them
+        a = build_matrix(complete(n), kind)
+        spec = complex_eigenvalues(a)
+        assert spec.max_residual <= 4 * n * EPS
+        assert backward_error(a, spec.values) <= 4 * n * EPS
+        if kind == GraphMatrixKind.ADJACENCY:
+            expected = [n - 1.0] + [-1.0] * (n - 1)
+        else:
+            expected = [0.0] + [float(n)] * (n - 1)
+        match_multisets(spec.values, expected, 1e-6)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_jordan_cluster_certifies(self, m):
+        # companion matrix of (z - 1)^m: one eigenvalue, one eigenvector
+        coeffs = np.poly(np.ones(m))
+        companion = np.eye(m, k=-1)
+        companion[0] = -coeffs[1:]
+        spec = complex_eigenvalues(companion)
+        assert spec.max_residual <= 4 * m * EPS
+        assert backward_error(companion, spec.values) <= 4 * m * EPS
+        # an m-fold defective root is only located to about eps ** (1 / m)
+        match_multisets(spec.values, [1.0] * m, 10 * EPS ** (1 / m))
+
+    def test_stalled_hyman_bound_is_checked_by_svd(self, monkeypatch):
+        # a zero-row-sum matrix where one root's Hyman bound stays a few times
+        # above the target after the root has stopped moving
+        rng = np.random.default_rng(23)
+        a = 2 * rng.random((12, 12)) - 1
+        a -= np.diag(a.sum(axis=1))
+        sizes = []
+        sigma_min = oracle._sigma_min
+
+        def spy(b, z):
+            sizes.append(z.size)
+            return sigma_min(b, z)
+
+        monkeypatch.setattr(oracle, "_sigma_min", spy)
+        spec = complex_eigenvalues(a)
+        # checks of the stalled root alone, then the final certificate
+        assert sizes[-1] == 12 and 1 in sizes[:-1]
+        assert spec.max_residual <= 4 * 12 * EPS
+        assert backward_error(a, spec.values) <= 4 * 12 * EPS
+        match_multisets(spec.values, np.linalg.eigvals(a), 1e-10)
+
+    def test_graded_hessenberg_does_not_overflow(self):
+        # subdiagonals of 1e-13 stay above the split threshold, and Hyman's
+        # unscaled back-substitution would grow by about 1e13 a row
+        n = 64
+        rng = np.random.default_rng(3)
+        h = np.triu(rng.random((n, n)) + 1j * rng.random((n, n)))
+        h[np.arange(1, n), np.arange(n - 1)] = 1e-13
+        z = np.array([0.5 + 0.5j, 2.0, -1.0j])
+        growth = (np.log2(np.abs(np.triu(h)).sum(axis=1)[1:] + 3.0) + 13 * np.log2(10.0)).tolist()
+        assert sum(growth) > 1100
+        alpha, dalpha, size = oracle._hyman(h, z, growth)
+        assert np.isfinite(alpha).all() and np.isfinite(dalpha).all() and np.isfinite(size).all()
+        # p'(z) / p(z) = tr((z I - H)^{-1}) by Jacobi's formula
+        for k, zk in enumerate(z):
+            newton = np.trace(np.linalg.inv(zk * np.eye(n) - h))
+            assert dalpha[k] / alpha[k] == pytest.approx(newton, rel=1e-9)
+            sigma = np.linalg.svd(h - zk * np.eye(n), compute_uv=False)[-1]
+            assert sigma <= abs(alpha[k]) / size[k] * (1 + 1e-9)
+        spec = complex_eigenvalues(h)
+        assert spec.max_residual <= 4 * n * EPS
+        assert backward_error(h, spec.values) <= 4 * n * EPS
+
 
 class TestCrossOracle:
     def graph_corpus(self):
@@ -386,7 +469,11 @@ def test_spectrum_json():
 
 
 def test_complex_counts_aberth_iterations():
-    assert complex_eigenvalues(np.diag([1.0, 2.0, 3.0])).iterations >= 1
+    # companion matrix of (z - 1)(z - 2)(z - 3): one unreduced block
+    companion = np.array([[6.0, -11.0, 6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert complex_eigenvalues(companion).iterations >= 1
+    # a diagonal matrix splits into 1 x 1 blocks, which need no step
+    assert complex_eigenvalues(np.diag([1.0, 2.0, 3.0])).iterations == 0
 
 
 def test_symmetric_dimension_cap():
