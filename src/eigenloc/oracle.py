@@ -352,7 +352,7 @@ def _hyman(
         np.divide(s, -h[i, i - 1], out=w[i - 1])
     s = h[0] @ w - zz * w[0]
     s[r:] -= w[0, :r]
-    return s[:r], s[r:], np.sqrt(np.einsum("ij,ij->j", w[:, :r], w[:, :r].conj()).real)
+    return s[:r], s[r:], np.linalg.norm(w[:, :r], axis=0)
 
 
 def _sigma_min(b: np.ndarray, z: np.ndarray) -> np.ndarray:
