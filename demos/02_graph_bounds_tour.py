@@ -9,8 +9,7 @@ Run:  python demos/02_graph_bounds_tour.py
 """
 
 from eigenloc import GraphMatrixKind, bounds_report, generate, graph_spectrum
-
-TARGET_POSITION = {"lambda_1": 0, "lambda_2": 1, "lambda_n_minus_1": -2, "lambda_n": -1}
+from eigenloc.bounds import TARGET_POSITION
 
 GRAPHS = [
     ("complete K_6", generate("complete", n=6)),

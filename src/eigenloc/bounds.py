@@ -64,6 +64,7 @@ __all__ = [
     "report_to_csv",
     "THEOREM_TAGS",
     "TARGET_ALIASES",
+    "TARGET_POSITION",
 ]
 
 LAMBDA_1 = "lambda_1"
@@ -72,6 +73,8 @@ LAMBDA_N_MINUS_1 = "lambda_n_minus_1"
 LAMBDA_N = "lambda_n"
 
 TARGET_ALIASES = {LAMBDA_N_MINUS_1: "algebraic_connectivity"}
+# index of each target in a spectrum sorted in descending order
+TARGET_POSITION = {LAMBDA_1: 0, LAMBDA_2: 1, LAMBDA_N_MINUS_1: -2, LAMBDA_N: -1}
 
 _ADJ = GraphMatrixKind.ADJACENCY
 _NORM = GraphMatrixKind.NORMALIZED_ADJACENCY
@@ -249,10 +252,10 @@ def _bipartite_lambda2(
     return _intervals(tag, rep, (lo, hi))
 
 
-def _degrees_but_dominating(g: Graph, rep: StructureReport) -> list[int]:
+def _degrees_but_dominating(g: Graph, rep: StructureReport) -> tuple[int, ...]:
     """Degrees of all but the first dominating vertex; all have degree n - 1, so any gives the same."""
     i = rep.dominating[0]
-    return [g.degree(k) for k in range(1, g.n + 1) if k != i]
+    return g.degree_sequence[: i - 1] + g.degree_sequence[i:]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +490,7 @@ def laplacian_common_neighbor_bounds(
     i of max over k for the upper.
     """
     rep = _checked("Thm5.3", g, rep)
-    ds = [g.degree(v) for v in range(1, g.n + 1)]
+    ds = g.degree_sequence
     lower = -math.inf
     upper = math.inf
     for i, row in _common_neighbor_rows(g):

@@ -8,7 +8,7 @@ Four subcommands:
   printing one PASS/FAIL line per check.
 * ``sweep``   -- CSV dataset of bounds vs oracle across family ranges.
 
-Exit codes: 0 success (verify: no FAIL), 1 parse/usage failure or a complex
+Exit codes: 0 success (verify: no FAIL), 1 parse/usage failure or an
 eigensolve that does not converge, 2 bounds report with zero applicable
 theorems, 3 row-sum region requested for a matrix without a constant row sum.
 """
@@ -41,13 +41,6 @@ __all__ = [
 
 _KIND_NAMES = sorted(kind.value for kind in gr.GraphMatrixKind)
 _REGION_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
-
-_TARGET_INDEX = {
-    bd.LAMBDA_1: 0,
-    bd.LAMBDA_2: 1,
-    bd.LAMBDA_N: -1,
-    bd.LAMBDA_N_MINUS_1: -2,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +129,7 @@ def verify_graph(
     graph has an isolated vertex.
     """
     wanted = _scope_filter(scope)
-    has_isolated = any(g.degree(i) == 0 for i in range(1, g.n + 1))
+    has_isolated = min(g.degree_sequence) == 0
     results: list[CheckResult] = []
     for kind in gr.GraphMatrixKind:
         if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and has_isolated:
@@ -146,15 +139,9 @@ def verify_graph(
         for bound in report.bounds:
             if wanted is not None and bound.theorem not in wanted:
                 continue
-            results.append(check_interval(bound, values[_TARGET_INDEX[bound.target]], tol))
+            results.append(check_interval(bound, values[bd.TARGET_POSITION[bound.target]], tol))
         matrix = gr.build_matrix(g, kind)
-        for method in _REGION_METHODS:
-            if wanted is not None and method not in wanted:
-                continue
-            region = _build_region_or_none(matrix, method)
-            if region is None:
-                continue
-            results.append(check_region(f"{method}[{kind.value}]", region, values, tol))
+        results += _region_checks(matrix, values, wanted, tol, f"[{kind.value}]")
     return results
 
 
@@ -162,20 +149,27 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
     """Region checks (and the forced-eigenvalue check) for a complex matrix."""
     wanted = _scope_filter(scope)
     spectrum = orc.complex_eigenvalues(matrix)
-    results: list[CheckResult] = []
-    for method in _REGION_METHODS:
-        if wanted is not None and method not in wanted:
-            continue
-        region = _build_region_or_none(matrix, method)
-        if region is None:
-            continue
-        results.append(check_region(method, region, spectrum.values, tol))
+    results = _region_checks(matrix, spectrum.values, wanted, tol)
     gamma = rg.constant_row_sum(matrix)
     if gamma is not None and (wanted is None or "gamma" in wanted):
         slack = -min(abs(z - gamma) for z in spectrum.values)
         results.append(
             CheckResult(name="gamma", target="row_sum", passed=slack >= -tol, slack=slack)
         )
+    return results
+
+
+def _region_checks(
+    matrix, eigenvalues, wanted: set[str] | None, tol: float, suffix: str = ""
+) -> list[CheckResult]:
+    """One check per wanted region method available for ``matrix``, named method + suffix."""
+    results = []
+    for method in _REGION_METHODS:
+        if wanted is not None and method not in wanted:
+            continue
+        region = _build_region_or_none(matrix, method)
+        if region is not None:
+            results.append(check_region(method + suffix, region, eigenvalues, tol))
     return results
 
 
@@ -419,16 +413,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for family, sizes in specs:
             for n in sizes:
                 g = _sweep_graph(family, n)
+                if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
+                    continue
                 values = orc.graph_spectrum(g, kind).values
                 report = bd.bounds_report(g, kind, mode=args.mode)
                 for bound in report.bounds:
-                    oracle_value = values[_TARGET_INDEX[bound.target]]
+                    oracle_value = values[bd.TARGET_POSITION[bound.target]]
                     rows.append(
                         f"{family},{g.n},{bound.theorem},{bound.target},"
                         f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
                         f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
                     )
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = "\n".join(rows) + "\n"

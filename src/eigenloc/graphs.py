@@ -10,9 +10,9 @@ small graphs.
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter, deque
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -56,11 +56,13 @@ class Graph:
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
     No self-loops, no multi-edges.  Use :meth:`from_edges` or the parsing /
     generator helpers rather than the raw constructor when the input may
-    need normalisation.
+    need normalisation.  ``degree_sequence`` holds the degrees of vertices
+    1..n in order, computed once at construction.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
+    degree_sequence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -79,21 +81,23 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "degree_sequence", tuple(mask.bit_count() for mask in adj[1:]))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an iterable of 1-based pairs.
 
         Duplicate edges (in either orientation) are merged silently;
-        self-loops are rejected.
+        self-loops and labels that are not integers are rejected.
         """
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:
-            u, v = int(u), int(v)
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, "edge label"), _integer(v, "edge label")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            seen.add((min(u, v), max(u, v)))
-        return cls(n=int(n), edges=frozenset(seen))
+            seen.add((u, v) if u < v else (v, u))
+        return cls(n=_integer(n, "vertex count"), edges=frozenset(seen))
 
     @property
     def m(self) -> int:
@@ -106,7 +110,8 @@ class Graph:
         return self._adj[i]  # type: ignore[attr-defined]
 
     def degree(self, i: int) -> int:
-        return self.neighbors_mask(i).bit_count()
+        self._check_vertex(i)
+        return self.degree_sequence[i - 1]
 
     def has_edge(self, i: int, j: int) -> bool:
         self._check_vertex(i)
@@ -142,17 +147,17 @@ class DegreeProfile:
 class StructureReport:
     """Structural flags consumed by the bound preconditions.
 
-    ``regular`` is the common degree or None.  ``parts`` is the bipartition
-    (part containing vertex 1 first) when the graph is bipartite.
-    ``biregular`` is ``(c, d)`` with ``c`` the degree on ``parts[0]`` and
-    ``d`` the degree on ``parts[1]``.  ``dominating`` lists every vertex of
-    degree n-1 in increasing order.
+    ``regular`` is the common degree or None.  ``biregular`` is ``(c, d)``
+    when the graph is bipartite, every vertex on the side holding vertex 1
+    has degree c and every other vertex degree d (0 when that side is
+    empty); in each further component the side holding its lowest vertex
+    counts as vertex 1's side.  ``dominating`` lists every vertex of degree
+    n-1 in increasing order.
     """
 
     connected: bool
     regular: int | None
     bipartite: bool
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
     biregular: tuple[int, int] | None
     dominating: tuple[int, ...]
 
@@ -211,24 +216,27 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("graph JSON must have keys 'n' and 'edges'") from None
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of pairs")
-    n = _json_int(n, "'n'")
+    n = _integer(n, "'n'")
     pairs = []
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise ValueError(f"bad edge entry {e!r}")
-        u, v = (_json_int(x, f"edge label in {e!r}") for x in e)
+        u, v = (_integer(x, f"edge label in {e!r}") for x in e)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge label out of range in {e!r}")
         pairs.append((u, v))
     return Graph.from_edges(n, pairs)
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON number that is an exact integer (``3`` or ``3.0``); bools and the rest are errors."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
+def _integer(value, what: str) -> int:
+    """``value`` as an int: ints, numpy integers and integral floats such as
+    ``3.0``; bools, strings, NaN and every other value raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
@@ -273,12 +281,12 @@ def petersen() -> Graph:
 def circulant(n: int, connections: Iterable[int]) -> Graph:
     """Circulant graph: i ~ j iff (i - j) mod n is in the connection set.
 
-    Offsets are taken modulo n; 0 (a self-loop) is rejected.
+    Offsets are integers taken modulo n; 0 (a self-loop) is rejected.
     """
     _require(n >= 2, f"circulant needs n >= 2, got {n}")
     offsets = set()
     for s in connections:
-        s = int(s) % n
+        s = _integer(s, "circulant offset") % n
         if s == 0:
             raise ValueError("circulant connection 0 would be a self-loop")
         offsets.add(min(s, n - s))
@@ -298,16 +306,19 @@ def complete_minus_edge(n: int) -> Graph:
     return Graph(n, g.edges - {(1, 2)})
 
 
-FAMILY_NAMES = (
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "star",
-    "path",
-    "petersen",
-    "circulant",
-    "complete_minus_edge",
-)
+# family name -> (constructor, integer parameters, other parameters), each
+# tuple in call order
+_FAMILIES = {
+    "complete": (complete, ("n",), ()),
+    "complete_bipartite": (complete_bipartite, ("p", "q"), ()),
+    "cycle": (cycle, ("n",), ()),
+    "star": (star, ("n",), ()),
+    "path": (path, ("n",), ()),
+    "petersen": (petersen, (), ()),
+    "circulant": (circulant, ("n",), ("connections",)),
+    "complete_minus_edge": (complete_minus_edge, ("n",), ()),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def generate(family: str, **params) -> Graph:
@@ -320,33 +331,19 @@ def generate(family: str, **params) -> Graph:
         circulant(n, connections=iterable of offsets)
         complete_minus_edge(n)
 
-    Raises ValueError for an unknown family or invalid parameters.
+    Raises ValueError for an unknown family, a missing parameter, a size
+    or offset that is not an integer, or invalid parameters.
     """
     family = family.lower().replace("-", "_")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}")
+    build, integers, others = _FAMILIES[family]
     try:
-        if family == "complete":
-            return complete(_geti(params, "n"))
-        if family == "complete_bipartite":
-            return complete_bipartite(_geti(params, "p"), _geti(params, "q"))
-        if family == "cycle":
-            return cycle(_geti(params, "n"))
-        if family == "star":
-            return star(_geti(params, "n"))
-        if family == "path":
-            return path(_geti(params, "n"))
-        if family == "petersen":
-            return petersen()
-        if family == "circulant":
-            return circulant(_geti(params, "n"), params["connections"])
-        if family == "complete_minus_edge":
-            return complete_minus_edge(_geti(params, "n"))
+        args = [_integer(params[name], name) for name in integers]
+        args += [params[name] for name in others]
     except KeyError as missing:
         raise ValueError(f"family {family!r} is missing parameter {missing}") from None
-    raise ValueError(f"unknown graph family {family!r}")
-
-
-def _geti(params: dict, key: str) -> int:
-    return int(params[key])
+    return build(*args)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -360,7 +357,7 @@ def _require(cond: bool, message: str) -> None:
 
 def degrees(g: Graph) -> DegreeProfile:
     """Exact degree sequence with its average (rational) and sum of squares."""
-    ds = tuple(g.degree(i) for i in range(1, g.n + 1))
+    ds = g.degree_sequence
     return DegreeProfile(
         degrees=ds,
         average_degree=Fraction(sum(ds), g.n),
@@ -383,8 +380,8 @@ def randic_index(g: Graph, alpha: float) -> float:
     graph is exactly 1.0.  Rejects graphs with an isolated vertex when
     alpha < 0, since those exponents divide by degrees.
     """
-    ds = [g.degree(i) for i in range(1, g.n + 1)]
-    if alpha < 0 and g.n > 0 and min(ds) == 0:
+    ds = g.degree_sequence
+    if alpha < 0 and min(ds) == 0:
         raise ValueError("negative exponent with an isolated vertex divides by zero")
     if float(alpha).is_integer():
         return float(_exact_randic_index(g, int(alpha)))
@@ -399,7 +396,7 @@ def _exact_randic_index(g: Graph, exponent: int) -> Fraction:
     where K_n's radicand is exactly 0, and the square root turns that into
     an interval error near 5e-10.
     """
-    ds = [g.degree(i) for i in range(1, g.n + 1)]
+    ds = g.degree_sequence
     products = Counter(ds[u - 1] * ds[v - 1] for u, v in g.edges)
     return sum(
         (count * Fraction(p) ** exponent for p, count in products.items()), Fraction(0)
@@ -419,7 +416,7 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
         a[v - 1, u - 1] = 1.0
     if kind == GraphMatrixKind.ADJACENCY:
         return a
-    d = a.sum(axis=1)
+    d = np.array(g.degree_sequence, dtype=float)
     if kind == GraphMatrixKind.LAPLACIAN:
         return np.diag(d) - a
     if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
@@ -430,68 +427,45 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
 
 
 def classify(g: Graph) -> StructureReport:
-    """Structure report: connectivity, regularity, bipartition, dominating vertices."""
+    """Structure report: connectivity, regularity, bipartition, dominating vertices.
+
+    One breadth-first two-colouring per component, each started from its
+    lowest vertex (the first from vertex 1) and run a layer at a time on
+    bitmasks; ``connected`` means there is one component.  Once an edge
+    joins two vertices of one colour the comparison is skipped.
+    """
     n = g.n
-    ds = [g.degree(i) for i in range(1, n + 1)]
-
-    # breadth-first reachability from vertex 1
-    seen = {1}
-    frontier = deque([1])
-    while frontier:
-        u = frontier.popleft()
-        mask = g.neighbors_mask(u)
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    connected = len(seen) == n
-
-    regular = ds[0] if len(set(ds)) == 1 else None
-
-    # two-colouring over every component
-    color = [0] * (n + 1)
+    adj = g._adj  # type: ignore[attr-defined]
+    ds = g.degree_sequence
+    unseen = ((1 << n) - 1) << 1
+    colour = [0, 0]  # bitmask per colour; colour 0 holds each component's start
+    colour_degrees: tuple[set[int], set[int]] = (set(), set())
+    components = 0
     bipartite = True
-    for start in range(1, n + 1):
-        if color[start] or not bipartite:
-            continue
-        color[start] = 1
-        queue = deque([start])
-        while queue and bipartite:
-            u = queue.popleft()
-            mask = g.neighbors_mask(u)
-            while mask:
-                v = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if color[v] == 0:
-                    color[v] = -color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-                    break
-
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    while unseen:
+        components += 1
+        layer, side = unseen & -unseen, 0
+        while layer:
+            unseen ^= layer
+            colour[side] |= layer
+            reach = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                v = low.bit_length() - 1
+                reach |= adj[v]
+                colour_degrees[side].add(ds[v - 1])
+            if bipartite and reach & colour[side]:
+                bipartite = False
+            layer, side = reach & unseen, 1 - side
     biregular: tuple[int, int] | None = None
-    if bipartite:
-        side1 = tuple(i for i in range(1, n + 1) if color[i] == 1)
-        side2 = tuple(i for i in range(1, n + 1) if color[i] == -1)
-        if 1 in side2:
-            side1, side2 = side2, side1
-        parts = (side1, side2)
-        deg1 = {ds[i - 1] for i in side1}
-        deg2 = {ds[i - 1] for i in side2}
-        if len(deg1) == 1 and len(deg2) <= 1:
-            c = deg1.pop()
-            d = deg2.pop() if deg2 else 0
-            biregular = (c, d)
-
-    dominating = tuple(i for i in range(1, n + 1) if ds[i - 1] == n - 1)
+    c, d = colour_degrees
+    if bipartite and len(c) == 1 and len(d) <= 1:
+        biregular = (min(c), min(d, default=0))
     return StructureReport(
-        connected=connected,
-        regular=regular,
+        connected=components == 1,
+        regular=ds[0] if len(set(ds)) == 1 else None,
         bipartite=bipartite,
-        parts=parts,
         biregular=biregular,
-        dominating=dominating,
+        dominating=tuple(i for i, d_i in enumerate(ds, 1) if d_i == n - 1),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, GraphMatrixKind, build_matrix, classify
+from .graphs import MAX_VERTICES, Graph, GraphMatrixKind, build_matrix
 
 __all__ = [
     "Spectrum",
@@ -210,20 +210,16 @@ def normalized_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
 
     Computed on the symmetric similar matrix with entries
     a_ij / sqrt(d_i d_j), so the Jacobi route applies and the result is
-    exactly real.  For a connected graph the top value must be 1; this is
-    asserted within ``tol``.
+    exactly real.  Without an isolated vertex every component has top
+    value 1, so the top value must be 1; this is asserted within ``tol``
+    (RuntimeError otherwise).
     """
-    ds = [g.degree(i) for i in range(1, g.n + 1)]
-    if min(ds) == 0:
+    if min(g.degree_sequence) == 0:
         raise ValueError("normalized adjacency undefined with an isolated vertex")
-    n = g.n
-    sym = np.zeros((n, n), dtype=float)
-    for u, v in g.edges:
-        w = 1.0 / math.sqrt(ds[u - 1] * ds[v - 1])
-        sym[u - 1, v - 1] = w
-        sym[v - 1, u - 1] = w
+    d = np.array(g.degree_sequence, dtype=float)
+    sym = build_matrix(g, GraphMatrixKind.ADJACENCY) / np.sqrt(np.outer(d, d))
     spec = symmetric_eigenvalues(sym, tol=min(1e-12, tol))
-    if classify(g).connected and abs(spec.values[0] - 1.0) > tol:
+    if abs(spec.values[0] - 1.0) > tol:
         raise RuntimeError(
             f"top normalized eigenvalue {spec.values[0]!r} is not 1 within {tol}"
         )

@@ -1,6 +1,14 @@
 """Shared fixtures for the test suite."""
 
-import numpy as np
+import os
+
+# One BLAS thread, as the benchmark runs: with threaded OpenBLAS on a busy
+# machine a small matmul can take a thousand times longer.  Set before
+# numpy is imported, since the BLAS reads these variables once at load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

@@ -290,6 +290,31 @@ class TestBadInputExitCodes:
         assert captured.err == "error: Aberth iteration did not converge in 500 steps\n"
         assert captured.out == ""
 
+    def test_sweep_oracle_error_exits_1(self, capsys, monkeypatch):
+        import eigenloc.oracle as oracle
+
+        def stuck(g, kind):
+            raise RuntimeError("Jacobi did not converge")
+
+        monkeypatch.setattr(oracle, "graph_spectrum", stuck)
+        assert main(["sweep", "complete:3..4", "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Jacobi did not converge\n"
+        assert captured.out == ""
+
+    def test_sweep_solves_graphs_without_bounds(self, capsys, monkeypatch):
+        # K_8 minus an edge has no adjacency bound, yet its spectrum is defined
+        # and solved, so an oracle failure on it is still reported
+        import eigenloc.oracle as oracle
+
+        def stuck(g, kind):
+            raise RuntimeError("Jacobi did not converge")
+
+        monkeypatch.setattr(oracle, "graph_spectrum", stuck)
+        assert main(["sweep", "complete_minus_edge:8..8", "--matrix", "adjacency",
+                     "--out", "-"]) == 1
+        assert capsys.readouterr().err == "error: Jacobi did not converge\n"
+
     @pytest.mark.parametrize("n", [2049, 10**19])
     def test_too_many_vertices_exits_1(self, n, tmp_path, capsys):
         path = tmp_path / "graph.json"
@@ -338,6 +363,13 @@ class TestSweepCommand:
         main(["sweep", "petersen", "cycle:3..6", "--matrix", "adjacency", "--out", str(a)])
         main(["sweep", "petersen", "cycle:3..6", "--matrix", "adjacency", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_normalized_skips_isolated_vertex_graphs(self, capsys):
+        # P_1 has an isolated vertex, so its normalized matrix is undefined and
+        # the graph is skipped, as in verify
+        assert main(["sweep", "path:1..6", "--matrix", "normalized", "--out", "-"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows and {int(r.split(",")[1]) for r in rows} <= set(range(2, 7))
 
     def test_bad_spec_exit_1(self, tmp_path):
         assert main(["sweep", "complete:9..3", "--matrix", "adjacency",

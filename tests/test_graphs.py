@@ -154,6 +154,38 @@ class TestFamilies:
         with pytest.raises(ValueError):
             generate("complete_bipartite", p=0, q=3)
 
+    def test_generate_error_texts(self):
+        with pytest.raises(ValueError, match="^unknown graph family 'hypercube'$"):
+            generate("Hypercube", n=3)
+        with pytest.raises(ValueError, match="^family 'complete_bipartite' is missing parameter 'q'$"):
+            generate("complete-bipartite", p=2)
+
+    @pytest.mark.parametrize("bad", [2.5, 1.9, True, "5", float("nan")])
+    def test_non_integers_rejected(self, bad):
+        # int() once truncated 2.5 to 2, made the edge (1.9, 3) into (1, 3)
+        # and read "5" as 5
+        with pytest.raises(ValueError, match="integer"):
+            generate("complete", n=bad)
+        with pytest.raises(ValueError, match="integer"):
+            generate("complete_bipartite", p=2, q=bad)
+        with pytest.raises(ValueError, match="integer"):
+            circulant(6, [1, bad])
+        with pytest.raises(ValueError, match="integer"):
+            generate("circulant", n=6, connections=[bad])
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(3, [(1, 2), (bad, 3)])
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(bad, [])
+
+    def test_numpy_and_integral_float_integers_accepted(self):
+        three, one = np.int64(3), np.int64(1)
+        assert generate("complete", n=three) == complete(3)
+        assert generate("complete", n=3.0) == complete(3)
+        assert circulant(np.int64(6), [one, np.int32(2)]) == circulant(6, [1, 2])
+        g = Graph.from_edges(three, [(one, three), (2.0, np.int64(1))])
+        assert g == Graph.from_edges(3, [(1, 3), (1, 2)])
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_family_degree_closed_forms(self, n):
         assert degrees(complete(n)).degrees == tuple([n - 1] * n)
@@ -335,6 +367,7 @@ class TestAtlas:
 
     def test_classify_matches_networkx(self):
         assert len(atlas_graphs()) == 1252
+        disconnected_bipartite = 0
         for h, g in atlas_graphs():
             rep = classify(g)
             degree = dict(h.degree())
@@ -342,6 +375,25 @@ class TestAtlas:
             assert rep.connected == nx.is_connected(h)
             assert rep.regular == (distinct.pop() if len(distinct) == 1 else None)
             assert rep.bipartite == nx.is_bipartite(h)
+            assert rep.biregular == reference_biregular(h)
             assert rep.dominating == tuple(
                 v + 1 for v in sorted(h) if degree[v] == g.n - 1
             )
+            disconnected_bipartite += rep.bipartite and not rep.connected
+        assert disconnected_bipartite > 0
+
+
+def reference_biregular(h: nx.Graph) -> tuple[int, int] | None:
+    """(c, d) from networkx's two-colouring, c on the side of each component's lowest vertex."""
+    if not nx.is_bipartite(h):
+        return None
+    sides: tuple[set[int], set[int]] = (set(), set())
+    for component in nx.connected_components(h):
+        colour = nx.bipartite.color(h.subgraph(component))
+        first = colour[min(component)]
+        for v in component:
+            sides[colour[v] != first].add(h.degree(v))
+    c, d = sides
+    if len(c) == 1 and len(d) <= 1:
+        return (c.pop(), d.pop() if d else 0)
+    return None

@@ -11,6 +11,7 @@ import pytest
 
 from eigenloc import oracle
 from eigenloc.graphs import (
+    Graph,
     GraphMatrixKind,
     build_matrix,
     circulant,
@@ -251,6 +252,16 @@ class TestNormalizedSpectrum:
         spec = normalized_spectrum(g)
         dense = np.linalg.eigvals(build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY))
         match_multisets(spec.values, sorted(dense.real, reverse=True), 1e-9)
+
+    def test_disconnected_top_value_is_checked(self, monkeypatch):
+        # two disjoint edges: no isolated vertex, so the top value must still be 1
+        g = Graph.from_edges(4, [(1, 2), (3, 4)])
+        assert normalized_spectrum(g).values == pytest.approx([1.0, 1.0, -1.0, -1.0])
+        monkeypatch.setattr(
+            oracle, "symmetric_eigenvalues", lambda a, tol: Spectrum((0.9, 0.9, -1.0, -1.0), 0.0)
+        )
+        with pytest.raises(RuntimeError, match="not 1"):
+            normalized_spectrum(g)
 
 
 class TestCharpoly:
