@@ -29,6 +29,7 @@ from .regions import (
     RegionUnion,
     RegionIntersection,
     RealSection,
+    RegionUnavailable,
     row_sums,
     constant_row_sum,
     deflate,

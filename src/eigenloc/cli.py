@@ -8,9 +8,11 @@ Four subcommands:
   printing one PASS/FAIL line per check.
 * ``sweep``   -- CSV dataset of bounds vs oracle across family ranges.
 
-Exit codes: 0 success (verify: no FAIL), 1 parse/usage failure or an
-eigensolve that does not converge, 2 bounds report with zero applicable
-theorems, 3 row-sum region requested for a matrix without a constant row sum.
+Exit codes: 0 success (verify: no FAIL); 1 a verify FAIL or an error (bad
+input, a file that cannot be read or written, an eigensolve that does not
+converge, ``brauer`` on a 1 x 1 matrix); 2 bounds report with zero applicable
+theorems; 3 a row-sum region of a matrix without a constant row sum or below
+the region's dimension.  Each error prints ``error: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -62,13 +64,7 @@ def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
     if args.family and args.edges:
         raise ValueError("supply either --family or --edges, not both")
     if args.family:
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
-        if args.p is not None:
-            params["p"] = args.p
-        if args.q is not None:
-            params["q"] = args.q
+        params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
         if args.connections:
             params["connections"] = [int(tok) for tok in args.connections.split(",")]
         return gr.generate(args.family, **params)
@@ -114,10 +110,19 @@ def check_region(name: str, region, eigenvalues, tol: float) -> CheckResult:
     return CheckResult(name=name, target="spectrum", passed=slack >= -tol, slack=slack)
 
 
-def _scope_filter(scope: str) -> set[str] | None:
+def _scope_filter(scope: str, tol: float) -> set[str] | None:
+    """The check names ``scope`` asks for, None for all.  A name that names no
+    check, or a ``tol`` that is not finite and nonnegative, raises ValueError."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     if not scope or scope == "all":
         return None
-    return {tok.strip() for tok in scope.split(",") if tok.strip()}
+    wanted = {tok.strip() for tok in scope.split(",") if tok.strip()}
+    unknown = wanted.difference(bd.THEOREM_TAGS, _REGION_METHODS, ("gamma",))
+    if unknown or not wanted:
+        raise ValueError(f"scope {scope!r} must be 'all' or check names; unknown: "
+                         f"{', '.join(sorted(unknown)) or 'none'}")
+    return wanted
 
 
 def verify_graph(
@@ -128,7 +133,7 @@ def verify_graph(
     The normalized-adjacency matrix (and its checks) is skipped when the
     graph has an isolated vertex.
     """
-    wanted = _scope_filter(scope)
+    wanted = _scope_filter(scope, tol)
     has_isolated = min(g.degree_sequence) == 0
     results: list[CheckResult] = []
     for kind in gr.GraphMatrixKind:
@@ -147,7 +152,7 @@ def verify_graph(
 
 def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckResult]:
     """Region checks (and the forced-eigenvalue check) for a complex matrix."""
-    wanted = _scope_filter(scope)
+    wanted = _scope_filter(scope, tol)
     spectrum = orc.complex_eigenvalues(matrix)
     results = _region_checks(matrix, spectrum.values, wanted, tol)
     gamma = rg.constant_row_sum(matrix)
@@ -162,30 +167,22 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
 def _region_checks(
     matrix, eigenvalues, wanted: set[str] | None, tol: float, suffix: str = ""
 ) -> list[CheckResult]:
-    """One check per wanted region method available for ``matrix``, named method + suffix."""
+    """One check per wanted region method that exists for ``matrix``, named method + suffix."""
     results = []
     for method in _REGION_METHODS:
         if wanted is not None and method not in wanted:
             continue
-        region = _build_region_or_none(matrix, method)
-        if region is not None:
-            results.append(check_region(method + suffix, region, eigenvalues, tol))
+        try:
+            region = _build_region(matrix, method)
+        except rg.RegionUnavailable:
+            continue
+        results.append(check_region(method + suffix, region, eigenvalues, tol))
     return results
 
 
-def _build_region_or_none(matrix, method: str):
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    if method == "gersgorin":
-        return rg.gersgorin_region(a)
-    if method == "brauer":
-        return rg.brauer_region(a) if n >= 2 else None
-    constant = rg.constant_row_sum(a) is not None
-    if method == "rowsum-gersgorin":
-        return rg.rowsum_gersgorin_region(a) if constant and n >= 2 else None
-    if method == "rowsum-brauer":
-        return rg.rowsum_brauer_region(a) if constant and n >= 3 else None
-    raise ValueError(f"unknown region method {method!r}")
+def _build_region(matrix, method: str):
+    # looked up at call time, so a wrapper patched onto the module sees the call
+    return getattr(rg, method.replace("-", "_") + "_region")(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +296,7 @@ def region_to_svg(
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        g = _graph_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = _graph_from_args(args)
     report = bd.bounds_report(g, gr.GraphMatrixKind(args.matrix), mode=args.mode)
     if args.format == "csv":
         sys.stdout.write(bd.report_to_csv(report))
@@ -313,31 +306,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
+    matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
+    window = _parse_window(args.window) if args.window else None
     try:
-        matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
-        window = _parse_window(args.window) if args.window else None
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        region = _build_region(matrix, args.method)
+    except rg.RegionUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    method = args.method
-    if method.startswith("rowsum") and rg.constant_row_sum(matrix) is None:
-        print("error: matrix does not have a constant row sum", file=sys.stderr)
-        return 3
-    try:
-        region = _build_region_or_none(matrix, method)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if region is None:
-        print(f"error: {method} region unavailable for this matrix", file=sys.stderr)
-        return 3 if method.startswith("rowsum") else 1
+        return 3 if args.method.startswith("rowsum") else 1
     if args.emit == "svg":
-        try:
-            eigenvalues = orc.complex_eigenvalues(matrix).values
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        payload = region_to_svg(region, eigenvalues, window)
+        payload = region_to_svg(region, orc.complex_eigenvalues(matrix).values, window)
     else:
         payload = json.dumps(rg.region_to_json(region), indent=2)
     if args.out:
@@ -363,16 +340,12 @@ def _check_window(window: tuple[float, float, float, float], shown) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        if args.matrix_file:
-            matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
-            results = verify_matrix(matrix, scope=args.scope, tol=args.tol)
-        else:
-            g = _graph_from_args(args)
-            results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode)
-    except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.matrix_file:
+        matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
+        results = verify_matrix(matrix, scope=args.scope, tol=args.tol)
+    else:
+        g = _graph_from_args(args)
+        results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode)
     for result in results:
         print(result.line())
     failed = sum(1 for r in results if not r.passed)
@@ -408,34 +381,26 @@ def _sweep_graph(family: str, n: int) -> gr.Graph:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kind = gr.GraphMatrixKind(args.matrix)
     rows = ["family,n,theorem,target,lower,upper,oracle,slack_lower,slack_upper"]
-    try:
-        specs = [_parse_sweep_spec(token) for token in args.spec]
-        for family, sizes in specs:
-            for n in sizes:
-                g = _sweep_graph(family, n)
-                if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
-                    continue
-                values = orc.graph_spectrum(g, kind).values
-                report = bd.bounds_report(g, kind, mode=args.mode)
-                for bound in report.bounds:
-                    oracle_value = values[bd.TARGET_POSITION[bound.target]]
-                    rows.append(
-                        f"{family},{g.n},{bound.theorem},{bound.target},"
-                        f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
-                        f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
-                    )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    specs = [_parse_sweep_spec(token) for token in args.spec]
+    for family, sizes in specs:
+        for n in sizes:
+            g = _sweep_graph(family, n)
+            if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
+                continue
+            values = orc.graph_spectrum(g, kind).values
+            report = bd.bounds_report(g, kind, mode=args.mode)
+            for bound in report.bounds:
+                oracle_value = values[bd.TARGET_POSITION[bound.target]]
+                rows.append(
+                    f"{family},{g.n},{bound.theorem},{bound.target},"
+                    f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
+                    f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
+                )
     payload = "\n".join(rows) + "\n"
-    try:
-        if args.out == "-":
-            sys.stdout.write(payload)
-        else:
-            Path(args.out).write_text(payload)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.out == "-":
+        sys.stdout.write(payload)
+    else:
+        Path(args.out).write_text(payload)
     return 0
 
 
@@ -480,7 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, RuntimeError) as exc:
+        # every library error; json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

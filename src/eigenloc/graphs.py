@@ -54,10 +54,10 @@ class Graph:
     """Simple undirected graph on vertex labels 1..n.
 
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
-    No self-loops, no multi-edges.  Use :meth:`from_edges` or the parsing /
-    generator helpers rather than the raw constructor when the input may
-    need normalisation.  ``degree_sequence`` holds the degrees of vertices
-    1..n in order, computed once at construction.
+    No self-loops, no multi-edges.  ``n`` and every label must be builtin
+    ints (not bools); :meth:`from_edges` and the parsing / generator helpers
+    normalise and convert other input.  ``degree_sequence`` holds the
+    degrees of vertices 1..n in order, computed once at construction.
     """
 
     n: int
@@ -65,13 +65,16 @@ class Graph:
     degree_sequence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"vertex count must be a positive builtin int (see "
+                             f"Graph.from_edges), got {self.n!r}")
         if self.n > MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} exceeds the {MAX_VERTICES} cap")
         adj = [0] * (self.n + 1)
         for e in self.edges:
             u, v = e
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r} needs builtin int labels (see Graph.from_edges)")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -303,7 +306,7 @@ def complete_minus_edge(n: int) -> Graph:
     """Complete graph with the edge (1, 2) removed."""
     _require(n >= 2, f"complete minus an edge needs n >= 2, got {n}")
     g = complete(n)
-    return Graph(n, g.edges - {(1, 2)})
+    return Graph(g.n, g.edges - {(1, 2)})
 
 
 # family name -> (constructor, integer parameters, other parameters), each

@@ -41,6 +41,7 @@ __all__ = [
     "RegionIntersection",
     "Region",
     "RealSection",
+    "RegionUnavailable",
     "row_sums",
     "constant_row_sum",
     "deleted_row_sums",
@@ -522,11 +523,15 @@ def constant_row_sum(matrix, tol: float | None = None) -> complex | None:
     return complex(sums.mean())
 
 
+class RegionUnavailable(ValueError):
+    """A region (or :func:`deflate`) needs a constant row sum or a larger matrix."""
+
+
 def _require_gamma(matrix) -> tuple[np.ndarray, complex]:
     a = _as_matrix(matrix)
     gamma = constant_row_sum(a)
     if gamma is None:
-        raise ValueError("matrix does not have a constant row sum within tolerance")
+        raise RegionUnavailable("matrix does not have a constant row sum within tolerance")
     return a, gamma
 
 
@@ -616,7 +621,7 @@ def brauer_region(matrix) -> RegionUnion:
     a = _as_matrix(matrix)
     n = a.shape[0]
     if n < 2:
-        raise ValueError("the oval region needs dimension >= 2")
+        raise RegionUnavailable("the oval region needs dimension >= 2")
     foci, r = a.diagonal().copy(), deleted_row_sums(a)
     i, j = np.triu_indices(n, 1)  # the pairs i < j in the order of combinations()
     products = r[i] * r[j]
@@ -635,7 +640,7 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     a, gamma = _require_gamma(matrix)
     n = a.shape[0]
     if n < 2:
-        raise ValueError("the deflated disk region needs dimension >= 2")
+        raise RegionUnavailable("the deflated disk region needs dimension >= 2")
     centers, radii = _deflated_leaves(a)
     _require_finite(centers, radii, gamma)
     return _deflation_components(
@@ -654,7 +659,7 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     a, gamma = _require_gamma(matrix)
     n = a.shape[0]
     if n < 3:
-        raise ValueError("the deflated oval region needs dimension >= 3")
+        raise RegionUnavailable("the deflated oval region needs dimension >= 3")
     centers, radii = _deflated_leaves(a)
     j, k = np.triu_indices(n - 1, 1)  # the pairs in the order of combinations()
     products = radii[:, j] * radii[:, k]

@@ -8,9 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+import eigenloc.bounds as bd
 from eigenloc.bounds import BoundInterval
-from eigenloc.cli import _oval_boundary, check_interval, main, region_to_svg
-from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle
+from eigenloc.cli import (
+    _oval_boundary,
+    check_interval,
+    main,
+    region_to_svg,
+    verify_graph,
+    verify_matrix,
+)
+from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle, petersen
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -378,6 +386,72 @@ class TestSweepCommand:
     def test_unwritable_out_exit_1(self):
         assert main(["sweep", "complete:3..4", "--matrix", "adjacency",
                      "--out", "/nonexistent/dir/x.csv"]) == 1
+
+
+# argv (with {dir} for a directory holding one.json, two.json, free.json and
+# bad.json) -> exit code; the last field makes bounds_report raise ValueError
+EXIT_CODES = [
+    (["verify", "--matrix-file", "{dir}/missing.json"], 1, False),
+    (["regions", "--matrix-file", "{dir}/bad.json", "--method", "gersgorin"], 1, False),
+    (["bounds", "--family", "nosuch", "--matrix", "adjacency"], 1, False),
+    (["sweep", "bogus", "--matrix", "adjacency", "--out", "-"], 1, False),
+    (["regions", "--matrix-file", "{dir}/two.json", "--method", "gersgorin",
+      "--out", "{dir}/missing/x.json"], 1, False),
+    (["sweep", "complete:3..4", "--matrix", "adjacency", "--out", "{dir}/missing/x.csv"], 1, False),
+    (["regions", "--matrix-file", "{dir}/one.json", "--method", "brauer"], 1, False),
+    (["regions", "--matrix-file", "{dir}/one.json", "--method", "rowsum-gersgorin"], 3, False),
+    (["regions", "--matrix-file", "{dir}/two.json", "--method", "rowsum-brauer"], 3, False),
+    (["regions", "--matrix-file", "{dir}/free.json", "--method", "rowsum-gersgorin"], 3, False),
+    (["bounds", "--family", "complete", "--n", "4", "--matrix", "adjacency"], 1, True),
+    (["verify", "--family", "petersen", "--scope", "Thm9.9"], 1, False),
+    (["verify", "--family", "petersen", "--tol", "nan"], 1, False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, broken_bounds",
+    EXIT_CODES,
+    ids=["missing-file", "bad-json", "unknown-family", "bad-sweep-spec", "regions-out",
+         "sweep-out", "brauer-1x1", "rowsum-gersgorin-1x1", "rowsum-brauer-2x2",
+         "no-row-sum", "bounds-value-error", "unknown-scope", "tol-nan"],
+)
+def test_exit_code_contract(argv, code, broken_bounds, tmp_path, capsys, monkeypatch):
+    matrices = {"one": [[2.0]], "two": [[1.0, 1.0], [0.0, 2.0]], "free": np.diag([1.0, 2.0, 3.0])}
+    for name, matrix in matrices.items():
+        (tmp_path / f"{name}.json").write_text(matrix_to_json(np.array(matrix)))
+    (tmp_path / "bad.json").write_text("{not json")
+    if broken_bounds:
+        def broken(*args, **kwargs):
+            raise ValueError("empty combined interval")
+
+        monkeypatch.setattr(bd, "bounds_report", broken)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scope", ["Thm9.9", "gersgorin,Thm9.9", "Thm3.1,gersgorn", ","])
+def test_verify_rejects_unknown_scope(scope):
+    with pytest.raises(ValueError, match="scope"):
+        verify_graph(petersen(), scope=scope)
+    with pytest.raises(ValueError, match="scope"):
+        verify_matrix(ROWSUM_3X3, scope=scope)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_verify_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_graph(petersen(), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_matrix(ROWSUM_3X3, tol=tol)
+
+
+def test_verify_scope_accepts_every_check_name():
+    names = ",".join(bd.THEOREM_TAGS + ("gersgorin", "brauer", "rowsum-gersgorin",
+                                        "rowsum-brauer", "gamma"))
+    assert verify_matrix(ROWSUM_3X3, scope=names) == verify_matrix(ROWSUM_3X3)
+    assert verify_graph(petersen(), scope=names) == verify_graph(petersen())
 
 
 def test_console_entry_point_end_to_end(tmp_path):

@@ -115,6 +115,19 @@ class TestParsing:
     def test_vertex_cap_is_inclusive(self):
         assert Graph(MAX_VERTICES, frozenset()).n == MAX_VERTICES
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(True, ()), (3.0, ()), (np.int64(3), ()), (3, ((1.0, 2),)), (3, ((1, 2.0),)),
+         (3, ((np.int64(1), 2),)), (3, ((True, 2),))],
+        ids=["bool-n", "float-n", "numpy-n", "float-label", "float-label-2", "numpy-label",
+             "bool-label"],
+    )
+    def test_raw_constructor_takes_builtin_ints_only(self, n, edges):
+        # once: Graph(True, ...) was K_1, a float label a TypeError, and numpy
+        # labels made a graph that graph_to_json could not write
+        with pytest.raises(ValueError, match="from_edges"):
+            Graph(n, frozenset(edges))
+
 
 class TestFamilies:
     def test_complete_edge_count(self):
@@ -185,6 +198,9 @@ class TestFamilies:
         g = Graph.from_edges(three, [(one, three), (2.0, np.int64(1))])
         assert g == Graph.from_edges(3, [(1, 3), (1, 2)])
         assert all(type(u) is int and type(v) is int for u, v in g.edges)
+        assert graph_from_json(graph_to_json(g)) == g
+        assert generate("complete_minus_edge", n=three) == complete_minus_edge(3)
+        assert complete_minus_edge(three) == complete_minus_edge(3)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_family_degree_closed_forms(self, n):

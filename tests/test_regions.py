@@ -16,6 +16,7 @@ from eigenloc.regions import (
     Disk,
     PointSet,
     RegionIntersection,
+    RegionUnavailable,
     RegionUnion,
     brauer_region,
     constant_row_sum,
@@ -218,6 +219,28 @@ class TestRowSumRegions:
     def test_rowsum_brauer_needs_dimension_three(self):
         with pytest.raises(ValueError):
             rowsum_brauer_region(np.ones((2, 2)))
+
+    # a 1 x 1 matrix always has a constant row sum
+    @pytest.mark.parametrize(
+        "n, constant", [(1, True)] + [(n, c) for n in (2, 3, 4) for c in (True, False)]
+    )
+    @pytest.mark.parametrize(
+        "builder, least_n, needs_gamma",
+        [(gersgorin_region, 1, False), (brauer_region, 2, False),
+         (rowsum_gersgorin_region, 2, True), (rowsum_brauer_region, 3, True)],
+        ids=["gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer"],
+    )
+    def test_unavailable_exactly_below_dimension_or_without_row_sum(
+        self, builder, least_n, needs_gamma, n, constant
+    ):
+        a, _ = random_constant_rowsum_matrix(np.random.default_rng(n), n)
+        if not constant:
+            a[0, 0] += 1.0
+        if n < least_n or (needs_gamma and not constant):
+            with pytest.raises(RegionUnavailable):
+                builder(a)
+        else:
+            builder(a)
 
 
 class TestContainment:
@@ -606,8 +629,10 @@ def test_builders_reject_non_finite_parameters(builder, entry):
         a = np.full((4, 4), 1e308, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         assert constant_row_sum(a) is not None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             builder(a)
+    # the region exists in principle; its parameters are what is wrong
+    assert type(info.value) is ValueError
 
 
 def _table_cases():
