@@ -269,7 +269,8 @@ def region_to_svg(
             )
         elif isinstance(leaf, rg.CassiniOval):
             for loop in _oval_boundary(leaf, 512):
-                coords = " ".join(f"{sx(z.real):.2f},{sy(z.imag):.2f}" for z in loop)
+                xy = zip(sx(loop.real).tolist(), sy(loop.imag).tolist())
+                coords = " ".join(["%.2f,%.2f" % point for point in xy])
                 parts.append(
                     f'<polyline class="oval" points="{coords}" fill="none" '
                     'stroke="darkorange" stroke-width="1"/>'
@@ -346,6 +347,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         g = _graph_from_args(args)
         results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode)
+    if not results:
+        raise ValueError(f"scope {args.scope!r} selects no check for this input")
     for result in results:
         print(result.line())
     failed = sum(1 for r in results if not r.passed)

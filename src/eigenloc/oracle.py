@@ -422,7 +422,8 @@ def _aberth_block(h: np.ndarray, b: np.ndarray, norm: float, slack: float):
 def complex_eigenvalues(matrix) -> Spectrum:
     """All eigenvalues of a complex matrix by Hessenberg-Aberth.
 
-    Works on B = A / 2^k, with 2^k the power of two just above max |a_ij|.
+    Works on B = A / 2^k, with 2^k the power of two just above max |a_ij|;
+    raises ValueError when an eigenvalue is past the float range.
     B is reduced once to upper Hessenberg form H = Q^H B Q by Householder
     reflections (:func:`_hessenberg`, not an eigensolver), and H is split
     wherever a subdiagonal entry is at most eps ||B||_F.  A 1 x 1 block is
@@ -447,12 +448,16 @@ def complex_eigenvalues(matrix) -> Spectrum:
     """
     a = _complex_square(matrix)
     n = a.shape[0]
-    big = float(np.max(np.abs(a), initial=0.0))
+    with np.errstate(over="ignore"):
+        big = float(np.max(np.abs(a), initial=0.0))
     if big == 0.0:
         return Spectrum(values=(0j,) * n, max_residual=0.0)
-    # exact division, and ||B||_F can neither overflow nor underflow
-    scale = math.ldexp(1.0, math.frexp(big)[1])
-    b = a / scale
+    # 2^e is just above max |a_ij|, which may itself overflow, and may pass
+    # the float range, so B = A / 2^e is taken in two exact steps; ||B||_F
+    # can neither overflow nor underflow
+    exponent = math.frexp(big)[1] if big < math.inf else 1025
+    scale = (math.ldexp(1.0, exponent // 2), math.ldexp(1.0, exponent - exponent // 2))
+    b = a / scale[0] / scale[1]
     norm = float(np.linalg.norm(b))
     target = _ABERTH_TARGET * n * norm
     h, q = _hessenberg(b)
@@ -472,5 +477,8 @@ def complex_eigenvalues(matrix) -> Spectrum:
             f"Aberth roots not certified (backward error {sigma / norm:.3e}, "
             f"target {_ABERTH_TARGET * n:.3e})"
         )
-    values = sorted((complex(v) for v in z * scale), key=lambda v: (-v.real, -v.imag))
+    # a part of 2^e z at or past 2^1024 overflows
+    if math.frexp(max(np.abs(z.real).max(), np.abs(z.imag).max()))[1] + exponent > 1024:
+        raise ValueError("an eigenvalue is past the float range")
+    values = sorted((complex(v) for v in z * scale[0] * scale[1]), key=lambda v: (-v.real, -v.imag))
     return Spectrum(values=tuple(values), max_residual=sigma / norm, iterations=iterations)

@@ -15,7 +15,8 @@ path for a point or an array of points), ``section`` and ``to_json``.
 
 Underneath the tree, each union keeps a leaf table: the parameters of its
 disks, ovals and points as arrays, so that its slack is one (points x
-leaves) numpy pass and an intersection's is one such pass per component.
+leaves) numpy pass and an intersection's is one such pass per component,
+and an intersection sections the leaves of all its components at once.
 The four builders fill the tables with array arithmetic and make no leaf
 objects; a builder's union makes its ``children`` from its table when they
 are first read.
@@ -79,9 +80,6 @@ class RealSection:
 
     def is_empty(self) -> bool:
         return not self.intervals and not self.isolated_points
-
-
-_EMPTY_SECTION = RealSection((), ())
 
 
 def section_contains(section: RealSection, x: float, tol: float = 0.0) -> bool:
@@ -210,12 +208,149 @@ class _LeafTable:
             slack = np.maximum(slack, node.slack(z))
         return slack
 
+    def section(self, tol: float) -> RealSection:
+        """The union's real section: disks in closed form, points within
+        ``tol`` of the axis, and each oval where ``q(x) = |x-a|^2 |x-b|^2 - p^2``
+        is <= 0, cut at the real roots of q and q'.
+
+        A point where an oval only touches the axis (a double root of q) and
+        the real point of each focus are kept as isolated points when their
+        slack is at least ``-tol``; the foci keep a lobe too narrow for the
+        quartic to resolve at their magnitude.
+        """
+        return _sections([self], tol)[0]
+
+
+def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
+    """:meth:`_LeafTable.section` of each table, all tables' rows at once."""
+    owner = np.repeat(np.arange(len(tables)), [len(t.kinds) for t in tables])
+    kinds = np.array([kind for t in tables for kind in t.kinds], dtype=int)
+    at = np.concatenate([t.anchors[t.first] for t in tables])
+    bound = np.concatenate([t.bounds for t in tables])
+    disk = np.flatnonzero(kinds == _DISK)
+    with np.errstate(over="ignore"):  # a radius past 1e154 sections to the whole axis
+        gap = bound[disk] * bound[disk] - at[disk].imag * at[disk].imag
+    disk, half = disk[gap >= 0.0], np.sqrt(gap[gap >= 0.0])
+    point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= tol))
+    # the rows, low and high ends of the intervals, then the rows and values
+    # of the isolated points
+    pieces = [(disk, at[disk].real - half, at[disk].real + half, point, at[point].real)]
+    oval = np.flatnonzero(kinds == _OVAL)
+    if len(oval):
+        to = np.concatenate([t.anchors[t.second] for t in tables])[oval]
+        span, low, high, mark, x = _oval_sections(at[oval], to, bound[oval], tol)
+        pieces.append((oval[span], low, high, oval[mark], x))
+    spans, lows, highs, marks, xs = (np.concatenate(part) for part in zip(*pieces))
+    spans, marks = owner[spans], owner[marks]
+    sections = []
+    for k, table in enumerate(tables):
+        intervals = list(zip(lows[spans == k].tolist(), highs[spans == k].tolist()))
+        isolated = xs[marks == k].tolist()
+        for node in table.nested:
+            nested = node.section(tol)
+            intervals += nested.intervals
+            isolated += nested.isolated_points
+        sections.append(_normalized_section(intervals, isolated, tol))
+    return sections
+
+
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """np.roots of each row (leading coefficient nonzero), NaN where a root
+    is not real: the eigenvalues of the companion matrix with first row
+    ``-c[1:] / c[0]`` and ones below the diagonal, one stacked eigvals call
+    per degree, then a root 0.0 for each trailing zero coefficient stripped."""
+    count, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    roots = np.zeros((count, degree), dtype=complex)
+    kept = degree - np.argmin(coeffs[:, ::-1] == 0.0, axis=1)
+    for m in set(kept[kept > 0].tolist()):
+        rows = kept == m
+        companion = np.zeros((np.count_nonzero(rows), m, m))
+        companion[:, 0, :] = -coeffs[rows, 1 : m + 1] / coeffs[rows, :1]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        roots[rows, :m] = np.linalg.eigvals(companion)
+    return np.where(roots.imag == 0.0, roots.real, np.nan)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval of row k's polynomial at row k of ``x``, rounding as it does."""
+    value = np.zeros_like(x)
+    for c in coeffs.T:
+        value = value * x + c[:, None]
+    return value
+
+
+def _oval_sections(a, b, p, tol: float):
+    """The real sections of the ovals with foci ``a``, ``b`` and radius
+    products ``p``: each interval's oval, low and high end, then each
+    isolated point's oval and value, as arrays."""
+    a, b, p = a[:, None], b[:, None], p[:, None]
+    feet = np.hstack([a.real, b.real])
+    kept = p - np.hypot(feet - a.real, a.imag) * np.hypot(feet - b.real, b.imag) >= -tol
+    live = np.flatnonzero(p != 0.0)
+    a, b, p = a[live], b[live], p[live]
+    # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
+    # oval, with y = (x - s) / scale measured from the centre so that no
+    # coefficient cancels against the foci's distance from the origin, and
+    # in units of the oval's size so that none overflows; scale is a power
+    # of two, so dividing by it is exact
+    s = 0.5 * (a.real + b.real)
+    size = np.maximum(np.hypot(a.real - s, a.imag), np.hypot(b.real - s, b.imag))
+    scale = np.ldexp(1.0, np.frexp(np.maximum(size, np.sqrt(p)))[1])
+    ur, ui, vr, vi = (a.real - s) / scale, a.imag / scale, (b.real - s) / scale, b.imag / scale
+    p = p / scale / scale
+    mu, mv = -2.0 * ur, -2.0 * vr
+    cu, cv = ur * ur + ui * ui, vr * vr + vi * vi
+    # np.polymul's coefficients of (y^2 + mu y + cu)(y^2 + mv y + cv): np.convolve
+    # takes the y^1 coefficient as a BLAS dot, which a 1 x 2 by 2 x 1 matmul
+    # also calls, and so rounds alike
+    dot = np.matmul(np.stack([mu, cu], -1), np.stack([cv, mv], -2))[:, 0]
+    q = np.hstack([np.ones_like(p), mu + mv, cv + mu * mv + cu, dot, cu * cv - p * p])
+    dq = q[:, :-1] * np.arange(4, 0, -1)
+    d2q = dq[:, :-1] * np.arange(3, 0, -1)
+
+    def spread(y):
+        return np.hypot(y - ur, ui) * np.hypot(y - vr, vi)
+
+    def exact_q(y):
+        # q in factored form, exact where the expanded coefficients cancel
+        m = spread(y)
+        return m * m - p * p
+
+    # Every root of q must be among the ends; ends that are not roots only
+    # split an interval or a gap, whose sign is read at its midpoint.  Two
+    # roots closer than about sqrt(eps) come back from the eigenvalues as a
+    # complex pair or as a spread-out real pair round the extremum of q
+    # between them: the extremum as an end fences off the spurious pair, and
+    # the quadratic model of q there gives the true pair.
+    roots = _real_roots(q)
+    slope = _horner(dq, roots)
+    roots -= np.divide(exact_q(roots), slope, out=np.zeros_like(roots), where=slope != 0.0)
+    critical = _real_roots(dq)
+    g, curvature = exact_q(critical), _horner(d2q, critical)
+    spacing = np.divide(-2.0 * g, curvature, out=np.full_like(g, np.nan), where=g * curvature < 0.0)
+    half = np.sqrt(spacing)
+    rescued = np.stack([critical, critical - half, critical + half], -1).reshape(len(p), 9)
+    ends = np.sort(np.hstack([roots, rescued]), axis=1, kind="stable")
+    left, right = ends[:, :-1], ends[:, 1:]
+    inside = (left < right) & (spread(0.5 * (left + right)) <= p)
+    # a tangency is a double root of q but a simple root of q'
+    tangent = p - spread(critical) >= -tol / scale / scale
+    return (
+        live[np.nonzero(inside)[0]], (s + scale * left)[inside], (s + scale * right)[inside],
+        np.concatenate([np.nonzero(kept)[0], live[np.nonzero(tangent)[0]]]),
+        np.concatenate([feet[kept], (s + scale * critical)[tangent]]),
+    )
+
 
 class _Leaf:
-    """Slack is that of a table of the leaf alone; extent() bounds the leaf's drawing."""
+    """Slack and section are those of a table of the leaf alone; extent()
+    bounds the leaf's drawing."""
 
     def slack(self, z):
         return _LeafTable.of((self,)).slack(z)
+
+    def section(self, tol: float) -> RealSection:
+        return _LeafTable.of((self,)).section(tol)
 
     def leaves(self) -> tuple:
         return (self,)
@@ -226,12 +361,6 @@ class _Combination:
 
     def leaves(self) -> tuple:
         return tuple(leaf for child in self.children for leaf in child.leaves())
-
-    def section(self, tol: float) -> RealSection:
-        if not self.children:
-            return _EMPTY_SECTION
-        combine = functools.partial(self._section_op, tol=tol)
-        return functools.reduce(combine, (c.section(tol) for c in self.children))
 
     def to_json(self) -> dict:
         return {"op": self._op, "children": [child.to_json() for child in self.children]}
@@ -249,14 +378,6 @@ class Disk(_Leaf):
             raise ValueError(f"disk radius must be finite and nonnegative, got {self.radius}")
         if not cmath.isfinite(self.center):
             raise ValueError(f"disk centre must be finite, got {self.center}")
-
-    def section(self, tol: float) -> RealSection:
-        gap = self.radius * self.radius - self.center.imag * self.center.imag
-        if gap < 0:
-            return _EMPTY_SECTION
-        half = math.sqrt(gap)
-        x = self.center.real
-        return RealSection(((x - half, x + half),), ())
 
     def to_json(self) -> dict:
         return {"disk": {"center": _pair(self.center), "radius": self.radius}}
@@ -282,75 +403,6 @@ class CassiniOval(_Leaf):
         if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
             raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
 
-    def section(self, tol: float) -> RealSection:
-        """Where ``q(x) = |x-a|^2 |x-b|^2 - p^2`` is <= 0, cut at the real roots of q and q'.
-
-        A point where the oval only touches the axis (a double root of q) and
-        the real point of each focus are kept as isolated points when their
-        slack is at least ``-tol``; the foci keep a lobe too narrow for the
-        quartic to resolve at their magnitude.
-        """
-        a, b, p = self.focus_a, self.focus_b, self.radius_product
-        feet = np.array([a.real, b.real])
-        points = [float(x) for x, margin in zip(feet, self.slack(feet)) if margin >= -tol]
-        if p == 0.0:
-            return _normalized_section([], points, tol)
-        # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
-        # oval, with y = (x - s) / scale measured from the centre so that no
-        # coefficient cancels against the foci's distance from the origin, and
-        # in units of the oval's size so that none overflows; scale is a power
-        # of two, so dividing by it is exact
-        s = 0.5 * (a.real + b.real)
-        scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
-        u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
-        q = np.polymul(
-            [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
-            [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
-        )
-        q[-1] -= p * p
-        dq = np.polyder(q)
-        d2q = np.polyder(dq)
-        touch_tol = tol / scale / scale
-
-        def spread(y: float) -> float:
-            return abs(y - u) * abs(y - v)
-
-        def exact_q(y: float) -> float:
-            # q in factored form, exact where the expanded coefficients cancel
-            m = spread(y)
-            return m * m - p * p
-
-        def polish(y: float) -> float:
-            slope = np.polyval(dq, y)
-            return float(y if slope == 0.0 else y - exact_q(y) / slope)
-
-        # Every root of q must be among the ends; ends that are not roots only
-        # split an interval or a gap, whose sign is read at its midpoint.  Two
-        # roots closer than about sqrt(eps) come back from np.roots as a complex
-        # pair or as a spread-out real pair round the extremum of q between
-        # them: the extremum as an end fences off the spurious pair, and the
-        # quadratic model of q there gives the true pair.
-        roots = np.roots(q)
-        ends = [polish(y) for y in roots[roots.imag == 0.0].real]
-        critical = np.roots(dq)
-        for y in critical[critical.imag == 0.0].real:
-            y = float(y)
-            g, curvature = exact_q(y), float(np.polyval(d2q, y))
-            ends.append(y)
-            if g * curvature < 0.0:
-                half = math.sqrt(-2.0 * g / curvature)
-                ends += [y - half, y + half]
-            # a tangency is a double root of q but a simple root of q'
-            if p - spread(y) >= -touch_tol:
-                points.append(s + scale * y)
-        ends.sort()
-        intervals = [
-            (s + scale * left, s + scale * right)
-            for left, right in zip(ends, ends[1:])
-            if left < right and spread(0.5 * (left + right)) <= p
-        ]
-        return _normalized_section(intervals, points, tol)
-
     def to_json(self) -> dict:
         oval = {"a": _pair(self.focus_a), "b": _pair(self.focus_b), "p": self.radius_product}
         return {"oval": oval}
@@ -371,9 +423,6 @@ class PointSet(_Leaf):
         if not all(cmath.isfinite(p) for p in self.points):
             raise ValueError(f"points must be finite, got {self.points}")
 
-    def section(self, tol: float) -> RealSection:
-        return _normalized_section([], [p.real for p in self.points if abs(p.imag) <= tol], tol)
-
     def to_json(self) -> dict:
         return {"points": [_pair(p) for p in self.points]}
 
@@ -385,8 +434,8 @@ class PointSet(_Leaf):
 class RegionUnion(_Combination):
     """Points in some child; slack is the largest child slack.
 
-    Slack comes from the union's leaf table, made from ``children`` on the
-    first call.  A builder's union starts from its table instead and makes
+    Slack and section come from the union's leaf table, made from
+    ``children``.  A builder's union starts from its table instead and makes
     ``children`` from it when they are first read.
     """
 
@@ -407,20 +456,14 @@ class RegionUnion(_Combination):
         object.__setattr__(self, "children", children)
         return children
 
-    @staticmethod
-    def _section_op(a: RealSection, b: RealSection, tol: float) -> RealSection:
-        return _normalized_section(
-            list(a.intervals) + list(b.intervals),
-            list(a.isolated_points) + list(b.isolated_points),
-            tol,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_table", _LeafTable.of(self.children))
 
     def slack(self, z):
-        table = self.__dict__.get("_table")
-        if table is None:
-            table = _LeafTable.of(self.children)
-            object.__setattr__(self, "_table", table)
-        return table.slack(z)
+        return self._table.slack(z)
+
+    def section(self, tol: float) -> RealSection:
+        return self._table.section(tol)
 
 
 @dataclass(frozen=True)
@@ -441,6 +484,15 @@ class RegionIntersection(_Combination):
         points = [p for p in a.isolated_points if section_contains(b, p, tol)]
         points += [p for p in b.isolated_points if section_contains(a, p, tol)]
         return _normalized_section(intervals, points, tol)
+
+    def section(self, tol: float) -> RealSection:
+        if not self.children:
+            return RealSection((), ())
+        # the children's tables, a union's own or one holding the child
+        tables = [getattr(c, "_table", None) or _LeafTable.of((c,)) for c in self.children]
+        return functools.reduce(
+            functools.partial(self._section_op, tol=tol), _sections(tables, tol)
+        )
 
     def slack(self, z):
         if not self.children:
@@ -477,11 +529,12 @@ def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
 def real_section(region: Region, tol: float = 1e-9) -> RealSection:
     """The region's intersection with the real axis as intervals + points.
 
-    Disks section analytically and ovals in closed form (see
-    :meth:`CassiniOval.section`); unions and intersections combine by
-    interval algebra.  ``tol`` also controls how close to the axis a point
-    leaf must be to count as real and how point matching behaves under
-    intersection.  Tangent disks keep their zero-width interval.
+    Disks section analytically and ovals in closed form, every leaf of an
+    intersection's unions at once (see :meth:`_LeafTable.section`); the
+    sections combine by interval algebra.  ``tol`` also controls how close
+    to the axis a point leaf must be to count as real and how point
+    matching behaves under intersection.  Tangent disks keep their
+    zero-width interval.
     """
     return region.section(tol)
 

@@ -53,6 +53,7 @@ from eigenloc.regions import (
     RegionIntersection,
     RegionUnion,
     real_section,
+    rowsum_brauer_region,
     rowsum_gersgorin_region,
 )
 
@@ -766,6 +767,64 @@ class TestRegionVsFormula:
         points += list(section.isolated_points)
         assert min(points) >= lo - 1e-8
         assert max(points) <= hi + 1e-8
+
+
+_ADJ = GraphMatrixKind.ADJACENCY
+_NORM = GraphMatrixKind.NORMALIZED_ADJACENCY
+_LAP = GraphMatrixKind.LAPLACIAN
+
+# Each closed form derived from a row-sum region, against the hull of that
+# region's real section without the forced eigenvalue gamma: tag -> (region
+# builder, matrix kind, a-priori clamp on the hull as a function of the
+# structure report or None, relation of the closed form to the clamped hull).
+# Thm3.7 also uses |lambda| <= d; Thm4.4 and Thm4.5 deflate at a dominating
+# vertex only, Thm5.3 relaxes the disks' left edges and Thm5.4 (published
+# mode) overstates the deflated row sums, so each of those is wider than its
+# region on some graphs.
+REGION_AUDIT = {
+    "Thm3.7": (rowsum_gersgorin_region, _ADJ, lambda rep: rep.regular, "equals"),
+    "Thm3.9": (rowsum_brauer_region, _ADJ, None, "equals"),
+    "Thm4.4": (rowsum_gersgorin_region, _NORM, None, "contains"),
+    "Thm4.5": (rowsum_brauer_region, _NORM, None, "contains"),
+    "Thm5.3": (rowsum_gersgorin_region, _LAP, None, "contains"),
+    "Thm5.4": (rowsum_brauer_region, _LAP, None, "contains"),
+}
+
+
+def _deflated_hull(region):
+    """Ends of the real section of a row-sum region with each component's
+    trailing gamma leaf dropped: the region of the deflated spectra."""
+    deflated = RegionIntersection(
+        tuple(RegionUnion(component.children[:-1]) for component in region.children)
+    )
+    section = real_section(deflated, tol=1e-9)
+    ends = [x for lohi in section.intervals for x in lohi] + list(section.isolated_points)
+    return min(ends), max(ends)
+
+
+def test_region_derived_closed_forms_against_their_regions():
+    seen = {tag: set() for tag in REGION_AUDIT}
+    for _, g in atlas_graphs():
+        rep = classify(g)
+        if not (3 <= g.n <= 7 and rep.connected):
+            continue
+        for kind in (_ADJ, _NORM, _LAP):
+            for bound in bounds_report(g, kind).bounds:
+                if bound.theorem not in REGION_AUDIT:
+                    continue
+                builder, _, clamp, relation = REGION_AUDIT[bound.theorem]
+                lo, hi = _deflated_hull(builder(build_matrix(g, kind)))
+                if clamp is not None:
+                    lo, hi = max(lo, -clamp(rep)), min(hi, clamp(rep))
+                where = (bound.theorem, bound.target, g.edges)
+                if relation == "equals":
+                    assert bound.lower == pytest.approx(lo, abs=1e-9), where
+                    assert bound.upper == pytest.approx(hi, abs=1e-9), where
+                else:
+                    assert bound.lower <= lo + 1e-9 and hi - 1e-9 <= bound.upper, where
+                seen[bound.theorem].add(kind)
+    # every tag ran, on the matrix kind its row names
+    assert seen == {tag: {row[1]} for tag, row in REGION_AUDIT.items()}
 
 
 # ---------------------------------------------------------------------------

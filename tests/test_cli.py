@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, serialisation, SVG structure."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -22,10 +23,14 @@ from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle, pete
 from eigenloc.regions import (
     CassiniOval,
     Disk,
+    PointSet,
+    brauer_region,
+    gersgorin_region,
     matrix_to_json,
     real_section,
     region_from_json,
     region_slack_grid,
+    rowsum_brauer_region,
     section_contains,
 )
 
@@ -405,6 +410,9 @@ EXIT_CODES = [
     (["bounds", "--family", "complete", "--n", "4", "--matrix", "adjacency"], 1, True),
     (["verify", "--family", "petersen", "--scope", "Thm9.9"], 1, False),
     (["verify", "--family", "petersen", "--tol", "nan"], 1, False),
+    (["verify", "--matrix-file", "{dir}/huge.json"], 1, False),
+    (["verify", "--family", "petersen", "--scope", "gamma"], 1, False),
+    (["verify", "--matrix-file", "{dir}/free.json", "--scope", "Thm3.1"], 1, False),
 ]
 
 
@@ -413,10 +421,13 @@ EXIT_CODES = [
     EXIT_CODES,
     ids=["missing-file", "bad-json", "unknown-family", "bad-sweep-spec", "regions-out",
          "sweep-out", "brauer-1x1", "rowsum-gersgorin-1x1", "rowsum-brauer-2x2",
-         "no-row-sum", "bounds-value-error", "unknown-scope", "tol-nan"],
+         "no-row-sum", "bounds-value-error", "unknown-scope", "tol-nan",
+         "eigenvalue-overflow", "graph-scope-selects-nothing", "matrix-scope-selects-nothing"],
 )
 def test_exit_code_contract(argv, code, broken_bounds, tmp_path, capsys, monkeypatch):
-    matrices = {"one": [[2.0]], "two": [[1.0, 1.0], [0.0, 2.0]], "free": np.diag([1.0, 2.0, 3.0])}
+    matrices = {"one": [[2.0]], "two": [[1.0, 1.0], [0.0, 2.0]], "free": np.diag([1.0, 2.0, 3.0]),
+                # max |a_ij| past 2^1023, and the eigenvalue 3e308 past the float range
+                "huge": np.full((3, 3), 1e308)}
     for name, matrix in matrices.items():
         (tmp_path / f"{name}.json").write_text(matrix_to_json(np.array(matrix)))
     (tmp_path / "bad.json").write_text("{not json")
@@ -513,3 +524,37 @@ def test_lemniscate_boundary_draws_both_lobes():
     loop = np.asarray(loop)
     assert np.sum(loop.real < -0.5) > 100
     assert np.sum(loop.real > 0.5) > 100
+
+
+# A 4 x 4 matrix with constant row sum 2 + i, in binary fractions, and fixed
+# eigenvalue markers, so the drawings below depend on no eigensolver
+_SVG_MATRIX = np.array([
+    [2.0 + 1.0j, -1.0, 0.5, 0.5],
+    [0.25, 1.5 + 0.5j, -0.75 + 0.5j, 1.0],
+    [-1.0, 0.5j, 3.0, 0.5j],
+    [1.0, 1.0, -0.5 + 1.0j, 0.5],
+])
+_SVG_MARKS = (2.0 + 1.0j, 0.5 - 0.25j, -1.0 + 0.0j)
+
+
+@pytest.mark.parametrize(
+    "region, marks, digest",
+    [
+        (brauer_region(_SVG_MATRIX), _SVG_MARKS,
+         "d26c5e37d7c2d52941f764bea92d86f0fc0cf7b8449259165c168f964a2e19cb"),
+        (rowsum_brauer_region(_SVG_MATRIX), _SVG_MARKS,
+         "4c0c86f6d35749140f3010cea4b9bd9950645f0dca765e5731a72ee69d4e029e"),
+        (gersgorin_region(_SVG_MATRIX), _SVG_MARKS,
+         "2ae2705ed70625776c7c63d5e8727bb5c5190e73602971990696e889a04093da"),
+        (CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0), (),
+         "47c09bb8bb3b41ee66f34c4a34a9520852e323a3636ce903a89ce24ed25f010e"),
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), (),
+         "8d54aeea9291bb1e3750ff889bacaabcb1a012759250399d4f3b3ec513a4c82d"),
+        (PointSet((1.0 + 0.0j, -0.5 + 0.25j)), (),
+         "604ed49aad6591bc1e7af5a0d259707bac6ab5b160030b0120aa6d025c0fce6a"),
+    ],
+    ids=["brauer", "rowsum-brauer", "gersgorin", "pinched-oval", "lemniscate", "points"],
+)
+def test_svg_bytes_are_pinned(region, marks, digest):
+    # any change in how the SVG is formatted changes these digests
+    assert hashlib.sha256(region_to_svg(region, marks).encode()).hexdigest() == digest

@@ -406,6 +406,22 @@ class TestComplexEigenvalues:
         assert spec.max_residual <= 4 * n * EPS
         assert backward_error(h, spec.values) <= 4 * n * EPS
 
+    @pytest.mark.parametrize(
+        "a, values",
+        [
+            # max |a_ij| past 2^1023, and |a_ij| itself past the float range
+            (np.diag([1.5e308, -1e308, 3.0]), [1.5e308, 3.0, -1e308]),
+            (np.diag([1e308 + 1e308j, 2.0]), [1e308 + 1e308j, 2.0]),
+        ],
+    )
+    def test_entries_near_the_float_range(self, a, values):
+        assert complex_eigenvalues(a).values == tuple(complex(v) for v in values)
+
+    def test_eigenvalue_past_the_float_range_raises_value_error(self):
+        # the eigenvalue 3e308 of the all-1e308 matrix has no float
+        with pytest.raises(ValueError, match="float range"):
+            complex_eigenvalues(np.full((3, 3), 1e308))
+
 
 class TestCrossOracle:
     def graph_corpus(self):

@@ -1,5 +1,6 @@
 """Region engine: deflation, the four inclusion regions, sections, JSON."""
 
+import functools
 import json
 import math
 from itertools import combinations
@@ -15,9 +16,11 @@ from eigenloc.regions import (
     CassiniOval,
     Disk,
     PointSet,
+    RealSection,
     RegionIntersection,
     RegionUnavailable,
     RegionUnion,
+    _normalized_section,
     brauer_region,
     constant_row_sum,
     deflate,
@@ -729,3 +732,150 @@ class TestLeafTable:
             rowsum_brauer_region(a),
         ):
             assert math.copysign(1.0, region_slack(region, 3.0)) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-leaf loop that the stacked section replaced, kept as its reference
+
+
+def _reference_leaf_section(leaf, tol):
+    if isinstance(leaf, Disk):
+        gap = leaf.radius * leaf.radius - leaf.center.imag * leaf.center.imag
+        if gap < 0:
+            return RealSection((), ())
+        half, x = math.sqrt(gap), leaf.center.real
+        return RealSection(((x - half, x + half),), ())
+    if isinstance(leaf, PointSet):
+        return _normalized_section([], [p.real for p in leaf.points if abs(p.imag) <= tol], tol)
+    a, b, p = leaf.focus_a, leaf.focus_b, leaf.radius_product
+    feet = np.array([a.real, b.real])
+    points = [float(x) for x, margin in zip(feet, region_slack_grid(leaf, feet)) if margin >= -tol]
+    if p == 0.0:
+        return _normalized_section([], points, tol)
+    s = 0.5 * (a.real + b.real)
+    scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
+    u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
+    q = np.polymul(
+        [1.0, -2.0 * u.real, u.real * u.real + u.imag * u.imag],
+        [1.0, -2.0 * v.real, v.real * v.real + v.imag * v.imag],
+    )
+    q[-1] -= p * p
+    dq = np.polyder(q)
+    d2q = np.polyder(dq)
+
+    def spread(y):
+        return abs(y - u) * abs(y - v)
+
+    def exact_q(y):
+        m = spread(y)
+        return m * m - p * p
+
+    def polish(y):
+        slope = np.polyval(dq, y)
+        return float(y if slope == 0.0 else y - exact_q(y) / slope)
+
+    roots = np.roots(q)
+    ends = [polish(y) for y in roots[roots.imag == 0.0].real]
+    critical = np.roots(dq)
+    for y in critical[critical.imag == 0.0].real:
+        y = float(y)
+        g, curvature = exact_q(y), float(np.polyval(d2q, y))
+        ends.append(y)
+        if g * curvature < 0.0:
+            half = math.sqrt(-2.0 * g / curvature)
+            ends += [y - half, y + half]
+        if p - spread(y) >= -tol / scale / scale:
+            points.append(s + scale * y)
+    ends.sort()
+    intervals = [
+        (s + scale * left, s + scale * right)
+        for left, right in zip(ends, ends[1:])
+        if left < right and spread(0.5 * (left + right)) <= p
+    ]
+    return _normalized_section(intervals, points, tol)
+
+
+def _reference_section(region, tol=1e-9):
+    """Leaf by leaf, unions merged pairwise, intersections as real_section does."""
+    if isinstance(region, (Disk, CassiniOval, PointSet)):
+        return _reference_leaf_section(region, tol)
+    parts = [_reference_section(child, tol) for child in region.children]
+    if not parts:
+        return RealSection((), ())
+    if isinstance(region, RegionUnion):
+        return functools.reduce(
+            lambda x, y: _normalized_section(
+                list(x.intervals) + list(y.intervals),
+                list(x.isolated_points) + list(y.isolated_points),
+                tol,
+            ),
+            parts,
+        )
+    return functools.reduce(functools.partial(RegionIntersection._section_op, tol=tol), parts)
+
+
+def _hard_ovals():
+    """Ovals that stress the quartic: lemniscates, tangencies, signed zeros,
+    coincident and real foci, and every scale."""
+    rng = np.random.default_rng(5)
+    ovals = [
+        CassiniOval(-1 + 0j, 1 + 0j, 1.0),  # a zero constant term: np.roots strips it
+        CassiniOval(1j, -1j, 1.0),  # two trailing zeros
+        CassiniOval(complex(-0.0, 0.0), complex(0.0, -0.0), 2.0),
+        CassiniOval(0j, 0j, 1.0),  # q' = 4 y^3: three stripped zeros
+        CassiniOval(-1e-9 + 0j, 1 + 0.46875j, 1e-64),
+        CassiniOval(1e200 + 0j, -1e200 + 0j, 1e-100),
+        CassiniOval(0j, 1 + 0j, 1e200),
+        CassiniOval(1000j, 1000j, 1e6),
+    ]
+    for k in range(600):
+        x, y = rng.normal(size=2)
+        scale = 10.0 ** rng.integers(-6, 7)
+        a, b = complex(*rng.normal(size=2)) * scale, complex(*rng.normal(size=2)) * scale
+        kind = k % 5
+        if kind == 0:  # integer real foci
+            a, b = complex(int(rng.integers(-4, 5))), complex(int(rng.integers(-4, 5)))
+            p = float(rng.integers(0, 10)) / 2
+        elif kind == 1:  # mirrored foci, p near the lemniscate's
+            a, b = complex(x, y), complex(-x, y) if k % 2 else complex(x, -y)
+            p = abs(a - b) ** 2 / 4 * float(rng.choice([1.0, 0.5, 2.0, 1 + 1e-12]))
+        elif kind == 2:  # lemniscate through the centre
+            p = abs(a - b) ** 2 / 4
+        elif kind == 3:  # foci level at height y, tangent to the axis
+            a, b = complex(x, y), complex(x + float(rng.integers(0, 2)), y)
+            p = y * y * float(rng.choice([1.0, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9]))
+        else:
+            p = float(rng.random() * scale * scale * rng.choice([1e-6, 1.0, 1e3]))
+        ovals.append(CassiniOval(a, b, p))
+    return ovals
+
+
+def _bitwise(section):
+    return (
+        [(lo.hex(), hi.hex()) for lo, hi in section.intervals],
+        [x.hex() for x in section.isolated_points],
+    )
+
+
+def test_stacked_oval_sections_match_the_per_oval_loop_bit_for_bit():
+    for oval in _hard_ovals():
+        assert _bitwise(real_section(oval)) == _bitwise(_reference_section(oval)), oval
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_stacked_region_sections_match_the_leaf_loop_bit_for_bit(builder):
+    rng = np.random.default_rng(83)
+    cases = [a for a in _table_cases() if a.shape[0] <= 10]
+    for n in range(3, 9):
+        for _ in range(4):
+            cases.append(random_constant_rowsum_matrix(rng, n)[0])
+            cases.append(2.0 * rng.random((n, n)) - 1.0)
+    for a in cases:
+        try:
+            region = builder(a)
+        except RegionUnavailable:
+            continue
+        assert _bitwise(real_section(region)) == _bitwise(_reference_section(region))
+    for _ in range(40):
+        region = random_region(rng)
+        assert _bitwise(real_section(region)) == _bitwise(_reference_section(region))
