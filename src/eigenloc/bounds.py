@@ -27,11 +27,12 @@ dominating vertex.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .graphs import (
     Graph,
@@ -289,25 +290,26 @@ def regular_bipartite_lambda2_bounds(
 
 
 @functools.lru_cache(maxsize=1)
-def _common_neighbor_rows(g: Graph) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-    """(i, row) for every vertex i, row holding (k, [k ~ i], N(i,k)) for k != i.
+def _common_neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(adj, common, other): read-only int64 (n, n - 1) arrays over the pairs k != i.
 
-    N(i,k) = |N(i) & N(k)| is one bitmask popcount per pair.  The rows of
-    the last graph are kept, so the theorems of one report, or of reports
-    on an equal graph, build them once.
+    Row i - 1 holds, for the other vertices k in increasing order, k - 1,
+    [k ~ i] and N(i,k) = |N(i) & N(k)|, read off the float product A·A
+    (exact below 2^53).  The last graph's table is kept, so the theorems of
+    one report, or of reports on an equal graph, build it once.
     """
-    masks = [g.neighbors_mask(v) for v in range(1, g.n + 1)]
-    return tuple(
-        (
-            i,
-            tuple(
-                (k, mask_i >> k & 1, (mask_i & mask_k).bit_count())
-                for k, mask_k in enumerate(masks, 1)
-                if k != i
-            ),
-        )
-        for i, mask_i in enumerate(masks, 1)
+    n = g.n
+    a = np.zeros((n, n))
+    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T - 1
+    a[u, v] = a[v, u] = 1.0
+    off = ~np.eye(n, dtype=bool)
+    table = tuple(
+        full[off].reshape(n, n - 1).astype(np.int64)
+        for full in (a, a @ a, np.broadcast_to(np.arange(n), (n, n)))
     )
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def regular_common_neighbor_bounds(
@@ -316,23 +318,20 @@ def regular_common_neighbor_bounds(
     """Common-neighbour disk bounds for a connected d-regular graph.
 
     Every deflated disk for deflation row i sits at -[k ~ i] with radius
-    2d - 2N(i,k) - 2[k ~ i]; the best deflation row is taken and the
-    spectral-radius guard d keeps the bound no worse than |lambda| <= d.
-    The chain L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both
-    targets.
+    2d - 2N(i,k) - 2[k ~ i], so row i's disks cover [-2d + min alpha,
+    2d - min beta] over k != i, with alpha = 2N(i,k) + [k ~ i] and
+    beta = alpha + 2[k ~ i]: row minima over the common-neighbour table.
+    The best row is taken for each end, and the spectral-radius guard d
+    keeps the bound no worse than |lambda| <= d.  The chain
+    L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both targets.
     """
     rep = _checked("Thm3.7", g, rep)
     d = rep.regular
-    best_alpha = -math.inf
-    best_beta = -math.inf
-    for _, row in _common_neighbor_rows(g):
-        min_alpha = min(2 * c + adj for _, adj, c in row)
-        min_beta = min(2 * c + 3 * adj for _, adj, c in row)
-        best_alpha = max(best_alpha, min_alpha)
-        best_beta = max(best_beta, min_beta)
-    lower = -2.0 * d + max(best_alpha, d)
-    upper = 2.0 * d - max(best_beta, d)
-    return _intervals("Thm3.7", rep, (float(lower), float(upper)))
+    adj, common, _ = _common_neighbor_table(g)
+    alpha = 2 * common + adj
+    lower = -2.0 * d + max(int(alpha.min(axis=1).max()), d)
+    upper = 2.0 * d - max(int((alpha + 2 * adj).min(axis=1).max()), d)
+    return _intervals("Thm3.7", rep, (lower, upper))
 
 
 def regular_brauer_common_neighbor_bounds(
@@ -359,34 +358,30 @@ def regular_brauer_common_neighbor_bounds(
     root.  So within each class the extreme alpha and beta come from the
     largest product: the two largest x, the two largest y, or the largest
     x times the largest y.  A row therefore needs only its top two values
-    per class, O(n) work instead of O(n^2) pairs, and the roots see the
-    same integers as the pair loop, so the floats are identical.
+    per class, O(n) work instead of O(n^2) pairs, taken for all rows at
+    once by ``np.partition`` with the other class set to -1.  Every row has
+    d >= 2 neighbours and n - 1 - d non-neighbours, so a class exists in all
+    rows or in none.  The roots see the pair loop's integers in its float
+    order, and square roots round correctly, so the floats are identical.
     """
     rep = _checked("Thm3.9", g, rep)
-    d = rep.regular
-    lower = -math.inf
-    upper = math.inf
-    for _, row in _common_neighbor_rows(g):
-        xs = [d - c - 1 for _, adj, c in row if adj]
-        ys = [d - c for _, adj, c in row if not adj]
-        alphas = []
-        betas = []
-        if len(xs) >= 2:
-            x1, x2 = heapq.nlargest(2, xs)
-            root = 2.0 * math.sqrt(x1 * x2)
-            alphas.append(-1.0 - root)
-            betas.append(-1.0 + root)
-        if len(ys) >= 2:
-            y1, y2 = heapq.nlargest(2, ys)
-            root = 2.0 * math.sqrt(y1 * y2)
-            alphas.append(-root)
-            betas.append(root)
-        if xs and ys:
-            root = math.sqrt(0.25 + 4.0 * max(xs) * max(ys))
-            alphas.append(-0.5 - root)
-            betas.append(-0.5 + root)
-        lower = max(lower, min(alphas))
-        upper = min(upper, max(betas))
+    d, n = rep.regular, g.n
+    adj, common, _ = _common_neighbor_table(g)
+    # the two largest x (and y) of each row, the largest second
+    x1, x2 = np.partition(np.where(adj == 1, d - common - 1, -1), (n - 3, n - 2), axis=1)[:, -2:].T
+    y1, y2 = np.partition(np.where(adj == 1, -1, d - common), (n - 3, n - 2), axis=1)[:, -2:].T
+    root = 2.0 * np.sqrt(x1 * x2)
+    alphas, betas = [-1.0 - root], [-1.0 + root]
+    if n - 1 - d >= 2:
+        root = 2.0 * np.sqrt(y1 * y2)
+        alphas.append(-root)
+        betas.append(root)
+    if n - 1 - d >= 1:
+        root = np.sqrt(0.25 + (4.0 * x2) * y2)
+        alphas.append(-0.5 - root)
+        betas.append(-0.5 + root)
+    lower = float(np.min(alphas, axis=0).max())
+    upper = float(np.max(betas, axis=0).min())
     return _intervals("Thm3.9", rep, (lower, upper))
 
 
@@ -487,18 +482,14 @@ def laplacian_common_neighbor_bounds(
 
     (alpha relaxes the disk's left edge by 2[k ~ i], so it stays valid),
     combined as max over i of min over k for the lower bound and min over
-    i of max over k for the upper.
+    i of max over k for the upper: row reductions over the common-neighbour
+    table, with d_k gathered through its ``other`` column.
     """
     rep = _checked("Thm5.3", g, rep)
-    ds = g.degree_sequence
-    lower = -math.inf
-    upper = math.inf
-    for i, row in _common_neighbor_rows(g):
-        di = ds[i - 1]
-        min_alpha = min(-di + 2 * c + adj for _, adj, c in row)
-        max_beta = max(di + 2 * ds[k - 1] - 2 * c - adj for k, adj, c in row)
-        lower = max(lower, min_alpha)
-        upper = min(upper, max_beta)
+    adj, common, other = _common_neighbor_table(g)
+    ds = np.array(g.degree_sequence, dtype=np.int64)
+    lower = int((2 * common + adj - ds[:, None]).min(axis=1).max())
+    upper = int((ds[:, None] + 2 * ds[other] - 2 * common - adj).max(axis=1).min())
     return _intervals("Thm5.3", rep, (float(lower), float(upper)))
 
 

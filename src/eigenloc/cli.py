@@ -18,6 +18,7 @@ the region's dimension.  Each error prints ``error: <message>`` to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -407,7 +408,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and then reused; ``parse_args`` returns a fresh
+    namespace each time.  The ``_cmd_*`` handlers are bound at that first build."""
     parser = argparse.ArgumentParser(
         prog="eigenloc",
         description="Eigenvalue inclusion regions and closed-form graph spectral bounds",

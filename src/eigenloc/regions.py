@@ -567,13 +567,14 @@ def constant_row_sum(matrix, tol: float | None = None) -> complex | None:
     are exact while user matrices may carry float noise.  Agreement is
     measured as the maximum pairwise deviation between row sums.
     """
-    sums = row_sums(matrix)
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
-    deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
-    if deviation > tol:
-        return None
-    return complex(sums.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
+        sums = row_sums(matrix)
+        if tol is None:
+            tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
+        deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
+        if deviation > tol:
+            return None
+        return complex(sums.mean())
 
 
 class RegionUnavailable(ValueError):

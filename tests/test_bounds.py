@@ -5,6 +5,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import eigenloc.bounds as bounds_module
@@ -987,13 +988,26 @@ class TestCommonNeighborExactness:
         assert any(classify(g).regular == 6 and g.n >= 20 for g in regular)
         assert any(classify(g).regular is None for g in exactness_laplacian_corpus())
 
-    def test_rows_built_once_per_graph(self):
-        rows = bounds_module._common_neighbor_rows
-        rows.cache_clear()
+    def test_table_built_once_per_graph(self):
+        table = bounds_module._common_neighbor_table
+        table.cache_clear()
         g = circulant(30, (1, 4))
         bounds_report(g, GraphMatrixKind.ADJACENCY)  # Thm3.7 and Thm3.9
-        assert rows.cache_info().misses == 1
+        assert table.cache_info().misses == 1
         same = Graph.from_edges(30, sorted(g.edges, reverse=True))
         bounds_report(same, GraphMatrixKind.LAPLACIAN)  # Thm5.3 on an equal graph
-        assert rows.cache_info().misses == 1
-        assert rows.cache_info().hits == 2
+        assert table.cache_info().misses == 1
+        assert table.cache_info().hits == 2
+
+    def test_table_matches_pairwise_counts(self):
+        for g in exactness_laplacian_corpus():
+            adj, common, other = bounds_module._common_neighbor_table(g)
+            pairs = [[k for k in range(1, g.n + 1) if k != i] for i in range(1, g.n + 1)]
+            assert other.tolist() == [[k - 1 for k in row] for row in pairs]
+            assert adj.tolist() == [[int(g.has_edge(i, k)) for k in row] for i, row in enumerate(pairs, 1)]
+            assert common.tolist() == [
+                [common_neighbors(g, i, k) for k in row] for i, row in enumerate(pairs, 1)
+            ]
+            for column in (adj, common, other):
+                assert column.dtype == np.int64
+                assert not column.flags.writeable

@@ -12,6 +12,7 @@ import pytest
 import eigenloc.bounds as bd
 from eigenloc.bounds import BoundInterval
 from eigenloc.cli import (
+    _build_parser,
     _oval_boundary,
     check_interval,
     main,
@@ -268,6 +269,20 @@ class TestBadInputExitCodes:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    def test_row_sum_overflow_prints_only_the_error(self, tmp_path):
+        # finite entries whose row sums overflow once averaged
+        path = tmp_path / "big.json"
+        path.write_text(matrix_to_json(np.diag([complex(1e308, 1e308)] * 3)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenloc.cli", "verify", "--matrix-file", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv", [["bounds", "--matrix", "adjacency"], ["verify"]], ids=["bounds", "verify"]
     )
@@ -440,6 +455,44 @@ def test_exit_code_contract(argv, code, broken_bounds, tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+class TestParserReuse:
+    """One parser serves every call of main in a process; no option carries over."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_later_calls_match_a_fresh_parser(self, rowsum_file, capsys):
+        petersen_graph = ["--family", "petersen"]
+        svg = ["regions", "--matrix-file", rowsum_file, "--method", "gersgorin", "--emit", "svg"]
+        plain = [["verify", *petersen_graph], ["bounds", *petersen_graph, "--matrix", "adjacency"], svg]
+        optioned = [
+            plain[0] + ["--tol", "1e-3", "--scope", "Thm3.1", "--mode", "corrected"],
+            plain[1] + ["--format", "csv"],
+            svg + ["--window=-5:5:-5:5"],
+        ]
+        first = [self.run(argv, capsys) for argv in optioned]
+        assert _build_parser() is _build_parser()
+        reused = [self.run(argv, capsys) for argv in plain]
+        fresh = []
+        for argv in plain:
+            _build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert reused == fresh
+        assert all(f != r for f, r in zip(first, reused))
+
+    def test_bad_argv_exits_2_every_time(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["bounds", "--family", "petersen"])  # no --matrix
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "--matrix" in errors[0]
 
 
 @pytest.mark.parametrize("scope", ["Thm9.9", "gersgorin,Thm9.9", "Thm3.1,gersgorn", ","])
