@@ -107,7 +107,7 @@ def check_interval(
 
 def check_region(name: str, region, eigenvalues, tol: float) -> CheckResult:
     """PASS iff every oracle eigenvalue lies in the region within tol."""
-    slack = float(rg.region_slack_grid(region, eigenvalues).min())
+    slack = rg.region_min_slack(region, eigenvalues)[0]
     return CheckResult(name=name, target="spectrum", passed=slack >= -tol, slack=slack)
 
 
@@ -239,14 +239,14 @@ def region_to_svg(
     Disks become circles, ovals closed 512-point polylines from the oval's
     polar form (two 256-point loops when it is pinched), point leaves small
     diamonds, eigenvalues filled dots.
-    Rendering convenience only; nothing downstream parses this.  A given
-    ``window`` must be finite with x0 < x1 and y0 < y1 (ValueError).
+    Rendering convenience only; nothing downstream parses this.  The
+    window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
+    width and height (ValueError).
     """
-    if window is not None:
-        _check_window(window, window)
     leaves = region.leaves()
     if window is None:
         window = _auto_window(leaves, eigenvalues)
+    _check_window(window, window)
     x0, x1, y0, y1 = window
     scale = size / max(x1 - x0, y1 - y0)
 
@@ -337,8 +337,10 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
 
 def _check_window(window: tuple[float, float, float, float], shown) -> None:
     x0, x1, y0, y1 = window
-    if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
-        raise ValueError(f"window {shown!r} needs finite x0 < x1 and y0 < y1")
+    # a width past the float range would scale every coordinate to NaN
+    if not (x0 < x1 and y0 < y1 and x1 - x0 < math.inf and y1 - y0 < math.inf):
+        raise ValueError(f"window {shown!r} needs x0 < x1 and y0 < y1 with a finite "
+                         "width and height")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -54,10 +54,12 @@ class Graph:
     """Simple undirected graph on vertex labels 1..n.
 
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
-    No self-loops, no multi-edges.  ``n`` and every label must be builtin
-    ints (not bools); :meth:`from_edges` and the parsing / generator helpers
-    normalise and convert other input.  ``degree_sequence`` holds the
-    degrees of vertices 1..n in order, computed once at construction.
+    No self-loops, no multi-edges: the constructor stores the pairs it is
+    given as a frozenset of tuples, so a repeated pair counts once.  ``n``
+    and every label must be builtin ints (not bools); :meth:`from_edges`
+    and the parsing / generator helpers normalise and convert other input.
+    ``degree_sequence`` holds the degrees of vertices 1..n in order,
+    computed once at construction.
     """
 
     n: int
@@ -71,6 +73,7 @@ class Graph:
         if self.n > MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} exceeds the {MAX_VERTICES} cap")
         adj = [0] * (self.n + 1)
+        pairs = set()
         for e in self.edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -83,6 +86,8 @@ class Graph:
                 raise ValueError(f"edge {e} is not normalised as (min, max)")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+            pairs.add((u, v))
+        object.__setattr__(self, "edges", frozenset(pairs))
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "degree_sequence", tuple(mask.bit_count() for mask in adj[1:]))
 

@@ -19,7 +19,9 @@ leaves) numpy pass and an intersection's is one such pass per component,
 and an intersection sections the leaves of all its components at once.
 The four builders fill the tables with array arithmetic and make no leaf
 objects; a builder's union makes its ``children`` from its table when they
-are first read.
+are first read.  A row-sum builder's intersection also keeps its
+components' tables stacked, one component a row, which
+:func:`region_min_slack` bounds pair by pair (component, point).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "region_slack",
     "region_contains",
     "region_slack_grid",
+    "region_min_slack",
     "real_section",
     "section_contains",
     "region_to_json",
@@ -148,6 +151,8 @@ class _LeafTable:
     The ovals of a builder share their foci, so a point's distance to each
     focus is taken once, not once per oval.  ``nested`` holds the union's
     children that are not leaves, whose slack is taken from the node.
+    ``anchors`` and ``bounds`` may have a leading axis, one union per row,
+    that the points' own axis pairs with.
     """
 
     def __init__(self, anchors, first, second, bounds, kinds, nested: tuple = ()) -> None:
@@ -180,12 +185,14 @@ class _LeafTable:
             tuple(node for node in nodes if isinstance(node, _Combination)),
         )
 
-    def leaves(self) -> tuple:
-        """Leaf objects in row order, a point set for each point."""
+    def leaves(self, rows: slice = slice(None)) -> tuple:
+        """Leaf objects of ``rows``, all by default, in row order, a point set
+        for each point."""
         anchors = self.anchors.tolist()
         made: list[Region] = []
         for kind, a, b, bound in zip(
-            self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()
+            self.kinds[rows], self.first[rows].tolist(), self.second[rows].tolist(),
+            self.bounds[rows].tolist(),
         ):
             if kind == _DISK:
                 made.append(Disk(anchors[a], bound))
@@ -195,18 +202,34 @@ class _LeafTable:
                 made.append(PointSet((anchors[a],)))
         return tuple(made)
 
-    def slack(self, z):
+    def margins(self, z) -> np.ndarray:
+        """Each row's slack at each point of ``z``, along a trailing axis."""
         z = np.asarray(z)
-        reach = np.empty(z.shape + (len(self.anchors) + 1,))
+        reach = np.empty(z.shape + (self.anchors.shape[-1] + 1,))
         reach[..., -1] = 1.0
         _distance(z[..., None], self.anchors, reach[..., :-1])
         margin = reach[..., self.first]
         margin *= reach[..., self.second]
-        np.subtract(self.bounds, margin, out=margin)
-        slack = np.maximum.reduce(margin, axis=-1, initial=-np.inf)
+        return np.subtract(self.bounds, margin, out=margin)
+
+    def slack(self, z, margins=None):
+        """The union's slack at ``z``, from its rows' ``margins`` there if given."""
+        margins = self.margins(z) if margins is None else margins
+        slack = np.maximum.reduce(margins, axis=-1, initial=-np.inf)
         for node in self.nested:
             slack = np.maximum(slack, node.slack(z))
         return slack
+
+    def leaf_at(self, z: complex, slack, margins):
+        """The first leaf row whose slack at ``z``, ``margins``, is the
+        union's ``slack``, else the leaf of the first nested node at that
+        slack; None if none."""
+        if len(margins):
+            k = int(margins.argmax())  # the first largest, which a row at slack is
+            if margins[k] == slack:
+                return self.leaves(slice(k, k + 1))[0]
+        node = next((node for node in self.nested if node.slack(z) == slack), None)
+        return None if node is None else _min_slack(node, np.array([z]))[2]
 
     def section(self, tol: float) -> RealSection:
         """The union's real section: disks in closed form, points within
@@ -284,18 +307,26 @@ def _oval_sections(a, b, p, tol: float):
     products ``p``: each interval's oval, low and high end, then each
     isolated point's oval and value, as arrays."""
     a, b, p = a[:, None], b[:, None], p[:, None]
+    with np.errstate(over="ignore"):
+        apart = np.hypot(a.real - b.real, a.imag - b.imag)
+        s = 0.5 * (a.real + b.real)
+    if not np.isfinite(apart).all():
+        # the slack at a focus is then 0 * inf, which is NaN
+        raise ValueError("an oval's foci are too far apart to section: their distance "
+                         "is past the float range")
     feet = np.hstack([a.real, b.real])
     kept = p - np.hypot(feet - a.real, a.imag) * np.hypot(feet - b.real, b.imag) >= -tol
     live = np.flatnonzero(p != 0.0)
     a, b, p = a[live], b[live], p[live]
     # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
-    # oval, with y = (x - s) / scale measured from the centre so that no
-    # coefficient cancels against the foci's distance from the origin, and
-    # in units of the oval's size so that none overflows; scale is a power
+    # oval, with y = (x - s) / scale measured from the centre s (halved
+    # before the sum where the sum overflows) so that no coefficient cancels
+    # against the foci's distance from the origin, and in units of the
+    # oval's size (at most 2**1023) so that none overflows; scale is a power
     # of two, so dividing by it is exact
-    s = 0.5 * (a.real + b.real)
+    s = np.where(np.isfinite(s[live]), s[live], 0.5 * a.real + 0.5 * b.real)
     size = np.maximum(np.hypot(a.real - s, a.imag), np.hypot(b.real - s, b.imag))
-    scale = np.ldexp(1.0, np.frexp(np.maximum(size, np.sqrt(p)))[1])
+    scale = np.ldexp(1.0, np.minimum(np.frexp(np.maximum(size, np.sqrt(p)))[1], 1023))
     ur, ui, vr, vi = (a.real - s) / scale, a.imag / scale, (b.real - s) / scale, b.imag / scale
     p = p / scale / scale
     mu, mv = -2.0 * ur, -2.0 * vr
@@ -526,6 +557,98 @@ def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
     return region.slack(np.asarray(zs, dtype=complex))
 
 
+def region_min_slack(region: Region, points) -> tuple[float, complex, Region | None]:
+    """``region_slack_grid(region, points).min()`` bit for bit, the first
+    point that attains it and the leaf that attains it there (a disk, an
+    oval or a one-point PointSet; None in an empty union or intersection).
+
+    An intersection's minimum is the least of its children's, its leaf that
+    of its first child there; a union's leaf is its first row at its slack
+    (see :meth:`_LeafTable.leaf_at`).  Empty or non-finite points raise
+    ValueError.
+    """
+    z = np.ascontiguousarray(points, dtype=complex).reshape(-1)
+    if not (z.size and np.isfinite(z).all()):
+        raise ValueError("points must be nonempty and finite")
+    slack, at, leaf = _min_slack(region, z)
+    if slack == 0.0 and isinstance(region, RegionIntersection):
+        # a union's minimum is its grid's own; the least of an intersection's
+        # child minima can differ from its grid's in the sign of a zero,
+        # which numpy's reductions pick by array layout
+        slack = region.slack(z).min()
+    return float(slack), complex(z[at]), leaf
+
+
+def _min_slack(node: Region, z: np.ndarray) -> tuple:
+    """(slack, index of the point, leaf) of :func:`region_min_slack`."""
+    if isinstance(node, RegionIntersection):
+        if not node.children:
+            return -math.inf, 0, None
+        # bounds need every distance finite (below 2**1023): inf * 0 is a NaN
+        # slack, which no bound can prune
+        stack = node.__dict__.get("_stack")
+        if stack is not None and (np.abs(z.view(float)).max()
+                                  + np.abs(stack.anchors.view(float)).max() < 2.0**1022):
+            return _stacked_min_slack(node, z)
+        return min((_min_slack(child, z) for child in node.children),
+                   key=lambda m: (not math.isnan(m[0]), m[0], m[1]))  # NaN propagates
+    table = getattr(node, "_table", None) or _LeafTable.of((node,))
+    margins = table.margins(z)
+    slack = table.slack(z, margins)
+    at = int(slack.argmin())
+    return slack.min(), at, table.leaf_at(z[at], slack[at], margins[at])
+
+
+def _stacked_min_slack(node: "RegionIntersection", z: np.ndarray) -> tuple:
+    """Branch and bound over the (component, point) pairs of a builder's
+    intersection, each round a pass over those pairs' rows of its stacked
+    table.  A component's leaf with the largest bound gives at each point a
+    lower bound on its slack that rounds exactly like the row.  The first
+    round takes every component at the point of the least bound; each next
+    one the pairs whose bound is below the least slack found, or equal to it
+    where a tie would come first (an earlier point, or component).  Where
+    one pass over all pairs costs less than the bounds, it is the only round.
+    """
+    stack, lower = node._stack, None
+    anchors, first, second, bounds = stack.anchors, stack.first, stack.second, stack.bounds
+    n, count = bounds.shape
+    todo = np.zeros((n, len(z)), dtype=bool)
+    if n * len(z) * count <= _PASS_ROWS:
+        todo[:] = True
+    else:
+        rows, k = np.arange(n), bounds.argmax(axis=1)
+        reach = np.empty((2, n, len(z)))
+        _distance(z, anchors[rows, first[k], None], reach[0])
+        _distance(z, anchors[rows, second[k], None], reach[1])
+        reach[1, second[k] < 0] = 1.0
+        lower = bounds[rows, k, None] - reach[0] * reach[1]
+        todo[:, np.unravel_index(lower.argmin(), lower.shape)[1]] = True
+    done, found, step = np.zeros_like(todo), (math.inf, 0, 0, None), max(1, _PASS_ROWS // count)
+    while todo.any():
+        before = found[:3]
+        points, comps = np.nonzero(todo.T)  # by point, then component
+        for lo in range(0, len(comps), step):
+            p, c = points[lo : lo + step], comps[lo : lo + step]
+            table = _LeafTable(anchors[c], first, second, bounds[c], stack.kinds)
+            margins = table.margins(z[p])
+            slack = table.slack(z[p], margins)
+            j = int(slack.argmin())  # the first least: the least point, then component
+            found = min(found, (slack[j], int(p[j]), int(c[j]), margins[j]), key=lambda f: f[:3])
+        done |= todo
+        if lower is None or found[:3] == before:
+            break  # no pair left could come first
+        best, at, i = found[:3]
+        ahead = np.arange(len(z)) < at + (rows < i)[:, None]
+        todo = ~done & ((lower < best) | (lower == best) & ahead)
+    best, at, i, margins = found
+    return best, at, node.children[i]._table.leaf_at(z[at], best, margins)
+
+
+# rows of the stacked table in one pass: so many pairs are evaluated at
+# once, and that many rows in all without bounds
+_PASS_ROWS = 2**14
+
+
 def real_section(region: Region, tol: float = 1e-9) -> RealSection:
     """The region's intersection with the real axis as intervals + points.
 
@@ -623,15 +746,19 @@ def _require_finite(*arrays) -> None:
                          "infinite entry or its row sums overflow")
 
 
-def _deflated_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disk centres and radii of every deflation, shape (n, n - 1) each.
+@functools.lru_cache(maxsize=1)
+def _deflated_leaves(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disk centres and radii of every deflation of the complex n x n matrix
+    with bytes ``data``: read-only, shape (n, n - 1) each.
 
     Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
     and the radius ``sum over l not in {i, k} of |a_kl - a_il|``.  The sum
     runs left to right over l, with the skipped terms added as +0.0, so it
-    rounds exactly like Python's ``sum`` over the same terms.
+    rounds exactly like Python's ``sum`` over the same terms.  The last
+    matrix's table is kept, so both row-sum builders of one matrix build it
+    once.
     """
-    n = a.shape[0]
+    a = np.frombuffer(data, dtype=complex).reshape(n, n)
     radii = np.zeros((n, n))
     term = np.empty((n, n))
     for l in range(n):
@@ -641,7 +768,10 @@ def _deflated_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         radii += term
     centers = a.diagonal()[None, :] - a
     off = ~np.eye(n, dtype=bool)
-    return centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
+    table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _deflation_components(anchors, first, second, bounds, kind: int, gamma: complex):
@@ -653,10 +783,13 @@ def _deflation_components(anchors, first, second, bounds, kind: int, gamma: comp
     bounds = np.column_stack([bounds, np.full(n, -0.0)])
     first, second = np.append(first, count), np.append(second, -1)
     kinds = (kind,) * (len(first) - 1) + (_POINT,)
-    return RegionIntersection(tuple(
+    region = RegionIntersection(tuple(
         RegionUnion._from_table(_LeafTable(anchors[i], first, second, bounds[i], kinds))
         for i in range(n)
     ))
+    # the components' tables stacked, one row each, for region_min_slack
+    object.__setattr__(region, "_stack", _LeafTable(anchors, first, second, bounds, kinds))
+    return region
 
 
 def gersgorin_region(matrix) -> RegionUnion:
@@ -695,7 +828,7 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 2:
         raise RegionUnavailable("the deflated disk region needs dimension >= 2")
-    centers, radii = _deflated_leaves(a)
+    centers, radii = _deflated_leaves(a.tobytes(), n)
     _require_finite(centers, radii, gamma)
     return _deflation_components(
         centers, np.arange(n - 1), np.full(n - 1, -1), radii, _DISK, gamma
@@ -714,7 +847,7 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 3:
         raise RegionUnavailable("the deflated oval region needs dimension >= 3")
-    centers, radii = _deflated_leaves(a)
+    centers, radii = _deflated_leaves(a.tobytes(), n)
     j, k = np.triu_indices(n - 1, 1)  # the pairs in the order of combinations()
     products = radii[:, j] * radii[:, k]
     _require_finite(centers, products, gamma)

@@ -292,7 +292,10 @@ class TestBadInputExitCodes:
         assert main(argv + ["--edges", str(path)]) == 1
         assert "integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["a:b:c:d", "0:1:0", "0:0:0:0", "1:0:1:0", "0:inf:0:1"])
+    @pytest.mark.parametrize(
+        "window", ["a:b:c:d", "0:1:0", "0:0:0:0", "1:0:1:0", "0:inf:0:1", "-1e308:1e308:-1:1",
+                   "0:1:-1e308:1e308"]
+    )
     def test_bad_svg_window_exits_1(self, window, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(matrix_to_json(ROWSUM_3X3))
@@ -301,6 +304,19 @@ class TestBadInputExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("window", [[], ["--window=-1e308:1e308:-1:1"]],
+                             ids=["automatic", "given"])
+    def test_svg_window_past_the_float_range_exits_1(self, window, tmp_path, capsys):
+        # once: the automatic window's width overflowed to inf, the scale was
+        # 0 and every disk and marker was drawn at cx="nan", with exit 0
+        path = tmp_path / "huge.json"
+        path.write_text(matrix_to_json(np.array([[1e308, 1.0], [1.0, -1e308]])))
+        argv = ["regions", "--matrix-file", str(path), "--method", "gersgorin", "--emit", "svg"]
+        assert main(argv + window) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: window") and "width" in captured.err
+        assert "nan" not in captured.out and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv", [["verify"], ["regions", "--method", "gersgorin", "--emit", "svg"]],
@@ -532,7 +548,8 @@ def test_console_entry_point_end_to_end(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "window", [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0)]
+    "window", [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0),
+               (-1e308, 1e308, -1.0, 1.0)]
 )
 def test_svg_rejects_bad_window(window):
     # (0, 0, 0, 0) once divided by zero and (1, 0, 1, 0) drew negative radii

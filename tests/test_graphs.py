@@ -128,6 +128,28 @@ class TestParsing:
         with pytest.raises(ValueError, match="from_edges"):
             Graph(n, frozenset(edges))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (1, 4)),
+         [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)],
+         [[1, 4], [1, 5], [2, 4], [2, 5], [3, 4], [3, 5]]],
+        ids=["repeated-pair", "list", "list-of-lists"],
+    )
+    def test_raw_constructor_stores_a_frozenset(self, edges):
+        # once: a repeated pair counted twice in m, so Thm3.4 bounded the
+        # lambda_2 of K_{3,2} (which is 0) by [0.577, 1.155], and a list made
+        # bounds_report raise TypeError from its cache
+        from eigenloc.bounds import bounds_report
+
+        g, want = Graph(5, edges), complete_bipartite(3, 2)
+        assert isinstance(g.edges, frozenset) and g.edges == want.edges
+        assert (g.m, g, hash(g), graph_to_json(g)) == (want.m, want, hash(want), graph_to_json(want))
+        for kind in GraphMatrixKind:
+            assert bounds_report(g, kind) == bounds_report(want, kind)
+        thm34 = [b for b in bounds_report(g, GraphMatrixKind.ADJACENCY).bounds if b.theorem == "Thm3.4"]
+        assert [(b.lower, b.upper) for b in thm34] == [(0.0, 0.0)]
+        assert bounds_report(Graph(3, [(1, 2), (2, 3)]), GraphMatrixKind.LAPLACIAN).bounds
+
 
 class TestFamilies:
     def test_complete_edge_count(self):

@@ -5,11 +5,13 @@ import json
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigenloc.regions
 from eigenloc.graphs import GraphMatrixKind, build_matrix, circulant, complete, cycle, petersen
 from eigenloc.oracle import charpoly, complex_eigenvalues, symmetric_eigenvalues
 from eigenloc.regions import (
@@ -20,6 +22,8 @@ from eigenloc.regions import (
     RegionIntersection,
     RegionUnavailable,
     RegionUnion,
+    _deflated_leaves,
+    _deflation_components,
     _normalized_section,
     brauer_region,
     constant_row_sum,
@@ -31,6 +35,7 @@ from eigenloc.regions import (
     real_section,
     region_contains,
     region_from_json,
+    region_min_slack,
     region_slack,
     region_slack_grid,
     region_to_json,
@@ -398,6 +403,16 @@ class TestRealSection:
         ((lo, hi),) = real_section(CassiniOval(0.0j, 1.0 + 0.0j, 1e200)).intervals
         assert lo <= 0.0 and 1.0 <= hi
         assert (lo, hi) == (pytest.approx(-1e100), pytest.approx(1e100))
+
+    def test_ovals_past_the_float_range(self):
+        # once: foci 2e308 apart sectioned to three NaN points, and a centre
+        # a.real + b.real past the float range raised LinAlgError after four
+        # numpy warnings (both errors here, as RuntimeWarning is one)
+        with pytest.raises(ValueError, match="too far apart"):
+            real_section(CassiniOval(1e308 + 0.0j, -1e308 + 0.0j, 1.0))
+        section = real_section(CassiniOval(9e307 + 0.0j, 9.5e307 + 0.0j, 1.0))
+        assert section == RealSection((), (9e307, 9.5e307))
+        assert real_section(CassiniOval(1e308j, 0.0j, 1.0)) == RealSection((), (0.0,))
 
     def test_small_lobe_off_centre_keeps_its_width(self):
         # the roots near 1 are 4e-8 apart, closer than np.roots resolves
@@ -879,3 +894,239 @@ def test_stacked_region_sections_match_the_leaf_loop_bit_for_bit(builder):
     for _ in range(40):
         region = random_region(rng)
         assert _bitwise(real_section(region)) == _bitwise(_reference_section(region))
+
+
+# ---------------------------------------------------------------------------
+# region_min_slack against the full grid and a per-leaf reference
+
+
+def _reference_leaf_slack(leaf, w: complex) -> float:
+    # each leaf's inequality in Python arithmetic: abs(complex) rounds like
+    # np.hypot, and a point's slack is -0.0 less its distance
+    if isinstance(leaf, Disk):
+        return leaf.radius - abs(w - leaf.center)
+    if isinstance(leaf, CassiniOval):
+        return leaf.radius_product - abs(w - leaf.focus_a) * abs(w - leaf.focus_b)
+    (point,) = leaf.points
+    return -0.0 - abs(w - point)
+
+
+def _reference_leaf(node, w: complex, slack: float):
+    """The first leaf of ``node`` with ``slack`` at ``w``: an intersection's
+    first child at that slack; a union's first disk, oval or point, then its
+    first nested child at that slack."""
+    if isinstance(node, RegionIntersection):
+        for child in node.children:
+            if region_slack(child, w) == slack:
+                return _reference_leaf(child, w, slack)
+        return None
+    children = node.children if isinstance(node, RegionUnion) else (node,)
+    nested = [child for child in children if isinstance(child, (RegionUnion, RegionIntersection))]
+    for child in children:
+        if isinstance(child, PointSet):
+            rows = [PointSet((p,)) for p in child.points]
+        else:
+            rows = [] if child in nested else [child]
+        for leaf in rows:
+            if _reference_leaf_slack(leaf, w) == slack:
+                return leaf
+    for child in nested:
+        if region_slack(child, w) == slack:
+            return _reference_leaf(child, w, slack)
+    return None
+
+
+def _check_min_slack(region, points):
+    grid = region_slack_grid(region, points)
+    slack, point, leaf = region_min_slack(region, points)
+    want = grid.min()
+    assert np.float64(slack).tobytes() == want.tobytes(), (slack, want)
+    at = int(np.flatnonzero(grid == want)[0])
+    assert point == complex(np.asarray(points, dtype=complex)[at])
+    assert leaf == _reference_leaf(region, point, slack)
+    return slack, point, leaf
+
+
+def _with_ties(values):
+    # the values, and the values rounded, which lands graph spectra on
+    # integers and so on leaf boundaries and on gamma
+    values = np.asarray(values, dtype=complex)
+    return np.concatenate([values, np.round(values, 9)])
+
+
+@functools.cache
+def _atlas_matrices() -> tuple:
+    """(matrix, its eigenvalues with ties) of the three graph matrices of
+    every connected atlas graph on 2 to 7 vertices."""
+    from ._corpus import atlas_graphs
+
+    cases = []
+    for h, g in atlas_graphs():
+        if g.n >= 2 and nx.is_connected(h):
+            for kind in GraphMatrixKind:
+                a = build_matrix(g, kind)
+                cases.append((a, _with_ties(np.linalg.eigvalsh(a))))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_min_slack_on_atlas_graph_matrices(builder):
+    checked = 0
+    for a, points in _atlas_matrices():
+        try:
+            region = builder(a)
+        except RegionUnavailable:
+            continue
+        _check_min_slack(region, points)
+        checked += 1
+    assert checked >= 995
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_min_slack_on_random_matrices_and_their_json(builder):
+    rng = np.random.default_rng(84)
+    for n in range(2, 17):
+        for a in (
+            random_constant_rowsum_matrix(rng, n)[0],
+            rng.random((n, n)) + 1j * rng.random((n, n)),
+            rng.standard_normal((n, n)),
+            np.round(4.0 * rng.standard_normal((n, n))) - np.diag(np.full(n, 0.5)),
+        ):
+            a = a.copy()
+            if n > 2 and rng.random() < 0.5:
+                a[:, -1] += 1.5 - a.sum(axis=1)  # a constant row sum
+            try:
+                region = builder(a)
+            except RegionUnavailable:
+                continue
+            eigenvalues = np.linalg.eigvals(a)
+            scatter = rng.normal(size=(2, 8)) * (1.0 + np.abs(eigenvalues).max())
+            points = np.concatenate([_with_ties(eigenvalues), scatter[0] + 1j * scatter[1]])
+            built = _check_min_slack(region, points)
+            # the parsed tree takes the general path, to the same answer
+            assert _check_min_slack(region_from_json(region_to_json(region)), points) == built
+
+
+def test_branch_and_bound_visits_every_tie(monkeypatch):
+    # bound every pair, in passes of one pair
+    monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", 1)
+    # two equal components, each a disk of radius 2 at 0 and one of radius 1
+    # at 10: at 10 the larger disk's bound is loose, so the bounds start
+    # there, and the same least slack at 1, an earlier point with a tight
+    # bound, must still be visited
+    region = _deflation_components(
+        np.array([[0.0j, 10.0 + 0.0j]] * 2), np.arange(2), np.full(2, -1),
+        np.array([[2.0, 1.0]] * 2), 0, 100.0 + 0.0j,
+    )
+    assert region_min_slack(region, [10.0, 1.0]) == (1.0, 10.0 + 0.0j, Disk(10.0 + 0.0j, 1.0))
+    assert region_min_slack(region, [1.0, 10.0]) == (1.0, 1.0 + 0.0j, Disk(0.0j, 2.0))
+    # vertex-transitive graphs tie every component at every point
+    for g in (petersen(), circulant(12, (1, 3)), circulant(16, (1, 2, 5)), complete(6)):
+        for kind in GraphMatrixKind:
+            a = build_matrix(g, kind)
+            for builder in (rowsum_gersgorin_region, rowsum_brauer_region):
+                _check_min_slack(builder(a), _with_ties(np.linalg.eigvalsh(a)))
+    for a, points in _atlas_matrices()[::7]:
+        try:
+            region = rowsum_brauer_region(a)
+        except RegionUnavailable:
+            continue
+        _check_min_slack(region, points)
+
+
+def test_min_slack_on_hand_built_trees():
+    inner = RegionIntersection((Disk(0.5j, 1.0), Disk(-0.5j, 1.0)))
+    nested = RegionUnion(
+        (PointSet((2.0 + 0.0j, 3.0j)), CassiniOval(1.0 + 0.0j, -1.0 + 0.0j, 0.5), inner,
+         RegionUnion((Disk(4.0 + 0.0j, 0.25), PointSet(()))), Disk(-4.0 + 0.0j, 1.0))
+    )
+    trees = [
+        nested,
+        RegionIntersection((nested, RegionUnion((Disk(0.0j, 5.0), inner)))),
+        RegionIntersection((inner, RegionIntersection((Disk(0.0j, 2.0), nested)))),
+        RegionIntersection(()),
+        RegionUnion(()),
+        PointSet((1.0 + 0.0j, 2.0 + 0.0j)),
+        CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0),
+    ]
+    points = [
+        0.0j, 2.0 + 0.0j, 3.0j, 4.25 + 0.0j, 1.0 + 1.0j, 10.0 + 0.0j, -3.0 + 0.0j,
+        1.5j, 2.0 + 0.0j, 0.0j,  # on boundaries, and repeated
+    ]
+    for tree in trees:
+        for k in range(1, len(points) + 1):
+            _check_min_slack(tree, points[:k])
+    assert region_min_slack(RegionIntersection(()), [1.0, 2.0]) == (-math.inf, 1.0 + 0.0j, None)
+    assert region_min_slack(nested, [2.0])[2] == PointSet((2.0 + 0.0j,))
+    # at 0 the union's slack is the nested intersection's, a tie of its disks
+    assert region_min_slack(nested, [0.0j]) == (0.5, 0.0j, Disk(0.5j, 1.0))
+
+
+def test_min_slack_ties_at_gamma():
+    # K_4's adjacency: every deflated disk and oval is a point at -1, so each
+    # eigenvalue sits on a leaf, and gamma = 3 only on the point leaf, with
+    # slack -0.0; K_5's Laplacian has gamma = 0 and the eigenvalue 5 five
+    # times over
+    for a, points in (
+        (build_matrix(complete(4), GraphMatrixKind.ADJACENCY), [3.0, -1.0, -1.0, -1.0]),
+        (build_matrix(complete(4), GraphMatrixKind.ADJACENCY), [-1.0, 3.0, -1.0, 3.0]),
+        (build_matrix(complete(5), GraphMatrixKind.LAPLACIAN), [0.0, 5.0, 5.0, 5.0, 5.0]),
+        (build_matrix(cycle(8), GraphMatrixKind.ADJACENCY), [2.0, -2.0, 0.0, 2.0]),
+    ):
+        for builder in BUILDERS:
+            _check_min_slack(builder(a), points)
+    slack, point, leaf = region_min_slack(
+        rowsum_gersgorin_region(build_matrix(complete(4), GraphMatrixKind.ADJACENCY)), [3.0]
+    )
+    assert math.copysign(1.0, slack) == -1.0 and point == 3.0 and leaf == PointSet((3.0 + 0.0j,))
+
+
+@pytest.mark.parametrize("points", [[], np.array([]), [0.0, math.nan], [complex(0.0, math.nan)],
+                                    [math.inf], [1.0, -math.inf * 1j]])
+def test_min_slack_rejects_empty_or_non_finite_points(points):
+    region = rowsum_brauer_region(build_matrix(petersen(), GraphMatrixKind.LAPLACIAN))
+    for tree in (region, region_from_json(region_to_json(region)), Disk(0.0j, 1.0)):
+        with pytest.raises(ValueError):
+            region_min_slack(tree, points)
+
+
+def test_min_slack_of_far_points_takes_the_general_path():
+    # points and foci near 1e308: a distance can overflow, so no bound is
+    # taken and the answer is still the grid's
+    a = np.array([[1e307, 0.0, -1e307], [0.0, -1e307, 1e307], [0.0, 0.0, 0.0]]) + 0.0j
+    region = rowsum_brauer_region(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_min_slack(region, [1.5e308, -1e307, 0.0])
+
+
+def test_builders_share_one_deflation_table():
+    a = build_matrix(petersen(), GraphMatrixKind.LAPLACIAN)
+    _deflated_leaves.cache_clear()
+    rowsum_gersgorin_region(a)
+    rowsum_brauer_region(a)
+    info = _deflated_leaves.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    rowsum_brauer_region(build_matrix(cycle(10), GraphMatrixKind.LAPLACIAN))
+    assert _deflated_leaves.cache_info().misses == 2
+    centers, radii = _deflated_leaves(a.astype(complex).tobytes(), 10)
+    assert not centers.flags.writeable and not radii.flags.writeable
+    with pytest.raises(ValueError):
+        radii[0, 0] = 1.0
+
+
+def test_cached_deflation_table_builds_the_same_regions():
+    uncached = _deflated_leaves.__wrapped__
+    for a in _table_cases():
+        a = np.asarray(a, dtype=complex)
+        n = a.shape[0]
+        centers, radii = uncached(a.tobytes(), n)
+        j, k = np.triu_indices(n - 1, 1)
+        gamma = constant_row_sum(a)
+        want = (
+            _deflation_components(centers, np.arange(n - 1), np.full(n - 1, -1), radii, 0, gamma),
+            _deflation_components(centers, j, k, radii[:, j] * radii[:, k], 1, gamma),
+        )
+        for builder, region in zip((rowsum_gersgorin_region, rowsum_brauer_region), want):
+            _deflated_leaves.cache_clear()
+            assert builder(a).leaves() == region.leaves()
+            assert builder(a).leaves() == region.leaves()  # and from the cache
