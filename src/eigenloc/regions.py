@@ -17,11 +17,11 @@ Underneath the tree, each union keeps a leaf table: the parameters of its
 disks, ovals and points as arrays, so that its slack is one (points x
 leaves) numpy pass and an intersection's is one such pass per component,
 and an intersection sections the leaves of all its components at once.
-The four builders fill the tables with array arithmetic and make no leaf
-objects; a builder's union makes its ``children`` from its table when they
-are first read.  A row-sum builder's intersection also keeps its
-components' tables stacked, one component a row, which
-:func:`region_min_slack` bounds pair by pair (component, point).
+The four builders each fill one table with array arithmetic and make no
+node below the root: flat for a classical union, stacked by deflation row
+for a row-sum intersection, which :func:`region_min_slack` bounds pair by
+pair (component, point).  A builder's node makes its ``children`` from its
+table when they are first read.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class _LeafTable:
     The ovals of a builder share their foci, so a point's distance to each
     focus is taken once, not once per oval.  ``nested`` holds the union's
     children that are not leaves, whose slack is taken from the node.
-    ``anchors`` and ``bounds`` may have a leading axis, one union per row,
-    that the points' own axis pairs with.
+    ``anchors`` and ``bounds`` may have a leading axis, one union per row
+    (:meth:`row`), that the points' own axis pairs with.
     """
 
     def __init__(self, anchors, first, second, bounds, kinds, nested: tuple = ()) -> None:
@@ -184,6 +184,10 @@ class _LeafTable:
             kinds,
             tuple(node for node in nodes if isinstance(node, _Combination)),
         )
+
+    def row(self, i) -> "_LeafTable":
+        """Row ``i`` of a stacked table, of views; an index array, those rows."""
+        return _LeafTable(self.anchors[i], self.first, self.second, self.bounds[i], self.kinds)
 
     def leaves(self, rows: slice = slice(None)) -> tuple:
         """Leaf objects of ``rows``, all by default, in row order, a point set
@@ -388,7 +392,25 @@ class _Leaf:
 
 
 class _Combination:
-    """Union or intersection of ``children``; with no children it is empty."""
+    """Union or intersection of ``children``; with no children it is empty.
+    A builder's node makes ``children`` from its leaf table when first read."""
+
+    @classmethod
+    def _from_table(cls, table: _LeafTable):
+        node = object.__new__(cls)
+        object.__setattr__(node, "_table", table)
+        return node
+
+    def __getattr__(self, name: str):
+        # only reached when normal lookup fails: a table-made node's children,
+        # a union's leaves or an intersection's union of each row
+        if name != "children" or "_table" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = self._table
+        children = table.leaves() if table.bounds.ndim == 1 else tuple(
+            RegionUnion._from_table(table.row(i)) for i in range(len(table.bounds)))
+        self.__dict__["children"] = children
+        return children
 
     def leaves(self) -> tuple:
         return tuple(leaf for child in self.children for leaf in child.leaves())
@@ -465,27 +487,12 @@ class PointSet(_Leaf):
 class RegionUnion(_Combination):
     """Points in some child; slack is the largest child slack.
 
-    Slack and section come from the union's leaf table, made from
-    ``children``.  A builder's union starts from its table instead and makes
-    ``children`` from it when they are first read.
+    Slack and section come from the union's flat leaf table, made from
+    ``children`` or, for a builder's union, by the builder.
     """
 
     children: tuple["Region", ...]
     _op = "union"
-
-    @classmethod
-    def _from_table(cls, table: _LeafTable) -> "RegionUnion":
-        union = object.__new__(cls)
-        object.__setattr__(union, "_table", table)
-        return union
-
-    def __getattr__(self, name: str):
-        # only reached when normal lookup fails: a table-made union's children
-        if name != "children" or "_table" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        children = self._table.leaves()
-        object.__setattr__(self, "children", children)
-        return children
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", _LeafTable.of(self.children))
@@ -520,7 +527,8 @@ class RegionIntersection(_Combination):
         if not self.children:
             return RealSection((), ())
         # the children's tables, a union's own or one holding the child
-        tables = [getattr(c, "_table", None) or _LeafTable.of((c,)) for c in self.children]
+        tables = [c._table if isinstance(c, RegionUnion) else _LeafTable.of((c,))
+                  for c in self.children]
         return functools.reduce(
             functools.partial(self._section_op, tol=tol), _sections(tables, tol)
         )
@@ -582,14 +590,14 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
 def _min_slack(node: Region, z: np.ndarray) -> tuple:
     """(slack, index of the point, leaf) of :func:`region_min_slack`."""
     if isinstance(node, RegionIntersection):
+        # a builder's intersection, from its own table; bounds need every
+        # distance finite (below 2**1023)
+        table = node.__dict__.get("_table")
+        if table is not None and (np.abs(z.view(float)).max()
+                                  + np.abs(table.anchors.view(float)).max() < 2.0**1022):
+            return _stacked_min_slack(table, z)
         if not node.children:
             return -math.inf, 0, None
-        # bounds need every distance finite (below 2**1023): inf * 0 is a NaN
-        # slack, which no bound can prune
-        stack = node.__dict__.get("_stack")
-        if stack is not None and (np.abs(z.view(float)).max()
-                                  + np.abs(stack.anchors.view(float)).max() < 2.0**1022):
-            return _stacked_min_slack(node, z)
         return min((_min_slack(child, z) for child in node.children),
                    key=lambda m: (not math.isnan(m[0]), m[0], m[1]))  # NaN propagates
     table = getattr(node, "_table", None) or _LeafTable.of((node,))
@@ -599,18 +607,18 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
     return slack.min(), at, table.leaf_at(z[at], slack[at], margins[at])
 
 
-def _stacked_min_slack(node: "RegionIntersection", z: np.ndarray) -> tuple:
+def _stacked_min_slack(table: _LeafTable, z: np.ndarray) -> tuple:
     """Branch and bound over the (component, point) pairs of a builder's
     intersection, each round a pass over those pairs' rows of its stacked
-    table.  A component's leaf with the largest bound gives at each point a
-    lower bound on its slack that rounds exactly like the row.  The first
+    ``table``.  A component's leaf with the largest bound gives at each point
+    a lower bound on its slack that rounds exactly like the row.  The first
     round takes every component at the point of the least bound; each next
     one the pairs whose bound is below the least slack found, or equal to it
     where a tie would come first (an earlier point, or component).  Where
     one pass over all pairs costs less than the bounds, it is the only round.
     """
-    stack, lower = node._stack, None
-    anchors, first, second, bounds = stack.anchors, stack.first, stack.second, stack.bounds
+    lower = None
+    anchors, first, second, bounds = table.anchors, table.first, table.second, table.bounds
     n, count = bounds.shape
     todo = np.zeros((n, len(z)), dtype=bool)
     if n * len(z) * count <= _PASS_ROWS:
@@ -629,9 +637,9 @@ def _stacked_min_slack(node: "RegionIntersection", z: np.ndarray) -> tuple:
         points, comps = np.nonzero(todo.T)  # by point, then component
         for lo in range(0, len(comps), step):
             p, c = points[lo : lo + step], comps[lo : lo + step]
-            table = _LeafTable(anchors[c], first, second, bounds[c], stack.kinds)
-            margins = table.margins(z[p])
-            slack = table.slack(z[p], margins)
+            part = table.row(c)
+            margins = part.margins(z[p])
+            slack = part.slack(z[p], margins)
             j = int(slack.argmin())  # the first least: the least point, then component
             found = min(found, (slack[j], int(p[j]), int(c[j]), margins[j]), key=lambda f: f[:3])
         done |= todo
@@ -641,7 +649,7 @@ def _stacked_min_slack(node: "RegionIntersection", z: np.ndarray) -> tuple:
         ahead = np.arange(len(z)) < at + (rows < i)[:, None]
         todo = ~done & ((lower < best) | (lower == best) & ahead)
     best, at, i, margins = found
-    return best, at, node.children[i]._table.leaf_at(z[at], best, margins)
+    return best, at, table.row(i).leaf_at(z[at], best, margins)
 
 
 # rows of the stacked table in one pass: so many pairs are evaluated at
@@ -774,46 +782,40 @@ def _deflated_leaves(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _deflation_components(anchors, first, second, bounds, kind: int, gamma: complex):
-    """Intersection over i of the union of the leaves of one ``kind`` with row
-    i of ``anchors`` and ``bounds`` (``first`` and ``second`` are shared)
-    and the point gamma."""
-    n, count = anchors.shape
-    anchors = np.column_stack([anchors, np.full(n, gamma)])
-    bounds = np.column_stack([bounds, np.full(n, -0.0)])
-    first, second = np.append(first, count), np.append(second, -1)
-    kinds = (kind,) * (len(first) - 1) + (_POINT,)
-    region = RegionIntersection(tuple(
-        RegionUnion._from_table(_LeafTable(anchors[i], first, second, bounds[i], kinds))
-        for i in range(n)
+def _table_region(centers, radii, kind: int, gamma: complex | None = None):
+    """One leaf table's union of the disks (centre k, radius r_k) or the ovals
+    (foci j < k in the order of combinations(), radius product r_j r_k);
+    given gamma, the intersection over a leading deflation axis of those
+    unions, each with the point gamma."""
+    count = centers.shape[-1]
+    if kind == _DISK:
+        first, second, bounds = np.arange(count), np.full(count, -1), radii
+    else:
+        first, second = np.triu_indices(count, 1)
+        bounds = radii[..., first] * radii[..., second]
+    _require_finite(centers, bounds, *(() if gamma is None else (gamma,)))
+    kinds = (kind,) * len(first)
+    if gamma is None:
+        return RegionUnion._from_table(_LeafTable(centers, first, second, bounds, kinds))
+    return RegionIntersection._from_table(_LeafTable(
+        np.column_stack([centers, np.full(len(centers), gamma)]), np.append(first, count),
+        np.append(second, -1), np.column_stack([bounds, np.full(len(bounds), -0.0)]),
+        kinds + (_POINT,),
     ))
-    # the components' tables stacked, one row each, for region_min_slack
-    object.__setattr__(region, "_stack", _LeafTable(anchors, first, second, bounds, kinds))
-    return region
 
 
 def gersgorin_region(matrix) -> RegionUnion:
     """Union of the n disks centred at a_ii with radius r_i."""
     a = _as_matrix(matrix)
-    n = a.shape[0]
-    centers, radii = a.diagonal().copy(), deleted_row_sums(a)
-    _require_finite(centers, radii)
-    return RegionUnion._from_table(
-        _LeafTable(centers, np.arange(n), np.full(n, -1), radii, (_DISK,) * n)
-    )
+    return _table_region(a.diagonal().copy(), deleted_row_sums(a), _DISK)
 
 
 def brauer_region(matrix) -> RegionUnion:
     """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
     a = _as_matrix(matrix)
-    n = a.shape[0]
-    if n < 2:
+    if a.shape[0] < 2:
         raise RegionUnavailable("the oval region needs dimension >= 2")
-    foci, r = a.diagonal().copy(), deleted_row_sums(a)
-    i, j = np.triu_indices(n, 1)  # the pairs i < j in the order of combinations()
-    products = r[i] * r[j]
-    _require_finite(foci, products)
-    return RegionUnion._from_table(_LeafTable(foci, i, j, products, (_OVAL,) * len(i)))
+    return _table_region(a.diagonal().copy(), deleted_row_sums(a), _OVAL)
 
 
 def rowsum_gersgorin_region(matrix) -> RegionIntersection:
@@ -828,11 +830,7 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 2:
         raise RegionUnavailable("the deflated disk region needs dimension >= 2")
-    centers, radii = _deflated_leaves(a.tobytes(), n)
-    _require_finite(centers, radii, gamma)
-    return _deflation_components(
-        centers, np.arange(n - 1), np.full(n - 1, -1), radii, _DISK, gamma
-    )
+    return _table_region(*_deflated_leaves(a.tobytes(), n), _DISK, gamma)
 
 
 def rowsum_brauer_region(matrix) -> RegionIntersection:
@@ -847,11 +845,7 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     n = a.shape[0]
     if n < 3:
         raise RegionUnavailable("the deflated oval region needs dimension >= 3")
-    centers, radii = _deflated_leaves(a.tobytes(), n)
-    j, k = np.triu_indices(n - 1, 1)  # the pairs in the order of combinations()
-    products = radii[:, j] * radii[:, k]
-    _require_finite(centers, products, gamma)
-    return _deflation_components(centers, j, k, products, _OVAL, gamma)
+    return _table_region(*_deflated_leaves(a.tobytes(), n), _OVAL, gamma)
 
 
 # ---------------------------------------------------------------------------

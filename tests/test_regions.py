@@ -22,9 +22,11 @@ from eigenloc.regions import (
     RegionIntersection,
     RegionUnavailable,
     RegionUnion,
+    _DISK,
+    _OVAL,
     _deflated_leaves,
-    _deflation_components,
     _normalized_section,
+    _table_region,
     brauer_region,
     constant_row_sum,
     deflate,
@@ -1014,9 +1016,8 @@ def test_branch_and_bound_visits_every_tie(monkeypatch):
     # at 10: at 10 the larger disk's bound is loose, so the bounds start
     # there, and the same least slack at 1, an earlier point with a tight
     # bound, must still be visited
-    region = _deflation_components(
-        np.array([[0.0j, 10.0 + 0.0j]] * 2), np.arange(2), np.full(2, -1),
-        np.array([[2.0, 1.0]] * 2), 0, 100.0 + 0.0j,
+    region = _table_region(
+        np.array([[0.0j, 10.0 + 0.0j]] * 2), np.array([[2.0, 1.0]] * 2), _DISK, 100.0 + 0.0j
     )
     assert region_min_slack(region, [10.0, 1.0]) == (1.0, 10.0 + 0.0j, Disk(10.0 + 0.0j, 1.0))
     assert region_min_slack(region, [1.0, 10.0]) == (1.0, 1.0 + 0.0j, Disk(0.0j, 2.0))
@@ -1120,11 +1121,10 @@ def test_cached_deflation_table_builds_the_same_regions():
         a = np.asarray(a, dtype=complex)
         n = a.shape[0]
         centers, radii = uncached(a.tobytes(), n)
-        j, k = np.triu_indices(n - 1, 1)
         gamma = constant_row_sum(a)
         want = (
-            _deflation_components(centers, np.arange(n - 1), np.full(n - 1, -1), radii, 0, gamma),
-            _deflation_components(centers, j, k, radii[:, j] * radii[:, k], 1, gamma),
+            _table_region(centers, radii, _DISK, gamma),
+            _table_region(centers, radii, _OVAL, gamma),
         )
         for builder, region in zip((rowsum_gersgorin_region, rowsum_brauer_region), want):
             _deflated_leaves.cache_clear()
