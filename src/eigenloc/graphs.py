@@ -3,8 +3,7 @@
 Vertices are labelled 1..n in all public interfaces.  Graphs are immutable
 after construction and safe to share across threads.  Adjacency is stored
 as one integer bitmask per vertex, which keeps degree / common-neighbour
-queries exact and cheap even when a test corpus enumerates millions of
-small graphs.
+queries exact and cheap.
 """
 
 from __future__ import annotations
@@ -339,13 +338,17 @@ def generate(family: str, **params) -> Graph:
         circulant(n, connections=iterable of offsets)
         complete_minus_edge(n)
 
-    Raises ValueError for an unknown family, a missing parameter, a size
-    or offset that is not an integer, or invalid parameters.
+    Raises ValueError for an unknown family, a missing parameter or one the
+    family does not take, a size or offset that is not an integer, or
+    invalid parameters.
     """
     family = family.lower().replace("-", "_")
     if family not in _FAMILIES:
         raise ValueError(f"unknown graph family {family!r}")
     build, integers, others = _FAMILIES[family]
+    extra = sorted(set(params).difference(integers, others))
+    if extra:
+        raise ValueError(f"family {family!r} takes no parameter {extra[0]!r}")
     try:
         args = [_integer(params[name], name) for name in integers]
         args += [params[name] for name in others]

@@ -12,6 +12,8 @@ finite point sets under union/intersection.  Membership, signed slack and
 the intersection with the real axis are all computed from the parameters,
 never from a rasterisation.  Each node class owns its ``slack`` (one numpy
 path for a point or an array of points), ``section`` and ``to_json``.
+No oval's foci are so far apart that their distance overflows, so the
+slack of a finite point is never NaN.
 
 Underneath the tree, each union keeps a leaf table: the parameters of its
 disks, ovals and points as arrays, so that its slack is one (points x
@@ -120,16 +122,21 @@ def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|z - c| into ``out``, as np.hypot of the parts, which rounds like
     Python's abs(complex) (numpy's complex abs may not).  Where every
     imaginary part of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0)
-    is |x|, C99 Annex F), so the far slower hypot is skipped."""
-    dx = z.real - c.real
-    dy = z.imag - c.imag
-    if np.count_nonzero(dy):
-        return np.hypot(dx, dy, out=out)
-    return np.abs(dx, out=out)
+    is |x|, C99 Annex F), so the far slower hypot is skipped.  A distance
+    past the float range is inf."""
+    with np.errstate(over="ignore"):
+        dx = z.real - c.real
+        dy = z.imag - c.imag
+        if np.count_nonzero(dy):
+            return np.hypot(dx, dy, out=out)
+        return np.abs(dx, out=out)
 
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
+
+
+_TOO_FAR = "an oval's foci are too far apart: their distance is past the float range"
 
 
 _DISK, _OVAL, _POINT = 0, 1, 2
@@ -312,12 +319,7 @@ def _oval_sections(a, b, p, tol: float):
     isolated point's oval and value, as arrays."""
     a, b, p = a[:, None], b[:, None], p[:, None]
     with np.errstate(over="ignore"):
-        apart = np.hypot(a.real - b.real, a.imag - b.imag)
         s = 0.5 * (a.real + b.real)
-    if not np.isfinite(apart).all():
-        # the slack at a focus is then 0 * inf, which is NaN
-        raise ValueError("an oval's foci are too far apart to section: their distance "
-                         "is past the float range")
     feet = np.hstack([a.real, b.real])
     kept = p - np.hypot(feet - a.real, a.imag) * np.hypot(feet - b.real, b.imag) >= -tol
     live = np.flatnonzero(p != 0.0)
@@ -455,6 +457,9 @@ class CassiniOval(_Leaf):
             )
         if not (cmath.isfinite(self.focus_a) and cmath.isfinite(self.focus_b)):
             raise ValueError(f"oval foci must be finite, got {self.focus_a}, {self.focus_b}")
+        d = self.focus_a - self.focus_b
+        if math.hypot(d.real, d.imag) == math.inf:
+            raise ValueError(_TOO_FAR)
 
     def to_json(self) -> dict:
         oval = {"a": _pair(self.focus_a), "b": _pair(self.focus_b), "p": self.radius_product}
@@ -794,6 +799,11 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
         first, second = np.triu_indices(count, 1)
         bounds = radii[..., first] * radii[..., second]
     _require_finite(centers, bounds, *(() if gamma is None else (gamma,)))
+    # foci closer to the origin than 2**1021 are less than 2**1023 apart
+    if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
+        apart = _distance(centers[..., first], centers[..., second], np.empty(bounds.shape))
+        if not np.isfinite(apart).all():
+            raise ValueError(_TOO_FAR)
     kinds = (kind,) * len(first)
     if gamma is None:
         return RegionUnion._from_table(_LeafTable(centers, first, second, bounds, kinds))

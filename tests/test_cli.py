@@ -283,6 +283,20 @@ class TestBadInputExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
 
+    def test_far_apart_oval_foci_print_only_the_error(self, tmp_path):
+        # once two numpy warnings and a false "FAIL brauer spectrum slack=nan"
+        path = tmp_path / "far.json"
+        path.write_text(matrix_to_json(np.diag([1e308, -1e308])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenloc.cli", "verify", "--matrix-file", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "too far apart" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv", [["bounds", "--matrix", "adjacency"], ["verify"]], ids=["bounds", "verify"]
     )
@@ -444,6 +458,9 @@ EXIT_CODES = [
     (["verify", "--matrix-file", "{dir}/huge.json"], 1, False),
     (["verify", "--family", "petersen", "--scope", "gamma"], 1, False),
     (["verify", "--matrix-file", "{dir}/free.json", "--scope", "Thm3.1"], 1, False),
+    (["bounds", "--family", "petersen", "--n", "3", "--matrix", "adjacency"], 1, False),
+    (["verify", "--family", "petersen", "--n", "3"], 1, False),
+    (["verify", "--family", "cycle", "--n", "5", "--connections", "1,2"], 1, False),
 ]
 
 
@@ -453,7 +470,9 @@ EXIT_CODES = [
     ids=["missing-file", "bad-json", "unknown-family", "bad-sweep-spec", "regions-out",
          "sweep-out", "brauer-1x1", "rowsum-gersgorin-1x1", "rowsum-brauer-2x2",
          "no-row-sum", "bounds-value-error", "unknown-scope", "tol-nan",
-         "eigenvalue-overflow", "graph-scope-selects-nothing", "matrix-scope-selects-nothing"],
+         "eigenvalue-overflow", "graph-scope-selects-nothing", "matrix-scope-selects-nothing",
+         "bounds-family-extra-parameter", "verify-family-extra-parameter",
+         "connections-not-taken"],
 )
 def test_exit_code_contract(argv, code, broken_bounds, tmp_path, capsys, monkeypatch):
     matrices = {"one": [[2.0]], "two": [[1.0, 1.0], [0.0, 2.0]], "free": np.diag([1.0, 2.0, 3.0]),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eigenloc.graphs import (
+    FAMILY_NAMES,
     MAX_VERTICES,
     Graph,
     GraphMatrixKind,
@@ -194,6 +195,21 @@ class TestFamilies:
             generate("Hypercube", n=3)
         with pytest.raises(ValueError, match="^family 'complete_bipartite' is missing parameter 'q'$"):
             generate("complete-bipartite", p=2)
+        with pytest.raises(ValueError, match="^family 'petersen' takes no parameter 'n'$"):
+            generate("petersen", n=3)
+        with pytest.raises(ValueError, match="^family 'cycle' takes no parameter 'connections'$"):
+            generate("cycle", n=5, connections=[1, 2])
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_generate_rejects_parameters_the_family_does_not_take(self, family):
+        # they were ignored, so that petersen with n = 3 was the Petersen graph
+        taken = {"complete_bipartite": {"p": 2, "q": 3}, "petersen": {},
+                 "circulant": {"n": 8, "connections": [1, 2]}}.get(family, {"n": 5})
+        generate(family, **taken)
+        for name, value in {"n": 5, "p": 2, "q": 3, "connections": [1, 2], "size": 4}.items():
+            if name not in taken:
+                with pytest.raises(ValueError, match=f"^family '{family}' takes no parameter '{name}'$"):
+                    generate(family, **taken, **{name: value})
 
     @pytest.mark.parametrize("bad", [2.5, 1.9, True, "5", float("nan")])
     def test_non_integers_rejected(self, bad):

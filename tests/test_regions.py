@@ -416,6 +416,28 @@ class TestRealSection:
         assert section == RealSection((), (9e307, 9.5e307))
         assert real_section(CassiniOval(1e308j, 0.0j, 1.0)) == RealSection((), (0.0,))
 
+    def test_ovals_whose_foci_are_too_far_apart_are_refused(self):
+        # their slack at a focus was 0 * inf, a NaN that no check could pass
+        with pytest.raises(ValueError, match="too far apart"):
+            CassiniOval(1e308 + 0.0j, -1e308 + 0.0j, 1.0)
+        with pytest.raises(ValueError, match="too far apart"):
+            CassiniOval(1.5e308 + 0.0j, 1.5e308j, 1.0)  # finite parts, a hypot past the range
+        with pytest.raises(ValueError, match="too far apart"):
+            brauer_region(np.diag([1e308, -1e308]))
+        with pytest.raises(ValueError, match="too far apart"):
+            region_from_json({"oval": {"a": [1e308, 0.0], "b": [-1e308, 0.0], "p": 1.0}})
+        with pytest.raises(ValueError, match="too far apart"):  # one row of a stacked table
+            _table_region(np.array([[0.0j, 1.0j], [1e308 + 0.0j, -1e308 + 0.0j]]),
+                          np.ones((2, 2)), _OVAL, 0.0j)
+        # foci near the float range that are a float distance apart, and disks
+        # at any distance, are kept, and a far point's slack is -inf
+        assert brauer_region(np.diag([1e308, 1.5e308])).leaves() == (
+            CassiniOval(1e308 + 0.0j, 1.5e308 + 0.0j, 0.0),)
+        disks = gersgorin_region(np.diag([1e308, -1e308]))
+        assert region_slack_grid(disks, [1e308, -1e308]).tolist() == [0.0, 0.0]
+        assert region_slack(Disk(1e308 + 0.0j, 1.0), -1e308) == -math.inf
+        assert region_slack(CassiniOval(1e308 + 0.0j, 1e308j, 1.0), -1e308) == -math.inf
+
     def test_small_lobe_off_centre_keeps_its_width(self):
         # the roots near 1 are 4e-8 apart, closer than np.roots resolves
         p = 2.0**-24
@@ -1130,3 +1152,44 @@ def test_cached_deflation_table_builds_the_same_regions():
             _deflated_leaves.cache_clear()
             assert builder(a).leaves() == region.leaves()
             assert builder(a).leaves() == region.leaves()  # and from the cache
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_check_region_makes_no_component_of_a_builders_region(builder):
+    # region_min_slack reads a builder's table; it makes no child node unless
+    # a zero least slack sends it to the grid
+    from eigenloc.cli import check_region
+
+    rng = np.random.default_rng(85)
+    for n in range(3, 9):
+        a, _ = random_constant_rowsum_matrix(rng, n)
+        region = builder(a)
+        assert check_region("region", region, np.linalg.eigvals(a), 1e-8).slack != 0.0
+        assert "children" not in region.__dict__
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_built_region_equals_the_node_made_from_its_children(builder):
+    for a in _table_cases():
+        want = real_section(builder(a))
+        region = builder(a)
+        rebuilt = type(region)(region.children)
+        assert rebuilt == region
+        assert region_to_json(rebuilt) == region_to_json(region)
+        assert _bitwise(real_section(rebuilt)) == _bitwise(want)
+
+
+def test_builders_regions_nested_in_hand_built_trees():
+    # a builder's intersection holds a stacked table, which a tree that nests
+    # it must not read as a union's
+    rng = np.random.default_rng(86)
+    for n in range(3, 8):
+        a, gamma = random_constant_rowsum_matrix(rng, n)
+        points = np.concatenate([np.linalg.eigvals(a), rng.normal(size=8) + 1j * rng.normal(size=8)])
+        for builder in BUILDERS:
+            region = builder(a)
+            for tree in (RegionIntersection((region, Disk(gamma, 1.0))),
+                         RegionUnion((Disk(gamma, 0.5), region)),
+                         RegionIntersection((RegionUnion((region,)), region))):
+                assert _bitwise(real_section(tree)) == _bitwise(_reference_section(tree))
+                _check_min_slack(tree, points)
