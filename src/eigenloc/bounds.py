@@ -9,14 +9,16 @@ the report JSON, the CSV output and the verify scope filters all share.
 
 One registry maps each tag to its matrix kind, its targets, its structural
 preconditions (connected, regular, bipartite, biregular, dominating vertex,
-read from :func:`eigenloc.graphs.classify`), its minimum n and its theorem
-function.  Each precondition carries its skip reason and its assumption
-label, so a theorem function computes only the ends of its intervals.
-:func:`bounds_report` runs every applicable theorem of the registry for a
-(graph, matrix kind) pair and records the rest as skipped with the first
-failing precondition as the reason.  A theorem function called directly on
-a graph it does not apply to raises ``ValueError("<tag>: <skip reason>")``,
-e.g. ``"Thm3.1: not regular"``.
+read from the graph's own ``structure`` report, which it makes once), its
+minimum n and its theorem function.  Each precondition carries its skip
+reason and its assumption label, so a theorem function computes only the
+ends of its intervals.  Every theorem function takes only the graph (and
+Thm5.4 its ``mode``): the hypotheses are facts of that graph, so no caller
+can hand it another graph's report.  :func:`bounds_report` runs every
+applicable theorem of the registry for a (graph, matrix kind) pair and
+records the rest as skipped with the first failing precondition as the
+reason.  A theorem function called directly on a graph it does not apply to
+raises ``ValueError("<tag>: <skip reason>")``, e.g. ``"Thm3.1: not regular"``.
 
 The paper's bounds are a few formulas applied several times: Thm3.1 and
 Thm4.1 are one deflated two-trace bound, Thm3.4, Cor3.6 and Thm4.3 one
@@ -34,14 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    GraphMatrixKind,
-    StructureReport,
-    _exact_randic_index,
-    classify,
-    degrees,
-)
+from .graphs import Graph, GraphMatrixKind, _exact_randic_index, degrees
 
 __all__ = [
     "TraceStats",
@@ -164,34 +159,33 @@ def _clamped_sqrt(radicand: float, theorem: str) -> float:
     return math.sqrt(radicand)
 
 
-def _skip_reason(tag: str, rep: StructureReport, n: int) -> str | None:
-    """The first failing precondition of theorem ``tag``, or None when it applies."""
+def _skip_reason(tag: str, g: Graph) -> str | None:
+    """The first failing precondition of theorem ``tag`` on ``g``, or None when it applies."""
     _, _, preconditions, min_n, _ = _REGISTRY[tag]
     for name in preconditions:
         holds, reason, _ = _PRECONDITIONS[name]
-        if not holds(rep):
+        if not holds(g.structure):
             return reason
-    return None if n >= min_n else f"needs n >= {min_n}"
+    return None if g.n >= min_n else f"needs n >= {min_n}"
 
 
-def _checked(tag: str, g: Graph, rep: StructureReport | None) -> StructureReport:
-    """Classify ``g`` if needed; raise ValueError("<tag>: <skip reason>") unless ``tag`` applies."""
-    rep = rep if rep is not None else classify(g)
-    reason = _skip_reason(tag, rep, g.n)
+def _checked(tag: str, g: Graph) -> None:
+    """Raise ValueError("<tag>: <skip reason>") unless ``tag`` applies to ``g``,
+    as its own ``structure`` report says."""
+    reason = _skip_reason(tag, g)
     if reason is not None:
         raise ValueError(f"{tag}: {reason}")
-    return rep
 
 
 def _intervals(
-    tag: str, rep: StructureReport, *ends: tuple[float, float], extra: tuple[str, ...] = ()
+    tag: str, g: Graph, *ends: tuple[float, float], extra: tuple[str, ...] = ()
 ) -> list[BoundInterval]:
     """``tag``'s intervals: one (lower, upper) pair per registry target, or one for all.
 
-    The assumptions are the labels of the theorem's preconditions, then ``extra``.
+    The assumptions are the labels of the theorem's preconditions on ``g``, then ``extra``.
     """
     _, targets, preconditions, _, _ = _REGISTRY[tag]
-    assumptions = tuple(_PRECONDITIONS[name][2](rep) for name in preconditions) + extra
+    assumptions = tuple(_PRECONDITIONS[name][2](g.structure) for name in preconditions) + extra
     if len(ends) == 1:
         ends *= len(targets)
     return [
@@ -233,29 +227,25 @@ def trace_bounds(
     return stats, top, bottom
 
 
-def _deflated_trace(
-    tag: str, g: Graph, rep: StructureReport, base: float, radicand: float
-) -> list[BoundInterval]:
+def _deflated_trace(tag: str, g: Graph, base: float, radicand: float) -> list[BoundInterval]:
     """Thm3.1 and Thm4.1: lambda_2, lambda_n from the deflated mean and (n-1)^2 times its variance."""
     n = g.n
     wide = _clamped_sqrt((n - 2.0) * radicand, tag) / (n - 1.0)
     narrow = _clamped_sqrt(radicand / (n - 2.0), tag) / (n - 1.0)
-    return _intervals(tag, rep, (base + narrow, base + wide), (base - wide, base - narrow))
+    return _intervals(tag, g, (base + narrow, base + wide), (base - wide, base - narrow))
 
 
-def _bipartite_lambda2(
-    tag: str, g: Graph, rep: StructureReport, excess: float
-) -> list[BoundInterval]:
+def _bipartite_lambda2(tag: str, g: Graph, excess: float) -> list[BoundInterval]:
     """Thm3.4, Cor3.6 and Thm4.3: lambda_2 of a bipartite graph from its excess, m - cd or R_{-1} - 1."""
     n = g.n
     lo = _clamped_sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)), tag)
     hi = _clamped_sqrt(2.0 * (n - 3.0) * excess / (n - 2.0), tag)
-    return _intervals(tag, rep, (lo, hi))
+    return _intervals(tag, g, (lo, hi))
 
 
-def _degrees_but_dominating(g: Graph, rep: StructureReport) -> tuple[int, ...]:
+def _degrees_but_dominating(g: Graph) -> tuple[int, ...]:
     """Degrees of all but the first dominating vertex; all have degree n - 1, so any gives the same."""
-    i = rep.dominating[0]
+    i = g.structure.dominating[0]
     return g.degree_sequence[: i - 1] + g.degree_sequence[i:]
 
 
@@ -263,30 +253,24 @@ def _degrees_but_dominating(g: Graph, rep: StructureReport) -> tuple[int, ...]:
 # adjacency matrix of regular / biregular graphs
 
 
-def regular_adjacency_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def regular_adjacency_bounds(g: Graph) -> list[BoundInterval]:
     """Two-trace intervals for lambda_2 and lambda_n of a connected regular graph."""
-    rep = _checked("Thm3.1", g, rep)
-    n, d = g.n, rep.regular
-    return _deflated_trace("Thm3.1", g, rep, -d / (n - 1.0), n * d * (n - d - 1))
+    _checked("Thm3.1", g)
+    n, d = g.n, g.structure.regular
+    return _deflated_trace("Thm3.1", g, -d / (n - 1.0), n * d * (n - d - 1))
 
 
-def biregular_bipartite_lambda2_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def biregular_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     """lambda_2 interval for a connected (c,d)-biregular bipartite graph."""
-    rep = _checked("Thm3.4", g, rep)
-    c, d = rep.biregular
-    return _bipartite_lambda2("Thm3.4", g, rep, g.m - c * d)
+    _checked("Thm3.4", g)
+    c, d = g.structure.biregular
+    return _bipartite_lambda2("Thm3.4", g, g.m - c * d)
 
 
-def regular_bipartite_lambda2_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def regular_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     """lambda_2 interval for a connected d-regular bipartite graph: Thm3.4 at c = d."""
-    rep = _checked("Cor3.6", g, rep)
-    return _bipartite_lambda2("Cor3.6", g, rep, g.m - rep.regular**2)
+    _checked("Cor3.6", g)
+    return _bipartite_lambda2("Cor3.6", g, g.m - g.structure.regular**2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -294,14 +278,13 @@ def _common_neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(adj, common, other): read-only int64 (n, n - 1) arrays over the pairs k != i.
 
     Row i - 1 holds, for the other vertices k in increasing order, k - 1,
-    [k ~ i] and N(i,k) = |N(i) & N(k)|, read off the float product A·A
-    (exact below 2^53).  The last graph's table is kept, so the theorems of
-    one report, or of reports on an equal graph, build it once.
+    [k ~ i] and N(i,k) = |N(i) & N(k)|, read off ``g.adjacency`` and the
+    float product A·A (exact below 2^53).  The last graph's table is kept,
+    so the theorems of one report, or of reports on an equal graph (such as
+    a sweep's requests for one graph), build it once.
     """
     n = g.n
-    a = np.zeros((n, n))
-    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T - 1
-    a[u, v] = a[v, u] = 1.0
+    a = g.adjacency
     off = ~np.eye(n, dtype=bool)
     table = tuple(
         full[off].reshape(n, n - 1).astype(np.int64)
@@ -312,9 +295,7 @@ def _common_neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return table
 
 
-def regular_common_neighbor_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """Common-neighbour disk bounds for a connected d-regular graph.
 
     Every deflated disk for deflation row i sits at -[k ~ i] with radius
@@ -325,18 +306,16 @@ def regular_common_neighbor_bounds(
     keeps the bound no worse than |lambda| <= d.  The chain
     L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both targets.
     """
-    rep = _checked("Thm3.7", g, rep)
-    d = rep.regular
+    _checked("Thm3.7", g)
+    d = g.structure.regular
     adj, common, _ = _common_neighbor_table(g)
     alpha = 2 * common + adj
     lower = -2.0 * d + max(int(alpha.min(axis=1).max()), d)
     upper = 2.0 * d - max(int((alpha + 2 * adj).min(axis=1).max()), d)
-    return _intervals("Thm3.7", rep, (lower, upper))
+    return _intervals("Thm3.7", g, (lower, upper))
 
 
-def regular_brauer_common_neighbor_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def regular_brauer_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """Common-neighbour oval bounds for a connected d-regular graph.
 
     For each deflation row i and pair {j, k} of the other vertices the
@@ -364,8 +343,8 @@ def regular_brauer_common_neighbor_bounds(
     rows or in none.  The roots see the pair loop's integers in its float
     order, and square roots round correctly, so the floats are identical.
     """
-    rep = _checked("Thm3.9", g, rep)
-    d, n = rep.regular, g.n
+    _checked("Thm3.9", g)
+    d, n = g.structure.regular, g.n
     adj, common, _ = _common_neighbor_table(g)
     # the two largest x (and y) of each row, the largest second
     x1, x2 = np.partition(np.where(adj == 1, d - common - 1, -1), (n - 3, n - 2), axis=1)[:, -2:].T
@@ -382,82 +361,72 @@ def regular_brauer_common_neighbor_bounds(
         betas.append(-0.5 + root)
     lower = float(np.min(alphas, axis=0).max())
     upper = float(np.max(betas, axis=0).min())
-    return _intervals("Thm3.9", rep, (lower, upper))
+    return _intervals("Thm3.9", g, (lower, upper))
 
 
 # ---------------------------------------------------------------------------
 # normalized adjacency matrix
 
 
-def normalized_trace_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def normalized_trace_bounds(g: Graph) -> list[BoundInterval]:
     """Two-trace intervals for lambda_2 and lambda_n of the normalized matrix.
 
     Driven by the exponent -1 connectivity index R: the deflated matrix has
     trace -1 and squared trace 2R - 1, so the spread radicand is
     2(n-1)R - n.
     """
-    rep = _checked("Thm4.1", g, rep)
+    _checked("Thm4.1", g)
     n = g.n
     rad = float(2 * (n - 1) * _exact_randic_index(g, -1) - n)
-    return _deflated_trace("Thm4.1", g, rep, -1.0 / (n - 1.0), rad)
+    return _deflated_trace("Thm4.1", g, -1.0 / (n - 1.0), rad)
 
 
-def normalized_bipartite_lambda2_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def normalized_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
-    rep = _checked("Thm4.3", g, rep)
-    return _bipartite_lambda2("Thm4.3", g, rep, float(_exact_randic_index(g, -1) - 1))
+    _checked("Thm4.3", g)
+    return _bipartite_lambda2("Thm4.3", g, float(_exact_randic_index(g, -1) - 1))
 
 
-def normalized_dominating_gersgorin_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def normalized_dominating_gersgorin_bounds(g: Graph) -> list[BoundInterval]:
     """Deflated-disk bounds, deflating at a dominating vertex i.
 
     With t the smallest 1/d_k + 2d_k/(n-1) over the other vertices k, both
     targets lie in [-2 - 2/(n-1) + t, 2 - t].
     """
-    rep = _checked("Thm4.4", g, rep)
+    _checked("Thm4.4", g)
     n = g.n
-    t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in _degrees_but_dominating(g, rep))
-    return _intervals("Thm4.4", rep, (-2.0 - 2.0 / (n - 1.0) + t, 2.0 - t))
+    t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in _degrees_but_dominating(g))
+    return _intervals("Thm4.4", g, (-2.0 - 2.0 / (n - 1.0) + t, 2.0 - t))
 
 
-def normalized_dominating_brauer_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def normalized_dominating_brauer_bounds(g: Graph) -> list[BoundInterval]:
     """Deflated-oval bounds, deflating at a dominating vertex.
 
     All ovals share the centre -1/(n-1); the half-width is the largest
     sqrt(rho_j * rho_k) over pairs of remaining vertices, where rho is the
     deflated deleted row sum 2 - 1/d - (2d-1)/(n-1) >= 0.
     """
-    rep = _checked("Thm4.5", g, rep)
+    _checked("Thm4.5", g)
     n = g.n
-    rest = _degrees_but_dominating(g, rep)
+    rest = _degrees_but_dominating(g)
     rho = sorted((max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) for d in rest), reverse=True)
     centre = -1.0 / (n - 1.0)
     half = math.sqrt(rho[0] * rho[1])
-    return _intervals("Thm4.5", rep, (centre - half, centre + half))
+    return _intervals("Thm4.5", g, (centre - half, centre + half))
 
 
 # ---------------------------------------------------------------------------
 # Laplacian matrix
 
 
-def laplacian_trace_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def laplacian_trace_bounds(g: Graph) -> list[BoundInterval]:
     """Two-trace intervals for lambda_1 and lambda_{n-1} of the Laplacian.
 
     The deflated matrix keeps trace sum(d) and squared trace
     sum(d^2) + sum(d), giving mean n*avg/(n-1) and spread radicand
     S = sum(d^2) + n*avg - (n*avg)^2/(n-1).
     """
-    rep = _checked("Thm5.2", g, rep)
+    _checked("Thm5.2", g)
     n = g.n
     prof = degrees(g)
     sum_d = float(sum(prof.degrees))
@@ -465,12 +434,10 @@ def laplacian_trace_bounds(
     spread = prof.sum_squares + sum_d - sum_d * sum_d / (n - 1.0)
     wide = _clamped_sqrt((n - 2.0) * spread / (n - 1.0), "Thm5.2")
     narrow = _clamped_sqrt(spread / ((n - 1.0) * (n - 2.0)), "Thm5.2")
-    return _intervals("Thm5.2", rep, (m + narrow, m + wide), (m - wide, m - narrow))
+    return _intervals("Thm5.2", g, (m + narrow, m + wide), (m - wide, m - narrow))
 
 
-def laplacian_common_neighbor_bounds(
-    g: Graph, rep: StructureReport | None = None
-) -> list[BoundInterval]:
+def laplacian_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """Common-neighbour disk bounds for the Laplacian of a connected graph.
 
     For deflation row i, the disk of row k is centred at d_k + [k ~ i]
@@ -485,17 +452,15 @@ def laplacian_common_neighbor_bounds(
     i of max over k for the upper: row reductions over the common-neighbour
     table, with d_k gathered through its ``other`` column.
     """
-    rep = _checked("Thm5.3", g, rep)
+    _checked("Thm5.3", g)
     adj, common, other = _common_neighbor_table(g)
     ds = np.array(g.degree_sequence, dtype=np.int64)
     lower = int((2 * common + adj - ds[:, None]).min(axis=1).max())
     upper = int((ds[:, None] + 2 * ds[other] - 2 * common - adj).max(axis=1).min())
-    return _intervals("Thm5.3", rep, (float(lower), float(upper)))
+    return _intervals("Thm5.3", g, (float(lower), float(upper)))
 
 
-def laplacian_dominating_brauer_bounds(
-    g: Graph, rep: StructureReport | None = None, mode: str = "published"
-) -> list[BoundInterval]:
+def laplacian_dominating_brauer_bounds(g: Graph, *, mode: str = "published") -> list[BoundInterval]:
     """Deflated-oval Laplacian bounds, deflating at a dominating vertex.
 
     The oval for the pair {j, k} of remaining vertices sections to
@@ -510,23 +475,24 @@ def laplacian_dominating_brauer_bounds(
     """
     if mode not in ("published", "corrected"):
         raise ValueError(f"mode must be 'published' or 'corrected', got {mode!r}")
-    rep = _checked("Thm5.4", g, rep)
+    _checked("Thm5.4", g)
     n = g.n
     offset = 0 if mode == "published" else 1
     lower = math.inf
     upper = -math.inf
-    for dj, dk in combinations(_degrees_but_dominating(g, rep), 2):
+    for dj, dk in combinations(_degrees_but_dominating(g), 2):
         disc = math.sqrt((dj - dk) ** 2 + 4.0 * (n - offset - dj) * (n - offset - dk))
         lower = min(lower, 0.5 * (dj + dk + 2.0 - disc))
         upper = max(upper, 0.5 * (dj + dk + 2.0 + disc))
-    return _intervals("Thm5.4", rep, (lower, upper), extra=(mode,))
+    return _intervals("Thm5.4", g, (lower, upper), extra=(mode,))
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 
-def graph_summary(g: Graph, rep: StructureReport) -> dict:
+def graph_summary(g: Graph) -> dict:
+    rep = g.structure
     return {
         "n": g.n,
         "m": g.m,
@@ -547,19 +513,18 @@ def bounds_report(
     precondition as the reason.  Intervals are intersected per target into
     a combined best interval; skips are data, not errors.
     """
-    rep = classify(g)
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []
     for tag, (tag_kind, _, _, _, name) in _REGISTRY.items():
         if tag_kind != kind:
             continue
-        reason = _skip_reason(tag, rep, g.n)
+        reason = _skip_reason(tag, g)
         if reason is not None:
             skipped.append((tag, reason))
         elif tag == "Thm5.4":
-            bounds.extend(globals()[name](g, rep, mode=mode))
+            bounds.extend(globals()[name](g, mode=mode))
         else:
-            bounds.extend(globals()[name](g, rep))
+            bounds.extend(globals()[name](g))
     by_target: dict[str, list[BoundInterval]] = {}
     for b in bounds:
         by_target.setdefault(b.target, []).append(b)
@@ -574,7 +539,7 @@ def bounds_report(
         for target, items in sorted(by_target.items())
     )
     return BoundReport(
-        graph_summary=graph_summary(g, rep),
+        graph_summary=graph_summary(g),
         matrix_kind=kind.value,
         mode=mode,
         bounds=tuple(bounds),

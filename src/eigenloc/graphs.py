@@ -8,6 +8,7 @@ queries exact and cheap.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from collections import Counter
@@ -58,7 +59,9 @@ class Graph:
     and every label must be builtin ints (not bools); :meth:`from_edges`
     and the parsing / generator helpers normalise and convert other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
-    computed once at construction.
+    computed once at construction; ``structure`` (the :func:`classify`
+    report) and ``adjacency`` (the read-only float 0/1 matrix) are made on
+    first read and then kept.
     """
 
     n: int
@@ -105,6 +108,20 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add((u, v) if u < v else (v, u))
         return cls(n=_integer(n, "vertex count"), edges=frozenset(seen))
+
+    @functools.cached_property
+    def structure(self) -> "StructureReport":
+        """The graph's :func:`classify` report, made on first read."""
+        return classify(self)
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        """The 0/1 adjacency matrix as floats, filled on first read; read-only."""
+        a = np.zeros((self.n, self.n))
+        u, v = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T - 1
+        a[u, v] = a[v, u] = 1.0
+        a.flags.writeable = False
+        return a
 
     @property
     def m(self) -> int:
@@ -415,18 +432,15 @@ def _exact_randic_index(g: Graph, exponent: int) -> Fraction:
 
 
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """Dense real matrix of the requested kind.
+    """Dense real matrix of the requested kind, a fresh writable array
+    derived from ``g.adjacency``.
 
     Adjacency is symmetric 0/1, the Laplacian has exact zero row sums, and
     the normalized adjacency is row-stochastic (needs no isolated vertex).
     """
-    n = g.n
-    a = np.zeros((n, n), dtype=float)
-    for u, v in g.edges:
-        a[u - 1, v - 1] = 1.0
-        a[v - 1, u - 1] = 1.0
+    a = g.adjacency
     if kind == GraphMatrixKind.ADJACENCY:
-        return a
+        return a.copy()
     d = np.array(g.degree_sequence, dtype=float)
     if kind == GraphMatrixKind.LAPLACIAN:
         return np.diag(d) - a

@@ -217,7 +217,7 @@ def normalized_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
     if min(g.degree_sequence) == 0:
         raise ValueError("normalized adjacency undefined with an isolated vertex")
     d = np.array(g.degree_sequence, dtype=float)
-    sym = build_matrix(g, GraphMatrixKind.ADJACENCY) / np.sqrt(np.outer(d, d))
+    sym = g.adjacency / np.sqrt(np.outer(d, d))
     spec = symmetric_eigenvalues(sym, tol=min(1e-12, tol))
     if abs(spec.values[0] - 1.0) > tol:
         raise RuntimeError(

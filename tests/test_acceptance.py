@@ -164,36 +164,36 @@ def test_criterion_3_complete_graph_sharpness():
             regular_common_neighbor_bounds,
         )
 
-        disks = by_target(regular_common_neighbor_bounds(g, rep))
+        disks = by_target(regular_common_neighbor_bounds(g))
         expect("Thm3.7 lower", disks[LAMBDA_N].lower, -1.0, 0.0)
         expect("Thm3.7 upper", disks[LAMBDA_2].upper, -1.0, 0.0)
         expect("Thm3.7 vs oracle", disks[LAMBDA_N].lower, adjacency[-1])
         expect("Thm3.7 vs oracle2", disks[LAMBDA_2].upper, adjacency[1])
 
-        ovals = by_target(regular_brauer_common_neighbor_bounds(g, rep))
+        ovals = by_target(regular_brauer_common_neighbor_bounds(g))
         expect("Thm3.9 lower", ovals[LAMBDA_N].lower, -1.0, 1e-12)
         expect("Thm3.9 upper", ovals[LAMBDA_2].upper, -1.0, 1e-12)
 
-        trace = by_target(normalized_trace_bounds(g, rep))
+        trace = by_target(normalized_trace_bounds(g))
         expect("Thm4.1 lower", trace[LAMBDA_2].lower, -1.0 / (n - 1), 0.0)
         expect("Thm4.1 upper", trace[LAMBDA_2].upper, -1.0 / (n - 1), 0.0)
         expect("Thm4.1 vs oracle", trace[LAMBDA_2].upper, normalized[1])
 
-        dom_disk = by_target(normalized_dominating_gersgorin_bounds(g, rep))
+        dom_disk = by_target(normalized_dominating_gersgorin_bounds(g))
         expect("Thm4.4 upper", dom_disk[LAMBDA_2].upper, -1.0 / (n - 1), 1e-12)
         expect("Thm4.4 lower", dom_disk[LAMBDA_N].lower, -1.0 / (n - 1), 1e-12)
         expect("Thm4.4 vs oracle", dom_disk[LAMBDA_2].upper, normalized[1])
 
-        dom_oval = by_target(normalized_dominating_brauer_bounds(g, rep))
+        dom_oval = by_target(normalized_dominating_brauer_bounds(g))
         expect("Thm4.5 upper", dom_oval[LAMBDA_2].upper, -1.0 / (n - 1), 1e-12)
         expect("Thm4.5 lower", dom_oval[LAMBDA_N].lower, -1.0 / (n - 1), 1e-12)
 
-        lap_trace = by_target(laplacian_trace_bounds(g, rep))
+        lap_trace = by_target(laplacian_trace_bounds(g))
         expect("Thm5.2 lower", lap_trace[LAMBDA_1].lower, float(n), 0.0)
         expect("Thm5.2 upper", lap_trace[LAMBDA_1].upper, float(n), 0.0)
         expect("Thm5.2 vs oracle", lap_trace[LAMBDA_1].upper, laplacian[0])
 
-        lap_disk = by_target(laplacian_common_neighbor_bounds(g, rep))
+        lap_disk = by_target(laplacian_common_neighbor_bounds(g))
         expect("Thm5.3 upper", lap_disk[LAMBDA_1].upper, float(n), 0.0)
         expect("Thm5.3 vs oracle", lap_disk[LAMBDA_1].upper, laplacian[0])
     _report("3 (complete-graph sharpness)", failures)
@@ -207,10 +207,10 @@ def test_criterion_4_complete_bipartite_sharpness():
                 continue
             g = complete_bipartite(p, q)
             rep = classify(g)
-            adj = by_target(biregular_bipartite_lambda2_bounds(g, rep))[LAMBDA_2]
+            adj = by_target(biregular_bipartite_lambda2_bounds(g))[LAMBDA_2]
             if (adj.lower, adj.upper) != (0.0, 0.0):
                 failures.append((p, q, "Thm3.4", adj.lower, adj.upper))
-            nrm = by_target(normalized_bipartite_lambda2_bounds(g, rep))[LAMBDA_2]
+            nrm = by_target(normalized_bipartite_lambda2_bounds(g))[LAMBDA_2]
             if (nrm.lower, nrm.upper) != (0.0, 0.0):
                 failures.append((p, q, "Thm4.3", nrm.lower, nrm.upper))
             oracle = symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.ADJACENCY))
@@ -289,7 +289,7 @@ def test_criterion_6_generic_vs_specialized():
         if rep.regular is not None and n >= 3:
             d = rep.regular
             _, top, bottom = trace_bounds(-float(d), float(n * d - d * d), n - 1)
-            ivals = by_target(regular_adjacency_bounds(g, rep))
+            ivals = by_target(regular_adjacency_bounds(g))
             pairs = [
                 (ivals[LAMBDA_2].lower, top.lower), (ivals[LAMBDA_2].upper, top.upper),
                 (ivals[LAMBDA_N].lower, bottom.lower), (ivals[LAMBDA_N].upper, bottom.upper),
@@ -298,7 +298,7 @@ def test_criterion_6_generic_vs_specialized():
                 failures.append((g.n, g.m, "Thm3.1 vs engine", pairs))
         r1 = randic_index(g, -1.0)
         _, top, bottom = trace_bounds(-1.0, 2.0 * r1 - 1.0, n - 1)
-        ivals = by_target(normalized_trace_bounds(g, rep))
+        ivals = by_target(normalized_trace_bounds(g))
         pairs = [
             (ivals[LAMBDA_2].lower, top.lower), (ivals[LAMBDA_2].upper, top.upper),
             (ivals[LAMBDA_N].lower, bottom.lower), (ivals[LAMBDA_N].upper, bottom.upper),
@@ -307,7 +307,7 @@ def test_criterion_6_generic_vs_specialized():
             failures.append((g.n, g.m, "Thm4.1 vs engine", pairs))
         sum_d = float(sum(prof.degrees))
         _, top, bottom = trace_bounds(sum_d, prof.sum_squares + sum_d, n - 1)
-        ivals = by_target(laplacian_trace_bounds(g, rep))
+        ivals = by_target(laplacian_trace_bounds(g))
         pairs = [
             (ivals[LAMBDA_1].lower, top.lower), (ivals[LAMBDA_1].upper, top.upper),
             (ivals[LAMBDA_N_MINUS_1].lower, bottom.lower),

@@ -517,6 +517,57 @@ class TestDominatingVertexChoice:
                     assert (b.lower, b.upper) == expected, (tag, mode, sorted(g.edges))
 
 
+_THEOREM_FUNCTIONS = (
+    regular_adjacency_bounds, biregular_bipartite_lambda2_bounds,
+    regular_bipartite_lambda2_bounds, regular_common_neighbor_bounds,
+    regular_brauer_common_neighbor_bounds, normalized_trace_bounds,
+    normalized_bipartite_lambda2_bounds, normalized_dominating_gersgorin_bounds,
+    normalized_dominating_brauer_bounds, laplacian_trace_bounds,
+    laplacian_common_neighbor_bounds, laplacian_dominating_brauer_bounds,
+)
+
+
+class TestTheoremsTakeOnlyTheGraph:
+    """A theorem's hypotheses are read from the graph it bounds, never from a
+    report a caller passes along."""
+
+    def test_another_graphs_report_is_refused(self):
+        # C_5 is 2-regular with lambda_2 = 0.618; K_5's report says 4-regular
+        with pytest.raises(TypeError):
+            regular_adjacency_bounds(cycle(5), classify(complete(5)))
+        ivals = by_target(regular_adjacency_bounds(cycle(5)))
+        assert ivals[LAMBDA_2].assumptions == ("connected", "2-regular")
+        assert_contains(ivals[LAMBDA_2], adjacency_eigs(cycle(5))[1])
+
+    @pytest.mark.parametrize("fn", _THEOREM_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_no_theorem_takes_a_report(self, fn):
+        g = complete(5)
+        with pytest.raises(TypeError):
+            fn(g, classify(g))
+        with pytest.raises(TypeError):
+            fn(g, rep=classify(g))
+
+    def test_thm54_keeps_its_mode_by_keyword(self):
+        for mode in ("published", "corrected"):
+            assert laplacian_dominating_brauer_bounds(star(5), mode=mode)[0].assumptions[-1] == mode
+
+    def test_one_report_classifies_once(self, monkeypatch):
+        import eigenloc.graphs as graphs_module
+
+        calls = []
+        original = graphs_module.classify
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs_module, "classify", counting)
+        g = petersen()
+        for kind in GraphMatrixKind:
+            bounds_report(g, kind)
+        assert calls == [g]
+
+
 class TestReports:
     def test_k4_adjacency_applicability(self):
         report = bounds_report(complete(4), GraphMatrixKind.ADJACENCY)

@@ -197,6 +197,25 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "PASS Thm3.1" in out and "PASS rowsum-gersgorin[laplacian]" in out
 
+    def test_verify_graph_classifies_once(self, monkeypatch):
+        # the graph keeps its structure report, so its three reports share it;
+        # every module that holds classify is patched
+        import eigenloc.graphs as graphs_module
+
+        calls = []
+        original = graphs_module.classify
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "eigenloc" and getattr(module, "classify", None) is original:
+                monkeypatch.setattr(module, "classify", counting)
+        g = petersen()
+        assert all(result.passed for result in verify_graph(g))
+        assert calls == [g]
+
     def test_region_check_names_follow_the_matrix_kinds(self, capsys):
         assert main(["verify", "--family", "cycle", "--n", "5", "--scope", "gersgorin"]) == 0
         names = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]

@@ -378,6 +378,40 @@ class TestMatrices:
             build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
 
 
+class TestGraphFacts:
+    """``structure`` and ``adjacency`` are made once per graph, on first read."""
+
+    def test_structure_is_the_classify_report_made_once(self):
+        for g in (petersen(), star(5), path(4), Graph.from_edges(4, [(1, 2), (3, 4)])):
+            assert g.structure == classify(g)
+            assert g.structure is g.structure
+
+    def test_adjacency_is_read_only_and_equals_build_matrix(self):
+        for g in (petersen(), star(5), complete(1), Graph.from_edges(3, [])):
+            a = g.adjacency
+            assert a is g.adjacency and not a.flags.writeable
+            assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+            assert np.array_equal(a, build_matrix(g, GraphMatrixKind.ADJACENCY))
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_build_matrix_returns_fresh_writable_arrays(self):
+        g = cycle(5)
+        before = g.adjacency.copy()
+        for kind in GraphMatrixKind:
+            built = build_matrix(g, kind)
+            assert built.flags.writeable and built is not g.adjacency
+            built[:] = 7.0
+        assert np.array_equal(g.adjacency, before)
+        assert np.array_equal(build_matrix(g, GraphMatrixKind.ADJACENCY), before)
+
+    def test_cached_facts_leave_equality_and_hash_alone(self):
+        read, fresh = cycle(6), cycle(6)
+        read.structure, read.adjacency
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read != cycle(5)
+
+
 class TestClassify:
     def test_k4(self):
         rep = classify(complete(4))
