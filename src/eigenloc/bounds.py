@@ -20,10 +20,12 @@ records the rest as skipped with the first failing precondition as the
 reason.  A theorem function called directly on a graph it does not apply to
 raises ``ValueError("<tag>: <skip reason>")``, e.g. ``"Thm3.1: not regular"``.
 
-The paper's bounds are a few formulas applied several times: Thm3.1 and
-Thm4.1 are one deflated two-trace bound, Thm3.4, Cor3.6 and Thm4.3 one
-bipartite lambda_2 bound, and Thm4.4, Thm4.5 and Thm5.4 deflate at one
-dominating vertex.
+The paper's bounds are a few formulas applied several times: Thm3.1,
+Thm4.1 and Thm5.2 are one deflated two-trace bound, Thm3.4, Cor3.6 and
+Thm4.3 one bipartite lambda_2 bound, and Thm4.4, Thm4.5 and Thm5.4 deflate
+at one dominating vertex.  The two-trace and bipartite radicands are formed
+exactly from integer invariants (degrees, the exact connectivity index) and
+rounded at most once, so none is negative.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -109,9 +112,6 @@ _PRECONDITIONS = {
 
 THEOREM_TAGS = tuple(_REGISTRY)
 
-_RADICAND_FLOOR = -1e-9
-
-
 @dataclass(frozen=True)
 class TraceStats:
     """Mean and spread of a real spectrum recovered from two traces."""
@@ -148,15 +148,6 @@ class BoundReport:
     bounds: tuple[BoundInterval, ...]
     skipped: tuple[tuple[str, str], ...]
     combined: tuple[BoundInterval, ...]
-
-
-def _clamped_sqrt(radicand: float, theorem: str) -> float:
-    """sqrt with the shared radicand policy: tiny negatives are zero."""
-    if radicand < 0.0:
-        if radicand < _RADICAND_FLOOR:
-            raise ValueError(f"{theorem}: radicand {radicand} is negative beyond tolerance")
-        radicand = 0.0
-    return math.sqrt(radicand)
 
 
 def _skip_reason(tag: str, g: Graph) -> str | None:
@@ -228,18 +219,23 @@ def trace_bounds(
 
 
 def _deflated_trace(tag: str, g: Graph, base: float, radicand: float) -> list[BoundInterval]:
-    """Thm3.1 and Thm4.1: lambda_2, lambda_n from the deflated mean and (n-1)^2 times its variance."""
+    """Thm3.1, Thm4.1 and Thm5.2: the two targets from the deflated mean and
+    (n-1)^2 times its variance.
+
+    Each theorem forms its radicand from exact integer or rational
+    invariants, so it is a nonnegative number rounded at most once.
+    """
     n = g.n
-    wide = _clamped_sqrt((n - 2.0) * radicand, tag) / (n - 1.0)
-    narrow = _clamped_sqrt(radicand / (n - 2.0), tag) / (n - 1.0)
+    wide = math.sqrt((n - 2.0) * radicand) / (n - 1.0)
+    narrow = math.sqrt(radicand / (n - 2.0)) / (n - 1.0)
     return _intervals(tag, g, (base + narrow, base + wide), (base - wide, base - narrow))
 
 
 def _bipartite_lambda2(tag: str, g: Graph, excess: float) -> list[BoundInterval]:
     """Thm3.4, Cor3.6 and Thm4.3: lambda_2 of a bipartite graph from its excess, m - cd or R_{-1} - 1."""
     n = g.n
-    lo = _clamped_sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)), tag)
-    hi = _clamped_sqrt(2.0 * (n - 3.0) * excess / (n - 2.0), tag)
+    lo = math.sqrt(2.0 * excess / ((n - 2.0) * (n - 3.0)))
+    hi = math.sqrt(2.0 * (n - 3.0) * excess / (n - 2.0))
     return _intervals(tag, g, (lo, hi))
 
 
@@ -391,12 +387,14 @@ def normalized_dominating_gersgorin_bounds(g: Graph) -> list[BoundInterval]:
     """Deflated-disk bounds, deflating at a dominating vertex i.
 
     With t the smallest 1/d_k + 2d_k/(n-1) over the other vertices k, both
-    targets lie in [-2 - 2/(n-1) + t, 2 - t].
+    targets lie in [-2 - 2/(n-1) + t, 2 - t].  t is taken as an exact
+    rational over the distinct degrees and each end is rounded once, so K_n
+    gives [-1/(n-1), -1/(n-1)] as one double.
     """
     _checked("Thm4.4", g)
     n = g.n
-    t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in _degrees_but_dominating(g))
-    return _intervals("Thm4.4", g, (-2.0 - 2.0 / (n - 1.0) + t, 2.0 - t))
+    t = min(Fraction(n - 1 + 2 * d * d, d * (n - 1)) for d in set(_degrees_but_dominating(g)))
+    return _intervals("Thm4.4", g, (float(t - Fraction(2 * n, n - 1)), float(2 - t)))
 
 
 def normalized_dominating_brauer_bounds(g: Graph) -> list[BoundInterval]:
@@ -423,18 +421,15 @@ def laplacian_trace_bounds(g: Graph) -> list[BoundInterval]:
     """Two-trace intervals for lambda_1 and lambda_{n-1} of the Laplacian.
 
     The deflated matrix keeps trace sum(d) and squared trace
-    sum(d^2) + sum(d), giving mean n*avg/(n-1) and spread radicand
-    S = sum(d^2) + n*avg - (n*avg)^2/(n-1).
+    sum(d^2) + sum(d), giving mean sum(d)/(n-1) and the integer spread
+    radicand (n-1)(sum(d^2) + sum(d)) - sum(d)^2.
     """
     _checked("Thm5.2", g)
     n = g.n
     prof = degrees(g)
-    sum_d = float(sum(prof.degrees))
-    m = sum_d / (n - 1.0)
-    spread = prof.sum_squares + sum_d - sum_d * sum_d / (n - 1.0)
-    wide = _clamped_sqrt((n - 2.0) * spread / (n - 1.0), "Thm5.2")
-    narrow = _clamped_sqrt(spread / ((n - 1.0) * (n - 2.0)), "Thm5.2")
-    return _intervals("Thm5.2", g, (m + narrow, m + wide), (m - wide, m - narrow))
+    sum_d = sum(prof.degrees)
+    radicand = (n - 1) * (prof.sum_squares + sum_d) - sum_d * sum_d
+    return _deflated_trace("Thm5.2", g, sum_d / (n - 1), radicand)
 
 
 def laplacian_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:

@@ -123,13 +123,13 @@ def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     Python's abs(complex) (numpy's complex abs may not).  Where every
     imaginary part of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0)
     is |x|, C99 Annex F), so the far slower hypot is skipped.  A distance
-    past the float range is inf."""
-    with np.errstate(over="ignore"):
-        dx = z.real - c.real
-        dy = z.imag - c.imag
-        if np.count_nonzero(dy):
-            return np.hypot(dx, dy, out=out)
-        return np.abs(dx, out=out)
+    past the float range is inf; the caller enters ``np.errstate(over=
+    "ignore")`` once for its whole table operation, which silences that."""
+    dx = z.real - c.real
+    dy = z.imag - c.imag
+    if np.count_nonzero(dy):
+        return np.hypot(dx, dy, out=out)
+    return np.abs(dx, out=out)
 
 
 def _pair(z: complex) -> list[float]:
@@ -214,13 +214,15 @@ class _LeafTable:
         return tuple(made)
 
     def margins(self, z) -> np.ndarray:
-        """Each row's slack at each point of ``z``, along a trailing axis."""
+        """Each row's slack at each point of ``z``, along a trailing axis; a
+        distance or product past the float range makes it -inf."""
         z = np.asarray(z)
         reach = np.empty(z.shape + (self.anchors.shape[-1] + 1,))
         reach[..., -1] = 1.0
-        _distance(z[..., None], self.anchors, reach[..., :-1])
-        margin = reach[..., self.first]
-        margin *= reach[..., self.second]
+        with np.errstate(over="ignore"):
+            _distance(z[..., None], self.anchors, reach[..., :-1])
+            margin = reach[..., self.first]
+            margin *= reach[..., self.second]
         return np.subtract(self.bounds, margin, out=margin)
 
     def slack(self, z, margins=None):
@@ -631,10 +633,11 @@ def _stacked_min_slack(table: _LeafTable, z: np.ndarray) -> tuple:
     else:
         rows, k = np.arange(n), bounds.argmax(axis=1)
         reach = np.empty((2, n, len(z)))
-        _distance(z, anchors[rows, first[k], None], reach[0])
-        _distance(z, anchors[rows, second[k], None], reach[1])
-        reach[1, second[k] < 0] = 1.0
-        lower = bounds[rows, k, None] - reach[0] * reach[1]
+        with np.errstate(over="ignore"):
+            _distance(z, anchors[rows, first[k], None], reach[0])
+            _distance(z, anchors[rows, second[k], None], reach[1])
+            reach[1, second[k] < 0] = 1.0
+            lower = bounds[rows, k, None] - reach[0] * reach[1]
         todo[:, np.unravel_index(lower.argmin(), lower.shape)[1]] = True
     done, found, step = np.zeros_like(todo), (math.inf, 0, 0, None), max(1, _PASS_ROWS // count)
     while todo.any():
@@ -774,12 +777,13 @@ def _deflated_leaves(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.frombuffer(data, dtype=complex).reshape(n, n)
     radii = np.zeros((n, n))
     term = np.empty((n, n))
-    for l in range(n):
-        _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
-        term[l, :] = 0.0
-        term[:, l] = 0.0
-        radii += term
-    centers = a.diagonal()[None, :] - a
+    with np.errstate(over="ignore"):  # an infinite centre or radius is refused by its builder
+        for l in range(n):
+            _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
+            term[l, :] = 0.0
+            term[:, l] = 0.0
+            radii += term
+        centers = a.diagonal()[None, :] - a
     off = ~np.eye(n, dtype=bool)
     table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
     for column in table:
@@ -793,17 +797,18 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     given gamma, the intersection over a leading deflation axis of those
     unions, each with the point gamma."""
     count = centers.shape[-1]
-    if kind == _DISK:
-        first, second, bounds = np.arange(count), np.full(count, -1), radii
-    else:
-        first, second = np.triu_indices(count, 1)
-        bounds = radii[..., first] * radii[..., second]
-    _require_finite(centers, bounds, *(() if gamma is None else (gamma,)))
-    # foci closer to the origin than 2**1021 are less than 2**1023 apart
-    if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
-        apart = _distance(centers[..., first], centers[..., second], np.empty(bounds.shape))
-        if not np.isfinite(apart).all():
-            raise ValueError(_TOO_FAR)
+    with np.errstate(over="ignore"):  # an infinite product or distance is refused here
+        if kind == _DISK:
+            first, second, bounds = np.arange(count), np.full(count, -1), radii
+        else:
+            first, second = np.triu_indices(count, 1)
+            bounds = radii[..., first] * radii[..., second]
+        _require_finite(centers, bounds, *(() if gamma is None else (gamma,)))
+        # foci closer to the origin than 2**1021 are less than 2**1023 apart
+        if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
+            apart = _distance(centers[..., first], centers[..., second], np.empty(bounds.shape))
+            if not np.isfinite(apart).all():
+                raise ValueError(_TOO_FAR)
     kinds = (kind,) * len(first)
     if gamma is None:
         return RegionUnion._from_table(_LeafTable(centers, first, second, bounds, kinds))

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -471,9 +472,9 @@ def reference_dominating(g, tag, mode="published"):
     for i in classify(g).dominating:
         rest = [ds[k - 1] for k in range(1, n + 1) if k != i]
         if tag == "Thm4.4":
-            t = min(1.0 / d + 2.0 * d / (n - 1.0) for d in rest)
-            lowers.append(-2.0 - 2.0 / (n - 1.0) + t)
-            uppers.append(2.0 - t)
+            t = min(Fraction(1, d) + Fraction(2 * d, n - 1) for d in rest)
+            lowers.append(float(-2 - Fraction(2, n - 1) + t))
+            uppers.append(float(2 - t))
         elif tag == "Thm4.5":
             rho = sorted((max(0.0, 2.0 - 1.0 / d - (2.0 * d - 1.0) / (n - 1.0)) for d in rest), reverse=True)
             half = math.sqrt(rho[0] * rho[1])
@@ -517,14 +518,7 @@ class TestDominatingVertexChoice:
                     assert (b.lower, b.upper) == expected, (tag, mode, sorted(g.edges))
 
 
-_THEOREM_FUNCTIONS = (
-    regular_adjacency_bounds, biregular_bipartite_lambda2_bounds,
-    regular_bipartite_lambda2_bounds, regular_common_neighbor_bounds,
-    regular_brauer_common_neighbor_bounds, normalized_trace_bounds,
-    normalized_bipartite_lambda2_bounds, normalized_dominating_gersgorin_bounds,
-    normalized_dominating_brauer_bounds, laplacian_trace_bounds,
-    laplacian_common_neighbor_bounds, laplacian_dominating_brauer_bounds,
-)
+_THEOREM_FUNCTIONS = [getattr(bounds_module, entry[-1]) for entry in bounds_module._REGISTRY.values()]
 
 
 class TestTheoremsTakeOnlyTheGraph:
@@ -546,26 +540,6 @@ class TestTheoremsTakeOnlyTheGraph:
             fn(g, classify(g))
         with pytest.raises(TypeError):
             fn(g, rep=classify(g))
-
-    def test_thm54_keeps_its_mode_by_keyword(self):
-        for mode in ("published", "corrected"):
-            assert laplacian_dominating_brauer_bounds(star(5), mode=mode)[0].assumptions[-1] == mode
-
-    def test_one_report_classifies_once(self, monkeypatch):
-        import eigenloc.graphs as graphs_module
-
-        calls = []
-        original = graphs_module.classify
-
-        def counting(g):
-            calls.append(g)
-            return original(g)
-
-        monkeypatch.setattr(graphs_module, "classify", counting)
-        g = petersen()
-        for kind in GraphMatrixKind:
-            bounds_report(g, kind)
-        assert calls == [g]
 
 
 class TestReports:
@@ -589,6 +563,16 @@ class TestReports:
         report = bounds_report(star(5), GraphMatrixKind.LAPLACIAN)
         assert {b.theorem for b in report.bounds} == {"Thm5.2", "Thm5.3", "Thm5.4"}
         assert report.skipped == ()
+
+    def test_no_complete_graph_interval_is_reversed(self):
+        # rounded term by term, Thm4.4 put its lower end above its upper end
+        # on K_4, K_6, K_13..K_16, ... and the combined interval inherited it
+        for n in range(3, 65):
+            for kind in GraphMatrixKind:
+                for mode in ("published", "corrected"):
+                    report = bounds_report(complete(n), kind, mode=mode)
+                    for b in report.bounds + report.combined:
+                        assert b.lower <= b.upper, (n, kind, mode, b)
 
     def test_every_theorem_listed_exactly_once(self):
         from eigenloc.bounds import _REGISTRY

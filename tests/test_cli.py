@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,34 @@ class TestBoundsCommand:
         obj = json.loads(capsys.readouterr().out)
         lam2 = [b for b in obj["combined"] if b["target"] == "lambda_2"][0]
         assert lam2["lower"] == lam2["upper"] == -1.0 / 26
+
+    def test_k4_normalized_report_is_pinned(self, capsys):
+        # Thm4.4 once printed [-0.33333333333333304, -0.3333333333333335]
+        third = "-0.3333333333333333,-0.3333333333333333"
+        code = main(["bounds", "--family", "complete", "--n", "4", "--matrix", "normalized",
+                     "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["theorem,target,lower,upper"] + [
+            f"{tag},{target},{third}"
+            for tag in ("Thm4.1", "Thm4.4", "Thm4.5", "combined")
+            for target in ("lambda_2", "lambda_n")
+        ]
+
+    def test_c4_laplacian_report_is_pinned(self, capsys):
+        # C_4's algebraic connectivity is exactly 2; Thm5.2 once printed
+        # 1.9999999999999996 as its upper end
+        code = main(["bounds", "--family", "cycle", "--n", "4", "--matrix", "laplacian",
+                     "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "theorem,target,lower,upper",
+            "Thm5.2,lambda_1,3.333333333333333,4.0",
+            "Thm5.2,lambda_n_minus_1,1.3333333333333333,2.0",
+            "Thm5.3,lambda_1,-1.0,5.0",
+            "Thm5.3,lambda_n_minus_1,-1.0,5.0",
+            "combined,lambda_1,3.333333333333333,4.0",
+            "combined,lambda_n_minus_1,1.3333333333333333,2.0",
+        ]
 
     def test_edges_file_csv(self, tmp_path, capsys):
         edges = tmp_path / "g.txt"
@@ -547,6 +576,17 @@ class TestParserReuse:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "--matrix" in errors[0]
+
+
+def test_verify_matrix_with_overflowing_oval_products_is_quiet():
+    # the Brauer margins multiply two distances near 2e200; that product
+    # once warned "overflow encountered in multiply" before the PASS lines
+    matrix = np.array([[1e200, 1, 0], [1, -1e200, 0], [0, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = [result.line() for result in verify_matrix(matrix)]
+    assert lines == ["PASS gersgorin spectrum slack=0.000000e+00",
+                     "PASS brauer spectrum slack=0.000000e+00"]
 
 
 @pytest.mark.parametrize("scope", ["Thm9.9", "gersgorin,Thm9.9", "Thm3.1,gersgorn", ","])

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import warnings
 from itertools import combinations
 
 import networkx as nx
@@ -437,6 +438,23 @@ class TestRealSection:
         assert region_slack_grid(disks, [1e308, -1e308]).tolist() == [0.0, 0.0]
         assert region_slack(Disk(1e308 + 0.0j, 1.0), -1e308) == -math.inf
         assert region_slack(CassiniOval(1e308 + 0.0j, 1e308j, 1.0), -1e308) == -math.inf
+
+    def test_products_past_the_float_range_give_no_warning(self, monkeypatch):
+        # two finite distances whose product overflows: the slack is -inf and
+        # the table operation that forms it is quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert region_slack(CassiniOval(0.0j, 1e200 + 0.0j, 1.0), -1e200) == -math.inf
+            with pytest.raises(ValueError, match="must be finite"):  # radius products
+                rowsum_brauer_region(np.array([
+                    [1e200, -1e200, 0, 0], [-1e200, 1e200, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1],
+                ]))
+            with pytest.raises(ValueError, match="must be finite"):  # deflated differences
+                rowsum_gersgorin_region(np.array([[1e308, -1e308, 0], [-1e308, 1e308, 0], [0, 0, 0]]))
+            # the branch-and-bound pass, whose bounds multiply two far distances
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", 1)
+            region, points = rowsum_brauer_region(ROWSUM_3X3), np.array([1e200, -1e200j])
+            assert region_min_slack(region, points)[0] == region_slack_grid(region, points).min()
 
     def test_small_lobe_off_centre_keeps_its_width(self):
         # the roots near 1 are 4e-8 apart, closer than np.roots resolves
