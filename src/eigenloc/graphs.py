@@ -110,7 +110,7 @@ class Graph:
         return cls(n=_integer(n, "vertex count"), edges=frozenset(seen))
 
     @functools.cached_property
-    def structure(self) -> "StructureReport":
+    def structure(self) -> StructureReport:
         """The graph's :func:`classify` report, made on first read."""
         return classify(self)
 
