@@ -360,10 +360,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
-    """'family:lo..hi[:step]' (or 'family:lo:hi[:step]'), bare name for fixed families."""
+    """'family:lo..hi[:step]' (or 'family:lo:hi[:step]'), the bare name alone for
+    petersen, which takes no size."""
     fields = token.replace("..", ":").split(":")
     family = fields[0]
     if family == "petersen":
+        if token != family:
+            raise ValueError(f"bad sweep spec {token!r}: petersen takes no range")
         return family, [10]
     if len(fields) not in (3, 4):
         raise ValueError(f"bad sweep spec {token!r}: expected family:lo..hi[:step]")

@@ -205,24 +205,22 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
     return Spectrum(values=values, max_residual=off / scale if scale else 0.0, iterations=sweeps)
 
 
-def normalized_spectrum(g: Graph, tol: float = 1e-9) -> Spectrum:
+def normalized_spectrum(g: Graph) -> Spectrum:
     """Spectrum of the normalized adjacency matrix D^{-1}A of ``g``.
 
     Computed on the symmetric similar matrix with entries
     a_ij / sqrt(d_i d_j), so the Jacobi route applies and the result is
     exactly real.  Without an isolated vertex every component has top
-    value 1, so the top value must be 1; this is asserted within ``tol``
+    value 1, so the top value must be 1; this is asserted within 1e-9
     (RuntimeError otherwise).
     """
     if min(g.degree_sequence) == 0:
         raise ValueError("normalized adjacency undefined with an isolated vertex")
     d = np.array(g.degree_sequence, dtype=float)
     sym = g.adjacency / np.sqrt(np.outer(d, d))
-    spec = symmetric_eigenvalues(sym, tol=min(1e-12, tol))
-    if abs(spec.values[0] - 1.0) > tol:
-        raise RuntimeError(
-            f"top normalized eigenvalue {spec.values[0]!r} is not 1 within {tol}"
-        )
+    spec = symmetric_eigenvalues(sym)
+    if abs(spec.values[0] - 1.0) > 1e-9:
+        raise RuntimeError(f"top normalized eigenvalue {spec.values[0]!r} is not 1 within 1e-9")
     return spec
 
 

@@ -22,7 +22,8 @@ and an intersection sections the leaves of all its components at once.
 The four builders each fill one table with array arithmetic and make no
 node below the root: flat for a classical union, stacked by deflation row
 for a row-sum intersection, which :func:`region_min_slack` bounds pair by
-pair (component, point).  A builder's node makes its ``children`` from its
+pair (component, point) in two passes at most: what the second leaves
+cannot come first.  A builder's node makes its ``children`` from its
 table when they are first read.
 """
 
@@ -597,16 +598,12 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
 def _min_slack(node: Region, z: np.ndarray) -> tuple:
     """(slack, index of the point, leaf) of :func:`region_min_slack`."""
     if isinstance(node, RegionIntersection):
-        # a builder's intersection, from its own table; bounds need every
-        # distance finite (below 2**1023)
-        table = node.__dict__.get("_table")
-        if table is not None and (np.abs(z.view(float)).max()
-                                  + np.abs(table.anchors.view(float)).max() < 2.0**1022):
+        table = node.__dict__.get("_table")  # a builder's intersection has one
+        if table is not None:
             return _stacked_min_slack(table, z)
         if not node.children:
             return -math.inf, 0, None
-        return min((_min_slack(child, z) for child in node.children),
-                   key=lambda m: (not math.isnan(m[0]), m[0], m[1]))  # NaN propagates
+        return min((_min_slack(child, z) for child in node.children), key=lambda m: m[:2])
     table = getattr(node, "_table", None) or _LeafTable.of((node,))
     margins = table.margins(z)
     slack = table.slack(z, margins)
@@ -616,32 +613,21 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
 
 def _stacked_min_slack(table: _LeafTable, z: np.ndarray) -> tuple:
     """Branch and bound over the (component, point) pairs of a builder's
-    intersection, each round a pass over those pairs' rows of its stacked
-    ``table``.  A component's leaf with the largest bound gives at each point
-    a lower bound on its slack that rounds exactly like the row.  The first
-    round takes every component at the point of the least bound; each next
-    one the pairs whose bound is below the least slack found, or equal to it
-    where a tie would come first (an earlier point, or component).  Where
-    one pass over all pairs costs less than the bounds, it is the only round.
+    intersection in at most two passes over rows of its stacked ``table``,
+    or one over all where that costs less than the bounds.  A component's
+    leaf with the largest bound gives at each point a lower bound on its
+    slack that rounds like the row; a distance past the float range makes
+    it -inf, never NaN.  Pass 1 takes every component at the point of the
+    least bound, pass 2 the other pairs whose bound is below the least
+    slack found, or equal to it and ahead in (point, component) order.  A
+    pair left has a bound above pass 1's least or ties it from behind, and
+    pass 2's least is no larger and no later: a third pass takes nothing.
     """
-    lower = None
     anchors, first, second, bounds = table.anchors, table.first, table.second, table.bounds
     n, count = bounds.shape
-    todo = np.zeros((n, len(z)), dtype=bool)
-    if n * len(z) * count <= _PASS_ROWS:
-        todo[:] = True
-    else:
-        rows, k = np.arange(n), bounds.argmax(axis=1)
-        reach = np.empty((2, n, len(z)))
-        with np.errstate(over="ignore"):
-            _distance(z, anchors[rows, first[k], None], reach[0])
-            _distance(z, anchors[rows, second[k], None], reach[1])
-            reach[1, second[k] < 0] = 1.0
-            lower = bounds[rows, k, None] - reach[0] * reach[1]
-        todo[:, np.unravel_index(lower.argmin(), lower.shape)[1]] = True
-    done, found, step = np.zeros_like(todo), (math.inf, 0, 0, None), max(1, _PASS_ROWS // count)
-    while todo.any():
-        before = found[:3]
+    step = max(1, _PASS_ROWS // count)
+
+    def visit(todo: np.ndarray, found: tuple = (math.inf, 0, 0, None)) -> tuple:
         points, comps = np.nonzero(todo.T)  # by point, then component
         for lo in range(0, len(comps), step):
             p, c = points[lo : lo + step], comps[lo : lo + step]
@@ -650,12 +636,24 @@ def _stacked_min_slack(table: _LeafTable, z: np.ndarray) -> tuple:
             slack = part.slack(z[p], margins)
             j = int(slack.argmin())  # the first least: the least point, then component
             found = min(found, (slack[j], int(p[j]), int(c[j]), margins[j]), key=lambda f: f[:3])
-        done |= todo
-        if lower is None or found[:3] == before:
-            break  # no pair left could come first
+        return found
+
+    if n * len(z) * count <= _PASS_ROWS:
+        found = visit(np.ones((n, len(z)), dtype=bool))
+    else:
+        rows, k = np.arange(n), bounds.argmax(axis=1)
+        reach = np.empty((2, n, len(z)))
+        with np.errstate(over="ignore"):
+            _distance(z, anchors[rows, first[k], None], reach[0])
+            _distance(z, anchors[rows, second[k], None], reach[1])
+            reach[1, second[k] < 0] = 1.0
+            lower = bounds[rows, k, None] - reach[0] * reach[1]
+        first_pass = np.zeros((n, len(z)), dtype=bool)
+        first_pass[:, np.unravel_index(lower.argmin(), lower.shape)[1]] = True
+        found = visit(first_pass)
         best, at, i = found[:3]
         ahead = np.arange(len(z)) < at + (rows < i)[:, None]
-        todo = ~done & ((lower < best) | (lower == best) & ahead)
+        found = visit(~first_pass & ((lower < best) | (lower == best) & ahead), found)
     best, at, i, margins = found
     return best, at, table.row(i).leaf_at(z[at], best, margins)
 
@@ -731,7 +729,8 @@ def _require_gamma(matrix) -> tuple[np.ndarray, complex]:
 def deleted_row_sums(matrix) -> np.ndarray:
     """r_i = sum over j != i of |a_ij|, for each row i."""
     a = _as_matrix(matrix)
-    return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
+        return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
 
 
 def deflate(matrix, k: int) -> np.ndarray:
@@ -797,7 +796,7 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     given gamma, the intersection over a leading deflation axis of those
     unions, each with the point gamma."""
     count = centers.shape[-1]
-    with np.errstate(over="ignore"):  # an infinite product or distance is refused here
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, inf * 0 or NaN is refused here
         if kind == _DISK:
             first, second, bounds = np.arange(count), np.full(count, -1), radii
         else:

@@ -8,10 +8,12 @@ vertices, one per isomorphism class.  ``family_corpus`` adds the named
 families up to n = 32.
 
 ``check_graph_with_library`` runs each graph through the library's own
-path (``bounds_report``, both Thm5.4 modes) and checks every interval
-against two oracles: the package's ``graph_spectrum`` and LAPACK
-(``numpy.linalg.eigvalsh``) on matrices built here from the edge list,
-independent of ``build_matrix``.  The two oracles must agree within 1e-9.
+path (``bounds_report``, both Thm5.4 modes), checks that no interval or
+combined interval of either mode has its lower end above its upper, and
+checks every interval against two oracles: the package's
+``graph_spectrum`` and LAPACK (``numpy.linalg.eigvalsh``) on matrices built
+here from the edge list, independent of ``build_matrix``.  The two oracles
+must agree within 1e-9.
 """
 
 from __future__ import annotations
@@ -65,19 +67,21 @@ def _lapack_spectrum(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
 
 
 def check_graph_with_library(g: Graph, slack: float = 1e-8) -> tuple[int, list]:
-    """Check every applicable theorem (both Thm5.4 modes) against both oracles.
+    """Check every applicable theorem (both Thm5.4 modes) against both oracles,
+    and the order of the ends of every interval and combined interval.
 
     Returns (interval checks performed, failures).
     """
     checks = 0
     bad = []
     for kind in GraphMatrixKind:
-        intervals = list(bounds_report(g, kind, mode="published").bounds)
-        intervals += [
-            b
-            for b in bounds_report(g, kind, mode="corrected").bounds
-            if b.theorem == "Thm5.4"
-        ]
+        published, corrected = [bounds_report(g, kind, mode=mode)
+                                 for mode in ("published", "corrected")]
+        for report in (published, corrected):
+            bad += [("reversed", b.theorem, b.target, kind.value, g.n, g.m, b.lower, b.upper)
+                    for b in report.bounds + report.combined if not b.lower <= b.upper]
+        intervals = list(published.bounds)
+        intervals += [b for b in corrected.bounds if b.theorem == "Thm5.4"]
         if not intervals:
             continue
         ours = np.array(graph_spectrum(g, kind).values)

@@ -21,7 +21,16 @@ from eigenloc.cli import (
     verify_graph,
     verify_matrix,
 )
-from eigenloc.graphs import GraphMatrixKind, build_matrix, complete, cycle, petersen
+from eigenloc.graphs import (
+    GraphMatrixKind,
+    build_matrix,
+    circulant,
+    complete,
+    complete_bipartite,
+    cycle,
+    petersen,
+)
+from eigenloc.oracle import graph_spectrum
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -245,6 +254,20 @@ class TestVerifyCommand:
         assert all(result.passed for result in verify_graph(g))
         assert calls == [g]
 
+    def test_isolated_vertex_skips_the_normalized_checks(self, tmp_path, capsys):
+        # vertex 4 is isolated, so D^{-1}A is undefined: the adjacency and
+        # Laplacian checks run, and none of the normalized matrix
+        edges = tmp_path / "g.txt"
+        edges.write_text("4 2\n1 2\n2 3\n")
+        assert main(["verify", "--edges", str(edges)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", "gersgorin[adjacency]"], ["PASS", "brauer[adjacency]"],
+            ["PASS", "gersgorin[laplacian]"], ["PASS", "brauer[laplacian]"],
+            ["PASS", "rowsum-gersgorin[laplacian]"], ["PASS", "rowsum-brauer[laplacian]"],
+        ]
+        assert lines[-1] == "6/6 checks passed"
+
     def test_region_check_names_follow_the_matrix_kinds(self, capsys):
         assert main(["verify", "--family", "cycle", "--n", "5", "--scope", "gersgorin"]) == 0
         names = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]
@@ -330,6 +353,25 @@ class TestBadInputExitCodes:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [["regions", "--method", "gersgorin"], ["regions", "--method", "brauer"],
+                 ["verify"]], ids=["gersgorin", "brauer", "verify"]
+    )
+    def test_deleted_row_sum_overflow_prints_only_the_error(self, argv, tmp_path, capsys):
+        # a deleted row sum past the float range once warned "overflow
+        # encountered in reduce", and its product with a zero one "invalid
+        # value encountered in multiply", before the error line
+        path = tmp_path / "over.json"
+        path.write_text(matrix_to_json(np.array([[1e308, 0, -9e307], [0, -1e308, 1e308],
+                                                 [0, 0, 0]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--matrix-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "finite" in captured.err
 
     def test_far_apart_oval_foci_print_only_the_error(self, tmp_path):
         # once two numpy warnings and a false "FAIL brauer spectrum slack=nan"
@@ -480,6 +522,29 @@ class TestSweepCommand:
     def test_bad_spec_exit_1(self, tmp_path):
         assert main(["sweep", "complete:9..3", "--matrix", "adjacency",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("spec", ["petersen:3..5", "petersen:3", "petersen:x:y:z:w"])
+    def test_petersen_takes_no_range(self, spec, capsys):
+        # as bounds --family petersen --n 3 exits 1
+        assert main(["sweep", spec, "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "petersen takes no range" in captured.err
+
+    def test_family_conventions(self, capsys):
+        # complete_bipartite:n is K_{n - n//2, n//2} and circulant:n is
+        # C_n(1, 2), the graphs that bench/workloads.family_edges also makes
+        argv = ["sweep", "complete_bipartite:5..6", "circulant:7..8", "--matrix", "laplacian"]
+        assert main(argv + ["--out", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        want = []
+        for family, g in (("complete_bipartite", complete_bipartite(3, 2)),
+                          ("complete_bipartite", complete_bipartite(3, 3)),
+                          ("circulant", circulant(7, (1, 2))), ("circulant", circulant(8, (1, 2)))):
+            values = graph_spectrum(g, GraphMatrixKind.LAPLACIAN).values
+            want += [f"{family},{g.n},{b.theorem},{b.target},{b.lower!r},{b.upper!r},"
+                     f"{values[bd.TARGET_POSITION[b.target]]!r}"
+                     for b in bd.bounds_report(g, GraphMatrixKind.LAPLACIAN).bounds]
+        assert want and [row.rsplit(",", 2)[0] for row in rows] == want
 
     def test_unwritable_out_exit_1(self):
         assert main(["sweep", "complete:3..4", "--matrix", "adjacency",

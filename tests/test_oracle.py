@@ -258,7 +258,7 @@ class TestNormalizedSpectrum:
         g = Graph.from_edges(4, [(1, 2), (3, 4)])
         assert normalized_spectrum(g).values == pytest.approx([1.0, 1.0, -1.0, -1.0])
         monkeypatch.setattr(
-            oracle, "symmetric_eigenvalues", lambda a, tol: Spectrum((0.9, 0.9, -1.0, -1.0), 0.0)
+            oracle, "symmetric_eigenvalues", lambda a: Spectrum((0.9, 0.9, -1.0, -1.0), 0.0)
         )
         with pytest.raises(RuntimeError, match="not 1"):
             normalized_spectrum(g)

@@ -1131,13 +1131,32 @@ def test_min_slack_rejects_empty_or_non_finite_points(points):
             region_min_slack(tree, points)
 
 
-def test_min_slack_of_far_points_takes_the_general_path():
-    # points and foci near 1e308: a distance can overflow, so no bound is
-    # taken and the answer is still the grid's
+def test_min_slack_of_far_points_takes_the_stacked_route():
+    # points and foci near 1e308: a distance can overflow, which makes its
+    # bound -inf, and the answer is still the grid's
     a = np.array([[1e307, 0.0, -1e307], [0.0, -1e307, 1e307], [0.0, 0.0, 0.0]]) + 0.0j
     region = rowsum_brauer_region(a)
     with np.errstate(over="ignore", invalid="ignore"):
         _check_min_slack(region, [1.5e308, -1e307, 0.0])
+
+
+@pytest.mark.parametrize("pass_rows", [None, 1], ids=["one pass", "bounds"])
+def test_min_slack_of_far_points_is_quiet_and_makes_no_component(pass_rows, monkeypatch):
+    # points past 2**1022 once sent the call to the per-component route,
+    # whose magnitude check itself overflowed
+    if pass_rows is not None:
+        monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+    a = np.array([[1e307, 0.0, -1e307], [0.0, -1e307, 1e307], [0.0, 0.0, 0.0]]) + 0.0j
+    points = np.array([1.75e308, 1.5e308]) + 0.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        region = rowsum_brauer_region(a)
+        slack, point, leaf = region_min_slack(region, points)
+        assert "children" not in region.__dict__
+        grid = region_slack_grid(rowsum_brauer_region(a), points)
+    assert np.float64(slack).tobytes() == grid.min().tobytes()
+    assert point == points[int(np.flatnonzero(grid == grid.min())[0])]
+    assert leaf == _reference_leaf(region, point, slack)
 
 
 def test_builders_share_one_deflation_table():
