@@ -8,11 +8,11 @@ Four subcommands:
   printing one PASS/FAIL line per check.
 * ``sweep``   -- CSV dataset of bounds vs oracle across family ranges.
 
-Exit codes: 0 success (verify: no FAIL); 1 a verify FAIL or an error (bad
-input, a file that cannot be read or written, an eigensolve that does not
-converge, ``brauer`` on a 1 x 1 matrix); 2 bounds report with zero applicable
-theorems; 3 a row-sum region of a matrix without a constant row sum or below
-the region's dimension.  Each error prints ``error: <message>`` to stderr.
+Exit codes: 0 success (verify: no FAIL); 1 a verify FAIL, an error (bad input,
+a file that cannot be read or written, an eigensolve that does not converge,
+``brauer`` on a 1 x 1 matrix) or a reader closing stdout early; 2 bounds report
+with zero applicable theorems; 3 a row-sum region of a matrix without a constant
+row sum or below its dimension.  Only errors print ``error: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -458,7 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout is met inside the try
+        return code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         # every library error; json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

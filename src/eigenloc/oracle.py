@@ -94,27 +94,42 @@ def _round_robin_move(m: int) -> np.ndarray:
     return move
 
 
-def _rotation_tangents(
-    d: np.ndarray, apq: np.ndarray, skip_below: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi rotations for pivots with diagonals d = (app, aqq) and apq.
+class _Workspace:
+    """Every array a Jacobi round on h pairs writes, allocated once per solve."""
 
-    Returns tan of each rotation angle and the value each pivot holds after
-    it.  A pivot too small to move either diagonal entry is flushed: tangent
-    0, pivot zeroed.  A pivot below ``skip_below`` is skipped: tangent 0,
-    pivot kept.  Otherwise t is the smaller root of t^2 + 2 theta t - 1 = 0
-    with theta = (aqq - app) / (2 apq) and the pivot becomes 0.  ``hypot``
-    keeps theta^2 from overflowing, and for |theta| > 1e150 it returns
-    |theta| exactly, so t is then exactly 1 / (2 theta).
+    def __init__(self, h: int) -> None:
+        self.pivots, self.size, self.after, self.rot = (np.empty((k, h)) for k in (3, 3, 4, 4))
+        self.moved, self.stays = np.empty((2, h)), np.empty((2, h), dtype=bool)
+        self.theta, self.t, self.tapq = np.empty((3, h))
+        self.flush, self.idle, self.kept = np.empty((3, h), dtype=bool)
+        self.app, self.aqq, self.apq = self.pivots
+        self.absd, self.absq, self.left = self.size[:2], self.size[2], self.after[2:]
+        self.c, self.minus_s, self.s = self.rot[::3], self.rot[1], self.rot[2]
+        self.stack = self.rot.reshape(2, 2, h).transpose(2, 0, 1)  # [[c, -s], [s, c]] per pair
+
+
+def _rotation_tangents(ws: _Workspace, skip_below: float) -> None:
+    """Jacobi rotations for the pivots (app, aqq, apq) in ``ws.pivots``.
+
+    Writes tan of each rotation angle to ``ws.t`` and each pivot's value
+    after it to ``ws.left``.  A pivot too small to move either diagonal entry
+    is flushed: tangent 0, pivot zeroed.  A pivot below ``skip_below`` is
+    skipped: tangent 0, pivot kept.  Otherwise t is the smaller root of
+    t^2 + 2 theta t - 1 = 0 with theta = (aqq - app) / (2 apq) and the pivot
+    becomes 0.  ``hypot`` keeps theta^2 from overflowing, and for |theta| >
+    1e150 it returns |theta| exactly, so t is then exactly 1 / (2 theta).
     """
-    size = np.abs(apq)
-    absd = np.abs(d)
-    stays = absd + 100.0 * size == absd
-    flush = stays[0] & stays[1]
-    idle = flush | (size < skip_below)
-    theta = (d[1] - d[0]) / (2.0 * np.where(idle, 1.0, apq))
-    t = 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta))
-    return np.where(idle, 0.0, t), np.where(idle & ~flush, apq, 0.0)
+    np.abs(ws.pivots, out=ws.size)
+    np.multiply(100.0, ws.absq, out=ws.theta)
+    np.equal(np.add(ws.absd, ws.theta, out=ws.moved), ws.absd, out=ws.stays)
+    flush = np.logical_and(ws.stays[0], ws.stays[1], out=ws.flush)
+    idle = np.logical_or(flush, np.less(ws.absq, skip_below, out=ws.idle), out=ws.idle)
+    np.multiply(2.0, ws.apq, out=ws.t)[idle] = 2.0  # an idle pivot divides by 2 * 1
+    theta = np.divide(np.subtract(ws.aqq, ws.app, out=ws.theta), ws.t, out=ws.theta)
+    t = np.copysign(np.hypot(theta, 1.0, out=ws.t), theta, out=ws.t)
+    np.divide(1.0, np.add(theta, t, out=t), out=t)[idle] = 0.0
+    ws.left.fill(0.0)  # +0.0, then the kept pivots: the idle ones not flushed
+    np.copyto(ws.left, ws.apq, where=np.logical_xor(idle, flush, out=ws.kept))
 
 
 def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
@@ -122,9 +137,11 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
 
     Each sweep is m - 1 rounds of the Brent-Luk parallel ordering (m is n,
     or n + 1 with a zero row and column padded onto an odd n).  A round
-    applies m / 2 disjoint plane rotations at once as whole-array updates
-    on a working matrix kept in pair order, then permutes it to the next
-    round's pairs with :func:`_round_robin_move`.  Sweeps run until the
+    rotates m / 2 disjoint pivots of a working matrix kept in pair order,
+    writing only into a :class:`_Workspace` made once per solve: one gather
+    of (app, aqq, apq), their tangents, two batched matmuls (rows, then
+    columns), one scatter of (app, aqq, apq, aqp) and two takes to the next
+    round's pairs (:func:`_round_robin_move`).  Sweeps run until the
     off-diagonal Frobenius mass drops below ``tol * ||A||_F``, a target
     relative to the matrix at every scale; raises if 50 sweeps do not get
     there.  The certificate is the final off-diagonal mass over ``||A||_F``
@@ -162,11 +179,13 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
     work = np.empty_like(a)
     flat = a.reshape(-1)
     move = _round_robin_move(m)
-    # flat positions of each pair's (p, p) and (q, q), (p, q), and (q, p) entries
+    # flat positions of each pair's (p, p), (q, q) and (p, q) entries, then (q, p)
     pp = np.arange(0, m, 2) * (m + 1)
-    diag = np.stack((pp, pp + m + 1))
-    pq = pp + 1
-    qp = pp + m
+    gather = np.concatenate((pp, pp + m + 1, pp + 1))
+    scatter = np.concatenate((gather, pp + m))
+    ws = _Workspace(h)
+    pivots, after = ws.pivots.reshape(-1), ws.after.reshape(-1)
+    rows, work_rows = a.reshape(h, 2, m), work.reshape(h, 2, m)
 
     scale = float(np.linalg.norm(a))
     threshold = tol * scale
@@ -180,24 +199,22 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
                 f"(off-diagonal mass {off:.3e}, target {threshold:.3e})"
             )
         for _ in range(m - 1):
-            d = flat[diag]
-            apq = flat[pq]
-            t, left = _rotation_tangents(d, apq, skip_below)
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+            # "wrap" lets take write straight into out; every index is in range
+            flat.take(gather, out=pivots, mode="wrap")
+            _rotation_tangents(ws, skip_below)
+            np.divide(1.0, np.hypot(ws.t, 1.0, out=ws.c), out=ws.c)
+            np.negative(np.multiply(ws.t, ws.c[0], out=ws.s), out=ws.minus_s)
             # rows, then columns through the transpose: a ends up holding the
             # transpose of the rotated matrix, which is symmetric
-            np.matmul(rot, a.reshape(h, 2, m), out=work.reshape(h, 2, m))
-            np.matmul(rot, work.T.reshape(h, 2, m), out=a.reshape(h, 2, m))
+            np.matmul(ws.stack, rows, out=work_rows)
+            np.matmul(ws.stack, work.T.reshape(h, 2, m), out=rows)
             # Rutishauser's update keeps the diagonal accurate
-            tapq = t * apq
-            flat[diag] = (d[0] - tapq, d[1] + tapq)
-            flat[pq] = left
-            flat[qp] = left
-            # "wrap" lets take write straight into out; every index is in range
-            np.take(a, move, axis=0, out=work, mode="wrap")
-            np.take(work, move, axis=1, out=a, mode="wrap")
+            np.multiply(ws.t, ws.apq, out=ws.tapq)
+            np.subtract(ws.app, ws.tapq, out=ws.after[0])
+            np.add(ws.aqq, ws.tapq, out=ws.after[1])
+            flat[scatter] = after
+            a.take(move, axis=0, out=work, mode="wrap")
+            work.take(move, axis=1, out=a, mode="wrap")
         sweeps += 1
         off = _off_mass(a)
     # a full sweep returns every index to its slot, so the pad is the last

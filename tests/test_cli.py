@@ -690,6 +690,27 @@ def test_console_entry_point_end_to_end(tmp_path):
     assert json.loads(proc.stdout)["matrix"] == "laplacian"
 
 
+def test_reader_closing_stdout_exits_1_silently(tmp_path):
+    # the SVG of this 8 x 8 region is over 1 MB, more than a pipe holds, so the
+    # program is still writing when the reader stops after 10 bytes
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 4, (8, 8)).astype(float)
+    a[:, 0] += a.sum(axis=1).max() - a.sum(axis=1)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(a))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eigenloc.cli", "regions", "--matrix-file", str(path),
+         "--method", "rowsum-brauer", "--emit", "svg"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"<svg xmlns"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize(
     "window", [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0),
                (-1e308, 1e308, -1.0, 1.0)]

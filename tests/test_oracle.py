@@ -1,9 +1,12 @@
 """Eigensolver oracles: Jacobi route, Aberth route, cross-agreement."""
 
+import functools
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from eigenloc.graphs import (
     build_matrix,
     circulant,
     complete,
+    complete_bipartite,
     complete_minus_edge,
     cycle,
     path,
@@ -25,6 +29,7 @@ from eigenloc.graphs import (
 from eigenloc.oracle import (
     Spectrum,
     _rotation_tangents,
+    _Workspace,
     _round_robin_move,
     charpoly,
     complex_eigenvalues,
@@ -169,9 +174,11 @@ class TestRoundRobinJacobi:
                 assert_matches_eigvalsh(a, symmetric_eigenvalues(a))
 
     def test_flush_branch(self):
-        t, left = _rotation_tangents(np.array([[1.0], [1.0]]), np.array([1e-300]), 0.0)
-        assert t.tolist() == [0.0]
-        assert left.tolist() == [0.0]
+        ws = _Workspace(1)
+        ws.pivots[:, 0] = (1.0, 1.0, 1e-300)
+        _rotation_tangents(ws, 0.0)
+        assert ws.t.tolist() == [0.0]
+        assert ws.left.tolist() == [[0.0], [0.0]]
         spec = symmetric_eigenvalues(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
         assert spec.values == (1.0, 1.0)
         assert spec.max_residual == 0.0
@@ -179,15 +186,25 @@ class TestRoundRobinJacobi:
     def test_large_theta_branch(self):
         theta = (1.0 - 0.0) / (2.0 * 1e-160)
         assert theta > 1e150
-        t, left = _rotation_tangents(np.array([[0.0], [1.0]]), np.array([1e-160]), 0.0)
-        assert t.tolist() == [1.0 / (2.0 * theta)]
-        assert left.tolist() == [0.0]
+        ws = _Workspace(1)
+        ws.pivots[:, 0] = (0.0, 1.0, 1e-160)
+        _rotation_tangents(ws, 0.0)
+        assert ws.t.tolist() == [1.0 / (2.0 * theta)]
+        assert ws.left.tolist() == [[0.0], [0.0]]
         a = np.array([[0.0, 1e-160], [1e-160, 1.0]])
         assert symmetric_eigenvalues(a).values == (1.0, 0.0)
         rotated = symmetric_eigenvalues(a, tol=0.0)
         assert rotated.iterations == 1
         assert rotated.values == pytest.approx((1.0, 0.0), abs=1e-300)
         assert rotated.max_residual == 0.0
+
+    def test_zeroed_pivot_is_positive_zero(self):
+        # a flushed negative pivot and a rotated one; apq * 0.0 would give -0.0
+        ws = _Workspace(2)
+        ws.pivots[:] = [[1.0, 0.0], [1.0, 1.0], [-1e-300, -0.5]]
+        _rotation_tangents(ws, 0.0)
+        assert ws.left.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert not np.signbit(ws.left).any()
 
     def test_pivot_below_target_is_kept(self):
         # the 1e-15 pivot between equal diagonals is under tol * ||A||_F / 4,
@@ -218,6 +235,138 @@ class TestRoundRobinJacobi:
     def test_repeatable(self):
         a = random_symmetric(np.random.default_rng(6), 37)
         assert symmetric_eigenvalues(a) == symmetric_eigenvalues(a)
+
+
+def pivot_below_target_matrix():
+    """A 1e-15 pivot between equal diagonals, under tol * ||A||_F / 4 at tol 1e-12."""
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 1.0
+    a[2, 2] = a[3, 3] = 1.0
+    a[2, 3] = a[3, 2] = 1e-15
+    return a
+
+
+def jacobi_corpus():
+    """(matrix, tol) cases that reach every branch of a Jacobi round.
+
+    Graph matrices of every kind, odd and even n up to 90; seeded random
+    matrices at scales 1e-300, 1 and 1e300; and the flush, large-theta,
+    subnormal-pivot and below-target-pivot matrices, each at tol 1e-12 and 0.
+    """
+    graphs = [make(n) for make in (complete, cycle, star, path, complete_minus_edge) for n in (3, 4, 7, 8, 17)]
+    graphs += [cycle(64), complete_minus_edge(64), complete_bipartite(3, 4), complete_bipartite(8, 24)]
+    graphs += [petersen(), circulant(33, (1, 5)), circulant(90, (1, 2))]
+    mats = [symmetric_graph_matrix(g, kind) for g in graphs for kind in GraphMatrixKind]
+    rng = np.random.default_rng(21)
+    mats += [random_symmetric(rng, n, scale) for scale in (1e-300, 1.0, 1e300) for n in (1, 2, 5, 12, 31)]
+    # the 5e-324 pivot next to a unit pivot is rotated at tol 0, where 1 / (2 apq) overflows
+    subnormal = np.diag([0.0, 0.0, 0.0, 1.0])
+    subnormal[0, 1] = subnormal[1, 0] = 1.0
+    subnormal[2, 3] = subnormal[3, 2] = 5e-324
+    mats += [
+        np.array([[1.0, 1e-300], [1e-300, 1.0]]),
+        np.array([[0.0, 1e-160], [1e-160, 1.0]]),
+        np.array([[1.0, 5e-324], [5e-324, 0.0]]),
+        subnormal,
+        pivot_below_target_matrix(),
+    ]
+    return [(a, tol) for a in mats for tol in (1e-12, 0.0)]
+
+
+def reference_jacobi(matrix, tol):
+    """The Jacobi solve as written before its round workspace, for the corpus.
+
+    Every round allocates its arrays afresh; the arithmetic, and its order, is
+    the one :func:`symmetric_eigenvalues` must keep bit for bit.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    m = n + n % 2
+    h = m // 2
+    a = np.pad((a + a.T) / 2.0, (0, m - n))
+    work = np.empty_like(a)
+    flat = a.reshape(-1)
+    move = _round_robin_move(m)
+    pp = np.arange(0, m, 2) * (m + 1)
+    diag, pq, qp = np.stack((pp, pp + m + 1)), pp + 1, pp + m
+    scale = float(np.linalg.norm(a))
+    threshold = tol * scale
+    skip_below = threshold / m
+    off = oracle._off_mass(a)
+    sweeps = 0
+    while off > threshold:
+        if sweeps >= 50:
+            raise RuntimeError(
+                f"Jacobi iteration did not reach tolerance in 50 sweeps "
+                f"(off-diagonal mass {off:.3e}, target {threshold:.3e})"
+            )
+        for _ in range(m - 1):
+            d = flat[diag]
+            apq = flat[pq]
+            size = np.abs(apq)
+            absd = np.abs(d)
+            stays = absd + 100.0 * size == absd
+            flush = stays[0] & stays[1]
+            idle = flush | (size < skip_below)
+            theta = (d[1] - d[0]) / (2.0 * np.where(idle, 1.0, apq))
+            t = 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta))
+            t, left = np.where(idle, 0.0, t), np.where(idle & ~flush, apq, 0.0)
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+            np.matmul(rot, a.reshape(h, 2, m), out=work.reshape(h, 2, m))
+            np.matmul(rot, work.T.reshape(h, 2, m), out=a.reshape(h, 2, m))
+            tapq = t * apq
+            flat[diag] = (d[0] - tapq, d[1] + tapq)
+            flat[pq] = left
+            flat[qp] = left
+            np.take(a, move, axis=0, out=work, mode="wrap")
+            np.take(work, move, axis=1, out=a, mode="wrap")
+        sweeps += 1
+        off = oracle._off_mass(a)
+    values = tuple(sorted((float(x) for x in np.diag(a)[:n]), reverse=True))
+    return Spectrum(values=values, max_residual=off / scale if scale else 0.0, iterations=sweeps)
+
+
+def jacobi_outcome(solve, a, tol) -> str:
+    """repr of (values, max_residual, iterations), or of the error or warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            spec = solve(a, tol)
+        except (RuntimeError, RuntimeWarning) as exc:
+            return repr(exc)
+    return repr((spec.values, spec.max_residual, spec.iterations))
+
+
+@functools.cache
+def jacobi_corpus_outcomes() -> tuple:
+    """The outcomes of :func:`symmetric_eigenvalues` on the corpus, computed once."""
+    return tuple(jacobi_outcome(symmetric_eigenvalues, a, tol) for a, tol in jacobi_corpus())
+
+
+class TestJacobiBitIdentity:
+    # SHA-256 of the corpus outcomes, one per line, as the solve before its
+    # round workspace computed them with numpy 2.4.6 and OpenBLAS 0.3.31, under
+    # each x86-64 kernel OpenBLAS picks (OPENBLAS_CORETYPE; Zen runs Haswell's):
+    # np.linalg.norm's dot, and the 2 x 2 gemm when n <= 2, add in an order of
+    # the kernel's own
+    PARENT_DIGESTS = {
+        "SkylakeX": "7b0595f9e8a1e6832457e286a8ee70f329d4b7bb7332d2e0a05bae2ac2287f8e",
+        "Haswell": "99c8297a919a90f0b6c7b397eb2127a9ba33dd5aedc41bcf07f9e803d44f1bae",
+        "Sandybridge": "bf48e3a1d58c69eebc1b0812b0b1cbe64bd63361003646810880f8a5884c39bd",
+        "Nehalem": "60f18944d68e364b7f0199bf1bcebe4cc12fdeb08f2e704d30ad4abb5774ed4d",
+        "Prescott": "93429b61caf5370723030d108fb07cffd37e92452a7c7f5f360d2795f1d518e9",
+    }
+
+    def test_outputs_match_recorded_digest(self):
+        outcomes = "\n".join(jacobi_corpus_outcomes())
+        assert hashlib.sha256(outcomes.encode()).hexdigest() in self.PARENT_DIGESTS.values()
+
+    def test_outputs_match_reference_loop(self):
+        # the same check on any platform, against the loop kept above
+        reference = [jacobi_outcome(reference_jacobi, a, tol) for a, tol in jacobi_corpus()]
+        assert list(jacobi_corpus_outcomes()) == reference
 
 
 class TestEmptyMatrix:
