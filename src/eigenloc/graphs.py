@@ -37,7 +37,7 @@ __all__ = [
     "MAX_VERTICES",
 ]
 
-# largest vertex count a graph may have, and the Jacobi oracle's dimension cap
+# largest vertex count a graph may have, and the symmetric oracle's dimension cap
 MAX_VERTICES = 2048
 
 

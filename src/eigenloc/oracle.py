@@ -1,13 +1,13 @@
 """Reference eigensolvers used to verify bounds and regions.
 
-Two independent routes are provided: round-robin (Brent-Luk) parallel
-Jacobi rotations for real symmetric matrices, applied as whole-array
-updates, and, for general complex matrices, Aberth-Ehrlich simultaneous
-iteration on the blocks of a Householder Hessenberg form, with Newton
-ratios p'(z) / p(z) from Hyman's back-substitution.  Neither calls a
-LAPACK eigensolver.  Every spectrum carries a certificate, a relative
-Frobenius backward error, so callers can see how accurate the values are,
-and the solver's iteration count.
+Two independent routes are provided: for real symmetric matrices,
+Householder reduction to tridiagonal form and implicit-shift QL, with no
+BLAS call, so its results are the same on every machine; for general
+complex matrices, Aberth-Ehrlich simultaneous iteration on the blocks of a
+Householder Hessenberg form, with Newton ratios p'(z) / p(z) from Hyman's
+back-substitution.  Neither calls a LAPACK eigensolver.  Every spectrum
+carries a certificate, a relative Frobenius backward error, so callers can
+see how accurate the values are, and the solver's iteration count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ __all__ = [
 ]
 
 _MAX_COMPLEX_DIM = 64
-_MAX_JACOBI_SWEEPS = 50
+# QL steps allowed per row of a symmetric matrix
+_MAX_QL_STEPS_PER_ROW = 30
 _MAX_ABERTH_ITERATIONS = 500
 # an Aberth root is frozen once its backward error is at most this times n
 _ABERTH_TARGET = 4.0 * np.finfo(float).eps
@@ -46,10 +47,10 @@ class Spectrum:
     Real spectra are sorted descending; complex spectra by real part
     descending, then imaginary part descending.  ``max_residual`` is a
     normwise backward error relative to ``||A||_F`` on both routes: the
-    final off-diagonal Frobenius mass for Jacobi (dropping it from the
-    rotated matrix perturbs A by that much), and the largest
+    Frobenius mass of the tridiagonal entries that QL dropped (setting them
+    to 0 perturbs A by that much), and the largest
     ``sigma_min(z I - A) / ||A||_F`` over the roots z for Aberth.
-    ``iterations`` counts Jacobi sweeps or Aberth iterations.
+    ``iterations`` counts QL steps or Aberth iterations.
     """
 
     values: tuple
@@ -66,92 +67,124 @@ def spectrum_to_json(spec: Spectrum) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi route (real symmetric)
+# tridiagonal QL route (real symmetric)
 
 
-def _off_mass(a: np.ndarray) -> float:
-    # summed over off-diagonal entries only; subtracting the diagonal mass
-    # from the total would cancel catastrophically near convergence
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def _tridiagonal(b: np.ndarray) -> tuple[list, list]:
+    """Householder reduction of a symmetric b to tridiagonal form Q^T b Q.
 
-
-def _round_robin_move(m: int) -> np.ndarray:
-    """Slot permutation from one round of a round-robin Jacobi sweep to the next.
-
-    Slots (2k, 2k+1) hold the k-th pair of a round.  Slot 0 stays put; the
-    other m - 1 slots form a ring (even slots upward, then odd slots
-    downward) that turns by one place per round.  This is the circle
-    method: over the m - 1 rounds of a sweep every two indices are paired
-    exactly once, and the last round brings every index back to its
-    starting slot.  Slot i of the next round takes the entry now in slot
-    ``move[i]``.
+    Returns the diagonal d and the subdiagonal e as lists of floats.
+    Column k's part x below the diagonal is reflected onto
+    -sign(x_0) ||x|| e_1 (Golub & Van Loan, Matrix Computations, section
+    8.3.1), unless the squares of its entries below the subdiagonal sum to
+    0; those entries are then each below about 1.6e-162, far below the
+    rounding of the reflections for max |b_ij| near 1, and are set to 0.
+    Inner products and matrix-vector products are ``np.add.reduce`` of
+    elementwise products and the rank-two update is built with
+    ``np.multiply.outer``, so no BLAS kernel sets the order of a sum; the
+    update subtracts u + u^T, which keeps the working matrix symmetric.
     """
-    ring = np.concatenate((np.arange(2, m, 2), np.arange(m - 1, 0, -2)))
-    move = np.zeros(m, dtype=np.intp)
-    move[np.roll(ring, -1)] = ring
-    return move
+    a = b.copy()
+    n = a.shape[0]
+    e = []
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        x0 = float(x[0])
+        tail = float(np.add.reduce(x[1:] * x[1:]))
+        if tail == 0.0:
+            e.append(x0)
+            continue
+        size = math.copysign(math.sqrt(x0 * x0 + tail), x0)
+        v = x.copy()
+        v[0] = x0 + size
+        # the reflection is I - tau v v^T, as ||v||^2 = 2 |size| (|size| + |x_0|)
+        tau = 1.0 / (size * v[0])
+        rest = a[k + 1 :, k + 1 :]
+        p = tau * np.add.reduce(rest * v, axis=1)
+        w = p - (0.5 * tau * float(np.add.reduce(p * v))) * v
+        u = np.multiply.outer(v, w)
+        rest -= u + u.T
+        e.append(-size)
+    # the last subdiagonal entry, if n > 1, needs no reflection
+    return a.diagonal().tolist(), e + a.diagonal(-1)[n - 2 :].tolist()
 
 
-class _Workspace:
-    """Every array a Jacobi round on h pairs writes, allocated once per solve."""
+def _ql(d: list, e: list) -> tuple[list, float, int]:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and subdiagonal e.
 
-    def __init__(self, h: int) -> None:
-        self.pivots, self.size, self.after, self.rot = (np.empty((k, h)) for k in (3, 3, 4, 4))
-        self.moved, self.stays = np.empty((2, h)), np.empty((2, h), dtype=bool)
-        self.theta, self.t, self.tapq = np.empty((3, h))
-        self.flush, self.idle, self.kept = np.empty((3, h), dtype=bool)
-        self.app, self.aqq, self.apq = self.pivots
-        self.absd, self.absq, self.left = self.size[:2], self.size[2], self.after[2:]
-        self.c, self.minus_s, self.s = self.rot[::3], self.rot[1], self.rot[2]
-        self.stack = self.rot.reshape(2, 2, h).transpose(2, 0, 1)  # [[c, -s], [s, c]] per pair
-
-
-def _rotation_tangents(ws: _Workspace, skip_below: float) -> None:
-    """Jacobi rotations for the pivots (app, aqq, apq) in ``ws.pivots``.
-
-    Writes tan of each rotation angle to ``ws.t`` and each pivot's value
-    after it to ``ws.left``.  A pivot too small to move either diagonal entry
-    is flushed: tangent 0, pivot zeroed.  A pivot below ``skip_below`` is
-    skipped: tangent 0, pivot kept.  Otherwise t is the smaller root of
-    t^2 + 2 theta t - 1 = 0 with theta = (aqq - app) / (2 apq) and the pivot
-    becomes 0.  ``hypot`` keeps theta^2 from overflowing, and for |theta| >
-    1e150 it returns |theta| exactly, so t is then exactly 1 / (2 theta).
+    Implicit-shift QL (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math.
+    11, 1968; EISPACK ``tql1``) in plain Python floats.  e[m], between rows
+    m and m + 1, is dropped once |e[m]| <= eps (|d[m]| + |d[m + 1]|), or
+    once it is below 1.5e-154, where eps |d| may underflow: far below eps
+    when max |t_ij| is near 1.  Returns the values, unsorted, the root of
+    the sum of squares of the dropped entries (by ``hypot``, which cannot
+    underflow) and the number of steps; raises RuntimeError after 30 n
+    steps in all, as LAPACK's ``dsterf`` does.
     """
-    np.abs(ws.pivots, out=ws.size)
-    np.multiply(100.0, ws.absq, out=ws.theta)
-    np.equal(np.add(ws.absd, ws.theta, out=ws.moved), ws.absd, out=ws.stays)
-    flush = np.logical_and(ws.stays[0], ws.stays[1], out=ws.flush)
-    idle = np.logical_or(flush, np.less(ws.absq, skip_below, out=ws.idle), out=ws.idle)
-    np.multiply(2.0, ws.apq, out=ws.t)[idle] = 2.0  # an idle pivot divides by 2 * 1
-    theta = np.divide(np.subtract(ws.aqq, ws.app, out=ws.theta), ws.t, out=ws.theta)
-    t = np.copysign(np.hypot(theta, 1.0, out=ws.t), theta, out=ws.t)
-    np.divide(1.0, np.add(theta, t, out=t), out=t)[idle] = 0.0
-    ws.left.fill(0.0)  # +0.0, then the kept pivots: the idle ones not flushed
-    np.copyto(ws.left, ws.apq, where=np.logical_xor(idle, flush, out=ws.kept))
+    n = len(d)
+    d, e = list(d), list(e) + [0.0]
+    eps, hypot, copysign = float(np.finfo(float).eps), math.hypot, math.copysign
+    tiny = math.sqrt(float(np.finfo(float).tiny))
+    cap = _MAX_QL_STEPS_PER_ROW * n
+    dropped = 0.0
+    steps = 0
+    for lo in range(n):
+        while True:
+            m = lo
+            while m < n - 1:
+                if abs(e[m]) <= max(eps * (abs(d[m]) + abs(d[m + 1])), tiny):
+                    dropped = hypot(dropped, e[m])
+                    e[m] = 0.0
+                    break
+                m += 1
+            if m == lo:
+                break
+            if steps == cap:
+                raise RuntimeError(f"QL iteration did not converge in {cap} steps")
+            steps += 1
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # the rotation underflowed: restart on the block split at e[i + 1] = 0
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return d, dropped, steps
 
 
-def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix by round-robin Jacobi.
+def symmetric_eigenvalues(matrix) -> Spectrum:
+    """All eigenvalues of a real symmetric matrix by tridiagonal QL.
 
-    Each sweep is m - 1 rounds of the Brent-Luk parallel ordering (m is n,
-    or n + 1 with a zero row and column padded onto an odd n).  A round
-    rotates m / 2 disjoint pivots of a working matrix kept in pair order,
-    writing only into a :class:`_Workspace` made once per solve: one gather
-    of (app, aqq, apq), their tangents, two batched matmuls (rows, then
-    columns), one scatter of (app, aqq, apq, aqp) and two takes to the next
-    round's pairs (:func:`_round_robin_move`).  Sweeps run until the
-    off-diagonal Frobenius mass drops below ``tol * ||A||_F``, a target
-    relative to the matrix at every scale; raises if 50 sweeps do not get
-    there.  The certificate is the final off-diagonal mass over ``||A||_F``
-    (0 for the zero matrix) and ``iterations`` the number of sweeps.
-
-    Pivots below that target divided by m are skipped and kept: once every
-    off-diagonal entry is that small the stopping rule holds, and rotating
-    rounding noise between equal diagonal entries turns by 45 degrees and
-    only stirs the rest of those rows, which can stall the parallel
-    ordering (the normalized adjacency of K_32 minus an edge did).
+    Works on B = A / 2^k, with 2^k the power of two just above max |a_ij|,
+    so that no sum of squares overflows, nor underflows for want of scale.
+    B is reduced to a tridiagonal T = Q^T B Q by Householder reflections
+    (:func:`_tridiagonal`), and T's eigenvalues come from implicit-shift QL
+    (:func:`_ql`); neither calls a LAPACK eigensolver or a BLAS kernel, so
+    the result is the same on every machine.  Each entry QL drops stands
+    twice in T, so ``max_residual`` is sqrt(2 * sum of their squares) /
+    ||B||_F, the normwise backward error that the drops assume (0 for the
+    zero matrix); rounding in the reflections and rotations is not counted.
+    ``iterations`` is the number of QL steps.  Raises ValueError when an
+    eigenvalue is past the float range.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -161,72 +194,38 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> Spectrum:
         raise ValueError(f"dimension {n} exceeds the {MAX_VERTICES} cap")
     if n == 0:
         return Spectrum(values=(), max_residual=0.0)
-    # both checks are relative to max |a_ij|, so they hold at every scale
+    # both checks are relative to the largest entry, so they hold at every scale
     if np.iscomplexobj(a):
-        # negated so that a NaN imaginary part is rejected too
-        if not np.max(np.abs(a.imag)) <= 1e-12 * np.max(np.abs(a)):
+        # negated so that a NaN imaginary part is rejected too; |a_ij| itself
+        # may overflow, the largest real part cannot
+        if not np.max(np.abs(a.imag)) <= 1e-12 * np.max(np.abs(a.real)):
             raise ValueError("matrix has a non-negligible imaginary part")
         a = a.real
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    if np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a)):
+    big = float(np.max(np.abs(a)))
+    if big == 0.0:
+        return Spectrum(values=(0.0,) * n, max_residual=0.0)
+    exponent = math.frexp(big)[1]
+    b = np.ldexp(a, -exponent)
+    if np.max(np.abs(b - b.T)) > 1e-12 * math.ldexp(big, -exponent):
         raise ValueError("matrix is not symmetric")
-
-    m = n + n % 2
-    h = m // 2
-    a = np.pad((a + a.T) / 2.0, (0, m - n))
-    work = np.empty_like(a)
-    flat = a.reshape(-1)
-    move = _round_robin_move(m)
-    # flat positions of each pair's (p, p), (q, q) and (p, q) entries, then (q, p)
-    pp = np.arange(0, m, 2) * (m + 1)
-    gather = np.concatenate((pp, pp + m + 1, pp + 1))
-    scatter = np.concatenate((gather, pp + m))
-    ws = _Workspace(h)
-    pivots, after = ws.pivots.reshape(-1), ws.after.reshape(-1)
-    rows, work_rows = a.reshape(h, 2, m), work.reshape(h, 2, m)
-
-    scale = float(np.linalg.norm(a))
-    threshold = tol * scale
-    skip_below = threshold / m
-    off = _off_mass(a)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= _MAX_JACOBI_SWEEPS:
-            raise RuntimeError(
-                f"Jacobi iteration did not reach tolerance in {_MAX_JACOBI_SWEEPS} sweeps "
-                f"(off-diagonal mass {off:.3e}, target {threshold:.3e})"
-            )
-        for _ in range(m - 1):
-            # "wrap" lets take write straight into out; every index is in range
-            flat.take(gather, out=pivots, mode="wrap")
-            _rotation_tangents(ws, skip_below)
-            np.divide(1.0, np.hypot(ws.t, 1.0, out=ws.c), out=ws.c)
-            np.negative(np.multiply(ws.t, ws.c[0], out=ws.s), out=ws.minus_s)
-            # rows, then columns through the transpose: a ends up holding the
-            # transpose of the rotated matrix, which is symmetric
-            np.matmul(ws.stack, rows, out=work_rows)
-            np.matmul(ws.stack, work.T.reshape(h, 2, m), out=rows)
-            # Rutishauser's update keeps the diagonal accurate
-            np.multiply(ws.t, ws.apq, out=ws.tapq)
-            np.subtract(ws.app, ws.tapq, out=ws.after[0])
-            np.add(ws.aqq, ws.tapq, out=ws.after[1])
-            flat[scatter] = after
-            a.take(move, axis=0, out=work, mode="wrap")
-            work.take(move, axis=1, out=a, mode="wrap")
-        sweeps += 1
-        off = _off_mass(a)
-    # a full sweep returns every index to its slot, so the pad is the last
-    values = tuple(sorted((float(x) for x in np.diag(a)[:n]), reverse=True))
-    return Spectrum(values=values, max_residual=off / scale if scale else 0.0, iterations=sweeps)
+    b = (b + b.T) / 2.0
+    d, dropped, steps = _ql(*_tridiagonal(b))
+    try:
+        values = sorted((math.ldexp(x, exponent) for x in d), reverse=True)
+    except OverflowError:
+        raise ValueError("an eigenvalue is past the float range") from None
+    norm = math.sqrt(float(np.add.reduce((b * b).ravel())))
+    return Spectrum(values=tuple(values), max_residual=math.sqrt(2.0) * dropped / norm, iterations=steps)
 
 
 def normalized_spectrum(g: Graph) -> Spectrum:
     """Spectrum of the normalized adjacency matrix D^{-1}A of ``g``.
 
     Computed on the symmetric similar matrix with entries
-    a_ij / sqrt(d_i d_j), so the Jacobi route applies and the result is
+    a_ij / sqrt(d_i d_j), so the symmetric route applies and the result is
     exactly real.  Without an isolated vertex every component has top
     value 1, so the top value must be 1; this is asserted within 1e-9
     (RuntimeError otherwise).
@@ -242,7 +241,7 @@ def normalized_spectrum(g: Graph) -> Spectrum:
 
 
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
-    """Spectrum of the ``kind`` matrix of ``g`` by the Jacobi route.
+    """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
     The normalized adjacency goes through :func:`normalized_spectrum`, whose
     symmetric similar matrix keeps the values exactly real.

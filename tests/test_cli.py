@@ -442,12 +442,12 @@ class TestBadInputExitCodes:
         import eigenloc.oracle as oracle
 
         def stuck(g, kind):
-            raise RuntimeError("Jacobi did not converge")
+            raise RuntimeError("QL iteration did not converge")
 
         monkeypatch.setattr(oracle, "graph_spectrum", stuck)
         assert main(["sweep", "complete:3..4", "--matrix", "adjacency", "--out", "-"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: Jacobi did not converge\n"
+        assert captured.err == "error: QL iteration did not converge\n"
         assert captured.out == ""
 
     def test_sweep_solves_graphs_without_bounds(self, capsys, monkeypatch):
@@ -456,12 +456,12 @@ class TestBadInputExitCodes:
         import eigenloc.oracle as oracle
 
         def stuck(g, kind):
-            raise RuntimeError("Jacobi did not converge")
+            raise RuntimeError("QL iteration did not converge")
 
         monkeypatch.setattr(oracle, "graph_spectrum", stuck)
         assert main(["sweep", "complete_minus_edge:8..8", "--matrix", "adjacency",
                      "--out", "-"]) == 1
-        assert capsys.readouterr().err == "error: Jacobi did not converge\n"
+        assert capsys.readouterr().err == "error: QL iteration did not converge\n"
 
     @pytest.mark.parametrize("n", [2049, 10**19])
     def test_too_many_vertices_exits_1(self, n, tmp_path, capsys):

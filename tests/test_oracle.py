@@ -1,4 +1,4 @@
-"""Eigensolver oracles: Jacobi route, Aberth route, cross-agreement."""
+"""Eigensolver oracles: tridiagonal QL route, Aberth route, cross-agreement."""
 
 import functools
 import hashlib
@@ -28,9 +28,8 @@ from eigenloc.graphs import (
 )
 from eigenloc.oracle import (
     Spectrum,
-    _rotation_tangents,
-    _Workspace,
-    _round_robin_move,
+    _ql,
+    _tridiagonal,
     charpoly,
     complex_eigenvalues,
     graph_spectrum,
@@ -60,7 +59,7 @@ def backward_error(a, values):
     ) / np.linalg.norm(a)
 
 
-class TestJacobi:
+class TestSymmetricEigenvalues:
     def test_k2_laplacian(self):
         spec = symmetric_eigenvalues(build_matrix(complete(2), GraphMatrixKind.LAPLACIAN))
         assert spec.values == pytest.approx((2.0, 0.0), abs=1e-12)
@@ -77,11 +76,11 @@ class TestJacobi:
 
     def test_residual_certificate(self):
         rng = np.random.default_rng(2)
-        spec = symmetric_eigenvalues(random_symmetric(rng, 12), tol=1e-12)
+        spec = symmetric_eigenvalues(random_symmetric(rng, 12))
         assert 0 <= spec.max_residual <= 1e-12
 
     def test_tiny_matrix_is_rotated(self):
-        # the stopping target is relative to ||A||_F, not floored at 1
+        # the solve runs on A scaled by a power of two near max |a_ij|
         spec = symmetric_eigenvalues(1e-20 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert spec.values == pytest.approx((1e-20, -1e-20), rel=1e-12)
         assert spec.iterations >= 1
@@ -114,6 +113,11 @@ class TestJacobi:
         with pytest.raises(ValueError, match="imaginary"):
             symmetric_eigenvalues(a)
 
+    def test_rejects_imaginary_part_near_the_float_range(self):
+        # |a_ij| overflows to inf, which once let any imaginary part through
+        with pytest.raises(ValueError, match="imaginary"):
+            symmetric_eigenvalues(np.array([[1.5e308 + 1.5e308j]]))
+
     def test_agrees_with_lapack(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 5, 8, 13, 21):
@@ -138,22 +142,45 @@ def symmetric_graph_matrix(g, kind):
     return build_matrix(g, GraphMatrixKind.ADJACENCY) / np.outer(root, root)
 
 
-class TestRoundRobinJacobi:
-    def test_schedule_pairs_every_index_pair_once_per_sweep(self):
-        for m in range(2, 65, 2):
-            move = _round_robin_move(m)
-            slots = np.arange(m)
-            met = []
-            for _ in range(m - 1):
-                pairs = slots.reshape(-1, 2)
-                assert len(set(pairs.ravel().tolist())) == m  # the round's pairs are disjoint
-                met += [frozenset(p) for p in pairs.tolist()]
-                slots = slots[move]
-            assert len(met) == len(set(met)) == m * (m - 1) // 2
-            assert slots.tolist() == list(range(m))  # a sweep ends where it started
+def lapack_values(a):
+    """eigvalsh of a / s, times s, descending, with s a power of two near max |a_ij|."""
+    exponent = np.frexp(np.max(np.abs(a)))[1] if np.any(a) else 0
+    return np.ldexp(np.linalg.eigvalsh(np.ldexp(a, -exponent))[::-1], exponent)
+
+
+def tridiagonal_matrix(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestTridiagonalQL:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+    def test_tridiagonal_is_similar(self, n):
+        a = random_symmetric(np.random.default_rng(n), n, 0.25)
+        d, e = _tridiagonal(a)
+        assert len(d) == n and len(e) == max(n - 1, 0)
+        gap = np.max(np.abs(np.linalg.eigvalsh(tridiagonal_matrix(d, e)) - np.linalg.eigvalsh(a)))
+        assert gap <= 4 * n * EPS * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 31, 90])
+    def test_tridiagonal_keeps_norm_and_trace(self, n):
+        a = random_symmetric(np.random.default_rng(30 + n), n, 0.25)
+        d, e = map(np.array, _tridiagonal(a))
+        norm = np.linalg.norm(a)
+        assert abs(np.sqrt(np.sum(d**2) + 2 * np.sum(e**2)) - norm) <= 4 * n * EPS * norm
+        assert abs(np.sum(d) - np.trace(a)) <= 4 * n * EPS * norm
+
+    def test_zero_column_is_not_reflected(self):
+        # column 0 below the subdiagonal is 0, and column 1's tail is too small
+        # to square: both are taken as they stand
+        a = np.diag([1.0, 0.5, 0.25, 0.0])
+        a[0, 1] = a[1, 0] = 0.5
+        a[1, 3] = a[3, 1] = 1e-170
+        d, e = _tridiagonal(a)
+        assert d == [1.0, 0.5, 0.25, 0.0]
+        assert e == [0.5, 0.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 3, 91])
-    def test_padding_path_agrees_with_lapack(self, n):
+    def test_odd_sizes_agree_with_lapack(self, n):
         a = random_symmetric(np.random.default_rng(n), n)
         spec = symmetric_eigenvalues(a)
         assert len(spec) == n
@@ -164,7 +191,7 @@ class TestRoundRobinJacobi:
         g = circulant(90, (1, 2))
         spec = graph_spectrum(g, kind)
         assert_matches_eigvalsh(symmetric_graph_matrix(g, kind), spec)
-        assert 1 <= spec.iterations <= 15
+        assert 1 <= spec.iterations <= 3 * g.n
 
     def test_random_symmetric_agrees_with_lapack(self):
         rng = np.random.default_rng(20)
@@ -173,64 +200,63 @@ class TestRoundRobinJacobi:
                 a = random_symmetric(rng, n, scale)
                 assert_matches_eigvalsh(a, symmetric_eigenvalues(a))
 
-    def test_flush_branch(self):
-        ws = _Workspace(1)
-        ws.pivots[:, 0] = (1.0, 1.0, 1e-300)
-        _rotation_tangents(ws, 0.0)
-        assert ws.t.tolist() == [0.0]
-        assert ws.left.tolist() == [[0.0], [0.0]]
-        spec = symmetric_eigenvalues(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
-        assert spec.values == (1.0, 1.0)
-        assert spec.max_residual == 0.0
-
-    def test_large_theta_branch(self):
-        theta = (1.0 - 0.0) / (2.0 * 1e-160)
-        assert theta > 1e150
-        ws = _Workspace(1)
-        ws.pivots[:, 0] = (0.0, 1.0, 1e-160)
-        _rotation_tangents(ws, 0.0)
-        assert ws.t.tolist() == [1.0 / (2.0 * theta)]
-        assert ws.left.tolist() == [[0.0], [0.0]]
-        a = np.array([[0.0, 1e-160], [1e-160, 1.0]])
-        assert symmetric_eigenvalues(a).values == (1.0, 0.0)
-        rotated = symmetric_eigenvalues(a, tol=0.0)
-        assert rotated.iterations == 1
-        assert rotated.values == pytest.approx((1.0, 0.0), abs=1e-300)
-        assert rotated.max_residual == 0.0
-
-    def test_zeroed_pivot_is_positive_zero(self):
-        # a flushed negative pivot and a rotated one; apq * 0.0 would give -0.0
-        ws = _Workspace(2)
-        ws.pivots[:] = [[1.0, 0.0], [1.0, 1.0], [-1e-300, -0.5]]
-        _rotation_tangents(ws, 0.0)
-        assert ws.left.tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert not np.signbit(ws.left).any()
-
-    def test_pivot_below_target_is_kept(self):
-        # the 1e-15 pivot between equal diagonals is under tol * ||A||_F / 4,
-        # so it is neither rotated (45 degrees) nor dropped from the certificate
-        a = np.zeros((4, 4))
-        a[0, 1] = a[1, 0] = 1.0
-        a[2, 2] = a[3, 3] = 1.0
-        a[2, 3] = a[3, 2] = 1e-15
+    def test_negligible_entry_is_dropped_and_counted(self):
+        values, dropped, steps = _ql([1.0, 2.0], [1e-16])
+        assert (values, dropped, steps) == ([1.0, 2.0], 1e-16, 0)
+        a = np.array([[1.0, 1e-300], [1e-300, 1.0]])
         spec = symmetric_eigenvalues(a)
-        assert spec.values == (1.0, 1.0, 1.0, -1.0)
-        assert spec.iterations == 1
-        assert spec.max_residual == pytest.approx(np.sqrt(2) * 1e-15 / np.linalg.norm(a), rel=1e-9, abs=0)
+        assert spec.values == (1.0, 1.0)
+        assert spec.iterations == 0
+        # the dropped mass is summed by hypot, so 1e-300 squared does not vanish
+        assert spec.max_residual == pytest.approx(np.sqrt(2) * 1e-300 / np.linalg.norm(a), rel=1e-12)
+
+    def test_large_shift_ratio(self):
+        # (d1 - d0) / (2 e0) is 5e9: one step, and the small value to full accuracy
+        values, dropped, steps = _ql([0.0, 1.0], [1e-10])
+        assert sorted(values) == pytest.approx([-1e-20, 1.0], rel=1e-12)
+        assert steps == 1
+        assert symmetric_eigenvalues(np.array([[0.0, 1e-160], [1e-160, 1.0]])).values == (1.0, 0.0)
+
+    def test_underflowed_rotation_restarts(self):
+        # an input, found by a random search over graded tridiagonals, on which
+        # a rotation's hypot(f, g) underflows to 0 and the step restarts
+        d = [-8.757595521122455e-139, 7.986395914311202e-150, -2.181252772215037e58, 0.0]
+        e = [4.48364812667641e-108, -5.189343891801538e109, 1.2854957189962342e98]
+        values, dropped, steps = _ql(d, e)
+        t = tridiagonal_matrix(d, e)
+        expected = np.linalg.eigvalsh(t)
+        assert np.max(np.abs(np.sort(values) - expected)) <= 4 * 4 * EPS * np.linalg.norm(t)
+        assert steps <= 3 * 4
+
+    def test_below_old_target_pivot_agrees_with_lapack(self):
+        # the 1e-15 pivot between equal diagonals is now rotated, not kept
+        spec = symmetric_eigenvalues(pivot_below_target_matrix())
+        assert_matches_eigvalsh(pivot_below_target_matrix(), spec)
+        assert spec.max_residual <= 4 * EPS
+
+    def test_subnormal_pivot_agrees_with_lapack(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = symmetric_eigenvalues(subnormal_pivot_matrix())
+        assert_matches_eigvalsh(subnormal_pivot_matrix(), spec)
 
     def test_equal_diagonal_cluster_converges(self):
-        # rotating rounding noise inside the 30-fold eigenvalue -1/31 used to
-        # stall the round-robin ordering in 50 sweeps
+        # the 30-fold eigenvalue -1/31, which once stalled a Jacobi ordering
         g = complete_minus_edge(32)
         spec = normalized_spectrum(g)
-        assert spec.iterations <= 15
+        assert spec.iterations <= 3 * g.n
         assert_matches_eigvalsh(symmetric_graph_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY), spec)
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_MAX_JACOBI_SWEEPS", 1)
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_QL_STEPS_PER_ROW", 1)
         a = random_symmetric(np.random.default_rng(4), 20)
-        with pytest.raises(RuntimeError, match="did not reach tolerance in 1 sweeps"):
+        with pytest.raises(RuntimeError, match="did not converge in 20 steps"):
             symmetric_eigenvalues(a)
+
+    def test_eigenvalue_past_the_float_range_raises_value_error(self):
+        # the eigenvalue 3e308 of the all-1e308 matrix has no float
+        with pytest.raises(ValueError, match="float range"):
+            symmetric_eigenvalues(np.full((3, 3), 1e308))
 
     def test_repeatable(self):
         a = random_symmetric(np.random.default_rng(6), 37)
@@ -238,7 +264,7 @@ class TestRoundRobinJacobi:
 
 
 def pivot_below_target_matrix():
-    """A 1e-15 pivot between equal diagonals, under tol * ||A||_F / 4 at tol 1e-12."""
+    """A 1e-15 pivot between equal diagonals, once kept unrotated by Jacobi."""
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = 1.0
     a[2, 2] = a[3, 3] = 1.0
@@ -246,127 +272,103 @@ def pivot_below_target_matrix():
     return a
 
 
-def jacobi_corpus():
-    """(matrix, tol) cases that reach every branch of a Jacobi round.
+def subnormal_pivot_matrix():
+    """A 5e-324 pivot next to a unit diagonal entry, beside a unit pivot."""
+    a = np.diag([0.0, 0.0, 0.0, 1.0])
+    a[0, 1] = a[1, 0] = 1.0
+    a[2, 3] = a[3, 2] = 5e-324
+    return a
+
+
+@functools.cache
+def corpus_random_matrices() -> dict:
+    """Seeded random symmetric matrices, keyed by (scale, n)."""
+    rng = np.random.default_rng(21)
+    return {
+        (scale, n): random_symmetric(rng, n, scale)
+        for scale in (1e-300, 1.0, 1e300)
+        for n in (1, 2, 5, 12, 31)
+    }
+
+
+def symmetric_corpus():
+    """Matrices that reach every branch of the symmetric route.
 
     Graph matrices of every kind, odd and even n up to 90; seeded random
-    matrices at scales 1e-300, 1 and 1e300; and the flush, large-theta,
-    subnormal-pivot and below-target-pivot matrices, each at tol 1e-12 and 0.
+    matrices at scales 1e-300, 1 and 1e300; and matrices with a negligible,
+    a large-shift, a subnormal and a below-eps pivot.
     """
     graphs = [make(n) for make in (complete, cycle, star, path, complete_minus_edge) for n in (3, 4, 7, 8, 17)]
     graphs += [cycle(64), complete_minus_edge(64), complete_bipartite(3, 4), complete_bipartite(8, 24)]
     graphs += [petersen(), circulant(33, (1, 5)), circulant(90, (1, 2))]
     mats = [symmetric_graph_matrix(g, kind) for g in graphs for kind in GraphMatrixKind]
-    rng = np.random.default_rng(21)
-    mats += [random_symmetric(rng, n, scale) for scale in (1e-300, 1.0, 1e300) for n in (1, 2, 5, 12, 31)]
-    # the 5e-324 pivot next to a unit pivot is rotated at tol 0, where 1 / (2 apq) overflows
-    subnormal = np.diag([0.0, 0.0, 0.0, 1.0])
-    subnormal[0, 1] = subnormal[1, 0] = 1.0
-    subnormal[2, 3] = subnormal[3, 2] = 5e-324
+    mats += list(corpus_random_matrices().values())
     mats += [
         np.array([[1.0, 1e-300], [1e-300, 1.0]]),
         np.array([[0.0, 1e-160], [1e-160, 1.0]]),
         np.array([[1.0, 5e-324], [5e-324, 0.0]]),
-        subnormal,
+        subnormal_pivot_matrix(),
         pivot_below_target_matrix(),
     ]
-    return [(a, tol) for a in mats for tol in (1e-12, 0.0)]
+    return mats
 
 
-def reference_jacobi(matrix, tol):
-    """The Jacobi solve as written before its round workspace, for the corpus.
-
-    Every round allocates its arrays afresh; the arithmetic, and its order, is
-    the one :func:`symmetric_eigenvalues` must keep bit for bit.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    m = n + n % 2
-    h = m // 2
-    a = np.pad((a + a.T) / 2.0, (0, m - n))
-    work = np.empty_like(a)
-    flat = a.reshape(-1)
-    move = _round_robin_move(m)
-    pp = np.arange(0, m, 2) * (m + 1)
-    diag, pq, qp = np.stack((pp, pp + m + 1)), pp + 1, pp + m
-    scale = float(np.linalg.norm(a))
-    threshold = tol * scale
-    skip_below = threshold / m
-    off = oracle._off_mass(a)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= 50:
-            raise RuntimeError(
-                f"Jacobi iteration did not reach tolerance in 50 sweeps "
-                f"(off-diagonal mass {off:.3e}, target {threshold:.3e})"
-            )
-        for _ in range(m - 1):
-            d = flat[diag]
-            apq = flat[pq]
-            size = np.abs(apq)
-            absd = np.abs(d)
-            stays = absd + 100.0 * size == absd
-            flush = stays[0] & stays[1]
-            idle = flush | (size < skip_below)
-            theta = (d[1] - d[0]) / (2.0 * np.where(idle, 1.0, apq))
-            t = 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta))
-            t, left = np.where(idle, 0.0, t), np.where(idle & ~flush, apq, 0.0)
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
-            np.matmul(rot, a.reshape(h, 2, m), out=work.reshape(h, 2, m))
-            np.matmul(rot, work.T.reshape(h, 2, m), out=a.reshape(h, 2, m))
-            tapq = t * apq
-            flat[diag] = (d[0] - tapq, d[1] + tapq)
-            flat[pq] = left
-            flat[qp] = left
-            np.take(a, move, axis=0, out=work, mode="wrap")
-            np.take(work, move, axis=1, out=a, mode="wrap")
-        sweeps += 1
-        off = oracle._off_mass(a)
-    values = tuple(sorted((float(x) for x in np.diag(a)[:n]), reverse=True))
-    return Spectrum(values=values, max_residual=off / scale if scale else 0.0, iterations=sweeps)
-
-
-def jacobi_outcome(solve, a, tol) -> str:
-    """repr of (values, max_residual, iterations), or of the error or warning raised."""
+def symmetric_outcome(a):
+    """The spectrum of a, or the error or warning raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            spec = solve(a, tol)
+            return symmetric_eigenvalues(a)
         except (RuntimeError, RuntimeWarning) as exc:
-            return repr(exc)
-    return repr((spec.values, spec.max_residual, spec.iterations))
+            return exc
 
 
 @functools.cache
-def jacobi_corpus_outcomes() -> tuple:
+def symmetric_corpus_outcomes() -> tuple:
     """The outcomes of :func:`symmetric_eigenvalues` on the corpus, computed once."""
-    return tuple(jacobi_outcome(symmetric_eigenvalues, a, tol) for a, tol in jacobi_corpus())
+    return tuple(symmetric_outcome(a) for a in symmetric_corpus())
 
 
-class TestJacobiBitIdentity:
-    # SHA-256 of the corpus outcomes, one per line, as the solve before its
-    # round workspace computed them with numpy 2.4.6 and OpenBLAS 0.3.31, under
-    # each x86-64 kernel OpenBLAS picks (OPENBLAS_CORETYPE; Zen runs Haswell's):
-    # np.linalg.norm's dot, and the 2 x 2 gemm when n <= 2, add in an order of
-    # the kernel's own
-    PARENT_DIGESTS = {
-        "SkylakeX": "7b0595f9e8a1e6832457e286a8ee70f329d4b7bb7332d2e0a05bae2ac2287f8e",
-        "Haswell": "99c8297a919a90f0b6c7b397eb2127a9ba33dd5aedc41bcf07f9e803d44f1bae",
-        "Sandybridge": "bf48e3a1d58c69eebc1b0812b0b1cbe64bd63361003646810880f8a5884c39bd",
-        "Nehalem": "60f18944d68e364b7f0199bf1bcebe4cc12fdeb08f2e704d30ad4abb5774ed4d",
-        "Prescott": "93429b61caf5370723030d108fb07cffd37e92452a7c7f5f360d2795f1d518e9",
-    }
+def outcome_line(outcome) -> str:
+    """repr of (values, max_residual, iterations), or of the error or warning."""
+    if isinstance(outcome, Spectrum):
+        return repr((outcome.values, outcome.max_residual, outcome.iterations))
+    return repr(outcome)
+
+
+class TestSymmetricBitIdentity:
+    # SHA-256 of the corpus outcomes, one per line, with numpy 2.4.6 on
+    # CPython 3.11; the route calls no BLAS kernel, so it is the same under
+    # every OPENBLAS_CORETYPE (SkylakeX, Haswell, Sandybridge, Nehalem and
+    # Prescott were checked)
+    DIGEST = "49c8c73a7c27b919b4b6587a25112465b501da26810579675f6c6666790e8d2c"
 
     def test_outputs_match_recorded_digest(self):
-        outcomes = "\n".join(jacobi_corpus_outcomes())
-        assert hashlib.sha256(outcomes.encode()).hexdigest() in self.PARENT_DIGESTS.values()
+        outcomes = "\n".join(map(outcome_line, symmetric_corpus_outcomes()))
+        assert hashlib.sha256(outcomes.encode()).hexdigest() == self.DIGEST
 
-    def test_outputs_match_reference_loop(self):
-        # the same check on any platform, against the loop kept above
-        reference = [jacobi_outcome(reference_jacobi, a, tol) for a, tol in jacobi_corpus()]
-        assert list(jacobi_corpus_outcomes()) == reference
+    def test_outputs_match_lapack(self):
+        # the same check on any platform, against LAPACK within a bound set
+        # from the dtype: 4 n eps of the largest |eigenvalue|
+        for a, outcome in zip(symmetric_corpus(), symmetric_corpus_outcomes()):
+            assert isinstance(outcome, Spectrum), outcome
+            expected = lapack_values(a)
+            gap = np.max(np.abs(np.array(outcome.values) - expected))
+            assert gap <= 4 * len(a) * EPS * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+@pytest.mark.parametrize("n", [2, 5, 12, 31])
+def test_extreme_scales_agree_with_lapack(scale, n):
+    # the random matrices of the corpus, whose sums of squares underflow or
+    # overflow unscaled; a warning is an error
+    a = corpus_random_matrices()[scale, n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = symmetric_eigenvalues(a)
+    expected = np.linalg.eigvalsh(a / scale)[::-1] * scale
+    assert np.max(np.abs(np.array(spec.values) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert spec.max_residual <= 4 * n * EPS
 
 
 class TestEmptyMatrix:

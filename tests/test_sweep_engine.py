@@ -3,7 +3,7 @@
 The soundness sweep (``tests/_corpus.check_graph_with_library``) checks each
 bound against LAPACK spectra of matrices it builds from the edge list, apart
 from ``build_matrix``.  This module checks that oracle against the package's
-own Jacobi route (``graph_spectrum``) on the connected 6-vertex atlas
+own tridiagonal QL route (``graph_spectrum``) on the connected 6-vertex atlas
 graphs, for every kind, whether or not a bound applies to the graph.
 """
 
