@@ -30,7 +30,6 @@ rounded at most once, so none is negative.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -269,28 +268,6 @@ def regular_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     return _bipartite_lambda2("Cor3.6", g, g.m - g.structure.regular**2)
 
 
-@functools.lru_cache(maxsize=1)
-def _common_neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(adj, common, other): read-only int64 (n, n - 1) arrays over the pairs k != i.
-
-    Row i - 1 holds, for the other vertices k in increasing order, k - 1,
-    [k ~ i] and N(i,k) = |N(i) & N(k)|, read off ``g.adjacency`` and the
-    float product A·A (exact below 2^53).  The last graph's table is kept,
-    so the theorems of one report, or of reports on an equal graph (such as
-    a sweep's requests for one graph), build it once.
-    """
-    n = g.n
-    a = g.adjacency
-    off = ~np.eye(n, dtype=bool)
-    table = tuple(
-        full[off].reshape(n, n - 1).astype(np.int64)
-        for full in (a, a @ a, np.broadcast_to(np.arange(n), (n, n)))
-    )
-    for column in table:
-        column.flags.writeable = False
-    return table
-
-
 def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """Common-neighbour disk bounds for a connected d-regular graph.
 
@@ -304,7 +281,7 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm3.7", g)
     d = g.structure.regular
-    adj, common, _ = _common_neighbor_table(g)
+    adj, common, _ = g.common_neighbor_table
     alpha = 2 * common + adj
     lower = -2.0 * d + max(int(alpha.min(axis=1).max()), d)
     upper = 2.0 * d - max(int((alpha + 2 * adj).min(axis=1).max()), d)
@@ -341,7 +318,7 @@ def regular_brauer_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm3.9", g)
     d, n = g.structure.regular, g.n
-    adj, common, _ = _common_neighbor_table(g)
+    adj, common, _ = g.common_neighbor_table
     # the two largest x (and y) of each row, the largest second
     x1, x2 = np.partition(np.where(adj == 1, d - common - 1, -1), (n - 3, n - 2), axis=1)[:, -2:].T
     y1, y2 = np.partition(np.where(adj == 1, -1, d - common), (n - 3, n - 2), axis=1)[:, -2:].T
@@ -448,7 +425,7 @@ def laplacian_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     table, with d_k gathered through its ``other`` column.
     """
     _checked("Thm5.3", g)
-    adj, common, other = _common_neighbor_table(g)
+    adj, common, other = g.common_neighbor_table
     ds = np.array(g.degree_sequence, dtype=np.int64)
     lower = int((2 * common + adj - ds[:, None]).min(axis=1).max())
     upper = int((ds[:, None] + 2 * ds[other] - 2 * common - adj).max(axis=1).min())

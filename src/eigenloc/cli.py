@@ -147,8 +147,8 @@ def verify_graph(
             if wanted is not None and bound.theorem not in wanted:
                 continue
             results.append(check_interval(bound, values[bd.TARGET_POSITION[bound.target]], tol))
-        matrix = gr.build_matrix(g, kind)
-        results += _region_checks(matrix, values, wanted, tol, f"[{kind.value}]")
+        facts = rg.MatrixFacts(gr.build_matrix(g, kind))
+        results += _region_checks(facts, values, wanted, tol, f"[{kind.value}]")
     return results
 
 
@@ -156,10 +156,10 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
     """Region checks (and the forced-eigenvalue check) for a complex matrix."""
     wanted = _scope_filter(scope, tol)
     spectrum = orc.complex_eigenvalues(matrix)
-    results = _region_checks(matrix, spectrum.values, wanted, tol)
-    gamma = rg.constant_row_sum(matrix)
-    if gamma is not None and (wanted is None or "gamma" in wanted):
-        slack = -min(abs(z - gamma) for z in spectrum.values)
+    facts = rg.MatrixFacts(matrix)
+    results = _region_checks(facts, spectrum.values, wanted, tol)
+    if facts.gamma is not None and (wanted is None or "gamma" in wanted):
+        slack = -min(abs(z - facts.gamma) for z in spectrum.values)
         results.append(
             CheckResult(name="gamma", target="row_sum", passed=slack >= -tol, slack=slack)
         )
@@ -167,15 +167,15 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
 
 
 def _region_checks(
-    matrix, eigenvalues, wanted: set[str] | None, tol: float, suffix: str = ""
+    facts: rg.MatrixFacts, eigenvalues, wanted: set[str] | None, tol: float, suffix: str = ""
 ) -> list[CheckResult]:
-    """One check per wanted region method that exists for ``matrix``, named method + suffix."""
+    """One check per wanted region method that exists for the matrix, named method + suffix."""
     results = []
     for method in _REGION_METHODS:
         if wanted is not None and method not in wanted:
             continue
         try:
-            region = _build_region(matrix, method)
+            region = _build_region(facts, method)
         except rg.RegionUnavailable:
             continue
         results.append(check_region(method + suffix, region, eigenvalues, tol))
@@ -346,6 +346,10 @@ def _check_window(window: tuple[float, float, float, float], shown) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.matrix_file:
+        extra = [f"--{k}" for k in ("family", "n", "p", "q", "connections", "edges")
+                 if getattr(args, k) is not None]
+        if extra:
+            raise ValueError(f"--matrix-file takes no graph source, got {' '.join(extra)}")
         matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
         results = verify_matrix(matrix, scope=args.scope, tol=args.tol)
     else:

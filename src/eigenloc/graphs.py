@@ -60,8 +60,8 @@ class Graph:
     and the parsing / generator helpers normalise and convert other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
-    report) and ``adjacency`` (the read-only float 0/1 matrix) are made on
-    first read and then kept.
+    report), ``adjacency`` (the read-only float 0/1 matrix) and
+    ``common_neighbor_table`` are made on first read and then kept.
     """
 
     n: int
@@ -122,6 +122,24 @@ class Graph:
         a[u, v] = a[v, u] = 1.0
         a.flags.writeable = False
         return a
+
+    @functools.cached_property
+    def common_neighbor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(adj, common, other): read-only int64 (n, n - 1) arrays over the pairs k != i.
+
+        Row i - 1 holds, for the other vertices k in increasing order, [k ~ i],
+        N(i,k) = |N(i) & N(k)| and k - 1, read off ``adjacency`` and the float
+        product A·A (exact below 2^53); made on first read.
+        """
+        a, n = self.adjacency, self.n
+        off = ~np.eye(n, dtype=bool)
+        table = tuple(
+            full[off].reshape(n, n - 1).astype(np.int64)
+            for full in (a, a @ a, np.broadcast_to(np.arange(n), (n, n)))
+        )
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     @property
     def m(self) -> int:

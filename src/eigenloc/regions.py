@@ -48,6 +48,7 @@ __all__ = [
     "Region",
     "RealSection",
     "RegionUnavailable",
+    "MatrixFacts",
     "row_sums",
     "constant_row_sum",
     "deleted_row_sums",
@@ -697,17 +698,16 @@ def row_sums(matrix) -> np.ndarray:
     return _as_matrix(matrix).sum(axis=1)
 
 
-def constant_row_sum(matrix, tol: float | None = None) -> complex | None:
+def constant_row_sum(matrix) -> complex | None:
     """The common row sum when all rows agree within tolerance, else None.
 
-    The default tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices
-    are exact while user matrices may carry float noise.  Agreement is
-    measured as the maximum pairwise deviation between row sums.
+    The tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices are
+    exact while user matrices may carry float noise.  Agreement is measured
+    as the maximum pairwise deviation between row sums.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
         sums = row_sums(matrix)
-        if tol is None:
-            tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
         deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
         if deviation > tol:
             return None
@@ -718,19 +718,66 @@ class RegionUnavailable(ValueError):
     """A region (or :func:`deflate`) needs a constant row sum or a larger matrix."""
 
 
-def _require_gamma(matrix) -> tuple[np.ndarray, complex]:
-    a = _as_matrix(matrix)
-    gamma = constant_row_sum(a)
-    if gamma is None:
-        raise RegionUnavailable("matrix does not have a constant row sum within tolerance")
-    return a, gamma
-
-
 def deleted_row_sums(matrix) -> np.ndarray:
     """r_i = sum over j != i of |a_ij|, for each row i."""
     a = _as_matrix(matrix)
     with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
         return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+
+
+class MatrixFacts:
+    """A square matrix as the complex array ``matrix``, and what the four
+    builders read of it, each made on first read and then kept; every builder
+    takes one in place of a matrix."""
+
+    def __init__(self, matrix) -> None:
+        self.matrix = _as_matrix(matrix)
+
+    @functools.cached_property
+    def gamma(self) -> complex | None:
+        """:func:`constant_row_sum` of the matrix."""
+        return constant_row_sum(self.matrix)
+
+    def _require_gamma(self) -> complex:
+        if self.gamma is None:
+            raise RegionUnavailable("matrix does not have a constant row sum within tolerance")
+        return self.gamma
+
+    @functools.cached_property
+    def deleted_row_sums(self) -> np.ndarray:
+        """:func:`deleted_row_sums` of the matrix, read-only: a builder's table holds it."""
+        r = deleted_row_sums(self.matrix)
+        r.flags.writeable = False
+        return r
+
+    @functools.cached_property
+    def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Disk centres and radii of every deflation, read-only (n, n - 1) arrays.
+
+        Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
+        and the radius ``sum over l not in {i, k} of |a_kl - a_il|``.  The sum
+        runs left to right over l, with the skipped terms added as +0.0, so it
+        rounds exactly like Python's ``sum`` over the same terms.
+        """
+        a, n = self.matrix, len(self.matrix)
+        radii = np.zeros((n, n))
+        term = np.empty((n, n))
+        with np.errstate(over="ignore"):  # an infinite centre or radius is refused by its builder
+            for l in range(n):
+                _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
+                term[l, :] = 0.0
+                term[:, l] = 0.0
+                radii += term
+            centers = a.diagonal()[None, :] - a
+        off = ~np.eye(n, dtype=bool)
+        table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
+        for column in table:
+            column.flags.writeable = False
+        return table
+
+
+def _facts(matrix) -> MatrixFacts:
+    return matrix if isinstance(matrix, MatrixFacts) else MatrixFacts(matrix)
 
 
 def deflate(matrix, k: int) -> np.ndarray:
@@ -740,7 +787,8 @@ def deflate(matrix, k: int) -> np.ndarray:
     indices other than ``k`` (1-based).  The spectrum of the input equals
     the row sum plus the spectrum of the result, as multisets.
     """
-    a, _ = _require_gamma(matrix)
+    a = _as_matrix(matrix)
+    MatrixFacts(a)._require_gamma()
     n = a.shape[0]
     if n < 2:
         raise ValueError("cannot deflate a 1x1 matrix")
@@ -752,42 +800,6 @@ def deflate(matrix, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the four inclusion regions
-
-
-def _require_finite(*arrays) -> None:
-    # a NaN or infinite entry, or an overflow, is a parameter no leaf accepts
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("region parameters must be finite; the matrix has a NaN or "
-                         "infinite entry or its row sums overflow")
-
-
-@functools.lru_cache(maxsize=1)
-def _deflated_leaves(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disk centres and radii of every deflation of the complex n x n matrix
-    with bytes ``data``: read-only, shape (n, n - 1) each.
-
-    Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
-    and the radius ``sum over l not in {i, k} of |a_kl - a_il|``.  The sum
-    runs left to right over l, with the skipped terms added as +0.0, so it
-    rounds exactly like Python's ``sum`` over the same terms.  The last
-    matrix's table is kept, so both row-sum builders of one matrix build it
-    once.
-    """
-    a = np.frombuffer(data, dtype=complex).reshape(n, n)
-    radii = np.zeros((n, n))
-    term = np.empty((n, n))
-    with np.errstate(over="ignore"):  # an infinite centre or radius is refused by its builder
-        for l in range(n):
-            _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
-            term[l, :] = 0.0
-            term[:, l] = 0.0
-            radii += term
-        centers = a.diagonal()[None, :] - a
-    off = ~np.eye(n, dtype=bool)
-    table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
-    for column in table:
-        column.flags.writeable = False
-    return table
 
 
 def _table_region(centers, radii, kind: int, gamma: complex | None = None):
@@ -802,7 +814,10 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
         else:
             first, second = np.triu_indices(count, 1)
             bounds = radii[..., first] * radii[..., second]
-        _require_finite(centers, bounds, *(() if gamma is None else (gamma,)))
+        # a NaN or infinite entry, or an overflow, is a parameter no leaf accepts
+        if not all(np.isfinite(x).all() for x in (centers, bounds, gamma or 0.0)):
+            raise ValueError("region parameters must be finite; the matrix has a NaN or "
+                             "infinite entry or its row sums overflow")
         # foci closer to the origin than 2**1021 are less than 2**1023 apart
         if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
             apart = _distance(centers[..., first], centers[..., second], np.empty(bounds.shape))
@@ -820,16 +835,16 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
 
 def gersgorin_region(matrix) -> RegionUnion:
     """Union of the n disks centred at a_ii with radius r_i."""
-    a = _as_matrix(matrix)
-    return _table_region(a.diagonal().copy(), deleted_row_sums(a), _DISK)
+    facts = _facts(matrix)
+    return _table_region(facts.matrix.diagonal().copy(), facts.deleted_row_sums, _DISK)
 
 
 def brauer_region(matrix) -> RegionUnion:
     """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
-    a = _as_matrix(matrix)
-    if a.shape[0] < 2:
+    facts = _facts(matrix)
+    if facts.matrix.shape[0] < 2:
         raise RegionUnavailable("the oval region needs dimension >= 2")
-    return _table_region(a.diagonal().copy(), deleted_row_sums(a), _OVAL)
+    return _table_region(facts.matrix.diagonal().copy(), facts.deleted_row_sums, _OVAL)
 
 
 def rowsum_gersgorin_region(matrix) -> RegionIntersection:
@@ -840,11 +855,11 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     (the entries of the i-deflated matrix), together with the forced
     eigenvalue gamma as a point leaf.
     """
-    a, gamma = _require_gamma(matrix)
-    n = a.shape[0]
-    if n < 2:
+    facts = _facts(matrix)
+    gamma = facts._require_gamma()
+    if facts.matrix.shape[0] < 2:
         raise RegionUnavailable("the deflated disk region needs dimension >= 2")
-    return _table_region(*_deflated_leaves(a.tobytes(), n), _DISK, gamma)
+    return _table_region(*facts.deflation_table, _DISK, gamma)
 
 
 def rowsum_brauer_region(matrix) -> RegionIntersection:
@@ -855,11 +870,11 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     radius product ``r_j * r_k`` where ``r_j = sum over l not in {i, j} of
     |a_jl - a_il|``, plus the forced eigenvalue gamma as a point leaf.
     """
-    a, gamma = _require_gamma(matrix)
-    n = a.shape[0]
-    if n < 3:
+    facts = _facts(matrix)
+    gamma = facts._require_gamma()
+    if facts.matrix.shape[0] < 3:
         raise RegionUnavailable("the deflated oval region needs dimension >= 3")
-    return _table_region(*_deflated_leaves(a.tobytes(), n), _OVAL, gamma)
+    return _table_region(*facts.deflation_table, _OVAL, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import functools
 import os
 
 # One BLAS thread, as the benchmark runs: with threaded OpenBLAS on a busy
@@ -28,6 +29,17 @@ GAMMA_3X3 = 2.0 + 2.0j
 @pytest.fixture
 def rowsum_matrix():
     return ROWSUM_3X3.copy()
+
+
+def count_first_reads(monkeypatch, cls, name):
+    """Patch the cached property ``cls.name`` so that each time it is made
+    (once per instance) the instance is appended to the returned list."""
+    made = []
+    original = vars(cls)[name]
+    counted = functools.cached_property(lambda obj: made.append(obj) or original.func(obj))
+    counted.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, counted)
+    return made
 
 
 def random_constant_rowsum_matrix(rng, n):

@@ -1,8 +1,11 @@
 """Closed-form bound catalog: every theorem's worked values plus reports."""
 
+import gc
 import json
 import math
 import random
+import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,6 +63,7 @@ from eigenloc.regions import (
 )
 
 from ._corpus import atlas_graphs
+from .conftest import count_first_reads
 
 
 def by_target(intervals):
@@ -1023,20 +1027,20 @@ class TestCommonNeighborExactness:
         assert any(classify(g).regular == 6 and g.n >= 20 for g in regular)
         assert any(classify(g).regular is None for g in exactness_laplacian_corpus())
 
-    def test_table_built_once_per_graph(self):
-        table = bounds_module._common_neighbor_table
-        table.cache_clear()
+    def test_table_built_once_per_graph(self, monkeypatch):
+        made = count_first_reads(monkeypatch, Graph, "common_neighbor_table")
         g = circulant(30, (1, 4))
         bounds_report(g, GraphMatrixKind.ADJACENCY)  # Thm3.7 and Thm3.9
-        assert table.cache_info().misses == 1
+        bounds_report(g, GraphMatrixKind.LAPLACIAN)  # Thm5.3 on the same graph
+        assert len(made) == 1 and made[0] is g
+        # an equal graph is another owner, with its own table
         same = Graph.from_edges(30, sorted(g.edges, reverse=True))
-        bounds_report(same, GraphMatrixKind.LAPLACIAN)  # Thm5.3 on an equal graph
-        assert table.cache_info().misses == 1
-        assert table.cache_info().hits == 2
+        bounds_report(same, GraphMatrixKind.LAPLACIAN)
+        assert len(made) == 2 and made[1] is same
 
     def test_table_matches_pairwise_counts(self):
         for g in exactness_laplacian_corpus():
-            adj, common, other = bounds_module._common_neighbor_table(g)
+            adj, common, other = g.common_neighbor_table
             pairs = [[k for k in range(1, g.n + 1) if k != i] for i in range(1, g.n + 1)]
             assert other.tolist() == [[k - 1 for k in row] for row in pairs]
             assert adj.tolist() == [[int(g.has_edge(i, k)) for k in row] for i, row in enumerate(pairs, 1)]
@@ -1046,3 +1050,25 @@ class TestCommonNeighborExactness:
             for column in (adj, common, other):
                 assert column.dtype == np.int64
                 assert not column.flags.writeable
+
+
+def test_no_graph_outlives_its_reports():
+    g = circulant(40, (1, 2, 3))
+    ref = weakref.ref(g)
+    for kind in GraphMatrixKind:
+        bounds_report(g, kind)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_report_holds_no_memory_after_it_returns():
+    # the graph's adjacency and common-neighbour table are 8 MB each here
+    tracemalloc.start()
+    try:
+        bounds_report(circulant(1024, (1, 2, 3)), GraphMatrixKind.ADJACENCY)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20

@@ -34,6 +34,7 @@ from eigenloc.oracle import graph_spectrum
 from eigenloc.regions import (
     CassiniOval,
     Disk,
+    MatrixFacts,
     PointSet,
     brauer_region,
     gersgorin_region,
@@ -45,7 +46,7 @@ from eigenloc.regions import (
     section_contains,
 )
 
-from .conftest import ROWSUM_3X3
+from .conftest import ROWSUM_3X3, count_first_reads
 
 
 @pytest.fixture
@@ -254,6 +255,22 @@ class TestVerifyCommand:
         assert all(result.passed for result in verify_graph(g))
         assert calls == [g]
 
+    def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
+        # one MatrixFacts per matrix, read by all four of its builders
+        import eigenloc.regions as regions_module
+
+        calls = []
+        original = regions_module.constant_row_sum
+        monkeypatch.setattr(regions_module, "constant_row_sum",
+                            lambda matrix: calls.append(matrix) or original(matrix))
+        tables = count_first_reads(monkeypatch, MatrixFacts, "deflation_table")
+        assert all(result.passed for result in verify_graph(petersen()))
+        assert len(calls) == 3  # all three of Petersen's matrices have a constant row sum
+        assert len(tables) == 3 and len(set(map(id, tables))) == 3
+        calls.clear()
+        assert all(result.passed for result in verify_matrix(ROWSUM_3X3))
+        assert len(calls) == 1
+
     def test_isolated_vertex_skips_the_normalized_checks(self, tmp_path, capsys):
         # vertex 4 is isolated, so D^{-1}A is undefined: the adjacency and
         # Laplacian checks run, and none of the normalized matrix
@@ -295,6 +312,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS gamma" in out and "PASS rowsum-brauer" in out
+
+    @pytest.mark.parametrize("source", [
+        ["--family", "petersen"], ["--edges", "{dir}/missing.txt"], ["--n", "3"], ["--p", "2"],
+        ["--q", "0"], ["--connections", "1,2"], ["--family", "cycle", "--n", "5"],
+    ])
+    def test_matrix_file_refuses_a_graph_source(self, source, rowsum_file, tmp_path, capsys):
+        # once the graph source was ignored, with exit 0 and the matrix's checks
+        argv = ["verify", "--matrix-file", rowsum_file] + [a.format(dir=tmp_path) for a in source]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        named = " ".join(a for a in source if a.startswith("--"))
+        assert captured.err == f"error: --matrix-file takes no graph source, got {named}\n"
+        assert captured.out == ""
 
     def test_complete_34_matrix_file(self, tmp_path, capsys):
         # -1 is an eigenvalue with 33 independent eigenvectors

@@ -1,8 +1,10 @@
 """Region engine: deflation, the four inclusion regions, sections, JSON."""
 
 import functools
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -20,12 +22,12 @@ from eigenloc.regions import (
     Disk,
     PointSet,
     RealSection,
+    MatrixFacts,
     RegionIntersection,
     RegionUnavailable,
     RegionUnion,
     _DISK,
     _OVAL,
-    _deflated_leaves,
     _normalized_section,
     _table_region,
     brauer_region,
@@ -51,6 +53,7 @@ from eigenloc.regions import (
 from .conftest import (
     GAMMA_3X3,
     ROWSUM_3X3,
+    count_first_reads,
     match_multisets,
     random_constant_rowsum_matrix,
     random_region,
@@ -1159,36 +1162,46 @@ def test_min_slack_of_far_points_is_quiet_and_makes_no_component(pass_rows, monk
     assert leaf == _reference_leaf(region, point, slack)
 
 
-def test_builders_share_one_deflation_table():
+def test_builders_share_one_deflation_table(monkeypatch):
+    made = count_first_reads(monkeypatch, MatrixFacts, "deflation_table")
     a = build_matrix(petersen(), GraphMatrixKind.LAPLACIAN)
-    _deflated_leaves.cache_clear()
+    facts = MatrixFacts(a)
+    rowsum_gersgorin_region(facts)
+    rowsum_brauer_region(facts)
+    assert len(made) == 1 and made[0] is facts
+    rowsum_brauer_region(MatrixFacts(build_matrix(cycle(10), GraphMatrixKind.LAPLACIAN)))
+    assert len(made) == 2
+    # each builder wraps a bare matrix afresh
     rowsum_gersgorin_region(a)
     rowsum_brauer_region(a)
-    info = _deflated_leaves.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    rowsum_brauer_region(build_matrix(cycle(10), GraphMatrixKind.LAPLACIAN))
-    assert _deflated_leaves.cache_info().misses == 2
-    centers, radii = _deflated_leaves(a.astype(complex).tobytes(), 10)
+    assert len(made) == 4 and made[2] is not made[3]
+    centers, radii = facts.deflation_table
     assert not centers.flags.writeable and not radii.flags.writeable
     with pytest.raises(ValueError):
         radii[0, 0] = 1.0
 
 
 def test_cached_deflation_table_builds_the_same_regions():
-    uncached = _deflated_leaves.__wrapped__
     for a in _table_cases():
-        a = np.asarray(a, dtype=complex)
-        n = a.shape[0]
-        centers, radii = uncached(a.tobytes(), n)
-        gamma = constant_row_sum(a)
-        want = (
-            _table_region(centers, radii, _DISK, gamma),
-            _table_region(centers, radii, _OVAL, gamma),
-        )
-        for builder, region in zip((rowsum_gersgorin_region, rowsum_brauer_region), want):
-            _deflated_leaves.cache_clear()
-            assert builder(a).leaves() == region.leaves()
-            assert builder(a).leaves() == region.leaves()  # and from the cache
+        facts = MatrixFacts(a)
+        for builder in BUILDERS:
+            want = builder(a)
+            for region in (builder(facts), builder(facts)):  # made, then read from the facts
+                assert region.leaves() == want.leaves()
+                assert region_to_json(region) == region_to_json(want)
+
+
+def test_no_matrix_fact_outlives_its_builder():
+    a = build_matrix(circulant(200, (1, 2, 3)), GraphMatrixKind.LAPLACIAN)
+    tracemalloc.start()
+    try:
+        for builder in (gersgorin_region, rowsum_gersgorin_region):
+            builder(a)  # its complex copy of a and its deflation table are 1.6 MB
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 18
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
