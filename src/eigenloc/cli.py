@@ -45,6 +45,8 @@ __all__ = [
 
 _KIND_NAMES = sorted(kind.value for kind in gr.GraphMatrixKind)
 _REGION_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
+# graph-source options, in the order a refusal names them; all but --edges are family options
+_GRAPH_OPTIONS = ("family", "n", "p", "q", "connections", "edges")
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +64,23 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--edges", help="edge-list or graph-JSON file")
 
 
+def _refuse(args: argparse.Namespace, names, option: str, what: str) -> None:
+    if given := [f"--{k}" for k in names if getattr(args, k) is not None]:
+        raise ValueError(f"{option} takes no {what}, got {' '.join(given)}")
+
+
 def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
-    if args.family and args.edges:
-        raise ValueError("supply either --family or --edges, not both")
+    if args.edges:
+        _refuse(args, _GRAPH_OPTIONS[:-1], "--edges", "family option")
+        text = Path(args.edges).read_text()
+        if text.lstrip().startswith("{"):
+            return gr.graph_from_json(text)
+        return gr.parse_edge_list(text)
     if args.family:
         params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
         if args.connections:
             params["connections"] = [int(tok) for tok in args.connections.split(",")]
         return gr.generate(args.family, **params)
-    if args.edges:
-        text = Path(args.edges).read_text()
-        if text.lstrip().startswith("{"):
-            return gr.graph_from_json(text)
-        return gr.parse_edge_list(text)
     raise ValueError("no graph source: supply --family or --edges")
 
 
@@ -136,20 +142,24 @@ def verify_graph(
     graph has an isolated vertex.
     """
     wanted = _scope_filter(scope, tol)
-    has_isolated = min(g.degree_sequence) == 0
     results: list[CheckResult] = []
-    for kind in gr.GraphMatrixKind:
-        if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and has_isolated:
-            continue
-        values = orc.graph_spectrum(g, kind).values
-        report = bd.bounds_report(g, kind, mode=mode)
-        for bound in report.bounds:
-            if wanted is not None and bound.theorem not in wanted:
-                continue
-            results.append(check_interval(bound, values[bd.TARGET_POSITION[bound.target]], tol))
+    for kind, values, pairs in _bound_pass(g, gr.GraphMatrixKind, mode):
+        results += [check_interval(bound, value, tol) for bound, value in pairs
+                    if wanted is None or bound.theorem in wanted]
         facts = rg.MatrixFacts(gr.build_matrix(g, kind))
         results += _region_checks(facts, values, wanted, tol, f"[{kind.value}]")
     return results
+
+
+def _bound_pass(g: gr.Graph, kinds, mode: str):
+    """(kind, oracle eigenvalues, [(bound, its target's oracle value)]) per kind g has:
+    the normalized matrix needs no isolated vertex."""
+    for kind in kinds:
+        if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
+            continue
+        values = orc.graph_spectrum(g, kind).values
+        report = bd.bounds_report(g, kind, mode=mode)
+        yield kind, values, [(b, values[bd.TARGET_POSITION[b.target]]) for b in report.bounds]
 
 
 def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckResult]:
@@ -233,9 +243,8 @@ def region_to_svg(
     region,
     eigenvalues=(),
     window: tuple[float, float, float, float] | None = None,
-    size: int = 640,
 ) -> str:
-    """Render leaf boundaries plus eigenvalue markers as a standalone SVG.
+    """Render leaf boundaries plus eigenvalue markers as a standalone 640-pixel SVG.
 
     Disks become circles, ovals closed 512-point polylines from the oval's
     polar form (two 256-point loops when it is pinched), point leaves small
@@ -249,6 +258,7 @@ def region_to_svg(
         window = _auto_window(leaves, eigenvalues)
     _check_window(window, window)
     x0, x1, y0, y1 = window
+    size = 640
     scale = size / max(x1 - x0, y1 - y0)
 
     def sx(x: float) -> float:
@@ -346,15 +356,12 @@ def _check_window(window: tuple[float, float, float, float], shown) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.matrix_file:
-        extra = [f"--{k}" for k in ("family", "n", "p", "q", "connections", "edges")
-                 if getattr(args, k) is not None]
-        if extra:
-            raise ValueError(f"--matrix-file takes no graph source, got {' '.join(extra)}")
+        _refuse(args, _GRAPH_OPTIONS + ("mode",), "--matrix-file", "graph option")
         matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
         results = verify_matrix(matrix, scope=args.scope, tol=args.tol)
     else:
         g = _graph_from_args(args)
-        results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode)
+        results = verify_graph(g, scope=args.scope, tol=args.tol, mode=args.mode or "published")
     if not results:
         raise ValueError(f"scope {args.scope!r} selects no check for this input")
     for result in results:
@@ -399,17 +406,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for family, sizes in specs:
         for n in sizes:
             g = _sweep_graph(family, n)
-            if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
-                continue
-            values = orc.graph_spectrum(g, kind).values
-            report = bd.bounds_report(g, kind, mode=args.mode)
-            for bound in report.bounds:
-                oracle_value = values[bd.TARGET_POSITION[bound.target]]
-                rows.append(
+            for _, _, pairs in _bound_pass(g, (kind,), args.mode):
+                rows += [
                     f"{family},{g.n},{bound.theorem},{bound.target},"
                     f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
                     f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
-                )
+                    for bound, oracle_value in pairs
+                ]
     payload = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
@@ -448,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--matrix-file", help="matrix JSON file instead of a graph")
     p_verify.add_argument("--scope", default="all", help="'all' or comma-separated check names")
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--mode", choices=("published", "corrected"), default="published")
+    # None until given, so --matrix-file can refuse it; graphs read None as published
+    p_verify.add_argument("--mode", choices=("published", "corrected"))
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="bounds-vs-oracle CSV across family ranges")

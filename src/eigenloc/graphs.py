@@ -55,9 +55,10 @@ class Graph:
 
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
     No self-loops, no multi-edges: the constructor stores the pairs it is
-    given as a frozenset of tuples, so a repeated pair counts once.  ``n``
-    and every label must be builtin ints (not bools); :meth:`from_edges`
-    and the parsing / generator helpers normalise and convert other input.
+    given as a frozenset of tuples, so a repeated pair counts once.  It alone
+    checks the vertex count, the labels' type and range and self-loops:
+    ``n`` and every label must be builtin ints (not bools), and
+    :meth:`from_edges` converts and orients other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
     report), ``adjacency`` (the read-only float 0/1 matrix) and
@@ -95,17 +96,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an iterable of 1-based pairs.
-
-        Duplicate edges (in either orientation) are merged silently;
-        self-loops and labels that are not integers are rejected.
-        """
+        """Build a graph from 1-based pairs: ``n`` and the labels converted by the
+        integer rule, each pair oriented as (min, max), so duplicates merge."""
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:
             if type(u) is not int or type(v) is not int:
                 u, v = _integer(u, "edge label"), _integer(v, "edge label")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             seen.add((u, v) if u < v else (v, u))
         return cls(n=_integer(n, "vertex count"), edges=frozenset(seen))
 
@@ -213,7 +209,7 @@ def parse_edge_list(text: str) -> Graph:
 
     The first non-blank line is ``"n m"``; each of the following ``m``
     non-blank lines is ``"u v"`` with 1-based labels.  Duplicate edges are
-    merged silently; self-loops and out-of-range labels are errors.
+    merged silently; ``Graph`` rejects self-loops and out-of-range labels.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -231,15 +227,10 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     pairs = []
     for ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = map(int, ln.split())
         except ValueError:
             raise ValueError(f"malformed edge line {ln!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge label out of range in line {ln!r}")
         pairs.append((u, v))
     return Graph.from_edges(n, pairs)
 
@@ -250,24 +241,18 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """Parse ``{"n": n, "edges": [[u, v], ...]}``; ``Graph.from_edges`` takes the values."""
     obj = json.loads(text)
     try:
-        n = obj["n"]
-        edges = obj["edges"]
+        n, edges = obj["n"], obj["edges"]
     except (TypeError, KeyError):
         raise ValueError("graph JSON must have keys 'n' and 'edges'") from None
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of pairs")
-    n = _integer(n, "'n'")
-    pairs = []
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise ValueError(f"bad edge entry {e!r}")
-        u, v = (_integer(x, f"edge label in {e!r}") for x in e)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge label out of range in {e!r}")
-        pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+        if not (isinstance(e, list) and len(e) == 2):
+            raise ValueError(f"edge entry {e!r} is not a pair")
+    return Graph.from_edges(n, edges)
 
 
 def _integer(value, what: str) -> int:

@@ -132,8 +132,9 @@ class TestBoundsCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n1 5\n")
         assert main(["bounds", "--edges", str(bad), "--matrix", "adjacency"]) == 1
+        assert capsys.readouterr().err == "error: edge (1, 5) has an endpoint outside 1..2\n"
 
-    def test_family_and_edges_conflict(self, tmp_path):
+    def test_family_and_edges_conflict(self, tmp_path, capsys):
         edges = tmp_path / "g.txt"
         edges.write_text("2 1\n1 2\n")
         code = main(
@@ -141,6 +142,22 @@ class TestBoundsCommand:
              "--matrix", "adjacency"]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: --edges takes no family option, got --family --n\n"
+
+    @pytest.mark.parametrize("command", [["bounds", "--matrix", "laplacian"], ["verify"]],
+                             ids=["bounds", "verify"])
+    @pytest.mark.parametrize("option", [["--n", "7"], ["--p", "2"], ["--q", "3"],
+                                        ["--connections", "1,2"], ["--family", "path"]],
+                             ids=["n", "p", "q", "connections", "family"])
+    def test_edges_refuses_family_options(self, command, option, tmp_path, capsys):
+        # once --n, --p, --q and --connections were ignored next to --edges, so
+        # --n 7 printed the report of the file's 3 vertices with exit 0
+        edges = tmp_path / "p3.txt"
+        edges.write_text("3 2\n1 2\n2 3\n")
+        assert main(command + ["--edges", str(edges)] + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --edges takes no family option, got {option[0]}\n"
 
     def test_deterministic_output(self, capsys):
         argv = ["bounds", "--family", "petersen", "--matrix", "laplacian"]
@@ -316,15 +333,41 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("source", [
         ["--family", "petersen"], ["--edges", "{dir}/missing.txt"], ["--n", "3"], ["--p", "2"],
         ["--q", "0"], ["--connections", "1,2"], ["--family", "cycle", "--n", "5"],
+        ["--mode", "corrected"], ["--mode", "published"], ["--n", "4", "--mode", "corrected"],
     ])
     def test_matrix_file_refuses_a_graph_source(self, source, rowsum_file, tmp_path, capsys):
-        # once the graph source was ignored, with exit 0 and the matrix's checks
+        # once the graph source was ignored, with exit 0 and the matrix's checks,
+        # and so was --mode, which only graph bounds read
         argv = ["verify", "--matrix-file", rowsum_file] + [a.format(dir=tmp_path) for a in source]
         assert main(argv) == 1
         captured = capsys.readouterr()
         named = " ".join(a for a in source if a.startswith("--"))
-        assert captured.err == f"error: --matrix-file takes no graph source, got {named}\n"
+        assert captured.err == f"error: --matrix-file takes no graph option, got {named}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("graph, source", [
+        (petersen(), ["--family", "petersen"]),
+        (circulant(12, (1, 3)), ["--family", "circulant", "--n", "12", "--connections", "1,3"]),
+    ], ids=["petersen", "circulant12"])
+    @pytest.mark.parametrize("mode", ["published", "corrected"])
+    def test_sweep_rows_agree_with_verify_lines(self, graph, source, mode, capsys, monkeypatch):
+        # both commands read one bound pass: each sweep row's least slack is the
+        # slack of the verify line of the same theorem and target
+        import eigenloc.cli as cli
+
+        assert main(["verify", "--mode", mode] + source) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        verify = {tuple(line.split()[1:3]): line.rsplit("slack=", 1)[1]
+                  for line in lines if "[" not in line.split()[1]}
+        monkeypatch.setattr(cli, "_sweep_graph", lambda family, n: graph)
+        sweep = {}
+        for kind in ("adjacency", "laplacian", "normalized"):
+            assert main(["sweep", "petersen", "--matrix", kind, "--mode", mode, "--out", "-"]) == 0
+            for row in capsys.readouterr().out.splitlines()[1:]:
+                fields = row.split(",")
+                least = min(float(fields[7]), float(fields[8])) + 0.0
+                sweep[fields[2], fields[3]] = "%.6e" % least
+        assert sweep and sweep == verify
 
     def test_complete_34_matrix_file(self, tmp_path, capsys):
         # -1 is an eigenvalue with 33 independent eigenvectors

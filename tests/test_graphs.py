@@ -1,6 +1,7 @@
 """Graph construction, invariants, and matrix building."""
 
 import json
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -56,20 +57,20 @@ class TestParsing:
         g = parse_edge_list("3 3\n1 2\n2 1\n1 2")
         assert g.edges == {(1, 2)}
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "3",
-            "3 2\n1 2",
-            "3 1\n1 2 3",
-            "3 1\nx y",
-            "3 1\n1 4",
-            "3 1\n2 2",
-        ],
-    )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
+    _MALFORMED = [
+        ("", "empty edge list: missing 'n m' header"),
+        ("3", "malformed header '3': expected 'n m'"),
+        ("3 2\n1 2", "expected 2 edge lines, found 1"),
+        ("3 1\n1 2 3", "malformed edge line '1 2 3'"),
+        ("3 1\nx y", "malformed edge line 'x y'"),
+        ("3 1\n1 4", "edge (1, 4) has an endpoint outside 1..3"),
+        ("3 1\n2 2", "self-loop at vertex 2"),
+    ]
+
+    @pytest.mark.parametrize("text, message", _MALFORMED, ids=[t for t, _ in _MALFORMED])
+    def test_rejects_malformed(self, text, message):
+        # the file format is checked by the parser, the labels by Graph alone
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_edge_list(text)
 
     def test_json_round_trip(self):
@@ -77,26 +78,35 @@ class TestParsing:
         assert graph_from_json(graph_to_json(g)) == g
 
     def test_json_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
             graph_from_json(json.dumps({"n": 2, "edges": [[1, 1]]}))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"n": 2.7, "edges": [[1, 2]]}',
-            '{"n": 3, "edges": [[1.9, 2]]}',
-            '{"n": 3, "edges": [[1, 2.5]]}',
-            '{"n": true, "edges": []}',
-            '{"n": 3, "edges": [[true, 2]]}',
-            '{"n": "3", "edges": [[1, 2]]}',
-            '{"n": NaN, "edges": []}',
-            '{"n": Infinity, "edges": []}',
-            '{"n": 3, "edges": [[1, NaN]]}',
-            '{"n": 3, "edges": [[-Infinity, 2]]}',
-        ],
-    )
-    def test_json_rejects_non_integers(self, text):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("edges, message", [
+        ([[1, 5]], "edge (1, 5) has an endpoint outside 1..2"),
+        ([[2, 0]], "edge (0, 2) has an endpoint outside 1..2"),
+        ([[1, 2, 3]], "edge entry [1, 2, 3] is not a pair"),
+        ([1, 2], "edge entry 1 is not a pair"),
+    ], ids=["out-of-range", "zero-label", "triple", "bare-label"])
+    def test_json_rejects_bad_edges(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_from_json(json.dumps({"n": 2, "edges": edges}))
+
+    _NON_INTEGERS = [
+        ('{"n": 2.7, "edges": [[1, 2]]}', "vertex count must be an integer, got 2.7"),
+        ('{"n": 3, "edges": [[1.9, 2]]}', "edge label must be an integer, got 1.9"),
+        ('{"n": 3, "edges": [[1, 2.5]]}', "edge label must be an integer, got 2.5"),
+        ('{"n": true, "edges": []}', "vertex count must be an integer, got True"),
+        ('{"n": 3, "edges": [[true, 2]]}', "edge label must be an integer, got True"),
+        ('{"n": "3", "edges": [[1, 2]]}', "vertex count must be an integer, got '3'"),
+        ('{"n": NaN, "edges": []}', "vertex count must be an integer, got nan"),
+        ('{"n": Infinity, "edges": []}', "vertex count must be an integer, got inf"),
+        ('{"n": 3, "edges": [[1, NaN]]}', "edge label must be an integer, got nan"),
+        ('{"n": 3, "edges": [[-Infinity, 2]]}', "edge label must be an integer, got -inf"),
+    ]
+
+    @pytest.mark.parametrize("text, message", _NON_INTEGERS, ids=[t for t, _ in _NON_INTEGERS])
+    def test_json_rejects_non_integers(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph_from_json(text)
 
     def test_json_accepts_integral_floats(self):
