@@ -11,14 +11,10 @@ Four layers:
 
 from .graphs import (
     Graph,
-    DegreeProfile,
     GraphMatrixKind,
     StructureReport,
     parse_edge_list,
     generate,
-    degrees,
-    common_neighbors,
-    randic_index,
     build_matrix,
     classify,
 )
@@ -43,10 +39,8 @@ from .regions import (
     section_contains,
 )
 from .bounds import (
-    TraceStats,
     BoundInterval,
     BoundReport,
-    trace_bounds,
     bounds_report,
 )
 from .oracle import (
@@ -54,7 +48,6 @@ from .oracle import (
     symmetric_eigenvalues,
     normalized_spectrum,
     graph_spectrum,
-    charpoly,
     complex_eigenvalues,
 )
 

@@ -38,13 +38,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, GraphMatrixKind, _exact_randic_index, degrees
+from .graphs import Graph, GraphMatrixKind, _exact_randic_index
 
 __all__ = [
-    "TraceStats",
     "BoundInterval",
     "BoundReport",
-    "trace_bounds",
     "regular_adjacency_bounds",
     "biregular_bipartite_lambda2_bounds",
     "regular_bipartite_lambda2_bounds",
@@ -112,15 +110,6 @@ _PRECONDITIONS = {
 THEOREM_TAGS = tuple(_REGISTRY)
 
 @dataclass(frozen=True)
-class TraceStats:
-    """Mean and spread of a real spectrum recovered from two traces."""
-
-    m: float
-    s: float
-    n_eff: int
-
-
-@dataclass(frozen=True)
 class BoundInterval:
     """One labelled interval [lower, upper] for one eigenvalue index."""
 
@@ -185,36 +174,7 @@ def _intervals(
 
 
 # ---------------------------------------------------------------------------
-# generic two-trace engine
-
-
-def trace_bounds(
-    trace: float, trace_sq: float, n: int
-) -> tuple[TraceStats, BoundInterval, BoundInterval]:
-    """Extreme-eigenvalue intervals from trace and trace of the square.
-
-    For an n-dimensional matrix with real eigenvalues, with mean
-    ``m = trace/n`` and spread ``s**2 = trace_sq/n - m**2``:
-
-        lambda_n in [m - s*sqrt(n-1), m - s/sqrt(n-1)]
-        lambda_1 in [m + s/sqrt(n-1), m + s*sqrt(n-1)]
-
-    Returns the stats plus the lambda_1 and lambda_n intervals.
-    """
-    if n < 2:
-        raise ValueError(f"trace bounds need dimension >= 2, got {n}")
-    m = trace / n
-    variance = trace_sq / n - m * m
-    if variance < 0.0:
-        if variance < -1e-12:
-            raise ValueError(f"inconsistent traces: negative variance {variance}")
-        variance = 0.0
-    s = math.sqrt(variance)
-    root = math.sqrt(n - 1.0)
-    stats = TraceStats(m=m, s=s, n_eff=n)
-    top = BoundInterval(LAMBDA_1, m + s / root, m + s * root, "Thm1.4")
-    bottom = BoundInterval(LAMBDA_N, m - s * root, m - s / root, "Thm1.4")
-    return stats, top, bottom
+# formulas shared by several theorems
 
 
 def _deflated_trace(tag: str, g: Graph, base: float, radicand: float) -> list[BoundInterval]:
@@ -350,14 +310,14 @@ def normalized_trace_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm4.1", g)
     n = g.n
-    rad = float(2 * (n - 1) * _exact_randic_index(g, -1) - n)
+    rad = float(2 * (n - 1) * _exact_randic_index(g) - n)
     return _deflated_trace("Thm4.1", g, -1.0 / (n - 1.0), rad)
 
 
 def normalized_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
     _checked("Thm4.3", g)
-    return _bipartite_lambda2("Thm4.3", g, float(_exact_randic_index(g, -1) - 1))
+    return _bipartite_lambda2("Thm4.3", g, float(_exact_randic_index(g) - 1))
 
 
 def normalized_dominating_gersgorin_bounds(g: Graph) -> list[BoundInterval]:
@@ -402,10 +362,9 @@ def laplacian_trace_bounds(g: Graph) -> list[BoundInterval]:
     radicand (n-1)(sum(d^2) + sum(d)) - sum(d)^2.
     """
     _checked("Thm5.2", g)
-    n = g.n
-    prof = degrees(g)
-    sum_d = sum(prof.degrees)
-    radicand = (n - 1) * (prof.sum_squares + sum_d) - sum_d * sum_d
+    n, ds = g.n, g.degree_sequence
+    sum_d = sum(ds)
+    radicand = (n - 1) * (sum(d * d for d in ds) + sum_d) - sum_d * sum_d
     return _deflated_trace("Thm5.2", g, sum_d / (n - 1), radicand)
 
 

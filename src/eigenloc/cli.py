@@ -70,15 +70,15 @@ def _refuse(args: argparse.Namespace, names, option: str, what: str) -> None:
 
 
 def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
-    if args.edges:
+    if args.edges is not None:
         _refuse(args, _GRAPH_OPTIONS[:-1], "--edges", "family option")
         text = Path(args.edges).read_text()
         if text.lstrip().startswith("{"):
             return gr.graph_from_json(text)
         return gr.parse_edge_list(text)
-    if args.family:
+    if args.family is not None:
         params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
-        if args.connections:
+        if args.connections is not None:
             params["connections"] = [int(tok) for tok in args.connections.split(",")]
         return gr.generate(args.family, **params)
     raise ValueError("no graph source: supply --family or --edges")
@@ -320,7 +320,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
-    window = _parse_window(args.window) if args.window else None
+    window = None if args.window is None else _parse_window(args.window)
     try:
         region = _build_region(matrix, args.method)
     except rg.RegionUnavailable as exc:
@@ -330,7 +330,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         payload = region_to_svg(region, orc.complex_eigenvalues(matrix).values, window)
     else:
         payload = json.dumps(rg.region_to_json(region), indent=2)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(payload + "\n")
     else:
         print(payload)
@@ -355,7 +355,7 @@ def _check_window(window: tuple[float, float, float, float], shown) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.matrix_file:
+    if args.matrix_file is not None:
         _refuse(args, _GRAPH_OPTIONS + ("mode",), "--matrix-file", "graph option")
         matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
         results = verify_matrix(matrix, scope=args.scope, tol=args.tol)

@@ -2,7 +2,7 @@
 
 Vertices are labelled 1..n in all public interfaces.  Graphs are immutable
 after construction and safe to share across threads.  Adjacency is stored
-as one integer bitmask per vertex, which keeps degree / common-neighbour
+as one integer bitmask per vertex, which keeps degree and adjacency
 queries exact and cheap.
 """
 
@@ -21,14 +21,10 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "DegreeProfile",
     "GraphMatrixKind",
     "StructureReport",
     "parse_edge_list",
     "generate",
-    "degrees",
-    "common_neighbors",
-    "randic_index",
     "build_matrix",
     "classify",
     "graph_to_json",
@@ -162,23 +158,6 @@ class Graph:
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees plus the aggregates the bound formulas consume.
-
-    ``average_degree`` is kept as an exact rational so that
-    ``average_degree * n == sum(degrees)`` holds identically.
-    """
-
-    degrees: tuple[int, ...]
-    average_degree: Fraction
-    sum_squares: int
-
-    @property
-    def average(self) -> float:
-        return float(self.average_degree)
 
 
 @dataclass(frozen=True)
@@ -386,52 +365,18 @@ def _require(cond: bool, message: str) -> None:
 # invariants
 
 
-def degrees(g: Graph) -> DegreeProfile:
-    """Exact degree sequence with its average (rational) and sum of squares."""
-    ds = g.degree_sequence
-    return DegreeProfile(
-        degrees=ds,
-        average_degree=Fraction(sum(ds), g.n),
-        sum_squares=sum(d * d for d in ds),
-    )
+def _exact_randic_index(g: Graph) -> Fraction:
+    """The connectivity index R_{-1}, the sum of 1/(d_i d_j) over edges i~j,
+    as an exact rational.
 
-
-def common_neighbors(g: Graph, i: int, j: int) -> int:
-    """|N(i) ∩ N(j)| for distinct vertices, via bitmask intersection."""
-    if i == j:
-        raise ValueError("common_neighbors needs two distinct vertices")
-    return (g.neighbors_mask(i) & g.neighbors_mask(j)).bit_count()
-
-
-def randic_index(g: Graph, alpha: float) -> float:
-    """Sum of (d_i * d_j)**alpha over edges i~j, each edge counted once.
-
-    Integer exponents are summed in exact rational arithmetic before the
-    final rounding, so e.g. the exponent -1 index of a complete bipartite
-    graph is exactly 1.0.  Rejects graphs with an isolated vertex when
-    alpha < 0, since those exponents divide by degrees.
-    """
-    ds = g.degree_sequence
-    if alpha < 0 and min(ds) == 0:
-        raise ValueError("negative exponent with an isolated vertex divides by zero")
-    if float(alpha).is_integer():
-        return float(_exact_randic_index(g, int(alpha)))
-    return float(sum((ds[u - 1] * ds[v - 1]) ** alpha for u, v in g.edges))
-
-
-def _exact_randic_index(g: Graph, exponent: int) -> Fraction:
-    """The integer-exponent connectivity index as an exact rational.
-
-    The normalized two-trace bounds form their radicands from it in
-    rationals and round once: rounding the index first leaves about 4e-15
-    where K_n's radicand is exactly 0, and the square root turns that into
-    an interval error near 5e-10.
+    Thm4.1 and Thm4.3 form their radicands from it in rationals and round
+    once: rounding the index first leaves about 4e-15 where K_n's radicand
+    is exactly 0, and the square root turns that into an interval error
+    near 5e-10.
     """
     ds = g.degree_sequence
     products = Counter(ds[u - 1] * ds[v - 1] for u, v in g.edges)
-    return sum(
-        (count * Fraction(p) ** exponent for p, count in products.items()), Fraction(0)
-    )
+    return sum((Fraction(count, p) for p, count in products.items()), Fraction(0))
 
 
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:

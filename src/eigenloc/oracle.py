@@ -25,7 +25,6 @@ __all__ = [
     "symmetric_eigenvalues",
     "normalized_spectrum",
     "graph_spectrum",
-    "charpoly",
     "complex_eigenvalues",
     "spectrum_to_json",
 ]
@@ -265,30 +264,6 @@ def _complex_square(matrix) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     return a
-
-
-def charpoly(matrix) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Uses the Faddeev-LeVerrier trace recursion with extended-precision
-    accumulation (long-double complex) to keep coefficients of small
-    integer matrices essentially exact.
-    """
-    a = _complex_square(matrix)
-    n = a.shape[0]
-    if n == 0:
-        return np.array([1.0 + 0.0j])
-    work = a.astype(np.clongdouble)
-    eye = np.eye(n, dtype=np.clongdouble)
-    coeffs = [np.clongdouble(1.0)]
-    nk = work.copy()
-    ck = -np.trace(nk)
-    coeffs.append(ck)
-    for k in range(2, n + 1):
-        nk = work @ (nk + ck * eye)
-        ck = -np.trace(nk) / k
-        coeffs.append(ck)
-    return np.array([complex(c) for c in coeffs], dtype=complex)
 
 
 def _hessenberg(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

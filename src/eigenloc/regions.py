@@ -368,14 +368,20 @@ def _oval_sections(a, b, p, tol: float):
     roots -= np.divide(exact_q(roots), slope, out=np.zeros_like(roots), where=slope != 0.0)
     critical = _real_roots(dq)
     g, curvature = exact_q(critical), _horner(d2q, critical)
-    spacing = np.divide(-2.0 * g, curvature, out=np.full_like(g, np.nan), where=g * curvature < 0.0)
+    # Two overflows to inf are exact answers: a subnormal curvature (foci
+    # about 1e-160 apart in these units) puts that pair's ends at -inf and
+    # inf, outside every oval, and a subnormal scale**2 makes the tangency
+    # tolerance wider than any spread the critical points can have
+    with np.errstate(over="ignore"):
+        spacing = np.divide(-2.0 * g, curvature, out=np.full_like(g, np.nan), where=g * curvature < 0.0)
+        reach = -tol / scale / scale
     half = np.sqrt(spacing)
     rescued = np.stack([critical, critical - half, critical + half], -1).reshape(len(p), 9)
     ends = np.sort(np.hstack([roots, rescued]), axis=1, kind="stable")
     left, right = ends[:, :-1], ends[:, 1:]
     inside = (left < right) & (spread(0.5 * (left + right)) <= p)
     # a tangency is a double root of q but a simple root of q'
-    tangent = p - spread(critical) >= -tol / scale / scale
+    tangent = p - spread(critical) >= reach
     return (
         live[np.nonzero(inside)[0]], (s + scale * left)[inside], (s + scale * right)[inside],
         np.concatenate([np.nonzero(kept)[0], live[np.nonzero(tangent)[0]]]),

@@ -1,0 +1,85 @@
+"""Independent reference computations that tests compare the library against.
+
+Each is a second, plainer route to a quantity the library computes another
+way: the generic two-trace engine against the deflated closed forms of
+Thm3.1, Thm4.1 and Thm5.2; a long-double characteristic polynomial for the
+deflation identity; common neighbours by bitmask intersection against
+``Graph.common_neighbor_table``; and the connectivity index summed edge by
+edge against ``graphs._exact_randic_index``.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from eigenloc.bounds import LAMBDA_1, LAMBDA_N, BoundInterval
+
+
+@dataclass(frozen=True)
+class TraceStats:
+    """Mean and spread of a real spectrum recovered from two traces."""
+
+    m: float
+    s: float
+    n_eff: int
+
+
+def trace_bounds(
+    trace: float, trace_sq: float, n: int
+) -> tuple[TraceStats, BoundInterval, BoundInterval]:
+    """Extreme-eigenvalue intervals from trace and trace of the square.
+
+    For an n-dimensional matrix with real eigenvalues, with mean
+    ``m = trace/n`` and spread ``s**2 = trace_sq/n - m**2``:
+
+        lambda_n in [m - s*sqrt(n-1), m - s/sqrt(n-1)]
+        lambda_1 in [m + s/sqrt(n-1), m + s*sqrt(n-1)]
+
+    Returns the stats plus the lambda_1 and lambda_n intervals.  A variance
+    below 0 by at most 1e-12, float noise in the two traces, counts as 0.
+    """
+    if n < 2:
+        raise ValueError(f"trace bounds need dimension >= 2, got {n}")
+    m = trace / n
+    variance = trace_sq / n - m * m
+    if variance < 0.0:
+        if variance < -1e-12:
+            raise ValueError(f"inconsistent traces: negative variance {variance}")
+        variance = 0.0
+    s = math.sqrt(variance)
+    root = math.sqrt(n - 1.0)
+    stats = TraceStats(m=m, s=s, n_eff=n)
+    top = BoundInterval(LAMBDA_1, m + s / root, m + s * root, "Thm1.4")
+    bottom = BoundInterval(LAMBDA_N, m - s * root, m - s / root, "Thm1.4")
+    return stats, top, bottom
+
+
+def charpoly(matrix) -> np.ndarray:
+    """Monic characteristic polynomial coefficients, highest degree first.
+
+    The Faddeev-LeVerrier trace recursion, accumulated in long-double complex
+    so that the coefficients of small integer matrices are essentially exact.
+    """
+    work = np.asarray(matrix, dtype=np.clongdouble)
+    n = work.shape[0]
+    eye = np.eye(n, dtype=np.clongdouble)
+    coeffs = [np.clongdouble(1.0)]
+    nk = np.zeros_like(work)
+    for k in range(1, n + 1):
+        nk = work @ (nk + coeffs[-1] * eye)
+        coeffs.append(-np.trace(nk) / k)
+    return np.array([complex(c) for c in coeffs], dtype=complex)
+
+
+def common_neighbors(g, i: int, j: int) -> int:
+    """|N(i) & N(j)| by intersecting the two neighbourhood bitmasks."""
+    return (g.neighbors_mask(i) & g.neighbors_mask(j)).bit_count()
+
+
+def randic_index(g) -> Fraction:
+    """R_{-1}: the sum of 1/(d_u d_v) over the edges, one exact term per edge,
+    with degrees counted from the neighbourhood bitmasks."""
+    degree = {v: g.neighbors_mask(v).bit_count() for v in range(1, g.n + 1)}
+    return sum((Fraction(1, degree[u] * degree[v]) for u, v in g.edges), Fraction(0))

@@ -34,23 +34,20 @@ from eigenloc.bounds import (
     regular_common_neighbor_bounds,
     report_to_csv,
     report_to_json,
-    trace_bounds,
 )
 from eigenloc.graphs import (
     Graph,
     GraphMatrixKind,
+    _exact_randic_index,
     build_matrix,
     circulant,
     classify,
-    common_neighbors,
     complete,
     complete_bipartite,
     complete_minus_edge,
     cycle,
-    degrees,
     path,
     petersen,
-    randic_index,
     star,
 )
 from eigenloc.oracle import normalized_spectrum, symmetric_eigenvalues
@@ -63,6 +60,7 @@ from eigenloc.regions import (
 )
 
 from ._corpus import atlas_graphs
+from ._reference import common_neighbors, randic_index, trace_bounds
 from .conftest import count_first_reads
 
 
@@ -290,7 +288,7 @@ class TestNormalizedTrace:
 
     def test_star_k13(self):
         ivals = by_target(normalized_trace_bounds(star(4)))
-        assert randic_index(star(4), -1) == pytest.approx(1.0)
+        assert _exact_randic_index(star(4)) == 1
         assert ivals[LAMBDA_2].lower == pytest.approx(0.0, abs=1e-12)
         assert ivals[LAMBDA_2].upper == pytest.approx(1 / 3)
         eigs = normalized_spectrum(star(4)).values
@@ -321,7 +319,7 @@ class TestNormalizedBipartite:
 
     def test_p4_sharp(self):
         ivals = by_target(normalized_bipartite_lambda2_bounds(path(4)))
-        assert randic_index(path(4), -1) == pytest.approx(1.25)
+        assert _exact_randic_index(path(4)) == Fraction(5, 4)
         assert ivals[LAMBDA_2].lower == pytest.approx(0.5)
         assert ivals[LAMBDA_2].upper == pytest.approx(0.5)
         assert normalized_spectrum(path(4)).values[1] == pytest.approx(0.5, abs=1e-10)
@@ -738,7 +736,7 @@ class TestGenericVsSpecialized:
                 # closed form, while the two-trace route keeps ~1e-17 noise
                 # that the square root amplifies; compared separately below
                 continue
-            r1 = randic_index(g, -1.0)
+            r1 = float(randic_index(g))
             _, top, bottom = trace_bounds(-1.0, 2.0 * r1 - 1.0, g.n - 1)
             ivals = by_target(normalized_trace_bounds(g))
             assert ivals[LAMBDA_2].lower == pytest.approx(top.lower, rel=1e-12, abs=1e-13)
@@ -758,9 +756,9 @@ class TestGenericVsSpecialized:
         for g in self.corpus():
             if g.n < 3:
                 continue
-            prof = degrees(g)
-            sum_d = float(sum(prof.degrees))
-            _, top, bottom = trace_bounds(sum_d, prof.sum_squares + sum_d, g.n - 1)
+            ds = g.degree_sequence
+            sum_d = float(sum(ds))
+            _, top, bottom = trace_bounds(sum_d, sum(d * d for d in ds) + sum_d, g.n - 1)
             ivals = by_target(laplacian_trace_bounds(g))
             assert ivals[LAMBDA_1].lower == pytest.approx(top.lower, rel=1e-12, abs=1e-13)
             assert ivals[LAMBDA_1].upper == pytest.approx(top.upper, rel=1e-12, abs=1e-13)

@@ -460,6 +460,28 @@ class TestBadInputExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "too far apart" in proc.stderr
 
+    @pytest.mark.parametrize("argv, error", [
+        (["bounds", "--edges", "", "--family", "complete", "--n", "3", "--matrix", "adjacency"],
+         "error: --edges takes no family option, got --family --n\n"),
+        (["verify", "--matrix-file", "", "--family", "petersen"],
+         "error: --matrix-file takes no graph option, got --family\n"),
+        (["bounds", "--family", "", "--matrix", "adjacency"], "error: unknown graph family ''\n"),
+        (["bounds", "--family", "complete", "--n", "3", "--connections", "", "--matrix", "adjacency"],
+         "error: "),
+        (["regions", "--method", "gersgorin", "--emit", "svg", "--window", ""],
+         "error: window must be 'x0:x1:y0:y1'\n"),
+        (["regions", "--method", "gersgorin", "--out", ""], "error: "),
+    ], ids=["edges", "matrix-file", "family", "connections", "window", "out"])
+    def test_empty_option_value_exits_1(self, argv, error, rowsum_file, capsys):
+        # once an empty value counted as absent: the first two printed K_3's
+        # report and ran the Petersen checks, with exit 0
+        if argv[0] == "regions":
+            argv = argv + ["--matrix-file", rowsum_file]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error)
+
     @pytest.mark.parametrize(
         "argv", [["bounds", "--matrix", "adjacency"], ["verify"]], ids=["bounds", "verify"]
     )

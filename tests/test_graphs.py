@@ -13,26 +13,25 @@ from eigenloc.graphs import (
     MAX_VERTICES,
     Graph,
     GraphMatrixKind,
+    _exact_randic_index,
     build_matrix,
     classify,
-    common_neighbors,
     complete,
     complete_bipartite,
     complete_minus_edge,
     circulant,
     cycle,
-    degrees,
     generate,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
     path,
     petersen,
-    randic_index,
     star,
 )
 
 from ._corpus import atlas_graphs
+from ._reference import common_neighbors, randic_index
 
 
 def random_graph(rng, n, p=0.5):
@@ -252,99 +251,96 @@ class TestFamilies:
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_family_degree_closed_forms(self, n):
-        assert degrees(complete(n)).degrees == tuple([n - 1] * n)
-        assert degrees(cycle(n)).degrees == tuple([2] * n)
+        assert complete(n).degree_sequence == tuple([n - 1] * n)
+        assert cycle(n).degree_sequence == tuple([2] * n)
         p, q = 2, n
-        prof = degrees(complete_bipartite(p, q)).degrees
+        prof = complete_bipartite(p, q).degree_sequence
         assert prof[:p] == tuple([q] * p) and prof[p:] == tuple([p] * q)
+
+
+def common_column(g, i, k):
+    """N(i,k) as ``g.common_neighbor_table`` holds it: row i - 1, the column of k among the others."""
+    return int(g.common_neighbor_table[1][i - 1, k - 1 if k < i else k - 2])
+
+
+def table_matches_bitmasks(g):
+    """Every pair's ``common`` entry equals the bitmask intersection count."""
+    return all(
+        common_column(g, i, k) == common_neighbors(g, i, k)
+        for i in range(1, g.n + 1)
+        for k in range(1, g.n + 1)
+        if k != i
+    )
 
 
 class TestInvariants:
     def test_degrees_k4(self):
-        prof = degrees(complete(4))
-        assert prof.degrees == (3, 3, 3, 3)
-        assert prof.average_degree == 3
-        assert prof.sum_squares == 36
+        g = complete(4)
+        assert g.degree_sequence == (3, 3, 3, 3)
+        assert [g.degree(v) for v in range(1, 5)] == [3, 3, 3, 3]
 
     def test_degrees_star5(self):
-        prof = degrees(star(5))
-        assert prof.degrees == (4, 1, 1, 1, 1)
-        assert prof.average_degree == Fraction(8, 5)
+        g = star(5)
+        assert g.degree_sequence == (4, 1, 1, 1, 1)
+        assert [g.degree(v) for v in range(1, 6)] == [4, 1, 1, 1, 1]
 
     def test_degrees_petersen(self):
-        prof = degrees(petersen())
-        assert prof.degrees == tuple([3] * 10)
-        assert prof.average_degree == 3 and prof.sum_squares == 90
+        assert petersen().degree_sequence == tuple([3] * 10)
 
     def test_handshake_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(2, 10)))
-            assert sum(degrees(g).degrees) == 2 * g.m
+            assert sum(g.degree_sequence) == 2 * g.m
+            ends = [v for e in g.edges for v in e]
+            assert g.degree_sequence == tuple(ends.count(v) for v in range(1, g.n + 1))
 
     def test_common_neighbors_k4(self):
-        assert common_neighbors(complete(4), 1, 2) == 2
+        assert common_column(complete(4), 1, 2) == 2
+        assert table_matches_bitmasks(complete(4))
 
     def test_common_neighbors_c4_opposite(self):
-        assert common_neighbors(cycle(4), 1, 3) == 2
+        assert common_column(cycle(4), 1, 3) == 2
 
     def test_common_neighbors_petersen(self):
         g = petersen()
         for i in range(1, 11):
             for j in range(i + 1, 11):
                 expected = 0 if g.has_edge(i, j) else 1
-                assert common_neighbors(g, i, j) == expected
+                assert common_column(g, i, j) == common_column(g, j, i) == expected
+        assert table_matches_bitmasks(g)
 
-    def test_common_neighbors_match_squared_adjacency(self):
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_common_neighbors_match_bitmasks_on_families(self, family):
+        sizes = {"petersen": [{}], "complete_bipartite": [{"p": 2, "q": 3}, {"p": 3, "q": 4}],
+                 "circulant": [{"n": 8, "connections": [1, 2]}, {"n": 11, "connections": [1, 3]}]}
+        for params in sizes.get(family, [{"n": n} for n in (3, 6, 9)]):
+            assert table_matches_bitmasks(generate(family, **params)), params
+
+    def test_common_neighbors_match_bitmasks_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 9)))
-            a2 = build_matrix(g, GraphMatrixKind.ADJACENCY) @ build_matrix(
-                g, GraphMatrixKind.ADJACENCY
-            )
-            for i in range(1, g.n + 1):
-                for j in range(1, g.n + 1):
-                    if i != j:
-                        assert common_neighbors(g, i, j) == int(a2[i - 1, j - 1])
-
-    def test_common_neighbors_rejects_equal_vertices(self):
-        with pytest.raises(ValueError):
-            common_neighbors(complete(3), 2, 2)
+            assert table_matches_bitmasks(g)
 
 
 class TestRandicIndex:
     def test_complete_closed_form(self):
         for n in range(3, 9):
-            expected = n / (2 * (n - 1))
-            assert randic_index(complete(n), -1) == pytest.approx(expected, abs=1e-12)
-        assert randic_index(complete(4), -1) == pytest.approx(2 / 3, abs=1e-14)
-
-    def test_alpha_zero_counts_edges(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            g = random_graph(rng, int(rng.integers(2, 10)))
-            assert randic_index(g, 0.0) == g.m
+            assert _exact_randic_index(complete(n)) == Fraction(n, 2 * (n - 1))
+        assert float(_exact_randic_index(complete(4))) == 2 / 3
 
     def test_star_inverse_index_is_one(self):
         for n in range(3, 8):
-            assert randic_index(star(n), -1) == pytest.approx(1.0, abs=1e-12)
+            assert _exact_randic_index(star(n)) == 1
 
-    def test_matches_direct_summation(self):
+    def test_matches_edge_by_edge_summation(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             g = random_graph(rng, int(rng.integers(3, 9)), p=0.7)
-            if min(degrees(g).degrees) == 0:
-                continue
-            for alpha in (-1.0, -0.5, 1.0, 2.0):
-                direct = sum(
-                    (g.degree(u) * g.degree(v)) ** alpha for u, v in g.edges
-                )
-                assert randic_index(g, alpha) == pytest.approx(direct, rel=1e-12)
-
-    def test_rejects_isolated_vertex_with_negative_alpha(self):
-        g = Graph.from_edges(3, [(1, 2)])
-        with pytest.raises(ValueError):
-            randic_index(g, -1)
+            assert _exact_randic_index(g) == randic_index(g)
+        for g in (petersen(), path(4), complete_bipartite(2, 5), circulant(9, (1, 2))):
+            assert _exact_randic_index(g) == randic_index(g)
 
 
 class TestMatrices:
@@ -376,7 +372,7 @@ class TestMatrices:
         count = 0
         while count < 10:
             g = random_graph(rng, int(rng.integers(2, 12)), p=0.6)
-            if min(degrees(g).degrees) == 0:
+            if min(g.degree_sequence) == 0:
                 continue
             count += 1
             norm = build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)

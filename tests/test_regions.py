@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eigenloc.regions
 from eigenloc.graphs import GraphMatrixKind, build_matrix, circulant, complete, cycle, petersen
-from eigenloc.oracle import charpoly, complex_eigenvalues, symmetric_eigenvalues
+from eigenloc.oracle import complex_eigenvalues, symmetric_eigenvalues
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -50,6 +50,7 @@ from eigenloc.regions import (
     section_contains,
 )
 
+from ._reference import charpoly
 from .conftest import (
     GAMMA_3X3,
     ROWSUM_3X3,
@@ -481,6 +482,15 @@ class TestRealSection:
         oval = CassiniOval(-1e-9 + 0.0j, 1.0 + 0.46875j, 1e-64)
         assert region_slack(oval, 0.0) < -1e-9
         assert not section_contains(real_section(oval), 0.0)
+
+    @pytest.mark.parametrize("focus, p, half", [
+        (6.99920156889301e-161 + 0.0j, 1.0, 1.0),  # a subnormal curvature at the foci
+        (0.0j, 5e-324, math.sqrt(5e-324)),  # a subnormal scale**2
+    ])
+    def test_subnormal_oval_quantities_do_not_overflow(self, focus, p, half):
+        # the RuntimeWarning filter turns an overflow into a failure
+        ((lo, hi),) = real_section(CassiniOval(0.0j, focus, p)).intervals
+        assert lo == pytest.approx(-half, rel=1e-12) and hi == pytest.approx(half, rel=1e-12)
 
     @settings(max_examples=300)
     @given(
