@@ -34,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -59,6 +58,7 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
     "THEOREM_TAGS",
+    "MODES",
     "TARGET_ALIASES",
     "TARGET_POSITION",
 ]
@@ -108,6 +108,8 @@ _PRECONDITIONS = {
 }
 
 THEOREM_TAGS = tuple(_REGISTRY)
+# Thm5.4's deflated row sums: the paper's n - d_k, or the re-derived n - 1 - d_k
+MODES = ("published", "corrected")
 
 @dataclass(frozen=True)
 class BoundInterval:
@@ -398,24 +400,17 @@ def laplacian_dominating_brauer_bounds(g: Graph, *, mode: str = "published") -> 
 
         (d_j + d_k + 2 +/- sqrt((d_j - d_k)^2 + 4 r_j r_k)) / 2
 
-    with r the deflated deleted row sum.  ``mode="published"`` uses
-    r_k = n - d_k; ``mode="corrected"`` uses the re-derived r_k = n-1-d_k
-    (the non-neighbours of k among the remaining vertices), which is never
-    looser.  Union semantics give lambda_1 <= max over pairs of the upper
-    endpoint and lambda_{n-1} >= min over pairs of the lower endpoint.
+    with r_k = m - d_k: m = n in ``mode="published"``, the re-derived n - 1
+    (k's non-neighbours among the remaining vertices) in ``mode="corrected"``.
+    As (d_j - d_k)^2 + 4 r_j r_k = (r_j + r_k)^2, the union over pairs is
+    [d_(1) + d_(2) + 1 - m, m + 1], from the two smallest remaining degrees.
     """
-    if mode not in ("published", "corrected"):
-        raise ValueError(f"mode must be 'published' or 'corrected', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     _checked("Thm5.4", g)
-    n = g.n
-    offset = 0 if mode == "published" else 1
-    lower = math.inf
-    upper = -math.inf
-    for dj, dk in combinations(_degrees_but_dominating(g), 2):
-        disc = math.sqrt((dj - dk) ** 2 + 4.0 * (n - offset - dj) * (n - offset - dk))
-        lower = min(lower, 0.5 * (dj + dk + 2.0 - disc))
-        upper = max(upper, 0.5 * (dj + dk + 2.0 + disc))
-    return _intervals("Thm5.4", g, (lower, upper), extra=(mode,))
+    m = g.n if mode == "published" else g.n - 1
+    d1, d2 = sorted(_degrees_but_dominating(g))[:2]
+    return _intervals("Thm5.4", g, (float(d1 + d2 + 1 - m), float(m + 1)), extra=(mode,))
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +430,15 @@ def graph_summary(g: Graph) -> dict:
     }
 
 
-def bounds_report(
-    g: Graph, kind: GraphMatrixKind, mode: str = "published"
-) -> BoundReport:
+def bounds_report(g: Graph, kind: GraphMatrixKind, mode: str = "published") -> BoundReport:
     """Run every theorem whose preconditions hold for this matrix kind.
 
     Inapplicable theorems are listed as skipped with the first failing
     precondition as the reason.  Intervals are intersected per target into
     a combined best interval; skips are data, not errors.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []
     for tag, (tag_kind, _, _, _, name) in _REGISTRY.items():

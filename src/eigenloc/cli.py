@@ -69,17 +69,28 @@ def _refuse(args: argparse.Namespace, names, option: str, what: str) -> None:
         raise ValueError(f"{option} takes no {what}, got {' '.join(given)}")
 
 
+def _path(args: argparse.Namespace, option: str) -> Path:
+    """The file the path option names; an empty value names none (ValueError)."""
+    if not (value := getattr(args, option.replace("-", "_"))):
+        raise ValueError(f"--{option} needs a file path")
+    return Path(value)
+
+
 def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
     if args.edges is not None:
         _refuse(args, _GRAPH_OPTIONS[:-1], "--edges", "family option")
-        text = Path(args.edges).read_text()
+        text = _path(args, "edges").read_text()
         if text.lstrip().startswith("{"):
             return gr.graph_from_json(text)
         return gr.parse_edge_list(text)
     if args.family is not None:
         params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
         if args.connections is not None:
-            params["connections"] = [int(tok) for tok in args.connections.split(",")]
+            try:
+                params["connections"] = [int(tok) for tok in args.connections.split(",")]
+            except ValueError:
+                raise ValueError("--connections takes comma-separated integers, "
+                                 f"got {args.connections!r}") from None
         return gr.generate(args.family, **params)
     raise ValueError("no graph source: supply --family or --edges")
 
@@ -157,8 +168,8 @@ def _bound_pass(g: gr.Graph, kinds, mode: str):
     for kind in kinds:
         if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
             continue
-        values = orc.graph_spectrum(g, kind).values
         report = bd.bounds_report(g, kind, mode=mode)
+        values = orc.graph_spectrum(g, kind).values
         yield kind, values, [(b, values[bd.TARGET_POSITION[b.target]]) for b in report.bounds]
 
 
@@ -319,7 +330,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
+    matrix = rg.matrix_from_json(_path(args, "matrix-file").read_text())
     window = None if args.window is None else _parse_window(args.window)
     try:
         region = _build_region(matrix, args.method)
@@ -331,7 +342,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     else:
         payload = json.dumps(rg.region_to_json(region), indent=2)
     if args.out is not None:
-        Path(args.out).write_text(payload + "\n")
+        _path(args, "out").write_text(payload + "\n")
     else:
         print(payload)
     return 0
@@ -357,7 +368,7 @@ def _check_window(window: tuple[float, float, float, float], shown) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.matrix_file is not None:
         _refuse(args, _GRAPH_OPTIONS + ("mode",), "--matrix-file", "graph option")
-        matrix = rg.matrix_from_json(Path(args.matrix_file).read_text())
+        matrix = rg.matrix_from_json(_path(args, "matrix-file").read_text())
         results = verify_matrix(matrix, scope=args.scope, tol=args.tol)
     else:
         g = _graph_from_args(args)
@@ -417,7 +428,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        Path(args.out).write_text(payload)
+        _path(args, "out").write_text(payload)
     return 0
 
 
@@ -434,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="closed-form bound report for a graph")
     _add_graph_source(p_bounds)
     p_bounds.add_argument("--matrix", choices=_KIND_NAMES, required=True)
-    p_bounds.add_argument("--mode", choices=("published", "corrected"), default="published")
+    p_bounds.add_argument("--mode", choices=bd.MODES, default="published")
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.set_defaults(func=_cmd_bounds)
 
@@ -452,13 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scope", default="all", help="'all' or comma-separated check names")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     # None until given, so --matrix-file can refuse it; graphs read None as published
-    p_verify.add_argument("--mode", choices=("published", "corrected"))
+    p_verify.add_argument("--mode", choices=bd.MODES)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="bounds-vs-oracle CSV across family ranges")
     p_sweep.add_argument("spec", nargs="+", help="family:lo..hi[:step] or 'petersen'")
     p_sweep.add_argument("--matrix", choices=_KIND_NAMES, required=True)
-    p_sweep.add_argument("--mode", choices=("published", "corrected"), default="published")
+    p_sweep.add_argument("--mode", choices=bd.MODES, default="published")
     p_sweep.add_argument("--out", required=True, help="CSV path, or '-' for stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -50,7 +50,7 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import normalized_spectrum, symmetric_eigenvalues
+from eigenloc.oracle import graph_spectrum, normalized_spectrum, symmetric_eigenvalues
 from eigenloc.regions import (
     RegionIntersection,
     RegionUnion,
@@ -59,7 +59,7 @@ from eigenloc.regions import (
     rowsum_gersgorin_region,
 )
 
-from ._corpus import atlas_graphs
+from ._corpus import atlas_graphs, family_corpus
 from ._reference import common_neighbors, randic_index, trace_bounds
 from .conftest import count_first_reads
 
@@ -520,6 +520,42 @@ class TestDominatingVertexChoice:
                     assert (b.lower, b.upper) == expected, (tag, mode, sorted(g.edges))
 
 
+def random_dominating(n, p, seed):
+    """G(n - 1, p) on 2..n, then vertex 1 joined to all, relabelled at random."""
+    rng = random.Random(seed)
+    edges = [(1, v) for v in range(2, n + 1)]
+    edges += [(u, v) for u in range(2, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    return relabelled(Graph.from_edges(n, edges), seed)
+
+
+def dominating_corpus():
+    """Every atlas graph on 3-7 vertices with a dominating vertex, the family
+    members with one up to n = 32, and seeded random ones up to n = 150."""
+    atlas = [g for _, g in atlas_graphs() if g.n >= 3 and classify(g).dominating]
+    assert len(atlas) == 207
+    families = [g for _, g in family_corpus(32) if classify(g).dominating]
+    rng = random.Random(54)
+    randoms = [random_dominating(n, rng.choice((0.05, 0.3, 0.7)), seed)
+               for seed, n in enumerate([3, 4, 5, 8, 13, 21, 34, 55, 89, 120, 150] * 2)]
+    return atlas + families + randoms
+
+
+def test_closed_form_matches_the_pair_formula_and_is_sharp_above():
+    # (d_j - d_k)^2 + 4 r_j r_k is the square (r_j + r_k)^2, so the pair loop's
+    # roots are exact and its ends are the closed form's integers
+    for g in dominating_corpus():
+        ends = {}
+        for mode in ("published", "corrected"):
+            ivals = laplacian_dominating_brauer_bounds(g, mode=mode)
+            expected = reference_dominating(g, "Thm5.4", mode)
+            assert [(b.lower, b.upper) for b in ivals] == [expected] * 2, (mode, sorted(g.edges))
+            ends[mode] = by_target(ivals)[LAMBDA_1].upper
+        # a dominating vertex is isolated in the complement, so lambda_1 = n:
+        # the corrected end is attained, the published one n + 1 is not
+        assert (ends["corrected"], ends["published"]) == (float(g.n), float(g.n + 1))
+        assert abs(graph_spectrum(g, GraphMatrixKind.LAPLACIAN).values[0] - g.n) <= 1e-9 * g.n
+
+
 _THEOREM_FUNCTIONS = [getattr(bounds_module, entry[-1]) for entry in bounds_module._REGISTRY.values()]
 
 
@@ -560,6 +596,14 @@ class TestReports:
         skipped = dict(report.skipped)
         assert skipped["Thm4.4"] == "no dominating vertex"
         assert skipped["Thm4.5"] == "no dominating vertex"
+
+    @pytest.mark.parametrize("kind", list(GraphMatrixKind), ids=lambda kind: kind.value)
+    def test_bad_mode_is_refused_for_every_kind(self, kind):
+        # once only Thm5.4 read the mode: Petersen's reports (no dominating
+        # vertex) said "mode": "bogus", and only star(5)'s Laplacian one raised
+        for g in (petersen(), star(5)):
+            with pytest.raises(ValueError, match="mode must be 'published' or 'corrected', got 'bogus'"):
+                bounds_report(g, kind, mode="bogus")
 
     def test_star_laplacian_applicability(self):
         report = bounds_report(star(5), GraphMatrixKind.LAPLACIAN)

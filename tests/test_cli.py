@@ -467,11 +467,16 @@ class TestBadInputExitCodes:
          "error: --matrix-file takes no graph option, got --family\n"),
         (["bounds", "--family", "", "--matrix", "adjacency"], "error: unknown graph family ''\n"),
         (["bounds", "--family", "complete", "--n", "3", "--connections", "", "--matrix", "adjacency"],
-         "error: "),
+         "error: --connections takes comma-separated integers, got ''\n"),
+        (["bounds", "--family", "circulant", "--n", "6", "--connections", "1,x", "--matrix", "adjacency"],
+         "error: --connections takes comma-separated integers, got '1,x'\n"),
+        (["bounds", "--edges", "", "--matrix", "adjacency"], "error: --edges needs a file path\n"),
+        (["verify", "--matrix-file", ""], "error: --matrix-file needs a file path\n"),
         (["regions", "--method", "gersgorin", "--emit", "svg", "--window", ""],
          "error: window must be 'x0:x1:y0:y1'\n"),
-        (["regions", "--method", "gersgorin", "--out", ""], "error: "),
-    ], ids=["edges", "matrix-file", "family", "connections", "window", "out"])
+        (["regions", "--method", "gersgorin", "--out", ""], "error: --out needs a file path\n"),
+    ], ids=["edges", "matrix-file", "family", "connections", "bad-connections", "lone-edges",
+            "lone-matrix-file", "window", "out"])
     def test_empty_option_value_exits_1(self, argv, error, rowsum_file, capsys):
         # once an empty value counted as absent: the first two printed K_3's
         # report and ran the Petersen checks, with exit 0
@@ -763,6 +768,12 @@ def test_verify_rejects_bad_tolerance(tol):
         verify_graph(petersen(), tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         verify_matrix(ROWSUM_3X3, tol=tol)
+
+
+def test_verify_rejects_bad_mode():
+    # once all 24 Petersen checks ran under "mode": "bogus"
+    with pytest.raises(ValueError, match="mode must be"):
+        verify_graph(petersen(), mode="bogus")
 
 
 def test_verify_scope_accepts_every_check_name():
