@@ -21,15 +21,23 @@ leaves) numpy pass and an intersection's is one such pass per component,
 and an intersection sections the leaves of all its components at once.
 The four builders each fill one table with array arithmetic and make no
 node below the root: flat for a classical union, stacked by deflation row
-for a row-sum intersection, which :func:`region_min_slack` bounds pair by
-pair (component, point) in two passes at most: what the second leaves
-cannot come first.  A builder's node makes its ``children`` from its
-table when they are first read.
+for a row-sum intersection.  A builder's node makes its ``children`` from
+its table when they are first read.
+
+:class:`MatrixFacts` owns the least slacks.  For the region methods asked
+for, :meth:`MatrixFacts.least_slacks` takes each one's least slack over a
+set of points without building a region, from two tables of distances:
+one to the diagonal for the Gersgorin and Brauer sets, one to the
+deflated centres and gamma for the two row-sum sets.
+:func:`region_min_slack` on a builder's region goes through the same
+routine, which bounds a large row-sum region pair by pair (component,
+point) in two passes at most: what the second leaves cannot come first.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import json
 import math
@@ -121,17 +129,56 @@ def _normalized_section(
 
 
 def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|z - c| into ``out``, as np.hypot of the parts, which rounds like
-    Python's abs(complex) (numpy's complex abs may not).  Where every
-    imaginary part of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0)
-    is |x|, C99 Annex F), so the far slower hypot is skipped.  A distance
-    past the float range is inf; the caller enters ``np.errstate(over=
-    "ignore")`` once for its whole table operation, which silences that."""
+    """|z - c| into ``out``.  Of real arrays that is one subtraction and one
+    abs; of complex ones np.hypot of the parts, which rounds like Python's
+    abs(complex) (numpy's complex abs may not).  Where every imaginary part
+    of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0) is |x|, C99
+    Annex F), so the far slower hypot is skipped.  A distance past the float
+    range is inf; the caller enters ``np.errstate(over="ignore")`` once for
+    its whole table operation, which silences that."""
+    if not (np.iscomplexobj(z) or np.iscomplexobj(c)):
+        return np.abs(np.subtract(z, c, out=out), out=out)
     dx = z.real - c.real
     dy = z.imag - c.imag
     if np.count_nonzero(dy):
         return np.hypot(dx, dy, out=out)
     return np.abs(dx, out=out)
+
+
+def _reach(z, anchors: np.ndarray) -> np.ndarray:
+    """The distance from each point of ``z`` to each of ``anchors``, the
+    points' axes first, along a trailing axis that ends in an exact 1.0; the
+    caller ignores overflow, as for :func:`_distance`."""
+    z = np.asarray(z)[..., None]
+    reach = np.empty(np.broadcast(z, anchors).shape[:-1] + (anchors.shape[-1] + 1,))
+    reach[..., -1] = 1.0
+    _distance(z, anchors, reach[..., :-1])
+    return reach
+
+
+def _products(values: np.ndarray, first, second) -> np.ndarray:
+    """``values[..., first] * values[..., second]``, inf past the float range;
+    ``first`` and ``second`` are index arrays or slices."""
+    return np.multiply(values[..., first], values[..., second])
+
+
+def _margins(reach: np.ndarray, first, second, bounds) -> np.ndarray:
+    """Each leaf row's slack at each point along the trailing axis, from the
+    points' ``reach`` (see :class:`_LeafTable`); -inf where a distance or a
+    product passes the float range."""
+    margin = _products(reach, first, second)
+    return np.subtract(bounds, margin, out=margin)
+
+
+def _union_slack(margins: np.ndarray) -> np.ndarray:
+    """A union's slack from its rows' ``margins``: the largest, -inf if none.
+    A zero is +0.0 where some row's is, so that its sign does not rest on the
+    order in which numpy's reduction meets a +0.0 and a -0.0."""
+    slack = np.maximum.reduce(margins, axis=-1, initial=-np.inf)
+    if (zero := slack == 0.0).any():
+        positive = ((margins == 0.0) & ~np.signbit(margins)).any(axis=-1)
+        slack = np.where(zero & positive, 0.0, slack)
+    return slack
 
 
 def _pair(z: complex) -> list[float]:
@@ -198,39 +245,28 @@ class _LeafTable:
         """Row ``i`` of a stacked table, of views; an index array, those rows."""
         return _LeafTable(self.anchors[i], self.first, self.second, self.bounds[i], self.kinds)
 
-    def leaves(self, rows: slice = slice(None)) -> tuple:
-        """Leaf objects of ``rows``, all by default, in row order, a point set
-        for each point."""
+    def leaves(self) -> tuple:
+        """Leaf objects of every row, in row order, a point set for each point."""
         anchors = self.anchors.tolist()
-        made: list[Region] = []
-        for kind, a, b, bound in zip(
-            self.kinds[rows], self.first[rows].tolist(), self.second[rows].tolist(),
-            self.bounds[rows].tolist(),
-        ):
-            if kind == _DISK:
-                made.append(Disk(anchors[a], bound))
-            elif kind == _OVAL:
-                made.append(CassiniOval(anchors[a], anchors[b], bound))
-            else:
-                made.append(PointSet((anchors[a],)))
-        return tuple(made)
+        return tuple(_leaf(kind, anchors[a], anchors[b], bound) for kind, a, b, bound in zip(
+            self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()))
 
+    def leaf(self, row: tuple):
+        """The leaf object of ``row``, (k,) or (component, k) of a stacked
+        table, made from that row alone."""
+        *comp, k = row
+        anchors = self.anchors[tuple(comp)]
+        return _leaf(self.kinds[k], complex(anchors[self.first[k]]),
+                     complex(anchors[self.second[k]]), float(self.bounds[row]))
+
+    @np.errstate(over="ignore")
     def margins(self, z) -> np.ndarray:
-        """Each row's slack at each point of ``z``, along a trailing axis; a
-        distance or product past the float range makes it -inf."""
-        z = np.asarray(z)
-        reach = np.empty(z.shape + (self.anchors.shape[-1] + 1,))
-        reach[..., -1] = 1.0
-        with np.errstate(over="ignore"):
-            _distance(z[..., None], self.anchors, reach[..., :-1])
-            margin = reach[..., self.first]
-            margin *= reach[..., self.second]
-        return np.subtract(self.bounds, margin, out=margin)
+        """Each row's slack at each point of ``z``, along a trailing axis."""
+        return _margins(_reach(z, self.anchors), self.first, self.second, self.bounds)
 
     def slack(self, z, margins=None):
         """The union's slack at ``z``, from its rows' ``margins`` there if given."""
-        margins = self.margins(z) if margins is None else margins
-        slack = np.maximum.reduce(margins, axis=-1, initial=-np.inf)
+        slack = _union_slack(self.margins(z) if margins is None else margins)
         for node in self.nested:
             slack = np.maximum(slack, node.slack(z))
         return slack
@@ -242,7 +278,7 @@ class _LeafTable:
         if len(margins):
             k = int(margins.argmax())  # the first largest, which a row at slack is
             if margins[k] == slack:
-                return self.leaves(slice(k, k + 1))[0]
+                return self.leaf((k,))
         node = next((node for node in self.nested if node.slack(z) == slack), None)
         return None if node is None else _min_slack(node, np.array([z]))[2]
 
@@ -387,6 +423,15 @@ def _oval_sections(a, b, p, tol: float):
         np.concatenate([np.nonzero(kept)[0], live[np.nonzero(tangent)[0]]]),
         np.concatenate([feet[kept], (s + scale * critical)[tangent]]),
     )
+
+
+def _leaf(kind: int, a: complex, b: complex, bound: float):
+    """The leaf of a table row of ``kind`` with anchors ``a``, ``b`` and ``bound``."""
+    if kind == _DISK:
+        return Disk(a, bound)
+    if kind == _OVAL:
+        return CassiniOval(a, b, bound)
+    return PointSet((a,))
 
 
 class _Leaf:
@@ -587,30 +632,41 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
 
     An intersection's minimum is the least of its children's, its leaf that
     of its first child there; a union's leaf is its first row at its slack
-    (see :meth:`_LeafTable.leaf_at`).  Empty or non-finite points raise
-    ValueError.
+    (see :meth:`_LeafTable.leaf_at`).  A builder's region is read by
+    :func:`_least_slacks`, as :meth:`MatrixFacts.least_slacks` reads it.
+    Empty or non-finite points raise ValueError.
     """
-    z = np.ascontiguousarray(points, dtype=complex).reshape(-1)
+    z = _points(points)
+    slack, at, leaf = _min_slack(region, z)
+    return float(slack), complex(z[at]), leaf
+
+
+def _points(points) -> np.ndarray:
+    """The points as a flat array, real where every imaginary part is zero;
+    empty or non-finite points raise ValueError."""
+    z = np.asarray(points)
+    z = z.reshape(-1) if z.dtype == float else np.asarray(z, dtype=complex).reshape(-1)
     if not (z.size and np.isfinite(z).all()):
         raise ValueError("points must be nonempty and finite")
-    slack, at, leaf = _min_slack(region, z)
-    if slack == 0.0 and isinstance(region, RegionIntersection):
-        # a union's minimum is its grid's own; the least of an intersection's
-        # child minima can differ from its grid's in the sign of a zero,
-        # which numpy's reductions pick by array layout
-        slack = region.slack(z).min()
-    return float(slack), complex(z[at]), leaf
+    return z.real.copy() if z.dtype == complex and not z.imag.any() else z
 
 
 def _min_slack(node: Region, z: np.ndarray) -> tuple:
     """(slack, index of the point, leaf) of :func:`region_min_slack`."""
+    source = node.__dict__.get("_source")  # a builder's node has one
+    if source is not None:
+        centers, radii, kind, gamma = source
+        slack, at, row = _least_slacks(z, centers, radii, gamma, [kind])[0]
+        return slack, at, node._table.leaf(row)
     if isinstance(node, RegionIntersection):
-        table = node.__dict__.get("_table")  # a builder's intersection has one
-        if table is not None:
-            return _stacked_min_slack(table, z)
         if not node.children:
             return -math.inf, 0, None
-        return min((_min_slack(child, z) for child in node.children), key=lambda m: m[:2])
+        found = min((_min_slack(child, z) for child in node.children), key=lambda m: m[:2])
+        if found[0] == 0.0:
+            # the least of the children's minima can differ from the grid's
+            # in the sign of a zero, which numpy's reductions pick by layout
+            found = (node.slack(z).min(),) + found[1:]
+        return found
     table = getattr(node, "_table", None) or _LeafTable.of((node,))
     margins = table.margins(z)
     slack = table.slack(z, margins)
@@ -618,55 +674,117 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
     return slack.min(), at, table.leaf_at(z[at], slack[at], margins[at])
 
 
-def _stacked_min_slack(table: _LeafTable, z: np.ndarray) -> tuple:
-    """Branch and bound over the (component, point) pairs of a builder's
-    intersection in at most two passes over rows of its stacked ``table``,
-    or one over all where that costs less than the bounds.  A component's
-    leaf with the largest bound gives at each point a lower bound on its
-    slack that rounds like the row; a distance past the float range makes
-    it -inf, never NaN.  Pass 1 takes every component at the point of the
-    least bound, pass 2 the other pairs whose bound is below the least
+@np.errstate(over="ignore")
+def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[tuple]:
+    """:func:`region_min_slack` over the finite points ``z`` of the region
+    ``_table_region(centers, radii, kind, gamma)`` for each of ``kinds``:
+    (least slack, index of the first point at it, the row of its leaf there
+    in the region's table, (k,) or (component, k)).
+
+    The kinds share one table of distances from the points to the centres
+    (and gamma), made for a block of points at a time so that no kind's
+    margins pass ``_PASS_ROWS`` rows in a block; each point's slack is the
+    grid's bit for bit, and so is their least.  A stacked kind whose margins
+    over all points would pass ``_PASS_ROWS`` rows is bounded by
+    :func:`_stacked_min_slack` instead.
+    """
+    stacked = gamma is not None
+    anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
+    plans = []  # kind, rows, count, bounded, slacks, the margins of a lone block
+    for kind in kinds:
+        # a disk's rows are the anchors' distances before the 1.0, times it
+        rows = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
+        count = anchors.shape[-1] if kind == _DISK else len(rows[0])
+        bounded = stacked and len(z) * len(centers) * count > _PASS_ROWS
+        plans.append([kind, rows, count, bounded, [], None])
+    width = max([count * len(anchors) ** stacked for _, _, count, bounded, _, _ in plans
+                 if not bounded] + [1])
+    step = max(1, _PASS_ROWS // width)
+    direct = [plan for plan in plans if not plan[3]]
+    for lo in range(0, len(z) if direct else 0, step):
+        reach = _reach(z[lo : lo + step, None] if stacked else z[lo : lo + step], anchors)
+        for plan in direct:
+            margins = _margins(reach, *plan[1], _products(padded, *plan[1]))
+            plan[4].append(_union_slack(margins))
+            plan[5] = margins if step >= len(z) else None
+    found = []
+    for kind, rows, count, bounded, slacks, margins in plans:
+        if bounded:
+            (least, at, comp), slack = _stacked_min_slack(z, anchors, padded, kind, rows, count)
+            if least != 0.0:
+                found.append((least, at, _row_at(z, at, (comp,), anchors, padded, rows)))
+                continue
+        else:
+            slack = np.concatenate(slacks)
+        # a point's slack is the least of its components', taken in order as
+        # the grid's np.minimum takes them
+        point = slack if not stacked else np.minimum.accumulate(slack, axis=1)[:, -1].copy()
+        at = int(point.argmin())
+        comp = (int(slack[at].argmin()),) if stacked else ()
+        found.append((point.min(), at, _row_at(z, at, comp, anchors, padded, rows, margins)))
+    return found
+
+
+def _row_at(z, at: int, comp: tuple, anchors, padded, rows, margins=None) -> tuple:
+    """The row of the first leaf of union ``comp`` (() unless stacked) that
+    attains its slack at point ``at``, read from the points' ``margins``
+    where given."""
+    if margins is None:
+        margins = _margins(_reach(z[at], anchors[comp]), *rows, _products(padded[comp], *rows))
+    else:
+        margins = margins[(at,) + comp]
+    return comp + (int(margins.argmax()),)
+
+
+def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple:
+    """Branch and bound over the (point, component) pairs of a stacked table
+    of ``count`` rows of disks or ovals (``kind``) in at most two passes,
+    ``_PASS_ROWS`` rows at a time: ((least slack, first point at it, first
+    component there), each visited pair's slack, inf elsewhere).
+
+    Each component's leaf of the largest bound (the disk of its largest
+    radius, the oval of its two largest) gives at each point a lower bound
+    on its slack that rounds like its row; a distance past the float range
+    makes it -inf, never NaN.  Pass 1 takes every component at the point of
+    the least bound, pass 2 the other pairs whose bound is below the least
     slack found, or equal to it and ahead in (point, component) order.  A
     pair left has a bound above pass 1's least or ties it from behind, and
     pass 2's least is no larger and no later: a third pass takes nothing.
+    A least slack of zero visits every pair, for the grid's sign of it.
     """
-    anchors, first, second, bounds = table.anchors, table.first, table.second, table.bounds
-    n, count = bounds.shape
-    step = max(1, _PASS_ROWS // count)
+    n, step = len(anchors), max(1, _PASS_ROWS // count)
+    slacks = np.full((len(z), n), np.inf)
+    # every component's bounds at once where they fit in one pass
+    bounds = _products(padded, *rows) if n * count <= _PASS_ROWS else None
 
-    def visit(todo: np.ndarray, found: tuple = (math.inf, 0, 0, None)) -> tuple:
-        points, comps = np.nonzero(todo.T)  # by point, then component
+    def visit(todo: np.ndarray, found: tuple = (math.inf, 0, 0)) -> tuple:
+        points, comps = np.nonzero(todo)  # by point, then component
         for lo in range(0, len(comps), step):
             p, c = points[lo : lo + step], comps[lo : lo + step]
-            part = table.row(c)
-            margins = part.margins(z[p])
-            slack = part.slack(z[p], margins)
+            part = _products(padded[c], *rows) if bounds is None else bounds[c]
+            margins = _margins(_reach(z[p], anchors[c]), *rows, part)
+            slacks[p, c] = slack = _union_slack(margins)
             j = int(slack.argmin())  # the first least: the least point, then component
-            found = min(found, (slack[j], int(p[j]), int(c[j]), margins[j]), key=lambda f: f[:3])
+            found = min(found, (slack[j], int(p[j]), int(c[j])))
         return found
 
-    if n * len(z) * count <= _PASS_ROWS:
-        found = visit(np.ones((n, len(z)), dtype=bool))
-    else:
-        rows, k = np.arange(n), bounds.argmax(axis=1)
-        reach = np.empty((2, n, len(z)))
-        with np.errstate(over="ignore"):
-            _distance(z, anchors[rows, first[k], None], reach[0])
-            _distance(z, anchors[rows, second[k], None], reach[1])
-            reach[1, second[k] < 0] = 1.0
-            lower = bounds[rows, k, None] - reach[0] * reach[1]
-        first_pass = np.zeros((n, len(z)), dtype=bool)
-        first_pass[:, np.unravel_index(lower.argmin(), lower.shape)[1]] = True
-        found = visit(first_pass)
-        best, at, i = found[:3]
-        ahead = np.arange(len(z)) < at + (rows < i)[:, None]
-        found = visit(~first_pass & ((lower < best) | (lower == best) & ahead), found)
-    best, at, i, margins = found
-    return best, at, table.row(i).leaf_at(z[at], best, margins)
+    # each component's largest radius, or two largest (a disk's kind is 0, an oval's 1)
+    top = np.arange(n)[:, None], np.argsort(padded[:, :-2], axis=1)[:, -1 - kind :]
+    pair = [0], [kind or -1]  # the top oval's foci, or the disk's centre and the 1.0
+    largest = _products(_padded(padded[top], False), *pair)
+    lower = _margins(_reach(z[:, None], anchors[top]), *pair, largest)[..., 0]
+    first_pass = np.zeros((len(z), n), dtype=bool)
+    first_pass[np.unravel_index(lower.argmin(), lower.shape)[0]] = True
+    best, at, i = found = visit(first_pass)
+    ahead = np.arange(len(z))[:, None] < at + (np.arange(n) < i)
+    found = visit(~first_pass & ((lower < best) | (lower == best) & ahead), found)
+    if found[0] == 0.0:
+        visit(slacks == np.inf)
+    return found, slacks
 
 
-# rows of the stacked table in one pass: so many pairs are evaluated at
-# once, and that many rows in all without bounds
+# rows of margins in one table operation: a block of points, or of (point,
+# component) pairs of a row-sum region, holds at most so many
 _PASS_ROWS = 2**14
 
 
@@ -692,8 +810,8 @@ def region_to_json(region: Region) -> dict:
 # complex-matrix plumbing
 
 
-def _as_matrix(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
+def _as_matrix(matrix, dtype=complex) -> np.ndarray:
+    a = np.asarray(matrix, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
     return a
@@ -726,18 +844,22 @@ class RegionUnavailable(ValueError):
 
 def deleted_row_sums(matrix) -> np.ndarray:
     """r_i = sum over j != i of |a_ij|, for each row i."""
-    a = _as_matrix(matrix)
+    a = _as_matrix(matrix, complex if np.iscomplexobj(matrix) else float)
     with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
         return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
 
 
 class MatrixFacts:
-    """A square matrix as the complex array ``matrix``, and what the four
-    builders read of it, each made on first read and then kept; every builder
-    takes one in place of a matrix."""
+    """A square matrix as the array ``matrix``, real where every entry's
+    imaginary part is zero, and what the four builders and
+    :meth:`least_slacks` read of it, each made on first read and then kept;
+    every builder takes one in place of a matrix."""
 
     def __init__(self, matrix) -> None:
-        self.matrix = _as_matrix(matrix)
+        a = _as_matrix(matrix)
+        # every graph matrix is real: a distance is then one subtraction and
+        # one abs, bit for bit the complex one since hypot(x, 0) is |x|
+        self.matrix = a if a.imag.any() else a.real.copy()
 
     @functools.cached_property
     def gamma(self) -> complex | None:
@@ -761,25 +883,77 @@ class MatrixFacts:
         """Disk centres and radii of every deflation, read-only (n, n - 1) arrays.
 
         Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
-        and the radius ``sum over l not in {i, k} of |a_kl - a_il|``.  The sum
-        runs left to right over l, with the skipped terms added as +0.0, so it
-        rounds exactly like Python's ``sum`` over the same terms.
+        and the radius ``sum over l not in {i, k} of |a_kl - a_il|``: the
+        terms [l, i, k], the skipped ones +0.0, a chunk of l at a time behind
+        the running sum, reduced along the leading axis of a C-ordered array,
+        which numpy adds in order, as Python's ``sum`` does.
         """
         a, n = self.matrix, len(self.matrix)
+        step = max(1, _PASS_ROWS // (n * n) - 1)  # terms of l a chunk
+        terms = np.zeros((min(step, n) + 1, n, n))
         radii = np.zeros((n, n))
-        term = np.empty((n, n))
-        with np.errstate(over="ignore"):  # an infinite centre or radius is refused by its builder
-            for l in range(n):
-                _distance(a[None, :, l], a[:, l, None], term)  # [i, k] = |a_kl - a_il|
-                term[l, :] = 0.0
-                term[:, l] = 0.0
-                radii += term
+        with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
+            for lo in range(0, n, step):
+                l = np.arange(lo, min(lo + step, n))
+                chunk, column = terms[: len(l) + 1], a.T[l]
+                chunk[0] = radii
+                _distance(column[:, None, :], column[:, :, None], chunk[1:])  # |a_kl - a_il|
+                chunk[1 + np.arange(len(l)), l] = 0.0
+                chunk[1 + np.arange(len(l)), :, l] = 0.0
+                np.add.reduce(chunk, axis=0, out=radii)
             centers = a.diagonal()[None, :] - a
         off = ~np.eye(n, dtype=bool)
         table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
         for column in table:
             column.flags.writeable = False
         return table
+
+    def region_source(self, method: str) -> tuple:
+        """(centres, radii, kind, gamma) of the region of ``method`` (a CLI
+        name, e.g. "rowsum-brauer"), as :func:`_table_region` takes them,
+        gamma real where the matrix is; RegionUnavailable where the region
+        does not exist: no constant row sum, then too small a dimension."""
+        if method not in _METHODS:
+            raise ValueError(f"unknown region method {method!r}; expected one of {_METHODS}")
+        kind, deflated = int("brauer" in method), method.startswith("rowsum")
+        gamma = self._require_gamma() if deflated else None
+        if len(self.matrix) < 1 + kind + deflated:  # an oval and a deflation take one each
+            shape = "deflated " * deflated + ("disk", "oval")[kind]
+            raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
+        if not deflated:
+            return self.matrix.diagonal().copy(), self.deleted_row_sums, kind, None
+        return (*self.deflation_table, kind, gamma if np.iscomplexobj(self.matrix) else gamma.real)
+
+    def least_slacks(self, points, methods) -> dict[str, tuple[float, complex, tuple]]:
+        """``{method: (slack, point, row)}`` for each of ``methods`` whose
+        region exists for the matrix: :func:`region_min_slack` of the
+        builder's region over ``points``, bit for bit, with the leaf's row in
+        the region's table, (k,) or (component, k), in place of the leaf.
+
+        The builders' refusals come first, in their order and words, but
+        RegionUnavailable only leaves its method out; then region_min_slack's
+        for the points.  The classical regions share one table of distances,
+        and the row-sum regions another (:func:`_least_slacks`).
+        """
+        sources = {}
+        for method in methods:
+            with contextlib.suppress(RegionUnavailable):
+                sources[method] = self.region_source(method)
+        found = {}
+        for group in ([m for m in sources if m.startswith("rowsum") == d] for d in (False, True)):
+            if group:  # an oval refuses all that a disk of the same radii refuses, in its words
+                centers, radii, _, gamma = sources[group[0]]
+                kinds = [sources[m][2] for m in group]
+                _check_source(centers, radii, max(kinds), gamma)
+                found[tuple(group)] = centers, radii, gamma, kinds
+        z = _points(points) if found else None
+        least = {}
+        for group, (centers, radii, gamma, kinds) in found.items():
+            least.update(zip(group, _least_slacks(z, centers, radii, gamma, kinds)))
+        return {m: (float(least[m][0]), complex(z[least[m][1]]), least[m][2]) for m in sources}
+
+
+_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 
 
 def _facts(matrix) -> MatrixFacts:
@@ -808,49 +982,82 @@ def deflate(matrix, k: int) -> np.ndarray:
 # the four inclusion regions
 
 
+def _anchors(centers: np.ndarray, gamma) -> np.ndarray:
+    """The centres, then gamma as one more column where given."""
+    if gamma is None:
+        return centers
+    return np.column_stack([centers, np.full(len(centers), gamma)])
+
+
+def _rows(count: int, kind: int, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each leaf row's anchors (first, second) over ``count`` centres: disks
+    (k, -1) or ovals (j, k), j < k in the order of combinations(); stacked,
+    then the point gamma (count, -1)."""
+    if kind == _DISK:
+        first, second = np.arange(count), np.full(count, -1)
+    else:
+        first, second = np.nonzero(np.arange(count)[:, None] < np.arange(count))
+    if stacked:
+        return np.append(first, count), np.append(second, -1)
+    return first, second
+
+
+def _padded(radii: np.ndarray, stacked: bool) -> np.ndarray:
+    """The radii along the last axis, then -0.0 for gamma where stacked and
+    an exact 1.0, so that ``_products(padded, *rows)`` are the rows' bounds."""
+    count = radii.shape[-1]
+    padded = np.empty(radii.shape[:-1] + (count + 1 + stacked,))
+    padded[..., :count] = radii
+    padded[..., count:] = (-0.0, 1.0) if stacked else 1.0
+    return padded
+
+
+def _check_source(centers, radii, kind: int, gamma=None) -> None:
+    """Refuse, with ValueError, parameters no leaf accepts: a NaN or infinite
+    centre, radius, radius product or gamma, then foci too far apart."""
+    if kind == _OVAL:
+        # each component's largest product, of its two largest radii, which
+        # is not finite if any radius is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            radii = np.sort(radii, axis=-1)[..., -2:].prod(axis=-1)
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all() and cmath.isfinite(gamma or 0)):
+        raise ValueError("region parameters must be finite; the matrix has a NaN or "
+                         "infinite entry or its row sums overflow")
+    # foci closer to the origin than 2**1021 are less than 2**1023 apart
+    if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
+        first, second = _rows(centers.shape[-1], kind, False)
+        with np.errstate(over="ignore"):
+            apart = _distance(centers[..., first], centers[..., second],
+                              np.empty(centers.shape[:-1] + first.shape))
+        if not np.isfinite(apart).all():
+            raise ValueError(_TOO_FAR)
+
+
 def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     """One leaf table's union of the disks (centre k, radius r_k) or the ovals
     (foci j < k in the order of combinations(), radius product r_j r_k);
     given gamma, the intersection over a leading deflation axis of those
-    unions, each with the point gamma."""
-    count = centers.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, inf * 0 or NaN is refused here
-        if kind == _DISK:
-            first, second, bounds = np.arange(count), np.full(count, -1), radii
-        else:
-            first, second = np.triu_indices(count, 1)
-            bounds = radii[..., first] * radii[..., second]
-        # a NaN or infinite entry, or an overflow, is a parameter no leaf accepts
-        if not all(np.isfinite(x).all() for x in (centers, bounds, gamma or 0.0)):
-            raise ValueError("region parameters must be finite; the matrix has a NaN or "
-                             "infinite entry or its row sums overflow")
-        # foci closer to the origin than 2**1021 are less than 2**1023 apart
-        if kind == _OVAL and np.abs(centers.view(float)).max() >= 2.0**1021:
-            apart = _distance(centers[..., first], centers[..., second], np.empty(bounds.shape))
-            if not np.isfinite(apart).all():
-                raise ValueError(_TOO_FAR)
-    kinds = (kind,) * len(first)
-    if gamma is None:
-        return RegionUnion._from_table(_LeafTable(centers, first, second, bounds, kinds))
-    return RegionIntersection._from_table(_LeafTable(
-        np.column_stack([centers, np.full(len(centers), gamma)]), np.append(first, count),
-        np.append(second, -1), np.column_stack([bounds, np.full(len(bounds), -0.0)]),
-        kinds + (_POINT,),
-    ))
+    unions, each with the point gamma.  The node keeps its parameters, from
+    which :func:`_least_slacks` reads its least slack."""
+    _check_source(centers, radii, kind, gamma)
+    stacked = gamma is not None
+    first, second = _rows(centers.shape[-1], kind, stacked)
+    kinds = (kind,) * (len(first) - stacked) + (_POINT,) * stacked
+    bounds = _products(_padded(radii, stacked), first, second)
+    table = _LeafTable(_anchors(centers, gamma).astype(complex), first, second, bounds, kinds)
+    node = (RegionIntersection if stacked else RegionUnion)._from_table(table)
+    object.__setattr__(node, "_source", (centers, radii, kind, gamma))
+    return node
 
 
 def gersgorin_region(matrix) -> RegionUnion:
     """Union of the n disks centred at a_ii with radius r_i."""
-    facts = _facts(matrix)
-    return _table_region(facts.matrix.diagonal().copy(), facts.deleted_row_sums, _DISK)
+    return _table_region(*_facts(matrix).region_source("gersgorin"))
 
 
 def brauer_region(matrix) -> RegionUnion:
     """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
-    facts = _facts(matrix)
-    if facts.matrix.shape[0] < 2:
-        raise RegionUnavailable("the oval region needs dimension >= 2")
-    return _table_region(facts.matrix.diagonal().copy(), facts.deleted_row_sums, _OVAL)
+    return _table_region(*_facts(matrix).region_source("brauer"))
 
 
 def rowsum_gersgorin_region(matrix) -> RegionIntersection:
@@ -861,11 +1068,7 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     (the entries of the i-deflated matrix), together with the forced
     eigenvalue gamma as a point leaf.
     """
-    facts = _facts(matrix)
-    gamma = facts._require_gamma()
-    if facts.matrix.shape[0] < 2:
-        raise RegionUnavailable("the deflated disk region needs dimension >= 2")
-    return _table_region(*facts.deflation_table, _DISK, gamma)
+    return _table_region(*_facts(matrix).region_source("rowsum-gersgorin"))
 
 
 def rowsum_brauer_region(matrix) -> RegionIntersection:
@@ -876,11 +1079,7 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     radius product ``r_j * r_k`` where ``r_j = sum over l not in {i, j} of
     |a_jl - a_il|``, plus the forced eigenvalue gamma as a point leaf.
     """
-    facts = _facts(matrix)
-    gamma = facts._require_gamma()
-    if facts.matrix.shape[0] < 3:
-        raise RegionUnavailable("the deflated oval region needs dimension >= 3")
-    return _table_region(*facts.deflation_table, _OVAL, gamma)
+    return _table_region(*_facts(matrix).region_source("rowsum-brauer"))
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +1087,8 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
 
 
 def _json_number(value) -> float:
+    if type(value) in (float, int):  # the JSON parser's own types, past the ABC check
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"not a number: {value!r}")
     return float(value)

@@ -4,8 +4,9 @@ Each is a second, plainer route to a quantity the library computes another
 way: the generic two-trace engine against the deflated closed forms of
 Thm3.1, Thm4.1 and Thm5.2; a long-double characteristic polynomial for the
 deflation identity; common neighbours by bitmask intersection against
-``Graph.common_neighbor_table``; and the connectivity index summed edge by
-edge against ``graphs._exact_randic_index``.
+``Graph.common_neighbor_table``; the connectivity index summed edge by
+edge against ``graphs._exact_randic_index``; and every deflation's disks,
+one entry at a time, against ``regions.MatrixFacts.deflation_table``.
 """
 
 import math
@@ -83,3 +84,16 @@ def randic_index(g) -> Fraction:
     with degrees counted from the neighbourhood bitmasks."""
     degree = {v: g.neighbors_mask(v).bit_count() for v in range(1, g.n + 1)}
     return sum((Fraction(1, degree[u] * degree[v]) for u, v in g.edges), Fraction(0))
+
+
+def deflation_table(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every deflation's disk centres ``a_kk - a_ik`` and radii ``sum over l
+    not in {i, k} of |a_kl - a_il|``, row i over k != i, one entry at a time:
+    each radius is Python's ``sum`` of ``abs(complex)`` over l in order."""
+    a = np.asarray(matrix, dtype=complex)
+    n = len(a)
+    centers = [[a[k, k] - a[i, k] for k in range(n) if k != i] for i in range(n)]
+    radii = [[sum(abs(complex(a[k, l] - a[i, l])) for l in range(n) if l not in (i, k))
+              for k in range(n) if k != i] for i in range(n)]
+    return (np.array(centers, dtype=complex).reshape(n, n - 1),
+            np.array(radii, dtype=float).reshape(n, n - 1))

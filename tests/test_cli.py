@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -287,6 +288,61 @@ class TestVerifyCommand:
         calls.clear()
         assert all(result.passed for result in verify_matrix(ROWSUM_3X3))
         assert len(calls) == 1
+
+    def test_verify_matrix_refuses_as_the_builders(self, monkeypatch):
+        # the region checks build no region, yet each matrix that a builder
+        # refuses is refused in the builder's type and words, the first
+        # builder's of those a scope asks for; fixed points stand in for the
+        # oracle, which refuses a NaN or infinite entry before any region
+        import types
+
+        import eigenloc.oracle as oracle
+        from eigenloc.regions import rowsum_gersgorin_region
+
+        builders = {"gersgorin": gersgorin_region, "brauer": brauer_region,
+                    "rowsum-gersgorin": rowsum_gersgorin_region, "rowsum-brauer": rowsum_brauer_region}
+        spectrum = types.SimpleNamespace(values=np.array([0.5, 2.0 + 1.0j]))
+        monkeypatch.setattr(oracle, "complex_eigenvalues", lambda matrix: spectrum)
+        rng = np.random.default_rng(88)
+        cases = [np.diag([1e308, -1e308]), np.diag([1e308, 1.5e308]),
+                 np.array([[1e308, -1e308, 0], [-1e308, 1e308, 0], [0, 0, 0]]),
+                 np.array([[1e200, -1e200, 0, 0], [-1e200, 1e200, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]]),
+                 np.array([[math.nan, 1.0], [1.0, 0.0]]), np.array([[1.0, math.inf], [0.0, 1.0]])]
+        for n in (2, 3, 5):
+            a = rng.standard_normal((n, n))
+            a[:, -1] += 1.0 - a.sum(axis=1)
+            cases += [a * scale for scale in (1e150, 1e200, 1e300, 1e307)]
+        refused = 0
+        for a in cases:
+            for scope in ("all",) + tuple(builders):
+                refusal = None
+                for method, builder in builders.items():
+                    if scope in ("all", method) and refusal is None:
+                        try:
+                            builder(a)
+                        except ValueError as exc:
+                            refusal = None if type(exc).__name__ == "RegionUnavailable" else exc
+                if refusal is None:
+                    verify_matrix(a, scope=scope)
+                    continue
+                with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+                    verify_matrix(a, scope=scope)
+                refused += 1
+        assert refused >= 40
+
+    def test_verify_graph_peak_memory(self):
+        # the region checks hold no table larger than O(n^2) plus _PASS_ROWS
+        # rows; building regions made them peak at 3.3 MB on this graph
+        import tracemalloc
+
+        g = circulant(64, (1, 5, 17))
+        tracemalloc.start()
+        try:
+            assert all(result.passed for result in verify_graph(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3e6
 
     def test_isolated_vertex_skips_the_normalized_checks(self, tmp_path, capsys):
         # vertex 4 is isolated, so D^{-1}A is undefined: the adjacency and

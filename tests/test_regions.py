@@ -4,6 +4,7 @@ import functools
 import gc
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import eigenloc.regions
 from eigenloc.graphs import GraphMatrixKind, build_matrix, circulant, complete, cycle, petersen
-from eigenloc.oracle import complex_eigenvalues, symmetric_eigenvalues
+from eigenloc.oracle import complex_eigenvalues, graph_spectrum, symmetric_eigenvalues
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -1253,3 +1254,111 @@ def test_builders_regions_nested_in_hand_built_trees():
                          RegionIntersection((RegionUnion((region,)), region))):
                 assert _bitwise(real_section(tree)) == _bitwise(_reference_section(tree))
                 _check_min_slack(tree, points)
+
+
+# ---------------------------------------------------------------------------
+# MatrixFacts.least_slacks, the one pass that verify makes
+
+
+METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
+
+
+def _built_regions(a) -> tuple[dict, ValueError | None]:
+    """The region of each method whose builder makes one for ``a``, and the
+    first ValueError other than RegionUnavailable that a builder raises, in
+    the builders' order (None if none); the builders after it do not run."""
+    regions = {}
+    for method, builder in zip(METHODS, BUILDERS):
+        try:
+            regions[method] = builder(a)
+        except RegionUnavailable:
+            continue
+        except ValueError as exc:
+            return regions, exc
+    return regions, None
+
+
+def _least_slack_corpus():
+    """(matrix, points): the three graph matrices of the atlas graphs on 3 to
+    6 vertices and of ``family_corpus(32)`` at their ``graph_spectrum``; and
+    seeded real and complex matrices, n = 1..16, with and without a constant
+    row sum, at scales 1, 1e+-150 and 1e+-300, at their eigenvalues (also
+    rounded, for ties) and at scattered points, scaled alike."""
+    from ._corpus import atlas_graphs, family_corpus
+
+    graphs = [g for _, g in atlas_graphs() if 3 <= g.n <= 6] + [g for _, g in family_corpus(32)]
+    for g in graphs:
+        for kind in GraphMatrixKind:
+            if kind != GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0:
+                yield build_matrix(g, kind), np.asarray(graph_spectrum(g, kind).values)
+    rng = np.random.default_rng(86)
+    for n in range(1, 17):
+        for imag in (0.0, 1.0):
+            for rowsum in (False, True):
+                a = rng.standard_normal((n, n)) + 1j * imag * rng.standard_normal((n, n))
+                if rowsum:
+                    a[:, -1] += 1.5 - a.sum(axis=1)
+                a = a if imag else a.real
+                scatter = rng.normal(size=(2, 4)) * (1.0 + np.abs(np.linalg.eigvals(a)).max())
+                points = np.concatenate([_with_ties(np.linalg.eigvals(a)), scatter[0] + 1j * scatter[1]])
+                for scale in (1.0, 1e150, 1e-150, 1e300, 1e-300):
+                    yield a * scale, points * scale
+
+
+def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
+    # least_slacks of all four methods against the builders' regions: each
+    # slack is the grid's least bit for bit, the point and the leaf are
+    # region_min_slack's (checked against the per-leaf reference), and a
+    # builder's refusal is raised in its words; with one row a pass as well,
+    # where every table is made a point (or a pair) at a time and every
+    # row-sum region takes the branch and bound
+    checked = 0
+    for a, points in _least_slack_corpus():
+        regions, refusal = _built_regions(a)
+        want = {} if refusal else {m: (r, _check_min_slack(r, points)) for m, r in regions.items()}
+        for pass_rows in (2**14, 1):
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+            if refusal is not None:
+                with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+                    MatrixFacts(a).least_slacks(points, METHODS)
+                continue
+            least = MatrixFacts(a).least_slacks(points, METHODS)
+            assert least.keys() == want.keys()
+            for method, (region, (slack, point, leaf)) in want.items():
+                got, at, row = least[method]
+                assert np.float64(got).tobytes() == np.float64(slack).tobytes(), (method, got, slack)
+                assert at == point and region._table.leaf(row) == leaf
+                checked += 1
+    assert checked >= 7000
+
+
+def test_deflation_table_is_the_loops_bit_for_bit(monkeypatch):
+    from ._reference import deflation_table
+
+    rng = np.random.default_rng(87)
+    cases = [build_matrix(circulant(20, (1, 4)), GraphMatrixKind.NORMALIZED_ADJACENCY)]
+    for n in range(1, 18):
+        cases += [rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300),
+                  rng.random((n, n)) + 1j * rng.random((n, n))]
+    for pass_rows in (None, 1, 60):  # chunks of all l, of one l, of a few
+        if pass_rows is not None:
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+        for a in cases:
+            centers, radii = MatrixFacts(a).deflation_table
+            want_centers, want_radii = deflation_table(a)
+            assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
+            assert radii.tobytes() == want_radii.tobytes()
+
+
+def test_least_slacks_keep_real_matrices_real():
+    # a graph matrix stays real, so each distance is one subtraction and one
+    # abs; a complex matrix with a zero imaginary part is real too
+    a = build_matrix(petersen(), GraphMatrixKind.LAPLACIAN)
+    for matrix in (a, a.astype(complex)):
+        facts = MatrixFacts(matrix)
+        assert facts.matrix.dtype == float and facts.deflation_table[0].dtype == float
+        assert facts.region_source("rowsum-brauer")[3] == 0.0
+        assert isinstance(facts.region_source("rowsum-brauer")[3], float)
+    assert MatrixFacts(ROWSUM_3X3).matrix.dtype == complex
+    with pytest.raises(ValueError, match="unknown region method 'ostrowski'"):
+        MatrixFacts(a).least_slacks([0.0], ["gersgorin", "ostrowski"])
