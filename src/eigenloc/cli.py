@@ -150,15 +150,19 @@ def verify_graph(
     """Every requested bound and region check for all three graph matrices.
 
     The normalized-adjacency matrix (and its checks) is skipped when the
-    graph has an isolated vertex.
+    graph has an isolated vertex.  The region checks of all the matrices are
+    one stacked pass.
     """
     wanted = _scope_filter(scope, tol)
+    passes = list(_bound_pass(g, gr.GraphMatrixKind, mode))
+    stack = rg.MatrixFacts.stack([gr.build_matrix(g, kind) for kind, _, _ in passes])
+    regions = _region_checks(stack, [values for _, values, _ in passes], wanted, tol,
+                             [f"[{kind.value}]" for kind, _, _ in passes])
     results: list[CheckResult] = []
-    for kind, values, pairs in _bound_pass(g, gr.GraphMatrixKind, mode):
+    for (_, _, pairs), checks in zip(passes, regions):
         results += [check_interval(bound, value, tol) for bound, value in pairs
                     if wanted is None or bound.theorem in wanted]
-        facts = rg.MatrixFacts(gr.build_matrix(g, kind))
-        results += _region_checks(facts, values, wanted, tol, f"[{kind.value}]")
+        results += checks
     return results
 
 
@@ -178,7 +182,7 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
     wanted = _scope_filter(scope, tol)
     spectrum = orc.complex_eigenvalues(matrix)
     facts = rg.MatrixFacts(matrix)
-    results = _region_checks(facts, spectrum.values, wanted, tol)
+    (results,) = _region_checks([facts], [spectrum.values], wanted, tol, [""])
     if facts.gamma is not None and (wanted is None or "gamma" in wanted):
         slack = -min(abs(z - facts.gamma) for z in spectrum.values)
         results.append(
@@ -188,13 +192,15 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
 
 
 def _region_checks(
-    facts: rg.MatrixFacts, eigenvalues, wanted: set[str] | None, tol: float, suffix: str = ""
-) -> list[CheckResult]:
-    """One check per wanted region method that exists for the matrix, named
-    method + suffix, from one pass of :meth:`regions.MatrixFacts.least_slacks`."""
+    stack: list[rg.MatrixFacts], eigenvalues, wanted: set[str] | None, tol: float, suffixes
+) -> list[list[CheckResult]]:
+    """For each matrix of ``stack``, one check per wanted region method that
+    exists for it, named method + its suffix, all from one pass of
+    :func:`regions.stack_least_slacks`."""
     methods = [m for m in _REGION_METHODS if wanted is None or m in wanted]
-    return [CheckResult(method + suffix, "spectrum", slack >= -tol, slack)
-            for method, (slack, _, _) in facts.least_slacks(eigenvalues, methods).items()]
+    least = rg.stack_least_slacks(stack, eigenvalues, methods)
+    return [[CheckResult(method + suffix, "spectrum", slack >= -tol, slack)
+             for method, slack in slacks.items()] for slacks, suffix in zip(least, suffixes)]
 
 
 def _build_region(matrix, method: str):

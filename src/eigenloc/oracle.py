@@ -131,7 +131,8 @@ def _ql(d: list, e: list) -> tuple[list, float, int]:
         while True:
             m = lo
             while m < n - 1:
-                if abs(e[m]) <= max(eps * (abs(d[m]) + abs(d[m + 1])), tiny):
+                drop = abs(e[m])
+                if drop <= tiny or drop <= eps * (abs(d[m]) + abs(d[m + 1])):
                     dropped = hypot(dropped, e[m])
                     e[m] = 0.0
                     break
@@ -141,14 +142,16 @@ def _ql(d: list, e: list) -> tuple[list, float, int]:
             if steps == cap:
                 raise RuntimeError(f"QL iteration did not converge in {cap} steps")
             steps += 1
-            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            dlo, elo = d[lo], e[lo]
+            g = (d[lo + 1] - dlo) / (2.0 * elo)
             r = hypot(g, 1.0)
-            g = d[m] - d[lo] + e[lo] / (g + copysign(r, g))
+            g = d[m] - dlo + elo / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             for i in range(m - 1, lo - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
+                ei = e[i]
+                f = s * ei
+                b = c * ei
                 r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
@@ -164,7 +167,7 @@ def _ql(d: list, e: list) -> tuple[list, float, int]:
                 d[i + 1] = g + p
                 g = c * r - b
             else:
-                d[lo] -= p
+                d[lo] = dlo - p
                 e[lo] = g
                 e[m] = 0.0
     return d, dropped, steps

@@ -24,20 +24,23 @@ node below the root: flat for a classical union, stacked by deflation row
 for a row-sum intersection.  A builder's node makes its ``children`` from
 its table when they are first read.
 
-:class:`MatrixFacts` owns the least slacks.  For the region methods asked
-for, :meth:`MatrixFacts.least_slacks` takes each one's least slack over a
-set of points without building a region, from two tables of distances:
-one to the diagonal for the Gersgorin and Brauer sets, one to the
-deflated centres and gamma for the two row-sum sets.
-:func:`region_min_slack` on a builder's region goes through the same
-routine, which bounds a large row-sum region pair by pair (component,
-point) in two passes at most: what the second leaves cannot come first.
+:class:`MatrixFacts` owns what the builders read of a matrix; the matrices
+of one :meth:`MatrixFacts.stack`, such as the two or three matrices of a
+graph, share each fact, made for all of them by one array pass.  For the
+region methods asked for, :func:`stack_least_slacks` takes each one's
+least slack for every matrix of a stack over its own points without
+building a region, from two tables of distances for the whole stack: one
+to the diagonals for the Gersgorin and Brauer sets, one to the deflated
+centres and gamma for the two row-sum sets.  :meth:`MatrixFacts.least_slacks`
+is that pass on a stack of one, and :func:`region_min_slack` on a
+builder's region goes through the same routine, which bounds a large
+row-sum region pair by pair (component, point) in two passes at most: what
+the second leaves cannot come first.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import json
 import math
@@ -57,6 +60,7 @@ __all__ = [
     "RealSection",
     "RegionUnavailable",
     "MatrixFacts",
+    "stack_least_slacks",
     "row_sums",
     "constant_row_sum",
     "deleted_row_sums",
@@ -170,13 +174,13 @@ def _margins(reach: np.ndarray, first, second, bounds) -> np.ndarray:
     return np.subtract(bounds, margin, out=margin)
 
 
-def _union_slack(margins: np.ndarray) -> np.ndarray:
-    """A union's slack from its rows' ``margins``: the largest, -inf if none.
-    A zero is +0.0 where some row's is, so that its sign does not rest on the
-    order in which numpy's reduction meets a +0.0 and a -0.0."""
-    slack = np.maximum.reduce(margins, axis=-1, initial=-np.inf)
+def _union_slack(margins: np.ndarray, axis: int = -1) -> np.ndarray:
+    """A union's slack from its rows' ``margins`` along ``axis``: the largest,
+    -inf if none.  A zero is +0.0 where some row's is, so that its sign does
+    not rest on the order in which numpy's reduction meets a +0.0 and a -0.0."""
+    slack = np.maximum.reduce(margins, axis=axis, initial=-np.inf)
     if (zero := slack == 0.0).any():
-        positive = ((margins == 0.0) & ~np.signbit(margins)).any(axis=-1)
+        positive = ((margins == 0.0) & ~np.signbit(margins)).any(axis=axis)
         slack = np.where(zero & positive, 0.0, slack)
     return slack
 
@@ -641,11 +645,13 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
     return float(slack), complex(z[at]), leaf
 
 
-def _points(points) -> np.ndarray:
-    """The points as a flat array, real where every imaginary part is zero;
-    empty or non-finite points raise ValueError."""
+def _points(points, count: int | None = None) -> np.ndarray:
+    """The points as a flat array, or as ``count`` rows, one per matrix of a
+    stack; real where every imaginary part is zero; empty or non-finite
+    points raise ValueError."""
+    shape = (-1,) if count is None else (count, -1)
     z = np.asarray(points)
-    z = z.reshape(-1) if z.dtype == float else np.asarray(z, dtype=complex).reshape(-1)
+    z = z.reshape(shape) if z.dtype == float else np.asarray(z, dtype=complex).reshape(shape)
     if not (z.size and np.isfinite(z).all()):
         raise ValueError("points must be nonempty and finite")
     return z.real.copy() if z.dtype == complex and not z.imag.any() else z
@@ -656,7 +662,8 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
     source = node.__dict__.get("_source")  # a builder's node has one
     if source is not None:
         centers, radii, kind, gamma = source
-        slack, at, row = _least_slacks(z, centers, radii, gamma, [kind])[0]
+        gamma = None if gamma is None else np.array([gamma])
+        ((slack, at, row),), = _least_slacks(z[None], centers[None], radii[None], gamma, [kind], True)
         return slack, at, node._table.leaf(row)
     if isinstance(node, RegionIntersection):
         if not node.children:
@@ -675,64 +682,87 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
 
 
 @np.errstate(over="ignore")
-def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[tuple]:
-    """:func:`region_min_slack` over the finite points ``z`` of the region
-    ``_table_region(centers, radii, kind, gamma)`` for each of ``kinds``:
-    (least slack, index of the first point at it, the row of its leaf there
-    in the region's table, (k,) or (component, k)).
+def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds, rows: bool = False) -> list[list]:
+    """:func:`region_min_slack` over the finite points ``z[m]`` of the region
+    ``_table_region(centers[m], radii[m], kind, gamma[m])`` of each matrix m
+    of a stack, for each of ``kinds``: per kind, per matrix, (least slack,
+    index of the first point at it, the row of its leaf there in the
+    region's table, (k,) or (component, k), if ``rows`` else None).
 
     The kinds share one table of distances from the points to the centres
-    (and gamma), made for a block of points at a time so that no kind's
-    margins pass ``_PASS_ROWS`` rows in a block; each point's slack is the
-    grid's bit for bit, and so is their least.  A stacked kind whose margins
-    over all points would pass ``_PASS_ROWS`` rows is bounded by
-    :func:`_stacked_min_slack` instead.
+    (and gamma), made for a block of points of every matrix at a time so
+    that no kind's margins pass ``_PASS_ROWS`` rows in a block; each point's
+    slack is the grid's bit for bit, and so is their least.  The tables put
+    the leaf rows first and the points last, so that a leaf row of every
+    point is one slab, gathered, multiplied and compared whole.  A stacked
+    kind whose margins over one matrix's points would pass ``_PASS_ROWS``
+    rows is bounded by :func:`_stacked_min_slack` instead, a matrix at a time.
     """
     stacked = gamma is not None
     anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
-    plans = []  # kind, rows, count, bounded, slacks, the margins of a lone block
+    (matrices, points), comps = z.shape, anchors.shape[-2] if stacked else 1
+    plans = []  # kind, leaves, width, bounded, slacks, the margins of a lone block
     for kind in kinds:
         # a disk's rows are the anchors' distances before the 1.0, times it
-        rows = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
-        count = anchors.shape[-1] if kind == _DISK else len(rows[0])
-        bounded = stacked and len(z) * len(centers) * count > _PASS_ROWS
-        plans.append([kind, rows, count, bounded, [], None])
-    width = max([count * len(anchors) ** stacked for _, _, count, bounded, _, _ in plans
-                 if not bounded] + [1])
-    step = max(1, _PASS_ROWS // width)
+        leaves = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
+        width = anchors.shape[-1] if kind == _DISK else len(leaves[0])
+        plans.append([kind, leaves, width, stacked and points * comps * width > _PASS_ROWS, [], None])
     direct = [plan for plan in plans if not plan[3]]
-    for lo in range(0, len(z) if direct else 0, step):
-        reach = _reach(z[lo : lo + step, None] if stacked else z[lo : lo + step], anchors)
-        for plan in direct:
-            margins = _margins(reach, *plan[1], _products(padded, *plan[1]))
-            plan[4].append(_union_slack(margins))
-            plan[5] = margins if step >= len(z) else None
+    step = max(1, _PASS_ROWS // (matrices * comps * max([plan[2] for plan in direct] + [1])))
+    # anchors, then [component,] matrix and point
+    foci = anchors.T[..., None]
+    bounds = [_products(padded, *plan[1]).T[..., None] for plan in direct]
+    for lo in range(0, points if direct else 0, step):
+        block = z[:, lo : lo + step]
+        reach = np.empty((len(foci) + 1,) + foci.shape[1:-2] + block.shape)
+        reach[-1] = 1.0
+        _distance(block, foci, reach[:-1])
+        for plan, bound in zip(direct, bounds):
+            first, second = plan[1]
+            margins = np.multiply(reach[first], reach[second])
+            plan[4].append(_union_slack(np.subtract(bound, margins, out=margins), axis=0))
+            plan[5] = margins if step >= points else None
     found = []
-    for kind, rows, count, bounded, slacks, margins in plans:
+    for kind, leaves, width, bounded, slacks, margins in plans:
         if bounded:
-            (least, at, comp), slack = _stacked_min_slack(z, anchors, padded, kind, rows, count)
-            if least != 0.0:
-                found.append((least, at, _row_at(z, at, (comp,), anchors, padded, rows)))
-                continue
-        else:
-            slack = np.concatenate(slacks)
+            found.append([_bounded_least(z[m], anchors[m], padded[m], kind, leaves, width, rows)
+                          for m in range(matrices)])
+            continue
+        slack = slacks[0] if len(slacks) == 1 else np.concatenate(slacks, axis=-1)
         # a point's slack is the least of its components', taken in order as
         # the grid's np.minimum takes them
-        point = slack if not stacked else np.minimum.accumulate(slack, axis=1)[:, -1].copy()
-        at = int(point.argmin())
-        comp = (int(slack[at].argmin()),) if stacked else ()
-        found.append((point.min(), at, _row_at(z, at, comp, anchors, padded, rows, margins)))
+        point = np.minimum.accumulate(slack)[-1] if stacked else slack
+        at, least = point.argmin(axis=-1).tolist(), point.min(axis=-1)
+        per_matrix = []
+        for m in range(matrices):
+            row = None
+            if rows:
+                comp = (int(slack[:, m, at[m]].argmin()),) if stacked else ()
+                if margins is None:
+                    row = _row_at(z[m], at[m], comp, anchors[m], padded[m], leaves)
+                else:
+                    row = comp + (int(margins[(slice(None),) + comp + (m, at[m])].argmax()),)
+            per_matrix.append((least[m], at[m], row))
+        found.append(per_matrix)
     return found
 
 
-def _row_at(z, at: int, comp: tuple, anchors, padded, rows, margins=None) -> tuple:
+def _bounded_least(z, anchors, padded, kind: int, leaves, width: int, rows: bool) -> tuple:
+    """(least slack, first point at it, its leaf's row or None) of one
+    matrix's row-sum region of ``kind`` by :func:`_stacked_min_slack`; a
+    least of zero takes its point and sign from the grid of every pair."""
+    (least, at, comp), slack = _stacked_min_slack(z, anchors, padded, kind, leaves, width)
+    if least == 0.0:
+        point = np.minimum.accumulate(slack, axis=1)[:, -1]
+        least, at = point.min(), int(point.argmin())
+        comp = int(slack[at].argmin())
+    return least, at, _row_at(z, at, (comp,), anchors, padded, leaves) if rows else None
+
+
+def _row_at(z, at: int, comp: tuple, anchors, padded, rows) -> tuple:
     """The row of the first leaf of union ``comp`` (() unless stacked) that
-    attains its slack at point ``at``, read from the points' ``margins``
-    where given."""
-    if margins is None:
-        margins = _margins(_reach(z[at], anchors[comp]), *rows, _products(padded[comp], *rows))
-    else:
-        margins = margins[(at,) + comp]
+    attains its slack at point ``at``."""
+    margins = _margins(_reach(z[at], anchors[comp]), *rows, _products(padded[comp], *rows))
     return comp + (int(margins.argmax()),)
 
 
@@ -822,20 +852,22 @@ def row_sums(matrix) -> np.ndarray:
     return _as_matrix(matrix).sum(axis=1)
 
 
+def _finite_matrix(matrix) -> np.ndarray:
+    a = _as_matrix(matrix)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def constant_row_sum(matrix) -> complex | None:
     """The common row sum when all rows agree within tolerance, else None.
 
     The tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices are
     exact while user matrices may carry float noise.  Agreement is measured
-    as the maximum pairwise deviation between row sums.
+    as the maximum pairwise deviation between row sums.  A NaN or infinite
+    entry raises ValueError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
-        sums = row_sums(matrix)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(sums))))
-        deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
-        if deviation > tol:
-            return None
-        return complex(sums.mean())
+    return _FactStack((_finite_matrix(matrix),)).gamma[0]
 
 
 class RegionUnavailable(ValueError):
@@ -845,26 +877,116 @@ class RegionUnavailable(ValueError):
 def deleted_row_sums(matrix) -> np.ndarray:
     """r_i = sum over j != i of |a_ij|, for each row i."""
     a = _as_matrix(matrix, complex if np.iscomplexobj(matrix) else float)
+    return _deleted_row_sums(a)
+
+
+def _deleted_row_sums(a: np.ndarray) -> np.ndarray:
+    """:func:`deleted_row_sums` of a matrix or of each of a stack of them."""
     with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
-        return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+        return np.abs(a).sum(axis=-1) - np.abs(a.diagonal(0, -2, -1))
+
+
+class _FactStack:
+    """The facts of k square matrices of one size, as :class:`MatrixFacts`
+    reads them: each made for all k at once on first read, by one array pass
+    over their (k, n, n) stack ``matrix`` that takes each matrix's numbers
+    in the order one matrix's own pass would, so that each matrix's facts
+    are the same bit for bit in any stack."""
+
+    def __init__(self, matrices) -> None:
+        self.matrix = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+
+    @functools.cached_property
+    def gamma(self) -> list:
+        """Each matrix's :func:`constant_row_sum`, which a NaN or infinite
+        entry makes NaN or infinite rather than refused."""
+        with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
+            sums = self.matrix.astype(complex).sum(axis=-1)
+            tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
+            deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
+            mean = sums.mean(axis=-1).tolist()
+        return [None if d > t else mean[k]
+                for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]
+
+    @functools.cached_property
+    def deleted_row_sums(self) -> np.ndarray:
+        r = _deleted_row_sums(self.matrix)
+        r.flags.writeable = False
+        return r
+
+    @functools.cached_property
+    def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each matrix's :attr:`MatrixFacts.deflation_table`, as read-only
+        (k, n, n - 1) arrays: the terms [l, matrix, i, k], a chunk of l at a
+        time behind the running sums, so that ``_PASS_ROWS`` bounds the
+        terms of the whole stack."""
+        a = self.matrix
+        k, n = a.shape[:2]
+        step = max(1, _PASS_ROWS // (k * n * n) - 1)  # terms of l a chunk
+        terms = np.zeros((min(step, n) + 1, k, n, n))
+        radii = np.zeros((k, n, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
+            for lo in range(0, n, step):
+                l = np.arange(lo, min(lo + step, n))
+                chunk, column = terms[: len(l) + 1], a.transpose(2, 0, 1)[l]
+                chunk[0] = radii
+                _distance(column[..., None, :], column[..., None], chunk[1:])  # |a_kl - a_il|
+                chunk[1 + np.arange(len(l)), :, l] = 0.0
+                chunk[1 + np.arange(len(l)), :, :, l] = 0.0
+                np.add.reduce(chunk, axis=0, out=radii)
+            centers = a.diagonal(0, -2, -1)[:, None, :] - a
+        off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
+        table = tuple(part.reshape(k, n * n)[:, off].reshape(k, n, n - 1) for part in (centers, radii))
+        for column in table:
+            column.flags.writeable = False
+        return table
+
+    def sources(self, deflated: bool, at: list[int]) -> tuple:
+        """:meth:`MatrixFacts.region_source`'s centres, radii and gamma (None
+        for the classical regions) of each of the matrices ``at``, along a
+        leading axis; gamma real where the stack is.  Matrices next to each
+        other in the stack give views of its tables, not copies."""
+        rows = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
+        if not deflated:
+            return np.ascontiguousarray(self.matrix.diagonal(0, -2, -1)[rows]), self.deleted_row_sums[rows], None
+        gamma = np.array([self.gamma[i] for i in at])
+        centers, radii = self.deflation_table
+        return centers[rows], radii[rows], gamma if np.iscomplexobj(self.matrix) else gamma.real
 
 
 class MatrixFacts:
     """A square matrix as the array ``matrix``, real where every entry's
     imaginary part is zero, and what the four builders and
-    :meth:`least_slacks` read of it, each made on first read and then kept;
-    every builder takes one in place of a matrix."""
+    :func:`stack_least_slacks` read of it, each made on first read and then
+    kept; every builder takes one in place of a matrix.
+
+    The facts of the matrices of one :meth:`stack` are each made for all of
+    them at once, and are each matrix's own bit for bit.
+    """
 
     def __init__(self, matrix) -> None:
         a = _as_matrix(matrix)
         # every graph matrix is real: a distance is then one subtraction and
         # one abs, bit for bit the complex one since hypot(x, 0) is |x|
         self.matrix = a if a.imag.any() else a.real.copy()
+        self._stack, self._at = _FactStack((self.matrix,)), 0
+
+    @classmethod
+    def stack(cls, matrices) -> list["MatrixFacts"]:
+        """The facts of each of ``matrices``, all n x n, made together."""
+        stack = [cls(matrix) for matrix in matrices]
+        if len({facts.matrix.shape for facts in stack}) > 1:
+            raise ValueError("the matrices of a stack must have one shape")
+        shared = _FactStack([facts.matrix for facts in stack])
+        for at, facts in enumerate(stack):
+            facts._stack, facts._at = shared, at
+        return stack
 
     @functools.cached_property
     def gamma(self) -> complex | None:
-        """:func:`constant_row_sum` of the matrix."""
-        return constant_row_sum(self.matrix)
+        """:func:`constant_row_sum` of the matrix, NaN or infinite where an
+        entry is: the builders refuse it as a region parameter."""
+        return self._stack.gamma[self._at]
 
     def _require_gamma(self) -> complex:
         if self.gamma is None:
@@ -874,9 +996,7 @@ class MatrixFacts:
     @functools.cached_property
     def deleted_row_sums(self) -> np.ndarray:
         """:func:`deleted_row_sums` of the matrix, read-only: a builder's table holds it."""
-        r = deleted_row_sums(self.matrix)
-        r.flags.writeable = False
-        return r
+        return self._stack.deleted_row_sums[self._at]
 
     @functools.cached_property
     def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -888,41 +1008,32 @@ class MatrixFacts:
         the running sum, reduced along the leading axis of a C-ordered array,
         which numpy adds in order, as Python's ``sum`` does.
         """
-        a, n = self.matrix, len(self.matrix)
-        step = max(1, _PASS_ROWS // (n * n) - 1)  # terms of l a chunk
-        terms = np.zeros((min(step, n) + 1, n, n))
-        radii = np.zeros((n, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
-            for lo in range(0, n, step):
-                l = np.arange(lo, min(lo + step, n))
-                chunk, column = terms[: len(l) + 1], a.T[l]
-                chunk[0] = radii
-                _distance(column[:, None, :], column[:, :, None], chunk[1:])  # |a_kl - a_il|
-                chunk[1 + np.arange(len(l)), l] = 0.0
-                chunk[1 + np.arange(len(l)), :, l] = 0.0
-                np.add.reduce(chunk, axis=0, out=radii)
-            centers = a.diagonal()[None, :] - a
-        off = ~np.eye(n, dtype=bool)
-        table = centers[off].reshape(n, n - 1), radii[off].reshape(n, n - 1)
-        for column in table:
-            column.flags.writeable = False
-        return table
+        centers, radii = self._stack.deflation_table
+        return centers[self._at], radii[self._at]
 
-    def region_source(self, method: str) -> tuple:
-        """(centres, radii, kind, gamma) of the region of ``method`` (a CLI
-        name, e.g. "rowsum-brauer"), as :func:`_table_region` takes them,
-        gamma real where the matrix is; RegionUnavailable where the region
-        does not exist: no constant row sum, then too small a dimension."""
+    def _kind(self, method: str) -> int:
+        """The leaf kind of the region of ``method`` (a CLI name, e.g.
+        "rowsum-brauer"); RegionUnavailable where the region does not exist:
+        no constant row sum, then too small a dimension."""
         if method not in _METHODS:
             raise ValueError(f"unknown region method {method!r}; expected one of {_METHODS}")
         kind, deflated = int("brauer" in method), method.startswith("rowsum")
-        gamma = self._require_gamma() if deflated else None
+        if deflated:
+            self._require_gamma()
         if len(self.matrix) < 1 + kind + deflated:  # an oval and a deflation take one each
             shape = "deflated " * deflated + ("disk", "oval")[kind]
             raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
-        if not deflated:
+        return kind
+
+    def region_source(self, method: str) -> tuple:
+        """(centres, radii, kind, gamma) of the region of ``method``, as
+        :func:`_table_region` takes them, gamma real where the matrix is;
+        RegionUnavailable where the region does not exist (see :meth:`_kind`)."""
+        kind = self._kind(method)
+        if not method.startswith("rowsum"):
             return self.matrix.diagonal().copy(), self.deleted_row_sums, kind, None
-        return (*self.deflation_table, kind, gamma if np.iscomplexobj(self.matrix) else gamma.real)
+        gamma = self.gamma if np.iscomplexobj(self.matrix) else self.gamma.real
+        return (*self.deflation_table, kind, gamma)
 
     def least_slacks(self, points, methods) -> dict[str, tuple[float, complex, tuple]]:
         """``{method: (slack, point, row)}`` for each of ``methods`` whose
@@ -935,22 +1046,74 @@ class MatrixFacts:
         for the points.  The classical regions share one table of distances,
         and the row-sum regions another (:func:`_least_slacks`).
         """
-        sources = {}
+        z, (least,) = _stack_least([self], [points], methods, rows=True)
+        return {m: (float(slack), complex(z[0, at]), row) for m, (slack, at, row) in least.items()}
+
+
+def stack_least_slacks(stack, points, methods) -> list[dict[str, float]]:
+    """For each matrix of ``stack``, the facts of one :meth:`MatrixFacts.stack`
+    or some of them, the least slack of each of ``methods`` over its own
+    ``points``, the same number for each matrix: the slacks of
+    :meth:`MatrixFacts.least_slacks` bit for bit, from one pass for the
+    whole stack.
+
+    Each matrix's regions and refusals are its own: RegionUnavailable leaves
+    out only that matrix's method, and a ValueError is the one that the
+    first matrix to refuse raises alone.
+    """
+    return [{m: float(slack) for m, (slack, _, _) in least.items()}
+            for least in _stack_least(stack, points, methods)[1]]
+
+
+def _stack_least(stack, points, methods, rows: bool = False) -> tuple:
+    """(the points as a (k, P) array, or None if no region exists, and for
+    each matrix ``{method: (least slack, index of the first point at it,
+    its leaf's row if ``rows`` else None)}``)."""
+    shared = stack[0]._stack
+    if any(facts._stack is not shared for facts in stack):
+        raise ValueError("the facts of a stack must come from one MatrixFacts.stack")
+    kinds = []  # each matrix's {method: leaf kind} of the regions it has
+    for facts in stack:
+        kinds.append({})
         for method in methods:
-            with contextlib.suppress(RegionUnavailable):
-                sources[method] = self.region_source(method)
-        found = {}
-        for group in ([m for m in sources if m.startswith("rowsum") == d] for d in (False, True)):
-            if group:  # an oval refuses all that a disk of the same radii refuses, in its words
-                centers, radii, _, gamma = sources[group[0]]
-                kinds = [sources[m][2] for m in group]
-                _check_source(centers, radii, max(kinds), gamma)
-                found[tuple(group)] = centers, radii, gamma, kinds
-        z = _points(points) if found else None
-        least = {}
-        for group, (centers, radii, gamma, kinds) in found.items():
-            least.update(zip(group, _least_slacks(z, centers, radii, gamma, kinds)))
-        return {m: (float(least[m][0]), complex(z[least[m][1]]), least[m][2]) for m in sources}
+            try:
+                kinds[-1][method] = facts._kind(method)
+            except RegionUnavailable:
+                pass
+    # a group: the methods of one table, classical or row-sum, and the
+    # matrices whose regions they are; which methods exist rests only on
+    # gamma and n, so a group's methods exist for each of its matrices
+    groups: dict[tuple, list[int]] = {}
+    for at, found in enumerate(kinds):
+        for deflated in (False, True):
+            if group := tuple(m for m in found if m.startswith("rowsum") == deflated):
+                groups.setdefault(group, []).append(at)
+    if not groups:
+        return None, [{} for _ in stack]
+    tables = {group: shared.sources(group[0].startswith("rowsum"), [stack[at]._at for at in members])
+              for group, members in groups.items()}
+    try:
+        # an oval refuses all that a disk of the same radii refuses, in its words
+        for group, (centers, radii, gamma) in tables.items():
+            _check_source(centers, radii, max(kinds[groups[group][0]][m] for m in group), gamma)
+        z = _points(points, len(stack))
+    except ValueError:
+        # raise the refusal of the first matrix to refuse, as it raises it alone
+        for at, found in enumerate(kinds):
+            for group, members in groups.items():
+                if at in members:
+                    centers, radii, _, gamma = stack[at].region_source(group[0])
+                    _check_source(centers, radii, max(found[m] for m in group), gamma)
+            _points(points[at])
+        raise
+    least = [{} for _ in stack]
+    for group, members in groups.items():
+        centers, radii, gamma = tables[group]
+        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[members[0]][m] for m in group], rows)
+        for method, per_matrix in zip(group, slacks):
+            for at, one in zip(members, per_matrix):
+                least[at][method] = one
+    return z, [{m: least[at][m] for m in found} for at, found in enumerate(kinds)]
 
 
 _METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
@@ -967,7 +1130,7 @@ def deflate(matrix, k: int) -> np.ndarray:
     indices other than ``k`` (1-based).  The spectrum of the input equals
     the row sum plus the spectrum of the result, as multisets.
     """
-    a = _as_matrix(matrix)
+    a = _finite_matrix(matrix)
     MatrixFacts(a)._require_gamma()
     n = a.shape[0]
     if n < 2:
@@ -983,10 +1146,15 @@ def deflate(matrix, k: int) -> np.ndarray:
 
 
 def _anchors(centers: np.ndarray, gamma) -> np.ndarray:
-    """The centres, then gamma as one more column where given."""
+    """The centres, then gamma (an array of one per matrix of a stack) as one
+    more column where given."""
     if gamma is None:
         return centers
-    return np.column_stack([centers, np.full(len(centers), gamma)])
+    gamma = np.asarray(gamma)
+    anchors = np.empty(centers.shape[:-1] + (centers.shape[-1] + 1,), np.result_type(centers, gamma))
+    anchors[..., :-1] = centers
+    anchors[..., -1] = gamma[..., None]
+    return anchors
 
 
 def _rows(count: int, kind: int, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -1014,13 +1182,15 @@ def _padded(radii: np.ndarray, stacked: bool) -> np.ndarray:
 
 def _check_source(centers, radii, kind: int, gamma=None) -> None:
     """Refuse, with ValueError, parameters no leaf accepts: a NaN or infinite
-    centre, radius, radius product or gamma, then foci too far apart."""
+    centre, radius, radius product or gamma, then foci too far apart; of
+    one matrix, or of every matrix of a stack along a leading axis."""
     if kind == _OVAL:
         # each component's largest product, of its two largest radii, which
         # is not finite if any radius is not
         with np.errstate(over="ignore", invalid="ignore"):
             radii = np.sort(radii, axis=-1)[..., -2:].prod(axis=-1)
-    if not (np.isfinite(centers).all() and np.isfinite(radii).all() and cmath.isfinite(gamma or 0)):
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all()
+            and (gamma is None or np.isfinite(gamma).all())):
         raise ValueError("region parameters must be finite; the matrix has a NaN or "
                          "infinite entry or its row sums overflow")
     # foci closer to the origin than 2**1021 are less than 2**1023 apart

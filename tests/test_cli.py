@@ -35,7 +35,6 @@ from eigenloc.oracle import graph_spectrum
 from eigenloc.regions import (
     CassiniOval,
     Disk,
-    MatrixFacts,
     PointSet,
     brauer_region,
     gersgorin_region,
@@ -274,20 +273,23 @@ class TestVerifyCommand:
         assert calls == [g]
 
     def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
-        # one MatrixFacts per matrix, read by all four of its builders
-        import eigenloc.regions as regions_module
+        # each fact of a graph's three matrices (row sums and gamma, deleted
+        # row sums, deflation table) is made by one pass over their stack,
+        # read by all four region checks of every matrix
+        from eigenloc.regions import _FactStack
 
-        calls = []
-        original = regions_module.constant_row_sum
-        monkeypatch.setattr(regions_module, "constant_row_sum",
-                            lambda matrix: calls.append(matrix) or original(matrix))
-        tables = count_first_reads(monkeypatch, MatrixFacts, "deflation_table")
+        made = {name: count_first_reads(monkeypatch, _FactStack, name)
+                for name in ("gamma", "deleted_row_sums", "deflation_table")}
         assert all(result.passed for result in verify_graph(petersen()))
-        assert len(calls) == 3  # all three of Petersen's matrices have a constant row sum
-        assert len(tables) == 3 and len(set(map(id, tables))) == 3
-        calls.clear()
+        (stack,) = made["gamma"]
+        assert all(reads == [stack] for reads in made.values())
+        # all three of Petersen's matrices have a constant row sum
+        assert len(stack.gamma) == 3 and None not in stack.gamma
+        for reads in made.values():
+            reads.clear()
         assert all(result.passed for result in verify_matrix(ROWSUM_3X3))
-        assert len(calls) == 1
+        (stack,) = made["gamma"]
+        assert all(reads == [stack] for reads in made.values()) and len(stack.gamma) == 1
 
     def test_verify_matrix_refuses_as_the_builders(self, monkeypatch):
         # the region checks build no region, yet each matrix that a builder
@@ -954,3 +956,42 @@ _SVG_MARKS = (2.0 + 1.0j, 0.5 - 0.25j, -1.0 + 0.0j)
 def test_svg_bytes_are_pinned(region, marks, digest):
     # any change in how the SVG is formatted changes these digests
     assert hashlib.sha256(region_to_svg(region, marks).encode()).hexdigest() == digest
+
+
+def _verify_corpus():
+    """(graph, scope) pairs: every family member up to n = 12, seeded random
+    connected graphs with n = 6..32, relabelled circulants with n = 16..32, a
+    graph with an isolated vertex, graphs on 1, 2 and 3 vertices, and the
+    families again under two one-region scopes."""
+    from eigenloc.graphs import Graph, path
+
+    from ._corpus import family_corpus
+
+    families = [g for _, g in family_corpus(12)]
+    rng = np.random.default_rng(29)
+    graphs = list(families)
+    for n in range(6, 33, 2):
+        order = rng.permutation(n) + 1
+        edges = {(int(order[i]), int(order[rng.integers(i)])) for i in range(1, n)}
+        edges |= {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 2.5 / n}
+        graphs.append(Graph.from_edges(n, edges))
+    for n in (16, 20, 24, 28, 32):
+        perm = rng.permutation(n) + 1
+        offsets = [int(s) for s in rng.choice(np.arange(1, n // 2), 3, replace=False)]
+        graphs.append(Graph.from_edges(
+            n, [(int(perm[u - 1]), int(perm[v - 1])) for u, v in circulant(n, offsets).edges]))
+    graphs += [Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (1, 3), (4, 5)]),
+               Graph.from_edges(1, []), path(2), complete(2), path(3), complete(3)]
+    yield from ((g, "all") for g in graphs)
+    for scope in ("brauer", "rowsum-gersgorin"):
+        yield from ((g, scope) for g in families)
+
+
+def test_verify_graph_lines_are_pinned():
+    # every check's name, target, verdict and slack to the last bit, over
+    # graphs whose three matrices have and lack the row-sum regions
+    lines = [f"{r.name} {r.target} {r.passed} {float.hex(r.slack)}"
+             for g, scope in _verify_corpus() for r in verify_graph(g, scope=scope)]
+    assert len(lines) == 2534
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f9dd7e51c3b5dd097bba0c135c3f94c7c8011b80d330320cef407f36a10851e0"

@@ -49,6 +49,7 @@ from eigenloc.regions import (
     rowsum_gersgorin_region,
     row_sums,
     section_contains,
+    stack_least_slacks,
 )
 
 from ._reference import charpoly
@@ -694,15 +695,20 @@ BUILDERS = (gersgorin_region, brauer_region, rowsum_gersgorin_region, rowsum_bra
     ids=["nan", "nan-imag", "inf", "-inf", "overflow"],
 )
 def test_builders_reject_non_finite_parameters(builder, entry):
-    # constant_row_sum lets each of these through, so the rowsum builders
-    # must reject the matrix themselves; 1e308 is finite but overflows the
+    # constant_row_sum refuses a NaN or infinite entry, but the builders read
+    # no refusal of it: they reject these matrices by their parameters; 1e308
+    # is finite, and constant_row_sum lets it through, but it overflows the
     # row sums, so the disk radii or oval products would be infinite
     a = build_matrix(cycle(4), GraphMatrixKind.LAPLACIAN).astype(complex)
     a[1, 2] = entry
     if entry == 1e308:
         a = np.full((4, 4), 1e308, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert constant_row_sum(a) is not None
+        if entry == 1e308:
+            assert constant_row_sum(a) is not None
+        else:
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                constant_row_sum(a)
         with pytest.raises(ValueError) as info:
             builder(a)
     # the region exists in principle; its parameters are what is wrong
@@ -1348,6 +1354,137 @@ def test_deflation_table_is_the_loops_bit_for_bit(monkeypatch):
             want_centers, want_radii = deflation_table(a)
             assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
             assert radii.tobytes() == want_radii.tobytes()
+
+
+def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
+    # the matrices of every atlas graph on at most 6 vertices, stacked as
+    # verify stacks them (two where a vertex is isolated), each at its own
+    # spectrum and at that spectrum rounded, which lands on leaf boundaries
+    # and gamma: each matrix's methods are those its builders make, and each
+    # slack is region_min_slack of the builder's region, and the least of
+    # its grid, bit for bit; with one row a pass as well
+    from ._corpus import atlas_graphs
+
+    checked, zeros, short = 0, set(), 0
+    default = eigenloc.regions._PASS_ROWS
+    for _, g in atlas_graphs():
+        if g.n > 6:
+            break
+        kinds = [k for k in GraphMatrixKind
+                 if k != GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0]
+        matrices = [build_matrix(g, kind) for kind in kinds]
+        points = [np.round(graph_spectrum(g, kind).values, 9) for kind in kinds]
+        short += len(kinds) == 2
+        wants = []
+        for a, z in zip(matrices, points):
+            regions, refusal = _built_regions(a)
+            assert refusal is None
+            wants.append({method: np.float64(region_min_slack(region, z)[0]).tobytes()
+                          for method, region in regions.items()})
+            for method, region in regions.items():
+                assert region_slack_grid(region, z).min().tobytes() == wants[-1][method]
+        for pass_rows in (default, 1):
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+            stacked = stack_least_slacks(MatrixFacts.stack(matrices), points, METHODS)
+            for want, least in zip(wants, stacked):
+                assert least.keys() == want.keys()
+                for method, slack in least.items():
+                    assert np.float64(slack).tobytes() == want[method], (g.edges, method)
+                    if slack == 0.0:
+                        zeros.add(want[method])
+                    checked += 1
+        monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", default)
+    assert checked == 3794 and short == 53
+    assert zeros == {np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()}
+
+
+def test_a_refused_matrix_refuses_a_stack_as_alone():
+    # the first matrix of a stack to refuse raises what it raises alone;
+    # the others' refusals, and RegionUnavailable, come after or not at all
+    good = build_matrix(cycle(3), GraphMatrixKind.LAPLACIAN)
+    far = np.array([[1e308, -1e308, 0], [-1e308, 1e308, 0], [0, 0, 0]])  # deflated differences
+    wide = np.diag([1e308, -1e308, 0.0])  # oval foci too far apart
+    nan = good.copy()
+    nan[0, 1] = math.nan
+    nowhere = np.ones((3, 3)), [0.0, 1.0, math.inf]  # a matrix at a non-finite point
+    cases = {"good": (good, [0.0, 3.0, 3.0]), "far": (far, [0.0, 1.0, 2.0]),
+             "wide": (wide, [0.0, 1.0, 2.0]), "nan": (nan, [0.0, 1.0, 2.0]), "nowhere": nowhere}
+    raised = 0
+    for names in [("good", "far"), ("wide", "nan"), ("nan", "wide"), ("good", "nowhere", "far"),
+                  ("good", "good", "wide"), ("nowhere", "good")]:
+        stack = MatrixFacts.stack([cases[name][0] for name in names])
+        points = [cases[name][1] for name in names]
+        refusal = None
+        for name in names:
+            try:
+                MatrixFacts(cases[name][0]).least_slacks(cases[name][1], METHODS)
+            except ValueError as exc:
+                refusal = exc
+                break
+        assert refusal is not None
+        with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+            stack_least_slacks(stack, points, METHODS)
+        raised += 1
+    assert raised == 6
+    # a matrix without a constant row sum lacks only its own row-sum regions
+    lopsided = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    (alone,), (mixed, _) = (stack_least_slacks(MatrixFacts.stack(stack), [[0.0, 1.0, -1.0]] * len(stack),
+                                               METHODS) for stack in ([lopsided], [lopsided, good]))
+    assert list(mixed) == list(alone) == ["gersgorin", "brauer"]
+    with pytest.raises(ValueError, match="one MatrixFacts.stack"):
+        stack_least_slacks([MatrixFacts(good), MatrixFacts(good)], [[0.0]] * 2, METHODS)
+    with pytest.raises(ValueError, match="one shape"):
+        MatrixFacts.stack([good, np.eye(2)])
+
+
+@pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan), math.inf, -math.inf])
+def test_constant_row_sum_and_deflate_refuse_non_finite_entries(entry):
+    # once (inf+nanj) and (nan+nanj), a row sum of no matrix; the builders
+    # still refuse such a matrix in their own words
+    a = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    a[0, 1] = entry
+    for refuse in (constant_row_sum, functools.partial(deflate, k=1)):
+        with pytest.raises(ValueError, match="matrix entries must be finite") as info:
+            refuse(a)
+        assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="region parameters must be finite"):
+        rowsum_gersgorin_region(a)
+    assert constant_row_sum(np.array([[1.0, 2.0], [3.0, 0.0]])) == 3.0
+
+
+def test_stacked_facts_are_each_matrix_own_bit_for_bit(monkeypatch):
+    # each fact of a stack, made by one pass over all its matrices, is the
+    # one-matrix formula's bit for bit: gamma from complex row sums (real
+    # and complex pairwise sums differ in the last bit), the deleted row
+    # sums, and the deflation table against the entry-by-entry loop; in a
+    # real stack and in one that a complex matrix makes complex, with the
+    # terms of l made a few, or one, at a time as well
+    from ._reference import deflation_table
+
+    rng = np.random.default_rng(89)
+    checked = 0
+    for pass_rows in (None, 1, 60):
+        if pass_rows is not None:
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+        for n in list(range(1, 13)) + [24, 40]:
+            real = [rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-3, 4)) for _ in range(2)]
+            real[0][:, -1] += 1.5 - real[0].sum(axis=1)  # row sums 1.5 up to rounding
+            for matrices in (real, real + [rng.random((n, n)) + 1j * rng.random((n, n))]):
+                for a, facts in zip(matrices, MatrixFacts.stack(matrices)):
+                    sums = np.asarray(a, dtype=complex).sum(axis=1)
+                    deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
+                    constant = deviation <= 1e-9 * (1.0 + float(np.max(np.abs(sums))))
+                    assert (facts.gamma is None) == (not constant)
+                    if constant:
+                        assert np.complex128(facts.gamma).tobytes() == np.complex128(sums.mean()).tobytes()
+                    want = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+                    assert facts.deleted_row_sums.tobytes() == want.tobytes()
+                    centers, radii = facts.deflation_table
+                    want_centers, want_radii = deflation_table(a)
+                    assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
+                    assert radii.tobytes() == want_radii.tobytes()
+                    checked += 1
+    assert checked == 3 * 14 * 5
 
 
 def test_least_slacks_keep_real_matrices_real():
