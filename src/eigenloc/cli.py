@@ -150,31 +150,35 @@ def verify_graph(
     """Every requested bound and region check for all three graph matrices.
 
     The normalized-adjacency matrix (and its checks) is skipped when the
-    graph has an isolated vertex.  The region checks of all the matrices are
+    graph has an isolated vertex.  Each matrix is built once, for the oracle
+    and the region checks both; the region checks of all the matrices are
     one stacked pass.
     """
     wanted = _scope_filter(scope, tol)
-    passes = list(_bound_pass(g, gr.GraphMatrixKind, mode))
-    stack = rg.MatrixFacts.stack([gr.build_matrix(g, kind) for kind, _, _ in passes])
-    regions = _region_checks(stack, [values for _, values, _ in passes], wanted, tol,
-                             [f"[{kind.value}]" for kind, _, _ in passes])
+    kinds = [kind for kind in gr.GraphMatrixKind if _has_matrix(g, kind)]
+    reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
+    matrices = [gr.build_matrix(g, kind) for kind in kinds]
+    spectra = [orc.graph_spectrum(g, kind, matrix).values for kind, matrix in zip(kinds, matrices)]
+    regions = _region_checks(rg.MatrixFacts.stack(matrices), spectra, wanted, tol,
+                             [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
-    for (_, _, pairs), checks in zip(passes, regions):
-        results += [check_interval(bound, value, tol) for bound, value in pairs
+    for report, values, checks in zip(reports, spectra, regions):
+        results += [check_interval(bound, value, tol)
+                    for bound, value in _bound_pairs(report, values)
                     if wanted is None or bound.theorem in wanted]
         results += checks
     return results
 
 
-def _bound_pass(g: gr.Graph, kinds, mode: str):
-    """(kind, oracle eigenvalues, [(bound, its target's oracle value)]) per kind g has:
-    the normalized matrix needs no isolated vertex."""
-    for kind in kinds:
-        if kind == gr.GraphMatrixKind.NORMALIZED_ADJACENCY and min(g.degree_sequence) == 0:
-            continue
-        report = bd.bounds_report(g, kind, mode=mode)
-        values = orc.graph_spectrum(g, kind).values
-        yield kind, values, [(b, values[bd.TARGET_POSITION[b.target]]) for b in report.bounds]
+def _has_matrix(g: gr.Graph, kind: gr.GraphMatrixKind) -> bool:
+    """Whether g has a ``kind`` matrix: the normalized one needs no isolated vertex."""
+    return kind != gr.GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0
+
+
+def _bound_pairs(report: bd.BoundReport, values) -> list:
+    """[(bound, its target's oracle value)] for each bound of ``report``,
+    given the oracle eigenvalues ``values`` of its matrix."""
+    return [(b, values[bd.TARGET_POSITION[b.target]]) for b in report.bounds]
 
 
 def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckResult]:
@@ -417,13 +421,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for family, sizes in specs:
         for n in sizes:
             g = _sweep_graph(family, n)
-            for _, _, pairs in _bound_pass(g, (kind,), args.mode):
-                rows += [
-                    f"{family},{g.n},{bound.theorem},{bound.target},"
-                    f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
-                    f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
-                    for bound, oracle_value in pairs
-                ]
+            if not _has_matrix(g, kind):
+                continue
+            report = bd.bounds_report(g, kind, mode=args.mode)
+            values = orc.graph_spectrum(g, kind).values
+            rows += [
+                f"{family},{g.n},{bound.theorem},{bound.target},"
+                f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"
+                f"{oracle_value - bound.lower!r},{bound.upper - oracle_value!r}"
+                for bound, oracle_value in _bound_pairs(report, values)
+            ]
     payload = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)

@@ -9,13 +9,14 @@ queries exact and cheap.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -50,9 +51,11 @@ class Graph:
     """Simple undirected graph on vertex labels 1..n.
 
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
-    No self-loops, no multi-edges: the constructor stores the pairs it is
-    given as a frozenset of tuples, so a repeated pair counts once.  It alone
-    checks the vertex count, the labels' type and range and self-loops:
+    No self-loops, no multi-edges: the constructor keeps a frozenset of
+    tuples as it is given and rebuilds any other collection of pairs as one,
+    so a repeated pair counts once.  It alone checks the vertex count, the
+    labels' type and range and self-loops, with one test per edge; the first
+    edge to fail it, in the collection's iteration order, is refused by name.
     ``n`` and every label must be builtin ints (not bools), and
     :meth:`from_edges` converts and orients other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
@@ -66,29 +69,24 @@ class Graph:
     degree_sequence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
+        n, edges = self.n, self.edges
+        if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive builtin int (see "
-                             f"Graph.from_edges), got {self.n!r}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} exceeds the {MAX_VERTICES} cap")
-        adj = [0] * (self.n + 1)
-        pairs = set()
-        for e in self.edges:
+                             f"Graph.from_edges), got {n!r}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds the {MAX_VERTICES} cap")
+        adj = [0] * (n + 1)
+        bit = [1 << v for v in range(n + 1)]
+        for e in edges:
             u, v = e
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge {e!r} needs builtin int labels (see Graph.from_edges)")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge {e} has an endpoint outside 1..{self.n}")
-            if u > v:
-                raise ValueError(f"edge {e} is not normalised as (min, max)")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            pairs.add((u, v))
-        object.__setattr__(self, "edges", frozenset(pairs))
+            if not (type(u) is int is type(v) and 1 <= u < v <= n):
+                _refuse_edge(e, u, v, n)
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
+        if type(edges) is not frozenset or not {tuple}.issuperset(map(type, edges)):
+            object.__setattr__(self, "edges", frozenset(_row_pairs(adj)))
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "degree_sequence", tuple(mask.bit_count() for mask in adj[1:]))
+        object.__setattr__(self, "degree_sequence", tuple(map(int.bit_count, adj[1:])))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -160,6 +158,30 @@ class Graph:
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
 
 
+def _refuse_edge(e, u, v, n: int) -> NoReturn:
+    """Raise ``Graph``'s refusal of the edge ``e`` = (u, v) on ``n`` vertices:
+    label type, then self-loop, then range, then orientation."""
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"edge {e!r} needs builtin int labels (see Graph.from_edges)")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ValueError(f"edge {e} has an endpoint outside 1..{n}")
+    raise ValueError(f"edge {e} is not normalised as (min, max)")
+
+
+def _row_pairs(adj: list[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v) with u < v and bit v set in ``adj[u]``."""
+    pairs = []
+    for u, row in enumerate(adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            pairs.append((u, u + low.bit_length()))
+            row ^= low
+    return pairs
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Structural flags consumed by the bound preconditions.
@@ -187,10 +209,14 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first non-blank line is ``"n m"``; each of the following ``m``
-    non-blank lines is ``"u v"`` with 1-based labels.  Duplicate edges are
-    merged silently; ``Graph`` rejects self-loops and out-of-range labels.
+    non-blank lines is ``"u v"`` with 1-based labels, read by ``int()``
+    (once per distinct label string).  One comprehension orients the pairs
+    as (min, max), so duplicate and reversed lines merge silently, and hands
+    them to ``Graph`` as a frozenset of tuples, which it keeps; ``Graph``
+    rejects self-loops and out-of-range labels.  A malformed line is named
+    before any label fault: the first one in file order.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError("empty edge list: missing 'n m' header")
     head = lines[0].split()
@@ -202,16 +228,28 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"malformed header {lines[0]!r}: expected two integers") from None
     if n < 1 or m < 0:
         raise ValueError(f"invalid header values n={n}, m={m}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(body)}")
+    words = list(map(str.split, body))
+    try:
+        if set(map(len, words)) - {2}:
+            raise ValueError("an edge line is not two labels")
+        label = {word: int(word) for word in set(itertools.chain.from_iterable(words))}
+    except ValueError:
+        raise ValueError(f"malformed edge line {_first_malformed(body)!r}") from None
+    edges = {(u, v) if u < v else (v, u) for a, b in words for u, v in [(label[a], label[b])]}
+    return Graph(n, frozenset(edges))
+
+
+def _first_malformed(lines: list[str]) -> str | None:
+    """The first of ``lines`` that is not two integers."""
+    for ln in lines:
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            raise ValueError(f"malformed edge line {ln!r}") from None
-        pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+            return ln
+    return None
 
 
 def graph_to_json(g: Graph) -> str:

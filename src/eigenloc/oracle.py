@@ -242,15 +242,17 @@ def normalized_spectrum(g: Graph) -> Spectrum:
     return spec
 
 
-def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
+def graph_spectrum(g: Graph, kind: GraphMatrixKind, matrix=None) -> Spectrum:
     """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
-    The normalized adjacency goes through :func:`normalized_spectrum`, whose
-    symmetric similar matrix keeps the values exactly real.
+    ``matrix`` is that matrix when the caller has built it already, and is
+    solved as it is; otherwise it is built here.  The normalized adjacency
+    goes through :func:`normalized_spectrum` either way, whose symmetric
+    similar matrix keeps the values exactly real.
     """
     if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
         return normalized_spectrum(g)
-    return symmetric_eigenvalues(build_matrix(g, kind))
+    return symmetric_eigenvalues(build_matrix(g, kind) if matrix is None else matrix)
 
 
 # ---------------------------------------------------------------------------

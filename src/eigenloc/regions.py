@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -1324,10 +1325,14 @@ def matrix_from_json(text: str) -> np.ndarray:
         if isinstance(n, bool) or len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("matrix entries are not n rows of n values")
         n = len(entries)
+        values = [(cell["re"], cell["im"]) for row in entries for cell in row]
+        # the JSON parser's own number types; a bool is not a number
+        if not {float, int}.issuperset(map(type, itertools.chain.from_iterable(values))):
+            raise TypeError("a cell holds a value that is not a number")
+        parts = np.array(values, dtype=float).reshape(n, n, 2)
+        # the parts are set one by one: re + 1j * im would turn a real -0.0 into +0.0
         a = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, cell in enumerate(row):
-                a[i, j] = complex(_json_number(cell["re"]), _json_number(cell["im"]))
+        a.real, a.imag = parts[..., 0], parts[..., 1]
     except (TypeError, KeyError, OverflowError):
         raise ValueError("matrix cells must be {'re': number, 'im': number}") from None
     if not np.isfinite(a).all():

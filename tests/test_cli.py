@@ -272,6 +272,35 @@ class TestVerifyCommand:
         assert all(result.passed for result in verify_graph(g))
         assert calls == [g]
 
+    def test_verify_graph_builds_each_matrix_once(self, monkeypatch):
+        # the oracle solves the very arrays the region stack reads, and the
+        # normalized matrix's oracle its symmetric similar matrix; every
+        # module that holds either function is patched
+        import eigenloc.graphs as graphs_module
+        import eigenloc.oracle as oracle_module
+
+        built, solved = [], []
+        build, solve = graphs_module.build_matrix, oracle_module.symmetric_eigenvalues
+
+        def counting_build(g, kind):
+            built.append(build(g, kind))
+            return built[-1]
+
+        def counting_solve(matrix):
+            solved.append(matrix)
+            return solve(matrix)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "eigenloc":
+                continue
+            for attr, original, counting in (("build_matrix", build, counting_build),
+                                             ("symmetric_eigenvalues", solve, counting_solve)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counting)
+        assert all(result.passed for result in verify_graph(petersen()))
+        assert len(built) == 3 and len(solved) == 3
+        assert solved[0] is built[0] and solved[1] is built[1]
+
     def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
         # each fact of a graph's three matrices (row sums and gamma, deleted
         # row sums, deflation table) is made by one pass over their stack,

@@ -160,6 +160,136 @@ class TestParsing:
         assert [(b.lower, b.upper) for b in thm34] == [(0.0, 0.0)]
         assert bounds_report(Graph(3, [(1, 2), (2, 3)]), GraphMatrixKind.LAPLACIAN).bounds
 
+    def test_raw_constructor_rebuilds_non_tuple_pairs(self):
+        g = Graph(3, frozenset({frozenset({2, 3}), (1, 2)}))
+        assert g == path(3) and all(type(e) is tuple for e in g.edges)
+
+
+class TestRefusalsWithSeveralFaults:
+    """Each refusal keeps its words when an input holds several faults: the
+    parser names the first malformed line in file order, ahead of any label
+    fault, and ``Graph`` the first failing edge in its container's order
+    (list order, or the set's iteration order)."""
+
+    _EDGE_LISTS = [
+        ("4 3\n1 2\nx y\n1 2 3", "malformed edge line 'x y'"),
+        ("4 3\n1 2\n1\nx y", "malformed edge line '1'"),
+        ("3 2\n1 9\nx y", "malformed edge line 'x y'"),
+        ("3 3\n2 2\n1 2\n1 2 3", "malformed edge line '1 2 3'"),
+        ("3 2\n2 2\n1 9", "edge (1, 9) has an endpoint outside 1..3"),
+        ("3 2\n1 9\n2 2", "edge (1, 9) has an endpoint outside 1..3"),
+        ("3 3\n3 3\n1 9\n9 1", "self-loop at vertex 3"),
+        ("3 2\n1 2\n2 3\n1 3", "expected 2 edge lines, found 3"),
+        ("3 1\nx y\n1 2 3", "expected 1 edge lines, found 2"),
+        ("3 4\n1 2\n\n2 3\n", "expected 4 edge lines, found 2"),
+    ]
+
+    @pytest.mark.parametrize("text, message", _EDGE_LISTS, ids=[t for t, _ in _EDGE_LISTS])
+    def test_edge_list(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
+    _RAW = [
+        ([(1, 2), [3, 3], (True, 2), (1, 9), (3, 1)], "self-loop at vertex 3"),
+        ([(1, 2), (True, 2), [3, 3], (1, 9)],
+         "edge (True, 2) needs builtin int labels (see Graph.from_edges)"),
+        ([[1, 9], (2, 2), (3, 1)], "edge [1, 9] has an endpoint outside 1..3"),
+        ([(3, 1), [2, 2], (1, 2.0)], "edge (3, 1) is not normalised as (min, max)"),
+        # sets of int tuples iterate in the same order under every hash seed
+        (frozenset({(2, 2), (1, 9), (True, 3), (3, 1), frozenset({1, 3})}),
+         "self-loop at vertex 2"),
+        (frozenset({(1, 9), frozenset({2, 9}), (3, 1)}),
+         "edge (3, 1) is not normalised as (min, max)"),
+        (frozenset({(2, 2), (1, 9), (3, 1), (0, 2)}),
+         "edge (3, 1) is not normalised as (min, max)"),
+        (frozenset({(1, 9), (3, 1), (0, 2), (1, 2)}),
+         "edge (3, 1) is not normalised as (min, max)"),
+        (frozenset({(1, 2), (2.5, 3), (2, 9)}), "edge (2, 9) has an endpoint outside 1..3"),
+        (frozenset({(1, 2), (True, 3), (2, 9), (3, 3)}),
+         "edge (2, 9) has an endpoint outside 1..3"),
+        (frozenset({(2, 3), (False, 2), (3, 3)}),
+         "edge (False, 2) needs builtin int labels (see Graph.from_edges)"),
+    ]
+
+    @pytest.mark.parametrize("edges, message", _RAW, ids=[repr(e) for e, _ in _RAW])
+    def test_raw_constructor(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
+
+    _JSON = [
+        ([[1, 2.5], [1, 2, 3]], "edge entry [1, 2, 3] is not a pair"),
+        ([[1, 2, 3], [True, 2]], "edge entry [1, 2, 3] is not a pair"),
+        ([[1, 9], 7, [1.5, 2]], "edge entry 7 is not a pair"),
+        ([[1, 9], [1.5, 2]], "edge label must be an integer, got 1.5"),
+        ([[2, 2], [1, 9]], "edge (1, 9) has an endpoint outside 1..3"),
+    ]
+
+    @pytest.mark.parametrize("edges, message", _JSON, ids=[repr(e) for e, _ in _JSON])
+    def test_graph_json(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_from_json(json.dumps({"n": 3, "edges": edges}))
+
+
+def _edge_list_text(n, pairs, rng):
+    """``pairs`` as an edge-list file, each line written as ``"u v"`` or
+    ``"v u"`` at random, about one line in eight repeated, blank lines
+    between, and ``\\r\\n`` line ends."""
+    lines = []
+    for u, v in pairs:
+        for _ in range(1 + (rng.random() < 0.125)):
+            lines.append(f"{u} {v}" if rng.random() < 0.5 else f"  {v}\t{u} ")
+            if rng.random() < 0.1:
+                lines.append("")
+    return "\r\n".join([f"{n} {sum(1 for ln in lines if ln)}", ""] + lines) + "\r\n"
+
+
+class TestEdgeListEqualsFromEdges:
+    """``parse_edge_list`` builds the graph ``Graph.from_edges`` builds from
+    the same pairs: equal edges, bitmask rows and degree sequence."""
+
+    @staticmethod
+    def _assert_same(g, want):
+        assert g == want and g.edges == want.edges
+        assert all(type(e) is tuple for e in g.edges)
+        assert g.degree_sequence == want.degree_sequence
+        assert [g.neighbors_mask(i) for i in range(1, g.n + 1)] == [
+            want.neighbors_mask(i) for i in range(1, want.n + 1)
+        ]
+
+    def test_atlas_graphs(self):
+        for _, want in atlas_graphs():
+            pairs = sorted(want.edges)
+            text = "\n".join([f"{want.n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs])
+            self._assert_same(parse_edge_list(text), Graph.from_edges(want.n, pairs))
+
+    @pytest.mark.parametrize("g", [petersen(), circulant(12, (1, 3)), complete_bipartite(3, 4),
+                                   star(7), path(9), complete(6), cycle(5)],
+                             ids=["petersen", "circulant", "k34", "star", "path", "k6", "c5"])
+    def test_relabelled_families_in_untidy_files(self, g):
+        rng = np.random.default_rng(g.n * 31 + g.m)
+        for _ in range(3):
+            label = [0, *map(int, rng.permutation(g.n) + 1)]
+            pairs = [(label[u], label[v]) for u, v in g.sorted_edges()]
+            rng.shuffle(pairs)
+            text = _edge_list_text(g.n, pairs, rng)
+            parsed = parse_edge_list(text)
+            self._assert_same(parsed, Graph.from_edges(g.n, pairs))
+            assert parsed.degree_sequence == tuple(
+                g.degree_sequence[label.index(i) - 1] for i in range(1, g.n + 1))
+
+    def test_reversed_and_repeated_lines(self):
+        text = "4 5\r\n2 1\r\n\r\n1 2\r\n4 3\r\n  3   2 \r\n2 3\r\n"
+        pairs = [(2, 1), (1, 2), (4, 3), (3, 2), (2, 3)]
+        self._assert_same(parse_edge_list(text), Graph.from_edges(4, pairs))
+        self._assert_same(parse_edge_list(text), path(4))
+
+    def test_vertex_cap_file(self):
+        rng = np.random.default_rng(2048)
+        ends = rng.integers(1, MAX_VERTICES + 1, size=(20_000, 2))
+        pairs = [(int(u), int(v)) for u, v in ends if u != v]
+        text = _edge_list_text(MAX_VERTICES, pairs, rng)
+        self._assert_same(parse_edge_list(text), Graph.from_edges(MAX_VERTICES, pairs))
+
 
 class TestFamilies:
     def test_complete_edge_count(self):

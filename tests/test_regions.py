@@ -685,7 +685,32 @@ def test_matrix_json_rejects_non_finite_entries(value):
         matrix_from_json(text)
 
 
-BUILDERS = (gersgorin_region, brauer_region, rowsum_gersgorin_region, rowsum_brauer_region)
+@pytest.mark.parametrize("bad", ["true", '"1"', "10" * 200, "[1]", "null"])
+def test_matrix_json_names_a_bad_cell_before_a_non_finite_one(bad):
+    # a non-finite entry is named only once every cell is a number
+    for nan_at, bad_at in ((0, 1), (1, 0)):
+        row = [["1", "0"], ["2", "0"]]
+        row[nan_at][0] = "NaN"
+        row[bad_at][1] = bad
+        cells = ", ".join('{"re": %s, "im": %s}' % tuple(cell) for cell in row)
+        text = '{"n": 2, "entries": [[%s], [{"re": 0, "im": 0}, {"re": 0, "im": 0}]]}' % cells
+        with pytest.raises(ValueError, match=r"^matrix cells must be \{'re': number, 'im': number\}$"):
+            matrix_from_json(text)
+    text = '{"n": 1, "entries": [[{"re": 1, "im": NaN}]]}'
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        matrix_from_json(text)
+
+
+def test_matrix_json_keeps_signed_zeros_and_exact_values():
+    text = ('{"n": 2, "entries": [[{"re": -0.0, "im": 0.0}, {"re": 0, "im": -0.0}], '
+            '[{"re": 9007199254740993, "im": 0.1}, {"re": -1e308, "im": 5e-324}]]}')
+    a = matrix_from_json(text)
+    want = [(-0.0, 0.0), (0.0, -0.0), (float(9007199254740993), 0.1), (-1e308, 5e-324)]
+    got = [(z.real, z.imag) for z in a.ravel()]
+    assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+BUILDERS =(gersgorin_region, brauer_region, rowsum_gersgorin_region, rowsum_brauer_region)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
