@@ -26,7 +26,6 @@ from .regions import (
     RegionIntersection,
     RealSection,
     RegionUnavailable,
-    row_sums,
     constant_row_sum,
     deflate,
     gersgorin_region,

@@ -37,7 +37,6 @@ __all__ = [
     "main",
     "CheckResult",
     "check_interval",
-    "check_region",
     "verify_graph",
     "verify_matrix",
     "region_to_svg",
@@ -121,12 +120,6 @@ def check_interval(
     return CheckResult(
         name=bound.theorem, target=bound.target, passed=slack >= -tol, slack=slack
     )
-
-
-def check_region(name: str, region, eigenvalues, tol: float) -> CheckResult:
-    """PASS iff every oracle eigenvalue lies in the region within tol."""
-    slack = rg.region_min_slack(region, eigenvalues)[0]
-    return CheckResult(name=name, target="spectrum", passed=slack >= -tol, slack=slack)
 
 
 def _scope_filter(scope: str, tol: float) -> set[str] | None:

@@ -31,11 +31,12 @@ region methods asked for, :func:`stack_least_slacks` takes each one's
 least slack for every matrix of a stack over its own points without
 building a region, from two tables of distances for the whole stack: one
 to the diagonals for the Gersgorin and Brauer sets, one to the deflated
-centres and gamma for the two row-sum sets.  :meth:`MatrixFacts.least_slacks`
-is that pass on a stack of one, and :func:`region_min_slack` on a
-builder's region goes through the same routine, which bounds a large
-row-sum region pair by pair (component, point) in two passes at most: what
-the second leaves cannot come first.
+centres and gamma for the two row-sum sets.  It bounds a large row-sum
+region pair by pair (component, point) in two passes at most: what the
+second leaves cannot come first.  The pass carries no leaf;
+:func:`region_min_slack` on a builder's region takes its slack and point
+from the pass on a stack of one, then its leaf from the region's table at
+that one point.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "RegionUnavailable",
     "MatrixFacts",
     "stack_least_slacks",
-    "row_sums",
     "constant_row_sum",
     "deleted_row_sums",
     "deflate",
@@ -247,7 +247,7 @@ class _LeafTable:
         )
 
     def row(self, i) -> "_LeafTable":
-        """Row ``i`` of a stacked table, of views; an index array, those rows."""
+        """Row ``i`` of a stacked table, of views; a slice, those rows."""
         return _LeafTable(self.anchors[i], self.first, self.second, self.bounds[i], self.kinds)
 
     def leaves(self) -> tuple:
@@ -256,13 +256,10 @@ class _LeafTable:
         return tuple(_leaf(kind, anchors[a], anchors[b], bound) for kind, a, b, bound in zip(
             self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()))
 
-    def leaf(self, row: tuple):
-        """The leaf object of ``row``, (k,) or (component, k) of a stacked
-        table, made from that row alone."""
-        *comp, k = row
-        anchors = self.anchors[tuple(comp)]
-        return _leaf(self.kinds[k], complex(anchors[self.first[k]]),
-                     complex(anchors[self.second[k]]), float(self.bounds[row]))
+    def leaf(self, k: int):
+        """The leaf object of row ``k``, made from that row alone."""
+        return _leaf(self.kinds[k], complex(self.anchors[self.first[k]]),
+                     complex(self.anchors[self.second[k]]), float(self.bounds[k]))
 
     @np.errstate(over="ignore")
     def margins(self, z) -> np.ndarray:
@@ -276,14 +273,23 @@ class _LeafTable:
             slack = np.maximum(slack, node.slack(z))
         return slack
 
-    def leaf_at(self, z: complex, slack, margins):
-        """The first leaf row whose slack at ``z``, ``margins``, is the
-        union's ``slack``, else the leaf of the first nested node at that
-        slack; None if none."""
+    def leaf_at(self, z: complex, slack, margins=None):
+        """The leaf of the first row whose slack at ``z`` (``margins`` there,
+        if given) is ``slack``, else of the first nested node at that slack;
+        None if none.  Of a stacked table, the row is in the first union at
+        ``slack``, its unions' margins made at most ``_PASS_ROWS`` at a time."""
+        if self.bounds.ndim == 2:
+            step = max(1, _PASS_ROWS // self.bounds.shape[1])
+            for lo in range(0, len(self.bounds), step):
+                block = self.row(slice(lo, lo + step)).margins(z)
+                if len(hit := np.flatnonzero(block.max(axis=-1) == slack)):
+                    return self.row(lo + hit[0]).leaf_at(z, slack, block[hit[0]])
+            return None
+        margins = self.margins(z) if margins is None else margins
         if len(margins):
             k = int(margins.argmax())  # the first largest, which a row at slack is
             if margins[k] == slack:
-                return self.leaf((k,))
+                return self.leaf(k)
         node = next((node for node in self.nested if node.slack(z) == slack), None)
         return None if node is None else _min_slack(node, np.array([z]))[2]
 
@@ -637,8 +643,8 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
 
     An intersection's minimum is the least of its children's, its leaf that
     of its first child there; a union's leaf is its first row at its slack
-    (see :meth:`_LeafTable.leaf_at`).  A builder's region is read by
-    :func:`_least_slacks`, as :meth:`MatrixFacts.least_slacks` reads it.
+    (see :meth:`_LeafTable.leaf_at`).  A builder's region takes its slack
+    and point from :func:`_least_slacks`, as :func:`stack_least_slacks` does.
     Empty or non-finite points raise ValueError.
     """
     z = _points(points)
@@ -664,8 +670,8 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
     if source is not None:
         centers, radii, kind, gamma = source
         gamma = None if gamma is None else np.array([gamma])
-        ((slack, at, row),), = _least_slacks(z[None], centers[None], radii[None], gamma, [kind], True)
-        return slack, at, node._table.leaf(row)
+        ((slack, at),), = _least_slacks(z[None], centers[None], radii[None], gamma, [kind])
+        return slack, at, node._table.leaf_at(z[at], slack)
     if isinstance(node, RegionIntersection):
         if not node.children:
             return -math.inf, 0, None
@@ -683,12 +689,11 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
 
 
 @np.errstate(over="ignore")
-def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds, rows: bool = False) -> list[list]:
+def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     """:func:`region_min_slack` over the finite points ``z[m]`` of the region
     ``_table_region(centers[m], radii[m], kind, gamma[m])`` of each matrix m
-    of a stack, for each of ``kinds``: per kind, per matrix, (least slack,
-    index of the first point at it, the row of its leaf there in the
-    region's table, (k,) or (component, k), if ``rows`` else None).
+    of a stack, for each of ``kinds``, without its leaf: per kind, per
+    matrix, (least slack, index of the first point at it).
 
     The kinds share one table of distances from the points to the centres
     (and gamma), made for a block of points of every matrix at a time so
@@ -702,12 +707,12 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds, rows: bool = Fals
     stacked = gamma is not None
     anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
     (matrices, points), comps = z.shape, anchors.shape[-2] if stacked else 1
-    plans = []  # kind, leaves, width, bounded, slacks, the margins of a lone block
+    plans = []  # kind, leaves, width, bounded, slacks
     for kind in kinds:
         # a disk's rows are the anchors' distances before the 1.0, times it
         leaves = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
         width = anchors.shape[-1] if kind == _DISK else len(leaves[0])
-        plans.append([kind, leaves, width, stacked and points * comps * width > _PASS_ROWS, [], None])
+        plans.append([kind, leaves, width, stacked and points * comps * width > _PASS_ROWS, []])
     direct = [plan for plan in plans if not plan[3]]
     step = max(1, _PASS_ROWS // (matrices * comps * max([plan[2] for plan in direct] + [1])))
     # anchors, then [component,] matrix and point
@@ -722,56 +727,24 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds, rows: bool = Fals
             first, second = plan[1]
             margins = np.multiply(reach[first], reach[second])
             plan[4].append(_union_slack(np.subtract(bound, margins, out=margins), axis=0))
-            plan[5] = margins if step >= points else None
     found = []
-    for kind, leaves, width, bounded, slacks, margins in plans:
+    for kind, leaves, width, bounded, slacks in plans:
         if bounded:
-            found.append([_bounded_least(z[m], anchors[m], padded[m], kind, leaves, width, rows)
+            found.append([_stacked_min_slack(z[m], anchors[m], padded[m], kind, leaves, width)
                           for m in range(matrices)])
             continue
         slack = slacks[0] if len(slacks) == 1 else np.concatenate(slacks, axis=-1)
         # a point's slack is the least of its components', taken in order as
         # the grid's np.minimum takes them
         point = np.minimum.accumulate(slack)[-1] if stacked else slack
-        at, least = point.argmin(axis=-1).tolist(), point.min(axis=-1)
-        per_matrix = []
-        for m in range(matrices):
-            row = None
-            if rows:
-                comp = (int(slack[:, m, at[m]].argmin()),) if stacked else ()
-                if margins is None:
-                    row = _row_at(z[m], at[m], comp, anchors[m], padded[m], leaves)
-                else:
-                    row = comp + (int(margins[(slice(None),) + comp + (m, at[m])].argmax()),)
-            per_matrix.append((least[m], at[m], row))
-        found.append(per_matrix)
+        found.append(list(zip(point.min(axis=-1), point.argmin(axis=-1).tolist())))
     return found
-
-
-def _bounded_least(z, anchors, padded, kind: int, leaves, width: int, rows: bool) -> tuple:
-    """(least slack, first point at it, its leaf's row or None) of one
-    matrix's row-sum region of ``kind`` by :func:`_stacked_min_slack`; a
-    least of zero takes its point and sign from the grid of every pair."""
-    (least, at, comp), slack = _stacked_min_slack(z, anchors, padded, kind, leaves, width)
-    if least == 0.0:
-        point = np.minimum.accumulate(slack, axis=1)[:, -1]
-        least, at = point.min(), int(point.argmin())
-        comp = int(slack[at].argmin())
-    return least, at, _row_at(z, at, (comp,), anchors, padded, leaves) if rows else None
-
-
-def _row_at(z, at: int, comp: tuple, anchors, padded, rows) -> tuple:
-    """The row of the first leaf of union ``comp`` (() unless stacked) that
-    attains its slack at point ``at``."""
-    margins = _margins(_reach(z[at], anchors[comp]), *rows, _products(padded[comp], *rows))
-    return comp + (int(margins.argmax()),)
 
 
 def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple:
     """Branch and bound over the (point, component) pairs of a stacked table
     of ``count`` rows of disks or ovals (``kind``) in at most two passes,
-    ``_PASS_ROWS`` rows at a time: ((least slack, first point at it, first
-    component there), each visited pair's slack, inf elsewhere).
+    ``_PASS_ROWS`` rows at a time: (least slack, first point at it).
 
     Each component's leaf of the largest bound (the disk of its largest
     radius, the oval of its two largest) gives at each point a lower bound
@@ -781,7 +754,8 @@ def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple
     slack found, or equal to it and ahead in (point, component) order.  A
     pair left has a bound above pass 1's least or ties it from behind, and
     pass 2's least is no larger and no later: a third pass takes nothing.
-    A least slack of zero visits every pair, for the grid's sign of it.
+    A least slack of zero visits every pair, and takes its sign and point
+    from the grid of them.
     """
     n, step = len(anchors), max(1, _PASS_ROWS // count)
     slacks = np.full((len(z), n), np.inf)
@@ -811,7 +785,9 @@ def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple
     found = visit(~first_pass & ((lower < best) | (lower == best) & ahead), found)
     if found[0] == 0.0:
         visit(slacks == np.inf)
-    return found, slacks
+        point = np.minimum.accumulate(slacks, axis=1)[:, -1]
+        return point.min(), int(point.argmin())
+    return found[:2]
 
 
 # rows of margins in one table operation: a block of points, or of (point,
@@ -846,11 +822,6 @@ def _as_matrix(matrix, dtype=complex) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
     return a
-
-
-def row_sums(matrix) -> np.ndarray:
-    """Complex sum of each row."""
-    return _as_matrix(matrix).sum(axis=1)
 
 
 def _finite_matrix(matrix) -> np.ndarray:
@@ -1036,40 +1007,20 @@ class MatrixFacts:
         gamma = self.gamma if np.iscomplexobj(self.matrix) else self.gamma.real
         return (*self.deflation_table, kind, gamma)
 
-    def least_slacks(self, points, methods) -> dict[str, tuple[float, complex, tuple]]:
-        """``{method: (slack, point, row)}`` for each of ``methods`` whose
-        region exists for the matrix: :func:`region_min_slack` of the
-        builder's region over ``points``, bit for bit, with the leaf's row in
-        the region's table, (k,) or (component, k), in place of the leaf.
-
-        The builders' refusals come first, in their order and words, but
-        RegionUnavailable only leaves its method out; then region_min_slack's
-        for the points.  The classical regions share one table of distances,
-        and the row-sum regions another (:func:`_least_slacks`).
-        """
-        z, (least,) = _stack_least([self], [points], methods, rows=True)
-        return {m: (float(slack), complex(z[0, at]), row) for m, (slack, at, row) in least.items()}
-
 
 def stack_least_slacks(stack, points, methods) -> list[dict[str, float]]:
     """For each matrix of ``stack``, the facts of one :meth:`MatrixFacts.stack`
-    or some of them, the least slack of each of ``methods`` over its own
-    ``points``, the same number for each matrix: the slacks of
-    :meth:`MatrixFacts.least_slacks` bit for bit, from one pass for the
-    whole stack.
+    or some of them, the least slack of each of ``methods`` whose region
+    exists for it over its own ``points``, the same number for each matrix:
+    :func:`region_min_slack`'s of the builder's region bit for bit, from one
+    pass for the whole stack (:func:`_least_slacks`, one table of distances
+    for the classical regions and one for the row-sum regions).
 
     Each matrix's regions and refusals are its own: RegionUnavailable leaves
-    out only that matrix's method, and a ValueError is the one that the
-    first matrix to refuse raises alone.
+    out only that matrix's method; a ValueError, a builder's in its order and
+    words or region_min_slack's for the points, is the one that the first
+    matrix to refuse raises alone.
     """
-    return [{m: float(slack) for m, (slack, _, _) in least.items()}
-            for least in _stack_least(stack, points, methods)[1]]
-
-
-def _stack_least(stack, points, methods, rows: bool = False) -> tuple:
-    """(the points as a (k, P) array, or None if no region exists, and for
-    each matrix ``{method: (least slack, index of the first point at it,
-    its leaf's row if ``rows`` else None)}``)."""
     shared = stack[0]._stack
     if any(facts._stack is not shared for facts in stack):
         raise ValueError("the facts of a stack must come from one MatrixFacts.stack")
@@ -1090,7 +1041,7 @@ def _stack_least(stack, points, methods, rows: bool = False) -> tuple:
             if group := tuple(m for m in found if m.startswith("rowsum") == deflated):
                 groups.setdefault(group, []).append(at)
     if not groups:
-        return None, [{} for _ in stack]
+        return [{} for _ in stack]
     tables = {group: shared.sources(group[0].startswith("rowsum"), [stack[at]._at for at in members])
               for group, members in groups.items()}
     try:
@@ -1110,11 +1061,11 @@ def _stack_least(stack, points, methods, rows: bool = False) -> tuple:
     least = [{} for _ in stack]
     for group, members in groups.items():
         centers, radii, gamma = tables[group]
-        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[members[0]][m] for m in group], rows)
+        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[members[0]][m] for m in group])
         for method, per_matrix in zip(group, slacks):
-            for at, one in zip(members, per_matrix):
-                least[at][method] = one
-    return z, [{m: least[at][m] for m in found} for at, found in enumerate(kinds)]
+            for at, (slack, _) in zip(members, per_matrix):
+                least[at][method] = float(slack)
+    return [{m: least[at][m] for m in found} for at, found in enumerate(kinds)]
 
 
 _METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")

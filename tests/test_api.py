@@ -10,7 +10,7 @@ import eigenloc
 
 # second copies of formulas the library owns elsewhere, retired from the API
 RETIRED = ("trace_bounds", "TraceStats", "DegreeProfile", "degrees", "randic_index",
-           "common_neighbors", "charpoly")
+           "common_neighbors", "charpoly", "row_sums", "check_region")
 
 
 def test_public_surface():
@@ -22,7 +22,8 @@ def test_public_surface():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(eigenloc, alias.name) is getattr(module, alias.name)
-    for name in ("eigenloc", "eigenloc.graphs", "eigenloc.bounds", "eigenloc.oracle"):
+    for name in ("eigenloc", "eigenloc.graphs", "eigenloc.regions", "eigenloc.bounds",
+                 "eigenloc.oracle", "eigenloc.cli"):
         module = importlib.import_module(name)
         for retired in RETIRED:
             assert retired not in getattr(module, "__all__", ())

@@ -47,7 +47,6 @@ from eigenloc.regions import (
     region_to_json,
     rowsum_brauer_region,
     rowsum_gersgorin_region,
-    row_sums,
     section_contains,
     stack_least_slacks,
 )
@@ -67,7 +66,7 @@ SQRT2 = math.sqrt(2.0)
 
 class TestRowSums:
     def test_fixture_rows_all_sum_to_gamma(self):
-        assert np.allclose(row_sums(ROWSUM_3X3), [GAMMA_3X3] * 3)
+        assert np.allclose(ROWSUM_3X3.sum(axis=1), [GAMMA_3X3] * 3)
         assert constant_row_sum(ROWSUM_3X3) == GAMMA_3X3
 
     def test_identity(self):
@@ -1247,16 +1246,14 @@ def test_no_matrix_fact_outlives_its_builder():
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_check_region_makes_no_component_of_a_builders_region(builder):
-    # region_min_slack reads a builder's table; it makes no child node unless
-    # a zero least slack sends it to the grid
-    from eigenloc.cli import check_region
-
+def test_min_slack_makes_no_component_of_a_builders_region(builder):
+    # region_min_slack reads a builder's table, its leaf too; it makes no
+    # child node
     rng = np.random.default_rng(85)
     for n in range(3, 9):
         a, _ = random_constant_rowsum_matrix(rng, n)
         region = builder(a)
-        assert check_region("region", region, np.linalg.eigvals(a), 1e-8).slack != 0.0
+        assert region_min_slack(region, np.linalg.eigvals(a))[0] != 0.0
         assert "children" not in region.__dict__
 
 
@@ -1288,7 +1285,7 @@ def test_builders_regions_nested_in_hand_built_trees():
 
 
 # ---------------------------------------------------------------------------
-# MatrixFacts.least_slacks, the one pass that verify makes
+# stack_least_slacks, the one pass that verify makes
 
 
 METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
@@ -1337,30 +1334,46 @@ def _least_slack_corpus():
 
 
 def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
-    # least_slacks of all four methods against the builders' regions: each
-    # slack is the grid's least bit for bit, the point and the leaf are
-    # region_min_slack's (checked against the per-leaf reference), and a
-    # builder's refusal is raised in its words; with one row a pass as well,
-    # where every table is made a point (or a pair) at a time and every
-    # row-sum region takes the branch and bound
+    # stack_least_slacks of all four methods on a stack of one against the
+    # builders' regions: each slack is region_min_slack's, whose slack is
+    # the grid's least bit for bit and whose point and leaf are checked
+    # against the grid and the per-leaf reference, and a builder's refusal
+    # is raised in its words; with one row a pass as well, where every table
+    # is made a point (or a pair) at a time, every row-sum region takes the
+    # branch and bound and its leaf is looked up one union at a time
     checked = 0
     for a, points in _least_slack_corpus():
         regions, refusal = _built_regions(a)
-        want = {} if refusal else {m: (r, _check_min_slack(r, points)) for m, r in regions.items()}
         for pass_rows in (2**14, 1):
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
             if refusal is not None:
                 with pytest.raises(type(refusal), match=re.escape(str(refusal))):
-                    MatrixFacts(a).least_slacks(points, METHODS)
+                    stack_least_slacks([MatrixFacts(a)], [points], METHODS)
                 continue
-            least = MatrixFacts(a).least_slacks(points, METHODS)
-            assert least.keys() == want.keys()
-            for method, (region, (slack, point, leaf)) in want.items():
-                got, at, row = least[method]
-                assert np.float64(got).tobytes() == np.float64(slack).tobytes(), (method, got, slack)
-                assert at == point and region._table.leaf(row) == leaf
+            (least,) = stack_least_slacks([MatrixFacts(a)], [points], METHODS)
+            assert least.keys() == regions.keys()
+            for method, region in regions.items():
+                slack = _check_min_slack(region, points)[0]
+                assert np.float64(least[method]).tobytes() == np.float64(slack).tobytes(), method
                 checked += 1
     assert checked >= 7000
+
+
+def test_a_large_regions_leaf_is_looked_up_a_block_at_a_time():
+    # the deflated oval region of a 128-vertex circulant's Laplacian has
+    # 128 unions of 8002 rows: region_min_slack takes its slack from the
+    # bounded pass and its leaf from at most _PASS_ROWS rows at a time
+    # (about 1.4 MB), never from the whole table of margins (about 24 MB)
+    a = build_matrix(circulant(128, (1, 5, 17)), GraphMatrixKind.LAPLACIAN)
+    region, points = rowsum_brauer_region(a), np.linalg.eigvalsh(a)
+    tracemalloc.start()
+    try:
+        slack, point, leaf = region_min_slack(region, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert _reference_leaf_slack(leaf, point) == slack == region_slack(region, point)
 
 
 def test_deflation_table_is_the_loops_bit_for_bit(monkeypatch):
@@ -1442,7 +1455,7 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
         refusal = None
         for name in names:
             try:
-                MatrixFacts(cases[name][0]).least_slacks(cases[name][1], METHODS)
+                stack_least_slacks([MatrixFacts(cases[name][0])], [cases[name][1]], METHODS)
             except ValueError as exc:
                 refusal = exc
                 break
@@ -1523,4 +1536,4 @@ def test_least_slacks_keep_real_matrices_real():
         assert isinstance(facts.region_source("rowsum-brauer")[3], float)
     assert MatrixFacts(ROWSUM_3X3).matrix.dtype == complex
     with pytest.raises(ValueError, match="unknown region method 'ostrowski'"):
-        MatrixFacts(a).least_slacks([0.0], ["gersgorin", "ostrowski"])
+        stack_least_slacks([MatrixFacts(a)], [[0.0]], ["gersgorin", "ostrowski"])
