@@ -488,20 +488,44 @@ def _interval_obj(b: BoundInterval) -> dict:
     return obj
 
 
+def _report_obj(report: BoundReport) -> dict:
+    return {
+        "graph": report.graph_summary,
+        "matrix": report.matrix_kind,
+        "mode": report.mode,
+        "bounds": [_interval_obj(b) for b in report.bounds],
+        "skipped": [{"theorem": tag, "reason": reason} for tag, reason in report.skipped],
+        "combined": [_interval_obj(b) for b in report.combined],
+    }
+
+
 def report_to_json(report: BoundReport) -> str:
-    return json.dumps(
-        {
-            "graph": report.graph_summary,
-            "matrix": report.matrix_kind,
-            "mode": report.mode,
-            "bounds": [_interval_obj(b) for b in report.bounds],
-            "skipped": [
-                {"theorem": tag, "reason": reason} for tag, reason in report.skipped
-            ],
-            "combined": [_interval_obj(b) for b in report.combined],
-        },
-        indent=2,
-    )
+    """The report as ``json.dumps(obj, indent=2)`` writes it, byte for byte."""
+    return _indented_json(_report_obj(report))
+
+
+# json.dumps' text of each scalar type; other values take json.dumps itself
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if x - x == 0.0 else json.dumps(x),  # Infinity, NaN
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda x: "null",
+}
+
+
+def _indented_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of str-keyed dicts, lists and scalars,
+    without the pure-Python encoder that ``indent`` selects there."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner, keys = pad + "  ", isinstance(value, dict)
+    texts = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _indented_json(item, inner)
+             for item in (value.values() if keys else value)]
+    if keys:
+        texts = [f"{_JSON_SCALARS[str](key)}: {text}" for key, text in zip(value, texts)]
+    opening, closing = "{}" if keys else "[]"
+    return opening + inner + f",{inner}".join(texts) + pad + closing
 
 
 def report_to_csv(report: BoundReport) -> str:

@@ -145,15 +145,16 @@ def verify_graph(
     The normalized-adjacency matrix (and its checks) is skipped when the
     graph has an isolated vertex.  Each matrix is built once, for the oracle
     and the region checks both; the region checks of all the matrices are
-    one stacked pass.
+    one stacked pass, which reads the deflation tables that the graph gives
+    (:func:`graphs.deflation_table`).
     """
     wanted = _scope_filter(scope, tol)
     kinds = [kind for kind in gr.GraphMatrixKind if _has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
     matrices = [gr.build_matrix(g, kind) for kind in kinds]
     spectra = [orc.graph_spectrum(g, kind, matrix).values for kind, matrix in zip(kinds, matrices)]
-    regions = _region_checks(rg.MatrixFacts.stack(matrices), spectra, wanted, tol,
-                             [f"[{kind.value}]" for kind in kinds])
+    stack = rg.MatrixFacts.stack(matrices, [gr.deflation_table(g, kind) for kind in kinds])
+    regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
     for report, values, checks in zip(reports, spectra, regions):
         results += [check_interval(bound, value, tol)

@@ -26,14 +26,16 @@ its table when they are first read.
 
 :class:`MatrixFacts` owns what the builders read of a matrix; the matrices
 of one :meth:`MatrixFacts.stack`, such as the two or three matrices of a
-graph, share each fact, made for all of them by one array pass.  For the
+graph, share each fact, made for all of them by one array pass, or given,
+as a graph gives its deflation tables.  For the
 region methods asked for, :func:`stack_least_slacks` takes each one's
 least slack for every matrix of a stack over its own points without
 building a region, from two tables of distances for the whole stack: one
 to the diagonals for the Gersgorin and Brauer sets, one to the deflated
 centres and gamma for the two row-sum sets.  It bounds a large row-sum
 region pair by pair (component, point) in two passes at most: what the
-second leaves cannot come first.  The pass carries no leaf;
+second leaves cannot come first.  A table too large for one block first
+drops repeated leaves.  The pass carries no leaf;
 :func:`region_min_slack` on a builder's region takes its slack and point
 from the pass on a stack of one, then its leaf from the region's table at
 that one point.
@@ -703,10 +705,13 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     point is one slab, gathered, multiplied and compared whole.  A stacked
     kind whose margins over one matrix's points would pass ``_PASS_ROWS``
     rows is bounded by :func:`_stacked_min_slack` instead, a matrix at a time.
+    Where its disks would, the table first drops repeated leaves.
     """
     stacked = gamma is not None
+    (matrices, points), comps = z.shape, centers.shape[-2] if stacked else 1
+    if points * comps * (centers.shape[-1] + stacked) > _PASS_ROWS:
+        centers, radii = _distinct_leaves(centers, radii)
     anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
-    (matrices, points), comps = z.shape, anchors.shape[-2] if stacked else 1
     plans = []  # kind, leaves, width, bounded, slacks
     for kind in kinds:
         # a disk's rows are the anchors' distances before the 1.0, times it
@@ -739,6 +744,47 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
         point = np.minimum.accumulate(slack)[-1] if stacked else slack
         found.append(list(zip(point.min(axis=-1), point.argmin(axis=-1).tolist())))
     return found
+
+
+def _distinct_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves (centre, radius) of each row along the last axis, at most
+    two copies of each, sorted and padded to the widest row with third
+    copies of leaves kept twice; two passes of ``_PASS_ROWS`` leaves at a
+    time.  Identical leaves have identical margins and a row's ovals stay
+    one set, so every union's slack, a zero's sign included, is unchanged."""
+    count = centers.shape[-1]
+    rows = centers.reshape(-1, count), radii.reshape(-1, count)
+    step = max(1, _PASS_ROWS // max(count, 1))
+    blocks, width = [slice(lo, lo + step) for lo in range(0, len(rows[0]), step)], 0
+    for block in blocks:
+        last = _sorted_leaves(rows[0][block], rows[1][block])
+        width = max(width, count - int(last[2].sum(axis=-1).min()))
+    if width == count:
+        return centers, radii
+    out = np.empty((len(rows[0]), width), centers.dtype), np.empty((len(rows[0]), width))
+    for block in blocks:  # a lone block is sorted once
+        *leaves, third = last if len(blocks) == 1 else _sorted_leaves(rows[0][block], rows[1][block])
+        order = np.argsort(third, axis=-1, kind="stable")[:, :width]  # the kept first
+        for part, leaf in zip(out, leaves):
+            part[block] = np.take_along_axis(leaf, order, -1)
+    return tuple(part.reshape(centers.shape[:-1] + (width,)) for part in out)
+
+
+def _sorted_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's centres and radii sorted, and where each leaf is a third
+    or later copy."""
+    if np.iscomplexobj(centers):
+        order = np.lexsort((radii, centers.imag, centers.real))
+        centers, radii = np.take_along_axis(centers, order, -1), np.take_along_axis(radii, order, -1)
+    else:  # one sort of a complex key, far cheaper than a lexsort
+        key = np.empty(centers.shape, complex)
+        key.real, key.imag = centers, radii
+        key.sort(axis=-1)
+        centers, radii = key.real, key.imag
+    same = (centers[:, 1:] == centers[:, :-1]) & (radii[:, 1:] == radii[:, :-1])
+    third = np.zeros(centers.shape, bool)
+    third[:, 2:] = same[:, 1:] & same[:, :-1]
+    return centers, radii, third
 
 
 def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple:
@@ -858,6 +904,31 @@ def _deleted_row_sums(a: np.ndarray) -> np.ndarray:
         return np.abs(a).sum(axis=-1) - np.abs(a.diagonal(0, -2, -1))
 
 
+def _deflation_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`MatrixFacts.deflation_table` of each of the (k, n, n) stack
+    ``a``, read-only (k, n, n - 1): the terms [l, matrix, i, k], a chunk of l
+    at a time behind the running sums, so ``_PASS_ROWS`` bounds them."""
+    k, n = a.shape[:2]
+    step = max(1, _PASS_ROWS // (k * n * n) - 1)  # terms of l a chunk
+    terms = np.zeros((min(step, n) + 1, k, n, n))
+    radii = np.zeros((k, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
+        for lo in range(0, n, step):
+            l = np.arange(lo, min(lo + step, n))
+            chunk, column = terms[: len(l) + 1], a.transpose(2, 0, 1)[l]
+            chunk[0] = radii
+            _distance(column[..., None, :], column[..., None], chunk[1:])  # |a_kl - a_il|
+            chunk[1 + np.arange(len(l)), :, l] = 0.0
+            chunk[1 + np.arange(len(l)), :, :, l] = 0.0
+            np.add.reduce(chunk, axis=0, out=radii)
+        centers = a.diagonal(0, -2, -1)[:, None, :] - a
+    off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
+    table = tuple(part.reshape(k, n * n)[:, off].reshape(k, n, n - 1) for part in (centers, radii))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 class _FactStack:
     """The facts of k square matrices of one size, as :class:`MatrixFacts`
     reads them: each made for all k at once on first read, by one array pass
@@ -865,8 +936,10 @@ class _FactStack:
     in the order one matrix's own pass would, so that each matrix's facts
     are the same bit for bit in any stack."""
 
-    def __init__(self, matrices) -> None:
+    def __init__(self, matrices, tables=None) -> None:
         self.matrix = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+        self.tables = [None] * len(matrices) if tables is None else list(tables)
+        self.given = [table is not None for table in self.tables]
 
     @functools.cached_property
     def gamma(self) -> list:
@@ -888,29 +961,21 @@ class _FactStack:
 
     @functools.cached_property
     def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each matrix's :attr:`MatrixFacts.deflation_table`, as read-only
-        (k, n, n - 1) arrays: the terms [l, matrix, i, k], a chunk of l at a
-        time behind the running sums, so that ``_PASS_ROWS`` bounds the
-        terms of the whole stack."""
-        a = self.matrix
-        k, n = a.shape[:2]
-        step = max(1, _PASS_ROWS // (k * n * n) - 1)  # terms of l a chunk
-        terms = np.zeros((min(step, n) + 1, k, n, n))
-        radii = np.zeros((k, n, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
-            for lo in range(0, n, step):
-                l = np.arange(lo, min(lo + step, n))
-                chunk, column = terms[: len(l) + 1], a.transpose(2, 0, 1)[l]
-                chunk[0] = radii
-                _distance(column[..., None, :], column[..., None], chunk[1:])  # |a_kl - a_il|
-                chunk[1 + np.arange(len(l)), :, l] = 0.0
-                chunk[1 + np.arange(len(l)), :, :, l] = 0.0
-                np.add.reduce(chunk, axis=0, out=radii)
-            centers = a.diagonal(0, -2, -1)[:, None, :] - a
-        off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
-        table = tuple(part.reshape(k, n * n)[:, off].reshape(k, n, n - 1) for part in (centers, radii))
-        for column in table:
-            column.flags.writeable = False
+        """:attr:`MatrixFacts.deflation_table` of each matrix given one or
+        with a constant row sum, read-only (k, n, n - 1), other rows unset:
+        those given copied in, the others made by :func:`_deflation_tables`."""
+        k, n = self.matrix.shape[:2]
+        made = [at for at in range(k) if not self.given[at] and self.gamma[at] is not None]
+        if len(made) == k:  # none given: the pass's own arrays
+            return _deflation_tables(self.matrix)
+        table = np.empty((k, n, n - 1), self.matrix.dtype), np.empty((k, n, n - 1))
+        for part, generic in zip(table, _deflation_tables(self.matrix[made]) if made else ()):
+            part[made] = generic
+        for at in np.flatnonzero(self.given):
+            table[0][at], table[1][at] = self.tables[at]
+        self.tables = None  # copied in: the stack holds one copy of each
+        for part in table:
+            part.flags.writeable = False
         return table
 
     def sources(self, deflated: bool, at: list[int]) -> tuple:
@@ -944,12 +1009,17 @@ class MatrixFacts:
         self._stack, self._at = _FactStack((self.matrix,)), 0
 
     @classmethod
-    def stack(cls, matrices) -> list["MatrixFacts"]:
-        """The facts of each of ``matrices``, all n x n, made together."""
+    def stack(cls, matrices, tables=None) -> list["MatrixFacts"]:
+        """The facts of each of ``matrices``, all n x n, made together;
+        ``tables`` may give each one's :attr:`deflation_table` bit for bit,
+        or None, such as a graph's (:func:`graphs.deflation_table`, O(n^2)):
+        only the others with a constant row sum then take the O(n^3) pass."""
         stack = [cls(matrix) for matrix in matrices]
         if len({facts.matrix.shape for facts in stack}) > 1:
             raise ValueError("the matrices of a stack must have one shape")
-        shared = _FactStack([facts.matrix for facts in stack])
+        if tables is not None and len(tables) != len(stack):
+            raise ValueError("a stack needs one deflation table, or None, per matrix")
+        shared = _FactStack([facts.matrix for facts in stack], tables)
         for at, facts in enumerate(stack):
             facts._stack, facts._at = shared, at
         return stack
@@ -980,6 +1050,8 @@ class MatrixFacts:
         the running sum, reduced along the leading axis of a C-ordered array,
         which numpy adds in order, as Python's ``sum`` does.
         """
+        if not self._stack.given[self._at] and self.gamma is None:  # no row of the stack's
+            return tuple(part[0] for part in _deflation_tables(self.matrix[None]))
         centers, radii = self._stack.deflation_table
         return centers[self._at], radii[self._at]
 

@@ -9,8 +9,10 @@ families up to n = 32.
 
 ``check_graph_with_library`` runs each graph through the library's own
 path (``bounds_report``, both Thm5.4 modes), checks that no interval or
-combined interval of either mode has its lower end above its upper, and
-checks every interval against two oracles: the package's
+combined interval of either mode has its lower end above its upper and
+that ``report_to_json`` writes each report byte for byte as
+``json.dumps(..., indent=2)`` does, and checks every interval against two
+oracles: the package's
 ``graph_spectrum`` and LAPACK (``numpy.linalg.eigvalsh``) on matrices built
 here from the edge list, independent of ``build_matrix``.  The two oracles
 must agree within 1e-9.
@@ -19,11 +21,20 @@ must agree within 1e-9.
 from __future__ import annotations
 
 import functools
+import json
 
 import networkx as nx
 import numpy as np
 
-from eigenloc.bounds import LAMBDA_1, LAMBDA_2, LAMBDA_N, LAMBDA_N_MINUS_1, bounds_report
+from eigenloc.bounds import (
+    LAMBDA_1,
+    LAMBDA_2,
+    LAMBDA_N,
+    LAMBDA_N_MINUS_1,
+    _report_obj,
+    bounds_report,
+    report_to_json,
+)
 from eigenloc.graphs import (
     Graph,
     GraphMatrixKind,
@@ -68,7 +79,8 @@ def _lapack_spectrum(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
 
 def check_graph_with_library(g: Graph, slack: float = 1e-8) -> tuple[int, list]:
     """Check every applicable theorem (both Thm5.4 modes) against both oracles,
-    and the order of the ends of every interval and combined interval.
+    the order of the ends of every interval and combined interval, and each
+    report's JSON text.
 
     Returns (interval checks performed, failures).
     """
@@ -80,6 +92,8 @@ def check_graph_with_library(g: Graph, slack: float = 1e-8) -> tuple[int, list]:
         for report in (published, corrected):
             bad += [("reversed", b.theorem, b.target, kind.value, g.n, g.m, b.lower, b.upper)
                     for b in report.bounds + report.combined if not b.lower <= b.upper]
+            if report_to_json(report) != json.dumps(_report_obj(report), indent=2):
+                bad.append(("json text", kind.value, report.mode, g.n, g.m))
         intervals = list(published.bounds)
         intervals += [b for b in corrected.bounds if b.theorem == "Thm5.4"]
         if not intervals:

@@ -683,6 +683,19 @@ class TestReports:
         aliases = {b["target"]: b.get("alias") for b in obj["bounds"]}
         assert aliases["lambda_n_minus_1"] == "algebraic_connectivity"
 
+    def test_json_text_spells_every_scalar_as_json_dumps(self):
+        # report_to_json writes without json's pure-Python encoder; its text
+        # for each scalar type, the non-finite floats, escapes and empty
+        # containers is json.dumps(indent=2)'s (every atlas and family
+        # report is compared byte for byte by acceptance criterion 2)
+        from eigenloc.bounds import _indented_json
+
+        leaves = [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1, 2**70, -3, True, False, None,
+                  "tab\t quote\" \u00e9 \U0001d54a", [], {}, [[]], {"k": {}}, (1, 2)]
+        obj = {"leaves": leaves, "nested": {"a": leaves, "b": [{"c": None}]}, "empty": {}}
+        assert _indented_json(obj) == json.dumps(obj, indent=2)
+        assert _indented_json([]) == "[]" and _indented_json({}) == "{}"
+
     def test_csv_rows(self):
         report = bounds_report(complete(4), GraphMatrixKind.ADJACENCY)
         lines = report_to_csv(report).strip().splitlines()

@@ -1436,6 +1436,55 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
     assert zeros == {np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()}
 
 
+def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatch):
+    # stack_least_slacks with and without _distinct_leaves, byte for byte,
+    # with _PASS_ROWS at its default, 64 and 1, so that tables of every size
+    # drop repeated leaves: seeded real and complex matrices of small
+    # integers, whose rows repeat leaves, with and without a constant row
+    # sum, at their eigenvalues, rounded and scattered points; and graph
+    # stacks that read the graph's tables, among them an 11-vertex forest
+    # whose rowsum-brauer[laplacian] slack moves if a short row is padded
+    # with its first leaf, an oval (first, first) that the row did not have
+    from eigenloc.graphs import Graph, deflation_table
+
+    rng = np.random.default_rng(91)
+    cases = []  # matrices, their points, tables
+    for n in range(1, 19):
+        for imag in (0.0, 1.0):
+            a = rng.integers(-1, 2, (n, n)) + 1j * imag * rng.integers(0, 2, (n, n))
+            b = a.copy()
+            b[:, -1] += 2 - b.sum(axis=1)
+            stack = [a, b] if imag else [a.real, b.real]
+            scatter = [rng.integers(-4, 5, 6) + 0.5j * imag * rng.integers(-2, 3, 6) for _ in stack]
+            points = [np.concatenate([_with_ties(np.linalg.eigvals(m)), z]) for m, z in zip(stack, scatter)]
+            cases.append((stack, points, None))
+    forest = Graph.from_edges(11, [(1, 3), (2, 6), (3, 4), (4, 8), (6, 9), (7, 8), (8, 10)])
+    for g in (forest, petersen(), circulant(16, (1, 5)), circulant(28, (1, 3, 7)), complete(12)):
+        kinds = [kind for kind in GraphMatrixKind if kind.value != "normalized" or min(g.degree_sequence)]
+        stack = [build_matrix(g, kind) for kind in kinds]
+        points = [_with_ties(graph_spectrum(g, kind, m).values) for kind, m in zip(kinds, stack)]
+        cases.append((stack, points, [deflation_table(g, kind) for kind in kinds]))
+    distinct, narrowed = eigenloc.regions._distinct_leaves, []
+
+    def counted(centers, radii):
+        out = distinct(centers, radii)
+        narrowed.append(out[0].shape[-1] < centers.shape[-1])
+        return out
+
+    for pass_rows in (eigenloc.regions._PASS_ROWS, 64, 1):
+        monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+        for matrices, points, tables in cases:
+            stack, least = MatrixFacts.stack(matrices, tables), []
+            for dedup in (counted, lambda centers, radii: (centers, radii)):
+                monkeypatch.setattr(eigenloc.regions, "_distinct_leaves", dedup)
+                least.append(stack_least_slacks(stack, points, METHODS))
+            for dropped, kept in zip(*least):
+                assert dropped.keys() == kept.keys()
+                for method, slack in dropped.items():
+                    assert np.float64(slack).tobytes() == np.float64(kept[method]).tobytes(), method
+    assert (len(narrowed), sum(narrowed)) == (151, 31)
+
+
 def test_a_refused_matrix_refuses_a_stack_as_alone():
     # the first matrix of a stack to refuse raises what it raises alone;
     # the others' refusals, and RegionUnavailable, come after or not at all
