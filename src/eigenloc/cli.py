@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,19 +80,56 @@ def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
     if args.edges is not None:
         _refuse(args, _GRAPH_OPTIONS[:-1], "--edges", "family option")
         text = _path(args, "edges").read_text()
-        if text.lstrip().startswith("{"):
-            return gr.graph_from_json(text)
-        return gr.parse_edge_list(text)
+        parse = gr.graph_from_json if text.lstrip().startswith("{") else gr.parse_edge_list
+        return _GRAPHS.graph(text, lambda: parse(text))
     if args.family is not None:
         params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
         if args.connections is not None:
             try:
-                params["connections"] = [int(tok) for tok in args.connections.split(",")]
+                params["connections"] = tuple(int(tok) for tok in args.connections.split(","))
             except ValueError:
                 raise ValueError("--connections takes comma-separated integers, "
                                  f"got {args.connections!r}") from None
-        return gr.generate(args.family, **params)
+        key = (args.family, args.n, args.p, args.q, params.get("connections"))
+        return _GRAPHS.graph(key, lambda: gr.generate(args.family, **params))
     raise ValueError("no graph source: supply --family or --edges")
+
+
+class _GraphCache:
+    """The graphs read in this process by source: an edge file's text, a
+    ``--family`` request's (family, n, p, q, connections) or a sweep size's
+    (family, n), so that requests on one graph (its three matrix kinds, say)
+    read it and make its tables once.  A graph read anew first drops the
+    held ones its request has not read, then the least recently read until
+    the held vertex counts sum to at most MAX_VERTICES, before its tables
+    are made: their n², and so their tables, never pass one graph's on the
+    cap.  A source whose graph cannot be made raises and holds nothing.
+    """
+
+    def __init__(self) -> None:
+        # key: [graph, the request that last read it], least recently read first
+        self.held: OrderedDict = OrderedDict()
+        self.request = 0
+
+    def begin_request(self) -> None:
+        self.request += 1
+
+    def graph(self, key, make) -> gr.Graph:
+        if (entry := self.held.get(key)) is not None:
+            entry[1] = self.request
+            self.held.move_to_end(key)
+            return entry[0]
+        while self.held and next(iter(self.held.values()))[1] < self.request:
+            self.held.popitem(last=False)
+        g = make()
+        vertices = g.n + sum(entry[0].n for entry in self.held.values())
+        while vertices > gr.MAX_VERTICES:
+            vertices -= self.held.popitem(last=False)[1][0].n
+        self.held[key] = [g, self.request]
+        return g
+
+
+_GRAPHS = _GraphCache()
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +452,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = [_parse_sweep_spec(token) for token in args.spec]
     for family, sizes in specs:
         for n in sizes:
-            g = _sweep_graph(family, n)
+            g = _GRAPHS.graph((family, n), lambda: _sweep_graph(family, n))
             if not _has_matrix(g, kind):
                 continue
             report = bd.bounds_report(g, kind, mode=args.mode)
@@ -478,6 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _GRAPHS.begin_request()
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout is met inside the try

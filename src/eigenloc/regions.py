@@ -944,11 +944,19 @@ class _FactStack:
     @functools.cached_property
     def gamma(self) -> list:
         """Each matrix's :func:`constant_row_sum`, which a NaN or infinite
-        entry makes NaN or infinite rather than refused."""
+        entry makes NaN or infinite rather than refused (and its tolerance
+        infinite or NaN).  The row sums are complex, a few rows cast at a
+        time; the largest pairwise deviation of real ones is fl(max - min)."""
+        k, n = self.matrix.shape[:2]
+        step = max(1, _PASS_ROWS // (k * n))  # rows of every matrix a cast
         with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
-            sums = self.matrix.astype(complex).sum(axis=-1)
+            sums = np.concatenate([self.matrix[:, lo : lo + step].astype(complex).sum(axis=-1)
+                                   for lo in range(0, n, step)], axis=-1)
             tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
-            deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
+            if np.iscomplexobj(self.matrix):
+                deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
+            else:
+                deviation = sums.real.max(axis=-1) - sums.real.min(axis=-1)
             mean = sums.mean(axis=-1).tolist()
         return [None if d > t else mean[k]
                 for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]

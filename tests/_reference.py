@@ -5,8 +5,10 @@ way: the generic two-trace engine against the deflated closed forms of
 Thm3.1, Thm4.1 and Thm5.2; a long-double characteristic polynomial for the
 deflation identity; common neighbours by bitmask intersection against
 ``Graph.common_neighbor_table``; the connectivity index summed edge by
-edge against ``graphs._exact_randic_index``; and every deflation's disks,
-one entry at a time, against ``regions.MatrixFacts.deflation_table``.
+edge against ``graphs._exact_randic_index``; every deflation's disks,
+one entry at a time, against ``regions.MatrixFacts.deflation_table``; and
+each constant row sum from the whole table of row-sum pairs against the
+row sums' extremes that a real stack's gamma reads.
 """
 
 import math
@@ -97,3 +99,18 @@ def deflation_table(matrix) -> tuple[np.ndarray, np.ndarray]:
               for k in range(n) if k != i] for i in range(n)]
     return (np.array(centers, dtype=complex).reshape(n, n - 1),
             np.array(radii, dtype=float).reshape(n, n - 1))
+
+
+def row_sum_gammas(stack) -> list:
+    """Each matrix's constant row sum (None where there is none) of the
+    (k, n, n) ``stack``, from the (k, n, n) table of the differences of
+    every pair of its complex row sums: the mean where their largest modulus
+    is at most 1e-9 (1 + the largest |row sum|).  A non-finite sum makes the
+    table's maximum NaN (its diagonal holds inf - inf), so that the mean,
+    itself not finite, is taken."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.asarray(stack).astype(complex).sum(axis=-1)
+        tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
+        deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
+        mean = sums.mean(axis=-1).tolist()
+    return [None if d > t else mean[k] for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]

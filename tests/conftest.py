@@ -31,6 +31,15 @@ def rowsum_matrix():
     return ROWSUM_3X3.copy()
 
 
+@pytest.fixture(autouse=True)
+def fresh_graph_cache(monkeypatch):
+    """Each test starts, as a new process does, with an empty graph cache in
+    the CLI."""
+    from eigenloc import cli
+
+    monkeypatch.setattr(cli, "_GRAPHS", cli._GraphCache())
+
+
 def count_first_reads(monkeypatch, cls, name):
     """Patch the cached property ``cls.name`` so that each time it is made
     (once per instance) the instance is appended to the returned list."""

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, serialisation, SVG structure."""
 
+import gc
 import hashlib
 import json
 import math
@@ -7,11 +8,14 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import eigenloc.bounds as bd
+import eigenloc.cli as cli
+import eigenloc.graphs as gr
 from eigenloc.bounds import BoundInterval
 from eigenloc.cli import (
     _build_parser,
@@ -23,13 +27,16 @@ from eigenloc.cli import (
     verify_matrix,
 )
 from eigenloc.graphs import (
+    MAX_VERTICES,
     GraphMatrixKind,
     build_matrix,
     circulant,
     complete,
     complete_bipartite,
     cycle,
+    graph_to_json,
     petersen,
+    star,
 )
 from eigenloc.oracle import graph_spectrum
 from eigenloc.regions import (
@@ -844,6 +851,112 @@ class TestParserReuse:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "--matrix" in errors[0]
+
+
+class TestGraphCache:
+    """A graph read again from the same source in one process is the graph
+    read before, so that every output is a fresh process's."""
+
+    @staticmethod
+    def run(argv, capsys, monkeypatch=None):
+        """(exit code, stdout, stderr) of ``main(argv)``; on an empty cache
+        when ``monkeypatch`` is given."""
+        if monkeypatch is not None:
+            monkeypatch.setattr(cli, "_GRAPHS", cli._GraphCache())
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def held(cache=None):
+        return [entry[0] for entry in (cache or cli._GRAPHS).held.values()]
+
+    def test_requests_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # the three kinds of one edge list and of one graph JSON file (both
+        # formats), sweeps of two sizes, verify of a file and of a family:
+        # each file is parsed and each sweep size built once, yet every
+        # stdout, stderr and exit code is that of a call on an empty cache
+        edges = tmp_path / "g.txt"
+        edges.write_text("7 8\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n1 7\n2 5\n")
+        graph_json = tmp_path / "g.json"
+        graph_json.write_text(graph_to_json(circulant(10, (1, 4))))
+        kinds = [kind.value for kind in GraphMatrixKind]
+        argvs = [["bounds", "--edges", str(path), "--matrix", kind, "--format", fmt]
+                 for path in (edges, graph_json) for kind in kinds for fmt in ("json", "csv")]
+        argvs += [["sweep", "cycle:5..7:2", "complete_bipartite:4..5", "--matrix", kind, "--out", "-"]
+                  for kind in kinds]
+        family = ["--family", "circulant", "--n", "9", "--connections", "1,2"]
+        argvs += [["verify", "--edges", str(edges)]] * 2 + [["verify", *family]] * 2
+        made = []
+        for module, name in ((gr, "parse_edge_list"), (gr, "graph_from_json"), (cli, "_sweep_graph")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original: made.append(a) or _f(*a))
+        shared = [self.run(argv, capsys) for argv in argvs]
+        # two files, four sweep sizes, and the edge list again after the
+        # sweeps, whose new graphs dropped it
+        assert len(made) == 2 + 4 + 1
+        fresh = [self.run(argv, capsys, monkeypatch) for argv in argvs]
+        assert shared == fresh
+        assert all(out and not err for _, out, err in shared)
+
+    def test_rewritten_file_gives_the_new_graphs_report(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        argv = ["bounds", "--edges", str(path), "--matrix", "laplacian", "--format", "csv"]
+        reports = []
+        for text in ("3 2\n1 2\n2 3\n", "4 4\n1 2\n2 3\n3 4\n1 4\n"):
+            path.write_text(text)
+            reports.append(self.run(argv, capsys))
+        fresh = self.run(argv, capsys, monkeypatch)
+        assert reports[1] == fresh and reports[0] != fresh
+
+    def test_malformed_file_between_good_ones(self, tmp_path, capsys, monkeypatch):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("4 3\n1 2\n2 3\n3 4\n")
+        bad.write_text("4 3\n1 2\nx y\n1 2 3\n")
+        argv = ["bounds", "--matrix", "laplacian", "--edges"]
+        first = self.run(argv + [str(good)], capsys)
+        assert self.run(argv + [str(bad)], capsys) == (1, "", "error: malformed edge line 'x y'\n")
+        assert self.run(argv + [str(good)], capsys) == first
+        assert self.run(argv + [str(good)], capsys, monkeypatch) == first and first[0] == 0
+
+    def test_held_vertices_stay_in_budget_and_evicted_graphs_are_freed(self):
+        # graphs on and below the vertex cap, whose tables are never made:
+        # once the test drops its own references, the graphs alive are the
+        # graphs held, and their vertex counts, and so their squares, never
+        # sum past the cap
+        cache, sizes, refs = cli._GraphCache(), {"c": 1024, "d": 1024, "e": 2}, {}
+
+        def alive():
+            gc.collect()
+            graphs = {id(g): g.n for key_refs in refs.values() for ref in key_refs if (g := ref())}
+            return sorted(graphs), list(graphs.values())
+
+        for request in (["a"], ["b"], ["b", "c", "d"], ["c", "d", "e"], ["e"], ["a"]):
+            cache.begin_request()
+            for key in request:
+                n = sizes.get(key, MAX_VERTICES)
+                refs.setdefault(key, []).append(weakref.ref(cache.graph(key, lambda: star(n))))
+                ids, counts = alive()
+                assert ids == sorted(id(g) for g in self.held(cache))
+                assert sum(counts) <= MAX_VERTICES
+                assert sum(n * n for n in counts) <= MAX_VERTICES ** 2
+        # b's request dropped a, which it did not read; c evicted b to make
+        # room, and e evicted c; a's request dropped d and e, then read a anew
+        assert {key: [ref() is not None for ref in key_refs] for key, key_refs in refs.items()} == {
+            "a": [False, True], "b": [False, False], "c": [False, False],
+            "d": [False, False], "e": [False, False]}
+        assert list(cache.held) == ["a"]
+
+    def test_two_sources_on_the_vertex_cap_hold_the_second_graph_only(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        path.write_text(graph_to_json(star(MAX_VERTICES)))
+        refs = []
+        for source in (["--family", "star", "--n", str(MAX_VERTICES)], ["--edges", str(path)]):
+            assert self.run(["bounds", *source, "--matrix", "normalized"], capsys)[0] == 0
+            refs += [weakref.ref(g) for g in self.held()]
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True, False]
+        assert self.held() == [refs[1]()]
 
 
 def test_verify_matrix_with_overflowing_oval_products_is_quiet():

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import json
 import math
 import re
@@ -1572,6 +1573,52 @@ def test_stacked_facts_are_each_matrix_own_bit_for_bit(monkeypatch):
                     assert radii.tobytes() == want_radii.tobytes()
                     checked += 1
     assert checked == 3 * 14 * 5
+
+
+def test_real_stack_gamma_is_the_pairwise_tables(monkeypatch):
+    # a real stack's gamma takes the largest row-sum deviation as
+    # fl(max - min) of its sums in place of the (k, n, n) table of pairs
+    # (where a sum is not finite, either loses to the tolerance, itself
+    # infinite or NaN): the gamma lists agree by repr, None included, with
+    # the table's on seeded stacks of 1 to 3 matrices of size 1 to 11,
+    # with constant, nearly constant and free row sums at scales
+    # 1e-300 to 1e307 (whose entries and sums may overflow), with an
+    # infinite or NaN entry, with a complex matrix (whose stack keeps the
+    # table), and on graph stacks; with rows cast one at a time as well
+    from eigenloc.graphs import Graph, complete_bipartite, path, star
+    from eigenloc.regions import _FactStack
+
+    from ._reference import row_sum_gammas
+
+    rng = np.random.default_rng(2033)
+    stacks = []
+    for k, n, scale, entry in itertools.product((1, 2, 3), range(1, 12), (1e-300, 1.0, 1e300, 1e307),
+                                                (None, math.inf, -math.inf, math.nan)):
+        for draw in range(7):
+            a = rng.standard_normal((k, n, n))
+            if draw < 4:  # constant row sums, exactly for integers
+                a = np.rint(a * 3.0) if draw < 2 else a
+                a[..., -1] += 1.5 - a.sum(axis=-1)
+            with np.errstate(over="ignore"):  # an entry past the float range is inf
+                a = a * scale
+            if entry is not None:
+                a[tuple(rng.integers(0, (k, n, n)))] = entry
+            if draw == 6:
+                a = a + 1j * rng.random((k, n, n)) * scale * (rng.random() < 0.5)
+            stacks.append(list(a))
+    graphs = [cycle(n) for n in range(3, 9)] + [path(n) for n in range(1, 9)]
+    graphs += [star(n) for n in range(2, 9)] + [complete(n) for n in range(1, 8)]
+    graphs += [complete_bipartite(p, q) for p in (1, 2, 3) for q in (2, 4)] + [petersen()]
+    graphs += [circulant(n, (1, 3)) for n in range(7, 12)] + [Graph.from_edges(4, [(1, 2), (2, 3)])]
+    for g in graphs:
+        stacks.append([build_matrix(g, kind) for kind in GraphMatrixKind
+                       if kind != GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0])
+    assert len(stacks) == 3737
+    for pass_rows in (None, 1):
+        if pass_rows is not None:
+            monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
+        for stack in stacks:
+            assert repr(_FactStack(stack).gamma) == repr(row_sum_gammas(stack)), stack
 
 
 def test_least_slacks_keep_real_matrices_real():
