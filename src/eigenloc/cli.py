@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -81,29 +82,29 @@ def _graph_from_args(args: argparse.Namespace) -> gr.Graph:
         _refuse(args, _GRAPH_OPTIONS[:-1], "--edges", "family option")
         text = _path(args, "edges").read_text()
         parse = gr.graph_from_json if text.lstrip().startswith("{") else gr.parse_edge_list
-        return _GRAPHS.graph(text, lambda: parse(text))
+        return _GRAPHS.graph(hashlib.sha256(text.encode()).digest(), lambda: parse(text))
     if args.family is not None:
         params = {k: getattr(args, k) for k in ("n", "p", "q") if getattr(args, k) is not None}
         if args.connections is not None:
             try:
-                params["connections"] = tuple(int(tok) for tok in args.connections.split(","))
+                params["connections"] = [int(tok) for tok in args.connections.split(",")]
             except ValueError:
                 raise ValueError("--connections takes comma-separated integers, "
                                  f"got {args.connections!r}") from None
-        key = (args.family, args.n, args.p, args.q, params.get("connections"))
-        return _GRAPHS.graph(key, lambda: gr.generate(args.family, **params))
+        return gr.generate(args.family, **params)
     raise ValueError("no graph source: supply --family or --edges")
 
 
 class _GraphCache:
-    """The graphs read in this process by source: an edge file's text, a
-    ``--family`` request's (family, n, p, q, connections) or a sweep size's
-    (family, n), so that requests on one graph (its three matrix kinds, say)
-    read it and make its tables once.  A graph read anew first drops the
-    held ones its request has not read, then the least recently read until
-    the held vertex counts sum to at most MAX_VERTICES, before its tables
-    are made: their n², and so their tables, never pass one graph's on the
-    cap.  A source whose graph cannot be made raises and holds nothing.
+    """The graphs read in this process by source: an edge file's text, by
+    its SHA-256 digest so that the text is freed once parsed, or a sweep
+    size's (family, n), so that requests on one graph (its three matrix
+    kinds, say) read it and make its tables once.  A graph read anew first
+    drops the held ones its request has not read, then the least recently
+    read until the held vertex counts sum to at most MAX_VERTICES, before
+    its tables are made: their n², and so their tables, never pass one
+    graph's on the cap.  A source whose graph cannot be made raises and
+    holds nothing.
     """
 
     def __init__(self) -> None:

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -948,15 +949,39 @@ class TestGraphCache:
         assert list(cache.held) == ["a"]
 
     def test_two_sources_on_the_vertex_cap_hold_the_second_graph_only(self, tmp_path, capsys):
-        path = tmp_path / "star.json"
-        path.write_text(graph_to_json(star(MAX_VERTICES)))
+        # the star on the cap as an edge list, then as graph JSON
+        n = MAX_VERTICES
+        edges, graph_json = tmp_path / "star.txt", tmp_path / "star.json"
+        edges.write_text(f"{n} {n - 1}\n" + "".join(f"1 {v}\n" for v in range(2, n + 1)))
+        graph_json.write_text(graph_to_json(star(n)))
         refs = []
-        for source in (["--family", "star", "--n", str(MAX_VERTICES)], ["--edges", str(path)]):
-            assert self.run(["bounds", *source, "--matrix", "normalized"], capsys)[0] == 0
+        for path in (edges, graph_json):
+            assert self.run(["bounds", "--edges", str(path), "--matrix", "normalized"], capsys)[0] == 0
             refs += [weakref.ref(g) for g in self.held()]
         gc.collect()
         assert [ref() is None for ref in refs] == [True, False]
         assert self.held() == [refs[1]()]
+
+    def test_family_requests_hold_nothing(self, capsys):
+        family = ["--family", "circulant", "--n", "9", "--connections", "1,2"]
+        assert self.run(["verify", *family], capsys)[0] == 0
+        assert self.held() == []
+
+    def test_an_edge_files_text_is_freed_once_parsed(self, tmp_path, capsys, monkeypatch):
+        # reversed, repeated and blank lines pad a path on three vertices
+        # to half a megabyte: its graph is held after the request, its text is not
+        path = tmp_path / "padded.txt"
+        path.write_text("3 100002\n1 2\n2 3\n" + "2 1\n\n" * 100_000)
+        argv = ["bounds", "--edges", str(path), "--matrix", "laplacian"]
+        first = self.run(argv, capsys)
+        tracemalloc.start()
+        try:
+            assert self.run(argv, capsys, monkeypatch) == first and first[0] == 0
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [g.n for g in self.held()] == [3]
+        assert kept < path.stat().st_size // 10
 
 
 def test_verify_matrix_with_overflowing_oval_products_is_quiet():
