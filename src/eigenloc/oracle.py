@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,9 @@ class Spectrum:
     normwise backward error relative to ``||A||_F`` on both routes: the
     Frobenius mass of the tridiagonal entries that QL dropped (setting them
     to 0 perturbs A by that much), and the largest
-    ``sigma_min(z I - A) / ||A||_F`` over the roots z for Aberth.
+    ``sigma_min(z I - A) / ||A||_F`` over the roots z for Aberth.  A regular
+    graph's Laplacian or normalized spectrum from :func:`graph_spectrum`
+    carries its adjacency's backward error, relative to its own norm.
     ``iterations`` counts QL steps or Aberth iterations.
     """
 
@@ -78,6 +81,9 @@ def _tridiagonal(b: np.ndarray) -> tuple[list, list]:
     8.3.1), unless the squares of its entries below the subdiagonal sum to
     0; those entries are then each below about 1.6e-162, far below the
     rounding of the reflections for max |b_ij| near 1, and are set to 0.
+    A column with ||x||^2 < 2^-900, such as the subnormal noise left below a
+    rank-deficient b, is reflected from x times the power of two that brings
+    max |x_i| into [1/2, 1): the same reflection, as LAPACK's ``dlarfg`` makes.
     Inner products and matrix-vector products are ``np.add.reduce`` of
     elementwise products and the rank-two update is built with
     ``np.multiply.outer``, so no BLAS kernel sets the order of a sum; the
@@ -93,6 +99,10 @@ def _tridiagonal(b: np.ndarray) -> tuple[list, list]:
         if tail == 0.0:
             e.append(x0)
             continue
+        shift = 0 if x0 * x0 + tail >= 2.0 ** -900 else -math.frexp(float(np.max(np.abs(x))))[1]
+        if shift:
+            x = np.ldexp(x, shift)
+            x0, tail = float(x[0]), float(np.add.reduce(x[1:] * x[1:]))
         size = math.copysign(math.sqrt(x0 * x0 + tail), x0)
         v = x.copy()
         v[0] = x0 + size
@@ -103,7 +113,7 @@ def _tridiagonal(b: np.ndarray) -> tuple[list, list]:
         w = p - (0.5 * tau * float(np.add.reduce(p * v))) * v
         u = np.multiply.outer(v, w)
         rest -= u + u.T
-        e.append(-size)
+        e.append(-math.ldexp(size, -shift))
     # the last subdiagonal entry, if n > 1, needs no reflection
     return a.diagonal().tolist(), e + a.diagonal(-1)[n - 2 :].tolist()
 
@@ -236,23 +246,48 @@ def normalized_spectrum(g: Graph) -> Spectrum:
         raise ValueError("normalized adjacency undefined with an isolated vertex")
     d = np.array(g.degree_sequence, dtype=float)
     sym = g.adjacency / np.sqrt(np.outer(d, d))
-    spec = symmetric_eigenvalues(sym)
+    return _top_is_one(symmetric_eigenvalues(sym))
+
+
+def _top_is_one(spec: Spectrum) -> Spectrum:
     if abs(spec.values[0] - 1.0) > 1e-9:
         raise RuntimeError(f"top normalized eigenvalue {spec.values[0]!r} is not 1 within 1e-9")
     return spec
 
 
+# the adjacency spectrum of each live regular graph graph_spectrum solved, by
+# id (equal graphs are not pooled); a finalizer drops it with its graph
+_REGULAR_SPECTRA: dict[int, Spectrum] = {}
+
+
 def graph_spectrum(g: Graph, kind: GraphMatrixKind, matrix=None) -> Spectrum:
     """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
-    ``matrix`` is that matrix when the caller has built it already, and is
-    solved as it is; otherwise it is built here.  The normalized adjacency
-    goes through :func:`normalized_spectrum` either way, whose symmetric
-    similar matrix keeps the values exactly real.
+    A k-regular graph (k >= 1) is solved once for its three matrices, as
+    L = kI - A and D^{-1}A = A / k: its adjacency (``matrix`` for that kind,
+    else ``g.adjacency``; a Laplacian or normalized ``matrix`` is not read)
+    is solved and kept while ``g`` lives.  L's spectrum is k - lambda
+    reversed, with the backward error times ||A||_F / ||L||_F =
+    1 / sqrt(k + 1); D^{-1}A's is lambda / k, with the same backward error
+    and :func:`normalized_spectrum`'s top-value check.  Any other graph's
+    ``matrix`` is solved as it is, built here when None; its normalized
+    adjacency goes through :func:`normalized_spectrum`.
     """
+    k = g.structure.regular
+    if not k:
+        if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
+            return normalized_spectrum(g)
+        return symmetric_eigenvalues(build_matrix(g, kind) if matrix is None else matrix)
+    if (spec := _REGULAR_SPECTRA.get(id(g))) is None:
+        solved = matrix if kind == GraphMatrixKind.ADJACENCY and matrix is not None else g.adjacency
+        spec = _REGULAR_SPECTRA[id(g)] = symmetric_eigenvalues(solved)
+        weakref.finalize(g, _REGULAR_SPECTRA.pop, id(g), None)
+    if kind == GraphMatrixKind.LAPLACIAN:
+        values = tuple(k - x for x in reversed(spec.values))
+        return Spectrum(values, spec.max_residual / math.sqrt(k + 1), spec.iterations)
     if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return normalized_spectrum(g)
-    return symmetric_eigenvalues(build_matrix(g, kind) if matrix is None else matrix)
+        return _top_is_one(Spectrum(tuple(x / k for x in spec.values), spec.max_residual, spec.iterations))
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,13 @@ def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
     at = np.concatenate([t.anchors[t.first] for t in tables])
     bound = np.concatenate([t.bounds for t in tables])
     disk = np.flatnonzero(kinds == _DISK)
-    with np.errstate(over="ignore"):  # a radius past 1e154 sections to the whole axis
+    # r^2 - y^2 as 2 (r - |y|)(r/2 + |y|/2) where a square overflows, so a huge
+    # disk touching the axis keeps its point; a gap past the float range is the whole axis
+    with np.errstate(over="ignore", invalid="ignore"):
         gap = bound[disk] * bound[disk] - at[disk].imag * at[disk].imag
+        huge = ~np.isfinite(gap)
+        r, y = bound[disk][huge], np.abs(at[disk][huge].imag)
+        gap[huge] = 2.0 * (r - y) * (0.5 * r + 0.5 * y)
     disk, half = disk[gap >= 0.0], np.sqrt(gap[gap >= 0.0])
     point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= tol))
     # the rows, low and high ends of the intervals, then the rows and values

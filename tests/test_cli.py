@@ -282,8 +282,9 @@ class TestVerifyCommand:
 
     def test_verify_graph_builds_each_matrix_once(self, monkeypatch):
         # the oracle solves the very arrays the region stack reads, and the
-        # normalized matrix's oracle its symmetric similar matrix; every
-        # module that holds either function is patched
+        # normalized matrix's oracle its symmetric similar matrix; a regular
+        # graph's adjacency alone is solved, its other two spectra derived
+        # from that one; every module that holds either function is patched
         import eigenloc.graphs as graphs_module
         import eigenloc.oracle as oracle_module
 
@@ -306,6 +307,10 @@ class TestVerifyCommand:
                 if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counting)
         assert all(result.passed for result in verify_graph(petersen()))
+        assert len(built) == 3 and len(solved) == 1 and solved[0] is built[0]
+        built.clear()
+        solved.clear()
+        assert all(result.passed for result in verify_graph(star(5)))
         assert len(built) == 3 and len(solved) == 3
         assert solved[0] is built[0] and solved[1] is built[1]
 
@@ -900,6 +905,24 @@ class TestGraphCache:
         assert shared == fresh
         assert all(out and not err for _, out, err in shared)
 
+    @pytest.mark.parametrize("kind", ["laplacian", "normalized"])
+    def test_sweep_csv_is_the_same_after_the_adjacency_request(self, kind, capsys, monkeypatch):
+        # a held regular graph keeps its adjacency spectrum, from which its
+        # Laplacian and normalized spectra come; after the adjacency request
+        # only the graphs that are not regular are solved again
+        import eigenloc.oracle as oracle
+
+        specs = ["cycle:5..7", "circulant:20..24:2", "complete_bipartite:6..8", "petersen", "path:4..6"]
+        argv = ["sweep", *specs, "--matrix", kind, "--out", "-"]
+        alone = self.run(argv, capsys, monkeypatch)
+        adjacency = self.run(argv[:-3] + ["adjacency", "--out", "-"], capsys, monkeypatch)
+        solved = []
+        solve = oracle.symmetric_eigenvalues
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
+        assert self.run(argv, capsys) == alone and alone[0] == adjacency[0] == 0
+        # path:4..6 and K_{4,3}
+        assert len(solved) == 4
+
     def test_rewritten_file_gives_the_new_graphs_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "g.txt"
         argv = ["bounds", "--edges", str(path), "--matrix", "laplacian", "--format", "csv"]
@@ -1177,4 +1200,4 @@ def test_verify_graph_lines_are_pinned():
              for g, scope in _verify_corpus() for r in verify_graph(g, scope=scope)]
     assert len(lines) == 2534
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "f9dd7e51c3b5dd097bba0c135c3f94c7c8011b80d330320cef407f36a10851e0"
+    assert digest == "595a2b343896933068ea41a8e620718f76a47f55cd9758a13745cb02c101c3ea"

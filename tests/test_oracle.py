@@ -1,14 +1,17 @@
 """Eigensolver oracles: tridiagonal QL route, Aberth route, cross-agreement."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -178,6 +181,27 @@ class TestTridiagonalQL:
         d, e = _tridiagonal(a)
         assert d == [1.0, 0.5, 0.25, 0.0]
         assert e == [0.5, 0.0, 0.0]
+
+    def test_tiny_column_is_reflected_at_scale(self):
+        # column 0's part below the diagonal has ||x||^2 = 2e-320, a subnormal
+        # whose reciprocal overflows: it is reflected from x scaled up by 2^532
+        a = np.diag([1.0, 0.5, 0.25])
+        a[1, 0] = a[0, 1] = a[2, 0] = a[0, 2] = 1e-160
+        d, e = _tridiagonal(a)
+        assert e[0] == pytest.approx(-np.sqrt(2.0) * 1e-160, rel=4 * EPS)
+        assert d == pytest.approx([1.0, 0.375, 0.375], abs=4 * EPS)
+        assert abs(e[1]) == pytest.approx(0.125, abs=4 * EPS)
+
+    @pytest.mark.parametrize("p, q", [(16, 17), (16, 19), (19, 19), (15, 27), (40, 40)])
+    @pytest.mark.parametrize("kind", list(GraphMatrixKind), ids=lambda k: k.value)
+    def test_complete_bipartite_agrees_with_lapack(self, p, q, kind):
+        # K_{p,q}'s adjacency has rank 2: after two reflections the trailing
+        # block is rounding noise that later ones shrink to a subnormal norm
+        g = complete_bipartite(p, q)
+        a = symmetric_graph_matrix(g, kind)
+        direct = normalized_spectrum(g) if kind == GraphMatrixKind.NORMALIZED_ADJACENCY else symmetric_eigenvalues(a)
+        assert_matches_eigvalsh(a, direct)
+        assert_matches_eigvalsh(a, graph_spectrum(g, kind))
 
     @pytest.mark.parametrize("n", [1, 3, 91])
     def test_odd_sizes_agree_with_lapack(self, n):
@@ -413,6 +437,85 @@ class TestNormalizedSpectrum:
         )
         with pytest.raises(RuntimeError, match="not 1"):
             normalized_spectrum(g)
+
+
+def regular_corpus():
+    """Regular graphs of degree at least 1: those of the atlas (n <= 7), the
+    regular families up to n = 64, Petersen, and seeded random regular graphs
+    with n <= 40."""
+    from ._corpus import atlas_graphs
+
+    graphs = [g for _, g in atlas_graphs() if g.structure.regular]
+    graphs += [complete(n) for n in range(2, 65)] + [cycle(n) for n in range(3, 65)]
+    graphs += [circulant(n, (1, 2)) for n in range(5, 65)] + [complete_bipartite(p, p) for p in range(1, 33)]
+    graphs.append(petersen())
+    for n in range(6, 41, 2):
+        for d in (3, 4, 5):
+            h = nx.random_regular_graph(d, n, seed=7 * n + d)
+            graphs.append(Graph.from_edges(n, [(u + 1, v + 1) for u, v in h.edges()]))
+    return graphs
+
+
+class TestRegularGraphSpectra:
+    """A k-regular graph's Laplacian and normalized spectra, derived from its
+    one adjacency solve, against LAPACK and against the direct route."""
+
+    def test_derived_spectra_agree_with_lapack_and_the_direct_route(self):
+        for g in regular_corpus():
+            k = g.structure.regular
+            adjacency = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+            for kind, direct in ((GraphMatrixKind.LAPLACIAN, symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.LAPLACIAN))),
+                                 (GraphMatrixKind.NORMALIZED_ADJACENCY, normalized_spectrum(g))):
+                derived = np.array(graph_spectrum(g, kind).values)
+                lapack = np.linalg.eigvalsh(symmetric_graph_matrix(g, kind))[::-1]
+                bound = 4 * g.n * EPS * np.max(np.abs(lapack))
+                assert np.max(np.abs(derived - lapack)) <= bound, (g, kind)
+                assert np.max(np.abs(derived - np.array(direct.values))) <= bound, (g, kind)
+            laplacian = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
+            assert laplacian.max_residual == adjacency.max_residual / np.sqrt(k + 1)
+            assert graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY).max_residual == adjacency.max_residual
+
+    def test_one_solve_for_the_three_kinds(self, monkeypatch):
+        solved = []
+        solve = oracle.symmetric_eigenvalues
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
+        g = petersen()
+        # a passed Laplacian is not read: the adjacency alone is solved
+        laplacian = graph_spectrum(g, GraphMatrixKind.LAPLACIAN, np.zeros((10, 10)))
+        adjacency = graph_spectrum(g, GraphMatrixKind.ADJACENCY, build_matrix(g, GraphMatrixKind.ADJACENCY))
+        normalized = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
+        assert len(solved) == 1 and solved[0] is g.adjacency
+        assert laplacian.values == tuple(3 - x for x in reversed(adjacency.values))
+        assert normalized.values == tuple(x / 3 for x in adjacency.values)
+        assert laplacian.iterations == normalized.iterations == adjacency.iterations
+        # another Petersen graph, equal but not the same, is solved again
+        graph_spectrum(petersen(), GraphMatrixKind.LAPLACIAN)
+        assert len(solved) == 2
+
+    @pytest.mark.parametrize("g", [star(5), path(6), Graph.from_edges(4, [])], ids=["star", "path", "empty"])
+    def test_other_graphs_take_the_direct_route(self, g, monkeypatch):
+        solved = []
+        solve = oracle.symmetric_eigenvalues
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
+        for kind in (GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN):
+            assert graph_spectrum(g, kind) == solve(build_matrix(g, kind))
+        if g.structure.regular is None:
+            assert graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY) == normalized_spectrum(g)
+        assert len(solved) == (4 if g.structure.regular is None else 2)
+
+    def test_derived_top_normalized_value_is_checked(self, monkeypatch):
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: Spectrum((2.9,) + (0.0,) * 9, 0.0))
+        with pytest.raises(RuntimeError, match="top normalized eigenvalue"):
+            graph_spectrum(petersen(), GraphMatrixKind.NORMALIZED_ADJACENCY)
+
+    def test_kept_adjacency_spectrum_is_freed_with_its_graph(self):
+        g = circulant(40, (1, 2, 3))
+        for kind in GraphMatrixKind:
+            graph_spectrum(g, kind)
+        graph, kept = weakref.ref(g), weakref.ref(oracle._REGULAR_SPECTRA[id(g)])
+        del g
+        gc.collect()
+        assert graph() is None and kept() is None
 
 
 class TestCharpoly:

@@ -340,6 +340,18 @@ class TestRealSection:
     def test_disk_missing_the_axis(self):
         assert real_section(Disk(0.0 + 2.0j, 1.0)).is_empty()
 
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300, 1e308])
+    def test_tangent_disk_at_a_huge_scale(self, scale):
+        # r^2 and y^2 both overflow past 1e154, and inf - inf would drop the disk
+        assert real_section(Disk(-1.0 - scale * 1j, scale)).intervals == ((-1.0, -1.0),)
+        assert real_section(Disk(-1.0 - scale * 1j, 0.5 * scale)).is_empty()
+
+    def test_huge_disks_past_the_float_range_section_to_the_whole_axis(self):
+        assert real_section(Disk(0.5, 2e300)).intervals == ((-math.inf, math.inf),)
+        # (r - |y|)(r + |y|) is finite where r^2 is not
+        ((lo, hi),) = real_section(Disk(1e154j, 1.5e154)).intervals
+        assert (lo, hi) == (pytest.approx(-math.sqrt(1.25) * 1e154), pytest.approx(math.sqrt(1.25) * 1e154))
+
     def test_concentric_oval(self):
         section = real_section(CassiniOval(0.0j, 0.0j, 1.0))
         assert len(section.intervals) == 1
