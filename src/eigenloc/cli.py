@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _KIND_NAMES = sorted(kind.value for kind in gr.GraphMatrixKind)
-_REGION_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 # graph-source options, in the order a refusal names them; all but --edges are family options
 _GRAPH_OPTIONS = ("family", "n", "p", "q", "connections", "edges")
 
@@ -169,7 +168,7 @@ def _scope_filter(scope: str, tol: float) -> set[str] | None:
     if not scope or scope == "all":
         return None
     wanted = {tok.strip() for tok in scope.split(",") if tok.strip()}
-    unknown = wanted.difference(bd.THEOREM_TAGS, _REGION_METHODS, ("gamma",))
+    unknown = wanted.difference(bd.THEOREM_TAGS, rg.METHODS, ("gamma",))
     if unknown or not wanted:
         raise ValueError(f"scope {scope!r} must be 'all' or check names; unknown: "
                          f"{', '.join(sorted(unknown)) or 'none'}")
@@ -219,9 +218,9 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
     wanted = _scope_filter(scope, tol)
     spectrum = orc.complex_eigenvalues(matrix)
     facts = rg.MatrixFacts(matrix)
-    (results,) = _region_checks([facts], [spectrum.values], wanted, tol, [""])
-    if facts.gamma is not None and (wanted is None or "gamma" in wanted):
-        slack = -min(abs(z - facts.gamma) for z in spectrum.values)
+    (results,) = _region_checks(facts, [spectrum.values], wanted, tol, [""])
+    if (gamma := facts.gamma[0]) is not None and (wanted is None or "gamma" in wanted):
+        slack = -min(abs(z - gamma) for z in spectrum.values)
         results.append(
             CheckResult(name="gamma", target="row_sum", passed=slack >= -tol, slack=slack)
         )
@@ -229,12 +228,12 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
 
 
 def _region_checks(
-    stack: list[rg.MatrixFacts], eigenvalues, wanted: set[str] | None, tol: float, suffixes
+    stack: rg.MatrixFacts, eigenvalues, wanted: set[str] | None, tol: float, suffixes
 ) -> list[list[CheckResult]]:
     """For each matrix of ``stack``, one check per wanted region method that
     exists for it, named method + its suffix, all from one pass of
     :func:`regions.stack_least_slacks`."""
-    methods = [m for m in _REGION_METHODS if wanted is None or m in wanted]
+    methods = [m for m in rg.METHODS if wanted is None or m in wanted]
     least = rg.stack_least_slacks(stack, eigenvalues, methods)
     return [[CheckResult(method + suffix, "spectrum", slack >= -tol, slack)
              for method, slack in slacks.items()] for slacks, suffix in zip(least, suffixes)]
@@ -491,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_regions = sub.add_parser("regions", help="inclusion region of a matrix")
     p_regions.add_argument("--matrix-file", required=True, help="matrix JSON file")
-    p_regions.add_argument("--method", choices=_REGION_METHODS, required=True)
+    p_regions.add_argument("--method", choices=rg.METHODS, required=True)
     p_regions.add_argument("--emit", choices=("json", "svg"), default="json")
     p_regions.add_argument("--window", help="SVG window as 'x0:x1:y0:y1'")
     p_regions.add_argument("--out", help="output file (default: stdout)")

@@ -24,21 +24,20 @@ node below the root: flat for a classical union, stacked by deflation row
 for a row-sum intersection.  A builder's node makes its ``children`` from
 its table when they are first read.
 
-:class:`MatrixFacts` owns what the builders read of a matrix; the matrices
-of one :meth:`MatrixFacts.stack`, such as the two or three matrices of a
-graph, share each fact, made for all of them by one array pass, or given,
-as a graph gives its deflation tables.  For the
-region methods asked for, :func:`stack_least_slacks` takes each one's
-least slack for every matrix of a stack over its own points without
+:class:`MatrixFacts` is a stack of matrices of one size, such as the two
+or three matrices of a graph, and owns what the builders read of them:
+each fact is made for the whole stack by one array pass, or given, as a
+graph gives its deflation tables; a builder reads a stack of one.  For
+the region methods asked for, :func:`stack_least_slacks` takes each
+one's least slack for every matrix of a stack over its own points without
 building a region, from two tables of distances for the whole stack: one
 to the diagonals for the Gersgorin and Brauer sets, one to the deflated
 centres and gamma for the two row-sum sets.  It bounds a large row-sum
 region pair by pair (component, point) in two passes at most: what the
 second leaves cannot come first.  A table too large for one block first
-drops repeated leaves.  The pass carries no leaf;
-:func:`region_min_slack` on a builder's region takes its slack and point
-from the pass on a stack of one, then its leaf from the region's table at
-that one point.
+drops repeated leaves.  The pass carries no leaf; :func:`region_min_slack`
+on a builder's region takes its slack and point from the pass on a stack
+of one, then its leaf from the region's table at that one point.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ __all__ = [
     "RealSection",
     "RegionUnavailable",
     "MatrixFacts",
+    "METHODS",
     "stack_least_slacks",
     "constant_row_sum",
     "deleted_row_sums",
@@ -890,11 +890,14 @@ def constant_row_sum(matrix) -> complex | None:
     as the maximum pairwise deviation between row sums.  A NaN or infinite
     entry raises ValueError.
     """
-    return _FactStack((_finite_matrix(matrix),)).gamma[0]
+    return _row_sums_gamma(_finite_matrix(matrix)[None])[0]
 
 
 class RegionUnavailable(ValueError):
     """A region (or :func:`deflate`) needs a constant row sum or a larger matrix."""
+
+
+_NO_ROW_SUM = "matrix does not have a constant row sum within tolerance"
 
 
 def deleted_row_sums(matrix) -> np.ndarray:
@@ -907,6 +910,25 @@ def _deleted_row_sums(a: np.ndarray) -> np.ndarray:
     """:func:`deleted_row_sums` of a matrix or of each of a stack of them."""
     with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
         return np.abs(a).sum(axis=-1) - np.abs(a.diagonal(0, -2, -1))
+
+
+def _row_sums_gamma(a: np.ndarray) -> list:
+    """:func:`constant_row_sum` of each of the (k, n, n) stack ``a``, which a
+    NaN or infinite entry makes NaN or infinite rather than refused (and its
+    tolerance infinite or NaN).  The row sums are complex, a few rows cast at
+    a time; the largest pairwise deviation of real ones is fl(max - min)."""
+    k, n = a.shape[:2]
+    step = max(1, _PASS_ROWS // (k * n))  # rows of every matrix a cast
+    with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
+        sums = np.concatenate([a[:, lo : lo + step].astype(complex).sum(axis=-1)
+                               for lo in range(0, n, step)], axis=-1)
+        tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
+        if np.iscomplexobj(a):
+            deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
+        else:
+            deviation = sums.real.max(axis=-1) - sums.real.min(axis=-1)
+        mean = sums.mean(axis=-1).tolist()
+    return [None if d > t else mean[k] for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]
 
 
 def _deflation_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -928,74 +950,104 @@ def _deflation_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.add.reduce(chunk, axis=0, out=radii)
         centers = a.diagonal(0, -2, -1)[:, None, :] - a
     off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
-    table = tuple(part.reshape(k, n * n)[:, off].reshape(k, n, n - 1) for part in (centers, radii))
+    # take, unlike [:, off], keeps a stack of more than one C-ordered
+    table = tuple(part.reshape(k, n * n).take(off, axis=1).reshape(k, n, n - 1) for part in (centers, radii))
     for column in table:
         column.flags.writeable = False
     return table
 
 
-class _FactStack:
-    """The facts of k square matrices of one size, as :class:`MatrixFacts`
-    reads them: each made for all k at once on first read, by one array pass
-    over their (k, n, n) stack ``matrix`` that takes each matrix's numbers
-    in the order one matrix's own pass would, so that each matrix's facts
-    are the same bit for bit in any stack."""
+class MatrixFacts:
+    """A stack of k square matrices of one size, the (k, n, n) array
+    ``matrix``, and what the four builders and :func:`stack_least_slacks`
+    read of them, each fact made for all k on first read and then kept, by
+    one array pass that takes each matrix's numbers in the order its own
+    pass would, so that they are each matrix's own bit for bit in any stack.
+    ``MatrixFacts(matrix)`` is a stack of one, which a builder takes in
+    place of a matrix."""
 
-    def __init__(self, matrices, tables=None) -> None:
-        self.matrix = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
-        self.tables = [None] * len(matrices) if tables is None else list(tables)
-        self.given = [table is not None for table in self.tables]
+    def __init__(self, matrix) -> None:
+        a = _as_matrix(matrix)
+        # every graph matrix is real: a distance is then one subtraction and
+        # one abs, bit for bit the complex one since hypot(x, 0) is |x|
+        self.matrix, self._tables = (a if a.imag.any() else a.real.copy())[None], None
+
+    @classmethod
+    def stack(cls, matrices, tables=None) -> "MatrixFacts":
+        """The facts of ``matrices``, all n x n, made together; ``tables``
+        may give each one's :attr:`deflation_table` bit for bit, or None,
+        such as a graph's (:func:`graphs.deflation_table`, O(n^2)): only the
+        others with a constant row sum then take the O(n^3) pass."""
+        arrays = [cls(matrix).matrix[0] for matrix in matrices]
+        if not arrays:
+            raise ValueError("a stack needs at least one matrix")
+        if len({a.shape for a in arrays}) > 1:
+            raise ValueError("the matrices of a stack must have one shape")
+        if tables is not None and len(tables) != len(arrays):
+            raise ValueError("a stack needs one deflation table, or None, per matrix")
+        facts = cls.__new__(cls)
+        facts.matrix = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        facts._tables = None if tables is None else list(tables)
+        return facts
 
     @functools.cached_property
     def gamma(self) -> list:
-        """Each matrix's :func:`constant_row_sum`, which a NaN or infinite
-        entry makes NaN or infinite rather than refused (and its tolerance
-        infinite or NaN).  The row sums are complex, a few rows cast at a
-        time; the largest pairwise deviation of real ones is fl(max - min)."""
-        k, n = self.matrix.shape[:2]
-        step = max(1, _PASS_ROWS // (k * n))  # rows of every matrix a cast
-        with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
-            sums = np.concatenate([self.matrix[:, lo : lo + step].astype(complex).sum(axis=-1)
-                                   for lo in range(0, n, step)], axis=-1)
-            tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
-            if np.iscomplexobj(self.matrix):
-                deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
-            else:
-                deviation = sums.real.max(axis=-1) - sums.real.min(axis=-1)
-            mean = sums.mean(axis=-1).tolist()
-        return [None if d > t else mean[k]
-                for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]
+        """Each matrix's :func:`constant_row_sum`, NaN or infinite where an
+        entry is: the builders refuse it as a region parameter."""
+        return _row_sums_gamma(self.matrix)
 
     @functools.cached_property
     def deleted_row_sums(self) -> np.ndarray:
+        """:func:`deleted_row_sums` of each matrix, read-only (k, n)."""
         r = _deleted_row_sums(self.matrix)
         r.flags.writeable = False
         return r
 
     @functools.cached_property
     def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`MatrixFacts.deflation_table` of each matrix given one or
-        with a constant row sum, read-only (k, n, n - 1), other rows unset:
-        those given copied in, the others made by :func:`_deflation_tables`."""
-        k, n = self.matrix.shape[:2]
-        made = [at for at in range(k) if not self.given[at] and self.gamma[at] is not None]
-        if len(made) == k:  # none given: the pass's own arrays
+        """Disk centres and radii of every deflation of each matrix,
+        read-only (k, n, n - 1) arrays.
+
+        Row [m, i] lists, for k != i in ascending order, matrix m's centre
+        ``a_kk - a_ik`` and radius ``sum over l not in {i, k} of |a_kl - a_il|``:
+        the terms [l, i, k], the skipped ones +0.0, a chunk of l at a time
+        behind the running sum, reduced along the leading axis of a C-ordered
+        array, which numpy adds in order, as Python's ``sum`` does.  A table
+        not given to :meth:`stack` is made by one pass; in a stack given
+        tables, only those a region reads, of a constant row sum, the rest NaN.
+        """
+        if self._tables is None:  # none given: the pass's own arrays
             return _deflation_tables(self.matrix)
-        table = np.empty((k, n, n - 1), self.matrix.dtype), np.empty((k, n, n - 1))
+        k, n = self.matrix.shape[:2]
+        made = [at for at, given in enumerate(self._tables) if given is None and self.gamma[at] is not None]
+        table = np.full((k, n, n - 1), np.nan, self.matrix.dtype), np.full((k, n, n - 1), np.nan)
         for part, generic in zip(table, _deflation_tables(self.matrix[made]) if made else ()):
             part[made] = generic
-        for at in np.flatnonzero(self.given):
-            table[0][at], table[1][at] = self.tables[at]
-        self.tables = None  # copied in: the stack holds one copy of each
+        for at, given in enumerate(self._tables):
+            if given is not None:
+                table[0][at], table[1][at] = given
+        self._tables = ()  # copied in: the stack holds one copy of each
         for part in table:
             part.flags.writeable = False
         return table
 
+    def _kind(self, method: str) -> int:
+        """The leaf kind of the region of ``method`` (a CLI name, e.g.
+        "rowsum-brauer"); RegionUnavailable where n is too small for it."""
+        if method not in METHODS:
+            raise ValueError(f"unknown region method {method!r}; expected one of {METHODS}")
+        kind, deflated = int("brauer" in method), method.startswith("rowsum")
+        if self.matrix.shape[1] < 1 + kind + deflated:  # an oval and a deflation take one each
+            shape = "deflated " * deflated + ("disk", "oval")[kind]
+            raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
+        return kind
+
     def sources(self, deflated: bool, at: list[int]) -> tuple:
-        """:meth:`MatrixFacts.region_source`'s centres, radii and gamma (None
-        for the classical regions) of each of the matrices ``at``, along a
-        leading axis; gamma real where the stack is.  Matrices next to each
-        other in the stack give views of its tables, not copies."""
+        """The centres, radii and gamma (None for the classical regions) of
+        the regions of the matrices ``at``, along a leading axis, as
+        :func:`_least_slacks` reads them; gamma real where the stack is.
+        Matrices next to each other in the stack give views of its tables,
+        not copies."""
         rows = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
         if not deflated:
             return np.ascontiguousarray(self.matrix.diagonal(0, -2, -1)[rows]), self.deleted_row_sums[rows], None
@@ -1004,160 +1056,60 @@ class _FactStack:
         return centers[rows], radii[rows], gamma if np.iscomplexobj(self.matrix) else gamma.real
 
 
-class MatrixFacts:
-    """A square matrix as the array ``matrix``, real where every entry's
-    imaginary part is zero, and what the four builders and
-    :func:`stack_least_slacks` read of it, each made on first read and then
-    kept; every builder takes one in place of a matrix.
+def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, float]]:
+    """For each matrix of the stack ``facts``, the least slack of each of
+    ``methods`` whose region exists for it over its own row of ``points``
+    (one row per matrix, of one length): :func:`region_min_slack`'s of the
+    builder's region bit for bit, from one pass for the whole stack
+    (:func:`_least_slacks`, one table of distances for the classical regions
+    of every matrix and one for the row-sum regions of those with a constant
+    row sum).
 
-    The facts of the matrices of one :meth:`stack` are each made for all of
-    them at once, and are each matrix's own bit for bit.
+    A ValueError, a builder's in its order and words or region_min_slack's
+    for the points, is the one that the first matrix to refuse raises alone;
+    points that are not one row per matrix raise it first.
     """
-
-    def __init__(self, matrix) -> None:
-        a = _as_matrix(matrix)
-        # every graph matrix is real: a distance is then one subtraction and
-        # one abs, bit for bit the complex one since hypot(x, 0) is |x|
-        self.matrix = a if a.imag.any() else a.real.copy()
-        self._stack, self._at = _FactStack((self.matrix,)), 0
-
-    @classmethod
-    def stack(cls, matrices, tables=None) -> list["MatrixFacts"]:
-        """The facts of each of ``matrices``, all n x n, made together;
-        ``tables`` may give each one's :attr:`deflation_table` bit for bit,
-        or None, such as a graph's (:func:`graphs.deflation_table`, O(n^2)):
-        only the others with a constant row sum then take the O(n^3) pass."""
-        stack = [cls(matrix) for matrix in matrices]
-        if len({facts.matrix.shape for facts in stack}) > 1:
-            raise ValueError("the matrices of a stack must have one shape")
-        if tables is not None and len(tables) != len(stack):
-            raise ValueError("a stack needs one deflation table, or None, per matrix")
-        shared = _FactStack([facts.matrix for facts in stack], tables)
-        for at, facts in enumerate(stack):
-            facts._stack, facts._at = shared, at
-        return stack
-
-    @functools.cached_property
-    def gamma(self) -> complex | None:
-        """:func:`constant_row_sum` of the matrix, NaN or infinite where an
-        entry is: the builders refuse it as a region parameter."""
-        return self._stack.gamma[self._at]
-
-    def _require_gamma(self) -> complex:
-        if self.gamma is None:
-            raise RegionUnavailable("matrix does not have a constant row sum within tolerance")
-        return self.gamma
-
-    @functools.cached_property
-    def deleted_row_sums(self) -> np.ndarray:
-        """:func:`deleted_row_sums` of the matrix, read-only: a builder's table holds it."""
-        return self._stack.deleted_row_sums[self._at]
-
-    @functools.cached_property
-    def deflation_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Disk centres and radii of every deflation, read-only (n, n - 1) arrays.
-
-        Row i lists, for k != i in ascending order, the centre ``a_kk - a_ik``
-        and the radius ``sum over l not in {i, k} of |a_kl - a_il|``: the
-        terms [l, i, k], the skipped ones +0.0, a chunk of l at a time behind
-        the running sum, reduced along the leading axis of a C-ordered array,
-        which numpy adds in order, as Python's ``sum`` does.
-        """
-        if not self._stack.given[self._at] and self.gamma is None:  # no row of the stack's
-            return tuple(part[0] for part in _deflation_tables(self.matrix[None]))
-        centers, radii = self._stack.deflation_table
-        return centers[self._at], radii[self._at]
-
-    def _kind(self, method: str) -> int:
-        """The leaf kind of the region of ``method`` (a CLI name, e.g.
-        "rowsum-brauer"); RegionUnavailable where the region does not exist:
-        no constant row sum, then too small a dimension."""
-        if method not in _METHODS:
-            raise ValueError(f"unknown region method {method!r}; expected one of {_METHODS}")
-        kind, deflated = int("brauer" in method), method.startswith("rowsum")
-        if deflated:
-            self._require_gamma()
-        if len(self.matrix) < 1 + kind + deflated:  # an oval and a deflation take one each
-            shape = "deflated " * deflated + ("disk", "oval")[kind]
-            raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
-        return kind
-
-    def region_source(self, method: str) -> tuple:
-        """(centres, radii, kind, gamma) of the region of ``method``, as
-        :func:`_table_region` takes them, gamma real where the matrix is;
-        RegionUnavailable where the region does not exist (see :meth:`_kind`)."""
-        kind = self._kind(method)
-        if not method.startswith("rowsum"):
-            return self.matrix.diagonal().copy(), self.deleted_row_sums, kind, None
-        gamma = self.gamma if np.iscomplexobj(self.matrix) else self.gamma.real
-        return (*self.deflation_table, kind, gamma)
-
-
-def stack_least_slacks(stack, points, methods) -> list[dict[str, float]]:
-    """For each matrix of ``stack``, the facts of one :meth:`MatrixFacts.stack`
-    or some of them, the least slack of each of ``methods`` whose region
-    exists for it over its own ``points``, the same number for each matrix:
-    :func:`region_min_slack`'s of the builder's region bit for bit, from one
-    pass for the whole stack (:func:`_least_slacks`, one table of distances
-    for the classical regions and one for the row-sum regions).
-
-    Each matrix's regions and refusals are its own: RegionUnavailable leaves
-    out only that matrix's method; a ValueError, a builder's in its order and
-    words or region_min_slack's for the points, is the one that the first
-    matrix to refuse raises alone.
-    """
-    shared = stack[0]._stack
-    if any(facts._stack is not shared for facts in stack):
-        raise ValueError("the facts of a stack must come from one MatrixFacts.stack")
-    kinds = []  # each matrix's {method: leaf kind} of the regions it has
-    for facts in stack:
-        kinds.append({})
-        for method in methods:
-            try:
-                kinds[-1][method] = facts._kind(method)
-            except RegionUnavailable:
-                pass
-    # a group: the methods of one table, classical or row-sum, and the
-    # matrices whose regions they are; which methods exist rests only on
-    # gamma and n, so a group's methods exist for each of its matrices
-    groups: dict[tuple, list[int]] = {}
-    for at, found in enumerate(kinds):
-        for deflated in (False, True):
-            if group := tuple(m for m in found if m.startswith("rowsum") == deflated):
-                groups.setdefault(group, []).append(at)
-    if not groups:
-        return [{} for _ in stack]
-    tables = {group: shared.sources(group[0].startswith("rowsum"), [stack[at]._at for at in members])
-              for group, members in groups.items()}
+    k = len(facts.matrix)
+    if (rows := len(points) if np.ndim(points) else 0) != k:
+        raise ValueError(f"points must be one row per matrix: got {rows} rows for a stack of {k}")
+    kinds = {}  # each method's leaf kind, of the regions that the dimension allows
+    for method in methods:
+        try:
+            kinds[method] = facts._kind(method)
+        except RegionUnavailable:
+            pass
+    # a group: the methods of one table, classical or row-sum, and its
+    # matrices; gamma is read only where a row-sum region is asked for
+    classical = [m for m in kinds if not m.startswith("rowsum")]
+    groups = [(False, classical, list(range(k)))] if classical else []
+    if (rowsum := [m for m in kinds if m.startswith("rowsum")]) and (
+            members := [at for at, gamma in enumerate(facts.gamma) if gamma is not None]):
+        groups.append((True, rowsum, members))
+    tables = [facts.sources(deflated, members) for deflated, _, members in groups]
     try:
         # an oval refuses all that a disk of the same radii refuses, in its words
-        for group, (centers, radii, gamma) in tables.items():
-            _check_source(centers, radii, max(kinds[groups[group][0]][m] for m in group), gamma)
-        z = _points(points, len(stack))
+        for (_, group, _), (centers, radii, gamma) in zip(groups, tables):
+            _check_source(centers, radii, max(kinds[m] for m in group), gamma)
+        z = _points(points, k)
     except ValueError:
         # raise the refusal of the first matrix to refuse, as it raises it alone
-        for at, found in enumerate(kinds):
-            for group, members in groups.items():
+        for at in range(k):
+            for deflated, group, members in groups:
                 if at in members:
-                    centers, radii, _, gamma = stack[at].region_source(group[0])
-                    _check_source(centers, radii, max(found[m] for m in group), gamma)
+                    centers, radii, gamma = facts.sources(deflated, [at])
+                    _check_source(centers, radii, max(kinds[m] for m in group), gamma)
             _points(points[at])
         raise
-    least = [{} for _ in stack]
-    for group, members in groups.items():
-        centers, radii, gamma = tables[group]
-        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[members[0]][m] for m in group])
+    least = [{} for _ in range(k)]
+    for (_, group, members), (centers, radii, gamma) in zip(groups, tables):
+        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[m] for m in group])
         for method, per_matrix in zip(group, slacks):
             for at, (slack, _) in zip(members, per_matrix):
                 least[at][method] = float(slack)
-    return [{m: least[at][m] for m in found} for at, found in enumerate(kinds)]
+    return [{m: found[m] for m in kinds if m in found} for found in least]
 
 
-_METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
-
-
-def _facts(matrix) -> MatrixFacts:
-    return matrix if isinstance(matrix, MatrixFacts) else MatrixFacts(matrix)
+METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 
 
 def deflate(matrix, k: int) -> np.ndarray:
@@ -1168,7 +1120,8 @@ def deflate(matrix, k: int) -> np.ndarray:
     the row sum plus the spectrum of the result, as multisets.
     """
     a = _finite_matrix(matrix)
-    MatrixFacts(a)._require_gamma()
+    if constant_row_sum(a) is None:
+        raise RegionUnavailable(_NO_ROW_SUM)
     n = a.shape[0]
     if n < 2:
         raise ValueError("cannot deflate a 1x1 matrix")
@@ -1240,6 +1193,19 @@ def _check_source(centers, radii, kind: int, gamma=None) -> None:
             raise ValueError(_TOO_FAR)
 
 
+def _region(matrix, method: str):
+    """The builders' region of ``method`` of a matrix or a stack of one."""
+    facts = matrix if isinstance(matrix, MatrixFacts) else MatrixFacts(matrix)
+    if len(facts.matrix) > 1:
+        raise ValueError(f"a region is built from one matrix, got a stack of {len(facts.matrix)}")
+    deflated = method.startswith("rowsum")
+    if deflated and facts.gamma[0] is None:
+        raise RegionUnavailable(_NO_ROW_SUM)
+    kind = facts._kind(method)
+    centers, radii, gamma = (None if part is None else part[0] for part in facts.sources(deflated, [0]))
+    return _table_region(centers, radii, kind, gamma)
+
+
 def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     """One leaf table's union of the disks (centre k, radius r_k) or the ovals
     (foci j < k in the order of combinations(), radius product r_j r_k);
@@ -1259,12 +1225,12 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
 
 def gersgorin_region(matrix) -> RegionUnion:
     """Union of the n disks centred at a_ii with radius r_i."""
-    return _table_region(*_facts(matrix).region_source("gersgorin"))
+    return _region(matrix, "gersgorin")
 
 
 def brauer_region(matrix) -> RegionUnion:
     """Union of the n(n-1)/2 ovals with foci (a_ii, a_jj) and product r_i r_j."""
-    return _table_region(*_facts(matrix).region_source("brauer"))
+    return _region(matrix, "brauer")
 
 
 def rowsum_gersgorin_region(matrix) -> RegionIntersection:
@@ -1275,7 +1241,7 @@ def rowsum_gersgorin_region(matrix) -> RegionIntersection:
     (the entries of the i-deflated matrix), together with the forced
     eigenvalue gamma as a point leaf.
     """
-    return _table_region(*_facts(matrix).region_source("rowsum-gersgorin"))
+    return _region(matrix, "rowsum-gersgorin")
 
 
 def rowsum_brauer_region(matrix) -> RegionIntersection:
@@ -1286,7 +1252,7 @@ def rowsum_brauer_region(matrix) -> RegionIntersection:
     radius product ``r_j * r_k`` where ``r_j = sum over l not in {i, j} of
     |a_jl - a_il|``, plus the forced eigenvalue gamma as a point leaf.
     """
-    return _table_region(*_facts(matrix).region_source("rowsum-brauer"))
+    return _region(matrix, "rowsum-brauer")
 
 
 # ---------------------------------------------------------------------------

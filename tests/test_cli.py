@@ -318,9 +318,9 @@ class TestVerifyCommand:
         # each fact of a graph's three matrices (row sums and gamma, deleted
         # row sums, deflation table) is made by one pass over their stack,
         # read by all four region checks of every matrix
-        from eigenloc.regions import _FactStack
+        from eigenloc.regions import MatrixFacts
 
-        made = {name: count_first_reads(monkeypatch, _FactStack, name)
+        made = {name: count_first_reads(monkeypatch, MatrixFacts, name)
                 for name in ("gamma", "deleted_row_sums", "deflation_table")}
         assert all(result.passed for result in verify_graph(petersen()))
         (stack,) = made["gamma"]

@@ -1361,9 +1361,9 @@ def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
             if refusal is not None:
                 with pytest.raises(type(refusal), match=re.escape(str(refusal))):
-                    stack_least_slacks([MatrixFacts(a)], [points], METHODS)
+                    stack_least_slacks(MatrixFacts(a), [points], METHODS)
                 continue
-            (least,) = stack_least_slacks([MatrixFacts(a)], [points], METHODS)
+            (least,) = stack_least_slacks(MatrixFacts(a), [points], METHODS)
             assert least.keys() == regions.keys()
             for method, region in regions.items():
                 slack = _check_min_slack(region, points)[0]
@@ -1449,6 +1449,24 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
     assert zeros == {np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()}
 
 
+def test_a_stack_of_complex_row_sum_matrices_is_each_matrix_own():
+    # every matrix of a stack given no tables has its deflation table made
+    # by one pass, which once left a stack of more than one laid out by
+    # column, so that the oval check's view of complex centres as floats
+    # raised; each least slack is the lone builder's region's, bit for bit
+    rng = np.random.default_rng(92)
+    for n in (3, 4, 7):
+        matrices = [random_constant_rowsum_matrix(rng, n)[0] for _ in range(3)]
+        points = [np.linalg.eigvals(a) for a in matrices]
+        for facts in (MatrixFacts.stack(matrices), MatrixFacts.stack(matrices, [None] * 3)):
+            assert all(part.flags.c_contiguous for part in facts.deflation_table)
+            for a, z, least in zip(matrices, points, stack_least_slacks(facts, points, METHODS)):
+                assert list(least) == list(METHODS)
+                for method, builder in zip(METHODS, BUILDERS):
+                    want = np.float64(region_min_slack(builder(a), z)[0]).tobytes()
+                    assert np.float64(least[method]).tobytes() == want, (n, method)
+
+
 def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatch):
     # stack_least_slacks with and without _distinct_leaves, byte for byte,
     # with _PASS_ROWS at its default, 64 and 1, so that tables of every size
@@ -1517,7 +1535,7 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
         refusal = None
         for name in names:
             try:
-                stack_least_slacks([MatrixFacts(cases[name][0])], [cases[name][1]], METHODS)
+                stack_least_slacks(MatrixFacts(cases[name][0]), [cases[name][1]], METHODS)
             except ValueError as exc:
                 refusal = exc
                 break
@@ -1531,10 +1549,28 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
     (alone,), (mixed, _) = (stack_least_slacks(MatrixFacts.stack(stack), [[0.0, 1.0, -1.0]] * len(stack),
                                                METHODS) for stack in ([lopsided], [lopsided, good]))
     assert list(mixed) == list(alone) == ["gersgorin", "brauer"]
-    with pytest.raises(ValueError, match="one MatrixFacts.stack"):
-        stack_least_slacks([MatrixFacts(good), MatrixFacts(good)], [[0.0]] * 2, METHODS)
     with pytest.raises(ValueError, match="one shape"):
         MatrixFacts.stack([good, np.eye(2)])
+    # points are one row per matrix: more rows once gave a matrix another's
+    # points, and one row was split among the matrices
+    pair = MatrixFacts.stack([np.eye(2), 5.0 * np.eye(2)])
+    for points, rows in [([[1.0, 1.0], [5.0, 5.0], [9.0, 9.0]], 3), ([[1.0, 1.0, 5.0, 5.0]], 1),
+                         ([1.0, 1.0, 5.0, 5.0], 4), (1.0, 0)]:
+        with pytest.raises(ValueError, match=f"got {rows} rows for a stack of 2"):
+            stack_least_slacks(pair, points, ["gersgorin"])
+    assert stack_least_slacks(pair, [[1.0, 1.0], [5.0, 5.0]], ["gersgorin"]) == [{"gersgorin": 0.0}] * 2
+
+
+def test_a_stack_has_a_matrix_and_a_region_has_one():
+    # an empty stack is refused in the stack's own words, and a builder
+    # refuses a stack of more than one matrix, whichever of them it holds
+    with pytest.raises(ValueError, match="at least one matrix"):
+        MatrixFacts.stack([])
+    stack = MatrixFacts.stack([np.eye(3), np.ones((3, 3))])
+    for builder in BUILDERS:
+        with pytest.raises(ValueError, match="got a stack of 2") as info:
+            builder(stack)
+        assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan), math.inf, -math.inf])
@@ -1570,16 +1606,17 @@ def test_stacked_facts_are_each_matrix_own_bit_for_bit(monkeypatch):
             real = [rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-3, 4)) for _ in range(2)]
             real[0][:, -1] += 1.5 - real[0].sum(axis=1)  # row sums 1.5 up to rounding
             for matrices in (real, real + [rng.random((n, n)) + 1j * rng.random((n, n))]):
-                for a, facts in zip(matrices, MatrixFacts.stack(matrices)):
+                facts = MatrixFacts.stack(matrices)
+                for at, a in enumerate(matrices):
                     sums = np.asarray(a, dtype=complex).sum(axis=1)
                     deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
                     constant = deviation <= 1e-9 * (1.0 + float(np.max(np.abs(sums))))
-                    assert (facts.gamma is None) == (not constant)
+                    assert (facts.gamma[at] is None) == (not constant)
                     if constant:
-                        assert np.complex128(facts.gamma).tobytes() == np.complex128(sums.mean()).tobytes()
+                        assert np.complex128(facts.gamma[at]).tobytes() == np.complex128(sums.mean()).tobytes()
                     want = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-                    assert facts.deleted_row_sums.tobytes() == want.tobytes()
-                    centers, radii = facts.deflation_table
+                    assert facts.deleted_row_sums[at].tobytes() == want.tobytes()
+                    centers, radii = (part[at] for part in facts.deflation_table)
                     want_centers, want_radii = deflation_table(a)
                     assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
                     assert radii.tobytes() == want_radii.tobytes()
@@ -1598,7 +1635,6 @@ def test_real_stack_gamma_is_the_pairwise_tables(monkeypatch):
     # infinite or NaN entry, with a complex matrix (whose stack keeps the
     # table), and on graph stacks; with rows cast one at a time as well
     from eigenloc.graphs import Graph, complete_bipartite, path, star
-    from eigenloc.regions import _FactStack
 
     from ._reference import row_sum_gammas
 
@@ -1630,7 +1666,7 @@ def test_real_stack_gamma_is_the_pairwise_tables(monkeypatch):
         if pass_rows is not None:
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
         for stack in stacks:
-            assert repr(_FactStack(stack).gamma) == repr(row_sum_gammas(stack)), stack
+            assert repr(MatrixFacts.stack(stack).gamma) == repr(row_sum_gammas(stack)), stack
 
 
 def test_least_slacks_keep_real_matrices_real():
@@ -1640,8 +1676,8 @@ def test_least_slacks_keep_real_matrices_real():
     for matrix in (a, a.astype(complex)):
         facts = MatrixFacts(matrix)
         assert facts.matrix.dtype == float and facts.deflation_table[0].dtype == float
-        assert facts.region_source("rowsum-brauer")[3] == 0.0
-        assert isinstance(facts.region_source("rowsum-brauer")[3], float)
+        gamma = facts.sources(True, [0])[2]
+        assert gamma.dtype == float and gamma.tolist() == [0.0]
     assert MatrixFacts(ROWSUM_3X3).matrix.dtype == complex
     with pytest.raises(ValueError, match="unknown region method 'ostrowski'"):
-        stack_least_slacks([MatrixFacts(a)], [[0.0]], ["gersgorin", "ostrowski"])
+        stack_least_slacks(MatrixFacts(a), [[0.0]], ["gersgorin", "ostrowski"])
