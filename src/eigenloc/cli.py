@@ -269,19 +269,24 @@ def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
     written as e^{it/2} sqrt(p + d^2 e^{-it}), the radicand left has a
     nonnegative real part, so the principal root is continuous (the
     lemniscate p = |d|^2 included).  Otherwise the oval splits into the two
-    loops c +- d sqrt(1 + (p / d^2) e^{it}) over [0, 2 pi].
+    loops c +- d sqrt(1 + (p / d^2) e^{it}) over [0, 2 pi].  d and p are
+    taken in units of a power of two near the oval's size (at most 2**1023),
+    as :func:`regions._oval_sections` takes its quartic, so that no square
+    overflows; in range the scaling is exact.
     """
     p = oval.radius_product
     if p <= 0.0:
         return []
-    c = 0.5 * (oval.focus_a + oval.focus_b)
-    d = 0.5 * (oval.focus_b - oval.focus_a)
+    c = 0.5 * oval.focus_a + 0.5 * oval.focus_b
+    d = 0.5 * oval.focus_b - 0.5 * oval.focus_a
+    unit = math.ldexp(1.0, min(math.frexp(max(abs(d), math.sqrt(p)))[1], 1023))
+    d, p = d / unit, p / unit / unit
     if p >= abs(d) * abs(d):
         t = np.linspace(0.0, 4.0 * math.pi, points, endpoint=False)
-        loops = [c + np.exp(0.5j * t) * np.sqrt(p + d * d * np.exp(-1j * t))]
+        loops = [c + unit * (np.exp(0.5j * t) * np.sqrt(p + d * d * np.exp(-1j * t)))]
     else:
         t = np.linspace(0.0, 2.0 * math.pi, points // 2, endpoint=False)
-        half = d * np.sqrt(1.0 + p / (d * d) * np.exp(1j * t))
+        half = unit * (d * np.sqrt(1.0 + p / (d * d) * np.exp(1j * t)))
         loops = [c + half, c - half]
     return [np.append(loop, loop[0]) for loop in loops]
 

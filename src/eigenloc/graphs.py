@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -53,16 +53,18 @@ class Graph:
 
     ``edges`` holds unordered pairs normalised as ``(u, v)`` with ``u < v``.
     No self-loops, no multi-edges: the constructor keeps a frozenset of
-    tuples as it is given and rebuilds any other collection of pairs as one,
-    so a repeated pair counts once.  It alone checks the vertex count, the
-    labels' type and range and self-loops, with one test per edge; the first
-    edge to fail it, in the collection's iteration order, is refused by name.
+    tuples as it is given, and reads any other iterable of pairs once, as a
+    list, and keeps the frozenset of its pairs as tuples, so a repeated pair
+    counts once.  It alone checks the vertex count, the labels' type and
+    range and self-loops, with one test per edge; the first edge to fail it,
+    in the iterable's order, is refused by name.
     ``n`` and every label must be builtin ints (not bools), and
     :meth:`from_edges` converts and orients other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
     report), ``adjacency`` (the read-only float 0/1 matrix) and
-    ``common_neighbor_table`` are made on first read and then kept.
+    ``common_neighbor_table`` are made on first read and then kept, as is
+    a regular graph's adjacency spectrum (:func:`oracle.graph_spectrum`).
     """
 
     n: int
@@ -76,6 +78,10 @@ class Graph:
                              f"Graph.from_edges), got {n!r}")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds the {MAX_VERTICES} cap")
+        if type(edges) is not frozenset or not {tuple}.issuperset(map(type, edges)):
+            # read once, in the caller's order; a pair that is an iterator
+            # too is read once, into a tuple
+            edges = [tuple(e) if isinstance(e, Iterator) else e for e in edges]
         adj = [0] * (n + 1)
         bit = [1 << v for v in range(n + 1)]
         for e in edges:
@@ -84,8 +90,8 @@ class Graph:
                 _refuse_edge(e, u, v, n)
             adj[u] |= bit[v]
             adj[v] |= bit[u]
-        if type(edges) is not frozenset or not {tuple}.issuperset(map(type, edges)):
-            object.__setattr__(self, "edges", frozenset(_row_pairs(adj)))
+        if edges is not self.edges:
+            object.__setattr__(self, "edges", frozenset(map(tuple, edges)))
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "degree_sequence", tuple(map(int.bit_count, adj[1:])))
 
@@ -169,18 +175,6 @@ def _refuse_edge(e, u, v, n: int) -> NoReturn:
     if not (1 <= u <= n and 1 <= v <= n):
         raise ValueError(f"edge {e} has an endpoint outside 1..{n}")
     raise ValueError(f"edge {e} is not normalised as (min, max)")
-
-
-def _row_pairs(adj: list[int]) -> list[tuple[int, int]]:
-    """The pairs (u, v) with u < v and bit v set in ``adj[u]``."""
-    pairs = []
-    for u, row in enumerate(adj):
-        row >>= u + 1
-        while row:
-            low = row & -row
-            pairs.append((u, u + low.bit_length()))
-            row ^= low
-    return pairs
 
 
 @dataclass(frozen=True)

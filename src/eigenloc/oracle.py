@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,33 +254,28 @@ def _top_is_one(spec: Spectrum) -> Spectrum:
     return spec
 
 
-# the adjacency spectrum of each live regular graph graph_spectrum solved, by
-# id (equal graphs are not pooled); a finalizer drops it with its graph
-_REGULAR_SPECTRA: dict[int, Spectrum] = {}
-
-
 def graph_spectrum(g: Graph, kind: GraphMatrixKind, matrix=None) -> Spectrum:
     """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
     A k-regular graph (k >= 1) is solved once for its three matrices, as
     L = kI - A and D^{-1}A = A / k: its adjacency (``matrix`` for that kind,
     else ``g.adjacency``; a Laplacian or normalized ``matrix`` is not read)
-    is solved and kept while ``g`` lives.  L's spectrum is k - lambda
-    reversed, with the backward error times ||A||_F / ||L||_F =
-    1 / sqrt(k + 1); D^{-1}A's is lambda / k, with the same backward error
-    and :func:`normalized_spectrum`'s top-value check.  Any other graph's
-    ``matrix`` is solved as it is, built here when None; its normalized
-    adjacency goes through :func:`normalized_spectrum`.
+    is solved and kept in ``g``'s own ``__dict__`` beside its cached
+    properties, so it lives as long as ``g`` and equal graphs do not share
+    it.  L's spectrum is k - lambda reversed, with the backward error times
+    ||A||_F / ||L||_F = 1 / sqrt(k + 1); D^{-1}A's is lambda / k, with the
+    same backward error and :func:`normalized_spectrum`'s top-value check.
+    Any other graph's ``matrix`` is solved as it is, built here when None;
+    its normalized adjacency goes through :func:`normalized_spectrum`.
     """
     k = g.structure.regular
     if not k:
         if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
             return normalized_spectrum(g)
         return symmetric_eigenvalues(build_matrix(g, kind) if matrix is None else matrix)
-    if (spec := _REGULAR_SPECTRA.get(id(g))) is None:
+    if (spec := g.__dict__.get("_adjacency_spectrum")) is None:
         solved = matrix if kind == GraphMatrixKind.ADJACENCY and matrix is not None else g.adjacency
-        spec = _REGULAR_SPECTRA[id(g)] = symmetric_eigenvalues(solved)
-        weakref.finalize(g, _REGULAR_SPECTRA.pop, id(g), None)
+        spec = g.__dict__["_adjacency_spectrum"] = symmetric_eigenvalues(solved)
     if kind == GraphMatrixKind.LAPLACIAN:
         values = tuple(k - x for x in reversed(spec.values))
         return Spectrum(values, spec.max_residual / math.sqrt(k + 1), spec.iterations)

@@ -315,18 +315,22 @@ def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
     at = np.concatenate([t.anchors[t.first] for t in tables])
     bound = np.concatenate([t.bounds for t in tables])
     disk = np.flatnonzero(kinds == _DISK)
-    # r^2 - y^2 as 2 (r - |y|)(r/2 + |y|/2) where a square overflows, so a huge
-    # disk touching the axis keeps its point; a gap past the float range is the whole axis
+    # r^2 - y^2, taken where a square overflows in units of a power of two
+    # near r (at most 2**1023, as 2**1024 is inf), so that a huge disk keeps
+    # its half-width and one touching the axis its point; only an end past
+    # the float range is -inf or inf
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = bound[disk] * bound[disk] - at[disk].imag * at[disk].imag
-        huge = ~np.isfinite(gap)
-        r, y = bound[disk][huge], np.abs(at[disk][huge].imag)
-        gap[huge] = 2.0 * (r - y) * (0.5 * r + 0.5 * y)
-    disk, half = disk[gap >= 0.0], np.sqrt(gap[gap >= 0.0])
-    point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= tol))
-    # the rows, low and high ends of the intervals, then the rows and values
-    # of the isolated points
-    pieces = [(disk, at[disk].real - half, at[disk].real + half, point, at[point].real)]
+        r, y = bound[disk], at[disk].imag
+        gap = r * r - y * y
+        finite = np.isfinite(gap)
+        unit = np.where(finite, 1.0, np.ldexp(1.0, np.minimum(np.frexp(r)[1], 1023)))
+        r, y = r / unit, y / unit
+        gap = np.where(finite, gap, (r - y) * (r + y))
+        disk, half = disk[gap >= 0.0], unit[gap >= 0.0] * np.sqrt(gap[gap >= 0.0])
+        point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= tol))
+        # the rows, low and high ends of the intervals, then the rows and
+        # values of the isolated points
+        pieces = [(disk, at[disk].real - half, at[disk].real + half, point, at[point].real)]
     oval = np.flatnonzero(kinds == _OVAL)
     if len(oval):
         to = np.concatenate([t.anchors[t.second] for t in tables])[oval]
@@ -967,10 +971,10 @@ class MatrixFacts:
     place of a matrix."""
 
     def __init__(self, matrix) -> None:
-        a = _as_matrix(matrix)
+        a = _as_matrix(matrix, complex if np.iscomplexobj(matrix) else float)
         # every graph matrix is real: a distance is then one subtraction and
         # one abs, bit for bit the complex one since hypot(x, 0) is |x|
-        self.matrix, self._tables = (a if a.imag.any() else a.real.copy())[None], None
+        self.matrix, self._tables = (a if np.iscomplexobj(a) and a.imag.any() else a.real.copy())[None], None
 
     @classmethod
     def stack(cls, matrices, tables=None) -> "MatrixFacts":
@@ -1065,9 +1069,10 @@ def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, fl
     of every matrix and one for the row-sum regions of those with a constant
     row sum).
 
-    A ValueError, a builder's in its order and words or region_min_slack's
-    for the points, is the one that the first matrix to refuse raises alone;
-    points that are not one row per matrix raise it first.
+    A ValueError is one that a matrix of the stack raises alone, in a
+    builder's or region_min_slack's words: points that are not one row per
+    matrix first, then each group's parameters, then the points.  A stack of
+    one refuses in its builders' order.
     """
     k = len(facts.matrix)
     if (rows := len(points) if np.ndim(points) else 0) != k:
@@ -1086,20 +1091,10 @@ def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, fl
             members := [at for at, gamma in enumerate(facts.gamma) if gamma is not None]):
         groups.append((True, rowsum, members))
     tables = [facts.sources(deflated, members) for deflated, _, members in groups]
-    try:
-        # an oval refuses all that a disk of the same radii refuses, in its words
-        for (_, group, _), (centers, radii, gamma) in zip(groups, tables):
-            _check_source(centers, radii, max(kinds[m] for m in group), gamma)
-        z = _points(points, k)
-    except ValueError:
-        # raise the refusal of the first matrix to refuse, as it raises it alone
-        for at in range(k):
-            for deflated, group, members in groups:
-                if at in members:
-                    centers, radii, gamma = facts.sources(deflated, [at])
-                    _check_source(centers, radii, max(kinds[m] for m in group), gamma)
-            _points(points[at])
-        raise
+    # an oval refuses all that a disk of the same radii refuses, in its words
+    for (_, group, _), (centers, radii, gamma) in zip(groups, tables):
+        _check_source(centers, radii, max(kinds[m] for m in group), gamma)
+    z = _points(points, k)
     least = [{} for _ in range(k)]
     for (_, group, members), (centers, radii, gamma) in zip(groups, tables):
         slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[m] for m in group])

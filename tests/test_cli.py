@@ -241,6 +241,19 @@ class TestRegionsCommand:
         assert svg.count('class="disk"') == 3
         assert svg.count('class="eigenvalue"') == 3
 
+    def test_svg_of_ovals_past_1e154_is_finite(self, tmp_path):
+        # their squares overflow: the boundary once came out as inf and NaN,
+        # with overflow and invalid-value warnings
+        path, out = tmp_path / "big.json", tmp_path / "big.svg"
+        path.write_text(matrix_to_json([[-1.0, -1e154], [1e154, -2e154]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["regions", "--matrix-file", str(path), "--method", "brauer",
+                         "--emit", "svg", "--out", str(out)])
+        svg = out.read_text()
+        assert code == 0 and svg.count('class="oval"') >= 1
+        assert not re.search("nan|inf", svg, re.IGNORECASE)
+
     def test_svg_ovals_are_polylines(self, rowsum_file, capsys):
         code = main(
             ["regions", "--matrix-file", rowsum_file, "--method", "brauer",

@@ -145,8 +145,9 @@ class TestParsing:
         "edges",
         [((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (1, 4)),
          [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)],
-         [[1, 4], [1, 5], [2, 4], [2, 5], [3, 4], [3, 5]]],
-        ids=["repeated-pair", "list", "list-of-lists"],
+         [[1, 4], [1, 5], [2, 4], [2, 5], [3, 4], [3, 5]],
+         (pair for pair in [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)])],
+        ids=["repeated-pair", "list", "list-of-lists", "generator"],
     )
     def test_raw_constructor_stores_a_frozenset(self, edges):
         # once: a repeated pair counted twice in m, so Thm3.4 bounded the
@@ -166,6 +167,11 @@ class TestParsing:
     def test_raw_constructor_rebuilds_non_tuple_pairs(self):
         g = Graph(3, frozenset({frozenset({2, 3}), (1, 2)}))
         assert g == path(3) and all(type(e) is tuple for e in g.edges)
+        # a generator is read once: its first bad pair is refused by name,
+        # and a pair that is an iterator is read once too
+        with pytest.raises(ValueError, match="self-loop at vertex 3"):
+            Graph(3, (pair for pair in [(1, 2), (3, 3), (2, 1)]))
+        assert Graph(3, [iter((1, 2)), map(int, "23")]) == path(3)
 
 
 class TestRefusalsWithSeveralFaults:

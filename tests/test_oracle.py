@@ -512,8 +512,13 @@ class TestRegularGraphSpectra:
         g = circulant(40, (1, 2, 3))
         for kind in GraphMatrixKind:
             graph_spectrum(g, kind)
-        graph, kept = weakref.ref(g), weakref.ref(oracle._REGULAR_SPECTRA[id(g)])
-        del g
+        # kept in the graph's own dict, beside its cached properties, and
+        # not shared with an equal graph
+        (spec,) = [value for value in vars(g).values() if isinstance(value, Spectrum)]
+        assert spec is graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+        assert not [value for value in vars(circulant(40, (1, 2, 3))).values() if isinstance(value, Spectrum)]
+        graph, kept = weakref.ref(g), weakref.ref(spec)
+        del g, spec
         gc.collect()
         assert graph() is None and kept() is None
 
