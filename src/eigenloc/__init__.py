@@ -6,7 +6,8 @@ Four layers:
 * :mod:`eigenloc.regions` -- disk/oval inclusion regions, constant-row-sum
   deflation, membership and real-axis sections.
 * :mod:`eigenloc.bounds`  -- closed-form eigenvalue bounds with reports.
-* :mod:`eigenloc.oracle`  -- reference eigensolvers with residual certificates.
+* :mod:`eigenloc.oracle`  -- reference eigensolvers: QL for symmetric matrices,
+  Aberth with a backward-error certificate for complex ones.
 """
 
 from .graphs import (

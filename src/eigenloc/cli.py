@@ -181,16 +181,15 @@ def verify_graph(
     """Every requested bound and region check for all three graph matrices.
 
     The normalized-adjacency matrix (and its checks) is skipped when the
-    graph has an isolated vertex.  Each matrix is built once, for the oracle
-    and the region checks both; the region checks of all the matrices are
-    one stacked pass, which reads the deflation tables that the graph gives
-    (:func:`graphs.deflation_table`).
+    graph has an isolated vertex.  The region checks of all the matrices
+    are one stacked pass, which reads the deflation tables that the graph
+    gives (:func:`graphs.deflation_table`).
     """
     wanted = _scope_filter(scope, tol)
     kinds = [kind for kind in gr.GraphMatrixKind if _has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
     matrices = [gr.build_matrix(g, kind) for kind in kinds]
-    spectra = [orc.graph_spectrum(g, kind, matrix).values for kind, matrix in zip(kinds, matrices)]
+    spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
     stack = rg.MatrixFacts.stack(matrices, [gr.deflation_table(g, kind) for kind in kinds])
     regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
@@ -248,16 +247,21 @@ def _build_region(matrix, method: str):
 # SVG rendering
 
 
-def _auto_window(leaves, eigenvalues) -> tuple[float, float, float, float]:
+def _auto_window(leaves, eigenvalues) -> tuple[tuple[float, float, float, float], float]:
+    """The padded window round the leaves and eigenvalues in units of the power
+    of two just above their largest coordinate (1 below 1, at most 2**1023),
+    so that no width or pad overflows, and that unit; in range it is exact."""
     corners = [z for leaf in leaves for z in leaf.extent()] + list(eigenvalues)
     if not corners:
-        return (-1.0, 1.0, -1.0, 1.0)
+        return (-1.0, 1.0, -1.0, 1.0), 1.0
     xs = [z.real for z in corners]
     ys = [z.imag for z in corners]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    pad = 0.1 * max(x1 - x0, y1 - y0, 1.0)
-    return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+    big = max(max(map(abs, xs)), max(map(abs, ys)))
+    unit = math.ldexp(1.0, min(max(math.frexp(big)[1], 0), 1023))
+    x0, x1 = min(xs) / unit, max(xs) / unit
+    y0, y1 = min(ys) / unit, max(ys) / unit
+    pad = 0.1 * max(x1 - x0, y1 - y0, 1.0 / unit)
+    return (x0 - pad, x1 + pad, y0 - pad, y1 + pad), unit
 
 
 def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
@@ -303,21 +307,23 @@ def region_to_svg(
     diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.  The
     window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
-    width and height (ValueError).
+    width and height (ValueError); the automatic one is taken in its unit
+    (:func:`_auto_window`), so a region wider than the float range draws.
     """
     leaves = region.leaves()
+    unit = 1.0
     if window is None:
-        window = _auto_window(leaves, eigenvalues)
+        window, unit = _auto_window(leaves, eigenvalues)
     _check_window(window, window)
     x0, x1, y0, y1 = window
     size = 640
     scale = size / max(x1 - x0, y1 - y0)
 
     def sx(x: float) -> float:
-        return (x - x0) * scale
+        return (x / unit - x0) * scale
 
     def sy(y: float) -> float:
-        return (y1 - y) * scale
+        return (y1 - y / unit) * scale
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -328,7 +334,7 @@ def region_to_svg(
         if isinstance(leaf, rg.Disk):
             parts.append(
                 f'<circle class="disk" cx="{sx(leaf.center.real):.2f}" '
-                f'cy="{sy(leaf.center.imag):.2f}" r="{leaf.radius * scale:.2f}" '
+                f'cy="{sy(leaf.center.imag):.2f}" r="{leaf.radius / unit * scale:.2f}" '
                 'fill="none" stroke="steelblue" stroke-width="1"/>'
             )
         elif isinstance(leaf, rg.CassiniOval):
@@ -390,10 +396,10 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _parse_window(text: str) -> tuple[float, float, float, float]:
-    fields = text.split(":")
-    if len(fields) != 4:
-        raise ValueError("window must be 'x0:x1:y0:y1'")
-    window = tuple(float(f) for f in fields)
+    try:
+        x0, x1, y0, y1 = window = tuple(map(float, text.split(":")))
+    except ValueError:
+        raise ValueError(f"window {text!r} must be 'x0:x1:y0:y1', four numbers") from None
     _check_window(window, text)
     return window
 
@@ -432,10 +438,11 @@ def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
         if token != family:
             raise ValueError(f"bad sweep spec {token!r}: petersen takes no range")
         return family, [10]
-    if len(fields) not in (3, 4):
-        raise ValueError(f"bad sweep spec {token!r}: expected family:lo..hi[:step]")
-    lo, hi = int(fields[1]), int(fields[2])
-    step = int(fields[3]) if len(fields) == 4 else 1
+    try:
+        lo, hi, step = map(int, fields[1:] + ["1"] * (len(fields) == 3))
+    except ValueError:
+        raise ValueError(f"bad sweep spec {token!r}: expected family:lo..hi[:step] "
+                         "with integers lo, hi and step") from None
     if step < 1 or hi < lo:
         raise ValueError(f"bad sweep range in {token!r}")
     return family, list(range(lo, hi + 1, step))

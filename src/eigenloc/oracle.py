@@ -6,13 +6,12 @@ BLAS call, so its results are the same on every machine; for general
 complex matrices, Aberth-Ehrlich simultaneous iteration on the blocks of a
 Householder Hessenberg form, with Newton ratios p'(z) / p(z) from Hyman's
 back-substitution.  Neither calls a LAPACK eigensolver.  Every spectrum
-carries a certificate, a relative Frobenius backward error, so callers can
-see how accurate the values are, and the solver's iteration count.
+carries the solver's iteration count; an Aberth spectrum also carries its
+backward error, which QL does not give.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "normalized_spectrum",
     "graph_spectrum",
     "complex_eigenvalues",
-    "spectrum_to_json",
 ]
 
 _MAX_COMPLEX_DIM = 64
@@ -41,30 +39,21 @@ _STALL_STEP = np.finfo(float).eps ** 0.25
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues with multiplicity plus an accuracy certificate.
+    """Eigenvalues with multiplicity and the solver's iteration count.
 
     Real spectra are sorted descending; complex spectra by real part
-    descending, then imaginary part descending.  ``max_residual`` is a
-    normwise backward error relative to ``||A||_F`` on both routes: the
-    Frobenius mass of the tridiagonal entries that QL dropped (setting them
-    to 0 perturbs A by that much), and the largest
-    ``sigma_min(z I - A) / ||A||_F`` over the roots z for Aberth.  A regular
-    graph's Laplacian or normalized spectrum from :func:`graph_spectrum`
-    carries its adjacency's backward error, relative to its own norm.
-    ``iterations`` counts QL steps or Aberth iterations.
+    descending, then imaginary part descending.  ``max_residual`` is the
+    Aberth route's certificate, the largest ``sigma_min(z I - A) / ||A||_F``
+    over the roots z; it is None on the QL route, which gives no error
+    bound.  ``iterations`` counts QL steps or Aberth iterations.
     """
 
     values: tuple
-    max_residual: float
+    max_residual: float | None = None
     iterations: int = 0
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def spectrum_to_json(spec: Spectrum) -> str:
-    vals = [[float(np.real(v)), float(np.imag(v))] for v in spec.values]
-    return json.dumps({"values": vals, "residual": spec.max_residual})
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +106,22 @@ def _tridiagonal(b: np.ndarray) -> tuple[list, list]:
     return a.diagonal().tolist(), e + a.diagonal(-1)[n - 2 :].tolist()
 
 
-def _ql(d: list, e: list) -> tuple[list, float, int]:
+def _ql(d: list, e: list) -> tuple[list, int]:
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and subdiagonal e.
 
     Implicit-shift QL (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math.
     11, 1968; EISPACK ``tql1``) in plain Python floats.  e[m], between rows
     m and m + 1, is dropped once |e[m]| <= eps (|d[m]| + |d[m + 1]|), or
     once it is below 1.5e-154, where eps |d| may underflow: far below eps
-    when max |t_ij| is near 1.  Returns the values, unsorted, the root of
-    the sum of squares of the dropped entries (by ``hypot``, which cannot
-    underflow) and the number of steps; raises RuntimeError after 30 n
-    steps in all, as LAPACK's ``dsterf`` does.
+    when max |t_ij| is near 1.  Returns the values, unsorted, and the
+    number of steps; raises RuntimeError after 30 n steps in all, as
+    LAPACK's ``dsterf`` does.
     """
     n = len(d)
     d, e = list(d), list(e) + [0.0]
     eps, hypot, copysign = float(np.finfo(float).eps), math.hypot, math.copysign
     tiny = math.sqrt(float(np.finfo(float).tiny))
     cap = _MAX_QL_STEPS_PER_ROW * n
-    dropped = 0.0
     steps = 0
     for lo in range(n):
         while True:
@@ -142,7 +129,6 @@ def _ql(d: list, e: list) -> tuple[list, float, int]:
             while m < n - 1:
                 drop = abs(e[m])
                 if drop <= tiny or drop <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    dropped = hypot(dropped, e[m])
                     e[m] = 0.0
                     break
                 m += 1
@@ -179,7 +165,7 @@ def _ql(d: list, e: list) -> tuple[list, float, int]:
                 d[lo] = dlo - p
                 e[lo] = g
                 e[m] = 0.0
-    return d, dropped, steps
+    return d, steps
 
 
 def symmetric_eigenvalues(matrix) -> Spectrum:
@@ -190,12 +176,10 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     B is reduced to a tridiagonal T = Q^T B Q by Householder reflections
     (:func:`_tridiagonal`), and T's eigenvalues come from implicit-shift QL
     (:func:`_ql`); neither calls a LAPACK eigensolver or a BLAS kernel, so
-    the result is the same on every machine.  Each entry QL drops stands
-    twice in T, so ``max_residual`` is sqrt(2 * sum of their squares) /
-    ||B||_F, the normwise backward error that the drops assume (0 for the
-    zero matrix); rounding in the reflections and rotations is not counted.
-    ``iterations`` is the number of QL steps.  Raises ValueError when an
-    eigenvalue is past the float range.
+    the result is the same on every machine.  No error bound is given:
+    ``max_residual`` is None.  ``iterations`` is the number of QL steps.
+    Raises ValueError when an eigenvalue is past the float range, and
+    RuntimeError when QL takes more than 30 n steps.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -204,7 +188,7 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     if n > MAX_VERTICES:
         raise ValueError(f"dimension {n} exceeds the {MAX_VERTICES} cap")
     if n == 0:
-        return Spectrum(values=(), max_residual=0.0)
+        return Spectrum(values=())
     # both checks are relative to the largest entry, so they hold at every scale
     if np.iscomplexobj(a):
         # negated so that a NaN imaginary part is rejected too; |a_ij| itself
@@ -217,19 +201,18 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
         raise ValueError("matrix has a non-finite entry")
     big = float(np.max(np.abs(a)))
     if big == 0.0:
-        return Spectrum(values=(0.0,) * n, max_residual=0.0)
+        return Spectrum(values=(0.0,) * n)
     exponent = math.frexp(big)[1]
     b = np.ldexp(a, -exponent)
     if np.max(np.abs(b - b.T)) > 1e-12 * math.ldexp(big, -exponent):
         raise ValueError("matrix is not symmetric")
     b = (b + b.T) / 2.0
-    d, dropped, steps = _ql(*_tridiagonal(b))
+    d, steps = _ql(*_tridiagonal(b))
     try:
         values = sorted((math.ldexp(x, exponent) for x in d), reverse=True)
     except OverflowError:
         raise ValueError("an eigenvalue is past the float range") from None
-    norm = math.sqrt(float(np.add.reduce((b * b).ravel())))
-    return Spectrum(values=tuple(values), max_residual=math.sqrt(2.0) * dropped / norm, iterations=steps)
+    return Spectrum(values=tuple(values), iterations=steps)
 
 
 def normalized_spectrum(g: Graph) -> Spectrum:
@@ -254,33 +237,29 @@ def _top_is_one(spec: Spectrum) -> Spectrum:
     return spec
 
 
-def graph_spectrum(g: Graph, kind: GraphMatrixKind, matrix=None) -> Spectrum:
+def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
     A k-regular graph (k >= 1) is solved once for its three matrices, as
-    L = kI - A and D^{-1}A = A / k: its adjacency (``matrix`` for that kind,
-    else ``g.adjacency``; a Laplacian or normalized ``matrix`` is not read)
-    is solved and kept in ``g``'s own ``__dict__`` beside its cached
-    properties, so it lives as long as ``g`` and equal graphs do not share
-    it.  L's spectrum is k - lambda reversed, with the backward error times
-    ||A||_F / ||L||_F = 1 / sqrt(k + 1); D^{-1}A's is lambda / k, with the
-    same backward error and :func:`normalized_spectrum`'s top-value check.
-    Any other graph's ``matrix`` is solved as it is, built here when None;
-    its normalized adjacency goes through :func:`normalized_spectrum`.
+    L = kI - A and D^{-1}A = A / k: ``g.adjacency`` is solved and kept in
+    ``g``'s own ``__dict__`` beside its cached properties, so it lives as
+    long as ``g`` and equal graphs do not share it.  L's spectrum is
+    k - lambda reversed; D^{-1}A's is lambda / k, with
+    :func:`normalized_spectrum`'s top-value check.  Any other graph's
+    matrix is built and solved; its normalized adjacency goes through
+    :func:`normalized_spectrum`.
     """
     k = g.structure.regular
     if not k:
         if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
             return normalized_spectrum(g)
-        return symmetric_eigenvalues(build_matrix(g, kind) if matrix is None else matrix)
+        return symmetric_eigenvalues(g.adjacency if kind == GraphMatrixKind.ADJACENCY else build_matrix(g, kind))
     if (spec := g.__dict__.get("_adjacency_spectrum")) is None:
-        solved = matrix if kind == GraphMatrixKind.ADJACENCY and matrix is not None else g.adjacency
-        spec = g.__dict__["_adjacency_spectrum"] = symmetric_eigenvalues(solved)
+        spec = g.__dict__["_adjacency_spectrum"] = symmetric_eigenvalues(g.adjacency)
     if kind == GraphMatrixKind.LAPLACIAN:
-        values = tuple(k - x for x in reversed(spec.values))
-        return Spectrum(values, spec.max_residual / math.sqrt(k + 1), spec.iterations)
+        return Spectrum(tuple(k - x for x in reversed(spec.values)), iterations=spec.iterations)
     if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return _top_is_one(Spectrum(tuple(x / k for x in spec.values), spec.max_residual, spec.iterations))
+        return _top_is_one(Spectrum(tuple(x / k for x in spec.values), iterations=spec.iterations))
     return spec
 
 

@@ -656,7 +656,7 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
     of its first child there; a union's leaf is its first row at its slack
     (see :meth:`_LeafTable.leaf_at`).  A builder's region takes its slack
     and point from :func:`_least_slacks`, as :func:`stack_least_slacks` does.
-    Empty or non-finite points raise ValueError.
+    Empty, non-finite or ragged points raise ValueError.
     """
     z = _points(points)
     slack, at, leaf = _min_slack(region, z)
@@ -665,14 +665,24 @@ def region_min_slack(region: Region, points) -> tuple[float, complex, Region | N
 
 def _points(points, count: int | None = None) -> np.ndarray:
     """The points as a flat array, or as ``count`` rows, one per matrix of a
-    stack; real where every imaginary part is zero; empty or non-finite
-    points raise ValueError."""
+    stack; real where every imaginary part is zero; empty, non-finite or
+    ragged points raise ValueError."""
     shape = (-1,) if count is None else (count, -1)
-    z = np.asarray(points)
+    z = _array(points)
     z = z.reshape(shape) if z.dtype == float else np.asarray(z, dtype=complex).reshape(shape)
     if not (z.size and np.isfinite(z).all()):
         raise ValueError("points must be nonempty and finite")
     return z.real.copy() if z.dtype == complex and not z.imag.any() else z
+
+
+def _array(points) -> np.ndarray:
+    """``np.asarray(points)``; ragged rows raise ValueError in our words."""
+    try:
+        return np.asarray(points)
+    except ValueError:
+        lengths = ", ".join(str(len(row) if hasattr(row, "__len__") else 1) for row in points)
+        raise ValueError("points must be rows of one length (one row per matrix of a stack): "
+                         f"got rows of lengths {lengths}") from None
 
 
 def _min_slack(node: Region, z: np.ndarray) -> tuple:
@@ -1071,11 +1081,12 @@ def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, fl
 
     A ValueError is one that a matrix of the stack raises alone, in a
     builder's or region_min_slack's words: points that are not one row per
-    matrix first, then each group's parameters, then the points.  A stack of
-    one refuses in its builders' order.
+    matrix, of one length, first, then each group's parameters, then the
+    points.  A stack of one refuses in its builders' order.
     """
     k = len(facts.matrix)
-    if (rows := len(points) if np.ndim(points) else 0) != k:
+    points = _array(points)
+    if (rows := len(points) if points.ndim else 0) != k:
         raise ValueError(f"points must be one row per matrix: got {rows} rows for a stack of {k}")
     kinds = {}  # each method's leaf kind, of the regions that the dimension allows
     for method in methods:

@@ -8,9 +8,11 @@ import pytest
 
 import eigenloc
 
-# second copies of formulas the library owns elsewhere, retired from the API
+# retired from the API: second copies of formulas the library owns elsewhere,
+# and helpers that no caller used
 RETIRED = ("trace_bounds", "TraceStats", "DegreeProfile", "degrees", "randic_index",
-           "common_neighbors", "charpoly", "row_sums", "check_region")
+           "common_neighbors", "charpoly", "row_sums", "check_region",
+           "spectrum_to_json")
 
 
 def test_public_surface():

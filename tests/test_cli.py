@@ -254,6 +254,25 @@ class TestRegionsCommand:
         assert code == 0 and svg.count('class="oval"') >= 1
         assert not re.search("nan|inf", svg, re.IGNORECASE)
 
+    @pytest.mark.parametrize("matrix", [np.diag([1.7e308, -1.7e308]), np.array([[1e308, 1.0], [1.0, -1e308]])],
+                             ids=["diagonal", "coupled"])
+    def test_svg_wider_than_the_float_range_draws(self, matrix, tmp_path):
+        # the automatic window's width overflowed to inf, and the command once
+        # exited 1 with "window (-inf, inf, -inf, inf)"; it is now taken in a
+        # power-of-two unit
+        path, out = tmp_path / "huge.json", tmp_path / "huge.svg"
+        path.write_text(matrix_to_json(matrix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["regions", "--matrix-file", str(path), "--method", "gersgorin",
+                         "--emit", "svg", "--out", str(out)])
+        svg = out.read_text()
+        assert code == 0 and not re.search("nan|inf", svg, re.IGNORECASE)
+        centres = sorted(re.findall(r'class="(disk|eigenvalue)" cx="([-0-9.]+)" cy="([-0-9.]+)"', svg))
+        assert [kind for kind, _, _ in centres] == ["disk"] * 2 + ["eigenvalue"] * 2
+        # where diag(1.7, -1.7) draws them, in the same frame
+        assert {(x, y) for _, x, y in centres} == {("53.33", "53.33"), ("586.67", "53.33")}
+
     def test_svg_ovals_are_polylines(self, rowsum_file, capsys):
         code = main(
             ["regions", "--matrix-file", rowsum_file, "--method", "brauer",
@@ -293,11 +312,12 @@ class TestVerifyCommand:
         assert all(result.passed for result in verify_graph(g))
         assert calls == [g]
 
-    def test_verify_graph_builds_each_matrix_once(self, monkeypatch):
-        # the oracle solves the very arrays the region stack reads, and the
-        # normalized matrix's oracle its symmetric similar matrix; a regular
-        # graph's adjacency alone is solved, its other two spectra derived
-        # from that one; every module that holds either function is patched
+    def test_verify_graph_solves_each_matrix_once(self, monkeypatch):
+        # the region stack builds each matrix once; the oracle solves the
+        # graph's own adjacency, a Laplacian it builds, and the normalized
+        # matrix's symmetric similar matrix; a regular graph's adjacency alone
+        # is solved, its other two spectra derived from that one; every
+        # module that holds either function is patched
         import eigenloc.graphs as graphs_module
         import eigenloc.oracle as oracle_module
 
@@ -319,13 +339,15 @@ class TestVerifyCommand:
                                              ("symmetric_eigenvalues", solve, counting_solve)):
                 if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counting)
-        assert all(result.passed for result in verify_graph(petersen()))
-        assert len(built) == 3 and len(solved) == 1 and solved[0] is built[0]
+        g = petersen()
+        assert all(result.passed for result in verify_graph(g))
+        assert len(built) == 3 and len(solved) == 1 and solved[0] is g.adjacency
         built.clear()
         solved.clear()
-        assert all(result.passed for result in verify_graph(star(5)))
-        assert len(built) == 3 and len(solved) == 3
-        assert solved[0] is built[0] and solved[1] is built[1]
+        g = star(5)
+        assert all(result.passed for result in verify_graph(g))
+        assert len(built) == 4 and len(solved) == 3
+        assert solved[0] is g.adjacency and solved[1] is built[3]
 
     def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
         # each fact of a graph's three matrices (row sums and gamma, deleted
@@ -602,7 +624,7 @@ class TestBadInputExitCodes:
         (["bounds", "--edges", "", "--matrix", "adjacency"], "error: --edges needs a file path\n"),
         (["verify", "--matrix-file", ""], "error: --matrix-file needs a file path\n"),
         (["regions", "--method", "gersgorin", "--emit", "svg", "--window", ""],
-         "error: window must be 'x0:x1:y0:y1'\n"),
+         "error: window '' must be 'x0:x1:y0:y1', four numbers\n"),
         (["regions", "--method", "gersgorin", "--out", ""], "error: --out needs a file path\n"),
     ], ids=["edges", "matrix-file", "family", "connections", "bad-connections", "lone-edges",
             "lone-matrix-file", "window", "out"])
@@ -638,15 +660,23 @@ class TestBadInputExitCodes:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("window", [[], ["--window=-1e308:1e308:-1:1"]],
-                             ids=["automatic", "given"])
-    def test_svg_window_past_the_float_range_exits_1(self, window, tmp_path, capsys):
-        # once: the automatic window's width overflowed to inf, the scale was
-        # 0 and every disk and marker was drawn at cx="nan", with exit 0
+    @pytest.mark.parametrize("window", ["a:b:c:d", "0:1:0:y", "0:1:0", "0:1:0:1:2"])
+    def test_malformed_svg_window_is_named(self, window, rowsum_file, capsys):
+        # a non-numeric field once printed only float()'s "could not convert
+        # string to float: 'a'"
+        argv = ["regions", "--matrix-file", rowsum_file, "--method", "gersgorin", "--emit", "svg"]
+        assert main(argv + [f"--window={window}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: window {window!r} must be 'x0:x1:y0:y1', four numbers\n"
+
+    def test_given_svg_window_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # a given window keeps the rule: a width past the float range would
+        # scale every disk and marker to cx="nan"
         path = tmp_path / "huge.json"
         path.write_text(matrix_to_json(np.array([[1e308, 1.0], [1.0, -1e308]])))
         argv = ["regions", "--matrix-file", str(path), "--method", "gersgorin", "--emit", "svg"]
-        assert main(argv + window) == 1
+        assert main(argv + ["--window=-1e308:1e308:-1:1"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: window") and "width" in captured.err
         assert "nan" not in captured.out and captured.out == ""
@@ -751,6 +781,16 @@ class TestSweepCommand:
     def test_bad_spec_exit_1(self, tmp_path):
         assert main(["sweep", "complete:9..3", "--matrix", "adjacency",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("spec", ["cycle:a..5", "cycle:3..b", "cycle:3..5:c", "cycle:3", "cycle:3..5:1:2"])
+    def test_malformed_spec_is_named(self, spec, capsys):
+        # a non-integer field once printed only int()'s "invalid literal for
+        # int() with base 10: 'a'"
+        assert main(["sweep", spec, "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad sweep spec {spec!r}: expected family:lo..hi[:step] "
+                                "with integers lo, hi and step\n")
 
     @pytest.mark.parametrize("spec", ["petersen:3..5", "petersen:3", "petersen:x:y:z:w"])
     def test_petersen_takes_no_range(self, spec, capsys):

@@ -1193,6 +1193,20 @@ def test_min_slack_rejects_empty_or_non_finite_points(points):
             region_min_slack(tree, points)
 
 
+@pytest.mark.parametrize("points, lengths", [([[1.0], [1.0, 2.0]], "1, 2"),
+                                             ([[1.0, 2.0], [3.0j]], "2, 1"),
+                                             ([np.ones(3), [1.0, 2.0]], "3, 2")])
+def test_ragged_points_are_refused_in_our_words(points, lengths):
+    # once numpy's "setting an array element with a sequence ... inhomogeneous shape"
+    rule = re.escape(f"points must be rows of one length (one row per matrix of a stack): got rows of lengths {lengths}")
+    region = gersgorin_region(np.eye(2))
+    for refuse in (lambda: region_min_slack(region, points),
+                   lambda: stack_least_slacks(MatrixFacts.stack([np.eye(2), 2.0 * np.eye(2)]), points, METHODS)):
+        with pytest.raises(ValueError, match=rule) as info:
+            refuse()
+        assert type(info.value) is ValueError
+
+
 def test_min_slack_of_far_points_takes_the_stacked_route():
     # points and foci near 1e308: a distance can overflow, which makes its
     # bound -inf, and the answer is still the grid's
@@ -1513,7 +1527,7 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
     for g in (forest, petersen(), circulant(16, (1, 5)), circulant(28, (1, 3, 7)), complete(12)):
         kinds = [kind for kind in GraphMatrixKind if kind.value != "normalized" or min(g.degree_sequence)]
         stack = [build_matrix(g, kind) for kind in kinds]
-        points = [_with_ties(graph_spectrum(g, kind, m).values) for kind, m in zip(kinds, stack)]
+        points = [_with_ties(graph_spectrum(g, kind).values) for kind in kinds]
         cases.append((stack, points, [deflation_table(g, kind) for kind in kinds]))
     distinct, narrowed = eigenloc.regions._distinct_leaves, []
 
