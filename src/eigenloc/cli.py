@@ -190,7 +190,7 @@ def verify_graph(
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
     matrices = [gr.build_matrix(g, kind) for kind in kinds]
     spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
-    stack = rg.MatrixFacts.stack(matrices, [gr.deflation_table(g, kind) for kind in kinds])
+    stack = rg.MatrixFacts(*matrices, tables=[gr.deflation_table(g, kind) for kind in kinds])
     regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
     for report, values, checks in zip(reports, spectra, regions):
@@ -276,11 +276,12 @@ def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
     loops c +- d sqrt(1 + (p / d^2) e^{it}) over [0, 2 pi].  d and p are
     taken in units of a power of two near the oval's size (at most 2**1023),
     as :func:`regions._oval_sections` takes its quartic, so that no square
-    overflows; in range the scaling is exact.
+    overflows; in range the scaling is exact.  With p = 0 the oval is its
+    foci: one closed one-point loop per distinct focus.
     """
     p = oval.radius_product
     if p <= 0.0:
-        return []
+        return [np.array([f, f]) for f in dict.fromkeys((oval.focus_a, oval.focus_b))]
     c = 0.5 * oval.focus_a + 0.5 * oval.focus_b
     d = 0.5 * oval.focus_b - 0.5 * oval.focus_a
     unit = math.ldexp(1.0, min(math.frexp(max(abs(d), math.sqrt(p)))[1], 1023))
@@ -303,7 +304,8 @@ def region_to_svg(
     """Render leaf boundaries plus eigenvalue markers as a standalone 640-pixel SVG.
 
     Disks become circles, ovals closed 512-point polylines from the oval's
-    polar form (two 256-point loops when it is pinched), point leaves small
+    polar form (two 256-point loops when it is pinched, a one-point loop per
+    focus when its radius product is 0), point leaves small
     diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.  The
     window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
@@ -461,10 +463,13 @@ def _sweep_graph(family: str, n: int) -> gr.Graph:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kind = gr.GraphMatrixKind(args.matrix)
     rows = ["family,n,theorem,target,lower,upper,oracle,slack_lower,slack_upper"]
-    specs = [_parse_sweep_spec(token) for token in args.spec]
-    for family, sizes in specs:
+    specs = [(token, *_parse_sweep_spec(token)) for token in args.spec]
+    for token, family, sizes in specs:
         for n in sizes:
-            g = _GRAPHS.graph((family, n), lambda: _sweep_graph(family, n))
+            try:
+                g = _GRAPHS.graph((family, n), lambda: _sweep_graph(family, n))
+            except ValueError as exc:  # the family's refusal names no spec
+                raise ValueError(f"sweep {token!r} at n = {n}: {exc}") from None
             if not _has_matrix(g, kind):
                 continue
             report = bd.bounds_report(g, kind, mode=args.mode)

@@ -17,12 +17,13 @@ slack of a finite point is never NaN.
 
 Underneath the tree, each union keeps a leaf table: the parameters of its
 disks, ovals and points as arrays, so that its slack is one (points x
-leaves) numpy pass and an intersection's is one such pass per component,
-and an intersection sections the leaves of all its components at once.
-The four builders each fill one table with array arithmetic and make no
-node below the root: flat for a classical union, stacked by deflation row
-for a row-sum intersection.  A builder's node makes its ``children`` from
-its table when they are first read.
+leaves) numpy pass and an intersection's is one such pass per union, and
+an intersection sections the leaves of all its unions at once.  The four
+builders fill their tables with array arithmetic.  A classical builder
+returns one union; a row-sum builder returns the intersection of one
+union per deflation row, each a view of one row of the builder's arrays.
+A builder's union makes its ``children`` from its table when they are
+first read.
 
 :class:`MatrixFacts` is a stack of matrices of one size, such as the two
 or three matrices of a graph, and owns what the builders read of them:
@@ -33,11 +34,11 @@ one's least slack for every matrix of a stack over its own points without
 building a region, from two tables of distances for the whole stack: one
 to the diagonals for the Gersgorin and Brauer sets, one to the deflated
 centres and gamma for the two row-sum sets.  It bounds a large row-sum
-region pair by pair (component, point) in two passes at most: what the
+region pair by pair (union, point) in two passes at most: what the
 second leaves cannot come first.  A table too large for one block first
 drops repeated leaves.  The pass carries no leaf; :func:`region_min_slack`
 on a builder's region takes its slack and point from the pass on a stack
-of one, then its leaf from the region's table at that one point.
+of one, then its leaf from the first union at that slack there.
 """
 
 from __future__ import annotations
@@ -214,8 +215,6 @@ class _LeafTable:
     The ovals of a builder share their foci, so a point's distance to each
     focus is taken once, not once per oval.  ``nested`` holds the union's
     children that are not leaves, whose slack is taken from the node.
-    ``anchors`` and ``bounds`` may have a leading axis, one union per row
-    (:meth:`row`), that the points' own axis pairs with.
     """
 
     def __init__(self, anchors, first, second, bounds, kinds, nested: tuple = ()) -> None:
@@ -248,10 +247,6 @@ class _LeafTable:
             tuple(node for node in nodes if isinstance(node, _Combination)),
         )
 
-    def row(self, i) -> "_LeafTable":
-        """Row ``i`` of a stacked table, of views; a slice, those rows."""
-        return _LeafTable(self.anchors[i], self.first, self.second, self.bounds[i], self.kinds)
-
     def leaves(self) -> tuple:
         """Leaf objects of every row, in row order, a point set for each point."""
         anchors = self.anchors.tolist()
@@ -278,15 +273,7 @@ class _LeafTable:
     def leaf_at(self, z: complex, slack, margins=None):
         """The leaf of the first row whose slack at ``z`` (``margins`` there,
         if given) is ``slack``, else of the first nested node at that slack;
-        None if none.  Of a stacked table, the row is in the first union at
-        ``slack``, its unions' margins made at most ``_PASS_ROWS`` at a time."""
-        if self.bounds.ndim == 2:
-            step = max(1, _PASS_ROWS // self.bounds.shape[1])
-            for lo in range(0, len(self.bounds), step):
-                block = self.row(slice(lo, lo + step)).margins(z)
-                if len(hit := np.flatnonzero(block.max(axis=-1) == slack)):
-                    return self.row(lo + hit[0]).leaf_at(z, slack, block[hit[0]])
-            return None
+        None if none."""
         margins = self.margins(z) if margins is None else margins
         if len(margins):
             k = int(margins.argmax())  # the first largest, which a row at slack is
@@ -471,25 +458,7 @@ class _Leaf:
 
 
 class _Combination:
-    """Union or intersection of ``children``; with no children it is empty.
-    A builder's node makes ``children`` from its leaf table when first read."""
-
-    @classmethod
-    def _from_table(cls, table: _LeafTable):
-        node = object.__new__(cls)
-        object.__setattr__(node, "_table", table)
-        return node
-
-    def __getattr__(self, name: str):
-        # only reached when normal lookup fails: a table-made node's children,
-        # a union's leaves or an intersection's union of each row
-        if name != "children" or "_table" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        table = self._table
-        children = table.leaves() if table.bounds.ndim == 1 else tuple(
-            RegionUnion._from_table(table.row(i)) for i in range(len(table.bounds)))
-        self.__dict__["children"] = children
-        return children
+    """Union or intersection of ``children``; with no children it is empty."""
 
     def leaves(self) -> tuple:
         return tuple(leaf for child in self.children for leaf in child.leaves())
@@ -569,8 +538,9 @@ class PointSet(_Leaf):
 class RegionUnion(_Combination):
     """Points in some child; slack is the largest child slack.
 
-    Slack and section come from the union's flat leaf table, made from
-    ``children`` or, for a builder's union, by the builder.
+    Slack and section come from the union's leaf table, made from
+    ``children`` or, for a builder's union, by the builder; such a union
+    makes ``children`` from its table when they are first read.
     """
 
     children: tuple["Region", ...]
@@ -578,6 +548,19 @@ class RegionUnion(_Combination):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", _LeafTable.of(self.children))
+
+    @classmethod
+    def _from_table(cls, table: _LeafTable) -> "RegionUnion":
+        node = object.__new__(cls)
+        object.__setattr__(node, "_table", table)
+        return node
+
+    def __getattr__(self, name: str):
+        # only reached when normal lookup fails: a table-made union's children
+        if name != "children" or "_table" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["children"] = children = self._table.leaves()
+        return children
 
     def slack(self, z):
         return self._table.slack(z)
@@ -609,8 +592,7 @@ class RegionIntersection(_Combination):
         if not self.children:
             return RealSection((), ())
         # the children's tables, a union's own or one holding the child
-        tables = [c._table if isinstance(c, RegionUnion) else _LeafTable.of((c,))
-                  for c in self.children]
+        tables = [getattr(c, "_table", None) or _LeafTable.of((c,)) for c in self.children]
         return functools.reduce(
             functools.partial(self._section_op, tol=tol), _sections(tables, tol)
         )
@@ -692,7 +674,9 @@ def _min_slack(node: Region, z: np.ndarray) -> tuple:
         centers, radii, kind, gamma = source
         gamma = None if gamma is None else np.array([gamma])
         ((slack, at),), = _least_slacks(z[None], centers[None], radii[None], gamma, [kind])
-        return slack, at, node._table.leaf_at(z[at], slack)
+        table = node._table if gamma is None else next(
+            u._table for u in node.children if u._table.slack(z[at]) == slack)
+        return slack, at, table.leaf_at(z[at], slack)
     if isinstance(node, RegionIntersection):
         if not node.children:
             return -math.inf, 0, None
@@ -807,8 +791,9 @@ def _sorted_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple:
-    """Branch and bound over the (point, component) pairs of a stacked table
-    of ``count`` rows of disks or ovals (``kind``) in at most two passes,
+    """Branch and bound over the (point, component) pairs of a row-sum
+    region whose unions have ``count`` rows of disks or ovals (``kind``) and
+    gamma, from its parameters, in at most two passes,
     ``_PASS_ROWS`` rows at a time: (least slack, first point at it).
 
     Each component's leaf of the largest bound (the disk of its largest
@@ -978,31 +963,23 @@ class MatrixFacts:
     one array pass that takes each matrix's numbers in the order its own
     pass would, so that they are each matrix's own bit for bit in any stack.
     ``MatrixFacts(matrix)`` is a stack of one, which a builder takes in
-    place of a matrix."""
+    place of a matrix.  ``tables`` may give each matrix's
+    :attr:`deflation_table` bit for bit, or None, such as a graph's
+    (:func:`graphs.deflation_table`, O(n^2)): only the others with a
+    constant row sum then take the O(n^3) pass."""
 
-    def __init__(self, matrix) -> None:
-        a = _as_matrix(matrix, complex if np.iscomplexobj(matrix) else float)
-        # every graph matrix is real: a distance is then one subtraction and
-        # one abs, bit for bit the complex one since hypot(x, 0) is |x|
-        self.matrix, self._tables = (a if np.iscomplexobj(a) and a.imag.any() else a.real.copy())[None], None
-
-    @classmethod
-    def stack(cls, matrices, tables=None) -> "MatrixFacts":
-        """The facts of ``matrices``, all n x n, made together; ``tables``
-        may give each one's :attr:`deflation_table` bit for bit, or None,
-        such as a graph's (:func:`graphs.deflation_table`, O(n^2)): only the
-        others with a constant row sum then take the O(n^3) pass."""
-        arrays = [cls(matrix).matrix[0] for matrix in matrices]
+    def __init__(self, *matrices, tables=None) -> None:
+        arrays = [_as_matrix(m, complex if np.iscomplexobj(m) else float) for m in matrices]
         if not arrays:
             raise ValueError("a stack needs at least one matrix")
         if len({a.shape for a in arrays}) > 1:
             raise ValueError("the matrices of a stack must have one shape")
         if tables is not None and len(tables) != len(arrays):
             raise ValueError("a stack needs one deflation table, or None, per matrix")
-        facts = cls.__new__(cls)
-        facts.matrix = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-        facts._tables = None if tables is None else list(tables)
-        return facts
+        # every graph matrix is real: a distance is then one subtraction and
+        # one abs, bit for bit the complex one since hypot(x, 0) is |x|
+        self.matrix = np.stack([a if np.iscomplexobj(a) and a.imag.any() else a.real for a in arrays])
+        self._tables = None if tables is None else list(tables)
 
     @functools.cached_property
     def gamma(self) -> list:
@@ -1027,7 +1004,7 @@ class MatrixFacts:
         the terms [l, i, k], the skipped ones +0.0, a chunk of l at a time
         behind the running sum, reduced along the leading axis of a C-ordered
         array, which numpy adds in order, as Python's ``sum`` does.  A table
-        not given to :meth:`stack` is made by one pass; in a stack given
+        not given to the constructor is made by one pass; in a stack given
         tables, only those a region reads, of a constant row sum, the rest NaN.
         """
         if self._tables is None:  # none given: the pass's own arrays
@@ -1213,18 +1190,21 @@ def _region(matrix, method: str):
 
 
 def _table_region(centers, radii, kind: int, gamma: complex | None = None):
-    """One leaf table's union of the disks (centre k, radius r_k) or the ovals
-    (foci j < k in the order of combinations(), radius product r_j r_k);
-    given gamma, the intersection over a leading deflation axis of those
-    unions, each with the point gamma.  The node keeps its parameters, from
-    which :func:`_least_slacks` reads its least slack."""
+    """The union of the disks (centre k, radius r_k) or the ovals (foci
+    j < k in the order of combinations(), radius product r_j r_k), made
+    from one leaf table; given gamma, the intersection of such a union with
+    the point gamma for each row of a leading deflation axis, each union's
+    table a view of that row.  The node keeps its parameters, from which
+    :func:`_least_slacks` reads its least slack."""
     _check_source(centers, radii, kind, gamma)
     stacked = gamma is not None
     first, second = _rows(centers.shape[-1], kind, stacked)
     kinds = (kind,) * (len(first) - stacked) + (_POINT,) * stacked
+    anchors = _anchors(centers, gamma).astype(complex)
     bounds = _products(_padded(radii, stacked), first, second)
-    table = _LeafTable(_anchors(centers, gamma).astype(complex), first, second, bounds, kinds)
-    node = (RegionIntersection if stacked else RegionUnion)._from_table(table)
+    unions = tuple(RegionUnion._from_table(_LeafTable(a, first, second, b, kinds)) for a, b in zip(
+        anchors.reshape(-1, anchors.shape[-1]), bounds.reshape(-1, bounds.shape[-1])))
+    node = RegionIntersection(unions) if stacked else unions[0]
     object.__setattr__(node, "_source", (centers, radii, kind, gamma))
     return node
 

@@ -619,6 +619,9 @@ class TestReports:
                     report = bounds_report(complete(n), kind, mode=mode)
                     for b in report.bounds + report.combined:
                         assert b.lower <= b.upper, (n, kind, mode, b)
+        # and an interval is refused past rounding
+        with pytest.raises(ValueError, match="^Thm3.1/lambda_1: lower 2.0 exceeds upper 1.0$"):
+            BoundInterval("lambda_1", 2.0, 1.0, "Thm3.1")
 
     def test_every_theorem_listed_exactly_once(self):
         from eigenloc.bounds import _REGISTRY

@@ -44,6 +44,7 @@ from eigenloc.regions import (
     CassiniOval,
     Disk,
     PointSet,
+    RegionUnion,
     brauer_region,
     gersgorin_region,
     matrix_to_json,
@@ -167,6 +168,11 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert captured.err == f"error: --edges takes no family option, got {option[0]}\n"
 
+    def test_no_graph_source_exit_1(self, capsys):
+        assert main(["bounds", "--matrix", "adjacency"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: no graph source: supply --family or --edges\n"
+
     def test_deterministic_output(self, capsys):
         argv = ["bounds", "--family", "petersen", "--matrix", "laplacian"]
         main(argv)
@@ -283,6 +289,17 @@ class TestRegionsCommand:
         assert svg.count('class="oval"') >= 3
         first_points = svg.split('points="')[1].split('"')[0]
         assert len(first_points.split()) == 513  # closed 512-point loop
+
+    @pytest.mark.parametrize("matrix, method, ovals", [
+        (np.diag([1.0, 2.0, 3.0]), "brauer", 3),
+        (build_matrix(complete(4), GraphMatrixKind.ADJACENCY), "rowsum-brauer", 12),
+    ], ids=["diagonal", "K4-rowsum"])
+    def test_svg_draws_every_zero_product_oval(self, matrix, method, ovals, tmp_path, capsys):
+        # an oval with p = 0 is its foci; it once drew no element at all
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(matrix))
+        assert main(["regions", "--matrix-file", str(path), "--method", method, "--emit", "svg"]) == 0
+        assert ovals <= capsys.readouterr().out.count('class="oval"') <= 2 * ovals
 
 
 class TestVerifyCommand:
@@ -799,6 +816,18 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "petersen takes no range" in captured.err
 
+    @pytest.mark.parametrize("spec, refusal", [
+        ("circulant:2..5", "sweep 'circulant:2..5' at n = 2: circulant connection 0 would be a self-loop"),
+        ("complete_bipartite:1..3",
+         "sweep 'complete_bipartite:1..3' at n = 1: complete bipartite needs p, q >= 1, got (1, 0)"),
+    ], ids=["circulant", "complete_bipartite"])
+    def test_a_size_the_family_refuses_is_named(self, spec, refusal, capsys):
+        # the family's refusal alone once named no spec, no size and, for the
+        # circulant, a connection 0 that the user never gave
+        assert main(["sweep", spec, "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {refusal}\n"
+
     def test_family_conventions(self, capsys):
         # complete_bipartite:n is K_{n - n//2, n//2} and circulant:n is
         # C_n(1, 2), the graphs that bench/workloads.family_edges also makes
@@ -1142,6 +1171,18 @@ def test_svg_rejects_bad_window(window):
     # (0, 0, 0, 0) once divided by zero and (1, 0, 1, 0) drew negative radii
     with pytest.raises(ValueError, match="window"):
         region_to_svg(Disk(0.0j, 1.0), window=window)
+
+
+def test_svg_of_an_empty_region_draws_nothing():
+    # with no leaf and no eigenvalue to frame, the window is the unit square's
+    assert region_to_svg(RegionUnion(())).splitlines()[2:] == ["</svg>"]
+
+
+def test_zero_product_oval_boundary_is_its_foci():
+    # p = 0 leaves only the foci: one closed one-point loop for each
+    for a, b, foci in [(1.0, 2.0, [1.0, 2.0]), (3.0 + 1.0j, 3.0 + 1.0j, [3.0 + 1.0j])]:
+        loops = _oval_boundary(CassiniOval(complex(a), complex(b), 0.0), 512)
+        assert [loop.tolist() for loop in loops] == [[f, f] for f in foci]
 
 
 def test_svg_pinched_oval_renders_two_loops():

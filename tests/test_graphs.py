@@ -62,6 +62,8 @@ class TestParsing:
     _MALFORMED = [
         ("", "empty edge list: missing 'n m' header"),
         ("3", "malformed header '3': expected 'n m'"),
+        ("a b", "malformed header 'a b': expected two integers"),
+        ("-1 0", "invalid header values n=-1, m=0"),
         ("3 2\n1 2", "expected 2 edge lines, found 1"),
         ("3 1\n1 2 3", "malformed edge line '1 2 3'"),
         ("3 1\nx y", "malformed edge line 'x y'"),
@@ -313,6 +315,11 @@ class TestFamilies:
         g = circulant(10, {1, 2})
         assert all(g.degree(i) == 4 for i in range(1, 11))
 
+    def test_circulant_offset_of_n_is_a_self_loop(self):
+        # offsets are taken modulo n, so n itself is 0
+        with pytest.raises(ValueError, match="^circulant connection 0 would be a self-loop$"):
+            circulant(4, (4,))
+
     def test_petersen_shape(self):
         g = petersen()
         assert g.n == 10 and g.m == 15
@@ -425,6 +432,8 @@ class TestInvariants:
 
     def test_degrees_petersen(self):
         assert petersen().degree_sequence == tuple([3] * 10)
+        with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.10$"):
+            petersen().degree(0)
 
     def test_handshake_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -522,6 +531,11 @@ class TestMatrices:
         with pytest.raises(ValueError):
             build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
 
+    def test_rejects_a_kind_that_is_not_a_matrix_kind(self):
+        # the name of a kind is not the kind
+        with pytest.raises(ValueError, match="^unknown matrix kind 'adjacency'$"):
+            build_matrix(petersen(), "adjacency")
+
 
 class TestGraphFacts:
     """``structure`` and ``adjacency`` are made once per graph, on first read."""
@@ -592,7 +606,7 @@ class TestGraphFacts:
                 continue
             kinds = [kind for kind in GraphMatrixKind if min(g.degree_sequence) or kind.value != "normalized"]
             tables = [deflation_table(g, kind) for kind in kinds]
-            stack = MatrixFacts.stack([build_matrix(g, kind) for kind in kinds], tables)
+            stack = MatrixFacts(*[build_matrix(g, kind) for kind in kinds], tables=tables)
             assert stack.gamma[0] is None
             assert [table is None for table in tables] == [True, False, True][: len(kinds)]
             for at, table in enumerate(tables):

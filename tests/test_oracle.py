@@ -114,6 +114,14 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError, match="imaginary"):
             symmetric_eigenvalues(a)
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            symmetric_eigenvalues(np.ones((2, 3)))
+
+    def test_accepts_a_negligible_imaginary_part(self):
+        # 1e-20 is below 1e-12 of the largest real part, which is solved alone
+        assert symmetric_eigenvalues(np.eye(3) + 1e-20j).values == (1.0, 1.0, 1.0)
+
     def test_rejects_imaginary_part_near_the_float_range(self):
         # |a_ij| overflows to inf, which once let any imaginary part through
         with pytest.raises(ValueError, match="imaginary"):
@@ -421,6 +429,10 @@ class TestNormalizedSpectrum:
         dense = np.linalg.eigvals(build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY))
         match_multisets(spec.values, sorted(dense.real, reverse=True), 1e-9)
 
+    def test_rejects_an_isolated_vertex(self):
+        with pytest.raises(ValueError, match="^normalized adjacency undefined with an isolated vertex$"):
+            normalized_spectrum(Graph.from_edges(3, [(1, 2)]))
+
     def test_disconnected_top_value_is_checked(self, monkeypatch):
         # two disjoint edges: no isolated vertex, so the top value must still be 1
         g = Graph.from_edges(4, [(1, 2), (3, 4)])
@@ -532,6 +544,10 @@ class TestCharpoly:
 
 
 class TestComplexEigenvalues:
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            complex_eigenvalues(np.ones((2, 3)))
+
     def test_diagonal(self):
         spec = complex_eigenvalues(np.diag([1.0, 2.0 + 1.0j]))
         assert spec.values == pytest.approx([2.0 + 1.0j, 1.0], abs=1e-12)

@@ -450,7 +450,7 @@ class TestRealSection:
             brauer_region(np.diag([1e308, -1e308]))
         with pytest.raises(ValueError, match="too far apart"):
             region_from_json({"oval": {"a": [1e308, 0.0], "b": [-1e308, 0.0], "p": 1.0}})
-        with pytest.raises(ValueError, match="too far apart"):  # one row of a stacked table
+        with pytest.raises(ValueError, match="too far apart"):  # one deflation row of a row-sum region
             _table_region(np.array([[0.0j, 1.0j], [1e308 + 0.0j, -1e308 + 0.0j]]),
                           np.ones((2, 2)), _OVAL, 0.0j)
         # foci near the float range that are a float distance apart, and disks
@@ -610,6 +610,11 @@ class TestJson:
     def test_matrix_json_rejects_malformed(self, obj):
         with pytest.raises(ValueError):
             matrix_from_json(json.dumps(obj))
+
+    def test_region_json_takes_any_real_number(self):
+        # a number of another real type, as numpy gives, is read as a float
+        disk = region_from_json({"disk": {"center": [0, 0], "radius": np.float64(2.0)}})
+        assert disk == Disk(0j, 2.0) and type(disk.radius) is float
 
     def test_bad_region_node_rejected(self):
         with pytest.raises(ValueError):
@@ -1051,6 +1056,12 @@ def _check_min_slack(region, points):
     return slack, point, leaf
 
 
+def _made_no_leaf(region) -> bool:
+    """Whether no union of a builder's region has made its leaf objects."""
+    unions = region.children if isinstance(region, RegionIntersection) else (region,)
+    return not any("children" in union.__dict__ for union in unions)
+
+
 def _with_ties(values):
     # the values, and the values rounded, which lands graph spectra on
     # integers and so on leaf boundaries and on gamma
@@ -1201,7 +1212,7 @@ def test_ragged_points_are_refused_in_our_words(points, lengths):
     rule = re.escape(f"points must be rows of one length (one row per matrix of a stack): got rows of lengths {lengths}")
     region = gersgorin_region(np.eye(2))
     for refuse in (lambda: region_min_slack(region, points),
-                   lambda: stack_least_slacks(MatrixFacts.stack([np.eye(2), 2.0 * np.eye(2)]), points, METHODS)):
+                   lambda: stack_least_slacks(MatrixFacts(np.eye(2), 2.0 * np.eye(2)), points, METHODS)):
         with pytest.raises(ValueError, match=rule) as info:
             refuse()
         assert type(info.value) is ValueError
@@ -1228,7 +1239,7 @@ def test_min_slack_of_far_points_is_quiet_and_makes_no_component(pass_rows, monk
         warnings.simplefilter("error")
         region = rowsum_brauer_region(a)
         slack, point, leaf = region_min_slack(region, points)
-        assert "children" not in region.__dict__
+        assert _made_no_leaf(region)
         grid = region_slack_grid(rowsum_brauer_region(a), points)
     assert np.float64(slack).tobytes() == grid.min().tobytes()
     assert point == points[int(np.flatnonzero(grid == grid.min())[0])]
@@ -1294,14 +1305,14 @@ def test_real_matrix_facts_make_one_real_copy():
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_min_slack_makes_no_component_of_a_builders_region(builder):
-    # region_min_slack reads a builder's table, its leaf too; it makes no
-    # child node
+    # region_min_slack reads a builder's tables, its leaf too; it makes no
+    # leaf object
     rng = np.random.default_rng(85)
     for n in range(3, 9):
         a, _ = random_constant_rowsum_matrix(rng, n)
         region = builder(a)
         assert region_min_slack(region, np.linalg.eigvals(a))[0] != 0.0
-        assert "children" not in region.__dict__
+        assert _made_no_leaf(region)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -1316,8 +1327,8 @@ def test_built_region_equals_the_node_made_from_its_children(builder):
 
 
 def test_builders_regions_nested_in_hand_built_trees():
-    # a builder's intersection holds a stacked table, which a tree that nests
-    # it must not read as a union's
+    # a builder's region nested in a hand-built tree sections and bounds as
+    # the tree's own children do
     rng = np.random.default_rng(86)
     for n in range(3, 8):
         a, gamma = random_constant_rowsum_matrix(rng, n)
@@ -1470,7 +1481,7 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
                 assert region_slack_grid(region, z).min().tobytes() == wants[-1][method]
         for pass_rows in (default, 1):
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
-            stacked = stack_least_slacks(MatrixFacts.stack(matrices), points, METHODS)
+            stacked = stack_least_slacks(MatrixFacts(*matrices), points, METHODS)
             for want, least in zip(wants, stacked):
                 assert least.keys() == want.keys()
                 for method, slack in least.items():
@@ -1492,7 +1503,7 @@ def test_a_stack_of_complex_row_sum_matrices_is_each_matrix_own():
     for n in (3, 4, 7):
         matrices = [random_constant_rowsum_matrix(rng, n)[0] for _ in range(3)]
         points = [np.linalg.eigvals(a) for a in matrices]
-        for facts in (MatrixFacts.stack(matrices), MatrixFacts.stack(matrices, [None] * 3)):
+        for facts in (MatrixFacts(*matrices), MatrixFacts(*matrices, tables=[None] * 3)):
             assert all(part.flags.c_contiguous for part in facts.deflation_table)
             for a, z, least in zip(matrices, points, stack_least_slacks(facts, points, METHODS)):
                 assert list(least) == list(METHODS)
@@ -1539,7 +1550,7 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
     for pass_rows in (eigenloc.regions._PASS_ROWS, 64, 1):
         monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
         for matrices, points, tables in cases:
-            stack, least = MatrixFacts.stack(matrices, tables), []
+            stack, least = MatrixFacts(*matrices, tables=tables), []
             for dedup in (counted, lambda centers, radii: (centers, radii)):
                 monkeypatch.setattr(eigenloc.regions, "_distinct_leaves", dedup)
                 least.append(stack_least_slacks(stack, points, METHODS))
@@ -1564,7 +1575,7 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
     raised = 0
     for names in [("good", "far"), ("wide", "nan"), ("nan", "wide"), ("good", "nowhere", "far"),
                   ("good", "good", "wide"), ("nowhere", "good")]:
-        stack = MatrixFacts.stack([cases[name][0] for name in names])
+        stack = MatrixFacts(*[cases[name][0] for name in names])
         points = [cases[name][1] for name in names]
         refusals = set()
         for name in names:
@@ -1581,14 +1592,14 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
     assert raised == 6
     # a matrix without a constant row sum lacks only its own row-sum regions
     lopsided = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    (alone,), (mixed, _) = (stack_least_slacks(MatrixFacts.stack(stack), [[0.0, 1.0, -1.0]] * len(stack),
+    (alone,), (mixed, _) = (stack_least_slacks(MatrixFacts(*stack), [[0.0, 1.0, -1.0]] * len(stack),
                                                METHODS) for stack in ([lopsided], [lopsided, good]))
     assert list(mixed) == list(alone) == ["gersgorin", "brauer"]
     with pytest.raises(ValueError, match="one shape"):
-        MatrixFacts.stack([good, np.eye(2)])
+        MatrixFacts(good, np.eye(2))
     # points are one row per matrix: more rows once gave a matrix another's
     # points, and one row was split among the matrices
-    pair = MatrixFacts.stack([np.eye(2), 5.0 * np.eye(2)])
+    pair = MatrixFacts(np.eye(2), 5.0 * np.eye(2))
     for points, rows in [([[1.0, 1.0], [5.0, 5.0], [9.0, 9.0]], 3), ([[1.0, 1.0, 5.0, 5.0]], 1),
                          ([1.0, 1.0, 5.0, 5.0], 4), (1.0, 0)]:
         with pytest.raises(ValueError, match=f"got {rows} rows for a stack of 2"):
@@ -1597,11 +1608,16 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
 
 
 def test_a_stack_has_a_matrix_and_a_region_has_one():
-    # an empty stack is refused in the stack's own words, and a builder
-    # refuses a stack of more than one matrix, whichever of them it holds
+    # an empty stack is refused in the stack's own words, as are tables for
+    # another count of matrices, and a builder refuses a stack of more than
+    # one matrix, whichever of them it holds, and a matrix that is not square
     with pytest.raises(ValueError, match="at least one matrix"):
-        MatrixFacts.stack([])
-    stack = MatrixFacts.stack([np.eye(3), np.ones((3, 3))])
+        MatrixFacts()
+    with pytest.raises(ValueError, match="^a stack needs one deflation table, or None, per matrix$"):
+        MatrixFacts(np.eye(2), np.eye(2), tables=[None])
+    with pytest.raises(ValueError, match=re.escape("square matrix of dimension >= 1, got shape (2, 3)")):
+        gersgorin_region(np.ones((2, 3)))
+    stack = MatrixFacts(np.eye(3), np.ones((3, 3)))
     for builder in BUILDERS:
         with pytest.raises(ValueError, match="got a stack of 2") as info:
             builder(stack)
@@ -1641,7 +1657,7 @@ def test_stacked_facts_are_each_matrix_own_bit_for_bit(monkeypatch):
             real = [rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-3, 4)) for _ in range(2)]
             real[0][:, -1] += 1.5 - real[0].sum(axis=1)  # row sums 1.5 up to rounding
             for matrices in (real, real + [rng.random((n, n)) + 1j * rng.random((n, n))]):
-                facts = MatrixFacts.stack(matrices)
+                facts = MatrixFacts(*matrices)
                 for at, a in enumerate(matrices):
                     sums = np.asarray(a, dtype=complex).sum(axis=1)
                     deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
@@ -1701,7 +1717,7 @@ def test_real_stack_gamma_is_the_pairwise_tables(monkeypatch):
         if pass_rows is not None:
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
         for stack in stacks:
-            assert repr(MatrixFacts.stack(stack).gamma) == repr(row_sum_gammas(stack)), stack
+            assert repr(MatrixFacts(*stack).gamma) == repr(row_sum_gammas(stack)), stack
 
 
 def test_least_slacks_keep_real_matrices_real():
