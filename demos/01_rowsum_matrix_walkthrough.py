@@ -80,7 +80,7 @@ print(
     f" (refined points outside classical: {int((inside_refined & ~inside_classical).sum())})"
 )
 
-section = real_section(refined, tol=1e-9)
+section = real_section(refined)
 print(f"\nreal-axis section of the deflated-disk region: {section}")
 print("(gamma = 2+2i is complex, so only the disks' real trace survives)")
 

@@ -303,10 +303,11 @@ def region_to_svg(
 ) -> str:
     """Render leaf boundaries plus eigenvalue markers as a standalone 640-pixel SVG.
 
-    Disks become circles, ovals closed 512-point polylines from the oval's
-    polar form (two 256-point loops when it is pinched, a one-point loop per
-    focus when its radius product is 0), point leaves small
-    diamonds, eigenvalues filled dots.
+    Disks become circles (a round-capped dot where the pixel radius prints
+    as 0.00), ovals closed 512-point polylines from the oval's polar form
+    (two 256-point loops when it is pinched, a round-capped one-point loop
+    per focus when its radius product is 0), point leaves small diamonds,
+    eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.  The
     window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
     width and height (ValueError); the automatic one is taken in its unit
@@ -334,18 +335,21 @@ def region_to_svg(
     ]
     for leaf in leaves:
         if isinstance(leaf, rg.Disk):
-            parts.append(
-                f'<circle class="disk" cx="{sx(leaf.center.real):.2f}" '
-                f'cy="{sy(leaf.center.imag):.2f}" r="{leaf.radius / unit * scale:.2f}" '
-                'fill="none" stroke="steelblue" stroke-width="1"/>'
-            )
+            cx, cy = sx(leaf.center.real), sy(leaf.center.imag)
+            r = f"{leaf.radius / unit * scale:.2f}"
+            # a circle of radius 0 paints nothing, a round-capped zero-length path a dot
+            shape = (f'circle class="disk" cx="{cx:.2f}" cy="{cy:.2f}" r="{r}"' if r != "0.00" else
+                     f'path class="disk" d="M {cx:.2f} {cy:.2f} h 0" stroke-linecap="round"')
+            parts.append(f'<{shape} fill="none" stroke="steelblue" stroke-width="1"/>')
         elif isinstance(leaf, rg.CassiniOval):
+            # p = 0 leaves one-point loops, which only round caps paint
+            cap = ' stroke-linecap="round"' if leaf.radius_product == 0.0 else ""
             for loop in _oval_boundary(leaf, 512):
                 xy = zip(sx(loop.real).tolist(), sy(loop.imag).tolist())
                 coords = " ".join(["%.2f,%.2f" % point for point in xy])
                 parts.append(
                     f'<polyline class="oval" points="{coords}" fill="none" '
-                    'stroke="darkorange" stroke-width="1"/>'
+                    f'stroke="darkorange" stroke-width="1"{cap}/>'
                 )
         else:
             for point in leaf.points:
@@ -433,11 +437,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
     """'family:lo..hi[:step]' (or 'family:lo:hi[:step]'), the bare name alone for
-    petersen, which takes no size."""
+    petersen, which takes no size; the name is normalized as generate does."""
     fields = token.replace("..", ":").split(":")
-    family = fields[0]
+    family = fields[0].lower().replace("-", "_")
+    if family not in gr.FAMILY_NAMES:
+        raise ValueError(f"bad sweep spec {token!r}: unknown graph family {fields[0]!r}")
     if family == "petersen":
-        if token != family:
+        if len(fields) > 1:
             raise ValueError(f"bad sweep spec {token!r}: petersen takes no range")
         return family, [10]
     try:

@@ -94,8 +94,8 @@ class RealSection:
     """Intersection of a region with the real axis.
 
     ``intervals`` are closed, pairwise disjoint and sorted; zero-width
-    intervals are allowed.  ``isolated_points`` are sorted and never
-    interior to any interval.
+    intervals are allowed.  ``isolated_points`` are sorted, distinct and
+    never interior to any interval.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -113,9 +113,12 @@ def section_contains(section: RealSection, x: float, tol: float = 0.0) -> bool:
     return any(abs(x - p) <= tol for p in section.isolated_points)
 
 
-def _normalized_section(
-    intervals: list[tuple[float, float]], points: list[float], tol: float
-) -> RealSection:
+# a point leaf, a focus's foot or an oval's touch this near the axis is real,
+# and a point this near another union's section survives their intersection
+_NEAR_AXIS = 1e-9
+
+
+def _normalized_section(intervals: list[tuple[float, float]], points: list[float]) -> RealSection:
     merged: list[list[float]] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
@@ -124,11 +127,8 @@ def _normalized_section(
             merged.append([lo, hi])
     kept: list[float] = []
     for p in sorted(points):
-        if any(lo <= p <= hi for lo, hi in merged):
-            continue
-        if kept and abs(p - kept[-1]) <= tol:
-            continue
-        kept.append(p)
+        if not (kept and p == kept[-1] or any(lo <= p <= hi for lo, hi in merged)):
+            kept.append(p)
     return RealSection(tuple((lo, hi) for lo, hi in merged), tuple(kept))
 
 
@@ -282,20 +282,21 @@ class _LeafTable:
         node = next((node for node in self.nested if node.slack(z) == slack), None)
         return None if node is None else _min_slack(node, np.array([z]))[2]
 
-    def section(self, tol: float) -> RealSection:
+    def section(self) -> RealSection:
         """The union's real section: disks in closed form, points within
-        ``tol`` of the axis, and each oval where ``q(x) = |x-a|^2 |x-b|^2 - p^2``
-        is <= 0, cut at the real roots of q and q'.
+        ``_NEAR_AXIS`` of the axis, and each oval where ``q(x) = |x-a|^2
+        |x-b|^2 - p^2`` is <= 0, cut at the real roots of q and q'.
 
         A point where an oval only touches the axis (a double root of q) and
         the real point of each focus are kept as isolated points when their
-        slack is at least ``-tol``; the foci keep a lobe too narrow for the
-        quartic to resolve at their magnitude.
+        slack is at least ``-_NEAR_AXIS`` (a touch's in the oval's units);
+        the foci keep a lobe too narrow for the quartic to resolve at their
+        magnitude.  Isolated points merge only where they are equal.
         """
-        return _sections([self], tol)[0]
+        return _sections([self])[0]
 
 
-def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
+def _sections(tables: list[_LeafTable]) -> list[RealSection]:
     """:meth:`_LeafTable.section` of each table, all tables' rows at once."""
     owner = np.repeat(np.arange(len(tables)), [len(t.kinds) for t in tables])
     kinds = np.array([kind for t in tables for kind in t.kinds], dtype=int)
@@ -314,14 +315,14 @@ def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
         r, y = r / unit, y / unit
         gap = np.where(finite, gap, (r - y) * (r + y))
         disk, half = disk[gap >= 0.0], unit[gap >= 0.0] * np.sqrt(gap[gap >= 0.0])
-        point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= tol))
+        point = np.flatnonzero((kinds == _POINT) & (np.abs(at.imag) <= _NEAR_AXIS))
         # the rows, low and high ends of the intervals, then the rows and
         # values of the isolated points
         pieces = [(disk, at[disk].real - half, at[disk].real + half, point, at[point].real)]
     oval = np.flatnonzero(kinds == _OVAL)
     if len(oval):
         to = np.concatenate([t.anchors[t.second] for t in tables])[oval]
-        span, low, high, mark, x = _oval_sections(at[oval], to, bound[oval], tol)
+        span, low, high, mark, x = _oval_sections(at[oval], to, bound[oval])
         pieces.append((oval[span], low, high, oval[mark], x))
     spans, lows, highs, marks, xs = (np.concatenate(part) for part in zip(*pieces))
     spans, marks = owner[spans], owner[marks]
@@ -330,10 +331,10 @@ def _sections(tables: list[_LeafTable], tol: float) -> list[RealSection]:
         intervals = list(zip(lows[spans == k].tolist(), highs[spans == k].tolist()))
         isolated = xs[marks == k].tolist()
         for node in table.nested:
-            nested = node.section(tol)
+            nested = node.section()
             intervals += nested.intervals
             isolated += nested.isolated_points
-        sections.append(_normalized_section(intervals, isolated, tol))
+        sections.append(_normalized_section(intervals, isolated))
     return sections
 
 
@@ -362,7 +363,7 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return value
 
 
-def _oval_sections(a, b, p, tol: float):
+def _oval_sections(a, b, p):
     """The real sections of the ovals with foci ``a``, ``b`` and radius
     products ``p``: each interval's oval, low and high end, then each
     isolated point's oval and value, as arrays."""
@@ -370,7 +371,7 @@ def _oval_sections(a, b, p, tol: float):
     with np.errstate(over="ignore"):
         s = 0.5 * (a.real + b.real)
     feet = np.hstack([a.real, b.real])
-    kept = p - np.hypot(feet - a.real, a.imag) * np.hypot(feet - b.real, b.imag) >= -tol
+    kept = p - np.hypot(feet - a.real, a.imag) * np.hypot(feet - b.real, b.imag) >= -_NEAR_AXIS
     live = np.flatnonzero(p != 0.0)
     a, b, p = a[live], b[live], p[live]
     # q(y) = |y-u|^2 |y-v|^2 - p^2, a real quartic that is negative inside the
@@ -419,7 +420,7 @@ def _oval_sections(a, b, p, tol: float):
     # tolerance wider than any spread the critical points can have
     with np.errstate(over="ignore"):
         spacing = np.divide(-2.0 * g, curvature, out=np.full_like(g, np.nan), where=g * curvature < 0.0)
-        reach = -tol / scale / scale
+        reach = -_NEAR_AXIS / scale / scale
     half = np.sqrt(spacing)
     rescued = np.stack([critical, critical - half, critical + half], -1).reshape(len(p), 9)
     ends = np.sort(np.hstack([roots, rescued]), axis=1, kind="stable")
@@ -450,8 +451,8 @@ class _Leaf:
     def slack(self, z):
         return _LeafTable.of((self,)).slack(z)
 
-    def section(self, tol: float) -> RealSection:
-        return _LeafTable.of((self,)).section(tol)
+    def section(self) -> RealSection:
+        return _LeafTable.of((self,)).section()
 
     def leaves(self) -> tuple:
         return (self,)
@@ -565,8 +566,8 @@ class RegionUnion(_Combination):
     def slack(self, z):
         return self._table.slack(z)
 
-    def section(self, tol: float) -> RealSection:
-        return self._table.section(tol)
+    def section(self) -> RealSection:
+        return self._table.section()
 
 
 @dataclass(frozen=True)
@@ -577,25 +578,23 @@ class RegionIntersection(_Combination):
     _op = "intersection"
 
     @staticmethod
-    def _section_op(a: RealSection, b: RealSection, tol: float) -> RealSection:
+    def _section_op(a: RealSection, b: RealSection) -> RealSection:
         intervals = [
             (max(lo1, lo2), min(hi1, hi2))
             for lo1, hi1 in a.intervals
             for lo2, hi2 in b.intervals
             if max(lo1, lo2) <= min(hi1, hi2)
         ]
-        points = [p for p in a.isolated_points if section_contains(b, p, tol)]
-        points += [p for p in b.isolated_points if section_contains(a, p, tol)]
-        return _normalized_section(intervals, points, tol)
+        points = [p for p in a.isolated_points if section_contains(b, p, _NEAR_AXIS)]
+        points += [p for p in b.isolated_points if section_contains(a, p, _NEAR_AXIS)]
+        return _normalized_section(intervals, points)
 
-    def section(self, tol: float) -> RealSection:
+    def section(self) -> RealSection:
         if not self.children:
             return RealSection((), ())
         # the children's tables, a union's own or one holding the child
         tables = [getattr(c, "_table", None) or _LeafTable.of((c,)) for c in self.children]
-        return functools.reduce(
-            functools.partial(self._section_op, tol=tol), _sections(tables, tol)
-        )
+        return functools.reduce(self._section_op, _sections(tables))
 
     def slack(self, z):
         if not self.children:
@@ -845,17 +844,16 @@ def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple
 _PASS_ROWS = 2**14
 
 
-def real_section(region: Region, tol: float = 1e-9) -> RealSection:
+def real_section(region: Region) -> RealSection:
     """The region's intersection with the real axis as intervals + points.
 
     Disks section analytically and ovals in closed form, every leaf of an
     intersection's unions at once (see :meth:`_LeafTable.section`); the
-    sections combine by interval algebra.  ``tol`` also controls how close
-    to the axis a point leaf must be to count as real and how point
-    matching behaves under intersection.  Tangent disks keep their
-    zero-width interval.
+    sections combine by interval algebra, where a point of one union within
+    ``_NEAR_AXIS`` of another's section survives.  Tangent disks keep their
+    zero-width interval, and distinct isolated points stay distinct.
     """
-    return region.section(tol)
+    return region.section()
 
 
 def region_to_json(region: Region) -> dict:
@@ -884,8 +882,9 @@ def _finite_matrix(matrix) -> np.ndarray:
 def constant_row_sum(matrix) -> complex | None:
     """The common row sum when all rows agree within tolerance, else None.
 
-    The tolerance is ``1e-9 * (1 + max |row sum|)``: graph matrices are
-    exact while user matrices may carry float noise.  Agreement is measured
+    The tolerance is ``1e-9 * min(max_i sum_j |a_ij|, 1 + max |row sum|)``:
+    graph matrices are exact while user matrices may carry float noise, and
+    a matrix near zero is held to its own magnitude.  Agreement is measured
     as the maximum pairwise deviation between row sums.  A NaN or infinite
     entry raises ValueError.
     """
@@ -914,14 +913,15 @@ def _deleted_row_sums(a: np.ndarray) -> np.ndarray:
 def _row_sums_gamma(a: np.ndarray) -> list:
     """:func:`constant_row_sum` of each of the (k, n, n) stack ``a``, which a
     NaN or infinite entry makes NaN or infinite rather than refused (and its
-    tolerance infinite or NaN).  The row sums are complex, a few rows cast at
-    a time; the largest pairwise deviation of real ones is fl(max - min)."""
+    tolerance infinite or NaN).  The complex and the absolute row sums take a
+    few rows at a time; the largest pairwise deviation of real ones is fl(max - min)."""
     k, n = a.shape[:2]
     step = max(1, _PASS_ROWS // (k * n))  # rows of every matrix a cast
+    chunks = [a[:, lo : lo + step] for lo in range(0, n, step)]
     with np.errstate(over="ignore", invalid="ignore"):  # regions reject a sum that overflows
-        sums = np.concatenate([a[:, lo : lo + step].astype(complex).sum(axis=-1)
-                               for lo in range(0, n, step)], axis=-1)
-        tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
+        sums = np.concatenate([chunk.astype(complex).sum(axis=-1) for chunk in chunks], axis=-1)
+        norm = np.concatenate([np.abs(chunk).sum(axis=-1) for chunk in chunks], axis=-1).max(axis=-1)
+        tol = 1e-9 * np.minimum(norm, 1.0 + np.abs(sums).max(axis=-1))
         if np.iscomplexobj(a):
             deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
         else:
@@ -962,8 +962,8 @@ class MatrixFacts:
     read of them, each fact made for all k on first read and then kept, by
     one array pass that takes each matrix's numbers in the order its own
     pass would, so that they are each matrix's own bit for bit in any stack.
-    ``MatrixFacts(matrix)`` is a stack of one, which a builder takes in
-    place of a matrix.  ``tables`` may give each matrix's
+    ``MatrixFacts(matrix)`` is a stack of one, as each builder makes of
+    its matrix.  ``tables`` may give each matrix's
     :attr:`deflation_table` bit for bit, or None, such as a graph's
     (:func:`graphs.deflation_table`, O(n^2)): only the others with a
     constant row sum then take the O(n^3) pass."""
@@ -1177,10 +1177,8 @@ def _check_source(centers, radii, kind: int, gamma=None) -> None:
 
 
 def _region(matrix, method: str):
-    """The builders' region of ``method`` of a matrix or a stack of one."""
-    facts = matrix if isinstance(matrix, MatrixFacts) else MatrixFacts(matrix)
-    if len(facts.matrix) > 1:
-        raise ValueError(f"a region is built from one matrix, got a stack of {len(facts.matrix)}")
+    """The builders' region of ``method`` of a matrix."""
+    facts = MatrixFacts(matrix)
     deflated = method.startswith("rowsum")
     if deflated and facts.gamma[0] is None:
         raise RegionUnavailable(_NO_ROW_SUM)

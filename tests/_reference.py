@@ -105,12 +105,14 @@ def row_sum_gammas(stack) -> list:
     """Each matrix's constant row sum (None where there is none) of the
     (k, n, n) ``stack``, from the (k, n, n) table of the differences of
     every pair of its complex row sums: the mean where their largest modulus
-    is at most 1e-9 (1 + the largest |row sum|).  A non-finite sum makes the
-    table's maximum NaN (its diagonal holds inf - inf), so that the mean,
-    itself not finite, is taken."""
+    is at most 1e-9 times the least of the largest absolute row sum
+    (sum over j of |a_ij|) and 1 + the largest |row sum|.  A non-finite sum
+    makes the table's maximum NaN (its diagonal holds inf - inf), so that
+    the mean, itself not finite, is taken."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.asarray(stack).astype(complex).sum(axis=-1)
-        tol = 1e-9 * (1.0 + np.abs(sums).max(axis=-1))
+        norm = np.abs(np.asarray(stack)).sum(axis=-1).max(axis=-1)
+        tol = 1e-9 * np.minimum(norm, 1.0 + np.abs(sums).max(axis=-1))
         deviation = np.abs(sums[:, :, None] - sums[:, None, :]).max(axis=(-2, -1))
         mean = sums.mean(axis=-1).tolist()
     return [None if d > t else mean[k] for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]

@@ -351,7 +351,7 @@ def test_criterion_8_real_section_oracle_agreement():
     rng = np.random.default_rng(88)
     for index in range(50):
         region = random_region(rng)
-        section = real_section(region, tol=1e-9)
+        section = real_section(region)
         xs = rng.uniform(-6.0, 6.0, 1000)
         for x in xs:
             z = complex(float(x), 0.0)

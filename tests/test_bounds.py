@@ -860,7 +860,7 @@ class TestRegionVsFormula:
         deflated = RegionIntersection(
             tuple(RegionUnion(component.children[:-1]) for component in region.children)
         )
-        section = real_section(deflated, tol=1e-9)
+        section = real_section(deflated)
         points = [x for lohi in section.intervals for x in lohi]
         points += list(section.isolated_points)
         assert min(points) >= lo - 1e-8
@@ -895,7 +895,7 @@ def _deflated_hull(region):
     deflated = RegionIntersection(
         tuple(RegionUnion(component.children[:-1]) for component in region.children)
     )
-    section = real_section(deflated, tol=1e-9)
+    section = real_section(deflated)
     ends = [x for lohi in section.intervals for x in lohi] + list(section.isolated_points)
     return min(ends), max(ends)
 

@@ -231,7 +231,7 @@ class TestRegionsCommand:
         code = main(["regions", "--matrix-file", str(path), "--method", "rowsum-brauer"])
         assert code == 0
         region = region_from_json(json.loads(capsys.readouterr().out))
-        section = real_section(region, tol=1e-9)
+        section = real_section(region)
         assert section_contains(section, 2.0, 1e-9)
         assert section_contains(section, 4.0, 1e-9)
 
@@ -274,10 +274,12 @@ class TestRegionsCommand:
                          "--emit", "svg", "--out", str(out)])
         svg = out.read_text()
         assert code == 0 and not re.search("nan|inf", svg, re.IGNORECASE)
-        centres = sorted(re.findall(r'class="(disk|eigenvalue)" cx="([-0-9.]+)" cy="([-0-9.]+)"', svg))
-        assert [kind for kind, _, _ in centres] == ["disk"] * 2 + ["eigenvalue"] * 2
+        # the disks, far below a pixel wide, are dots
+        disks = re.findall(r'class="disk" d="M ([-0-9.]+) ([-0-9.]+) h 0"', svg)
+        marks = re.findall(r'class="eigenvalue" cx="([-0-9.]+)" cy="([-0-9.]+)"', svg)
+        assert len(disks) == len(marks) == 2
         # where diag(1.7, -1.7) draws them, in the same frame
-        assert {(x, y) for _, x, y in centres} == {("53.33", "53.33"), ("586.67", "53.33")}
+        assert set(disks) == set(marks) == {("53.33", "53.33"), ("586.67", "53.33")}
 
     def test_svg_ovals_are_polylines(self, rowsum_file, capsys):
         code = main(
@@ -536,6 +538,16 @@ class TestVerifyCommand:
                 least = min(float(fields[7]), float(fields[8])) + 0.0
                 sweep[fields[2], fields[3]] = "%.6e" % least
         assert sweep and sweep == verify
+
+    def test_a_matrix_near_zero_has_no_row_sum_checks(self, tmp_path, capsys):
+        # 2^-40 diag(-1, 0) once took the row sum -2^-40 and passed its
+        # row-sum checks with both eigenvalues outside their regions
+        path = tmp_path / "tiny.json"
+        path.write_text(matrix_to_json(2.0**-40 * np.diag([-1.0, 0.0])))
+        assert main(["verify", "--matrix-file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["gersgorin", "brauer", "checks"]
+        assert lines[-1] == "2/2 checks passed"
 
     def test_complete_34_matrix_file(self, tmp_path, capsys):
         # -1 is an eigenvalue with 33 independent eigenvectors
@@ -815,6 +827,20 @@ class TestSweepCommand:
         assert main(["sweep", spec, "--matrix", "adjacency", "--out", "-"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "petersen takes no range" in captured.err
+
+    def test_an_unknown_family_is_refused_before_any_work(self, capsys, monkeypatch):
+        # every size of the specs before it was once solved first
+        made = []
+        monkeypatch.setattr(cli, "_sweep_graph", lambda family, n: made.append(n))
+        assert main(["sweep", "cycle:3..40", "foo:1..3", "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert made == [] and captured.out == ""
+        assert captured.err == "error: bad sweep spec 'foo:1..3': unknown graph family 'foo'\n"
+
+    def test_family_names_are_normalized_as_generate_does(self, capsys):
+        assert main(["sweep", "Complete-Bipartite:4..4", "--matrix", "adjacency", "--out", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(row.startswith("complete_bipartite,4,") for row in rows)
 
     @pytest.mark.parametrize("spec, refusal", [
         ("circulant:2..5", "sweep 'circulant:2..5' at n = 2: circulant connection 0 would be a self-loop"),
@@ -1183,6 +1209,18 @@ def test_zero_product_oval_boundary_is_its_foci():
     for a, b, foci in [(1.0, 2.0, [1.0, 2.0]), (3.0 + 1.0j, 3.0 + 1.0j, [3.0 + 1.0j])]:
         loops = _oval_boundary(CassiniOval(complex(a), complex(b), 0.0), 512)
         assert [loop.tolist() for loop in loops] == [[f, f] for f in foci]
+
+
+def test_degenerate_leaves_paint_a_dot():
+    # a circle of radius 0.00 and a one-point polyline with butt caps paint
+    # nothing: diag(1, 2, 3)'s disks and its ovals' foci were once invisible
+    a = np.diag([1.0, 2.0, 3.0])
+    svg = region_to_svg(gersgorin_region(a))
+    assert 'r="0.00"' not in svg
+    assert svg.count('<path class="disk" d="M ') == svg.count('h 0" stroke-linecap="round"') == 3
+    assert region_to_svg(Disk(0.0j, 1.0)).count("<circle") == 1
+    svg = region_to_svg(brauer_region(a))
+    assert svg.count('class="oval"') == svg.count('stroke-linecap="round"') == 6
 
 
 def test_svg_pinched_oval_renders_two_loops():

@@ -80,6 +80,28 @@ class TestRowSums:
     def test_non_constant_returns_none(self):
         assert constant_row_sum(np.array([[1.0, 0.0], [0.0, 2.0]])) is None
 
+    def test_a_matrix_near_zero_is_held_to_its_own_magnitude(self):
+        # rows that disagree by all they hold once passed a tolerance of
+        # 1e-9 (1 + max |row sum|), and gave 2^-40 diag(-1, 0) a row sum
+        # -2^-40 with both eigenvalues outside its row-sum regions
+        assert constant_row_sum(2.0**-40 * np.diag([-1.0, 0.0])) is None
+        tiny = 2.0**-40 * np.diag([-1.0, 0.0, 1.0])
+        for builder in (rowsum_gersgorin_region, rowsum_brauer_region):
+            with pytest.raises(RegionUnavailable):
+                builder(tiny)
+        assert constant_row_sum(2.0**-40 * np.eye(3)) == 2.0**-40
+        assert constant_row_sum(np.zeros((3, 3))) == 0.0
+
+    def test_rounding_of_large_cancelling_rows_is_still_refused(self):
+        # the tolerance is capped at 1e-9 (1 + max |row sum|): rows of a
+        # weighted Laplacian with weights near 1e10 sum to zero only up to
+        # about 1e-5, which verify's absolute 1e-8 would fail as regions
+        rng = np.random.default_rng(7)
+        w = np.triu(rng.uniform(0.5e10, 1.5e10, (8, 8)), 1)
+        lap = np.diag((w + w.T).sum(axis=1)) - (w + w.T)
+        assert np.abs(lap.sum(axis=1)).max() > 1e-8
+        assert constant_row_sum(lap) is None
+
 
 class TestDeflate:
     def test_fixture_first_deflation_exact(self):
@@ -194,18 +216,18 @@ class TestRowSumRegions:
     def test_complete_adjacency_region_is_spectrum(self):
         for n in (3, 4, 6):
             a = build_matrix(complete(n), GraphMatrixKind.ADJACENCY)
-            section = real_section(rowsum_gersgorin_region(a), tol=1e-9)
+            section = real_section(rowsum_gersgorin_region(a))
             assert section.intervals == ((-1.0, -1.0),)
             assert section.isolated_points == (float(n - 1),)
 
     def test_all_ones_2x2_region(self):
-        section = real_section(rowsum_gersgorin_region(np.ones((2, 2))), tol=1e-9)
+        section = real_section(rowsum_gersgorin_region(np.ones((2, 2))))
         assert section.intervals == ((0.0, 0.0),)
         assert section.isolated_points == (2.0,)
 
     def test_k3_adjacency_rowsum_brauer_is_spectrum(self):
         a = build_matrix(complete(3), GraphMatrixKind.ADJACENCY)
-        section = real_section(rowsum_brauer_region(a), tol=1e-9)
+        section = real_section(rowsum_brauer_region(a))
         # zero-product ovals degenerate to their (real) foci
         assert section.isolated_points == (-1.0, 2.0)
         assert section.intervals == ()
@@ -220,10 +242,10 @@ class TestRowSumRegions:
 
     def test_scalar_matrix_region_is_gamma(self):
         gamma = 1.5 - 0.5j
-        section = real_section(rowsum_brauer_region(gamma * np.eye(4)), tol=1e-9)
+        section = real_section(rowsum_brauer_region(gamma * np.eye(4)))
         assert section.is_empty()  # gamma is not real
         region = rowsum_brauer_region(np.real(gamma) * np.eye(4))
-        section = real_section(region, tol=1e-9)
+        section = real_section(region)
         assert section.intervals == ((1.5, 1.5),) or section.isolated_points == (1.5,)
 
     def test_rowsum_regions_require_constant_row_sum(self):
@@ -533,6 +555,15 @@ class TestRealSection:
         sec = real_section(inter)
         assert sec.intervals == ((0.5, 1.0),)
 
+    def test_distinct_isolated_points_stay_distinct(self):
+        # points within an absolute 1e-9 of each other were once merged: the
+        # section of diag(1e-12, 2e-12, 3e-12) was (1e-12,)
+        section = real_section(brauer_region(np.diag([1e-12, 2e-12, 3e-12])))
+        assert section == RealSection((), (1e-12, 2e-12, 3e-12))
+        section = real_section(brauer_region(np.array([[1e-12, 1e-13], [0.0, 2e-12]])))
+        assert 2e-12 in section.isolated_points
+        assert real_section(PointSet((1.0, 1.0, 1.0 + 1e-12))) == RealSection((), (1.0, 1.0 + 1e-12))
+
     def test_point_survives_intersection_only_when_shared(self):
         left = RegionUnion((PointSet((2.0 + 0.0j,)), Disk(0.0j, 1.0)))
         right = RegionUnion((PointSet((2.0 + 0.0j,)), Disk(5.0 + 0.0j, 1.0)))
@@ -544,7 +575,7 @@ class TestRealSection:
         rng = np.random.default_rng(34)
         for _ in range(20):
             region = random_region(rng)
-            section = real_section(region, tol=1e-9)
+            section = real_section(region)
             xs = rng.uniform(-5, 5, 200)
             for x in xs:
                 inside = region_contains(region, complex(x, 0.0))
@@ -870,12 +901,12 @@ def _reference_leaf_section(leaf, tol):
         half, x = math.sqrt(gap), leaf.center.real
         return RealSection(((x - half, x + half),), ())
     if isinstance(leaf, PointSet):
-        return _normalized_section([], [p.real for p in leaf.points if abs(p.imag) <= tol], tol)
+        return _normalized_section([], [p.real for p in leaf.points if abs(p.imag) <= tol])
     a, b, p = leaf.focus_a, leaf.focus_b, leaf.radius_product
     feet = np.array([a.real, b.real])
     points = [float(x) for x, margin in zip(feet, region_slack_grid(leaf, feet)) if margin >= -tol]
     if p == 0.0:
-        return _normalized_section([], points, tol)
+        return _normalized_section([], points)
     s = 0.5 * (a.real + b.real)
     scale = math.ldexp(1.0, math.frexp(max(abs(a - s), abs(b - s), math.sqrt(p)))[1])
     u, v, p = (a - s) / scale, (b - s) / scale, p / scale / scale
@@ -916,7 +947,7 @@ def _reference_leaf_section(leaf, tol):
         for left, right in zip(ends, ends[1:])
         if left < right and spread(0.5 * (left + right)) <= p
     ]
-    return _normalized_section(intervals, points, tol)
+    return _normalized_section(intervals, points)
 
 
 def _reference_section(region, tol=1e-9):
@@ -931,11 +962,10 @@ def _reference_section(region, tol=1e-9):
             lambda x, y: _normalized_section(
                 list(x.intervals) + list(y.intervals),
                 list(x.isolated_points) + list(y.isolated_points),
-                tol,
             ),
             parts,
         )
-    return functools.reduce(functools.partial(RegionIntersection._section_op, tol=tol), parts)
+    return functools.reduce(RegionIntersection._section_op, parts)
 
 
 def _hard_ovals():
@@ -1003,6 +1033,41 @@ def test_stacked_region_sections_match_the_leaf_loop_bit_for_bit(builder):
     for _ in range(40):
         region = random_region(rng)
         assert _bitwise(real_section(region)) == _bitwise(_reference_section(region))
+
+
+def test_sections_hold_every_real_eigenvalue_at_every_scale():
+    # diagonal and upper-triangular integer matrices, half given a constant
+    # row sum in their last column, scaled by 2^-40, 1 and 2^40: their
+    # eigenvalues are their diagonals, exactly, and each builder's section
+    # holds each within 1e-8 ||A||_2.  Isolated points within 1e-9 of each
+    # other were once merged, and a matrix near zero took a row sum it does
+    # not have: 208 of 1,536 sections missed one.  The one miss left is an
+    # interval end rounded by 2^-12 at 2^40 past an eigenvalue on its oval,
+    # which the absolute 1e-9 of the intersection's point rule does not
+    # bridge (an open defect of the near-axis rules at large magnitudes)
+    rng = np.random.default_rng(39)
+    sections, missed = 0, []
+    for n in range(2, 7):
+        for draw in range(32):
+            a = np.triu(rng.integers(-4, 5, (n, n))).astype(float)
+            if draw % 2 == 0:
+                a = np.diag(np.diag(a))
+            if draw % 4 >= 2:
+                a[:, -1] += float(rng.integers(-4, 5)) - a.sum(axis=1)
+            for scale in (2.0**-40, 1.0, 2.0**40):
+                m = a * scale
+                tol = 1e-8 * np.linalg.norm(m, 2)
+                for builder in BUILDERS:
+                    try:
+                        section = real_section(builder(m))
+                    except RegionUnavailable:
+                        continue
+                    sections += 1
+                    missed += [(builder.__name__, scale, a.tolist(), x) for x in np.diag(m).tolist()
+                               if not section_contains(section, x, tol)]
+    assert sections == 1392
+    assert missed == [("rowsum_brauer_region", 2.0**40, [[1.0, -4.0, -1.0], [0.0, 0.0, -4.0],
+                                                          [0.0, 0.0, -4.0]], 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1246,33 +1311,17 @@ def test_min_slack_of_far_points_is_quiet_and_makes_no_component(pass_rows, monk
     assert leaf == _reference_leaf(region, point, slack)
 
 
-def test_builders_share_one_deflation_table(monkeypatch):
+def test_each_builder_makes_its_own_deflation_table(monkeypatch):
     made = count_first_reads(monkeypatch, MatrixFacts, "deflation_table")
     a = build_matrix(petersen(), GraphMatrixKind.LAPLACIAN)
-    facts = MatrixFacts(a)
-    rowsum_gersgorin_region(facts)
-    rowsum_brauer_region(facts)
-    assert len(made) == 1 and made[0] is facts
-    rowsum_brauer_region(MatrixFacts(build_matrix(cycle(10), GraphMatrixKind.LAPLACIAN)))
-    assert len(made) == 2
     # each builder wraps a bare matrix afresh
     rowsum_gersgorin_region(a)
     rowsum_brauer_region(a)
-    assert len(made) == 4 and made[2] is not made[3]
-    centers, radii = facts.deflation_table
+    assert len(made) == 2 and made[0] is not made[1]
+    centers, radii = MatrixFacts(a).deflation_table
     assert not centers.flags.writeable and not radii.flags.writeable
     with pytest.raises(ValueError):
         radii[0, 0] = 1.0
-
-
-def test_cached_deflation_table_builds_the_same_regions():
-    for a in _table_cases():
-        facts = MatrixFacts(a)
-        for builder in BUILDERS:
-            want = builder(a)
-            for region in (builder(facts), builder(facts)):  # made, then read from the facts
-                assert region.leaves() == want.leaves()
-                assert region_to_json(region) == region_to_json(want)
 
 
 def test_no_matrix_fact_outlives_its_builder():
@@ -1609,19 +1658,14 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
 
 def test_a_stack_has_a_matrix_and_a_region_has_one():
     # an empty stack is refused in the stack's own words, as are tables for
-    # another count of matrices, and a builder refuses a stack of more than
-    # one matrix, whichever of them it holds, and a matrix that is not square
+    # another count of matrices, and a builder refuses a matrix that is not
+    # square
     with pytest.raises(ValueError, match="at least one matrix"):
         MatrixFacts()
     with pytest.raises(ValueError, match="^a stack needs one deflation table, or None, per matrix$"):
         MatrixFacts(np.eye(2), np.eye(2), tables=[None])
     with pytest.raises(ValueError, match=re.escape("square matrix of dimension >= 1, got shape (2, 3)")):
         gersgorin_region(np.ones((2, 3)))
-    stack = MatrixFacts(np.eye(3), np.ones((3, 3)))
-    for builder in BUILDERS:
-        with pytest.raises(ValueError, match="got a stack of 2") as info:
-            builder(stack)
-        assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan), math.inf, -math.inf])
@@ -1661,7 +1705,8 @@ def test_stacked_facts_are_each_matrix_own_bit_for_bit(monkeypatch):
                 for at, a in enumerate(matrices):
                     sums = np.asarray(a, dtype=complex).sum(axis=1)
                     deviation = float(np.max(np.abs(sums[:, None] - sums[None, :])))
-                    constant = deviation <= 1e-9 * (1.0 + float(np.max(np.abs(sums))))
+                    norm = float(np.max(np.abs(a).sum(axis=1)))
+                    constant = deviation <= 1e-9 * min(norm, 1.0 + float(np.max(np.abs(sums))))
                     assert (facts.gamma[at] is None) == (not constant)
                     if constant:
                         assert np.complex128(facts.gamma[at]).tobytes() == np.complex128(sums.mean()).tobytes()
