@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
@@ -264,6 +263,28 @@ def _auto_window(leaves, eigenvalues) -> tuple[tuple[float, float, float, float]
     return (x0 - pad, x1 + pad, y0 - pad, y1 + pad), unit
 
 
+def _oval_frame(oval: rg.CassiniOval) -> tuple[complex, complex, float, float]:
+    """c, then d and p in units of a power of two near the oval's size (at most
+    2**1023), as :func:`regions._oval_sections` takes its quartic, so that no
+    square overflows, then that unit; in range the scaling is exact."""
+    d, p = 0.5 * oval.focus_b - 0.5 * oval.focus_a, oval.radius_product
+    unit = math.ldexp(1.0, min(math.frexp(max(abs(d), math.sqrt(p)))[1], 1023))
+    return 0.5 * oval.focus_a + 0.5 * oval.focus_b, d / unit, p / unit / unit, unit
+
+
+def _oval_points(oval: rg.CassiniOval, pixels: float) -> int:
+    """The even point count, at least 16 a loop and at most 512, that keeps every
+    chord of :func:`_oval_boundary` within 1/4 px of its arc at ``pixels`` a unit.
+    In the frame, z = c + sqrt(d^2 + p e^{it}) has |z''| <= M = p / (2 sqrt g) +
+    p^2 / (4 g^1.5) with g = |p - |d|^2|, and a chord of step h = 4 pi / N strays
+    at most M h^2 / 8 from its arc; the lemniscate, g = 0, takes 512."""
+    _, d, p, unit = _oval_frame(oval)
+    g = abs(p - abs(d) * abs(d))
+    bend = p / (2.0 * math.sqrt(g)) * (1.0 + 0.5 * p / g) if g else math.inf
+    n = 4.0 * math.pi * math.sqrt(0.5 * bend * (pixels * unit))
+    return max(16 if p >= abs(d) * abs(d) else 32, 2 * math.ceil(0.5 * n)) if n < 512.0 else 512
+
+
 def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
     """Closed boundary polylines from the polar form; one loop, or two when pinched.
 
@@ -274,18 +295,12 @@ def _oval_boundary(oval: rg.CassiniOval, points: int) -> list[np.ndarray]:
     nonnegative real part, so the principal root is continuous (the
     lemniscate p = |d|^2 included).  Otherwise the oval splits into the two
     loops c +- d sqrt(1 + (p / d^2) e^{it}) over [0, 2 pi].  d and p are
-    taken in units of a power of two near the oval's size (at most 2**1023),
-    as :func:`regions._oval_sections` takes its quartic, so that no square
-    overflows; in range the scaling is exact.  With p = 0 the oval is its
-    foci: one closed one-point loop per distinct focus.
+    taken in :func:`_oval_frame`.  With p = 0 the oval is its foci: one
+    closed one-point loop per distinct focus.
     """
-    p = oval.radius_product
-    if p <= 0.0:
+    if oval.radius_product <= 0.0:
         return [np.array([f, f]) for f in dict.fromkeys((oval.focus_a, oval.focus_b))]
-    c = 0.5 * oval.focus_a + 0.5 * oval.focus_b
-    d = 0.5 * oval.focus_b - 0.5 * oval.focus_a
-    unit = math.ldexp(1.0, min(math.frexp(max(abs(d), math.sqrt(p)))[1], 1023))
-    d, p = d / unit, p / unit / unit
+    c, d, p, unit = _oval_frame(oval)
     if p >= abs(d) * abs(d):
         t = np.linspace(0.0, 4.0 * math.pi, points, endpoint=False)
         loops = [c + unit * (np.exp(0.5j * t) * np.sqrt(p + d * d * np.exp(-1j * t)))]
@@ -304,10 +319,10 @@ def region_to_svg(
     """Render leaf boundaries plus eigenvalue markers as a standalone 640-pixel SVG.
 
     Disks become circles (a round-capped dot where the pixel radius prints
-    as 0.00), ovals closed 512-point polylines from the oval's polar form
-    (two 256-point loops when it is pinched, a round-capped one-point loop
-    per focus when its radius product is 0), point leaves small diamonds,
-    eigenvalues filled dots.
+    as 0.00), ovals closed polylines from their polar form, sampled by their
+    size on screen to within 1/4 px with at most 512 points (two loops when
+    pinched, a round-capped one-point loop per focus when p = 0), point
+    leaves small diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.  The
     window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
     width and height (ValueError); the automatic one is taken in its unit
@@ -344,7 +359,7 @@ def region_to_svg(
         elif isinstance(leaf, rg.CassiniOval):
             # p = 0 leaves one-point loops, which only round caps paint
             cap = ' stroke-linecap="round"' if leaf.radius_product == 0.0 else ""
-            for loop in _oval_boundary(leaf, 512):
+            for loop in _oval_boundary(leaf, _oval_points(leaf, scale / unit)):
                 xy = zip(sx(loop.real).tolist(), sy(loop.imag).tolist())
                 coords = " ".join(["%.2f,%.2f" % point for point in xy])
                 parts.append(
@@ -393,7 +408,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     if args.emit == "svg":
         payload = region_to_svg(region, orc.complex_eigenvalues(matrix).values, window)
     else:
-        payload = json.dumps(rg.region_to_json(region), indent=2)
+        payload = bd._indented_json(rg.region_to_json(region))
     if args.out is not None:
         _path(args, "out").write_text(payload + "\n")
     else:

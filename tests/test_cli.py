@@ -39,8 +39,9 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import graph_spectrum
+from eigenloc.oracle import complex_eigenvalues, graph_spectrum
 from eigenloc.regions import (
+    METHODS,
     CassiniOval,
     Disk,
     PointSet,
@@ -51,11 +52,24 @@ from eigenloc.regions import (
     real_section,
     region_from_json,
     region_slack_grid,
+    region_to_json,
     rowsum_brauer_region,
     section_contains,
 )
 
 from .conftest import ROWSUM_3X3, count_first_reads
+
+
+def _seeded_square(n: int, rowsum: bool = False) -> np.ndarray:
+    """A seeded complex n x n matrix, entries on the unit square; with
+    ``rowsum`` its diagonal is shifted so that every row sums to the mean."""
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n)) + 1j * rng.random((n, n))
+    sums = a.sum(axis=1)
+    return a + np.diag(sums.mean() - sums) if rowsum else a
+
+
+_SEEDED_ROWSUM_6X6 = _seeded_square(6, rowsum=True)
 
 
 @pytest.fixture
@@ -290,7 +304,9 @@ class TestRegionsCommand:
         svg = capsys.readouterr().out
         assert svg.count('class="oval"') >= 3
         first_points = svg.split('points="')[1].split('"')[0]
-        assert len(first_points.split()) == 513  # closed 512-point loop
+        # a closed 90-point loop: the 1/4 px count of the oval with foci 1 and
+        # 2 + i and p = 1 + sqrt 2 at 640 / 9 px a unit (it was 512 for every oval)
+        assert len(first_points.split()) == 91
 
     @pytest.mark.parametrize("matrix, method, ovals", [
         (np.diag([1.0, 2.0, 3.0]), "brauer", 3),
@@ -302,6 +318,24 @@ class TestRegionsCommand:
         path.write_text(matrix_to_json(matrix))
         assert main(["regions", "--matrix-file", str(path), "--method", method, "--emit", "svg"]) == 0
         assert ovals <= capsys.readouterr().out.count('class="oval"') <= 2 * ovals
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("matrix", [ROWSUM_3X3, _SEEDED_ROWSUM_6X6], ids=["3x3", "6x6"])
+    def test_region_json_is_json_dumps_indent_2(self, matrix, method, tmp_path, capsys):
+        # written by bounds._indented_json, which report_to_json also uses
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(matrix))
+        assert main(["regions", "--matrix-file", str(path), "--method", method]) == 0
+        obj = region_to_json(cli._build_region(matrix, method))
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    def test_region_json_writer_spells_an_infinite_radius_as_json_dumps(self):
+        # no leaf takes an infinite radius, so one is written into a region's JSON
+        obj = region_to_json(gersgorin_region(ROWSUM_3X3))
+        obj["children"][0]["disk"]["radius"] = math.inf
+        assert bd._indented_json(obj) == json.dumps(obj, indent=2)
+        assert '"radius": Infinity' in bd._indented_json(obj)
 
 
 class TestVerifyCommand:
@@ -1169,11 +1203,14 @@ def test_console_entry_point_end_to_end(tmp_path):
 
 
 def test_reader_closing_stdout_exits_1_silently(tmp_path):
-    # the SVG of this 8 x 8 region is over 1 MB, more than a pipe holds, so the
-    # program is still writing when the reader stops after 10 bytes
+    # the SVG of this 10 x 10 region is about 450 KB, more than four times what
+    # a 64 KiB pipe holds, so the program is still writing when the reader
+    # stops after 10 bytes; the size is checked, so the test cannot pass vacuously
     rng = np.random.default_rng(8)
-    a = rng.integers(0, 4, (8, 8)).astype(float)
+    a = rng.integers(0, 4, (10, 10)).astype(float)
     a[:, 0] += a.sum(axis=1).max() - a.sum(axis=1)
+    svg = region_to_svg(rowsum_brauer_region(a), complex_eigenvalues(a).values)
+    assert len(svg) > 4 * 64 * 1024
     path = tmp_path / "m.json"
     path.write_text(matrix_to_json(a))
     proc = subprocess.Popen(
@@ -1228,19 +1265,19 @@ def test_svg_pinched_oval_renders_two_loops():
     assert svg.count('class="oval"') == 2
 
 
-@pytest.mark.parametrize(
-    "oval, loops",
-    [
-        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.5), 1),
-        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), 1),  # lemniscate p = |d|^2
-        (CassiniOval(0.0j, 2.0j, 1.0), 1),  # lemniscate across the real axis
-        (CassiniOval(3.0 + 1.0j, 3.0 + 1.0j, 2.0), 1),  # circle
-        (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 7.0), 1),
-        (CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0), 2),
-        (CassiniOval(0.0j, 1000.0 + 0.0j, 1.0), 2),
-        (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 3.0), 2),
-    ],
-)
+_BOUNDARY_OVALS = [
+    (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.5), 1),
+    (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), 1),  # lemniscate p = |d|^2
+    (CassiniOval(0.0j, 2.0j, 1.0), 1),  # lemniscate across the real axis
+    (CassiniOval(3.0 + 1.0j, 3.0 + 1.0j, 2.0), 1),  # circle
+    (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 7.0), 1),
+    (CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0), 2),
+    (CassiniOval(0.0j, 1000.0 + 0.0j, 1.0), 2),
+    (CassiniOval(1.0 + 2.0j, -3.0 + 0.5j, 3.0), 2),
+]
+
+
+@pytest.mark.parametrize("oval, loops", _BOUNDARY_OVALS)
 def test_oval_boundary_lies_on_the_oval(oval, loops):
     traced = _oval_boundary(oval, 512)
     assert len(traced) == loops
@@ -1262,6 +1299,84 @@ def test_lemniscate_boundary_draws_both_lobes():
     assert np.sum(loop.real > 0.5) > 100
 
 
+def _drawn_oval_loops(region, window):
+    """(oval, its loops as drawn, the map to pixels) for each oval of the
+    region's SVG with p > 0; the loops are parsed from the SVG's polylines."""
+    svg = region_to_svg(region, (), window)
+    leaves, unit = region.leaves(), 1.0
+    if window is None:
+        window, unit = cli._auto_window(leaves, ())
+    x0, x1, y0, y1 = window
+    scale = 640 / max(x1 - x0, y1 - y0)
+
+    def pixels(z):
+        return (z.real / unit - x0) * scale + 1j * (y1 - z.imag / unit) * scale
+
+    polylines = iter(re.findall(r'class="oval" points="([^"]*)"', svg))
+    drawn = []
+    for oval in [leaf for leaf in leaves if isinstance(leaf, CassiniOval)]:
+        loops = [np.array([complex(*map(float, xy.split(","))) for xy in next(polylines).split()])
+                 for _ in _oval_boundary(oval, 16)]
+        if oval.radius_product > 0.0:
+            drawn.append((oval, loops, pixels))
+    assert next(polylines, None) is None
+    return drawn
+
+
+_TINY = (-100.0, 100.0, -100.0, 100.0)  # 3.2 px a unit
+
+
+@pytest.mark.parametrize(
+    "region, window",
+    [(oval, None) for oval, _ in _BOUNDARY_OVALS]
+    + [(build(_seeded_square(n, rowsum)), None)
+       for n in (4, 6) for build, rowsum in ((brauer_region, False), (rowsum_brauer_region, True))]
+    + [(CassiniOval(-0.5 + 0.0j, 0.5 + 0.0j, 0.5), _TINY),  # about 5 px wide
+       (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 0.5), _TINY)],  # pinched, two loops a few px wide
+    ids=[f"oval{i}" for i in range(len(_BOUNDARY_OVALS))]
+    + ["brauer4", "rowsum-brauer4", "brauer6", "rowsum-brauer6", "tiny", "tiny-pinched"],
+)
+def test_svg_ovals_are_sampled_to_a_quarter_pixel(region, window):
+    # each oval gets the fewest points (at least 16 a loop, at most 512) whose
+    # chords stay within 1/4 px of the boundary, by a bound on its curvature
+    drawn = _drawn_oval_loops(region, window)
+    assert drawn
+    for oval, loops, pixels in drawn:
+        n = sum(len(loop) - 1 for loop in loops)
+        assert min(len(loop) - 1 for loop in loops) >= 16 and n <= 512
+        unit = cli._oval_frame(oval)[3]
+        p = oval.radius_product / unit / unit
+        for loop, traced, dense in zip(loops, _oval_boundary(oval, n), _oval_boundary(oval, 16 * n)):
+            # every vertex lies on the oval, in the oval's frame
+            error = np.abs(np.abs(traced - oval.focus_a) / unit * np.abs(traced - oval.focus_b) / unit - p)
+            assert np.max(error) <= 1e-9 * max(1.0, p)
+            # the drawn loop is the traced one, to the 0.01 px it prints
+            assert np.max(np.abs(pixels(traced) - loop)) <= 0.01
+            if n < 512:
+                # each chord within 1/4 px, plus 0.01 px of rounding, of 16 samples of its arc
+                arc = pixels(dense)[:-1].reshape(-1, 16)
+                chord = loop[:-1, None] + np.diff(loop)[:, None] * (np.arange(16) / 16)
+                assert np.max(np.abs(arc - chord)) <= 0.26
+
+
+@pytest.mark.parametrize(
+    "oval, window, counts",
+    [
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), None, [512]),  # lemniscate: the cap
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 1e-4), None, [512]),
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0 - 1e-4), None, [256, 256]),
+        (CassiniOval(-0.5 + 0.0j, 0.5 + 0.0j, 0.5), _TINY, [16]),  # the floor
+        (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 0.5), _TINY, [16, 16]),
+    ],
+    ids=["lemniscate", "near-lemniscate-above", "near-lemniscate-below", "tiny", "tiny-pinched"],
+)
+def test_svg_oval_counts_at_the_cap_and_the_floor(oval, window, counts):
+    # near the lemniscate the curvature bound passes the cap, and ovals keep
+    # the 512 points they had before sampling by size
+    ((_, loops, _),) = _drawn_oval_loops(oval, window)
+    assert [len(loop) - 1 for loop in loops] == counts
+
+
 # A 4 x 4 matrix with constant row sum 2 + i, in binary fractions, and fixed
 # eigenvalue markers, so the drawings below depend on no eigensolver
 _SVG_MATRIX = np.array([
@@ -1277,13 +1392,13 @@ _SVG_MARKS = (2.0 + 1.0j, 0.5 - 0.25j, -1.0 + 0.0j)
     "region, marks, digest",
     [
         (brauer_region(_SVG_MATRIX), _SVG_MARKS,
-         "d26c5e37d7c2d52941f764bea92d86f0fc0cf7b8449259165c168f964a2e19cb"),
+         "b3937d80b1cdc6c51716387f78e0bad1815b4472d1575c02481e8186f9d658ba"),
         (rowsum_brauer_region(_SVG_MATRIX), _SVG_MARKS,
-         "4c0c86f6d35749140f3010cea4b9bd9950645f0dca765e5731a72ee69d4e029e"),
+         "c0f4df9ee981ec08a79af84805ba92892a5997a28a7d31d4cb6fa86e999860f6"),
         (gersgorin_region(_SVG_MATRIX), _SVG_MARKS,
          "2ae2705ed70625776c7c63d5e8727bb5c5190e73602971990696e889a04093da"),
         (CassiniOval(-2.0 + 0.0j, 2.0 + 0.0j, 1.0), (),
-         "47c09bb8bb3b41ee66f34c4a34a9520852e323a3636ce903a89ce24ed25f010e"),
+         "5298f0646ca6078ad80be1c19b95d89f70585ec9d98e6ed51c9d968315247b16"),
         (CassiniOval(-1.0 + 0.0j, 1.0 + 0.0j, 1.0), (),
          "8d54aeea9291bb1e3750ff889bacaabcb1a012759250399d4f3b3ec513a4c82d"),
         (PointSet((1.0 + 0.0j, -0.5 + 0.25j)), (),
@@ -1292,7 +1407,8 @@ _SVG_MARKS = (2.0 + 1.0j, 0.5 - 0.25j, -1.0 + 0.0j)
     ids=["brauer", "rowsum-brauer", "gersgorin", "pinched-oval", "lemniscate", "points"],
 )
 def test_svg_bytes_are_pinned(region, marks, digest):
-    # any change in how the SVG is formatted changes these digests
+    # any change in how the SVG is formatted or sampled changes these digests;
+    # the lemniscate, at the 512-point cap, draws as fixed 512-point sampling did
     assert hashlib.sha256(region_to_svg(region, marks).encode()).hexdigest() == digest
 
 
