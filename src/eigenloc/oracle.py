@@ -4,10 +4,12 @@ Two independent routes are provided: for real symmetric matrices,
 Householder reduction to tridiagonal form and implicit-shift QL, with no
 BLAS call, so its results are the same on every machine; for general
 complex matrices, Aberth-Ehrlich simultaneous iteration on the blocks of a
-Householder Hessenberg form, with Newton ratios p'(z) / p(z) from Hyman's
-back-substitution.  Neither calls a LAPACK eigensolver.  Every spectrum
-carries the solver's iteration count; an Aberth spectrum also carries its
-backward error, which QL does not give.
+Householder Hessenberg form, started from the roots that the same
+iteration finds on each block's characteristic polynomial, and finished,
+certified, with Newton ratios p'(z) / p(z) from Hyman's back-substitution.
+Neither calls a LAPACK eigensolver.  Every spectrum carries the solver's
+iteration count; an Aberth spectrum also carries its backward error, which
+QL does not give.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ _MAX_COMPLEX_DIM = 64
 # QL steps allowed per row of a symmetric matrix
 _MAX_QL_STEPS_PER_ROW = 30
 _MAX_ABERTH_ITERATIONS = 500
+# the polynomial Aberth that finds the start points stops once no point moves
+# by more than this times the start circle's radius, or after this many steps
+_START_STEP = 2.0 ** -30
+_MAX_START_ITERATIONS = 64
 # an Aberth root is frozen once its backward error is at most this times n
 _ABERTH_TARGET = 4.0 * np.finfo(float).eps
 # an Aberth root moving by at most this times ||B||_F may have stalled
@@ -45,7 +51,8 @@ class Spectrum:
     descending, then imaginary part descending.  ``max_residual`` is the
     Aberth route's certificate, the largest ``sigma_min(z I - A) / ||A||_F``
     over the roots z; it is None on the QL route, which gives no error
-    bound.  ``iterations`` counts QL steps or Aberth iterations.
+    bound.  ``iterations`` counts QL steps, or the Aberth steps of both
+    phases, on the polynomial and with Hyman's ratios, of the slowest block.
     """
 
     values: tuple
@@ -359,29 +366,90 @@ def _sigma_min(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.svd(shifted, compute_uv=False)[:, -1]
 
 
+def _charpoly(h: np.ndarray) -> np.ndarray:
+    """Coefficients of det(x I - h) for an upper Hessenberg h, lowest degree first.
+
+    The Hessenberg determinant recurrence (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.2.4): with p_0 = 1, the
+    characteristic polynomial of h's leading k x k block is
+    p_k = x p_{k-1} - sum_{i<=k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1},
+    with the empty product 1 for i = k.  Row k of ``p`` holds p_k, and
+    ``t`` the subdiagonal products.
+    """
+    m = h.shape[0]
+    p = np.zeros((m + 1, m + 1), dtype=complex)
+    p[0, 0] = 1.0
+    t = np.ones(m, dtype=complex)
+    sub = np.concatenate(([1.0], np.diag(h, -1)))
+    for k in range(1, m + 1):
+        t[: k - 1] *= sub[k - 1]
+        p[k, :k] = -np.add.reduce((t[:k] * h[:k, k - 1])[:, None] * p[:k, :k])
+        p[k, 1 : k + 1] += p[k - 1, :k]
+    return p[m]
+
+
+def _start_points(coeffs: np.ndarray, z: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Aberth-Ehrlich on the monic polynomial ``coeffs`` (lowest degree first) from z.
+
+    Each step evaluates p and p' at every point at once, as each point's
+    powers times the coefficients, so a step costs a fixed number of array
+    operations whatever the degree.  The iteration stops once no point
+    moves by more than ``tol``, or after 64 steps.  Nothing here is
+    certified: the points only start :func:`_aberth_block`'s certified
+    iteration.  Returns the points and the number of steps.
+    """
+    m = z.size
+    slopes = coeffs[1:] * np.arange(1, m + 1)
+    # adding it to the gaps z_i - z_j makes 1 / (z_i - z_i) = 0
+    diagonal = np.diag(np.full(m, np.inf))
+    powers = np.ones((m, m + 1), dtype=complex)
+    # a point far out may overflow its powers; a NaN correction ends the
+    # loop, and the caller's guard sees the NaN point
+    with np.errstate(all="ignore"):
+        for steps in range(1, _MAX_START_ITERATIONS + 1):
+            powers[:, 1:] = z[:, None]
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            newton = np.add.reduce(powers * coeffs, axis=1) / np.add.reduce(powers[:, :-1] * slopes, axis=1)
+            correction = newton / (1.0 - newton * np.add.reduce(1.0 / (z[:, None] - z + diagonal), axis=1))
+            z = z - correction
+            if not np.abs(correction).max() > tol:
+                break
+    return z, steps
+
+
 def _aberth_block(h: np.ndarray, b: np.ndarray, norm: float, slack: float):
     """Aberth-Ehrlich on one unreduced Hessenberg block h of b's reduction.
 
-    Starts from points on a perturbed circle round c = tr(h) / m with
-    radius ||h - c I||_F / sqrt(m), which by Schur's inequality bounds the
-    root mean square of |lambda - c| over the eigenvalues.  Each step
-    runs :func:`_hyman` for the live roots and freezes a root once its
-    Hyman bound is at most ``slack``; the others move by the Aberth
-    correction.  The Hyman bound is about sigma_min(h - z I) / |u_1|, with
-    u the left singular vector, so it can stay far above the target when
-    u_1 is small, as under a tiny but unsplit subdiagonal.  A root whose
-    bound did not fall in its last step, while it moved by at most
-    eps^(1/4) ``norm``, has stalled (the roots of an m-fold defective
-    eigenvalue jitter by about eps^(1/m) and settle no further), and is
-    frozen once sigma_min(z I - b), from an SVD for that root alone, is at
-    most 4 n eps ``norm``.  Returns the roots and the number of steps;
-    raises after 500 steps with a root still live.
+    Runs in two phases from points on a perturbed circle round
+    c = tr(h) / m with radius ||h - c I||_F / sqrt(m), which by Schur's
+    inequality bounds the root mean square of |lambda - c| over the
+    eigenvalues.  Phase 1, :func:`_start_points`, runs Aberth on h's
+    characteristic polynomial; it is not certified and only moves the
+    start points.  When it ends with a non-finite or repeated point,
+    phase 2 starts from the circle instead.  Phase 2 is the certified
+    iteration.  Each step runs :func:`_hyman` for the live roots and
+    freezes a root once its Hyman bound is at most ``slack``; the others
+    move by the Aberth correction.  The Hyman bound is about
+    sigma_min(h - z I) / |u_1|, with u the left singular vector, so it can
+    stay far above the target when u_1 is small, as under a tiny but
+    unsplit subdiagonal.  A root whose bound did not fall in its last step,
+    while it moved by at most eps^(1/4) ``norm``, has stalled (the roots of
+    an m-fold defective eigenvalue jitter by about eps^(1/m) and settle no
+    further), and is frozen once sigma_min(z I - b), from an SVD for that
+    root alone, is at most 4 n eps ``norm``.  Returns the roots and the
+    number of steps of both phases; raises after 500 steps of phase 2 with
+    a root still live.
     """
     m = h.shape[0]
     centre = np.trace(h) / m
-    radius = float(np.linalg.norm(h - centre * np.eye(m))) / math.sqrt(m)
+    shifted = h - centre * np.eye(m)
+    radius = float(np.linalg.norm(shifted)) / math.sqrt(m)
     k = np.arange(m)
-    z = centre + radius * np.exp(2j * np.pi * (k + 0.375) / m) * (1 + (k + 1) / (1000 * m))
+    circle = radius * np.exp(2j * np.pi * (k + 0.375) / m) * (1 + (k + 1) / (1000 * m))
+    z, start_steps = _start_points(_charpoly(shifted), circle, _START_STEP * radius)
+    z += centre
+    if not (np.isfinite(z).all() and np.count_nonzero(z[:, None] == z) == m):
+        z = centre + circle
     # log2 of the bound (sum_j |h_ij| + 1) / |h_{i,i-1}|; with the factor
     # (1 + |z|) it bounds the growth of x and x' over row i in _hyman
     rows = np.log2(np.abs(np.triu(h)).sum(axis=1)[1:] + 1.0) - np.log2(np.abs(np.diag(h, -1)))
@@ -407,7 +475,7 @@ def _aberth_block(h: np.ndarray, b: np.ndarray, norm: float, slack: float):
                 live[keep], zlive[keep], alpha[keep], dalpha[keep], bound[keep]
             )
             if live.size == 0:
-                return z, iterations
+                return z, start_steps + iterations
         if iterations == _MAX_ABERTH_ITERATIONS:
             raise RuntimeError(
                 f"Aberth iteration did not converge in {_MAX_ABERTH_ITERATIONS} steps "
@@ -430,9 +498,13 @@ def complex_eigenvalues(matrix) -> Spectrum:
     reflections (:func:`_hessenberg`, not an eigensolver), and H is split
     wherever a subdiagonal entry is at most eps ||B||_F.  A 1 x 1 block is
     its own eigenvalue; on each larger block Aberth-Ehrlich iteration runs
-    with Newton ratios from Hyman's method, in O(m^2) per root and step
-    (:func:`_aberth_block`; Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
-    Appl. 27, 2005, do the same for tridiagonal matrices).  An eigenvalue
+    in two phases (:func:`_aberth_block`).  The first, on the block's
+    characteristic polynomial, costs a fixed number of array operations a
+    step and only supplies start points (as polynomial root-finders run
+    Aberth: Bini & Fiorentino, Numer. Algorithms 23, 2000).  The second
+    runs with Newton ratios from Hyman's method, in O(m^2) per root and
+    step (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005,
+    do the same for tridiagonal matrices), and certifies.  An eigenvalue
     with several eigenvectors, such as the -1 of K_n's adjacency, forces
     splits, so no block holds a cluster that Aberth would approach only
     linearly.  A root is frozen once its Hyman bound, plus ||B - Q H Q^H||_F
@@ -446,7 +518,8 @@ def complex_eigenvalues(matrix) -> Spectrum:
     value is an exact eigenvalue of some A + E with ||E||_F <=
     max_residual * ||A||_F.  An m-fold defective eigenvalue is still only
     located to about eps ** (1/m).  ``iterations`` is the largest number
-    of Aberth steps over the blocks, 0 when every block is 1 x 1.
+    of Aberth steps of both phases over the blocks, 0 when every block is
+    1 x 1.
     """
     a = _complex_square(matrix)
     n = a.shape[0]

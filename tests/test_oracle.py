@@ -685,6 +685,84 @@ class TestComplexEigenvalues:
             complex_eigenvalues(np.full((3, 3), 1e308))
 
 
+def sweep_matrix(rng, n, dist):
+    """Unit-square complex, uniform real on [-1, 1], or that with every row
+    summing to the mean row sum (the diagonal shifted)."""
+    if dist == "square":
+        return rng.random((n, n)) + 1j * rng.random((n, n))
+    a = 2 * rng.random((n, n)) - 1
+    if dist == "rowsum":
+        sums = a.sum(axis=1)
+        a[np.arange(n), np.arange(n)] += sums.mean() - sums
+    return a
+
+
+class TestTwoPhaseAberth:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_charpoly_matches_the_reference(self, n):
+        # the Hessenberg recurrence against Faddeev-LeVerrier in long double
+        rng = np.random.default_rng(40 + n)
+        a = rng.integers(-3, 4, (n, n)).astype(complex)
+        h, _ = oracle._hessenberg(a)
+        ours = oracle._charpoly(h)[::-1]
+        expected = charpoly(h)
+        assert ours[0] == 1.0
+        assert np.max(np.abs(ours - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_at_most_two_hyman_steps_per_block(self, n, monkeypatch):
+        # from the circle, a block took 8 to 19 Hyman steps at these sizes
+        steps = []
+        hyman, block = oracle._hyman, oracle._aberth_block
+
+        def count_block(*args):
+            steps.append(0)
+            return block(*args)
+
+        def count_hyman(*args):
+            steps[-1] += 1
+            return hyman(*args)
+
+        monkeypatch.setattr(oracle, "_aberth_block", count_block)
+        monkeypatch.setattr(oracle, "_hyman", count_hyman)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            complex_eigenvalues(rng.random((n, n)) + 1j * rng.random((n, n)))
+        assert steps and max(steps) <= 2, steps
+
+    @pytest.mark.parametrize("spoil", ["nan", "repeated"])
+    def test_a_spoilt_start_falls_back_to_the_circle(self, spoil, monkeypatch):
+        start = oracle._start_points
+        rng = np.random.default_rng(5)
+        a = rng.random((12, 12)) + 1j * rng.random((12, 12))
+        monkeypatch.setattr(oracle, "_start_points", lambda coeffs, z, tol: (z.copy(), 0))
+        circle = complex_eigenvalues(a)
+
+        def spoilt(coeffs, z, tol):
+            z, steps = start(coeffs, z, tol)
+            z[0] = np.nan if spoil == "nan" else z[1]
+            return z, steps
+
+        monkeypatch.setattr(oracle, "_start_points", spoilt)
+        spec = complex_eigenvalues(a)
+        assert spec.max_residual <= 4 * 12 * EPS
+        match_multisets(spec.values, circle.values, 1e-10)
+
+    def test_sweep_to_the_dimension_cap(self):
+        # every size, each with one of nine (matrix kind, scale) pairs in turn;
+        # a numpy warning is an error
+        rng = np.random.default_rng(64)
+        kinds = [(dist, scale) for scale in (2.0**-40, 1.0, 2.0**40) for dist in ("square", "real", "rowsum")]
+        for n in range(1, 65):
+            dist, scale = kinds[n % len(kinds)]
+            a = sweep_matrix(rng, n, dist) * scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                spec = complex_eigenvalues(a)
+            assert spec.max_residual <= 4 * n * EPS, (n, dist, scale)
+            match_multisets(spec.values, np.linalg.eigvals(a), 1e-9 * scale)
+
+
 class TestCrossOracle:
     def graph_corpus(self):
         return [
