@@ -154,9 +154,13 @@ def check_interval(
 ) -> CheckResult:
     """PASS iff the oracle eigenvalue is inside the interval within tol."""
     slack = min(oracle_value - bound.lower, bound.upper - oracle_value)
-    return CheckResult(
-        name=bound.theorem, target=bound.target, passed=slack >= -tol, slack=slack
-    )
+    return _result(bound.theorem, bound.target, slack, tol)
+
+
+def _result(name: str, target: str, slack: float, tol: float) -> CheckResult:
+    """The check ``name`` of ``target``: PASS iff its slack is at least
+    -tol, the verdict rule of every check."""
+    return CheckResult(name, target, slack >= -tol, slack)
 
 
 def _scope_filter(scope: str, tol: float) -> set[str] | None:
@@ -218,10 +222,7 @@ def verify_matrix(matrix, scope: str = "all", tol: float = 1e-8) -> list[CheckRe
     facts = rg.MatrixFacts(matrix)
     (results,) = _region_checks(facts, [spectrum.values], wanted, tol, [""])
     if (gamma := facts.gamma[0]) is not None and (wanted is None or "gamma" in wanted):
-        slack = -min(abs(z - gamma) for z in spectrum.values)
-        results.append(
-            CheckResult(name="gamma", target="row_sum", passed=slack >= -tol, slack=slack)
-        )
+        results.append(_result("gamma", "row_sum", -min(abs(z - gamma) for z in spectrum.values), tol))
     return results
 
 
@@ -233,8 +234,8 @@ def _region_checks(
     :func:`regions.stack_least_slacks`."""
     methods = [m for m in rg.METHODS if wanted is None or m in wanted]
     least = rg.stack_least_slacks(stack, eigenvalues, methods)
-    return [[CheckResult(method + suffix, "spectrum", slack >= -tol, slack)
-             for method, slack in slacks.items()] for slacks, suffix in zip(least, suffixes)]
+    return [[_result(method + suffix, "spectrum", slack, tol) for method, slack in slacks.items()]
+            for slacks, suffix in zip(least, suffixes)]
 
 
 def _build_region(matrix, method: str):

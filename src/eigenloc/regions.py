@@ -36,9 +36,7 @@ to the diagonals for the Gersgorin and Brauer sets, one to the deflated
 centres and gamma for the two row-sum sets.  It bounds a large row-sum
 region pair by pair (union, point) in two passes at most: what the
 second leaves cannot come first.  A table too large for one block first
-drops repeated leaves.  The pass carries no leaf; :func:`region_min_slack`
-on a builder's region takes its slack and point from the pass on a stack
-of one, then its leaf from the first union at that slack there.
+drops repeated leaves.  The pass carries no leaf.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ __all__ = [
     "METHODS",
     "stack_least_slacks",
     "constant_row_sum",
-    "deleted_row_sums",
     "deflate",
     "gersgorin_region",
     "brauer_region",
@@ -76,7 +73,6 @@ __all__ = [
     "region_slack",
     "region_contains",
     "region_slack_grid",
-    "region_min_slack",
     "real_section",
     "section_contains",
     "region_to_json",
@@ -253,34 +249,17 @@ class _LeafTable:
         return tuple(_leaf(kind, anchors[a], anchors[b], bound) for kind, a, b, bound in zip(
             self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()))
 
-    def leaf(self, k: int):
-        """The leaf object of row ``k``, made from that row alone."""
-        return _leaf(self.kinds[k], complex(self.anchors[self.first[k]]),
-                     complex(self.anchors[self.second[k]]), float(self.bounds[k]))
-
     @np.errstate(over="ignore")
     def margins(self, z) -> np.ndarray:
         """Each row's slack at each point of ``z``, along a trailing axis."""
         return _margins(_reach(z, self.anchors), self.first, self.second, self.bounds)
 
-    def slack(self, z, margins=None):
-        """The union's slack at ``z``, from its rows' ``margins`` there if given."""
-        slack = _union_slack(self.margins(z) if margins is None else margins)
+    def slack(self, z):
+        """The union's slack at ``z``."""
+        slack = _union_slack(self.margins(z))
         for node in self.nested:
             slack = np.maximum(slack, node.slack(z))
         return slack
-
-    def leaf_at(self, z: complex, slack, margins=None):
-        """The leaf of the first row whose slack at ``z`` (``margins`` there,
-        if given) is ``slack``, else of the first nested node at that slack;
-        None if none."""
-        margins = self.margins(z) if margins is None else margins
-        if len(margins):
-            k = int(margins.argmax())  # the first largest, which a row at slack is
-            if margins[k] == slack:
-                return self.leaf(k)
-        node = next((node for node in self.nested if node.slack(z) == slack), None)
-        return None if node is None else _min_slack(node, np.array([z]))[2]
 
     def section(self) -> RealSection:
         """The union's real section: disks in closed form, points within
@@ -628,29 +607,12 @@ def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
     return region.slack(np.asarray(zs, dtype=complex))
 
 
-def region_min_slack(region: Region, points) -> tuple[float, complex, Region | None]:
-    """``region_slack_grid(region, points).min()`` bit for bit, the first
-    point that attains it and the leaf that attains it there (a disk, an
-    oval or a one-point PointSet; None in an empty union or intersection).
-
-    An intersection's minimum is the least of its children's, its leaf that
-    of its first child there; a union's leaf is its first row at its slack
-    (see :meth:`_LeafTable.leaf_at`).  A builder's region takes its slack
-    and point from :func:`_least_slacks`, as :func:`stack_least_slacks` does.
-    Empty, non-finite or ragged points raise ValueError.
-    """
-    z = _points(points)
-    slack, at, leaf = _min_slack(region, z)
-    return float(slack), complex(z[at]), leaf
-
-
-def _points(points, count: int | None = None) -> np.ndarray:
-    """The points as a flat array, or as ``count`` rows, one per matrix of a
-    stack; real where every imaginary part is zero; empty, non-finite or
-    ragged points raise ValueError."""
-    shape = (-1,) if count is None else (count, -1)
+def _points(points, count: int) -> np.ndarray:
+    """The points as ``count`` rows, one per matrix of a stack; real where
+    every imaginary part is zero; empty, non-finite or ragged points raise
+    ValueError."""
     z = _array(points)
-    z = z.reshape(shape) if z.dtype == float else np.asarray(z, dtype=complex).reshape(shape)
+    z = (z if z.dtype == float else np.asarray(z, dtype=complex)).reshape(count, -1)
     if not (z.size and np.isfinite(z).all()):
         raise ValueError("points must be nonempty and finite")
     return z.real.copy() if z.dtype == complex and not z.imag.any() else z
@@ -666,38 +628,12 @@ def _array(points) -> np.ndarray:
                          f"got rows of lengths {lengths}") from None
 
 
-def _min_slack(node: Region, z: np.ndarray) -> tuple:
-    """(slack, index of the point, leaf) of :func:`region_min_slack`."""
-    source = node.__dict__.get("_source")  # a builder's node has one
-    if source is not None:
-        centers, radii, kind, gamma = source
-        gamma = None if gamma is None else np.array([gamma])
-        ((slack, at),), = _least_slacks(z[None], centers[None], radii[None], gamma, [kind])
-        table = node._table if gamma is None else next(
-            u._table for u in node.children if u._table.slack(z[at]) == slack)
-        return slack, at, table.leaf_at(z[at], slack)
-    if isinstance(node, RegionIntersection):
-        if not node.children:
-            return -math.inf, 0, None
-        found = min((_min_slack(child, z) for child in node.children), key=lambda m: m[:2])
-        if found[0] == 0.0:
-            # the least of the children's minima can differ from the grid's
-            # in the sign of a zero, which numpy's reductions pick by layout
-            found = (node.slack(z).min(),) + found[1:]
-        return found
-    table = getattr(node, "_table", None) or _LeafTable.of((node,))
-    margins = table.margins(z)
-    slack = table.slack(z, margins)
-    at = int(slack.argmin())
-    return slack.min(), at, table.leaf_at(z[at], slack[at], margins[at])
-
-
 @np.errstate(over="ignore")
 def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
-    """:func:`region_min_slack` over the finite points ``z[m]`` of the region
-    ``_table_region(centers[m], radii[m], kind, gamma[m])`` of each matrix m
-    of a stack, for each of ``kinds``, without its leaf: per kind, per
-    matrix, (least slack, index of the first point at it).
+    """The least of :func:`region_slack_grid` over the finite points ``z[m]``
+    of the region ``_table_region(centers[m], radii[m], kind, gamma[m])`` of
+    each matrix m of a stack, for each of ``kinds``: per kind, per matrix,
+    (least slack, index of the first point at it).
 
     The kinds share one table of distances from the points to the centres
     (and gamma), made for a block of points of every matrix at a time so
@@ -898,18 +834,6 @@ class RegionUnavailable(ValueError):
 _NO_ROW_SUM = "matrix does not have a constant row sum within tolerance"
 
 
-def deleted_row_sums(matrix) -> np.ndarray:
-    """r_i = sum over j != i of |a_ij|, for each row i."""
-    a = _as_matrix(matrix, complex if np.iscomplexobj(matrix) else float)
-    return _deleted_row_sums(a)
-
-
-def _deleted_row_sums(a: np.ndarray) -> np.ndarray:
-    """:func:`deleted_row_sums` of a matrix or of each of a stack of them."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
-        return np.abs(a).sum(axis=-1) - np.abs(a.diagonal(0, -2, -1))
-
-
 def _row_sums_gamma(a: np.ndarray) -> list:
     """:func:`constant_row_sum` of each of the (k, n, n) stack ``a``, which a
     NaN or infinite entry makes NaN or infinite rather than refused (and its
@@ -989,8 +913,10 @@ class MatrixFacts:
 
     @functools.cached_property
     def deleted_row_sums(self) -> np.ndarray:
-        """:func:`deleted_row_sums` of each matrix, read-only (k, n)."""
-        r = _deleted_row_sums(self.matrix)
+        """r_i = sum over j != i of |a_ij|, for each row i of each matrix,
+        read-only (k, n)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
+            r = np.abs(self.matrix).sum(axis=-1) - np.abs(self.matrix.diagonal(0, -2, -1))
         r.flags.writeable = False
         return r
 
@@ -1050,14 +976,15 @@ class MatrixFacts:
 def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, float]]:
     """For each matrix of the stack ``facts``, the least slack of each of
     ``methods`` whose region exists for it over its own row of ``points``
-    (one row per matrix, of one length): :func:`region_min_slack`'s of the
-    builder's region bit for bit, from one pass for the whole stack
+    (one row per matrix, of one length): the least of
+    :func:`region_slack_grid` of the builder's region there, bit for bit,
+    from one pass for the whole stack
     (:func:`_least_slacks`, one table of distances for the classical regions
     of every matrix and one for the row-sum regions of those with a constant
     row sum).
 
     A ValueError is one that a matrix of the stack raises alone, in a
-    builder's or region_min_slack's words: points that are not one row per
+    builder's words or the pass's own: points that are not one row per
     matrix, of one length, first, then each group's parameters, then the
     points.  A stack of one refuses in its builders' order.
     """
@@ -1192,8 +1119,7 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     j < k in the order of combinations(), radius product r_j r_k), made
     from one leaf table; given gamma, the intersection of such a union with
     the point gamma for each row of a leading deflation axis, each union's
-    table a view of that row.  The node keeps its parameters, from which
-    :func:`_least_slacks` reads its least slack."""
+    table a view of that row."""
     _check_source(centers, radii, kind, gamma)
     stacked = gamma is not None
     first, second = _rows(centers.shape[-1], kind, stacked)
@@ -1202,9 +1128,7 @@ def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     bounds = _products(_padded(radii, stacked), first, second)
     unions = tuple(RegionUnion._from_table(_LeafTable(a, first, second, b, kinds)) for a, b in zip(
         anchors.reshape(-1, anchors.shape[-1]), bounds.reshape(-1, bounds.shape[-1])))
-    node = RegionIntersection(unions) if stacked else unions[0]
-    object.__setattr__(node, "_source", (centers, radii, kind, gamma))
-    return node
+    return RegionIntersection(unions) if stacked else unions[0]
 
 
 def gersgorin_region(matrix) -> RegionUnion:

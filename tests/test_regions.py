@@ -35,14 +35,12 @@ from eigenloc.regions import (
     brauer_region,
     constant_row_sum,
     deflate,
-    deleted_row_sums,
     gersgorin_region,
     matrix_from_json,
     matrix_to_json,
     real_section,
     region_contains,
     region_from_json,
-    region_min_slack,
     region_slack,
     region_slack_grid,
     region_to_json,
@@ -169,7 +167,7 @@ class TestClassicalRegions:
 
     def test_fixture_ovals(self):
         ovals = brauer_region(ROWSUM_3X3).children
-        r = deleted_row_sums(ROWSUM_3X3)
+        r = MatrixFacts(ROWSUM_3X3).deleted_row_sums[0]
         assert np.allclose(r, [1.0 + SQRT2, 1.0, 3.0])
         assert [(o.focus_a, o.focus_b) for o in ovals] == [
             (1.0 + 0.0j, 2.0 + 1.0j),
@@ -499,7 +497,8 @@ class TestRealSection:
             # the branch-and-bound pass, whose bounds multiply two far distances
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", 1)
             region, points = rowsum_brauer_region(ROWSUM_3X3), np.array([1e200, -1e200j])
-            assert region_min_slack(region, points)[0] == region_slack_grid(region, points).min()
+            least = _least_slack(ROWSUM_3X3, "rowsum-brauer", points)[0]
+            assert least == region_slack_grid(region, points).min()
 
     def test_small_lobe_off_centre_keeps_its_width(self):
         # the roots near 1 are 4e-8 apart, closer than np.roots resolves
@@ -764,6 +763,7 @@ def test_matrix_json_keeps_signed_zeros_and_exact_values():
 
 
 BUILDERS =(gersgorin_region, brauer_region, rowsum_gersgorin_region, rowsum_brauer_region)
+METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -1071,7 +1071,8 @@ def test_sections_hold_every_real_eigenvalue_at_every_scale():
 
 
 # ---------------------------------------------------------------------------
-# region_min_slack against the full grid and a per-leaf reference
+# the least slack of a builder's region against its grid, and the grid of a
+# hand-built tree against a per-leaf reference
 
 
 def _reference_leaf_slack(leaf, w: complex) -> float:
@@ -1081,44 +1082,45 @@ def _reference_leaf_slack(leaf, w: complex) -> float:
         return leaf.radius - abs(w - leaf.center)
     if isinstance(leaf, CassiniOval):
         return leaf.radius_product - abs(w - leaf.focus_a) * abs(w - leaf.focus_b)
-    (point,) = leaf.points
-    return -0.0 - abs(w - point)
+    return max((-0.0 - abs(w - point) for point in leaf.points), default=-math.inf)
 
 
-def _reference_leaf(node, w: complex, slack: float):
-    """The first leaf of ``node`` with ``slack`` at ``w``: an intersection's
-    first child at that slack; a union's first disk, oval or point, then its
-    first nested child at that slack."""
-    if isinstance(node, RegionIntersection):
-        for child in node.children:
-            if region_slack(child, w) == slack:
-                return _reference_leaf(child, w, slack)
-        return None
-    children = node.children if isinstance(node, RegionUnion) else (node,)
-    nested = [child for child in children if isinstance(child, (RegionUnion, RegionIntersection))]
-    for child in children:
-        if isinstance(child, PointSet):
-            rows = [PointSet((p,)) for p in child.points]
-        else:
-            rows = [] if child in nested else [child]
-        for leaf in rows:
-            if _reference_leaf_slack(leaf, w) == slack:
-                return leaf
-    for child in nested:
-        if region_slack(child, w) == slack:
-            return _reference_leaf(child, w, slack)
-    return None
+def _reference_slack(node, w: complex) -> float:
+    """The slack of ``node`` at ``w`` from its leaves': the largest of a
+    union's children's, the least of an intersection's, -inf if none."""
+    if isinstance(node, (RegionUnion, RegionIntersection)):
+        reduce = max if isinstance(node, RegionUnion) else min
+        return reduce((_reference_slack(child, w) for child in node.children), default=-math.inf)
+    return _reference_leaf_slack(node, w)
 
 
-def _check_min_slack(region, points):
+def _check_grid(tree, points):
+    """The grid of a hand-built tree against the per-leaf reference, point by
+    point (a zero of either sign matches the other)."""
+    grid = region_slack_grid(tree, points)
+    assert grid.tolist() == [_reference_slack(tree, complex(w)) for w in points]
+
+
+def _least_slack(a, method: str, points) -> tuple:
+    """_least_slacks's (least slack, index of the first point at it) of the
+    builder's region of ``method`` for the matrix ``a`` over ``points``, read
+    from the matrix's facts as stack_least_slacks reads them."""
+    facts = MatrixFacts(a)
+    centers, radii, gamma = facts.sources(method.startswith("rowsum"), [0])
+    z = eigenloc.regions._points([points], 1)
+    ((found,),) = eigenloc.regions._least_slacks(z, centers, radii, gamma, [facts._kind(method)])
+    return found
+
+
+def _check_min_slack(builder, a, points):
+    """The builder's region of ``a`` and its grid over ``points``, whose least
+    and first point at it are _least_slacks's, bit for bit."""
+    region = builder(a)
     grid = region_slack_grid(region, points)
-    slack, point, leaf = region_min_slack(region, points)
-    want = grid.min()
-    assert np.float64(slack).tobytes() == want.tobytes(), (slack, want)
-    at = int(np.flatnonzero(grid == want)[0])
-    assert point == complex(np.asarray(points, dtype=complex)[at])
-    assert leaf == _reference_leaf(region, point, slack)
-    return slack, point, leaf
+    slack, at = _least_slack(a, METHODS[BUILDERS.index(builder)], points)
+    assert np.float64(slack).tobytes() == grid.min().tobytes(), (slack, grid.min())
+    assert at == int(grid.argmin())
+    return region, grid
 
 
 def _made_no_leaf(region) -> bool:
@@ -1154,10 +1156,9 @@ def test_min_slack_on_atlas_graph_matrices(builder):
     checked = 0
     for a, points in _atlas_matrices():
         try:
-            region = builder(a)
+            _check_min_slack(builder, a, points)
         except RegionUnavailable:
             continue
-        _check_min_slack(region, points)
         checked += 1
     assert checked >= 995
 
@@ -1175,16 +1176,16 @@ def test_min_slack_on_random_matrices_and_their_json(builder):
             a = a.copy()
             if n > 2 and rng.random() < 0.5:
                 a[:, -1] += 1.5 - a.sum(axis=1)  # a constant row sum
-            try:
-                region = builder(a)
-            except RegionUnavailable:
-                continue
             eigenvalues = np.linalg.eigvals(a)
             scatter = rng.normal(size=(2, 8)) * (1.0 + np.abs(eigenvalues).max())
             points = np.concatenate([_with_ties(eigenvalues), scatter[0] + 1j * scatter[1]])
-            built = _check_min_slack(region, points)
-            # the parsed tree takes the general path, to the same answer
-            assert _check_min_slack(region_from_json(region_to_json(region)), points) == built
+            try:
+                region, grid = _check_min_slack(builder, a, points)
+            except RegionUnavailable:
+                continue
+            # the parsed tree, made from its leaves, has the same grid
+            parsed = region_from_json(region_to_json(region))
+            assert region_slack_grid(parsed, points).tobytes() == grid.tobytes()
 
 
 def test_branch_and_bound_visits_every_tie(monkeypatch):
@@ -1194,23 +1195,24 @@ def test_branch_and_bound_visits_every_tie(monkeypatch):
     # at 10: at 10 the larger disk's bound is loose, so the bounds start
     # there, and the same least slack at 1, an earlier point with a tight
     # bound, must still be visited
-    region = _table_region(
-        np.array([[0.0j, 10.0 + 0.0j]] * 2), np.array([[2.0, 1.0]] * 2), _DISK, 100.0 + 0.0j
-    )
-    assert region_min_slack(region, [10.0, 1.0]) == (1.0, 10.0 + 0.0j, Disk(10.0 + 0.0j, 1.0))
-    assert region_min_slack(region, [1.0, 10.0]) == (1.0, 1.0 + 0.0j, Disk(0.0j, 2.0))
+    centers, radii = np.array([[0.0j, 10.0 + 0.0j]] * 2), np.array([[2.0, 1.0]] * 2)
+    region = _table_region(centers, radii, _DISK, 100.0 + 0.0j)
+    for points in ([10.0, 1.0], [1.0, 10.0]):
+        ((found,),) = eigenloc.regions._least_slacks(
+            np.array([points]), centers[None], radii[None], np.array([100.0 + 0.0j]), [_DISK])
+        assert found == (1.0, 0)
+        assert region_slack_grid(region, points).tolist() == [1.0, 1.0]
     # vertex-transitive graphs tie every component at every point
     for g in (petersen(), circulant(12, (1, 3)), circulant(16, (1, 2, 5)), complete(6)):
         for kind in GraphMatrixKind:
             a = build_matrix(g, kind)
             for builder in (rowsum_gersgorin_region, rowsum_brauer_region):
-                _check_min_slack(builder(a), _with_ties(np.linalg.eigvalsh(a)))
+                _check_min_slack(builder, a, _with_ties(np.linalg.eigvalsh(a)))
     for a, points in _atlas_matrices()[::7]:
         try:
-            region = rowsum_brauer_region(a)
+            _check_min_slack(rowsum_brauer_region, a, points)
         except RegionUnavailable:
             continue
-        _check_min_slack(region, points)
 
 
 def test_min_slack_on_hand_built_trees():
@@ -1234,11 +1236,10 @@ def test_min_slack_on_hand_built_trees():
     ]
     for tree in trees:
         for k in range(1, len(points) + 1):
-            _check_min_slack(tree, points[:k])
-    assert region_min_slack(RegionIntersection(()), [1.0, 2.0]) == (-math.inf, 1.0 + 0.0j, None)
-    assert region_min_slack(nested, [2.0])[2] == PointSet((2.0 + 0.0j,))
+            _check_grid(tree, points[:k])
+    assert region_slack_grid(RegionIntersection(()), [1.0, 2.0]).tolist() == [-math.inf] * 2
     # at 0 the union's slack is the nested intersection's, a tie of its disks
-    assert region_min_slack(nested, [0.0j]) == (0.5, 0.0j, Disk(0.5j, 1.0))
+    assert region_slack_grid(nested, [0.0j]).tolist() == [0.5]
 
 
 def test_min_slack_ties_at_gamma():
@@ -1253,20 +1254,19 @@ def test_min_slack_ties_at_gamma():
         (build_matrix(cycle(8), GraphMatrixKind.ADJACENCY), [2.0, -2.0, 0.0, 2.0]),
     ):
         for builder in BUILDERS:
-            _check_min_slack(builder(a), points)
-    slack, point, leaf = region_min_slack(
-        rowsum_gersgorin_region(build_matrix(complete(4), GraphMatrixKind.ADJACENCY)), [3.0]
-    )
-    assert math.copysign(1.0, slack) == -1.0 and point == 3.0 and leaf == PointSet((3.0 + 0.0j,))
+            _check_min_slack(builder, a, points)
+    k4 = build_matrix(complete(4), GraphMatrixKind.ADJACENCY)
+    slack, at = _least_slack(k4, "rowsum-gersgorin", [3.0])
+    assert math.copysign(1.0, slack) == -1.0 and at == 0
 
 
 @pytest.mark.parametrize("points", [[], np.array([]), [0.0, math.nan], [complex(0.0, math.nan)],
                                     [math.inf], [1.0, -math.inf * 1j]])
 def test_min_slack_rejects_empty_or_non_finite_points(points):
-    region = rowsum_brauer_region(build_matrix(petersen(), GraphMatrixKind.LAPLACIAN))
-    for tree in (region, region_from_json(region_to_json(region)), Disk(0.0j, 1.0)):
-        with pytest.raises(ValueError):
-            region_min_slack(tree, points)
+    facts = MatrixFacts(build_matrix(petersen(), GraphMatrixKind.LAPLACIAN))
+    with pytest.raises(ValueError, match="points must be nonempty and finite") as info:
+        stack_least_slacks(facts, [points], METHODS)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("points, lengths", [([[1.0], [1.0, 2.0]], "1, 2"),
@@ -1275,21 +1275,22 @@ def test_min_slack_rejects_empty_or_non_finite_points(points):
 def test_ragged_points_are_refused_in_our_words(points, lengths):
     # once numpy's "setting an array element with a sequence ... inhomogeneous shape"
     rule = re.escape(f"points must be rows of one length (one row per matrix of a stack): got rows of lengths {lengths}")
-    region = gersgorin_region(np.eye(2))
-    for refuse in (lambda: region_min_slack(region, points),
-                   lambda: stack_least_slacks(MatrixFacts(np.eye(2), 2.0 * np.eye(2)), points, METHODS)):
-        with pytest.raises(ValueError, match=rule) as info:
-            refuse()
-        assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match=rule) as info:
+        stack_least_slacks(MatrixFacts(np.eye(2), 2.0 * np.eye(2)), points, METHODS)
+    assert type(info.value) is ValueError
 
 
 def test_min_slack_of_far_points_takes_the_stacked_route():
     # points and foci near 1e308: a distance can overflow, which makes its
     # bound -inf, and the answer is still the grid's
     a = np.array([[1e307, 0.0, -1e307], [0.0, -1e307, 1e307], [0.0, 0.0, 0.0]]) + 0.0j
-    region = rowsum_brauer_region(a)
+    points = [1.5e308, -1e307, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (least,) = stack_least_slacks(MatrixFacts(a), [points], ["rowsum-brauer"])
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_min_slack(region, [1.5e308, -1e307, 0.0])
+        _, grid = _check_min_slack(rowsum_brauer_region, a, points)
+    assert np.float64(least["rowsum-brauer"]).tobytes() == grid.min().tobytes()
 
 
 @pytest.mark.parametrize("pass_rows", [None, 1], ids=["one pass", "bounds"])
@@ -1302,13 +1303,10 @@ def test_min_slack_of_far_points_is_quiet_and_makes_no_component(pass_rows, monk
     points = np.array([1.75e308, 1.5e308]) + 0.0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        region = rowsum_brauer_region(a)
-        slack, point, leaf = region_min_slack(region, points)
+        (least,) = stack_least_slacks(MatrixFacts(a), [points], ["rowsum-brauer"])
+        region, grid = _check_min_slack(rowsum_brauer_region, a, points)
         assert _made_no_leaf(region)
-        grid = region_slack_grid(rowsum_brauer_region(a), points)
-    assert np.float64(slack).tobytes() == grid.min().tobytes()
-    assert point == points[int(np.flatnonzero(grid == grid.min())[0])]
-    assert leaf == _reference_leaf(region, point, slack)
+    assert np.float64(least["rowsum-brauer"]).tobytes() == grid.min().tobytes()
 
 
 def test_each_builder_makes_its_own_deflation_table(monkeypatch):
@@ -1354,13 +1352,14 @@ def test_real_matrix_facts_make_one_real_copy():
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_min_slack_makes_no_component_of_a_builders_region(builder):
-    # region_min_slack reads a builder's tables, its leaf too; it makes no
-    # leaf object
+    # a builder's region is asked for its least slack through its tables,
+    # which are _least_slacks's; neither its grid nor the pass makes a leaf
+    # object
     rng = np.random.default_rng(85)
     for n in range(3, 9):
         a, _ = random_constant_rowsum_matrix(rng, n)
-        region = builder(a)
-        assert region_min_slack(region, np.linalg.eigvals(a))[0] != 0.0
+        region, grid = _check_min_slack(builder, a, np.linalg.eigvals(a))
+        assert grid.min() != 0.0
         assert _made_no_leaf(region)
 
 
@@ -1388,14 +1387,11 @@ def test_builders_regions_nested_in_hand_built_trees():
                          RegionUnion((Disk(gamma, 0.5), region)),
                          RegionIntersection((RegionUnion((region,)), region))):
                 assert _bitwise(real_section(tree)) == _bitwise(_reference_section(tree))
-                _check_min_slack(tree, points)
+                _check_grid(tree, points)
 
 
 # ---------------------------------------------------------------------------
 # stack_least_slacks, the one pass that verify makes
-
-
-METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
 
 
 def _built_regions(a) -> tuple[dict, ValueError | None]:
@@ -1442,15 +1438,15 @@ def _least_slack_corpus():
 
 def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
     # stack_least_slacks of all four methods on a stack of one against the
-    # builders' regions: each slack is region_min_slack's, whose slack is
-    # the grid's least bit for bit and whose point and leaf are checked
-    # against the grid and the per-leaf reference, and a builder's refusal
-    # is raised in its words; with one row a pass as well, where every table
-    # is made a point (or a pair) at a time, every row-sum region takes the
-    # branch and bound and its leaf is looked up one union at a time
+    # builders' regions: each slack is the least of the region's grid, bit
+    # for bit, _least_slacks's first point at it is the grid's, and a
+    # builder's refusal is raised in its words; with one row a pass as well,
+    # where every table is made a point (or a pair) at a time and every
+    # row-sum region takes the branch and bound
     checked = 0
     for a, points in _least_slack_corpus():
         regions, refusal = _built_regions(a)
+        grids = {method: region_slack_grid(region, points) for method, region in regions.items()}
         for pass_rows in (2**14, 1):
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
             if refusal is not None:
@@ -1459,28 +1455,29 @@ def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
                 continue
             (least,) = stack_least_slacks(MatrixFacts(a), [points], METHODS)
             assert least.keys() == regions.keys()
-            for method, region in regions.items():
-                slack = _check_min_slack(region, points)[0]
-                assert np.float64(least[method]).tobytes() == np.float64(slack).tobytes(), method
+            for method, grid in grids.items():
+                assert np.float64(least[method]).tobytes() == grid.min().tobytes(), method
+                assert _least_slack(a, method, points)[1] == int(grid.argmin()), method
                 checked += 1
     assert checked >= 7000
 
 
-def test_a_large_regions_leaf_is_looked_up_a_block_at_a_time():
+def test_a_large_regions_least_slack_is_bounded_a_block_at_a_time():
     # the deflated oval region of a 128-vertex circulant's Laplacian has
-    # 128 unions of 8002 rows: region_min_slack takes its slack from the
-    # bounded pass and its leaf from at most _PASS_ROWS rows at a time
-    # (about 1.4 MB), never from the whole table of margins (about 24 MB)
+    # 128 unions of 8002 rows: the pass bounds it at most _PASS_ROWS rows at
+    # a time (about 1.4 MB), never over the whole table of margins (about
+    # 24 MB)
     a = build_matrix(circulant(128, (1, 5, 17)), GraphMatrixKind.LAPLACIAN)
-    region, points = rowsum_brauer_region(a), np.linalg.eigvalsh(a)
+    points = np.linalg.eigvalsh(a)
     tracemalloc.start()
     try:
-        slack, point, leaf = region_min_slack(region, points)
+        (least,) = stack_least_slacks(MatrixFacts(a), [points], ["rowsum-brauer"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    assert _reference_leaf_slack(leaf, point) == slack == region_slack(region, point)
+    slack, at = _least_slack(a, "rowsum-brauer", points)
+    assert least["rowsum-brauer"] == slack == region_slack(rowsum_brauer_region(a), points[at])
 
 
 def test_deflation_table_is_the_loops_bit_for_bit(monkeypatch):
@@ -1506,8 +1503,8 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
     # verify stacks them (two where a vertex is isolated), each at its own
     # spectrum and at that spectrum rounded, which lands on leaf boundaries
     # and gamma: each matrix's methods are those its builders make, and each
-    # slack is region_min_slack of the builder's region, and the least of
-    # its grid, bit for bit; with one row a pass as well
+    # slack is the least of the builder's region's grid, bit for bit; with
+    # one row a pass as well
     from ._corpus import atlas_graphs
 
     checked, zeros, short = 0, set(), 0
@@ -1524,10 +1521,8 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
         for a, z in zip(matrices, points):
             regions, refusal = _built_regions(a)
             assert refusal is None
-            wants.append({method: np.float64(region_min_slack(region, z)[0]).tobytes()
+            wants.append({method: region_slack_grid(region, z).min().tobytes()
                           for method, region in regions.items()})
-            for method, region in regions.items():
-                assert region_slack_grid(region, z).min().tobytes() == wants[-1][method]
         for pass_rows in (default, 1):
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
             stacked = stack_least_slacks(MatrixFacts(*matrices), points, METHODS)
@@ -1547,7 +1542,8 @@ def test_a_stack_of_complex_row_sum_matrices_is_each_matrix_own():
     # every matrix of a stack given no tables has its deflation table made
     # by one pass, which once left a stack of more than one laid out by
     # column, so that the oval check's view of complex centres as floats
-    # raised; each least slack is the lone builder's region's, bit for bit
+    # raised; each least slack is the least of the lone builder's region's
+    # grid, bit for bit
     rng = np.random.default_rng(92)
     for n in (3, 4, 7):
         matrices = [random_constant_rowsum_matrix(rng, n)[0] for _ in range(3)]
@@ -1557,7 +1553,7 @@ def test_a_stack_of_complex_row_sum_matrices_is_each_matrix_own():
             for a, z, least in zip(matrices, points, stack_least_slacks(facts, points, METHODS)):
                 assert list(least) == list(METHODS)
                 for method, builder in zip(METHODS, BUILDERS):
-                    want = np.float64(region_min_slack(builder(a), z)[0]).tobytes()
+                    want = region_slack_grid(builder(a), z).min().tobytes()
                     assert np.float64(least[method]).tobytes() == want, (n, method)
 
 
