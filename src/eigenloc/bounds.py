@@ -243,7 +243,7 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm3.7", g)
     d = g.structure.regular
-    adj, common, _ = g.common_neighbor_table
+    adj, common = g.common_neighbor_table
     alpha = 2 * common + adj
     lower = -2.0 * d + max(int(alpha.min(axis=1).max()), d)
     upper = 2.0 * d - max(int((alpha + 2 * adj).min(axis=1).max()), d)
@@ -280,7 +280,7 @@ def regular_brauer_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm3.9", g)
     d, n = g.structure.regular, g.n
-    adj, common, _ = g.common_neighbor_table
+    adj, common = g.common_neighbor_table
     # the two largest x (and y) of each row, the largest second
     x1, x2 = np.partition(np.where(adj == 1, d - common - 1, -1), (n - 3, n - 2), axis=1)[:, -2:].T
     y1, y2 = np.partition(np.where(adj == 1, -1, d - common), (n - 3, n - 2), axis=1)[:, -2:].T
@@ -383,13 +383,14 @@ def laplacian_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     (alpha relaxes the disk's left edge by 2[k ~ i], so it stays valid),
     combined as max over i of min over k for the lower bound and min over
     i of max over k for the upper: row reductions over the common-neighbour
-    table, with d_k gathered through its ``other`` column.
+    table and the degrees d_k with the diagonal masked out.
     """
     _checked("Thm5.3", g)
-    adj, common, other = g.common_neighbor_table
-    ds = np.array(g.degree_sequence, dtype=np.int64)
+    adj, common = g.common_neighbor_table
+    n, ds = g.n, np.array(g.degree_sequence, dtype=np.int64)
+    others = np.broadcast_to(ds, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     lower = int((2 * common + adj - ds[:, None]).min(axis=1).max())
-    upper = int((ds[:, None] + 2 * ds[other] - 2 * common - adj).max(axis=1).min())
+    upper = int((ds[:, None] + 2 * others - 2 * common - adj).max(axis=1).min())
     return _intervals("Thm5.3", g, (float(lower), float(upper)))
 
 

@@ -185,15 +185,14 @@ def verify_graph(
 
     The normalized-adjacency matrix (and its checks) is skipped when the
     graph has an isolated vertex.  The region checks of all the matrices
-    are one stacked pass, which reads the deflation tables that the graph
-    gives (:func:`graphs.deflation_table`).
+    are one stacked pass over their :class:`regions.MatrixFacts`.
     """
     wanted = _scope_filter(scope, tol)
     kinds = [kind for kind in gr.GraphMatrixKind if _has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
     matrices = [gr.build_matrix(g, kind) for kind in kinds]
     spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
-    stack = rg.MatrixFacts(*matrices, tables=[gr.deflation_table(g, kind) for kind in kinds])
+    stack = rg.MatrixFacts(*matrices)
     regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
     for report, values, checks in zip(reports, spectra, regions):

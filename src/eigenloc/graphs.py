@@ -27,7 +27,6 @@ __all__ = [
     "parse_edge_list",
     "generate",
     "build_matrix",
-    "deflation_table",
     "classify",
     "graph_to_json",
     "graph_from_json",
@@ -63,7 +62,8 @@ class Graph:
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
     report), ``adjacency`` (the read-only float 0/1 matrix) and
-    ``common_neighbor_table`` are made on first read and then kept, as is
+    ``common_neighbor_table`` (the [k ~ i] and N(i,k) that the bounds
+    read) are made on first read and then kept, as is
     a regular graph's adjacency spectrum (:func:`oracle.graph_spectrum`).
     """
 
@@ -121,19 +121,16 @@ class Graph:
         return a
 
     @functools.cached_property
-    def common_neighbor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(adj, common, other): read-only int64 (n, n - 1) arrays over the pairs k != i.
+    def common_neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(adj, common): read-only int64 (n, n - 1) arrays over the pairs k != i.
 
-        Row i - 1 holds, for the other vertices k in increasing order, [k ~ i],
-        N(i,k) = |N(i) & N(k)| and k - 1, read off ``adjacency`` and the float
+        Row i - 1 holds, for the other vertices k in increasing order, [k ~ i]
+        and N(i,k) = |N(i) & N(k)|, read off ``adjacency`` and the float
         product A·A (exact below 2^53); made on first read.
         """
         a, n = self.adjacency, self.n
         off = ~np.eye(n, dtype=bool)
-        table = tuple(
-            full[off].reshape(n, n - 1).astype(np.int64)
-            for full in (a, a @ a, np.broadcast_to(np.arange(n), (n, n)))
-        )
+        table = tuple(full[off].reshape(n, n - 1).astype(np.int64) for full in (a, a @ a))
         for column in table:
             column.flags.writeable = False
         return table
@@ -430,31 +427,6 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
             raise ValueError("normalized adjacency undefined with an isolated vertex")
         return a / d[:, None]
     raise ValueError(f"unknown matrix kind {kind!r}")
-
-
-def deflation_table(g: Graph, kind: GraphMatrixKind) -> tuple[np.ndarray, np.ndarray] | None:
-    """The deflation table of ``build_matrix(g, kind)``, bit for bit the
-    generic one, read off ``g.common_neighbor_table`` in O(n^2); None for the
-    adjacency and normalized matrices of a non-regular graph, and for the
-    normalized matrix that an isolated vertex leaves undefined.
-
-    An adjacency or Laplacian radius d_i + d_k - 2[k ~ i] - 2N(i, k) is a sum
-    of integers, exact in any order.  The entries of a k-regular graph's
-    normalized matrix are 0 or v = fl(1/k), so its radii add v left to right
-    from +0.0, as the generic pass does.
-    """
-    regular, normalized = g.structure.regular, kind == GraphMatrixKind.NORMALIZED_ADJACENCY
-    if regular is None and kind != GraphMatrixKind.LAPLACIAN or normalized and not regular:
-        return None
-    adj, common, other = g.common_neighbor_table
-    d = np.array(g.degree_sequence)
-    radii = d[:, None] + d[other] - 2 * (adj + common)
-    if kind == GraphMatrixKind.LAPLACIAN:
-        return (d[other] + adj).astype(float), radii.astype(float)
-    if kind == GraphMatrixKind.ADJACENCY:
-        return 0.0 - adj, radii.astype(float)  # +0.0, not -0.0, off the edges
-    v = 1.0 / regular
-    return 0.0 - adj * v, np.add.accumulate(np.append(0.0, np.full(g.n, v)))[radii]
 
 
 def classify(g: Graph) -> StructureReport:

@@ -27,16 +27,16 @@ first read.
 
 :class:`MatrixFacts` is a stack of matrices of one size, such as the two
 or three matrices of a graph, and owns what the builders read of them:
-each fact is made for the whole stack by one array pass, or given, as a
-graph gives its deflation tables; a builder reads a stack of one.  For
-the region methods asked for, :func:`stack_least_slacks` takes each
-one's least slack for every matrix of a stack over its own points without
-building a region, from two tables of distances for the whole stack: one
-to the diagonals for the Gersgorin and Brauer sets, one to the deflated
-centres and gamma for the two row-sum sets.  It bounds a large row-sum
-region pair by pair (union, point) in two passes at most: what the
-second leaves cannot come first.  A table too large for one block first
-drops repeated leaves.  The pass carries no leaf.
+each fact is made for the whole stack by one array pass, from the
+matrices alone; a builder reads a stack of one.  For the region methods
+asked for, :func:`stack_least_slacks` takes each one's least slack for
+every matrix of a stack over its own points without building a region,
+from two tables of distances for the whole stack: one to the diagonals
+for the Gersgorin and Brauer sets, one to the deflated centres and gamma
+for the two row-sum sets.  It bounds a large row-sum region pair by pair
+(union, point) in two passes at most: what the second leaves cannot come
+first.  A table too large for one block first keeps the two widest
+leaves at each centre.  The pass carries no leaf.
 """
 
 from __future__ import annotations
@@ -643,7 +643,7 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     point is one slab, gathered, multiplied and compared whole.  A stacked
     kind whose margins over one matrix's points would pass ``_PASS_ROWS``
     rows is bounded by :func:`_stacked_min_slack` instead, a matrix at a time.
-    Where its disks would, the table first drops repeated leaves.
+    Where its disks would, it first keeps the two widest leaves at a centre.
     """
     stacked = gamma is not None
     (matrices, points), comps = z.shape, centers.shape[-2] if stacked else 1
@@ -685,11 +685,13 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
 
 
 def _distinct_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves (centre, radius) of each row along the last axis, at most
-    two copies of each, sorted and padded to the widest row with third
-    copies of leaves kept twice; two passes of ``_PASS_ROWS`` leaves at a
-    time.  Identical leaves have identical margins and a row's ovals stay
-    one set, so every union's slack, a zero's sign included, is unchanged."""
+    """The leaves (centre, radius) of each row along the last axis, the two
+    widest at each centre, sorted and padded to the widest row with dropped
+    leaves; two passes of ``_PASS_ROWS`` leaves at a time.  Leaves at one
+    centre are at one distance from every point and rounding is monotone,
+    so a dropped leaf's disk or oval has no larger margin than a kept one's
+    of wider radii; no such margin is -0.0, so every union's slack, a
+    zero's sign included, is unchanged."""
     count = centers.shape[-1]
     rows = centers.reshape(-1, count), radii.reshape(-1, count)
     step = max(1, _PASS_ROWS // max(count, 1))
@@ -709,8 +711,8 @@ def _distinct_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sorted_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's centres and radii sorted, and where each leaf is a third
-    or later copy."""
+    """Each row's centres and radii sorted by (centre, radius), and where
+    each leaf has two leaves after it, at least as wide, at its centre."""
     if np.iscomplexobj(centers):
         order = np.lexsort((radii, centers.imag, centers.real))
         centers, radii = np.take_along_axis(centers, order, -1), np.take_along_axis(radii, order, -1)
@@ -719,9 +721,9 @@ def _sorted_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key.real, key.imag = centers, radii
         key.sort(axis=-1)
         centers, radii = key.real, key.imag
-    same = (centers[:, 1:] == centers[:, :-1]) & (radii[:, 1:] == radii[:, :-1])
+    same = centers[:, 1:] == centers[:, :-1]
     third = np.zeros(centers.shape, bool)
-    third[:, 2:] = same[:, 1:] & same[:, :-1]
+    third[:, :-2] = same[:, 1:] & same[:, :-1]
     return centers, radii, third
 
 
@@ -854,30 +856,61 @@ def _row_sums_gamma(a: np.ndarray) -> list:
     return [None if d > t else mean[k] for k, (d, t) in enumerate(zip(deviation.tolist(), tol.tolist()))]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the builders refuse inf and NaN
 def _deflation_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:attr:`MatrixFacts.deflation_table` of each of the (k, n, n) stack
-    ``a``, read-only (k, n, n - 1): the terms [l, matrix, i, k], a chunk of l
-    at a time behind the running sums, so ``_PASS_ROWS`` bounds them."""
+    ``a``, read-only (k, n, n - 1).  A real matrix whose entries off the
+    diagonal are all 0 or one finite v, as a graph matrix's are, counts on
+    its 0/1 pattern P there: of the terms |a_kl - a_il|, c_ik = d_i + d_k -
+    2(PP^T)_ik - P_ik - P_ki are |v| and the rest +0.0, so its radius is c_ik
+    copies of |v| added in order from +0.0 (inf past the float range).
+    PP^T, made once per pattern, sums integers below 2^53 exactly.  Others
+    take :func:`_generic_radii`."""
+    k, n = a.shape[:2]
+    off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
+    # take, unlike [:, off], keeps a stack of more than one C-ordered
+    centers = (a.diagonal(0, -2, -1)[:, None, :] - a).reshape(k, n * n).take(off, axis=1)
+    radii, generic, counts = np.empty(centers.shape), list(range(k)), {}  # c_ik over k != i, by pattern
+    for m, entries in enumerate(() if np.iscomplexobj(a) else a.reshape(k, n * n).take(off, axis=1)):
+        lo, hi = entries.min(initial=0.0), entries.max(initial=0.0)
+        # v = lo + hi; one of them is 0 unless the matrix has entries of both signs
+        if not ((lo == 0.0 or hi == 0.0) and math.isfinite(v := lo + hi)
+                and ((entries == 0.0) | (entries == v)).all()):
+            continue
+        generic.remove(m)
+        if (key := (pattern := entries != 0.0).tobytes()) not in counts:
+            p = np.zeros((n, n))
+            p.flat[off] = pattern
+            d = p.sum(axis=1)
+            counts[key] = (d[:, None] + d - p - p.T - 2.0 * (p @ p.T)).take(off).astype(np.intp)
+        radii[m] = np.add.accumulate(np.append(0.0, np.full(n, abs(v)))).take(counts[key])
+    if generic:
+        rows = generic if len(generic) < k else slice(None)  # the whole stack as a view
+        radii[rows] = _generic_radii(a[rows]).reshape(len(generic), n * n).take(off, axis=1)
+    table = tuple(part.reshape(k, n, n - 1) for part in (centers, radii))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _generic_radii(a: np.ndarray) -> np.ndarray:
+    """The deflation radii [matrix, i, k] of the (k, n, n) stack ``a``: the
+    terms [l, matrix, i, k], the skipped ones +0.0, a chunk of l at a time
+    behind the running sums, reduced in order along the leading axis; the
+    caller ignores overflow and invalid values, as :func:`_deflation_tables` does."""
     k, n = a.shape[:2]
     step = max(1, _PASS_ROWS // (k * n * n) - 1)  # terms of l a chunk
     terms = np.zeros((min(step, n) + 1, k, n, n))
     radii = np.zeros((k, n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # the builders refuse inf and NaN
-        for lo in range(0, n, step):
-            l = np.arange(lo, min(lo + step, n))
-            chunk, column = terms[: len(l) + 1], a.transpose(2, 0, 1)[l]
-            chunk[0] = radii
-            _distance(column[..., None, :], column[..., None], chunk[1:])  # |a_kl - a_il|
-            chunk[1 + np.arange(len(l)), :, l] = 0.0
-            chunk[1 + np.arange(len(l)), :, :, l] = 0.0
-            np.add.reduce(chunk, axis=0, out=radii)
-        centers = a.diagonal(0, -2, -1)[:, None, :] - a
-    off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
-    # take, unlike [:, off], keeps a stack of more than one C-ordered
-    table = tuple(part.reshape(k, n * n).take(off, axis=1).reshape(k, n, n - 1) for part in (centers, radii))
-    for column in table:
-        column.flags.writeable = False
-    return table
+    for lo in range(0, n, step):
+        l = np.arange(lo, min(lo + step, n))
+        chunk, column = terms[: len(l) + 1], a.transpose(2, 0, 1)[l]
+        chunk[0] = radii
+        _distance(column[..., None, :], column[..., None], chunk[1:])  # |a_kl - a_il|
+        chunk[1 + np.arange(len(l)), :, l] = 0.0
+        chunk[1 + np.arange(len(l)), :, :, l] = 0.0
+        np.add.reduce(chunk, axis=0, out=radii)
+    return radii
 
 
 class MatrixFacts:
@@ -887,23 +920,17 @@ class MatrixFacts:
     one array pass that takes each matrix's numbers in the order its own
     pass would, so that they are each matrix's own bit for bit in any stack.
     ``MatrixFacts(matrix)`` is a stack of one, as each builder makes of
-    its matrix.  ``tables`` may give each matrix's
-    :attr:`deflation_table` bit for bit, or None, such as a graph's
-    (:func:`graphs.deflation_table`, O(n^2)): only the others with a
-    constant row sum then take the O(n^3) pass."""
+    its matrix."""
 
-    def __init__(self, *matrices, tables=None) -> None:
+    def __init__(self, *matrices) -> None:
         arrays = [_as_matrix(m, complex if np.iscomplexobj(m) else float) for m in matrices]
         if not arrays:
             raise ValueError("a stack needs at least one matrix")
         if len({a.shape for a in arrays}) > 1:
             raise ValueError("the matrices of a stack must have one shape")
-        if tables is not None and len(tables) != len(arrays):
-            raise ValueError("a stack needs one deflation table, or None, per matrix")
         # every graph matrix is real: a distance is then one subtraction and
         # one abs, bit for bit the complex one since hypot(x, 0) is |x|
         self.matrix = np.stack([a if np.iscomplexobj(a) and a.imag.any() else a.real for a in arrays])
-        self._tables = None if tables is None else list(tables)
 
     @functools.cached_property
     def gamma(self) -> list:
@@ -927,26 +954,10 @@ class MatrixFacts:
 
         Row [m, i] lists, for k != i in ascending order, matrix m's centre
         ``a_kk - a_ik`` and radius ``sum over l not in {i, k} of |a_kl - a_il|``:
-        the terms [l, i, k], the skipped ones +0.0, a chunk of l at a time
-        behind the running sum, reduced along the leading axis of a C-ordered
-        array, which numpy adds in order, as Python's ``sum`` does.  A table
-        not given to the constructor is made by one pass; in a stack given
-        tables, only those a region reads, of a constant row sum, the rest NaN.
+        the terms [l, i, k], the skipped ones +0.0, added in order from +0.0,
+        as Python's ``sum`` adds them (see :func:`_deflation_tables`).
         """
-        if self._tables is None:  # none given: the pass's own arrays
-            return _deflation_tables(self.matrix)
-        k, n = self.matrix.shape[:2]
-        made = [at for at, given in enumerate(self._tables) if given is None and self.gamma[at] is not None]
-        table = np.full((k, n, n - 1), np.nan, self.matrix.dtype), np.full((k, n, n - 1), np.nan)
-        for part, generic in zip(table, _deflation_tables(self.matrix[made]) if made else ()):
-            part[made] = generic
-        for at, given in enumerate(self._tables):
-            if given is not None:
-                table[0][at], table[1][at] = given
-        self._tables = ()  # copied in: the stack holds one copy of each
-        for part in table:
-            part.flags.writeable = False
-        return table
+        return _deflation_tables(self.matrix)
 
     def _kind(self, method: str) -> int:
         """The leaf kind of the region of ``method`` (a CLI name, e.g.

@@ -12,7 +12,7 @@ import eigenloc
 # and helpers that no caller used
 RETIRED = ("trace_bounds", "TraceStats", "DegreeProfile", "degrees", "randic_index",
            "common_neighbors", "charpoly", "row_sums", "check_region",
-           "spectrum_to_json", "deleted_row_sums", "region_min_slack")
+           "spectrum_to_json", "deleted_row_sums", "region_min_slack", "deflation_table")
 
 
 def test_public_surface():

@@ -1098,14 +1098,13 @@ class TestCommonNeighborExactness:
 
     def test_table_matches_pairwise_counts(self):
         for g in exactness_laplacian_corpus():
-            adj, common, other = g.common_neighbor_table
+            adj, common = g.common_neighbor_table
             pairs = [[k for k in range(1, g.n + 1) if k != i] for i in range(1, g.n + 1)]
-            assert other.tolist() == [[k - 1 for k in row] for row in pairs]
             assert adj.tolist() == [[int(g.has_edge(i, k)) for k in row] for i, row in enumerate(pairs, 1)]
             assert common.tolist() == [
                 [common_neighbors(g, i, k) for k in row] for i, row in enumerate(pairs, 1)
             ]
-            for column in (adj, common, other):
+            for column in (adj, common):
                 assert column.dtype == np.int64
                 assert not column.flags.writeable
 

@@ -422,16 +422,16 @@ class TestVerifyCommand:
         assert all(reads == [stack] for reads in made.values()) and len(stack.gamma) == 1
 
     def test_verify_reads_the_graphs_deflation_tables(self, monkeypatch):
-        # the stack takes each table the graph gives, so the generic O(n^3)
-        # pass runs only for a matrix with a constant row sum that has none:
-        # not on a regular graph, the normalized matrix alone on a path, and
-        # nothing where an isolated vertex leaves the adjacency (no row sum)
-        # and the Laplacian
+        # a graph matrix with entries 0 and one value off the diagonal counts
+        # its deflation radii on its pattern, so the generic O(n^3) pass runs
+        # only for the normalized matrix of a non-regular graph: not on a
+        # regular graph, the normalized matrix alone on a path, and nothing
+        # where an isolated vertex leaves the adjacency and the Laplacian
         import eigenloc.regions as rg
         from eigenloc.graphs import Graph, path
 
-        passes, generic = [], rg._deflation_tables
-        monkeypatch.setattr(rg, "_deflation_tables", lambda a: passes.append(len(a)) or generic(a))
+        passes, generic = [], rg._generic_radii
+        monkeypatch.setattr(rg, "_generic_radii", lambda a: passes.append(len(a)) or generic(a))
         for g, want in [(petersen(), []), (path(5), [1]), (Graph.from_edges(4, [(1, 2), (2, 3)]), [])]:
             passes.clear()
             assert all(result.passed for result in verify_graph(g))

@@ -21,7 +21,6 @@ from eigenloc.graphs import (
     complete_minus_edge,
     circulant,
     cycle,
-    deflation_table,
     generate,
     graph_from_json,
     graph_to_json,
@@ -30,11 +29,9 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.regions import MatrixFacts
 
 from ._corpus import atlas_graphs
 from ._reference import common_neighbors, randic_index
-from ._reference import deflation_table as reference_deflation_table
 
 
 def random_graph(rng, n, p=0.5):
@@ -563,63 +560,6 @@ class TestGraphFacts:
             built[:] = 7.0
         assert np.array_equal(g.adjacency, before)
         assert np.array_equal(build_matrix(g, GraphMatrixKind.ADJACENCY), before)
-
-    def test_deflation_tables_are_the_generic_ones_bit_for_bit(self):
-        # the tables read off common_neighbor_table are MatrixFacts' generic
-        # tables byte for byte, signed zeros included: every atlas graph on 2
-        # to 7 vertices, seeded random graphs and random regular graphs of
-        # degrees whose reciprocal is not a double; None exactly for the
-        # adjacency and normalized matrices of a non-regular graph, and for
-        # the normalized matrix that an isolated vertex leaves undefined
-        rng = np.random.default_rng(90)
-        graphs = [g for _, g in atlas_graphs() if g.n >= 2]
-        graphs += [random_graph(rng, n, p) for n in range(8, 41, 4) for p in (0.1, 0.5, 0.9)]
-        for n in range(8, 42, 3):
-            for d in (3, 5, 6, 7, n // 2 - 1):
-                h = nx.random_regular_graph(d, n + n * d % 2, seed=n)
-                graphs.append(Graph.from_edges(len(h), [(u + 1, v + 1) for u, v in h.edges()]))
-            graphs += [circulant(n, (1, 4)), circulant(n, (2, n // 3))]
-        made = dict.fromkeys(GraphMatrixKind, 0)
-        for g in graphs:
-            for kind in GraphMatrixKind:
-                table, regular = deflation_table(g, kind), g.structure.regular
-                if regular is None and kind != GraphMatrixKind.LAPLACIAN or regular == 0 and kind.value == "normalized":
-                    assert table is None
-                    continue
-                generic = [part[0] for part in MatrixFacts(build_matrix(g, kind)).deflation_table]
-                for part, want in zip(table, generic):
-                    assert part.dtype == want.dtype and part.shape == want.shape == (g.n, g.n - 1)
-                    assert part.tobytes() == want.tobytes(), (g.edges, kind)
-                made[kind] += 1
-        assert list(made.values()) == [110, 1362, 104]
-
-    def test_a_stack_makes_the_generic_table_where_the_graph_gives_none(self):
-        # a stack that reads a graph's tables, as verify's does, still gives
-        # the entry-by-entry table where the graph gives none and a region
-        # reads one: the normalized matrix of a non-regular graph, whose row
-        # sum 1 the stack's generic pass serves; the adjacency, which has no
-        # constant row sum and so no row-sum region, takes no O(n^3) pass in
-        # the stack (its rows are NaN) and its generic table alone
-        checked = 0
-        for _, g in atlas_graphs():
-            if not 2 <= g.n <= 6 or g.structure.regular is not None:
-                continue
-            kinds = [kind for kind in GraphMatrixKind if min(g.degree_sequence) or kind.value != "normalized"]
-            tables = [deflation_table(g, kind) for kind in kinds]
-            stack = MatrixFacts(*[build_matrix(g, kind) for kind in kinds], tables=tables)
-            assert stack.gamma[0] is None
-            assert [table is None for table in tables] == [True, False, True][: len(kinds)]
-            for at, table in enumerate(tables):
-                if table is None:
-                    centers, radii = (part[at] for part in stack.deflation_table)
-                    if stack.gamma[at] is None:
-                        assert np.isnan(centers).all() and np.isnan(radii).all()
-                        centers, radii = (part[0] for part in MatrixFacts(stack.matrix[at]).deflation_table)
-                    want_centers, want_radii = reference_deflation_table(stack.matrix[at])
-                    assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
-                    assert radii.tobytes() == want_radii.tobytes()
-                    checked += 1
-        assert checked == 329
 
     def test_cached_facts_leave_equality_and_hash_alone(self):
         read, fresh = cycle(6), cycle(6)

@@ -1481,21 +1481,92 @@ def test_a_large_regions_least_slack_is_bounded_a_block_at_a_time():
 
 
 def test_deflation_table_is_the_loops_bit_for_bit(monkeypatch):
+    # a regular graph's normalized matrix; seeded real and complex matrices,
+    # which take the generic pass (a real one past n = 1); and
+    # real matrices whose entries off the diagonal are 0 (of either sign) or
+    # one value v, in patterns that are not symmetric, which are counted on
+    # their pattern, v = 1e307 past the float range (inf, with no warning);
+    # one NaN, infinite, negated or doubled entry off the diagonal, or an
+    # infinite v, sends such a matrix to the generic pass
     from ._reference import deflation_table
 
     rng = np.random.default_rng(87)
-    cases = [build_matrix(circulant(20, (1, 4)), GraphMatrixKind.NORMALIZED_ADJACENCY)]
+    cases = [(build_matrix(circulant(20, (1, 4)), GraphMatrixKind.NORMALIZED_ADJACENCY), False)]
     for n in range(1, 18):
-        cases += [rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300),
-                  rng.random((n, n)) + 1j * rng.random((n, n))]
+        cases += [(rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300), None),
+                  (rng.random((n, n)) + 1j * rng.random((n, n)), True)]
+    for n, v in itertools.product((1, 2, 3, 6, 11), (1.0, -1.0, 0.3, -2.5e-3, 1 / 3, 1e300, 5e-324)):
+        a = np.where(rng.random((n, n)) < 0.6, v, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+        a[np.diag_indices(n)] = rng.standard_normal(n)
+        cases.append((a, False))
+        for entry in (math.nan, math.inf, -math.inf, -v, 2.0 * v)[: 5 * (n > 2)]:
+            b = a.copy()
+            b[0, 1] = entry
+            cases.append((b, True))
+        for entry in (math.inf, -math.inf)[: 2 * (n > 2)]:  # two-valued, v not finite
+            cases.append((np.where(a == v, entry, a), True))
+    far = np.zeros((24, 24))
+    far[:12] = 1e307  # 22 terms of 1e307 in each radius of row i < 12 and column k >= 12
+    cases.append((far, False))
+    passes, generic = [], eigenloc.regions._generic_radii
+    monkeypatch.setattr(eigenloc.regions, "_generic_radii", lambda a: passes.append(len(a)) or generic(a))
     for pass_rows in (None, 1, 60):  # chunks of all l, of one l, of a few
         if pass_rows is not None:
             monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
-        for a in cases:
-            centers, radii = MatrixFacts(a).deflation_table
-            want_centers, want_radii = deflation_table(a)
+        for a, generic_pass in cases:
+            passes.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                centers, radii = MatrixFacts(a).deflation_table
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN term
+                want_centers, want_radii = deflation_table(a)
             assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes()
             assert radii.tobytes() == want_radii.tobytes()
+            assert generic_pass is None or passes == [1] * generic_pass, a
+    assert np.isinf(MatrixFacts(far).deflation_table[1]).any()
+
+
+def test_graph_deflation_tables_are_the_loops_bit_for_bit(monkeypatch):
+    # a graph matrix has entries 0 and one value off the diagonal, so its
+    # radii are counted on its pattern, but for the normalized matrix of a
+    # non-regular graph, which takes the generic pass: each table, alone
+    # and in the stack that verify makes of the graph's matrices, is the
+    # entry-by-entry loop's byte for byte, signed zeros included, on every
+    # atlas graph on 2 to 7 vertices, seeded random graphs and random
+    # regular graphs of degrees whose reciprocal is not a double
+    from eigenloc.graphs import Graph
+
+    from ._corpus import atlas_graphs
+    from ._reference import deflation_table
+
+    rng = np.random.default_rng(90)
+    graphs = [g for _, g in atlas_graphs() if g.n >= 2]
+    for n, p in itertools.product(range(8, 41, 4), (0.1, 0.5, 0.9)):
+        graphs.append(Graph.from_edges(n, [(i, j) for i, j in combinations(range(1, n + 1), 2)
+                                           if rng.random() < p]))
+    for n in range(8, 42, 3):
+        for d in (3, 5, 6, 7, n // 2 - 1):
+            h = nx.random_regular_graph(d, n + n * d % 2, seed=n)
+            graphs.append(Graph.from_edges(len(h), [(u + 1, v + 1) for u, v in h.edges()]))
+        graphs += [circulant(n, (1, 4)), circulant(n, (2, n // 3))]
+    passes, generic = [], eigenloc.regions._generic_radii
+    monkeypatch.setattr(eigenloc.regions, "_generic_radii", lambda a: passes.append(len(a)) or generic(a))
+    counted = dict.fromkeys(GraphMatrixKind, 0)
+    for g in graphs:
+        kinds = [kind for kind in GraphMatrixKind if kind.value != "normalized" or min(g.degree_sequence)]
+        matrices = [build_matrix(g, kind) for kind in kinds]
+        stack = MatrixFacts(*matrices).deflation_table
+        for at, (kind, a) in enumerate(zip(kinds, matrices)):
+            passes.clear()
+            alone = [part[0] for part in MatrixFacts(a).deflation_table]
+            counted[kind] += not passes
+            assert bool(passes) == (kind.value == "normalized" and g.structure.regular is None)
+            want_centers, want_radii = deflation_table(a)
+            for centers, radii in (alone, [part[at] for part in stack]):
+                assert centers.dtype == radii.dtype == float and radii.shape == (g.n, g.n - 1)
+                assert np.asarray(centers, dtype=complex).tobytes() == want_centers.tobytes(), g.edges
+                assert radii.tobytes() == want_radii.tobytes(), (g.edges, kind)
+    assert list(counted.values()) == [1362, 1362, 104]
 
 
 def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
@@ -1539,37 +1610,40 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
 
 
 def test_a_stack_of_complex_row_sum_matrices_is_each_matrix_own():
-    # every matrix of a stack given no tables has its deflation table made
-    # by one pass, which once left a stack of more than one laid out by
-    # column, so that the oval check's view of complex centres as floats
-    # raised; each least slack is the least of the lone builder's region's
-    # grid, bit for bit
+    # every matrix of a stack has its deflation table made by one pass,
+    # which once left a stack of more than one laid out by column, so that
+    # the oval check's view of complex centres as floats raised; each least
+    # slack is the least of the lone builder's region's grid, bit for bit
     rng = np.random.default_rng(92)
     for n in (3, 4, 7):
         matrices = [random_constant_rowsum_matrix(rng, n)[0] for _ in range(3)]
         points = [np.linalg.eigvals(a) for a in matrices]
-        for facts in (MatrixFacts(*matrices), MatrixFacts(*matrices, tables=[None] * 3)):
-            assert all(part.flags.c_contiguous for part in facts.deflation_table)
-            for a, z, least in zip(matrices, points, stack_least_slacks(facts, points, METHODS)):
-                assert list(least) == list(METHODS)
-                for method, builder in zip(METHODS, BUILDERS):
-                    want = region_slack_grid(builder(a), z).min().tobytes()
-                    assert np.float64(least[method]).tobytes() == want, (n, method)
+        facts = MatrixFacts(*matrices)
+        assert all(part.flags.c_contiguous for part in facts.deflation_table)
+        for a, z, least in zip(matrices, points, stack_least_slacks(facts, points, METHODS)):
+            assert list(least) == list(METHODS)
+            for method, builder in zip(METHODS, BUILDERS):
+                want = region_slack_grid(builder(a), z).min().tobytes()
+                assert np.float64(least[method]).tobytes() == want, (n, method)
 
 
 def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatch):
     # stack_least_slacks with and without _distinct_leaves, byte for byte,
     # with _PASS_ROWS at its default, 64 and 1, so that tables of every size
-    # drop repeated leaves: seeded real and complex matrices of small
-    # integers, whose rows repeat leaves, with and without a constant row
-    # sum, at their eigenvalues, rounded and scattered points; and graph
-    # stacks that read the graph's tables, among them an 11-vertex forest
-    # whose rowsum-brauer[laplacian] slack moves if a short row is padded
-    # with its first leaf, an oval (first, first) that the row did not have
-    from eigenloc.graphs import Graph, deflation_table
+    # keep only the two widest leaves at each centre: seeded real and
+    # complex matrices of small integers, whose rows repeat centres, with
+    # and without a constant row sum, at their eigenvalues, rounded and
+    # scattered points; two matrices with four leaves of distinct radii at
+    # one centre, a classical one (every disk at 0) and a row-sum one
+    # (every deflation row's), whose slacks come from the two widest, so that
+    # keeping one leaf a centre, or the narrowest two, moves them; and graph
+    # stacks, among them an 11-vertex forest whose rowsum-brauer[laplacian]
+    # slack moves if a short row is padded with its first leaf, an oval
+    # (first, first) that the row did not have
+    from eigenloc.graphs import Graph
 
     rng = np.random.default_rng(91)
-    cases = []  # matrices, their points, tables
+    cases = []  # matrices, their points
     for n in range(1, 19):
         for imag in (0.0, 1.0):
             a = rng.integers(-1, 2, (n, n)) + 1j * imag * rng.integers(0, 2, (n, n))
@@ -1578,13 +1652,18 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
             stack = [a, b] if imag else [a.real, b.real]
             scatter = [rng.integers(-4, 5, 6) + 0.5j * imag * rng.integers(-2, 3, 6) for _ in stack]
             points = [np.concatenate([_with_ties(np.linalg.eigvals(m)), z]) for m, z in zip(stack, scatter)]
-            cases.append((stack, points, None))
+            cases.append((stack, points))
+    weights = np.diag(np.arange(1.0, 8.0))
+    cycle4 = np.roll(weights[:4, :4], 1, axis=1)  # disks of radii 1, 2, 3, 4 at 0
+    # row k holds w_k at k + 1 and -w_k at k + 2: row sum 0, four deflated disks at 0 in every row
+    spread = np.roll(weights, 1, axis=1) - np.roll(weights, 2, axis=1)
+    for a in (cycle4, spread):
+        cases.append(([a], [np.concatenate([np.linalg.eigvals(a), [0.5, -2.5, 3.0 + 1.5j]])]))
     forest = Graph.from_edges(11, [(1, 3), (2, 6), (3, 4), (4, 8), (6, 9), (7, 8), (8, 10)])
     for g in (forest, petersen(), circulant(16, (1, 5)), circulant(28, (1, 3, 7)), complete(12)):
         kinds = [kind for kind in GraphMatrixKind if kind.value != "normalized" or min(g.degree_sequence)]
-        stack = [build_matrix(g, kind) for kind in kinds]
         points = [_with_ties(graph_spectrum(g, kind).values) for kind in kinds]
-        cases.append((stack, points, [deflation_table(g, kind) for kind in kinds]))
+        cases.append(([build_matrix(g, kind) for kind in kinds], points))
     distinct, narrowed = eigenloc.regions._distinct_leaves, []
 
     def counted(centers, radii):
@@ -1594,8 +1673,8 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
 
     for pass_rows in (eigenloc.regions._PASS_ROWS, 64, 1):
         monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", pass_rows)
-        for matrices, points, tables in cases:
-            stack, least = MatrixFacts(*matrices, tables=tables), []
+        for matrices, points in cases:
+            stack, least = MatrixFacts(*matrices), []
             for dedup in (counted, lambda centers, radii: (centers, radii)):
                 monkeypatch.setattr(eigenloc.regions, "_distinct_leaves", dedup)
                 least.append(stack_least_slacks(stack, points, METHODS))
@@ -1603,7 +1682,10 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
                 assert dropped.keys() == kept.keys()
                 for method, slack in dropped.items():
                     assert np.float64(slack).tobytes() == np.float64(kept[method]).tobytes(), method
-    assert (len(narrowed), sum(narrowed)) == (151, 31)
+    # 96 of the 151 tables of the integer and graph cases narrow (31 while
+    # only third copies of a (centre, radius) were dropped), and all 5 of
+    # the two matrices with four leaves at one centre
+    assert (len(narrowed), sum(narrowed)) == (156, 101)
 
 
 def test_a_refused_matrix_refuses_a_stack_as_alone():
@@ -1653,13 +1735,10 @@ def test_a_refused_matrix_refuses_a_stack_as_alone():
 
 
 def test_a_stack_has_a_matrix_and_a_region_has_one():
-    # an empty stack is refused in the stack's own words, as are tables for
-    # another count of matrices, and a builder refuses a matrix that is not
-    # square
+    # an empty stack is refused in the stack's own words, and a builder
+    # refuses a matrix that is not square
     with pytest.raises(ValueError, match="at least one matrix"):
         MatrixFacts()
-    with pytest.raises(ValueError, match="^a stack needs one deflation table, or None, per matrix$"):
-        MatrixFacts(np.eye(2), np.eye(2), tables=[None])
     with pytest.raises(ValueError, match=re.escape("square matrix of dimension >= 1, got shape (2, 3)")):
         gersgorin_region(np.ones((2, 3)))
 
