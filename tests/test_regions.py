@@ -1569,6 +1569,39 @@ def test_graph_deflation_tables_are_the_loops_bit_for_bit(monkeypatch):
     assert list(counted.values()) == [1362, 1362, 104]
 
 
+def test_a_stack_runs_the_generic_pass_once_on_its_other_matrices(monkeypatch):
+    # in a stack that mixes two-valued matrices with others, the generic
+    # pass runs once, on the others alone and in their order; a stack with
+    # no two-valued matrix passes itself whole, as a view; two matrices of
+    # one pattern but different values share its count and keep their own
+    # radii; each table is the matrix's own alone, bit for bit
+    rng = np.random.default_rng(93)
+    n = 7
+    pattern = rng.random((n, n)) < 0.5
+    two_valued = [np.where(pattern, v, 0.0) + np.diag(rng.standard_normal(n)) for v in (1.0, -0.3, 2.5)]
+    others = [rng.standard_normal((n, n)) for _ in range(3)]
+    seen, generic = [], eigenloc.regions._generic_radii
+    monkeypatch.setattr(eigenloc.regions, "_generic_radii", lambda a: seen.append(a) or generic(a))
+    for order in ([0, 3, 1, 4, 5, 2], [3, 4, 5], [0, 1, 2], [4, 0]):
+        matrices = [(two_valued + others)[i] for i in order]
+        mixed = [a for i, a in zip(order, matrices) if i >= 3]
+        alone = [MatrixFacts(a).deflation_table for a in matrices]
+        seen.clear()
+        facts = MatrixFacts(*matrices)
+        stack = facts.deflation_table
+        assert len(seen) == (1 if mixed else 0)
+        if mixed:
+            assert np.array_equal(seen[0], np.stack(mixed))
+            assert np.shares_memory(seen[0], facts.matrix) == (len(mixed) == len(matrices))
+        for at, (centers, radii) in enumerate(alone):
+            assert stack[0][at].tobytes() == centers[0].tobytes()
+            assert stack[1][at].tobytes() == radii[0].tobytes()
+    radii = MatrixFacts(*two_valued).deflation_table[1]
+    counts = radii[0].astype(int)  # v = 1: each radius is its count
+    for m, v in ((1, 0.3), (2, 2.5)):
+        assert radii[m].tobytes() == np.add.accumulate([0.0] + [v] * n)[counts].tobytes()
+
+
 def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
     # the matrices of every atlas graph on at most 6 vertices, stacked as
     # verify stacks them (two where a vertex is isolated), each at its own
