@@ -236,17 +236,19 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     Every deflated disk for deflation row i sits at -[k ~ i] with radius
     2d - 2N(i,k) - 2[k ~ i], so row i's disks cover [-2d + min alpha,
     2d - min beta] over k != i, with alpha = 2N(i,k) + [k ~ i] and
-    beta = alpha + 2[k ~ i]: row minima over the common-neighbour table.
+    beta = alpha + 2[k ~ i]: row minima over whole rows of A·A and A.
     The best row is taken for each end, and the spectral-radius guard d
     keeps the bound no worse than |lambda| <= d.  The chain
     L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both targets.
+    K_n's beta_ik = 2d + 1 tops beta_ii = 2d, so beta's diagonal is set to inf.
     """
     _checked("Thm3.7", g)
-    d = g.structure.regular
-    adj, common = g.common_neighbor_table
-    alpha = 2 * common + adj
-    lower = -2.0 * d + max(int(alpha.min(axis=1).max()), d)
-    upper = 2.0 * d - max(int((alpha + 2 * adj).min(axis=1).max()), d)
+    d, a = g.structure.regular, g.adjacency
+    alpha = 2 * g.common_neighbor_table + a
+    beta = alpha + 2 * a
+    np.fill_diagonal(beta, np.inf)
+    lower = -2.0 * d + max(float(alpha.min(axis=1).max()), d)
+    upper = 2.0 * d - max(float(beta.min(axis=1).max()), d)
     return _intervals("Thm3.7", g, (lower, upper))
 
 
@@ -273,17 +275,18 @@ def regular_brauer_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     largest product: the two largest x, the two largest y, or the largest
     x times the largest y.  A row therefore needs only its top two values
     per class, O(n) work instead of O(n^2) pairs, taken for all rows at
-    once by ``np.partition`` with the other class set to -1.  Every row has
-    d >= 2 neighbours and n - 1 - d non-neighbours, so a class exists in all
-    rows or in none.  The roots see the pair loop's integers in its float
-    order, and square roots round correctly, so the floats are identical.
+    once by ``np.partition`` of whole rows with the other class set to -1;
+    the diagonal's x_ii = -1 and y_ii = 0 change no top two.  Every row has
+    d >= 2 neighbours and n - 1 - d non-neighbours, so a class exists in
+    all rows or in none.  The roots see the pair loop's integers in its
+    float order, and square roots round correctly, so the floats are identical.
     """
     _checked("Thm3.9", g)
     d, n = g.structure.regular, g.n
-    adj, common = g.common_neighbor_table
-    # the two largest x (and y) of each row, the largest second
-    x1, x2 = np.partition(np.where(adj == 1, d - common - 1, -1), (n - 3, n - 2), axis=1)[:, -2:].T
-    y1, y2 = np.partition(np.where(adj == 1, -1, d - common), (n - 3, n - 2), axis=1)[:, -2:].T
+    adj, common = g.adjacency == 1, g.common_neighbor_table
+    # the two largest x (and y) of each row: the second at n - 2, the largest after it
+    x1, x2 = np.partition(np.where(adj, d - common - 1, -1), n - 2, axis=1)[:, -2:].T
+    y1, y2 = np.partition(np.where(adj, -1, d - common), n - 2, axis=1)[:, -2:].T
     root = 2.0 * np.sqrt(x1 * x2)
     alphas, betas = [-1.0 - root], [-1.0 + root]
     if n - 1 - d >= 2:
@@ -382,16 +385,16 @@ def laplacian_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
 
     (alpha relaxes the disk's left edge by 2[k ~ i], so it stays valid),
     combined as max over i of min over k for the lower bound and min over
-    i of max over k for the upper: row reductions over the common-neighbour
-    table and the degrees d_k with the diagonal masked out.
+    i of max over k for the upper, over whole rows of A and A·A.  Their
+    diagonal, alpha_ii = beta_ii = d_i, decides no row: every other k has
+    alpha_ik <= d_i <= beta_ik, as N(i,k) <= min(d_i, d_k) - [k ~ i].
     """
     _checked("Thm5.3", g)
-    adj, common = g.common_neighbor_table
-    n, ds = g.n, np.array(g.degree_sequence, dtype=np.int64)
-    others = np.broadcast_to(ds, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    lower = int((2 * common + adj - ds[:, None]).min(axis=1).max())
-    upper = int((ds[:, None] + 2 * others - 2 * common - adj).max(axis=1).min())
-    return _intervals("Thm5.3", g, (float(lower), float(upper)))
+    a, common = g.adjacency, g.common_neighbor_table
+    ds = common.diagonal()
+    lower = float((2 * common + a - ds[:, None]).min(axis=1).max())
+    upper = float((ds[:, None] + 2 * ds - 2 * common - a).max(axis=1).min())
+    return _intervals("Thm5.3", g, (lower, upper))
 
 
 def laplacian_dominating_brauer_bounds(g: Graph, *, mode: str = "published") -> list[BoundInterval]:

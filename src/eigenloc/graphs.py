@@ -61,10 +61,10 @@ class Graph:
     :meth:`from_edges` converts and orients other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
-    report), ``adjacency`` (the read-only float 0/1 matrix) and
-    ``common_neighbor_table`` (the [k ~ i] and N(i,k) that the bounds
-    read) are made on first read and then kept, as is
-    a regular graph's adjacency spectrum (:func:`oracle.graph_spectrum`).
+    report), ``adjacency`` (the read-only float 0/1 matrix A) and
+    ``common_neighbor_table`` (the read-only A·A, whose rows the
+    common-neighbour bounds reduce) are made on first read and then kept, as
+    is a regular graph's adjacency spectrum (:func:`oracle.graph_spectrum`).
     """
 
     n: int
@@ -121,18 +121,12 @@ class Graph:
         return a
 
     @functools.cached_property
-    def common_neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(adj, common): read-only int64 (n, n - 1) arrays over the pairs k != i.
-
-        Row i - 1 holds, for the other vertices k in increasing order, [k ~ i]
-        and N(i,k) = |N(i) & N(k)|, read off ``adjacency`` and the float
-        product A·A (exact below 2^53); made on first read.
-        """
-        a, n = self.adjacency, self.n
-        off = ~np.eye(n, dtype=bool)
-        table = tuple(full[off].reshape(n, n - 1).astype(np.int64) for full in (a, a @ a))
-        for column in table:
-            column.flags.writeable = False
+    def common_neighbor_table(self) -> np.ndarray:
+        """The read-only float (n, n) product A·A of ``adjacency``, made on
+        first read: N(i,k) = |N(i) & N(k)| off the diagonal and d_i on it,
+        exact below 2^53."""
+        table = self.adjacency @ self.adjacency
+        table.flags.writeable = False
         return table
 
     @property
@@ -142,24 +136,23 @@ class Graph:
 
     def neighbors_mask(self, i: int) -> int:
         """Bitmask of the open neighbourhood of vertex ``i`` (bit v set iff i~v)."""
-        self._check_vertex(i)
-        return self._adj[i]  # type: ignore[attr-defined]
+        return self._adj[self._vertex(i)]  # type: ignore[attr-defined]
 
     def degree(self, i: int) -> int:
-        self._check_vertex(i)
-        return self.degree_sequence[i - 1]
+        return self.degree_sequence[self._vertex(i) - 1]
 
     def has_edge(self, i: int, j: int) -> bool:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return bool(self._adj[i] >> j & 1)  # type: ignore[attr-defined]
+        return bool(self._adj[self._vertex(i)] >> self._vertex(j) & 1)  # type: ignore[attr-defined]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def _check_vertex(self, i: int) -> None:
+    def _vertex(self, i) -> int:
+        """The label ``i`` as an int by the integer rule; ValueError unless in 1..n."""
+        i = _integer(i, "vertex")
         if not (1 <= i <= self.n):
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
+        return i
 
 
 def _refuse_edge(e, u, v, n: int) -> NoReturn:
@@ -327,12 +320,7 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
             raise ValueError("circulant connection 0 would be a self-loop")
         offsets.add(min(s, n - s))
     _require(bool(offsets), "circulant needs a non-empty connection set")
-    pairs = []
-    for i in range(1, n + 1):
-        for s in offsets:
-            j = (i - 1 + s) % n + 1
-            pairs.append((i, j))
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, ((i, (i - 1 + s) % n + 1) for i in range(1, n + 1) for s in offsets))
 
 
 def complete_minus_edge(n: int) -> Graph:

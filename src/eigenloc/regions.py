@@ -102,11 +102,14 @@ class RealSection:
 
 
 def section_contains(section: RealSection, x: float, tol: float = 0.0) -> bool:
-    """Membership of a real point, with endpoints widened by ``tol``."""
-    for lo, hi in section.intervals:
-        if lo - tol <= x <= hi + tol:
-            return True
-    return any(abs(x - p) <= tol for p in section.isolated_points)
+    """Membership of a real point, with endpoints widened by ``tol``; refused as by :func:`region_contains`."""
+    _check_membership(x, tol)
+    return _in_section(section, x, tol)
+
+
+def _in_section(section: RealSection, x: float, tol: float) -> bool:
+    return (any(lo - tol <= x <= hi + tol for lo, hi in section.intervals)
+            or any(abs(x - p) <= tol for p in section.isolated_points))
 
 
 # a point leaf, a focus's foot or an oval's touch this near the axis is real,
@@ -564,8 +567,8 @@ class RegionIntersection(_Combination):
             for lo2, hi2 in b.intervals
             if max(lo1, lo2) <= min(hi1, hi2)
         ]
-        points = [p for p in a.isolated_points if section_contains(b, p, _NEAR_AXIS)]
-        points += [p for p in b.isolated_points if section_contains(a, p, _NEAR_AXIS)]
+        points = [p for one, other in ((a, b), (b, a)) for p in one.isolated_points
+                  if _in_section(other, p, _NEAR_AXIS)]
         return _normalized_section(intervals, points)
 
     def section(self) -> RealSection:
@@ -595,10 +598,16 @@ def region_slack(region: Region, z: complex) -> float:
 
 
 def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
-    """Membership with slack >= -tol; ``tol`` must be nonnegative."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    """Membership with slack >= -tol; ``tol`` must be finite and nonnegative, ``z`` finite."""
+    _check_membership(z, tol)
     return region_slack(region, z) >= -tol
+
+
+def _check_membership(point, tol) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    if not cmath.isfinite(point):
+        raise ValueError(f"point must be finite, got {point!r}")
 
 
 def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:

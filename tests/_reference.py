@@ -4,11 +4,12 @@ Each is a second, plainer route to a quantity the library computes another
 way: the generic two-trace engine against the deflated closed forms of
 Thm3.1, Thm4.1 and Thm5.2; a long-double characteristic polynomial for the
 deflation identity; common neighbours by bitmask intersection against
-``Graph.common_neighbor_table``; the connectivity index summed edge by
-edge against ``graphs._exact_randic_index``; every deflation's disks,
-one entry at a time, against ``regions.MatrixFacts.deflation_table``; and
-each constant row sum from the whole table of row-sum pairs against the
-row sums' extremes that a real stack's gamma reads.
+the off-diagonal entries of ``Graph.common_neighbor_table`` (A·A); the
+connectivity index summed edge by edge against
+``graphs._exact_randic_index``; every deflation's disks, one entry at a
+time, against ``regions.MatrixFacts.deflation_table``; and each constant
+row sum from the whole table of row-sum pairs against the row sums'
+extremes that a real stack's gamma reads.
 """
 
 import math

@@ -1046,13 +1046,34 @@ def reference_thm53(g):
 
 
 class TestCommonNeighborExactness:
+    # each end is a builtin float, as report_to_csv writes it with repr
     def test_thm37_matches_pair_loop(self):
         for g in exactness_regular_corpus():
             for b in regular_common_neighbor_bounds(g):
                 assert (b.lower, b.upper) == reference_thm37(g), (g.n, sorted(g.edges))
+                assert type(b.lower) is float and type(b.upper) is float
 
     def test_thm39_matches_pair_loop(self):
         for g in thm39_corpus():
+            if g.n < 3:
+                continue
+            for b in regular_brauer_common_neighbor_bounds(g):
+                assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
+                assert type(b.lower) is float and type(b.upper) is float
+
+    def test_thm39_reads_only_what_np_partition_promises(self, monkeypatch):
+        # numpy may order more of a row than it must (its SIMD partitions
+        # return a row's top entries sorted), so Thm3.9 runs here on a
+        # partition that keeps only the contract: each side of the kth entry
+        # in reverse order.  The triangular prism's rows have two different
+        # largest x, and their mixed pairs decide the upper end.
+        def partition(a, kth, axis):
+            assert axis == 1
+            rows = np.sort(a, axis=1)
+            return np.hstack([rows[:, :kth][:, ::-1], rows[:, kth : kth + 1], rows[:, kth + 1 :][:, ::-1]])
+
+        monkeypatch.setattr(np, "partition", partition)
+        for g in thm39_corpus() + [circulant(6, (2, 3))]:
             if g.n < 3:
                 continue
             for b in regular_brauer_common_neighbor_bounds(g):
@@ -1075,6 +1096,7 @@ class TestCommonNeighborExactness:
         for g in exactness_laplacian_corpus():
             for b in laplacian_common_neighbor_bounds(g):
                 assert (b.lower, b.upper) == reference_thm53(g), (g.n, sorted(g.edges))
+                assert type(b.lower) is float and type(b.upper) is float
 
     def test_corpus_covers_every_row_shape(self):
         regular = exactness_regular_corpus()
@@ -1097,16 +1119,29 @@ class TestCommonNeighborExactness:
         assert len(made) == 2 and made[1] is same
 
     def test_table_matches_pairwise_counts(self):
+        # A·A: N(i,k) off the diagonal, by bitmask, and the degrees on it
         for g in exactness_laplacian_corpus():
-            adj, common = g.common_neighbor_table
-            pairs = [[k for k in range(1, g.n + 1) if k != i] for i in range(1, g.n + 1)]
-            assert adj.tolist() == [[int(g.has_edge(i, k)) for k in row] for i, row in enumerate(pairs, 1)]
-            assert common.tolist() == [
-                [common_neighbors(g, i, k) for k in row] for i, row in enumerate(pairs, 1)
-            ]
-            for column in (adj, common):
-                assert column.dtype == np.int64
-                assert not column.flags.writeable
+            table, n = g.common_neighbor_table, g.n
+            assert table.shape == (n, n) and table.dtype == np.float64
+            assert not table.flags.writeable
+            assert np.array_equal(table, table.T)
+            assert table.diagonal().tolist() == list(g.degree_sequence)
+            assert all(table[i - 1, k - 1] == common_neighbors(g, i, k)
+                       for i in range(1, n + 1) for k in range(1, n + 1) if k != i)
+
+    def test_table_is_one_n_by_n_array(self):
+        # the table of a 1,024-vertex graph adds 8 n^2 bytes, one float array,
+        # and at most 64 KB more; the (n, n - 1) int64 pair added twice that
+        g = circulant(1024, (1, 2, 3))
+        g.adjacency
+        tracemalloc.start()
+        try:
+            g.common_neighbor_table
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * g.n**2 + (64 << 10)
 
 
 def test_no_graph_outlives_its_reports():

@@ -402,8 +402,8 @@ class TestFamilies:
 
 
 def common_column(g, i, k):
-    """N(i,k) as ``g.common_neighbor_table`` holds it: row i - 1, the column of k among the others."""
-    return int(g.common_neighbor_table[1][i - 1, k - 1 if k < i else k - 2])
+    """N(i,k) as ``g.common_neighbor_table``, the product A·A, holds it."""
+    return int(g.common_neighbor_table[i - 1, k - 1])
 
 
 def table_matches_bitmasks(g):
@@ -431,6 +431,15 @@ class TestInvariants:
         assert petersen().degree_sequence == tuple([3] * 10)
         with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.10$"):
             petersen().degree(0)
+        # every vertex query takes its labels by the integer rule
+        g = petersen()
+        queries = (g.degree, lambda v: g.has_edge(v, 2), lambda v: g.has_edge(1, v), g.neighbors_mask)
+        for query in queries:
+            for bad in (1.5, True, "1", float("nan")):
+                with pytest.raises(ValueError, match="vertex must be an integer"):
+                    query(bad)
+            assert query(2.0) == query(np.int64(2)) == query(2)
+        assert g.degree(2.0) == 3 and g.has_edge(1, 2.0) and not g.has_edge(np.int64(1), 3)
 
     def test_handshake_on_random_graphs(self):
         rng = np.random.default_rng(7)

@@ -333,6 +333,20 @@ class TestContainment:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
             region_contains(Disk(0.0j, 1.0), 0.0j, -1.0)
+        # both membership helpers take the rule of verify --tol and finite points
+        disk, section = Disk(0.0j, 1.0), RealSection(((-1.0, 1.0),), (3.0,))
+        for tol in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+                region_contains(disk, 1.0, tol)
+            with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+                section_contains(section, 1.0, tol)
+        for point in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="point must be finite"):
+                section_contains(section, point)
+            for z in (point, complex(0.0, point), complex(point, 0.0)):
+                with pytest.raises(ValueError, match="point must be finite"):
+                    region_contains(disk, z, 1e-9)
+        assert region_contains(disk, 1.0) and section_contains(section, 3.0) and not section_contains(section, 2.0)
 
     def test_grid_slack_matches_scalar(self):
         rng = np.random.default_rng(33)
