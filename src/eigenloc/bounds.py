@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphMatrixKind, _exact_randic_index
+from .graphs import Graph, GraphMatrixKind, _check_kind, _exact_randic_index
 
 __all__ = [
     "BoundInterval",
@@ -443,6 +443,7 @@ def bounds_report(g: Graph, kind: GraphMatrixKind, mode: str = "published") -> B
     """
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    _check_kind(kind)
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []
     for tag, (tag_kind, _, _, _, name) in _REGISTRY.items():

@@ -152,7 +152,9 @@ class CheckResult:
 def check_interval(
     bound: bd.BoundInterval, oracle_value: float, tol: float
 ) -> CheckResult:
-    """PASS iff the oracle eigenvalue is inside the interval within tol."""
+    """PASS iff the oracle eigenvalue is inside the interval within tol,
+    which must be finite and nonnegative."""
+    _check_tolerance(tol)
     slack = min(oracle_value - bound.lower, bound.upper - oracle_value)
     return _result(bound.theorem, bound.target, slack, tol)
 
@@ -163,11 +165,15 @@ def _result(name: str, target: str, slack: float, tol: float) -> CheckResult:
     return CheckResult(name, target, slack >= -tol, slack)
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def _scope_filter(scope: str, tol: float) -> set[str] | None:
     """The check names ``scope`` asks for, None for all.  A name that names no
     check, or a ``tol`` that is not finite and nonnegative, raises ValueError."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     if not scope or scope == "all":
         return None
     wanted = {tok.strip() for tok in scope.split(",") if tok.strip()}

@@ -404,17 +404,23 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     Adjacency is symmetric 0/1, the Laplacian has exact zero row sums, and
     the normalized adjacency is row-stochastic (needs no isolated vertex).
     """
+    _check_kind(kind)
     a = g.adjacency
     if kind == GraphMatrixKind.ADJACENCY:
         return a.copy()
     d = np.array(g.degree_sequence, dtype=float)
     if kind == GraphMatrixKind.LAPLACIAN:
         return np.diag(d) - a
-    if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        if np.any(d == 0):
-            raise ValueError("normalized adjacency undefined with an isolated vertex")
-        return a / d[:, None]
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    if np.any(d == 0):
+        raise ValueError("normalized adjacency undefined with an isolated vertex")
+    return a / d[:, None]
+
+
+def _check_kind(kind) -> None:
+    """Refuse, with ValueError, anything but a :class:`GraphMatrixKind`, the
+    name of one included."""
+    if not isinstance(kind, GraphMatrixKind):
+        raise ValueError(f"unknown matrix kind {kind!r}")
 
 
 def classify(g: Graph) -> StructureReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, GraphMatrixKind, build_matrix
+from .graphs import MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, build_matrix
 
 __all__ = [
     "Spectrum",
@@ -254,8 +254,10 @@ def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     k - lambda reversed; D^{-1}A's is lambda / k, with
     :func:`normalized_spectrum`'s top-value check.  Any other graph's
     matrix is built and solved; its normalized adjacency goes through
-    :func:`normalized_spectrum`.
+    :func:`normalized_spectrum`.  Anything but a GraphMatrixKind raises
+    ValueError.
     """
+    _check_kind(kind)
     k = g.structure.regular
     if not k:
         if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:

@@ -33,10 +33,11 @@ asked for, :func:`stack_least_slacks` takes each one's least slack for
 every matrix of a stack over its own points without building a region,
 from two tables of distances for the whole stack: one to the diagonals
 for the Gersgorin and Brauer sets, one to the deflated centres and gamma
-for the two row-sum sets.  It bounds a large row-sum region pair by pair
-(union, point) in two passes at most: what the second leaves cannot come
-first.  A table too large for one block first keeps the two widest
-leaves at each centre.  The pass carries no leaf.
+for the two row-sum sets.  It bounds a large region of any kind pair by
+pair (union, point) in two passes at most, into a table of union slacks
+that leaves only pairs above the least, and reads every table by one rule.
+A table too large for one block first keeps the two widest leaves at
+each centre.  The pass carries no leaf.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .graphs import _integer
 
 __all__ = [
     "Disk",
@@ -102,9 +105,12 @@ class RealSection:
 
 
 def section_contains(section: RealSection, x: float, tol: float = 0.0) -> bool:
-    """Membership of a real point, with endpoints widened by ``tol``; refused as by :func:`region_contains`."""
+    """Membership of a real point, or a complex one on the axis, with endpoints
+    widened by ``tol``; refused as by :func:`region_contains`, and off the axis."""
     _check_membership(x, tol)
-    return _in_section(section, x, tol)
+    if np.iscomplexobj(x) and x.imag:
+        raise ValueError(f"a real section takes a real point, got {x!r}")
+    return _in_section(section, x.real, tol)
 
 
 def _in_section(section: RealSection, x: float, tol: float) -> bool:
@@ -647,15 +653,22 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     The kinds share one table of distances from the points to the centres
     (and gamma), made for a block of points of every matrix at a time so
     that no kind's margins pass ``_PASS_ROWS`` rows in a block; each point's
-    slack is the grid's bit for bit, and so is their least.  The tables put
-    the leaf rows first and the points last, so that a leaf row of every
-    point is one slab, gathered, multiplied and compared whole.  A stacked
-    kind whose margins over one matrix's points would pass ``_PASS_ROWS``
-    rows is bounded by :func:`_stacked_min_slack` instead, a matrix at a time.
-    Where its disks would, it first keeps the two widest leaves at a centre.
+    slack is the grid's bit for bit.  The tables put the leaf rows first
+    and the points last, so that a leaf row of every point is one slab,
+    gathered, multiplied and compared whole.  A kind whose margins over one
+    matrix's points would pass ``_PASS_ROWS`` rows is bounded by
+    :func:`_bounded_slacks` instead, a matrix at a time.  Where its disks
+    would, it first keeps the two widest leaves at a centre.
+
+    Either route gives a (component x matrix x point) table of union slacks,
+    read by one rule: the least over components in order, as the grid's
+    np.minimum takes them, then over points, and the first point at it.  A
+    pair the bound leaves is inf, above the least, and a zero beats it as
+    it beats the grid's positive value: neither the least's bits nor its
+    first point moves.
     """
     stacked = gamma is not None
-    (matrices, points), comps = z.shape, centers.shape[-2] if stacked else 1
+    (matrices, points), comps = z.shape, centers.shape[-2]
     if points * comps * (centers.shape[-1] + stacked) > _PASS_ROWS:
         centers, radii = _distinct_leaves(centers, radii)
     anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
@@ -664,10 +677,10 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
         # a disk's rows are the anchors' distances before the 1.0, times it
         leaves = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
         width = anchors.shape[-1] if kind == _DISK else len(leaves[0])
-        plans.append([kind, leaves, width, stacked and points * comps * width > _PASS_ROWS, []])
+        plans.append([kind, leaves, width, points * comps * width > _PASS_ROWS, []])
     direct = [plan for plan in plans if not plan[3]]
     step = max(1, _PASS_ROWS // (matrices * comps * max([plan[2] for plan in direct] + [1])))
-    # anchors, then [component,] matrix and point
+    # anchors, then component, matrix and point
     foci = anchors.T[..., None]
     bounds = [_products(padded, *plan[1]).T[..., None] for plan in direct]
     for lo in range(0, points if direct else 0, step):
@@ -682,13 +695,11 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     found = []
     for kind, leaves, width, bounded, slacks in plans:
         if bounded:
-            found.append([_stacked_min_slack(z[m], anchors[m], padded[m], kind, leaves, width)
-                          for m in range(matrices)])
-            continue
-        slack = slacks[0] if len(slacks) == 1 else np.concatenate(slacks, axis=-1)
-        # a point's slack is the least of its components', taken in order as
-        # the grid's np.minimum takes them
-        point = np.minimum.accumulate(slack)[-1] if stacked else slack
+            tables = [_bounded_slacks(z[m], anchors[m], radii[m], padded[m], kind, leaves, width)
+                      for m in range(matrices)]
+            slacks = [np.stack(tables, axis=1)]
+        table = slacks[0] if len(slacks) == 1 else np.concatenate(slacks, axis=-1)
+        point = np.minimum.accumulate(table)[-1]
         found.append(list(zip(point.min(axis=-1), point.argmin(axis=-1).tolist())))
     return found
 
@@ -736,58 +747,44 @@ def _sorted_leaves(centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centers, radii, third
 
 
-def _stacked_min_slack(z, anchors, padded, kind: int, rows, count: int) -> tuple:
-    """Branch and bound over the (point, component) pairs of a row-sum
-    region whose unions have ``count`` rows of disks or ovals (``kind``) and
-    gamma, from its parameters, in at most two passes,
-    ``_PASS_ROWS`` rows at a time: (least slack, first point at it).
+def _bounded_slacks(z, anchors, radii, padded, kind: int, rows, count: int) -> np.ndarray:
+    """Branch and bound over the (component, point) pairs of a region whose
+    unions have ``count`` rows of disks or ovals (``kind``), and gamma's
+    point where it has one, in at most two passes of ``_PASS_ROWS`` rows:
+    the (component x point) table of the unions' slacks, inf where left.
 
-    Each component's leaf of the largest bound (the disk of its largest
-    radius, the oval of its two largest) gives at each point a lower bound
-    on its slack that rounds like its row; a distance past the float range
-    makes it -inf, never NaN.  Pass 1 takes every component at the point of
-    the least bound, pass 2 the other pairs whose bound is below the least
-    slack found, or equal to it and ahead in (point, component) order.  A
-    pair left has a bound above pass 1's least or ties it from behind, and
-    pass 2's least is no larger and no later: a third pass takes nothing.
-    A least slack of zero visits every pair, and takes its sign and point
-    from the grid of them.
+    Each component's top leaf (the disk of its largest radius in ``radii``,
+    the oval of its two largest) is a row of its union and rounds like it,
+    so its margin bounds the union's slack from below (-inf past the float
+    range, never NaN).  Pass 1 takes every component at the point of least
+    bound, pass 2 every other pair whose bound is at most pass 1's least b.
+    A pair left is above b, so above the region's least: the table holds
+    every pair at the least, and every zero where the least is zero.
     """
     n, step = len(anchors), max(1, _PASS_ROWS // count)
-    slacks = np.full((len(z), n), np.inf)
+    slacks = np.full((n, len(z)), np.inf)
     # every component's bounds at once where they fit in one pass
     bounds = _products(padded, *rows) if n * count <= _PASS_ROWS else None
 
-    def visit(todo: np.ndarray, found: tuple = (math.inf, 0, 0)) -> tuple:
-        points, comps = np.nonzero(todo)  # by point, then component
+    def visit(comps: np.ndarray, points: np.ndarray) -> None:
         for lo in range(0, len(comps), step):
-            p, c = points[lo : lo + step], comps[lo : lo + step]
+            c, p = comps[lo : lo + step], points[lo : lo + step]
             part = _products(padded[c], *rows) if bounds is None else bounds[c]
-            margins = _margins(_reach(z[p], anchors[c]), *rows, part)
-            slacks[p, c] = slack = _union_slack(margins)
-            j = int(slack.argmin())  # the first least: the least point, then component
-            found = min(found, (slack[j], int(p[j]), int(c[j])))
-        return found
+            slacks[c, p] = _union_slack(_margins(_reach(z[p], anchors[c]), *rows, part))
 
     # each component's largest radius, or two largest (a disk's kind is 0, an oval's 1)
-    top = np.arange(n)[:, None], np.argsort(padded[:, :-2], axis=1)[:, -1 - kind :]
+    top = np.arange(n)[:, None], np.argsort(radii, axis=1)[:, -1 - kind :]
     pair = [0], [kind or -1]  # the top oval's foci, or the disk's centre and the 1.0
-    largest = _products(_padded(padded[top], False), *pair)
-    lower = _margins(_reach(z[:, None], anchors[top]), *pair, largest)[..., 0]
-    first_pass = np.zeros((len(z), n), dtype=bool)
-    first_pass[np.unravel_index(lower.argmin(), lower.shape)[0]] = True
-    best, at, i = found = visit(first_pass)
-    ahead = np.arange(len(z))[:, None] < at + (np.arange(n) < i)
-    found = visit(~first_pass & ((lower < best) | (lower == best) & ahead), found)
-    if found[0] == 0.0:
-        visit(slacks == np.inf)
-        point = np.minimum.accumulate(slacks, axis=1)[:, -1]
-        return point.min(), int(point.argmin())
-    return found[:2]
+    largest = _products(_padded(radii[top], False), *pair)[:, None]
+    lower = _margins(_reach(z, anchors[top][:, None]), *pair, largest)[..., 0]
+    visit(np.arange(n), np.full(n, np.unravel_index(lower.argmin(), lower.shape)[1]))
+    # a union's slack at a finite point is never inf: inf is a pair not visited
+    visit(*np.nonzero((slacks == np.inf) & (lower <= slacks.min())))
+    return slacks
 
 
-# rows of margins in one table operation: a block of points, or of (point,
-# component) pairs of a row-sum region, holds at most so many
+# rows of margins in one table operation: a block of points, or of
+# (component, point) pairs of a region, holds at most so many
 _PASS_ROWS = 2**14
 
 
@@ -981,13 +978,15 @@ class MatrixFacts:
 
     def sources(self, deflated: bool, at: list[int]) -> tuple:
         """The centres, radii and gamma (None for the classical regions) of
-        the regions of the matrices ``at``, along a leading axis, as
-        :func:`_least_slacks` reads them; gamma real where the stack is.
+        the regions of the matrices ``at``, along a leading axis and then a
+        component axis (of one, classical), as :func:`_least_slacks` reads
+        them; gamma real where the stack is.
         Matrices next to each other in the stack give views of its tables,
         not copies."""
         rows = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
         if not deflated:
-            return np.ascontiguousarray(self.matrix.diagonal(0, -2, -1)[rows]), self.deleted_row_sums[rows], None
+            diagonal = np.ascontiguousarray(self.matrix.diagonal(0, -2, -1)[rows, None])
+            return diagonal, self.deleted_row_sums[rows, None], None
         gamma = np.array([self.gamma[i] for i in at])
         centers, radii = self.deflation_table
         return centers[rows], radii[rows], gamma if np.iscomplexobj(self.matrix) else gamma.real
@@ -1046,13 +1045,14 @@ def deflate(matrix, k: int) -> np.ndarray:
     """Deflated matrix of dimension n-1 for a constant-row-sum matrix.
 
     Entry (u, v) of the result is ``a_uv - a_kv`` for u, v ranging over the
-    indices other than ``k`` (1-based).  The spectrum of the input equals
+    indices other than ``k`` (1-based), an integer or an integral float;
+    any other ``k`` raises ValueError.  The spectrum of the input equals
     the row sum plus the spectrum of the result, as multisets.
     """
     a = _finite_matrix(matrix)
     if constant_row_sum(a) is None:
         raise RegionUnavailable(_NO_ROW_SUM)
-    n = a.shape[0]
+    n, k = a.shape[0], _integer(k, "deflation index")
     if n < 2:
         raise ValueError("cannot deflate a 1x1 matrix")
     if not (1 <= k <= n):

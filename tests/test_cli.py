@@ -1174,6 +1174,11 @@ def test_verify_rejects_bad_tolerance(tol):
         verify_graph(petersen(), tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         verify_matrix(ROWSUM_3X3, tol=tol)
+    # the public interval check takes the same rule, for a value inside the
+    # interval and one far outside it
+    for value in (1.0, 5.0):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            check_interval(BoundInterval("lambda_2", 0.0, 2.0, "Thm3.1"), value, tol)
 
 
 def test_verify_rejects_bad_mode():

@@ -538,9 +538,21 @@ class TestMatrices:
             build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
 
     def test_rejects_a_kind_that_is_not_a_matrix_kind(self):
-        # the name of a kind is not the kind
+        # the name of a kind is not the kind, for the builder, for the
+        # spectrum of a regular graph (which has a shortcut of its own) and
+        # of one that is not, and for the bound report
+        from eigenloc.bounds import bounds_report
+        from eigenloc.oracle import graph_spectrum
+
         with pytest.raises(ValueError, match="^unknown matrix kind 'adjacency'$"):
             build_matrix(petersen(), "adjacency")
+        for g in (petersen(), path(4)):
+            for kind in ("laplacian", "bogus"):
+                with pytest.raises(ValueError, match=f"^unknown matrix kind '{kind}'$"):
+                    graph_spectrum(g, kind)
+        with pytest.raises(ValueError, match="^unknown matrix kind 'laplacian'$"):
+            bounds_report(petersen(), "laplacian")
+        assert graph_spectrum(petersen(), GraphMatrixKind.LAPLACIAN).values[0] == pytest.approx(5.0)
 
 
 class TestGraphFacts:

@@ -126,6 +126,14 @@ class TestDeflate:
             deflate(np.array([[5.0]]), 1)
         with pytest.raises(ValueError):
             deflate(np.ones((3, 3)), 4)
+        # k is taken by the integer rule: an integral float or a numpy
+        # integer is its integer; a fraction, a bool, a string or NaN is
+        # refused
+        for k in (2.0, np.int64(2), np.float64(2.0)):
+            assert np.array_equal(deflate(ROWSUM_3X3, k), deflate(ROWSUM_3X3, 2))
+        for k in (1.5, 2.5, True, False, "2", math.nan, None):
+            with pytest.raises(ValueError, match="deflation index must be an integer"):
+                deflate(ROWSUM_3X3, k)
 
     def test_charpoly_factorisation_identity(self):
         rng = np.random.default_rng(21)
@@ -346,6 +354,14 @@ class TestContainment:
             for z in (point, complex(0.0, point), complex(point, 0.0)):
                 with pytest.raises(ValueError, match="point must be finite"):
                     region_contains(disk, z, 1e-9)
+        # a real section takes a real point: a complex one on the axis is its
+        # real part, any other is refused
+        for z, inside in ((1 + 0j, True), (complex(3.0, -0.0), True), (2 + 0j, False),
+                          (np.complex128(-1.0), True)):
+            assert section_contains(section, z) is inside
+        for z in (1 + 1j, 3 - 1e-300j, np.complex64(1 + 1j)):
+            with pytest.raises(ValueError, match="a real section takes a real point"):
+                section_contains(section, z)
         assert region_contains(disk, 1.0) and section_contains(section, 3.0) and not section_contains(section, 2.0)
 
     def test_grid_slack_matches_scalar(self):
@@ -1456,7 +1472,14 @@ def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
     # for bit, _least_slacks's first point at it is the grid's, and a
     # builder's refusal is raised in its words; with one row a pass as well,
     # where every table is made a point (or a pair) at a time and every
-    # row-sum region takes the branch and bound
+    # region takes the branch and bound
+    bounded, taken = eigenloc.regions._bounded_slacks, set()
+
+    def spy(z, anchors, radii, *rest):  # (kind, stacked) of each bounded region
+        taken.add((rest[1], anchors.shape[-1] > radii.shape[-1]))
+        return bounded(z, anchors, radii, *rest)
+
+    monkeypatch.setattr(eigenloc.regions, "_bounded_slacks", spy)
     checked = 0
     for a, points in _least_slack_corpus():
         regions, refusal = _built_regions(a)
@@ -1467,13 +1490,43 @@ def test_least_slacks_are_the_grids_bit_for_bit(monkeypatch):
                 with pytest.raises(type(refusal), match=re.escape(str(refusal))):
                     stack_least_slacks(MatrixFacts(a), [points], METHODS)
                 continue
+            taken.clear()
             (least,) = stack_least_slacks(MatrixFacts(a), [points], METHODS)
             assert least.keys() == regions.keys()
+            if pass_rows == 1:
+                assert taken == {(int("brauer" in m), m.startswith("rowsum")) for m in regions}
             for method, grid in grids.items():
                 assert np.float64(least[method]).tobytes() == grid.min().tobytes(), method
                 assert _least_slack(a, method, points)[1] == int(grid.argmin()), method
                 checked += 1
     assert checked >= 7000
+
+
+def test_bounded_tables_hold_the_unions_slacks(monkeypatch):
+    # at 64 rows a pass, the deflated oval region of a circulant's Laplacian
+    # and the oval region of a seeded real matrix are bounded: each finite
+    # entry of the (component x point) table is its union's slack from the
+    # builder's region, bit for bit, and each pair left (inf) has a true
+    # slack strictly above the table's least
+    monkeypatch.setattr(eigenloc.regions, "_PASS_ROWS", 64)
+    bounded, tables = eigenloc.regions._bounded_slacks, []
+    monkeypatch.setattr(eigenloc.regions, "_bounded_slacks",
+                        lambda *args: tables.append(bounded(*args)) or tables[-1])
+    a = build_matrix(circulant(28, (1, 3, 7)), GraphMatrixKind.LAPLACIAN)
+    b = np.random.default_rng(45).standard_normal((20, 20))
+    for matrix, method, points in ((a, "rowsum-brauer", np.linalg.eigvalsh(a)),
+                                   (b, "brauer", np.linalg.eigvals(b))):
+        tables.clear()
+        (least,) = stack_least_slacks(MatrixFacts(matrix), [points], [method])
+        (table,) = tables
+        region = BUILDERS[METHODS.index(method)](matrix)
+        unions = region.children if isinstance(region, RegionIntersection) else (region,)
+        truth = np.array([region_slack_grid(union, points) for union in unions])
+        left = np.isinf(table)
+        assert left.any() and not left.all()
+        assert table[~left].tobytes() == truth[~left].tobytes()
+        assert (truth[left] > table.min()).all()
+        assert least[method] == table.min() == region_slack_grid(region, points).min()
 
 
 def test_a_large_regions_least_slack_is_bounded_a_block_at_a_time():
