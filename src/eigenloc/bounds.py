@@ -245,10 +245,11 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     _checked("Thm3.7", g)
     d, a = g.structure.regular, g.adjacency
     alpha = 2 * g.common_neighbor_table + a
-    beta = alpha + 2 * a
-    np.fill_diagonal(beta, np.inf)
     lower = -2.0 * d + max(float(alpha.min(axis=1).max()), d)
-    upper = 2.0 * d - max(float(beta.min(axis=1).max()), d)
+    alpha += a  # beta, in alpha's buffer: small integer sums, so exact
+    alpha += a
+    np.fill_diagonal(alpha, np.inf)
+    upper = 2.0 * d - max(float(alpha.min(axis=1).max()), d)
     return _intervals("Thm3.7", g, (lower, upper))
 
 
@@ -519,18 +520,27 @@ _JSON_SCALARS = {
 }
 
 
-def _indented_json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` of str-keyed dicts, lists and scalars,
-    without the pure-Python encoder that ``indent`` selects there."""
+def _indented_json(value) -> str:
+    """``json.dumps(value, indent=2)`` of str-keyed dicts, lists and scalars, written in
+    one pass to one list, without the pure-Python encoder that ``indent`` selects there."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, pad: str, out) -> None:
+    """Hand ``value``'s text at the indent ``pad`` to ``out``, piece by piece."""
+    if (write := _JSON_SCALARS.get(type(value))) is not None:
+        return out(write(value))
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
+        return out(json.dumps(value))
     inner, keys = pad + "  ", isinstance(value, dict)
-    texts = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _indented_json(item, inner)
-             for item in (value.values() if keys else value)]
-    if keys:
-        texts = [f"{_JSON_SCALARS[str](key)}: {text}" for key, text in zip(value, texts)]
-    opening, closing = "{}" if keys else "[]"
-    return opening + inner + f",{inner}".join(texts) + pad + closing
+    sep = ("{" if keys else "[") + inner
+    for item in value:
+        out(f"{sep}{_JSON_SCALARS[str](item)}: " if keys else sep)
+        _write_json(value[item] if keys else item, inner, out)
+        sep = "," + inner
+    out(pad + ("}" if keys else "]"))
 
 
 def report_to_csv(report: BoundReport) -> str:

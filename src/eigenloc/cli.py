@@ -555,11 +555,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=bd.MODES, default="published")
     p_sweep.add_argument("--out", required=True, help="CSV path, or '-' for stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
+    parser.subcommands = sub.choices  # each subcommand's own parser, by name
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser would hand argv[1:] to this same parser; it parses only
+    # an argv that names no subcommand or leaves words over, so as to report it
+    command = _build_parser().subcommands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+    if rest:
+        args = _build_parser().parse_args(argv)
     _GRAPHS.begin_request()
     try:
         code = args.func(args)

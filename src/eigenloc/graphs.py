@@ -258,13 +258,13 @@ def graph_from_json(text: str) -> Graph:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int: ints, numpy integers and integral floats such as
-    ``3.0``; bools, strings, NaN and every other value raise ValueError."""
+    """``value`` as an int: ints, numpy integers and integral floats, numpy's too,
+    such as ``3.0``; bools, strings, NaN and every other value raise ValueError."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
-            if isinstance(value, float) and value.is_integer():
+            if isinstance(value, (float, np.floating)) and value.is_integer():
                 return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 

@@ -11,6 +11,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import eigenloc.bounds as bounds_module
 from eigenloc.bounds import (
@@ -92,6 +94,19 @@ def wheel(n):
     edges = [(1, v) for v in rim]
     edges += [(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))]
     return Graph.from_edges(n, edges)
+
+
+# JSON values as reports and regions hold them: str-keyed dicts, lists and
+# tuples over strings (any code point but a surrogate: non-ASCII, quotes,
+# control characters), ints, bools, None and floats, the non-finite and the
+# ones json spells in exponent form among them, and empty containers
+_JSON_VALUES = st.recursive(
+    st.text(max_size=8) | st.integers() | st.booleans() | st.none() | st.floats()
+    | st.sampled_from([-0.0, 1e-05, 1e16, math.inf, -math.inf, math.nan]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=24,
+)
 
 
 def assert_contains(interval: BoundInterval, value: float, tol=1e-8):
@@ -698,6 +713,12 @@ class TestReports:
         obj = {"leaves": leaves, "nested": {"a": leaves, "b": [{"c": None}]}, "empty": {}}
         assert _indented_json(obj) == json.dumps(obj, indent=2)
         assert _indented_json([]) == "[]" and _indented_json({}) == "{}"
+
+    @given(_JSON_VALUES)
+    @example({"\u00e9\"\x00\n": [[], {}, (), -0.0, 1e-05, 1e16], "": {"k": [math.nan, -math.inf]}})
+    @example(())
+    def test_json_writer_is_json_dumps_indent_2(self, value):
+        assert bounds_module._indented_json(value) == json.dumps(value, indent=2)
 
     def test_csv_rows(self):
         report = bounds_report(complete(4), GraphMatrixKind.ADJACENCY)

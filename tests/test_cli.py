@@ -321,7 +321,8 @@ class TestRegionsCommand:
 
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("matrix", [ROWSUM_3X3, _SEEDED_ROWSUM_6X6], ids=["3x3", "6x6"])
+    @pytest.mark.parametrize("matrix", [ROWSUM_3X3, _SEEDED_ROWSUM_6X6, _SEEDED_ROWSUM_6X6.real],
+                             ids=["3x3", "6x6", "6x6-real"])
     def test_region_json_is_json_dumps_indent_2(self, matrix, method, tmp_path, capsys):
         # written by bounds._indented_json, which report_to_json also uses
         path = tmp_path / "m.json"
@@ -999,6 +1000,61 @@ class TestParserReuse:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "--matrix" in errors[0]
+
+
+class TestDispatch:
+    """main hands argv to its subcommand's own parser, and parses through the
+    top-level parser only an argv that names no subcommand or leaves words
+    over; every stdout, stderr and exit code is the top-level parser's."""
+
+    _ARGVS = [
+        ["bounds", "--family", "petersen", "--matrix", "adjacency"],
+        ["bounds", "--fam", "cycle", "--n", "5", "--matrix", "laplacian", "--format", "csv"],
+        ["regions", "--matrix-file", "{matrix}", "--method", "brauer"],
+        ["verify", "--family", "cycle", "--n", "5", "--tol", "1e-6"],
+        ["sweep", "cycle:3..5", "--matrix", "normalized", "--out", "-"],
+        ["-h"],
+        ["--help"],
+        *([command, "-h"] for command in ("bounds", "regions", "verify", "sweep")),
+        ["bounds", "--family", "petersen"],
+        ["regions", "--method", "brauer"],
+        ["sweep", "--matrix", "adjacency", "--out", "-"],
+        ["bounds", "--family", "petersen", "--matrix", "bogus"],
+        ["bounds", "--family", "cycle", "--n", "x", "--matrix", "adjacency"],
+        ["bounds", "--family", "petersen", "--matrix", "adjacency", "--bogus"],
+        ["verify", "--family", "petersen", "extra", "words"],
+        ["bounds", "--family", "petersen", "--matrix", "adjacency", "--", "x"],
+        ["bogus", "--family", "petersen"],
+        ["--family", "petersen"],
+        [],
+    ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+    def test_main_gives_what_the_top_level_parser_gives(self, argv, rowsum_file, capsys, monkeypatch):
+        argv = [word.format(matrix=rowsum_file) for word in argv]
+        direct = self.run(argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["eigenloc", *argv])
+        assert self.run(None, capsys) == direct
+        # with no subcommand to hand argv to, main parses all of it at the top level
+        monkeypatch.setattr(_build_parser(), "subcommands", {})
+        assert self.run(argv, capsys) == direct
+        assert direct[0] in (0, 2) and (direct[0] == 0) == ("error:" not in direct[2])
+
+    def test_left_over_words_are_the_top_level_parsers_error(self, capsys):
+        code, out, err = self.run(["bounds", "--family", "petersen", "--matrix", "adjacency",
+                                   "--bogus", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: eigenloc [-h]")
+        assert err.endswith("\neigenloc: error: unrecognized arguments: --bogus x\n")
 
 
 class TestGraphCache:

@@ -363,10 +363,11 @@ class TestFamilies:
                 with pytest.raises(ValueError, match=f"^family '{family}' takes no parameter '{name}'$"):
                     generate(family, **taken, **{name: value})
 
-    @pytest.mark.parametrize("bad", [2.5, 1.9, True, "5", float("nan")])
+    @pytest.mark.parametrize("bad", [2.5, 1.9, True, "5", float("nan"), np.True_, np.float32(2.5),
+                                     np.float16("nan"), np.float32("inf"), float("-inf")])
     def test_non_integers_rejected(self, bad):
         # int() once truncated 2.5 to 2, made the edge (1.9, 3) into (1, 3)
-        # and read "5" as 5
+        # and read "5" as 5; a numpy bool or float is refused as its Python kin
         with pytest.raises(ValueError, match="integer"):
             generate("complete", n=bad)
         with pytest.raises(ValueError, match="integer"):
@@ -384,6 +385,9 @@ class TestFamilies:
         three, one = np.int64(3), np.int64(1)
         assert generate("complete", n=three) == complete(3)
         assert generate("complete", n=3.0) == complete(3)
+        # any numpy float with an integral value: np.float32(3.0) was refused
+        for three_float in (np.float64(3.0), np.float32(3.0), np.float16(3.0)):
+            assert generate("complete", n=three_float) == complete(3)
         assert circulant(np.int64(6), [one, np.int32(2)]) == circulant(6, [1, 2])
         g = Graph.from_edges(three, [(one, three), (2.0, np.int64(1))])
         assert g == Graph.from_edges(3, [(1, 3), (1, 2)])
@@ -438,7 +442,10 @@ class TestInvariants:
             for bad in (1.5, True, "1", float("nan")):
                 with pytest.raises(ValueError, match="vertex must be an integer"):
                     query(bad)
-            assert query(2.0) == query(np.int64(2)) == query(2)
+            assert query(2.0) == query(np.int64(2)) == query(np.float32(2.0)) == query(2)
+            for bad in (np.True_, np.float16(1.5), np.float32("nan")):
+                with pytest.raises(ValueError, match="vertex must be an integer"):
+                    query(bad)
         assert g.degree(2.0) == 3 and g.has_edge(1, 2.0) and not g.has_edge(np.int64(1), 3)
 
     def test_handshake_on_random_graphs(self):

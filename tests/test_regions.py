@@ -129,9 +129,10 @@ class TestDeflate:
         # k is taken by the integer rule: an integral float or a numpy
         # integer is its integer; a fraction, a bool, a string or NaN is
         # refused
-        for k in (2.0, np.int64(2), np.float64(2.0)):
+        for k in (2.0, np.int64(2), np.float64(2.0), np.float32(2.0), np.float16(2.0)):
             assert np.array_equal(deflate(ROWSUM_3X3, k), deflate(ROWSUM_3X3, 2))
-        for k in (1.5, 2.5, True, False, "2", math.nan, None):
+        for k in (1.5, 2.5, True, False, "2", math.nan, None, np.True_, np.float32(2.5),
+                  np.float16("nan"), np.float64("inf"), -math.inf):
             with pytest.raises(ValueError, match="deflation index must be an integer"):
                 deflate(ROWSUM_3X3, k)
 
