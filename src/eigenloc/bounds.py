@@ -111,6 +111,12 @@ THEOREM_TAGS = tuple(_REGISTRY)
 # Thm5.4's deflated row sums: the paper's n - d_k, or the re-derived n - 1 - d_k
 MODES = ("published", "corrected")
 
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class BoundInterval:
     """One labelled interval [lower, upper] for one eigenvalue index."""
@@ -410,8 +416,7 @@ def laplacian_dominating_brauer_bounds(g: Graph, *, mode: str = "published") -> 
     As (d_j - d_k)^2 + 4 r_j r_k = (r_j + r_k)^2, the union over pairs is
     [d_(1) + d_(2) + 1 - m, m + 1], from the two smallest remaining degrees.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    _check_mode(mode)
     _checked("Thm5.4", g)
     m = g.n if mode == "published" else g.n - 1
     d1, d2 = sorted(_degrees_but_dominating(g))[:2]
@@ -442,8 +447,7 @@ def bounds_report(g: Graph, kind: GraphMatrixKind, mode: str = "published") -> B
     precondition as the reason.  Intervals are intersected per target into
     a combined best interval; skips are data, not errors.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    _check_mode(mode)
     _check_kind(kind)
     bounds: list[BoundInterval] = []
     skipped: list[tuple[str, str]] = []

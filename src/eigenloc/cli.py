@@ -154,7 +154,7 @@ def check_interval(
 ) -> CheckResult:
     """PASS iff the oracle eigenvalue is inside the interval within tol,
     which must be finite and nonnegative."""
-    _check_tolerance(tol)
+    rg._check_tolerance(tol)
     slack = min(oracle_value - bound.lower, bound.upper - oracle_value)
     return _result(bound.theorem, bound.target, slack, tol)
 
@@ -165,15 +165,10 @@ def _result(name: str, target: str, slack: float, tol: float) -> CheckResult:
     return CheckResult(name, target, slack >= -tol, slack)
 
 
-def _check_tolerance(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-
-
 def _scope_filter(scope: str, tol: float) -> set[str] | None:
     """The check names ``scope`` asks for, None for all.  A name that names no
     check, or a ``tol`` that is not finite and nonnegative, raises ValueError."""
-    _check_tolerance(tol)
+    rg._check_tolerance(tol)
     if not scope or scope == "all":
         return None
     wanted = {tok.strip() for tok in scope.split(",") if tok.strip()}
@@ -194,7 +189,7 @@ def verify_graph(
     are one stacked pass over their :class:`regions.MatrixFacts`.
     """
     wanted = _scope_filter(scope, tol)
-    kinds = [kind for kind in gr.GraphMatrixKind if _has_matrix(g, kind)]
+    kinds = [kind for kind in gr.GraphMatrixKind if gr._has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
     matrices = [gr.build_matrix(g, kind) for kind in kinds]
     spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
@@ -207,11 +202,6 @@ def verify_graph(
                     if wanted is None or bound.theorem in wanted]
         results += checks
     return results
-
-
-def _has_matrix(g: gr.Graph, kind: gr.GraphMatrixKind) -> bool:
-    """Whether g has a ``kind`` matrix: the normalized one needs no isolated vertex."""
-    return kind != gr.GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0
 
 
 def _bound_pairs(report: bd.BoundReport, values) -> list:
@@ -410,7 +400,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         region = _build_region(matrix, args.method)
     except rg.RegionUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if args.method.startswith("rowsum") else 1
+        return 3 if rg._METHOD_SHAPES[args.method][1] else 1
     if args.emit == "svg":
         payload = region_to_svg(region, orc.complex_eigenvalues(matrix).values, window)
     else:
@@ -497,7 +487,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 g = _GRAPHS.graph((family, n), lambda: _sweep_graph(family, n))
             except ValueError as exc:  # the family's refusal names no spec
                 raise ValueError(f"sweep {token!r} at n = {n}: {exc}") from None
-            if not _has_matrix(g, kind):
+            if not gr._has_matrix(g, kind):
                 continue
             report = bd.bounds_report(g, kind, mode=args.mode)
             values = orc.graph_spectrum(g, kind).values

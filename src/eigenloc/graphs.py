@@ -411,9 +411,17 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     d = np.array(g.degree_sequence, dtype=float)
     if kind == GraphMatrixKind.LAPLACIAN:
         return np.diag(d) - a
-    if np.any(d == 0):
-        raise ValueError("normalized adjacency undefined with an isolated vertex")
+    if not _has_matrix(g, kind):
+        raise ValueError(_ISOLATED)
     return a / d[:, None]
+
+
+_ISOLATED = "normalized adjacency undefined with an isolated vertex"
+
+
+def _has_matrix(g: Graph, kind: GraphMatrixKind) -> bool:
+    """Whether g has a ``kind`` matrix: the normalized one needs no isolated vertex (``_ISOLATED``)."""
+    return kind != GraphMatrixKind.NORMALIZED_ADJACENCY or 0 not in g.degree_sequence
 
 
 def _check_kind(kind) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, build_matrix
+from .graphs import _ISOLATED, MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, _has_matrix, build_matrix
 
 __all__ = [
     "Spectrum",
@@ -61,6 +61,20 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _square(a: np.ndarray, cap: int) -> int:
+    """The dimension n of ``a``, either route's input; ValueError unless it is square with n <= ``cap``."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if (n := a.shape[0]) > cap:
+        raise ValueError(f"dimension {n} exceeds the {cap} cap")
+    return n
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +203,7 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     RuntimeError when QL takes more than 30 n steps.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_VERTICES:
-        raise ValueError(f"dimension {n} exceeds the {MAX_VERTICES} cap")
+    n = _square(a, MAX_VERTICES)
     if n == 0:
         return Spectrum(values=())
     # both checks are relative to the largest entry, so they hold at every scale
@@ -204,8 +214,7 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
             raise ValueError("matrix has a non-negligible imaginary part")
         a = a.real
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
+    _check_finite(a)
     big = float(np.max(np.abs(a)))
     if big == 0.0:
         return Spectrum(values=(0.0,) * n)
@@ -231,8 +240,8 @@ def normalized_spectrum(g: Graph) -> Spectrum:
     value 1, so the top value must be 1; this is asserted within 1e-9
     (RuntimeError otherwise).
     """
-    if min(g.degree_sequence) == 0:
-        raise ValueError("normalized adjacency undefined with an isolated vertex")
+    if not _has_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY):
+        raise ValueError(_ISOLATED)
     d = np.array(g.degree_sequence, dtype=float)
     sym = g.adjacency / np.sqrt(np.outer(d, d))
     return _top_is_one(symmetric_eigenvalues(sym))
@@ -274,18 +283,6 @@ def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # general complex matrices
-
-
-def _complex_square(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > _MAX_COMPLEX_DIM:
-        raise ValueError(f"dimension {n} exceeds the {_MAX_COMPLEX_DIM} cap")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    return a
 
 
 def _hessenberg(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,8 +520,9 @@ def complex_eigenvalues(matrix) -> Spectrum:
     of Aberth steps of both phases over the blocks, 0 when every block is
     1 x 1.
     """
-    a = _complex_square(matrix)
-    n = a.shape[0]
+    a = np.asarray(matrix, dtype=complex)
+    n = _square(a, _MAX_COMPLEX_DIM)
+    _check_finite(a)
     with np.errstate(over="ignore"):
         big = float(np.max(np.abs(a), initial=0.0))
     if big == 0.0:

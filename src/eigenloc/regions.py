@@ -43,6 +43,7 @@ each centre.  The pass carries no leaf.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import json
@@ -142,20 +143,14 @@ def _normalized_section(intervals: list[tuple[float, float]], points: list[float
 
 
 def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|z - c| into ``out``.  Of real arrays that is one subtraction and one
-    abs; of complex ones np.hypot of the parts, which rounds like Python's
-    abs(complex) (numpy's complex abs may not).  Where every imaginary part
-    of z - c is zero that is |Re(z - c)| exactly (hypot(x, 0) is |x|, C99
-    Annex F), so the far slower hypot is skipped.  A distance past the float
-    range is inf; the caller enters ``np.errstate(over="ignore")`` once for
-    its whole table operation, which silences that."""
+    """|z - c| into ``out``: of real arrays one subtraction and one abs; of
+    complex ones np.hypot of the parts, which rounds like Python's
+    abs(complex) (numpy's complex abs may not) and is |Re(z - c)| exactly
+    where Im(z - c) is zero (C99 Annex F).  A distance past the float range
+    is inf; the caller ignores overflow once for its whole table operation."""
     if not (np.iscomplexobj(z) or np.iscomplexobj(c)):
         return np.abs(np.subtract(z, c, out=out), out=out)
-    dx = z.real - c.real
-    dy = z.imag - c.imag
-    if np.count_nonzero(dy):
-        return np.hypot(dx, dy, out=out)
-    return np.abs(dx, out=out)
+    return np.hypot(z.real - c.real, z.imag - c.imag, out=out)
 
 
 def _reach(z, anchors: np.ndarray) -> np.ndarray:
@@ -609,9 +604,14 @@ def region_contains(region: Region, z: complex, tol: float = 0.0) -> bool:
     return region_slack(region, z) >= -tol
 
 
-def _check_membership(point, tol) -> None:
+def _check_tolerance(tol) -> None:
+    """Refuse, with ValueError, a tolerance that is not finite and nonnegative: every check's rule."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
+def _check_membership(point, tol) -> None:
+    _check_tolerance(tol)
     if not cmath.isfinite(point):
         raise ValueError(f"point must be finite, got {point!r}")
 
@@ -622,11 +622,10 @@ def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
     return region.slack(np.asarray(zs, dtype=complex))
 
 
-def _points(points, count: int) -> np.ndarray:
-    """The points as ``count`` rows, one per matrix of a stack; real where
-    every imaginary part is zero; empty, non-finite or ragged points raise
-    ValueError."""
-    z = _array(points)
+def _points(z: np.ndarray, count: int) -> np.ndarray:
+    """The array of points ``z`` (see :func:`_array`) as ``count`` rows, one
+    per matrix of a stack; real where every imaginary part is zero; empty or
+    non-finite points raise ValueError."""
     z = (z if z.dtype == float else np.asarray(z, dtype=complex)).reshape(count, -1)
     if not (z.size and np.isfinite(z).all()):
         raise ValueError("points must be nonempty and finite")
@@ -876,21 +875,21 @@ def _deflation_tables(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     off = np.flatnonzero(~np.eye(n, dtype=bool))  # each row's entries k != i
     # take, unlike [:, off], keeps a stack of more than one C-ordered
     centers = (a.diagonal(0, -2, -1)[:, None, :] - a).reshape(k, n * n).take(off, axis=1)
-    radii, generic, counts = np.empty(centers.shape), list(range(k)), {}  # c_ik over k != i, by pattern
-    for m, entries in enumerate(() if np.iscomplexobj(a) else a.reshape(k, n * n).take(off, axis=1)):
-        lo, hi = entries.min(initial=0.0), entries.max(initial=0.0)
+    radii, counts, two = np.empty(centers.shape), {}, np.zeros(k, bool)  # c_ik over k != i, by pattern
+    if not np.iscomplexobj(a):  # which matrices are two-valued, all at once
+        entries = a.reshape(k, n * n).take(off, axis=1)
+        lo, hi = entries.min(axis=1, initial=0.0), entries.max(axis=1, initial=0.0)
         # v = lo + hi; one of them is 0 unless the matrix has entries of both signs
-        if not ((lo == 0.0 or hi == 0.0) and math.isfinite(v := lo + hi)
-                and ((entries == 0.0) | (entries == v)).all()):
-            continue
-        generic.remove(m)
-        if (key := (pattern := entries != 0.0).tobytes()) not in counts:
+        v, pattern = lo + hi, entries != 0.0
+        two = ((lo == 0.0) | (hi == 0.0)) & np.isfinite(v) & (~pattern | (entries == v[:, None])).all(axis=1)
+    for m in np.flatnonzero(two).tolist():
+        if (key := pattern[m].tobytes()) not in counts:
             p = np.zeros((n, n))
-            p.flat[off] = pattern
+            p.flat[off] = pattern[m]
             d = p.sum(axis=1)
             counts[key] = (d[:, None] + d - p - p.T - 2.0 * (p @ p.T)).take(off).astype(np.intp)
-        radii[m] = np.add.accumulate(np.append(0.0, np.full(n, abs(v)))).take(counts[key])
-    if generic:
+        radii[m] = np.add.accumulate(np.append(0.0, np.full(n, abs(v[m])))).take(counts[key])
+    if generic := np.flatnonzero(~two).tolist():
         rows = generic if len(generic) < k else slice(None)  # the whole stack as a view
         radii[rows] = _generic_radii(a[rows]).reshape(len(generic), n * n).take(off, axis=1)
     table = tuple(part.reshape(k, n, n - 1) for part in (centers, radii))
@@ -965,16 +964,17 @@ class MatrixFacts:
         """
         return _deflation_tables(self.matrix)
 
-    def _kind(self, method: str) -> int:
+    def _shape(self, method: str) -> tuple[int, bool]:
         """The leaf kind of the region of ``method`` (a CLI name, e.g.
-        "rowsum-brauer"); RegionUnavailable where n is too small for it."""
+        "rowsum-brauer") and whether it is deflated; RegionUnavailable where
+        n is too small for it."""
         if method not in METHODS:
             raise ValueError(f"unknown region method {method!r}; expected one of {METHODS}")
-        kind, deflated = int("brauer" in method), method.startswith("rowsum")
+        kind, deflated = _METHOD_SHAPES[method]
         if self.matrix.shape[1] < 1 + kind + deflated:  # an oval and a deflation take one each
             shape = "deflated " * deflated + ("disk", "oval")[kind]
             raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
-        return kind
+        return kind, deflated
 
     def sources(self, deflated: bool, at: list[int]) -> tuple:
         """The centres, radii and gamma (None for the classical regions) of
@@ -1011,34 +1011,34 @@ def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, fl
     points = _array(points)
     if (rows := len(points) if points.ndim else 0) != k:
         raise ValueError(f"points must be one row per matrix: got {rows} rows for a stack of {k}")
-    kinds = {}  # each method's leaf kind, of the regions that the dimension allows
+    shapes = {}  # each method's (leaf kind, deflated), of the regions that the dimension allows
     for method in methods:
-        try:
-            kinds[method] = facts._kind(method)
-        except RegionUnavailable:
-            pass
+        with contextlib.suppress(RegionUnavailable):
+            shapes[method] = facts._shape(method)
     # a group: the methods of one table, classical or row-sum, and its
     # matrices; gamma is read only where a row-sum region is asked for
-    classical = [m for m in kinds if not m.startswith("rowsum")]
+    classical, rowsum = ([m for m, shape in shapes.items() if shape[1] == side] for side in (False, True))
     groups = [(False, classical, list(range(k)))] if classical else []
-    if (rowsum := [m for m in kinds if m.startswith("rowsum")]) and (
-            members := [at for at, gamma in enumerate(facts.gamma) if gamma is not None]):
+    if rowsum and (members := [at for at, gamma in enumerate(facts.gamma) if gamma is not None]):
         groups.append((True, rowsum, members))
     tables = [facts.sources(deflated, members) for deflated, _, members in groups]
     # an oval refuses all that a disk of the same radii refuses, in its words
     for (_, group, _), (centers, radii, gamma) in zip(groups, tables):
-        _check_source(centers, radii, max(kinds[m] for m in group), gamma)
+        _check_source(centers, radii, max(shapes[m][0] for m in group), gamma)
     z = _points(points, k)
     least = [{} for _ in range(k)]
     for (_, group, members), (centers, radii, gamma) in zip(groups, tables):
-        slacks = _least_slacks(z[members], centers, radii, gamma, [kinds[m] for m in group])
+        slacks = _least_slacks(z[members], centers, radii, gamma, [shapes[m][0] for m in group])
         for method, per_matrix in zip(group, slacks):
             for at, (slack, _) in zip(members, per_matrix):
                 least[at][method] = float(slack)
-    return [{m: found[m] for m in kinds if m in found} for found in least]
+    return [{m: found[m] for m in shapes if m in found} for found in least]
 
 
-METHODS = ("gersgorin", "brauer", "rowsum-gersgorin", "rowsum-brauer")
+# each region method's leaf kind and whether it is deflated (a row-sum region)
+_METHOD_SHAPES = {"gersgorin": (_DISK, False), "brauer": (_OVAL, False),
+                  "rowsum-gersgorin": (_DISK, True), "rowsum-brauer": (_OVAL, True)}
+METHODS = tuple(_METHOD_SHAPES)
 
 
 def deflate(matrix, k: int) -> np.ndarray:
@@ -1126,10 +1126,9 @@ def _check_source(centers, radii, kind: int, gamma=None) -> None:
 def _region(matrix, method: str):
     """The builders' region of ``method`` of a matrix."""
     facts = MatrixFacts(matrix)
-    deflated = method.startswith("rowsum")
-    if deflated and facts.gamma[0] is None:
+    if _METHOD_SHAPES[method][1] and facts.gamma[0] is None:
         raise RegionUnavailable(_NO_ROW_SUM)
-    kind = facts._kind(method)
+    kind, deflated = facts._shape(method)
     centers, radii, gamma = (None if part is None else part[0] for part in facts.sources(deflated, [0]))
     return _table_region(centers, radii, kind, gamma)
 

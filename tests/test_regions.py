@@ -1137,9 +1137,10 @@ def _least_slack(a, method: str, points) -> tuple:
     builder's region of ``method`` for the matrix ``a`` over ``points``, read
     from the matrix's facts as stack_least_slacks reads them."""
     facts = MatrixFacts(a)
-    centers, radii, gamma = facts.sources(method.startswith("rowsum"), [0])
-    z = eigenloc.regions._points([points], 1)
-    ((found,),) = eigenloc.regions._least_slacks(z, centers, radii, gamma, [facts._kind(method)])
+    kind, deflated = facts._shape(method)
+    centers, radii, gamma = facts.sources(deflated, [0])
+    z = eigenloc.regions._points(np.asarray([points]), 1)
+    ((found,),) = eigenloc.regions._least_slacks(z, centers, radii, gamma, [kind])
     return found
 
 
@@ -1668,6 +1669,40 @@ def test_a_stack_runs_the_generic_pass_once_on_its_other_matrices(monkeypatch):
     counts = radii[0].astype(int)  # v = 1: each radius is its count
     for m, v in ((1, 0.3), (2, 2.5)):
         assert radii[m].tobytes() == np.add.accumulate([0.0] + [v] * n)[counts].tobytes()
+
+
+def test_a_stack_decides_which_matrices_are_two_valued_as_each_alone(monkeypatch):
+    # the two-valued test runs on the whole stack at once: in one stack of
+    # matrices that are two-valued (v of either sign, subnormal, or 1e300,
+    # with zeros of either sign), two-valued but for one NaN, infinite,
+    # negated or doubled entry, two-valued with v infinite, or all zero off
+    # the diagonal, each matrix gets the table it has alone, bit for bit,
+    # and the generic pass sees exactly those that are not two-valued
+    rng = np.random.default_rng(94)
+    n, matrices, expect_generic = 6, [], []
+    for v in (1.0, -0.3, 5e-324, 1e300):
+        a = np.where(rng.random((n, n)) < 0.5, v, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+        a[np.diag_indices(n)] = rng.standard_normal(n)
+        matrices.append(a)
+        expect_generic.append(False)
+        for entry in (math.nan, math.inf, -v, 2.0 * v):
+            b = a.copy()
+            b[2, 4] = entry
+            matrices.append(b)
+            expect_generic.append(True)
+        matrices.append(np.where(a == v, math.inf, a))
+        expect_generic.append(True)
+    matrices.append(np.diag(rng.standard_normal(n)))
+    expect_generic.append(False)
+    alone = [MatrixFacts(a).deflation_table for a in matrices]
+    seen, generic = [], eigenloc.regions._generic_radii
+    monkeypatch.setattr(eigenloc.regions, "_generic_radii", lambda a: seen.append(a) or generic(a))
+    stack = MatrixFacts(*matrices).deflation_table
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.stack([a for a, g in zip(matrices, expect_generic) if g]), equal_nan=True)
+    for at, (centers, radii) in enumerate(alone):
+        assert stack[0][at].tobytes() == centers[0].tobytes()
+        assert stack[1][at].tobytes() == radii[0].tobytes()
 
 
 def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
