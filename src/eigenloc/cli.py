@@ -234,8 +234,9 @@ def _region_checks(
 
 
 def _build_region(matrix, method: str):
-    # looked up at call time, so a wrapper patched onto the module sees the call
-    return getattr(rg, method.replace("-", "_") + "_region")(matrix)
+    # the builder named in the method table, looked up at call time:
+    # bench/worker.py and bench/tracer.py wrap the module's builders
+    return getattr(rg, rg._METHOD_SHAPES[method][2])(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +449,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
     """'family:lo..hi[:step]' (or 'family:lo:hi[:step]'), the bare name alone for
-    petersen, which takes no size; the name is normalized as generate does."""
+    petersen, which takes no size; the name is read by graphs._family, as generate reads it."""
     fields = token.replace("..", ":").split(":")
-    family = fields[0].lower().replace("-", "_")
-    if family not in gr.FAMILY_NAMES:
-        raise ValueError(f"bad sweep spec {token!r}: unknown graph family {fields[0]!r}")
+    try:
+        family = gr._family(fields[0])
+    except ValueError:
+        raise ValueError(f"bad sweep spec {token!r}: unknown graph family {fields[0]!r}") from None
     if family == "petersen":
         if len(fields) > 1:
             raise ValueError(f"bad sweep spec {token!r}: petersen takes no range")

@@ -345,6 +345,15 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
+def _family(name: str) -> str:
+    """The family table's key of ``name``, in any case and with hyphens for
+    underscores; ValueError, naming that key, if there is no such family."""
+    family = name.lower().replace("-", "_")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}")
+    return family
+
+
 def generate(family: str, **params) -> Graph:
     """Build the canonical member of a named family.
 
@@ -359,9 +368,7 @@ def generate(family: str, **params) -> Graph:
     family does not take, a size or offset that is not an integer, or
     invalid parameters.
     """
-    family = family.lower().replace("-", "_")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown graph family {family!r}")
+    family = _family(family)
     build, integers, others = _FAMILIES[family]
     extra = sorted(set(params).difference(integers, others))
     if extra:

@@ -16,14 +16,15 @@ No oval's foci are so far apart that their distance overflows, so the
 slack of a finite point is never NaN.
 
 Underneath the tree, each union keeps a leaf table: the parameters of its
-disks, ovals and points as arrays, so that its slack is one (points x
-leaves) numpy pass and an intersection's is one such pass per union, and
-an intersection sections the leaves of all its unions at once.  The four
-builders fill their tables with array arithmetic.  A classical builder
-returns one union; a row-sum builder returns the intersection of one
-union per deflation row, each a view of one row of the builder's arrays.
-A builder's union makes its ``children`` from its table when they are
-first read.
+disks, ovals and points as arrays, so that its slack is one (leaves x
+points) pass of the union-slack kernel that the stacked pass below also
+runs, and an intersection's is one such pass per union; an intersection
+sections the leaves of all its unions at once.  The four builders fill
+their tables with array arithmetic.  A classical builder returns one
+union; a row-sum builder returns the intersection of one union per
+deflation row, each a view of one row of the builder's arrays.  A
+builder's union makes its ``children`` from its table when they are first
+read.
 
 :class:`MatrixFacts` is a stack of matrices of one size, such as the two
 or three matrices of a graph, and owns what the builders read of them:
@@ -154,13 +155,12 @@ def _distance(z, c: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _reach(z, anchors: np.ndarray) -> np.ndarray:
-    """The distance from each point of ``z`` to each of ``anchors``, the
-    points' axes first, along a trailing axis that ends in an exact 1.0; the
-    caller ignores overflow, as for :func:`_distance`."""
-    z = np.asarray(z)[..., None]
-    reach = np.empty(np.broadcast(z, anchors).shape[:-1] + (anchors.shape[-1] + 1,))
-    reach[..., -1] = 1.0
-    _distance(z, anchors, reach[..., :-1])
+    """The distance from each point of ``z`` to each of ``anchors`` along the
+    leading axis, then a row of exact 1.0; the points broadcast against the
+    anchors' other axes, and the caller ignores overflow, as for :func:`_distance`."""
+    reach = np.empty((len(anchors) + 1,) + np.broadcast(z, anchors[:1]).shape[1:])
+    reach[-1] = 1.0
+    _distance(z, anchors, reach[:-1])
     return reach
 
 
@@ -170,21 +170,17 @@ def _products(values: np.ndarray, first, second) -> np.ndarray:
     return np.multiply(values[..., first], values[..., second])
 
 
-def _margins(reach: np.ndarray, first, second, bounds) -> np.ndarray:
-    """Each leaf row's slack at each point along the trailing axis, from the
-    points' ``reach`` (see :class:`_LeafTable`); -inf where a distance or a
-    product passes the float range."""
-    margin = _products(reach, first, second)
-    return np.subtract(bounds, margin, out=margin)
-
-
-def _union_slack(margins: np.ndarray, axis: int = -1) -> np.ndarray:
-    """A union's slack from its rows' ``margins`` along ``axis``: the largest,
-    -inf if none.  A zero is +0.0 where some row's is, so that its sign does
-    not rest on the order in which numpy's reduction meets a +0.0 and a -0.0."""
-    slack = np.maximum.reduce(margins, axis=axis, initial=-np.inf)
+def _union_slacks(reach: np.ndarray, first, second, bounds) -> np.ndarray:
+    """A union's slack at each point of ``reach`` (see :func:`_reach`): the
+    largest over the leading axis of its rows' margins ``bounds -
+    reach[first] * reach[second]`` (-inf past the float range), -inf if it
+    has no rows.  A zero is +0.0 where some row's is, so that its sign does
+    not rest on the order in which numpy's reduction meets +0.0 and -0.0."""
+    margins = np.multiply(reach[first], reach[second])
+    np.subtract(bounds, margins, out=margins)
+    slack = np.maximum.reduce(margins, axis=0, initial=-np.inf)
     if (zero := slack == 0.0).any():
-        positive = ((margins == 0.0) & ~np.signbit(margins)).any(axis=axis)
+        positive = ((margins == 0.0) & ~np.signbit(margins)).any(axis=0)
         slack = np.where(zero & positive, 0.0, slack)
     return slack
 
@@ -254,13 +250,12 @@ class _LeafTable:
             self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()))
 
     @np.errstate(over="ignore")
-    def margins(self, z) -> np.ndarray:
-        """Each row's slack at each point of ``z``, along a trailing axis."""
-        return _margins(_reach(z, self.anchors), self.first, self.second, self.bounds)
-
     def slack(self, z):
-        """The union's slack at ``z``."""
-        slack = _union_slack(self.margins(z))
+        """The union's slack at ``z``, a point or an array of points."""
+        z = np.asarray(z)
+        axes = (-1,) + (1,) * z.ndim  # the rows, then the points' axes
+        slack = _union_slacks(_reach(z, self.anchors.reshape(axes)), self.first, self.second,
+                              self.bounds.reshape(axes))
         for node in self.nested:
             slack = np.maximum(slack, node.slack(z))
         return slack
@@ -618,7 +613,7 @@ def _check_membership(point, tol) -> None:
 
 def region_slack_grid(region: Region, zs: np.ndarray) -> np.ndarray:
     """:func:`region_slack` at each point of an array, bit for bit; a union
-    holds one (points x its leaves) array at a time."""
+    holds one (its leaves x points) array at a time."""
     return region.slack(np.asarray(zs, dtype=complex))
 
 
@@ -652,9 +647,9 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     The kinds share one table of distances from the points to the centres
     (and gamma), made for a block of points of every matrix at a time so
     that no kind's margins pass ``_PASS_ROWS`` rows in a block; each point's
-    slack is the grid's bit for bit.  The tables put the leaf rows first
-    and the points last, so that a leaf row of every point is one slab,
-    gathered, multiplied and compared whole.  A kind whose margins over one
+    slack is the grid's bit for bit, from the grid's kernel
+    :func:`_union_slacks`: a leaf row of every point is one slab, gathered,
+    multiplied and compared whole.  A kind whose margins over one
     matrix's points would pass ``_PASS_ROWS`` rows is bounded by
     :func:`_bounded_slacks` instead, a matrix at a time.  Where its disks
     would, it first keeps the two widest leaves at a centre.
@@ -671,33 +666,27 @@ def _least_slacks(z: np.ndarray, centers, radii, gamma, kinds) -> list[list]:
     if points * comps * (centers.shape[-1] + stacked) > _PASS_ROWS:
         centers, radii = _distinct_leaves(centers, radii)
     anchors, padded = _anchors(centers, gamma), _padded(radii, stacked)
-    plans = []  # kind, leaves, width, bounded, slacks
-    for kind in kinds:
-        # a disk's rows are the anchors' distances before the 1.0, times it
-        leaves = (slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
-        width = anchors.shape[-1] if kind == _DISK else len(leaves[0])
-        plans.append([kind, leaves, width, points * comps * width > _PASS_ROWS, []])
-    direct = [plan for plan in plans if not plan[3]]
-    step = max(1, _PASS_ROWS // (matrices * comps * max([plan[2] for plan in direct] + [1])))
+    # each kind's leaf rows, their count and its blocks of union slacks; a
+    # disk's rows are the anchors' distances before the 1.0, times it
+    rows = [(slice(-1), slice(-1, None)) if kind == _DISK else _rows(radii.shape[-1], kind, stacked)
+            for kind in kinds]
+    widths = [anchors.shape[-1] if kind == _DISK else len(first) for kind, (first, _) in zip(kinds, rows)]
+    slacks = [[] for _ in kinds]
+    direct = [at for at, width in enumerate(widths) if points * comps * width <= _PASS_ROWS]
+    step = max(1, _PASS_ROWS // (matrices * comps * max([widths[at] for at in direct] + [1])))
     # anchors, then component, matrix and point
     foci = anchors.T[..., None]
-    bounds = [_products(padded, *plan[1]).T[..., None] for plan in direct]
+    bounds = [_products(padded, *rows[at]).T[..., None] for at in direct]
     for lo in range(0, points if direct else 0, step):
-        block = z[:, lo : lo + step]
-        reach = np.empty((len(foci) + 1,) + foci.shape[1:-2] + block.shape)
-        reach[-1] = 1.0
-        _distance(block, foci, reach[:-1])
-        for plan, bound in zip(direct, bounds):
-            first, second = plan[1]
-            margins = np.multiply(reach[first], reach[second])
-            plan[4].append(_union_slack(np.subtract(bound, margins, out=margins), axis=0))
+        reach = _reach(z[:, lo : lo + step], foci)
+        for at, bound in zip(direct, bounds):
+            slacks[at].append(_union_slacks(reach, *rows[at], bound))
     found = []
-    for kind, leaves, width, bounded, slacks in plans:
-        if bounded:
-            tables = [_bounded_slacks(z[m], anchors[m], radii[m], padded[m], kind, leaves, width)
-                      for m in range(matrices)]
-            slacks = [np.stack(tables, axis=1)]
-        table = slacks[0] if len(slacks) == 1 else np.concatenate(slacks, axis=-1)
+    for kind, leaves, width, blocks in zip(kinds, rows, widths, slacks):
+        if not blocks:  # too large for a block: bounded
+            blocks = [np.stack([_bounded_slacks(z[m], anchors[m], radii[m], padded[m], kind, leaves, width)
+                                for m in range(matrices)], axis=1)]
+        table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
         point = np.minimum.accumulate(table)[-1]
         found.append(list(zip(point.min(axis=-1), point.argmin(axis=-1).tolist())))
     return found
@@ -769,13 +758,13 @@ def _bounded_slacks(z, anchors, radii, padded, kind: int, rows, count: int) -> n
         for lo in range(0, len(comps), step):
             c, p = comps[lo : lo + step], points[lo : lo + step]
             part = _products(padded[c], *rows) if bounds is None else bounds[c]
-            slacks[c, p] = _union_slack(_margins(_reach(z[p], anchors[c]), *rows, part))
+            slacks[c, p] = _union_slacks(_reach(z[p], anchors[c].T), *rows, part.T)
 
     # each component's largest radius, or two largest (a disk's kind is 0, an oval's 1)
     top = np.arange(n)[:, None], np.argsort(radii, axis=1)[:, -1 - kind :]
     pair = [0], [kind or -1]  # the top oval's foci, or the disk's centre and the 1.0
-    largest = _products(_padded(radii[top], False), *pair)[:, None]
-    lower = _margins(_reach(z, anchors[top][:, None]), *pair, largest)[..., 0]
+    largest = _products(_padded(radii[top], False), *pair).T[..., None]
+    lower = _union_slacks(_reach(z, anchors[top].T[..., None]), *pair, largest)
     visit(np.arange(n), np.full(n, np.unravel_index(lower.argmin(), lower.shape)[1]))
     # a union's slack at a finite point is never inf: inf is a pair not visited
     visit(*np.nonzero((slacks == np.inf) & (lower <= slacks.min())))
@@ -970,7 +959,7 @@ class MatrixFacts:
         n is too small for it."""
         if method not in METHODS:
             raise ValueError(f"unknown region method {method!r}; expected one of {METHODS}")
-        kind, deflated = _METHOD_SHAPES[method]
+        kind, deflated, _ = _METHOD_SHAPES[method]
         if self.matrix.shape[1] < 1 + kind + deflated:  # an oval and a deflation take one each
             shape = "deflated " * deflated + ("disk", "oval")[kind]
             raise RegionUnavailable(f"the {shape} region needs dimension >= {1 + kind + deflated}")
@@ -1035,9 +1024,10 @@ def stack_least_slacks(facts: MatrixFacts, points, methods) -> list[dict[str, fl
     return [{m: found[m] for m in shapes if m in found} for found in least]
 
 
-# each region method's leaf kind and whether it is deflated (a row-sum region)
-_METHOD_SHAPES = {"gersgorin": (_DISK, False), "brauer": (_OVAL, False),
-                  "rowsum-gersgorin": (_DISK, True), "rowsum-brauer": (_OVAL, True)}
+# each region method's leaf kind, whether it is deflated (a row-sum region) and its builder
+_METHOD_SHAPES = {"gersgorin": (_DISK, False, "gersgorin_region"), "brauer": (_OVAL, False, "brauer_region"),
+                  "rowsum-gersgorin": (_DISK, True, "rowsum_gersgorin_region"),
+                  "rowsum-brauer": (_OVAL, True, "rowsum_brauer_region")}
 METHODS = tuple(_METHOD_SHAPES)
 
 

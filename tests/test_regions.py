@@ -367,13 +367,31 @@ class TestContainment:
 
     def test_grid_slack_matches_scalar(self):
         rng = np.random.default_rng(33)
+        cases = []
         for _ in range(10):
             region = random_region(rng)
             pts = rng.uniform(-4, 4, (64, 2))
-            zs = pts[:, 0] + 1j * pts[:, 1]
-            grid = region_slack_grid(region, zs)
-            for z, expected in zip(zs, grid):
-                assert region_slack(region, z) == expected
+            cases.append((region, pts[:, 0] + 1j * pts[:, 1], []))
+        # slacks of exactly 0, whose sign counts: -0.0 at gamma, a point leaf
+        # (gamma = 3 and 1 here), and +0.0 on a disk's rim (-1/3), also where a
+        # point leaf's -0.0 ties with it in a later row (1.0)
+        a = np.array([[1.0, 2.0, 0.0], [0.0, 2.0, 1.0], [2.0, 0.0, 1.0]])
+        k4 = rowsum_gersgorin_region(build_matrix(complete(4), GraphMatrixKind.NORMALIZED_ADJACENCY))
+        nested = RegionUnion((Disk(0j, 1.0), PointSet((1 + 0j,)),
+                              RegionIntersection((Disk(2 + 0j, 1.0), Disk(3 + 0j, 1.0))), PointSet((5 + 0j,))))
+        cases += [
+            (rowsum_gersgorin_region(a), np.array([3.0, 3.0j, 1.0, -2.0]), [-0.0]),
+            (k4, np.array([1.0, -1 / 3, 0.5j, 2.0]), [-0.0, 0.0]),
+            (nested, np.array([1.0, 5.0, 2.0, 2.5]), [0.0, -0.0, 0.0, 0.5]),
+        ]
+        for region, zs, zeros in cases:
+            grid = region_slack_grid(region, zs.reshape(2, -1))
+            assert grid.shape == (2, len(zs) // 2)
+            assert region_slack_grid(region, zs).tobytes() == grid.tobytes()
+            for z, slack in zip(zs, grid.ravel()):
+                assert np.float64(region_slack(region, z)).tobytes() == slack.tobytes()
+                assert region_slack_grid(region, z).tobytes() == slack.tobytes()
+            assert grid.ravel()[: len(zeros)].tobytes() == np.array(zeros).tobytes()
 
     def test_empty_intersection_is_nowhere(self):
         empty = RegionIntersection(())

@@ -145,19 +145,22 @@ def test_a_bad_mode_is_refused_in_one_text(kind):
 
 
 def _builder(method: str):
-    return getattr(rg, method.replace("-", "_") + "_region")
+    return getattr(rg, rg._METHOD_SHAPES[method][2])
 
 
 # each method's least dimension, leaf and whether it is deflated, written out
 # here rather than read from the table under test
 _SHAPES = {"gersgorin": (1, "Disk", False), "brauer": (2, "CassiniOval", False),
            "rowsum-gersgorin": (2, "Disk", True), "rowsum-brauer": (3, "CassiniOval", True)}
+_BUILDERS = {"gersgorin": rg.gersgorin_region, "brauer": rg.brauer_region,
+             "rowsum-gersgorin": rg.rowsum_gersgorin_region, "rowsum-brauer": rg.rowsum_brauer_region}
 
 
 def test_the_method_table_is_the_four_shapes():
     assert METHODS == tuple(_SHAPES) == tuple(rg._METHOD_SHAPES)
     for method, (needed, leaf, deflated) in _SHAPES.items():
-        assert rg._METHOD_SHAPES[method] == ((rg._DISK, rg._OVAL)[leaf == "CassiniOval"], deflated)
+        assert rg._METHOD_SHAPES[method][:2] == ((rg._DISK, rg._OVAL)[leaf == "CassiniOval"], deflated)
+        assert _builder(method) is _BUILDERS[method]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
