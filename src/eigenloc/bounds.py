@@ -243,6 +243,8 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     2d - 2N(i,k) - 2[k ~ i], so row i's disks cover [-2d + min alpha,
     2d - min beta] over k != i, with alpha = 2N(i,k) + [k ~ i] and
     beta = alpha + 2[k ~ i]: row minima over whole rows of A·A and A.
+    Both are symmetric, so each row's minimum is its column's, and the
+    minima are taken over axis 0, one elementwise pass down the rows.
     The best row is taken for each end, and the spectral-radius guard d
     keeps the bound no worse than |lambda| <= d.  The chain
     L <= lambda_n <= lambda_2 <= U makes [L, U] valid for both targets.
@@ -251,11 +253,11 @@ def regular_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     _checked("Thm3.7", g)
     d, a = g.structure.regular, g.adjacency
     alpha = 2 * g.common_neighbor_table + a
-    lower = -2.0 * d + max(float(alpha.min(axis=1).max()), d)
+    lower = -2.0 * d + max(float(alpha.min(axis=0).max()), d)
     alpha += a  # beta, in alpha's buffer: small integer sums, so exact
     alpha += a
     np.fill_diagonal(alpha, np.inf)
-    upper = 2.0 * d - max(float(alpha.min(axis=1).max()), d)
+    upper = 2.0 * d - max(float(alpha.min(axis=0).max()), d)
     return _intervals("Thm3.7", g, (lower, upper))
 
 
@@ -282,26 +284,31 @@ def regular_brauer_common_neighbor_bounds(g: Graph) -> list[BoundInterval]:
     largest product: the two largest x, the two largest y, or the largest
     x times the largest y.  A row therefore needs only its top two values
     per class, O(n) work instead of O(n^2) pairs, taken for all rows at
-    once by ``np.partition`` of whole rows with the other class set to -1;
-    the diagonal's x_ii = -1 and y_ii = 0 change no top two.  Every row has
-    d >= 2 neighbours and n - 1 - d non-neighbours, so a class exists in
-    all rows or in none.  The roots see the pair loop's integers in its
-    float order, and square roots round correctly, so the floats are identical.
+    once by one sort of each row of (d - A·A) + (2n - 1)A.  A row sorts to
+    its n - d values y first (the diagonal's y_ii = 0 among them, which
+    changes no top two), then its d values x, each lifted by 2n above every
+    y <= d: the two largest y sit at n - d - 2 and n - d - 1, the two
+    largest x at n - 2 and n - 1.  Every row has d >= 2 neighbours and
+    n - 1 - d non-neighbours, so a class exists in all rows or in none.
+    All these are small integers, so exact.  The roots see the pair loop's
+    integers in its float order, and square roots round correctly, so the
+    floats are identical.
     """
     _checked("Thm3.9", g)
     d, n = g.structure.regular, g.n
-    adj, common = g.adjacency == 1, g.common_neighbor_table
-    # the two largest x (and y) of each row: the second at n - 2, the largest after it
-    x1, x2 = np.partition(np.where(adj, d - common - 1, -1), n - 2, axis=1)[:, -2:].T
-    y1, y2 = np.partition(np.where(adj, -1, d - common), n - 2, axis=1)[:, -2:].T
+    rows = (2 * n - 1) * g.adjacency
+    rows -= g.common_neighbor_table
+    rows += d
+    rows.sort(axis=1)
+    x1, x2 = rows[:, n - 2 :].T - 2 * n
     root = 2.0 * np.sqrt(x1 * x2)
     alphas, betas = [-1.0 - root], [-1.0 + root]
     if n - 1 - d >= 2:
-        root = 2.0 * np.sqrt(y1 * y2)
+        root = 2.0 * np.sqrt(rows[:, n - d - 2] * rows[:, n - d - 1])
         alphas.append(-root)
         betas.append(root)
     if n - 1 - d >= 1:
-        root = np.sqrt(0.25 + (4.0 * x2) * y2)
+        root = np.sqrt(0.25 + (4.0 * x2) * rows[:, n - d - 1])
         alphas.append(-0.5 - root)
         betas.append(-0.5 + root)
     lower = float(np.min(alphas, axis=0).max())
@@ -527,22 +534,28 @@ _JSON_SCALARS = {
 def _indented_json(value) -> str:
     """``json.dumps(value, indent=2)`` of str-keyed dicts, lists and scalars, written in
     one pass to one list, without the pure-Python encoder that ``indent`` selects there."""
+    if (write := _JSON_SCALARS.get(type(value))) is not None:
+        return write(value)
     parts: list[str] = []
     _write_json(value, "\n", parts.append)
     return "".join(parts)
 
 
 def _write_json(value, pad: str, out) -> None:
-    """Hand ``value``'s text at the indent ``pad`` to ``out``, piece by piece."""
-    if (write := _JSON_SCALARS.get(type(value))) is not None:
-        return out(write(value))
+    """Hand the text of ``value``, which is not a scalar, at the indent ``pad`` to
+    ``out``, piece by piece: each scalar child in one piece with its key or separator."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         return out(json.dumps(value))
     inner, keys = pad + "  ", isinstance(value, dict)
     sep = ("{" if keys else "[") + inner
     for item in value:
-        out(f"{sep}{_JSON_SCALARS[str](item)}: " if keys else sep)
-        _write_json(value[item] if keys else item, inner, out)
+        child = value[item] if keys else item
+        head = f"{sep}{_JSON_SCALARS[str](item)}: " if keys else sep
+        if (write := _JSON_SCALARS.get(type(child))) is not None:
+            out(head + write(child))
+        else:
+            out(head)
+            _write_json(child, inner, out)
         sep = "," + inner
     out(pad + ("}" if keys else "]"))
 

@@ -113,10 +113,14 @@ class Graph:
 
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
-        """The 0/1 adjacency matrix as floats, filled on first read; read-only."""
-        a = np.zeros((self.n, self.n))
-        u, v = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T - 1
-        a[u, v] = a[v, u] = 1.0
+        """The 0/1 adjacency matrix as floats, unpacked on first read from the
+        bitmask rows (bit v of row u, for v = 1..n); read-only."""
+        n, width = self.n, self.n // 8 + 1
+        masks = self._adj[1:]  # type: ignore[attr-defined]
+        rows = b"".join([mask.to_bytes(width, "little") for mask in masks])
+        bits = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(n, width), axis=1,
+                             count=n + 1, bitorder="little")
+        a = bits[:, 1:].astype(float)
         a.flags.writeable = False
         return a
 

@@ -713,6 +713,16 @@ class TestReports:
         obj = {"leaves": leaves, "nested": {"a": leaves, "b": [{"c": None}]}, "empty": {}}
         assert _indented_json(obj) == json.dumps(obj, indent=2)
         assert _indented_json([]) == "[]" and _indented_json({}) == "{}"
+        # a scalar child is written in one piece with its key or separator:
+        # scalars right before and after containers, non-finite floats and
+        # escaped strings as dict values, empty containers at depth
+        mixed = [1, [2.5, {"k": 3}], "s", {}, -0.0, {"a": [], "b": 1.5, "c": {"d": {}}, "e": None},
+                 (), math.nan, [[[], {}]], True]
+        values = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "list": mixed,
+                  "esc\n\"key\u2028": "val\t\"\\ \u00e9 \U0001d54a \x1f", "deep": {"a": {"b": [[{}], {"c": ()}]}},
+                  "after": False}
+        for value in (mixed, values, [values, 0, values], {"x": {}, "y": [mixed], "z": ""}):
+            assert _indented_json(value) == json.dumps(value, indent=2)
 
     @given(_JSON_VALUES)
     @example({"\u00e9\"\x00\n": [[], {}, (), -0.0, 1e-05, 1e16], "": {"k": [math.nan, -math.inf]}})
@@ -956,6 +966,22 @@ def relabelled(g, seed):
     return Graph.from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
+def switched(g, swaps, seed):
+    """``g`` after ``swaps`` random double-edge swaps {a, b}, {c, e} -> {a, c},
+    {b, e}, each of which keeps every degree: a regular ``g`` stays regular,
+    but its rows stop being alike."""
+    rng = random.Random(seed)
+    edges = set(g.edges)
+    while swaps:
+        (a, b), (c, e) = rng.sample(sorted(edges), 2)
+        one, two = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+        if len({a, b, c, e}) == 4 and one not in edges and two not in edges:
+            edges -= {(a, b), (c, e)}
+            edges |= {one, two}
+            swaps -= 1
+    return Graph.from_edges(g.n, edges)
+
+
 def random_connected(n, p, seed):
     """A random spanning tree on 1..n plus each other pair with probability p."""
     rng = random.Random(seed)
@@ -1074,6 +1100,20 @@ class TestCommonNeighborExactness:
                 assert (b.lower, b.upper) == reference_thm37(g), (g.n, sorted(g.edges))
                 assert type(b.lower) is float and type(b.upper) is float
 
+    def test_thm37_reads_every_row(self):
+        # the corpus's graphs are vertex-transitive, so any one row decides
+        # their ends; in this 9-regular complement of a switched circulant
+        # vertex 6's row alone attains both ends, off the guard d, and the
+        # copies move that row to the first and the last place
+        h = switched(circulant(14, (1, 2)), 14, 2)
+        h = Graph.from_edges(14, [(u, v) for u, v in combinations(range(1, 15), 2) if not h.has_edge(u, v)])
+        for w in (1, 6, 14):
+            swap = {6: w, w: 6}
+            g = Graph.from_edges(14, [(swap.get(u, u), swap.get(v, v)) for u, v in h.edges])
+            assert reference_thm37(g) == (-7.0, 6.0)
+            for b in regular_common_neighbor_bounds(g):
+                assert (b.lower, b.upper) == (-7.0, 6.0)
+
     def test_thm39_matches_pair_loop(self):
         for g in thm39_corpus():
             if g.n < 3:
@@ -1082,23 +1122,35 @@ class TestCommonNeighborExactness:
                 assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
                 assert type(b.lower) is float and type(b.upper) is float
 
-    def test_thm39_reads_only_what_np_partition_promises(self, monkeypatch):
-        # numpy may order more of a row than it must (its SIMD partitions
-        # return a row's top entries sorted), so Thm3.9 runs here on a
-        # partition that keeps only the contract: each side of the kth entry
-        # in reverse order.  The triangular prism's rows have two different
-        # largest x, and their mixed pairs decide the upper end.
-        def partition(a, kth, axis):
-            assert axis == 1
-            rows = np.sort(a, axis=1)
-            return np.hstack([rows[:, :kth][:, ::-1], rows[:, kth : kth + 1], rows[:, kth + 1 :][:, ::-1]])
-
-        monkeypatch.setattr(np, "partition", partition)
-        for g in thm39_corpus() + [circulant(6, (2, 3))]:
-            if g.n < 3:
-                continue
-            for b in regular_brauer_common_neighbor_bounds(g):
-                assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
+    def test_thm39_reads_the_sorted_positions_of_every_class_size(self):
+        # each row sorts to its n - d values y (the diagonal's 0 among them),
+        # then its d values x lifted by 2n: the top two y sit at n - d - 2 and
+        # n - d - 1, the top two x at n - 2 and n - 1.  These graphs have
+        # n - 1 - d = 0 (K_n: no y but the diagonal), 1 (K_n minus a perfect
+        # matching: one y and the diagonal), 2 (the triangular prism, also as
+        # circulant(6, (2, 3)), whose rows have two different largest x, and
+        # whose mixed pairs decide the upper end; and C_5, whose pairs of
+        # non-neighbours decide its ends) and many (circulants up to n = 90,
+        # and two switched circulants, whose rows' two largest y differ and
+        # whose y pairs decide ends), so a position one off in any class
+        # moves an end (in K_n minus a matching every y is 0, so no position
+        # of y moves one there)
+        prism = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)])
+        graphs = [complete(n) for n in (3, 4, 5, 9)]
+        graphs += [Graph.from_edges(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                                        if not (u % 2 and v == u + 1)]) for n in (4, 6, 8, 12)]
+        graphs += [prism, circulant(6, (2, 3)), cycle(5)]
+        graphs += [circulant(32, (1, 6)), circulant(48, (2, 5, 13)), circulant(64, (1, 5, 17)),
+                   relabelled(circulant(80, (3, 7, 19, 31)), 80), circulant(90, (1, 4, 11, 29)),
+                   switched(circulant(8, (1, 4)), 8, 0), switched(circulant(14, (1, 3, 7)), 14, 1)]
+        spare = set()
+        for g in graphs:
+            d = classify(g).regular
+            assert d is not None and classify(g).connected
+            spare.add(min(g.n - 1 - d, 3))
+            (b, _) = regular_brauer_common_neighbor_bounds(g)
+            assert (b.lower, b.upper) == reference_thm39(g), (g.n, sorted(g.edges))
+        assert spare == {0, 1, 2, 3}
 
     def test_thm39_corpus_reaches_every_pair_class(self):
         # each class gives some row's smallest alpha and some row's largest beta

@@ -1,6 +1,7 @@
 """Graph construction, invariants, and matrix building."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -578,6 +579,26 @@ class TestGraphFacts:
             assert np.array_equal(a, build_matrix(g, GraphMatrixKind.ADJACENCY))
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
+
+    def test_adjacency_equals_a_fill_from_the_edge_set(self):
+        # the matrix is unpacked from the bitmask rows, n // 8 + 1 bytes
+        # each, so the sizes straddle byte boundaries; the fill here reads
+        # g.edges alone.  Each graph is edgeless, complete (below 100
+        # vertices), or random with edges at vertices 1 and n
+        rng = random.Random(50)
+        for n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 2048):
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)]
+            graphs = [Graph(n, frozenset()),
+                      Graph.from_edges(n, [(1, n)] * (n > 1) + [(u, v) for u, v in pairs if u != v])]
+            if n < 100:
+                graphs.append(complete(n))
+            for g in graphs:
+                expected = np.zeros((n, n))
+                for u, v in g.edges:
+                    expected[u - 1, v - 1] = expected[v - 1, u - 1] = 1.0
+                a = g.adjacency
+                assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+                assert a.tobytes() == expected.tobytes(), (n, len(g.edges))
 
     def test_build_matrix_returns_fresh_writable_arrays(self):
         g = cycle(5)
