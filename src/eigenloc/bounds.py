@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphMatrixKind, _check_kind, _exact_randic_index
+from .graphs import Graph, GraphMatrixKind, _check_kind
 
 __all__ = [
     "BoundInterval",
@@ -329,14 +329,14 @@ def normalized_trace_bounds(g: Graph) -> list[BoundInterval]:
     """
     _checked("Thm4.1", g)
     n = g.n
-    rad = float(2 * (n - 1) * _exact_randic_index(g) - n)
+    rad = float(2 * (n - 1) * g.randic_index - n)
     return _deflated_trace("Thm4.1", g, -1.0 / (n - 1.0), rad)
 
 
 def normalized_bipartite_lambda2_bounds(g: Graph) -> list[BoundInterval]:
     """lambda_2 interval for a connected bipartite graph's normalized matrix."""
     _checked("Thm4.3", g)
-    return _bipartite_lambda2("Thm4.3", g, float(_exact_randic_index(g) - 1))
+    return _bipartite_lambda2("Thm4.3", g, float(g.randic_index - 1))
 
 
 def normalized_dominating_gersgorin_bounds(g: Graph) -> list[BoundInterval]:

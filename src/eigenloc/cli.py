@@ -191,9 +191,8 @@ def verify_graph(
     wanted = _scope_filter(scope, tol)
     kinds = [kind for kind in gr.GraphMatrixKind if gr._has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
-    matrices = [gr.build_matrix(g, kind) for kind in kinds]
     spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
-    stack = rg.MatrixFacts(*matrices)
+    stack = rg.MatrixFacts(*[g.matrix(kind) for kind in kinds])
     regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
     for report, values, checks in zip(reports, spectra, regions):

@@ -61,10 +61,10 @@ class Graph:
     :meth:`from_edges` converts and orients other input.
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
-    report), ``adjacency`` (the read-only float 0/1 matrix A) and
-    ``common_neighbor_table`` (the read-only A·A, whose rows the
-    common-neighbour bounds reduce) are made on first read and then kept, as
-    is a regular graph's adjacency spectrum (:func:`oracle.graph_spectrum`).
+    report), the read-only matrices of :meth:`matrix`, ``adjacency`` (A)
+    among them, ``common_neighbor_table`` (the read-only A·A),
+    ``adjacency_spectrum`` and ``randic_index`` are made on first read and
+    then kept; no other module writes into a graph.
     """
 
     n: int
@@ -120,18 +120,53 @@ class Graph:
         rows = b"".join([mask.to_bytes(width, "little") for mask in masks])
         bits = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(n, width), axis=1,
                              count=n + 1, bitorder="little")
-        a = bits[:, 1:].astype(float)
-        a.flags.writeable = False
-        return a
+        return _read_only(bits[:, 1:].astype(float))
+
+    def matrix(self, kind: GraphMatrixKind) -> np.ndarray:
+        """The read-only ``kind`` matrix: ``adjacency`` itself, or L = D - A or
+        D^{-1}A, each made from ``adjacency`` on first read and then kept.
+        Anything but a GraphMatrixKind, and the normalized kind of a graph
+        with an isolated vertex, raise ValueError."""
+        _check_kind(kind)
+        _require(_has_matrix(self, kind), _ISOLATED)
+        if kind == GraphMatrixKind.ADJACENCY:
+            return self.adjacency
+        return self._laplacian if kind == GraphMatrixKind.LAPLACIAN else self._normalized_adjacency
+
+    @functools.cached_property
+    def _laplacian(self) -> np.ndarray:
+        return _read_only(np.diag(np.array(self.degree_sequence, dtype=float)) - self.adjacency)
+
+    @functools.cached_property
+    def _normalized_adjacency(self) -> np.ndarray:
+        return _read_only(self.adjacency / np.array(self.degree_sequence, dtype=float)[:, None])
+
+    @functools.cached_property
+    def adjacency_spectrum(self):
+        """The :func:`oracle.symmetric_eigenvalues` spectrum of ``adjacency``."""
+        from . import oracle  # looked up at call time: oracle imports this module
+        return oracle.symmetric_eigenvalues(self.adjacency)
+
+    @functools.cached_property
+    def randic_index(self) -> Fraction:
+        """The connectivity index R_{-1}, the sum of 1/(d_i d_j) over edges i~j,
+        as an exact rational, made on first read.
+
+        Thm4.1 and Thm4.3 form their radicands from it in rationals and round
+        once: rounding the index first leaves about 4e-15 where K_n's radicand
+        is exactly 0, and the square root turns that into an interval error
+        near 5e-10.
+        """
+        ds = self.degree_sequence
+        products = Counter(ds[u - 1] * ds[v - 1] for u, v in self.edges)
+        return sum((Fraction(count, p) for p, count in products.items()), Fraction(0))
 
     @functools.cached_property
     def common_neighbor_table(self) -> np.ndarray:
         """The read-only float (n, n) product A·A of ``adjacency``, made on
         first read: N(i,k) = |N(i) & N(k)| off the diagonal and d_i on it,
         exact below 2^53."""
-        table = self.adjacency @ self.adjacency
-        table.flags.writeable = False
-        return table
+        return _read_only(self.adjacency @ self.adjacency)
 
     @property
     def m(self) -> int:
@@ -157,6 +192,11 @@ class Graph:
         if not (1 <= i <= self.n):
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
         return i
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _refuse_edge(e, u, v, n: int) -> NoReturn:
@@ -394,37 +434,10 @@ def _require(cond: bool, message: str) -> None:
 # invariants
 
 
-def _exact_randic_index(g: Graph) -> Fraction:
-    """The connectivity index R_{-1}, the sum of 1/(d_i d_j) over edges i~j,
-    as an exact rational.
-
-    Thm4.1 and Thm4.3 form their radicands from it in rationals and round
-    once: rounding the index first leaves about 4e-15 where K_n's radicand
-    is exactly 0, and the square root turns that into an interval error
-    near 5e-10.
-    """
-    ds = g.degree_sequence
-    products = Counter(ds[u - 1] * ds[v - 1] for u, v in g.edges)
-    return sum((Fraction(count, p) for p, count in products.items()), Fraction(0))
-
-
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """Dense real matrix of the requested kind, a fresh writable array
-    derived from ``g.adjacency``.
-
-    Adjacency is symmetric 0/1, the Laplacian has exact zero row sums, and
-    the normalized adjacency is row-stochastic (needs no isolated vertex).
-    """
-    _check_kind(kind)
-    a = g.adjacency
-    if kind == GraphMatrixKind.ADJACENCY:
-        return a.copy()
-    d = np.array(g.degree_sequence, dtype=float)
-    if kind == GraphMatrixKind.LAPLACIAN:
-        return np.diag(d) - a
-    if not _has_matrix(g, kind):
-        raise ValueError(_ISOLATED)
-    return a / d[:, None]
+    """A fresh writable copy of ``g.matrix(kind)``; the Laplacian has exact
+    zero row sums and the normalized adjacency is row-stochastic."""
+    return g.matrix(kind).copy()
 
 
 _ISOLATED = "normalized adjacency undefined with an isolated vertex"

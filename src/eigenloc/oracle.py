@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _ISOLATED, MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, _has_matrix, build_matrix
+from .graphs import _ISOLATED, MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, _has_matrix, _require
 
 __all__ = [
     "Spectrum",
@@ -240,8 +240,7 @@ def normalized_spectrum(g: Graph) -> Spectrum:
     value 1, so the top value must be 1; this is asserted within 1e-9
     (RuntimeError otherwise).
     """
-    if not _has_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY):
-        raise ValueError(_ISOLATED)
+    _require(_has_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY), _ISOLATED)
     d = np.array(g.degree_sequence, dtype=float)
     sym = g.adjacency / np.sqrt(np.outer(d, d))
     return _top_is_one(symmetric_eigenvalues(sym))
@@ -256,29 +255,26 @@ def _top_is_one(spec: Spectrum) -> Spectrum:
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
 
-    A k-regular graph (k >= 1) is solved once for its three matrices, as
-    L = kI - A and D^{-1}A = A / k: ``g.adjacency`` is solved and kept in
-    ``g``'s own ``__dict__`` beside its cached properties, so it lives as
-    long as ``g`` and equal graphs do not share it.  L's spectrum is
-    k - lambda reversed; D^{-1}A's is lambda / k, with
-    :func:`normalized_spectrum`'s top-value check.  Any other graph's
-    matrix is built and solved; its normalized adjacency goes through
-    :func:`normalized_spectrum`.  Anything but a GraphMatrixKind raises
+    The adjacency spectrum is ``g.adjacency_spectrum``, solved once and kept
+    by the graph.  A k-regular graph (k >= 1) derives its other two from it,
+    as L = kI - A and D^{-1}A = A / k: k - lambda reversed, and lambda / k
+    with :func:`normalized_spectrum`'s top-value check.  Any other graph's
+    Laplacian ``g.matrix(kind)`` is solved, and its normalized spectrum is
+    :func:`normalized_spectrum`'s.  Anything but a GraphMatrixKind raises
     ValueError.
     """
     _check_kind(kind)
+    if kind == GraphMatrixKind.ADJACENCY:
+        return g.adjacency_spectrum
     k = g.structure.regular
     if not k:
         if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
             return normalized_spectrum(g)
-        return symmetric_eigenvalues(g.adjacency if kind == GraphMatrixKind.ADJACENCY else build_matrix(g, kind))
-    if (spec := g.__dict__.get("_adjacency_spectrum")) is None:
-        spec = g.__dict__["_adjacency_spectrum"] = symmetric_eigenvalues(g.adjacency)
+        return symmetric_eigenvalues(g.matrix(kind))
+    spec = g.adjacency_spectrum
     if kind == GraphMatrixKind.LAPLACIAN:
         return Spectrum(tuple(k - x for x in reversed(spec.values)), iterations=spec.iterations)
-    if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return _top_is_one(Spectrum(tuple(x / k for x in spec.values), iterations=spec.iterations))
-    return spec
+    return _top_is_one(Spectrum(tuple(x / k for x in spec.values), iterations=spec.iterations))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Thm3.1, Thm4.1 and Thm5.2; a long-double characteristic polynomial for the
 deflation identity; common neighbours by bitmask intersection against
 the off-diagonal entries of ``Graph.common_neighbor_table`` (A·A); the
 connectivity index summed edge by edge against
-``graphs._exact_randic_index``; every deflation's disks, one entry at a
+``Graph.randic_index``; every deflation's disks, one entry at a
 time, against ``regions.MatrixFacts.deflation_table``; and each constant
 row sum from the whole table of row-sum pairs against the row sums'
 extremes that a real stack's gamma reads.

@@ -40,7 +40,6 @@ from eigenloc.bounds import (
 from eigenloc.graphs import (
     Graph,
     GraphMatrixKind,
-    _exact_randic_index,
     build_matrix,
     circulant,
     classify,
@@ -303,7 +302,7 @@ class TestNormalizedTrace:
 
     def test_star_k13(self):
         ivals = by_target(normalized_trace_bounds(star(4)))
-        assert _exact_randic_index(star(4)) == 1
+        assert star(4).randic_index == 1
         assert ivals[LAMBDA_2].lower == pytest.approx(0.0, abs=1e-12)
         assert ivals[LAMBDA_2].upper == pytest.approx(1 / 3)
         eigs = normalized_spectrum(star(4)).values
@@ -334,7 +333,7 @@ class TestNormalizedBipartite:
 
     def test_p4_sharp(self):
         ivals = by_target(normalized_bipartite_lambda2_bounds(path(4)))
-        assert _exact_randic_index(path(4)) == Fraction(5, 4)
+        assert path(4).randic_index == Fraction(5, 4)
         assert ivals[LAMBDA_2].lower == pytest.approx(0.5)
         assert ivals[LAMBDA_2].upper == pytest.approx(0.5)
         assert normalized_spectrum(path(4)).values[1] == pytest.approx(0.5, abs=1e-10)
@@ -1190,6 +1189,14 @@ class TestCommonNeighborExactness:
         same = Graph.from_edges(30, sorted(g.edges, reverse=True))
         bounds_report(same, GraphMatrixKind.LAPLACIAN)
         assert len(made) == 2 and made[1] is same
+
+    def test_randic_index_made_once_per_graph(self, monkeypatch):
+        # Thm4.1 and Thm4.3 both read it on a connected bipartite graph
+        made = count_first_reads(monkeypatch, Graph, "randic_index")
+        g = complete_bipartite(6, 7)
+        report = bounds_report(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
+        assert {"Thm4.1", "Thm4.3"} <= {b.theorem for b in report.bounds}
+        assert made == [g] and made[0] is g
 
     def test_table_matches_pairwise_counts(self):
         # A·A: N(i,k) off the diagonal, by bitmask, and the degrees on it

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, serialisation, SVG structure."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -366,42 +367,63 @@ class TestVerifyCommand:
         assert all(result.passed for result in verify_graph(g))
         assert calls == [g]
 
-    def test_verify_graph_solves_each_matrix_once(self, monkeypatch):
-        # the region stack builds each matrix once; the oracle solves the
-        # graph's own adjacency, a Laplacian it builds, and the normalized
-        # matrix's symmetric similar matrix; a regular graph's adjacency alone
-        # is solved, its other two spectra derived from that one; every
-        # module that holds either function is patched
-        import eigenloc.graphs as graphs_module
+    def test_verify_graph_solves_each_matrix_once(self, monkeypatch, capsys):
+        # each Graph.matrix kind is made once, on its first read, and the
+        # region stack and the oracle read that one matrix; a regular graph's
+        # adjacency alone is solved, its other two spectra derived from that
+        # one; any other graph's Laplacian is solved as g.matrix(LAPLACIAN),
+        # and its normalized spectrum from the symmetric similar matrix;
+        # every module that holds the solver is patched
         import eigenloc.oracle as oracle_module
 
-        built, solved = [], []
-        build, solve = graphs_module.build_matrix, oracle_module.symmetric_eigenvalues
-
-        def counting_build(g, kind):
-            built.append(build(g, kind))
-            return built[-1]
+        made = {name: count_first_reads(monkeypatch, gr.Graph, name)
+                for name in ("adjacency", "_laplacian", "_normalized_adjacency")}
+        solved = []
+        solve = oracle_module.symmetric_eigenvalues
 
         def counting_solve(matrix):
             solved.append(matrix)
             return solve(matrix)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "eigenloc":
-                continue
-            for attr, original, counting in (("build_matrix", build, counting_build),
-                                             ("symmetric_eigenvalues", solve, counting_solve)):
-                if getattr(module, attr, None) is original:
-                    monkeypatch.setattr(module, attr, counting)
+            if name.split(".")[0] == "eigenloc" and getattr(module, "symmetric_eigenvalues", None) is solve:
+                monkeypatch.setattr(module, "symmetric_eigenvalues", counting_solve)
         g = petersen()
         assert all(result.passed for result in verify_graph(g))
-        assert len(built) == 3 and len(solved) == 1 and solved[0] is g.adjacency
-        built.clear()
+        assert [graphs.count(g) for graphs in made.values()] == [1, 1, 1]
+        assert len(solved) == 1 and solved[0] is g.adjacency
         solved.clear()
+        # three builds, not four: the Laplacian it solves is the stack's
         g = star(5)
         assert all(result.passed for result in verify_graph(g))
-        assert len(built) == 4 and len(solved) == 3
-        assert solved[0] is g.adjacency and solved[1] is built[3]
+        assert [graphs.count(g) for graphs in made.values()] == [1, 1, 1]
+        assert len(solved) == 3
+        assert solved[0] is g.adjacency and solved[1] is g.matrix(GraphMatrixKind.LAPLACIAN)
+        # three sweeps, one per kind, of one held graph that is not regular
+        # build each of its matrices at most once: a sweep reads no D^{-1}A
+        for graphs in made.values():
+            graphs.clear()
+        solved.clear()
+        for kind in GraphMatrixKind:
+            assert main(["sweep", "star:40..40", "--matrix", kind.value, "--out", "-"]) == 0
+        capsys.readouterr()
+        (held,) = made["adjacency"]
+        assert held.structure.regular is None
+        assert [len(graphs) for graphs in made.values()] == [1, 1, 0] and made["_laplacian"][0] is held
+        assert len(solved) == 3 and solved[0] is held.adjacency
+        assert solved[1] is held.matrix(GraphMatrixKind.LAPLACIAN)
+
+    def test_only_the_graph_writes_into_a_graph(self):
+        # after verify and every kind's spectrum, a regular graph and one
+        # that is not hold only what the constructor sets and the facts that
+        # Graph declares
+        declared = set(vars(gr.Graph(1, frozenset())))
+        declared |= {name for name, attr in vars(gr.Graph).items() if isinstance(attr, functools.cached_property)}
+        for g in (petersen(), star(5)):
+            verify_graph(g)
+            for kind in GraphMatrixKind:
+                graph_spectrum(g, kind)
+            assert "adjacency_spectrum" in vars(g) and set(vars(g)) <= declared, set(vars(g)) - declared
 
     def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
         # each fact of a graph's three matrices (row sums and gamma, deleted

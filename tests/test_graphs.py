@@ -14,7 +14,7 @@ from eigenloc.graphs import (
     MAX_VERTICES,
     Graph,
     GraphMatrixKind,
-    _exact_randic_index,
+    _has_matrix,
     build_matrix,
     classify,
     complete,
@@ -489,20 +489,20 @@ class TestInvariants:
 class TestRandicIndex:
     def test_complete_closed_form(self):
         for n in range(3, 9):
-            assert _exact_randic_index(complete(n)) == Fraction(n, 2 * (n - 1))
-        assert float(_exact_randic_index(complete(4))) == 2 / 3
+            assert complete(n).randic_index == Fraction(n, 2 * (n - 1))
+        assert float(complete(4).randic_index) == 2 / 3
 
     def test_star_inverse_index_is_one(self):
         for n in range(3, 8):
-            assert _exact_randic_index(star(n)) == 1
+            assert star(n).randic_index == 1
 
     def test_matches_edge_by_edge_summation(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             g = random_graph(rng, int(rng.integers(3, 9)), p=0.7)
-            assert _exact_randic_index(g) == randic_index(g)
+            assert g.randic_index == randic_index(g)
         for g in (petersen(), path(4), complete_bipartite(2, 5), circulant(9, (1, 2))):
-            assert _exact_randic_index(g) == randic_index(g)
+            assert g.randic_index == randic_index(g)
 
 
 class TestMatrices:
@@ -546,14 +546,15 @@ class TestMatrices:
             build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
 
     def test_rejects_a_kind_that_is_not_a_matrix_kind(self):
-        # the name of a kind is not the kind, for the builder, for the
-        # spectrum of a regular graph (which has a shortcut of its own) and
-        # of one that is not, and for the bound report
+        # the name of a kind is not the kind, for the builder, for the kept
+        # matrix, for the spectrum of a regular graph (which has a shortcut of
+        # its own) and of one that is not, and for the bound report
         from eigenloc.bounds import bounds_report
         from eigenloc.oracle import graph_spectrum
 
-        with pytest.raises(ValueError, match="^unknown matrix kind 'adjacency'$"):
-            build_matrix(petersen(), "adjacency")
+        for call in (lambda: build_matrix(petersen(), "adjacency"), lambda: petersen().matrix("adjacency")):
+            with pytest.raises(ValueError, match="^unknown matrix kind 'adjacency'$"):
+                call()
         for g in (petersen(), path(4)):
             for kind in ("laplacian", "bogus"):
                 with pytest.raises(ValueError, match=f"^unknown matrix kind '{kind}'$"):
@@ -572,13 +573,17 @@ class TestGraphFacts:
             assert g.structure is g.structure
 
     def test_adjacency_is_read_only_and_equals_build_matrix(self):
+        # so is each kept matrix of Graph.matrix, the adjacency among them;
+        # an edgeless graph has no normalized matrix
         for g in (petersen(), star(5), complete(1), Graph.from_edges(3, [])):
-            a = g.adjacency
-            assert a is g.adjacency and not a.flags.writeable
-            assert a.dtype == np.float64 and a.shape == (g.n, g.n)
-            assert np.array_equal(a, build_matrix(g, GraphMatrixKind.ADJACENCY))
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
+            assert g.matrix(GraphMatrixKind.ADJACENCY) is g.adjacency
+            for kind in filter(lambda kind: _has_matrix(g, kind), GraphMatrixKind):
+                a = g.matrix(kind)
+                assert a is g.matrix(kind) and not a.flags.writeable
+                assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+                assert a.tobytes() == build_matrix(g, kind).tobytes()
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
 
     def test_adjacency_equals_a_fill_from_the_edge_set(self):
         # the matrix is unpacked from the bitmask rows, n // 8 + 1 bytes
@@ -612,7 +617,8 @@ class TestGraphFacts:
 
     def test_cached_facts_leave_equality_and_hash_alone(self):
         read, fresh = cycle(6), cycle(6)
-        read.structure, read.adjacency
+        read.structure, read.common_neighbor_table, read.adjacency_spectrum, read.randic_index
+        [read.matrix(kind) for kind in GraphMatrixKind]
         assert read == fresh and hash(read) == hash(fresh)
         assert read != cycle(5)
 

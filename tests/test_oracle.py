@@ -510,18 +510,24 @@ class TestRegularGraphSpectra:
             graph_spectrum(petersen(), GraphMatrixKind.NORMALIZED_ADJACENCY)
 
     def test_kept_adjacency_spectrum_is_freed_with_its_graph(self):
-        g = circulant(40, (1, 2, 3))
-        for kind in GraphMatrixKind:
-            graph_spectrum(g, kind)
-        # kept in the graph's own dict, beside its cached properties, and
-        # not shared with an equal graph
-        (spec,) = [value for value in vars(g).values() if isinstance(value, Spectrum)]
-        assert spec is graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-        assert not [value for value in vars(circulant(40, (1, 2, 3))).values() if isinstance(value, Spectrum)]
-        graph, kept = weakref.ref(g), weakref.ref(spec)
-        del g, spec
-        gc.collect()
-        assert graph() is None and kept() is None
+        # a regular graph and one that is not keep one spectrum, their
+        # adjacency's, and their matrices, which are freed with them; an
+        # equal graph shares none of them
+        for make in (lambda: circulant(40, (1, 2, 3)), lambda: star(40)):
+            g = make()
+            for kind in GraphMatrixKind:
+                graph_spectrum(g, kind)
+            (spec,) = [value for value in vars(g).values() if isinstance(value, Spectrum)]
+            assert spec is g.adjacency_spectrum is graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+            kept = [spec, *map(g.matrix, GraphMatrixKind)]
+            equal = make()
+            assert not [value for value in vars(equal).values() if isinstance(value, Spectrum)]
+            theirs = [equal.adjacency_spectrum, *map(equal.matrix, GraphMatrixKind)]
+            assert not {id(value) for value in kept} & set(map(id, theirs))
+            refs = [weakref.ref(value) for value in (g, *kept)]
+            del g, spec, kept
+            gc.collect()
+            assert all(ref() is None for ref in refs)
 
 
 class TestCharpoly:

@@ -111,8 +111,8 @@ _WITH_ISOLATED = [Graph.from_edges(4, [(1, 2), (2, 3)]), Graph.from_edges(3, [])
 @pytest.mark.parametrize("g", _WITH_ISOLATED, ids=["path+isolated", "edgeless"])
 def test_every_route_to_the_normalized_matrix_refuses_an_isolated_vertex(g):
     normalized = GraphMatrixKind.NORMALIZED_ADJACENCY
-    for call in (lambda: build_matrix(g, normalized), lambda: normalized_spectrum(g),
-                 lambda: graph_spectrum(g, normalized)):
+    for call in (lambda: build_matrix(g, normalized), lambda: g.matrix(normalized),
+                 lambda: normalized_spectrum(g), lambda: graph_spectrum(g, normalized)):
         with pytest.raises(ValueError, match=_ISOLATED):
             call()
     # verify skips the normalized matrix's checks and keeps the other two's
