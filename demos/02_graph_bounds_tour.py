@@ -8,7 +8,7 @@ graphs, complete bipartite graphs, stars) come out with zero slack.
 Run:  python demos/02_graph_bounds_tour.py
 """
 
-from eigenloc import GraphMatrixKind, bounds_report, generate, graph_spectrum
+from eigenloc import GraphMatrixKind, bounds_report, generate
 from eigenloc.bounds import TARGET_POSITION
 
 GRAPHS = [
@@ -29,7 +29,7 @@ for label, g in GRAPHS:
             skips = ", ".join(f"{t}: {r}" for t, r in report.skipped)
             print(f"  {kind.value:<11} nothing applies ({skips})")
             continue
-        values = graph_spectrum(g, kind).values
+        values = g.spectrum(kind).values
         print(f"  {kind.value}:")
         for b in report.bounds:
             value = values[TARGET_POSITION[b.target]]

@@ -2,7 +2,7 @@
 
 Four layers:
 
-* :mod:`eigenloc.graphs`  -- graphs, named families, the three graph matrices.
+* :mod:`eigenloc.graphs`  -- graphs, named families, the three graph matrices, their spectra.
 * :mod:`eigenloc.regions` -- disk/oval inclusion regions, constant-row-sum
   deflation, membership and real-axis sections.
 * :mod:`eigenloc.bounds`  -- closed-form eigenvalue bounds with reports.
@@ -46,8 +46,6 @@ from .bounds import (
 from .oracle import (
     Spectrum,
     symmetric_eigenvalues,
-    normalized_spectrum,
-    graph_spectrum,
     complex_eigenvalues,
 )
 

@@ -191,7 +191,7 @@ def verify_graph(
     wanted = _scope_filter(scope, tol)
     kinds = [kind for kind in gr.GraphMatrixKind if gr._has_matrix(g, kind)]
     reports = [bd.bounds_report(g, kind, mode=mode) for kind in kinds]
-    spectra = [orc.graph_spectrum(g, kind).values for kind in kinds]
+    spectra = [g.spectrum(kind).values for kind in kinds]
     stack = rg.MatrixFacts(*[g.matrix(kind) for kind in kinds])
     regions = _region_checks(stack, spectra, wanted, tol, [f"[{kind.value}]" for kind in kinds])
     results: list[CheckResult] = []
@@ -491,7 +491,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if not gr._has_matrix(g, kind):
                 continue
             report = bd.bounds_report(g, kind, mode=args.mode)
-            values = orc.graph_spectrum(g, kind).values
+            values = g.spectrum(kind).values
             rows += [
                 f"{family},{g.n},{bound.theorem},{bound.target},"
                 f"{bound.lower!r},{bound.upper!r},{oracle_value!r},"

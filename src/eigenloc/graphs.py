@@ -1,9 +1,9 @@
-"""Simple undirected graphs, named families, and their spectral matrices.
+"""Simple undirected graphs, named families, their spectral matrices and spectra.
 
 Vertices are labelled 1..n in all public interfaces.  Graphs are immutable
 after construction and safe to share across threads.  Adjacency is stored
 as one integer bitmask per vertex, which keeps degree and adjacency
-queries exact and cheap.
+queries exact and cheap.  The spectra come from :mod:`oracle`'s symmetric route.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
+from . import oracle
+
 __all__ = [
     "Graph",
     "GraphMatrixKind",
@@ -34,8 +36,8 @@ __all__ = [
     "MAX_VERTICES",
 ]
 
-# largest vertex count a graph may have, and the symmetric oracle's dimension cap
-MAX_VERTICES = 2048
+# largest vertex count a graph may have: the symmetric oracle's dimension cap
+MAX_VERTICES = oracle._MAX_SYMMETRIC_DIM
 
 
 class GraphMatrixKind(Enum):
@@ -62,8 +64,8 @@ class Graph:
     ``degree_sequence`` holds the degrees of vertices 1..n in order,
     computed once at construction; ``structure`` (the :func:`classify`
     report), the read-only matrices of :meth:`matrix`, ``adjacency`` (A)
-    among them, ``common_neighbor_table`` (the read-only A·A),
-    ``adjacency_spectrum`` and ``randic_index`` are made on first read and
+    among them, their spectra (:meth:`spectrum`), ``common_neighbor_table``
+    (the read-only A·A) and ``randic_index`` are made on first read and
     then kept; no other module writes into a graph.
     """
 
@@ -141,11 +143,46 @@ class Graph:
     def _normalized_adjacency(self) -> np.ndarray:
         return _read_only(self.adjacency / np.array(self.degree_sequence, dtype=float)[:, None])
 
+    def spectrum(self, kind: GraphMatrixKind) -> oracle.Spectrum:
+        """The spectrum of ``matrix(kind)`` by :func:`oracle.symmetric_eigenvalues`,
+        made on first read and then kept, and refused as :meth:`matrix` refuses.
+
+        The adjacency is solved.  A k-regular graph (k >= 1) derives its other
+        two spectra from that one, as L = kI - A and D^{-1}A = A / k: k - lambda
+        in reversed order and lambda / k, with its iteration count.  Any other
+        graph's Laplacian is solved, and its D^{-1}A on the similar symmetric
+        matrix a_ij / sqrt(d_i d_j), which is not kept.  Without an isolated
+        vertex every component has top normalized value 1, so a normalized
+        spectrum whose top value is more than 1e-9 from 1 raises RuntimeError.
+        """
+        _check_kind(kind)
+        _require(_has_matrix(self, kind), _ISOLATED)
+        if kind == GraphMatrixKind.ADJACENCY:
+            return self._adjacency_spectrum
+        return self._laplacian_spectrum if kind == GraphMatrixKind.LAPLACIAN else self._normalized_spectrum
+
     @functools.cached_property
-    def adjacency_spectrum(self):
-        """The :func:`oracle.symmetric_eigenvalues` spectrum of ``adjacency``."""
-        from . import oracle  # looked up at call time: oracle imports this module
+    def _adjacency_spectrum(self) -> oracle.Spectrum:
         return oracle.symmetric_eigenvalues(self.adjacency)
+
+    @functools.cached_property
+    def _laplacian_spectrum(self) -> oracle.Spectrum:
+        if not (k := self.structure.regular):
+            return oracle.symmetric_eigenvalues(self._laplacian)
+        spec = self._adjacency_spectrum
+        return oracle.Spectrum(tuple(k - x for x in reversed(spec.values)), iterations=spec.iterations)
+
+    @functools.cached_property
+    def _normalized_spectrum(self) -> oracle.Spectrum:
+        if k := self.structure.regular:
+            adjacency = self._adjacency_spectrum
+            spec = oracle.Spectrum(tuple(x / k for x in adjacency.values), iterations=adjacency.iterations)
+        else:
+            d = np.array(self.degree_sequence, dtype=float)
+            spec = oracle.symmetric_eigenvalues(self.adjacency / np.sqrt(np.outer(d, d)))
+        if abs(spec.values[0] - 1.0) > 1e-9:
+            raise RuntimeError(f"top normalized eigenvalue {spec.values[0]!r} is not 1 within 1e-9")
+        return spec
 
     @functools.cached_property
     def randic_index(self) -> Fraction:

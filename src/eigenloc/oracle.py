@@ -9,7 +9,8 @@ iteration finds on each block's characteristic polynomial, and finished,
 certified, with Newton ratios p'(z) / p(z) from Hyman's back-substitution.
 Neither calls a LAPACK eigensolver.  Every spectrum carries the solver's
 iteration count; an Aberth spectrum also carries its backward error, which
-QL does not give.
+QL does not give.  The solvers take matrices only: a graph's spectra are
+:meth:`eigenloc.graphs.Graph.spectrum`'s, which calls the symmetric route.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _ISOLATED, MAX_VERTICES, Graph, GraphMatrixKind, _check_kind, _has_matrix, _require
-
 __all__ = [
     "Spectrum",
     "symmetric_eigenvalues",
-    "normalized_spectrum",
-    "graph_spectrum",
     "complex_eigenvalues",
 ]
 
+# the symmetric route's dimension cap, which graphs.MAX_VERTICES names
+_MAX_SYMMETRIC_DIM = 2048
 _MAX_COMPLEX_DIM = 64
 # QL steps allowed per row of a symmetric matrix
 _MAX_QL_STEPS_PER_ROW = 30
@@ -203,7 +202,7 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     RuntimeError when QL takes more than 30 n steps.
     """
     a = np.asarray(matrix)
-    n = _square(a, MAX_VERTICES)
+    n = _square(a, _MAX_SYMMETRIC_DIM)
     if n == 0:
         return Spectrum(values=())
     # both checks are relative to the largest entry, so they hold at every scale
@@ -229,52 +228,6 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     except OverflowError:
         raise ValueError("an eigenvalue is past the float range") from None
     return Spectrum(values=tuple(values), iterations=steps)
-
-
-def normalized_spectrum(g: Graph) -> Spectrum:
-    """Spectrum of the normalized adjacency matrix D^{-1}A of ``g``.
-
-    Computed on the symmetric similar matrix with entries
-    a_ij / sqrt(d_i d_j), so the symmetric route applies and the result is
-    exactly real.  Without an isolated vertex every component has top
-    value 1, so the top value must be 1; this is asserted within 1e-9
-    (RuntimeError otherwise).
-    """
-    _require(_has_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY), _ISOLATED)
-    d = np.array(g.degree_sequence, dtype=float)
-    sym = g.adjacency / np.sqrt(np.outer(d, d))
-    return _top_is_one(symmetric_eigenvalues(sym))
-
-
-def _top_is_one(spec: Spectrum) -> Spectrum:
-    if abs(spec.values[0] - 1.0) > 1e-9:
-        raise RuntimeError(f"top normalized eigenvalue {spec.values[0]!r} is not 1 within 1e-9")
-    return spec
-
-
-def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
-    """Spectrum of the ``kind`` matrix of ``g`` by the symmetric QL route.
-
-    The adjacency spectrum is ``g.adjacency_spectrum``, solved once and kept
-    by the graph.  A k-regular graph (k >= 1) derives its other two from it,
-    as L = kI - A and D^{-1}A = A / k: k - lambda reversed, and lambda / k
-    with :func:`normalized_spectrum`'s top-value check.  Any other graph's
-    Laplacian ``g.matrix(kind)`` is solved, and its normalized spectrum is
-    :func:`normalized_spectrum`'s.  Anything but a GraphMatrixKind raises
-    ValueError.
-    """
-    _check_kind(kind)
-    if kind == GraphMatrixKind.ADJACENCY:
-        return g.adjacency_spectrum
-    k = g.structure.regular
-    if not k:
-        if kind == GraphMatrixKind.NORMALIZED_ADJACENCY:
-            return normalized_spectrum(g)
-        return symmetric_eigenvalues(g.matrix(kind))
-    spec = g.adjacency_spectrum
-    if kind == GraphMatrixKind.LAPLACIAN:
-        return Spectrum(tuple(k - x for x in reversed(spec.values)), iterations=spec.iterations)
-    return _top_is_one(Spectrum(tuple(x / k for x in spec.values), iterations=spec.iterations))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ combined interval of either mode has its lower end above its upper and
 that ``report_to_json`` writes each report byte for byte as
 ``json.dumps(..., indent=2)`` does, and checks every interval against two
 oracles: the package's
-``graph_spectrum`` and LAPACK (``numpy.linalg.eigvalsh``) on matrices built
+``Graph.spectrum`` and LAPACK (``numpy.linalg.eigvalsh``) on matrices built
 here from the edge list, independent of ``build_matrix``.  The two oracles
 must agree within 1e-9.
 """
@@ -47,7 +47,6 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import graph_spectrum
 
 _POSITION = {LAMBDA_1: 0, LAMBDA_2: 1, LAMBDA_N_MINUS_1: -2, LAMBDA_N: -1}
 # index into a DESCENDING eigenvalue array
@@ -98,7 +97,7 @@ def check_graph_with_library(g: Graph, slack: float = 1e-8) -> tuple[int, list]:
         intervals += [b for b in corrected.bounds if b.theorem == "Thm5.4"]
         if not intervals:
             continue
-        ours = np.array(graph_spectrum(g, kind).values)
+        ours = np.array(g.spectrum(kind).values)
         lapack = _lapack_spectrum(g, kind)
         gap = float(np.max(np.abs(ours - lapack)))
         if gap > 1e-9:

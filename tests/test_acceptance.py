@@ -37,7 +37,6 @@ from eigenloc.graphs import (
 )
 from eigenloc.oracle import (
     complex_eigenvalues,
-    normalized_spectrum,
     symmetric_eigenvalues,
 )
 from eigenloc.regions import (
@@ -146,7 +145,8 @@ def test_criterion_3_complete_graph_sharpness():
         g = complete(n)
         rep = classify(g)
         adjacency = symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.ADJACENCY)).values
-        normalized = normalized_spectrum(g).values
+        degrees = np.array(g.degree_sequence, dtype=float)
+        normalized = symmetric_eigenvalues(g.adjacency / np.sqrt(np.outer(degrees, degrees))).values
         laplacian = symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.LAPLACIAN)).values
 
         def expect(tag, value, target_value, tol=1e-10):

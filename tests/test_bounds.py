@@ -51,7 +51,7 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import graph_spectrum, normalized_spectrum, symmetric_eigenvalues
+from eigenloc.oracle import symmetric_eigenvalues
 from eigenloc.regions import (
     RegionIntersection,
     RegionUnion,
@@ -288,7 +288,7 @@ class TestNormalizedTrace:
             for tgt in (LAMBDA_2, LAMBDA_N):
                 assert ivals[tgt].lower == pytest.approx(expected, abs=1e-12)
                 assert ivals[tgt].upper == pytest.approx(expected, abs=1e-12)
-        eigs = normalized_spectrum(complete(4)).values
+        eigs = complete(4).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
         assert eigs[1] == pytest.approx(-1 / 3, abs=1e-10)
 
     def test_complete_reports_exactly(self):
@@ -305,12 +305,12 @@ class TestNormalizedTrace:
         assert star(4).randic_index == 1
         assert ivals[LAMBDA_2].lower == pytest.approx(0.0, abs=1e-12)
         assert ivals[LAMBDA_2].upper == pytest.approx(1 / 3)
-        eigs = normalized_spectrum(star(4)).values
+        eigs = star(4).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
         assert eigs[1] == pytest.approx(0.0, abs=1e-10)  # left end attained
 
     def test_p3(self):
         ivals = by_target(normalized_trace_bounds(path(3)))
-        eigs = normalized_spectrum(path(3)).values
+        eigs = path(3).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
         assert_contains(ivals[LAMBDA_2], eigs[1])
         assert_contains(ivals[LAMBDA_N], eigs[-1])
 
@@ -321,22 +321,21 @@ class TestNormalizedBipartite:
             ivals = by_target(normalized_bipartite_lambda2_bounds(complete_bipartite(p, q)))
             assert ivals[LAMBDA_2].lower == pytest.approx(0.0, abs=1e-12)
             assert ivals[LAMBDA_2].upper == pytest.approx(0.0, abs=1e-12)
-            assert normalized_spectrum(complete_bipartite(p, q)).values[1] == pytest.approx(
-                0.0, abs=1e-8
-            )
+            values = complete_bipartite(p, q).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
+            assert values[1] == pytest.approx(0.0, abs=1e-8)
 
     def test_c6(self):
         ivals = by_target(normalized_bipartite_lambda2_bounds(cycle(6)))
         assert ivals[LAMBDA_2].lower == pytest.approx(math.sqrt(1 / 12))
         assert ivals[LAMBDA_2].upper == pytest.approx(math.sqrt(0.75))
-        assert normalized_spectrum(cycle(6)).values[1] == pytest.approx(0.5, abs=1e-10)
+        assert cycle(6).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values[1] == pytest.approx(0.5, abs=1e-10)
 
     def test_p4_sharp(self):
         ivals = by_target(normalized_bipartite_lambda2_bounds(path(4)))
         assert path(4).randic_index == Fraction(5, 4)
         assert ivals[LAMBDA_2].lower == pytest.approx(0.5)
         assert ivals[LAMBDA_2].upper == pytest.approx(0.5)
-        assert normalized_spectrum(path(4)).values[1] == pytest.approx(0.5, abs=1e-10)
+        assert path(4).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values[1] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestNormalizedDominating:
@@ -358,7 +357,7 @@ class TestNormalizedDominating:
         brau = by_target(normalized_dominating_brauer_bounds(g))
         assert brau[LAMBDA_2].upper == pytest.approx(0.5)
         assert brau[LAMBDA_N].lower == pytest.approx(-1.0)
-        eigs = normalized_spectrum(g).values
+        eigs = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
         assert eigs[-1] == pytest.approx(-1.0, abs=1e-10)  # lower end attained
 
     def test_wheel_w5(self):
@@ -368,7 +367,7 @@ class TestNormalizedDominating:
         assert gers[LAMBDA_N].lower == pytest.approx(-2 / 3)
         brau = by_target(normalized_dominating_brauer_bounds(g))
         assert brau[LAMBDA_2].upper == pytest.approx(-0.25 + 5 / 12)
-        eigs = normalized_spectrum(g).values
+        eigs = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values
         assert_contains(gers[LAMBDA_2], eigs[1])
         assert_contains(gers[LAMBDA_N], eigs[-1])
         assert_contains(brau[LAMBDA_2], eigs[1])
@@ -567,7 +566,7 @@ def test_closed_form_matches_the_pair_formula_and_is_sharp_above():
         # a dominating vertex is isolated in the complement, so lambda_1 = n:
         # the corrected end is attained, the published one n + 1 is not
         assert (ends["corrected"], ends["published"]) == (float(g.n), float(g.n + 1))
-        assert abs(graph_spectrum(g, GraphMatrixKind.LAPLACIAN).values[0] - g.n) <= 1e-9 * g.n
+        assert abs(g.spectrum(GraphMatrixKind.LAPLACIAN).values[0] - g.n) <= 1e-9 * g.n
 
 
 _THEOREM_FUNCTIONS = [getattr(bounds_module, entry[-1]) for entry in bounds_module._REGISTRY.values()]

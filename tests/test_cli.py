@@ -40,7 +40,7 @@ from eigenloc.graphs import (
     petersen,
     star,
 )
-from eigenloc.oracle import complex_eigenvalues, graph_spectrum
+from eigenloc.oracle import complex_eigenvalues
 from eigenloc.regions import (
     METHODS,
     CassiniOval,
@@ -71,6 +71,14 @@ def _seeded_square(n: int, rowsum: bool = False) -> np.ndarray:
 
 
 _SEEDED_ROWSUM_6X6 = _seeded_square(6, rowsum=True)
+
+
+def _seeded_graph(n: int) -> gr.Graph:
+    """A seeded random graph on n vertices, each pair an edge with
+    probability 0.4, joined by the path 1-2-...-n so no vertex is isolated."""
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    return gr.Graph.from_edges(n, pairs + [(v, v + 1) for v in range(1, n)])
 
 
 @pytest.fixture
@@ -422,8 +430,32 @@ class TestVerifyCommand:
         for g in (petersen(), star(5)):
             verify_graph(g)
             for kind in GraphMatrixKind:
-                graph_spectrum(g, kind)
-            assert "adjacency_spectrum" in vars(g) and set(vars(g)) <= declared, set(vars(g)) - declared
+                g.spectrum(kind)
+            kept = {"_adjacency_spectrum", "_laplacian_spectrum", "_normalized_spectrum"}
+            assert kept <= set(vars(g)) <= declared, set(vars(g)) - declared
+
+    @pytest.mark.parametrize("make, solves", [
+        (lambda: star(7), 3),
+        (lambda: _seeded_graph(12), 3),
+        (petersen, 1),
+        (lambda: circulant(12, (1, 3)), 1),
+    ], ids=["star", "random", "petersen", "circulant"])
+    def test_a_graph_solves_each_matrix_once_in_its_lifetime(self, make, solves, monkeypatch):
+        # a held graph answers a second verify and every kind's spectrum from
+        # the spectra it keeps: a graph that is not regular solves its three
+        # matrices, a k-regular graph its adjacency alone
+        import eigenloc.oracle as oracle_module
+
+        solved = []
+        solve = oracle_module.symmetric_eigenvalues
+        monkeypatch.setattr(oracle_module, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
+        g = make()
+        assert (g.structure.regular is None) == (solves == 3)
+        first = verify_graph(g)
+        assert verify_graph(g) == first and all(result.passed for result in first)
+        for kind in GraphMatrixKind:
+            g.spectrum(kind)
+        assert len(solved) == solves
 
     def test_verify_makes_each_matrix_fact_once(self, monkeypatch):
         # each fact of a graph's three matrices (row sums and gamma, deleted
@@ -786,10 +818,10 @@ class TestBadInputExitCodes:
     def test_sweep_oracle_error_exits_1(self, capsys, monkeypatch):
         import eigenloc.oracle as oracle
 
-        def stuck(g, kind):
+        def stuck(matrix):
             raise RuntimeError("QL iteration did not converge")
 
-        monkeypatch.setattr(oracle, "graph_spectrum", stuck)
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", stuck)
         assert main(["sweep", "complete:3..4", "--matrix", "adjacency", "--out", "-"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: QL iteration did not converge\n"
@@ -800,10 +832,10 @@ class TestBadInputExitCodes:
         # and solved, so an oracle failure on it is still reported
         import eigenloc.oracle as oracle
 
-        def stuck(g, kind):
+        def stuck(matrix):
             raise RuntimeError("QL iteration did not converge")
 
-        monkeypatch.setattr(oracle, "graph_spectrum", stuck)
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", stuck)
         assert main(["sweep", "complete_minus_edge:8..8", "--matrix", "adjacency",
                      "--out", "-"]) == 1
         assert capsys.readouterr().err == "error: QL iteration did not converge\n"
@@ -921,7 +953,7 @@ class TestSweepCommand:
         for family, g in (("complete_bipartite", complete_bipartite(3, 2)),
                           ("complete_bipartite", complete_bipartite(3, 3)),
                           ("circulant", circulant(7, (1, 2))), ("circulant", circulant(8, (1, 2)))):
-            values = graph_spectrum(g, GraphMatrixKind.LAPLACIAN).values
+            values = g.spectrum(GraphMatrixKind.LAPLACIAN).values
             want += [f"{family},{g.n},{b.theorem},{b.target},{b.lower!r},{b.upper!r},"
                      f"{values[bd.TARGET_POSITION[b.target]]!r}"
                      for b in bd.bounds_report(g, GraphMatrixKind.LAPLACIAN).bounds]

@@ -550,7 +550,6 @@ class TestMatrices:
         # matrix, for the spectrum of a regular graph (which has a shortcut of
         # its own) and of one that is not, and for the bound report
         from eigenloc.bounds import bounds_report
-        from eigenloc.oracle import graph_spectrum
 
         for call in (lambda: build_matrix(petersen(), "adjacency"), lambda: petersen().matrix("adjacency")):
             with pytest.raises(ValueError, match="^unknown matrix kind 'adjacency'$"):
@@ -558,10 +557,10 @@ class TestMatrices:
         for g in (petersen(), path(4)):
             for kind in ("laplacian", "bogus"):
                 with pytest.raises(ValueError, match=f"^unknown matrix kind '{kind}'$"):
-                    graph_spectrum(g, kind)
+                    g.spectrum(kind)
         with pytest.raises(ValueError, match="^unknown matrix kind 'laplacian'$"):
             bounds_report(petersen(), "laplacian")
-        assert graph_spectrum(petersen(), GraphMatrixKind.LAPLACIAN).values[0] == pytest.approx(5.0)
+        assert petersen().spectrum(GraphMatrixKind.LAPLACIAN).values[0] == pytest.approx(5.0)
 
 
 class TestGraphFacts:
@@ -617,8 +616,8 @@ class TestGraphFacts:
 
     def test_cached_facts_leave_equality_and_hash_alone(self):
         read, fresh = cycle(6), cycle(6)
-        read.structure, read.common_neighbor_table, read.adjacency_spectrum, read.randic_index
-        [read.matrix(kind) for kind in GraphMatrixKind]
+        read.structure, read.common_neighbor_table, read.randic_index
+        [(read.matrix(kind), read.spectrum(kind)) for kind in GraphMatrixKind]
         assert read == fresh and hash(read) == hash(fresh)
         assert read != cycle(5)
 

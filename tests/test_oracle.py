@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import operator
 import os
 import subprocess
 import sys
@@ -33,8 +34,6 @@ from eigenloc.oracle import (
     _ql,
     _tridiagonal,
     complex_eigenvalues,
-    graph_spectrum,
-    normalized_spectrum,
     symmetric_eigenvalues,
 )
 from eigenloc.regions import deflate
@@ -79,7 +78,7 @@ class TestSymmetricEigenvalues:
         rng = np.random.default_rng(2)
         for a in (random_symmetric(rng, 12), np.zeros((4, 4))):
             assert symmetric_eigenvalues(a).max_residual is None
-        assert normalized_spectrum(path(5)).max_residual is None
+        assert path(5).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).max_residual is None
 
     def test_tiny_matrix_is_rotated(self):
         # the solve runs on A scaled by a power of two near max |a_ij|
@@ -151,6 +150,14 @@ def symmetric_graph_matrix(g, kind):
     return build_matrix(g, GraphMatrixKind.ADJACENCY) / np.outer(root, root)
 
 
+def solved_normalized_spectrum(g):
+    """The spectrum of D^{-1}A solved, not derived: the oracle's QL on
+    A / sqrt(outer(d, d)), the similar matrix that ``Graph.spectrum`` solves
+    for a graph that is not regular."""
+    d = np.array(g.degree_sequence, dtype=float)
+    return oracle.symmetric_eigenvalues(g.adjacency / np.sqrt(np.outer(d, d)))
+
+
 def lapack_values(a):
     """eigvalsh of a / s, times s, descending, with s a power of two near max |a_ij|."""
     exponent = np.frexp(np.max(np.abs(a)))[1] if np.any(a) else 0
@@ -205,9 +212,9 @@ class TestTridiagonalQL:
         # block is rounding noise that later ones shrink to a subnormal norm
         g = complete_bipartite(p, q)
         a = symmetric_graph_matrix(g, kind)
-        direct = normalized_spectrum(g) if kind == GraphMatrixKind.NORMALIZED_ADJACENCY else symmetric_eigenvalues(a)
+        direct = solved_normalized_spectrum(g) if kind == GraphMatrixKind.NORMALIZED_ADJACENCY else symmetric_eigenvalues(a)
         assert_matches_eigvalsh(a, direct)
-        assert_matches_eigvalsh(a, graph_spectrum(g, kind))
+        assert_matches_eigvalsh(a, g.spectrum(kind))
 
     @pytest.mark.parametrize("n", [1, 3, 91])
     def test_odd_sizes_agree_with_lapack(self, n):
@@ -219,7 +226,7 @@ class TestTridiagonalQL:
     @pytest.mark.parametrize("kind", list(GraphMatrixKind), ids=lambda k: k.value)
     def test_large_circulant_agrees_with_lapack(self, kind):
         g = circulant(90, (1, 2))
-        spec = graph_spectrum(g, kind)
+        spec = g.spectrum(kind)
         assert_matches_eigvalsh(symmetric_graph_matrix(g, kind), spec)
         assert 1 <= spec.iterations <= 3 * g.n
 
@@ -268,7 +275,7 @@ class TestTridiagonalQL:
     def test_equal_diagonal_cluster_converges(self):
         # the 30-fold eigenvalue -1/31, which once stalled a Jacobi ordering
         g = complete_minus_edge(32)
-        spec = normalized_spectrum(g)
+        spec = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert spec.iterations <= 3 * g.n
         assert_matches_eigvalsh(symmetric_graph_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY), spec)
 
@@ -411,37 +418,38 @@ class TestEmptyMatrix:
 
 class TestNormalizedSpectrum:
     def test_k4(self):
-        spec = normalized_spectrum(complete(4))
+        spec = complete(4).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert spec.values == pytest.approx([1.0, -1 / 3, -1 / 3, -1 / 3], abs=1e-10)
 
     def test_p4(self):
-        spec = normalized_spectrum(path(4))
+        spec = path(4).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert spec.values == pytest.approx([1.0, 0.5, -0.5, -1.0], abs=1e-10)
 
     @pytest.mark.parametrize("g", [cycle(6), star(5), path(7)], ids=["C6", "K14", "P7"])
     def test_bipartite_smallest_is_minus_one(self, g):
-        spec = normalized_spectrum(g)
+        spec = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert spec.values[-1] == pytest.approx(-1.0, abs=1e-10)
 
     def test_matches_dense_similarity(self):
         g = petersen()
-        spec = normalized_spectrum(g)
+        spec = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         dense = np.linalg.eigvals(build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY))
         match_multisets(spec.values, sorted(dense.real, reverse=True), 1e-9)
 
     def test_rejects_an_isolated_vertex(self):
         with pytest.raises(ValueError, match="^normalized adjacency undefined with an isolated vertex$"):
-            normalized_spectrum(Graph.from_edges(3, [(1, 2)]))
+            Graph.from_edges(3, [(1, 2)]).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
 
     def test_disconnected_top_value_is_checked(self, monkeypatch):
         # two disjoint edges: no isolated vertex, so the top value must still be 1
         g = Graph.from_edges(4, [(1, 2), (3, 4)])
-        assert normalized_spectrum(g).values == pytest.approx([1.0, 1.0, -1.0, -1.0])
+        assert g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY).values == pytest.approx([1.0, 1.0, -1.0, -1.0])
         monkeypatch.setattr(
             oracle, "symmetric_eigenvalues", lambda a: Spectrum((0.9, 0.9, -1.0, -1.0), 0.0)
         )
+        # g keeps its spectrum: an equal graph solves again
         with pytest.raises(RuntimeError, match="not 1"):
-            normalized_spectrum(g)
+            Graph.from_edges(4, [(1, 2), (3, 4)]).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
 
 
 def regular_corpus():
@@ -468,13 +476,13 @@ class TestRegularGraphSpectra:
     def test_derived_spectra_agree_with_lapack_and_the_direct_route(self):
         for g in regular_corpus():
             for kind, direct in ((GraphMatrixKind.LAPLACIAN, symmetric_eigenvalues(build_matrix(g, GraphMatrixKind.LAPLACIAN))),
-                                 (GraphMatrixKind.NORMALIZED_ADJACENCY, normalized_spectrum(g))):
-                derived = np.array(graph_spectrum(g, kind).values)
+                                 (GraphMatrixKind.NORMALIZED_ADJACENCY, solved_normalized_spectrum(g))):
+                derived = np.array(g.spectrum(kind).values)
                 lapack = np.linalg.eigvalsh(symmetric_graph_matrix(g, kind))[::-1]
                 bound = 4 * g.n * EPS * np.max(np.abs(lapack))
                 assert np.max(np.abs(derived - lapack)) <= bound, (g, kind)
                 assert np.max(np.abs(derived - np.array(direct.values))) <= bound, (g, kind)
-            assert all(graph_spectrum(g, kind).max_residual is None for kind in GraphMatrixKind)
+            assert all(g.spectrum(kind).max_residual is None for kind in GraphMatrixKind)
 
     def test_one_solve_for_the_three_kinds(self, monkeypatch):
         solved = []
@@ -482,15 +490,15 @@ class TestRegularGraphSpectra:
         monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
         g = petersen()
         # asked for the Laplacian first, it solves the adjacency alone
-        laplacian = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-        adjacency = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-        normalized = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
+        laplacian = g.spectrum(GraphMatrixKind.LAPLACIAN)
+        adjacency = g.spectrum(GraphMatrixKind.ADJACENCY)
+        normalized = g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert len(solved) == 1 and solved[0] is g.adjacency
         assert laplacian.values == tuple(3 - x for x in reversed(adjacency.values))
         assert normalized.values == tuple(x / 3 for x in adjacency.values)
         assert laplacian.iterations == normalized.iterations == adjacency.iterations
         # another Petersen graph, equal but not the same, is solved again
-        graph_spectrum(petersen(), GraphMatrixKind.LAPLACIAN)
+        petersen().spectrum(GraphMatrixKind.LAPLACIAN)
         assert len(solved) == 2
 
     @pytest.mark.parametrize("g", [star(5), path(6), Graph.from_edges(4, [])], ids=["star", "path", "empty"])
@@ -499,33 +507,38 @@ class TestRegularGraphSpectra:
         solve = oracle.symmetric_eigenvalues
         monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: solved.append(a) or solve(a))
         for kind in (GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN):
-            assert graph_spectrum(g, kind) == solve(build_matrix(g, kind))
+            assert g.spectrum(kind) == solve(build_matrix(g, kind))
         if g.structure.regular is None:
-            assert graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY) == normalized_spectrum(g)
+            assert g.spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY) == solved_normalized_spectrum(g)
         assert len(solved) == (4 if g.structure.regular is None else 2)
 
     def test_derived_top_normalized_value_is_checked(self, monkeypatch):
         monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: Spectrum((2.9,) + (0.0,) * 9, 0.0))
         with pytest.raises(RuntimeError, match="top normalized eigenvalue"):
-            graph_spectrum(petersen(), GraphMatrixKind.NORMALIZED_ADJACENCY)
+            petersen().spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
+
+    def test_solved_top_normalized_value_is_checked(self, monkeypatch):
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", lambda a: Spectrum((0.9,) + (0.0,) * 9, 0.0))
+        with pytest.raises(RuntimeError, match="top normalized eigenvalue 0.9 is not 1"):
+            star(10).spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
 
     def test_kept_adjacency_spectrum_is_freed_with_its_graph(self):
-        # a regular graph and one that is not keep one spectrum, their
-        # adjacency's, and their matrices, which are freed with them; an
-        # equal graph shares none of them
+        # a regular graph and one that is not keep the spectrum and the matrix
+        # of every kind, which are freed with them; an equal graph shares
+        # none of them
         for make in (lambda: circulant(40, (1, 2, 3)), lambda: star(40)):
             g = make()
-            for kind in GraphMatrixKind:
-                graph_spectrum(g, kind)
-            (spec,) = [value for value in vars(g).values() if isinstance(value, Spectrum)]
-            assert spec is g.adjacency_spectrum is graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-            kept = [spec, *map(g.matrix, GraphMatrixKind)]
+            specs = list(map(g.spectrum, GraphMatrixKind))
+            held = [value for value in vars(g).values() if isinstance(value, Spectrum)]
+            assert sorted(map(id, held)) == sorted(map(id, specs))
+            assert all(map(operator.is_, map(g.spectrum, GraphMatrixKind), specs))
+            kept = [*specs, *map(g.matrix, GraphMatrixKind)]
             equal = make()
             assert not [value for value in vars(equal).values() if isinstance(value, Spectrum)]
-            theirs = [equal.adjacency_spectrum, *map(equal.matrix, GraphMatrixKind)]
+            theirs = [*map(equal.spectrum, GraphMatrixKind), *map(equal.matrix, GraphMatrixKind)]
             assert not {id(value) for value in kept} & set(map(id, theirs))
             refs = [weakref.ref(value) for value in (g, *kept)]
-            del g, spec, kept
+            del g, specs, held, kept
             gc.collect()
             assert all(ref() is None for ref in refs)
 

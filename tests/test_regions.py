@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import eigenloc.regions
 from eigenloc.graphs import GraphMatrixKind, build_matrix, circulant, complete, cycle, petersen
-from eigenloc.oracle import complex_eigenvalues, graph_spectrum, symmetric_eigenvalues
+from eigenloc.oracle import complex_eigenvalues, symmetric_eigenvalues
 from eigenloc.regions import (
     CassiniOval,
     Disk,
@@ -1461,7 +1461,7 @@ def _built_regions(a) -> tuple[dict, ValueError | None]:
 
 def _least_slack_corpus():
     """(matrix, points): the three graph matrices of the atlas graphs on 3 to
-    6 vertices and of ``family_corpus(32)`` at their ``graph_spectrum``; and
+    6 vertices and of ``family_corpus(32)`` at their ``Graph.spectrum``; and
     seeded real and complex matrices, n = 1..16, with and without a constant
     row sum, at scales 1, 1e+-150 and 1e+-300, at their eigenvalues (also
     rounded, for ties) and at scattered points, scaled alike."""
@@ -1471,7 +1471,7 @@ def _least_slack_corpus():
     for g in graphs:
         for kind in GraphMatrixKind:
             if kind != GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0:
-                yield build_matrix(g, kind), np.asarray(graph_spectrum(g, kind).values)
+                yield build_matrix(g, kind), np.asarray(g.spectrum(kind).values)
     rng = np.random.default_rng(86)
     for n in range(1, 17):
         for imag in (0.0, 1.0):
@@ -1740,7 +1740,7 @@ def test_stacked_slacks_are_each_matrix_own_bit_for_bit(monkeypatch):
         kinds = [k for k in GraphMatrixKind
                  if k != GraphMatrixKind.NORMALIZED_ADJACENCY or min(g.degree_sequence) > 0]
         matrices = [build_matrix(g, kind) for kind in kinds]
-        points = [np.round(graph_spectrum(g, kind).values, 9) for kind in kinds]
+        points = [np.round(g.spectrum(kind).values, 9) for kind in kinds]
         short += len(kinds) == 2
         wants = []
         for a, z in zip(matrices, points):
@@ -1816,7 +1816,7 @@ def test_dropping_repeated_leaves_keeps_every_least_slack_bit_for_bit(monkeypatc
     forest = Graph.from_edges(11, [(1, 3), (2, 6), (3, 4), (4, 8), (6, 9), (7, 8), (8, 10)])
     for g in (forest, petersen(), circulant(16, (1, 5)), circulant(28, (1, 3, 7)), complete(12)):
         kinds = [kind for kind in GraphMatrixKind if kind.value != "normalized" or min(g.degree_sequence)]
-        points = [_with_ties(graph_spectrum(g, kind).values) for kind in kinds]
+        points = [_with_ties(g.spectrum(kind).values) for kind in kinds]
         cases.append(([build_matrix(g, kind) for kind in kinds], points))
     distinct, narrowed = eigenloc.regions._distinct_leaves, []
 

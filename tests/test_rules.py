@@ -11,7 +11,7 @@ import eigenloc.regions as rg
 from eigenloc.bounds import MODES, BoundInterval, bounds_report, laplacian_dominating_brauer_bounds
 from eigenloc.cli import check_interval, main, verify_graph, verify_matrix
 from eigenloc.graphs import MAX_VERTICES, Graph, GraphMatrixKind, build_matrix, cycle, petersen, star
-from eigenloc.oracle import complex_eigenvalues, graph_spectrum, normalized_spectrum, symmetric_eigenvalues
+from eigenloc.oracle import complex_eigenvalues, symmetric_eigenvalues
 from eigenloc.regions import (
     METHODS,
     Disk,
@@ -112,7 +112,7 @@ _WITH_ISOLATED = [Graph.from_edges(4, [(1, 2), (2, 3)]), Graph.from_edges(3, [])
 def test_every_route_to_the_normalized_matrix_refuses_an_isolated_vertex(g):
     normalized = GraphMatrixKind.NORMALIZED_ADJACENCY
     for call in (lambda: build_matrix(g, normalized), lambda: g.matrix(normalized),
-                 lambda: normalized_spectrum(g), lambda: graph_spectrum(g, normalized)):
+                 lambda: g.spectrum(normalized)):
         with pytest.raises(ValueError, match=_ISOLATED):
             call()
     # verify skips the normalized matrix's checks and keeps the other two's

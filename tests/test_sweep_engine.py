@@ -3,14 +3,13 @@
 The soundness sweep (``tests/_corpus.check_graph_with_library``) checks each
 bound against LAPACK spectra of matrices it builds from the edge list, apart
 from ``build_matrix``.  This module checks that oracle against the package's
-own tridiagonal QL route (``graph_spectrum``) on the connected 6-vertex atlas
+own tridiagonal QL route (``Graph.spectrum``) on the connected 6-vertex atlas
 graphs, for every kind, whether or not a bound applies to the graph.
 """
 
 import numpy as np
 
 from eigenloc.graphs import GraphMatrixKind, classify
-from eigenloc.oracle import graph_spectrum
 
 from ._corpus import _lapack_spectrum, atlas_graphs
 
@@ -20,6 +19,6 @@ def test_batch_oracle_matches_package_oracle():
     assert len(graphs) == 112  # connected graphs on 6 vertices (OEIS A001349)
     for g in graphs:
         for kind in GraphMatrixKind:
-            ours = graph_spectrum(g, kind)
+            ours = g.spectrum(kind)
             gap = np.max(np.abs(_lapack_spectrum(g, kind) - np.array(ours.values)))
             assert gap <= 1e-9, (kind.value, g.edges, gap)
