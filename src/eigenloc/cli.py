@@ -242,11 +242,11 @@ def _build_region(matrix, method: str):
 # SVG rendering
 
 
-def _auto_window(leaves, eigenvalues) -> tuple[tuple[float, float, float, float], float]:
-    """The padded window round the leaves and eigenvalues in units of the power
-    of two just above their largest coordinate (1 below 1, at most 2**1023),
-    so that no width or pad overflows, and that unit; in range it is exact."""
-    corners = [z for leaf in leaves for z in leaf.extent()] + list(eigenvalues)
+def _auto_window(corners) -> tuple[tuple[float, float, float, float], float]:
+    """The padded window round ``corners`` (the leaves' extents and the
+    eigenvalues) in units of the power of two just above their largest
+    coordinate (1 below 1, at most 2**1023), so that no width or pad
+    overflows, and that unit; in range it is exact."""
     if not corners:
         return (-1.0, 1.0, -1.0, 1.0), 1.0
     xs = [z.real for z in corners]
@@ -321,13 +321,17 @@ def region_to_svg(
     leaves small diamonds, eigenvalues filled dots.
     Rendering convenience only; nothing downstream parses this.  The
     window, given or automatic, must have x0 < x1 and y0 < y1 and a finite
-    width and height (ValueError); the automatic one is taken in its unit
-    (:func:`_auto_window`), so a region wider than the float range draws.
+    width and height, and a given one must put every corner of a leaf's
+    extent and every eigenvalue at a finite pixel coordinate (ValueError);
+    the automatic one is taken in its unit (:func:`_auto_window`), so a
+    region wider than the float range draws.
     """
     leaves = region.leaves()
-    unit = 1.0
-    if window is None:
-        window, unit = _auto_window(leaves, eigenvalues)
+    # every leaf is drawn within the corners of its extent
+    corners = [z for leaf in leaves for z in leaf.extent()] + list(eigenvalues)
+    given, unit = window is not None, 1.0
+    if not given:
+        window, unit = _auto_window(corners)
     _check_window(window, window)
     x0, x1, y0, y1 = window
     size = 640
@@ -339,6 +343,12 @@ def region_to_svg(
     def sy(y: float) -> float:
         return (y1 - y / unit) * scale
 
+    # the automatic window frames every corner; a narrow given one can map
+    # a corner past the float range, and 0 * inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if given and not all(math.isfinite(sx(z.real)) and math.isfinite(sy(z.imag)) for z in corners):
+            raise ValueError(f"window {window!r} puts a leaf or an eigenvalue past the float range "
+                             "in pixels")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -448,7 +458,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
     """'family:lo..hi[:step]' (or 'family:lo:hi[:step]'), the bare name alone for
-    petersen, which takes no size; the name is read by graphs._family, as generate reads it."""
+    petersen, which takes no size; the name is read by graphs._family, as generate reads it.
+    A range whose largest size is past the vertex cap is refused here, before any spec is solved."""
     fields = token.replace("..", ":").split(":")
     try:
         family = gr._family(fields[0])
@@ -465,7 +476,11 @@ def _parse_sweep_spec(token: str) -> tuple[str, list[int]]:
                          "with integers lo, hi and step") from None
     if step < 1 or hi < lo:
         raise ValueError(f"bad sweep range in {token!r}")
-    return family, list(range(lo, hi + 1, step))
+    sizes = range(lo, hi + 1, step)
+    if sizes[-1] > gr.MAX_VERTICES:
+        raise ValueError(f"bad sweep spec {token!r}: vertex count {sizes[-1]} exceeds the "
+                         f"{gr.MAX_VERTICES} cap")
+    return family, list(sizes)
 
 
 def _sweep_graph(family: str, n: int) -> gr.Graph:

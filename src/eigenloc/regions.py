@@ -15,16 +15,16 @@ path for a point or an array of points), ``section`` and ``to_json``.
 No oval's foci are so far apart that their distance overflows, so the
 slack of a finite point is never NaN.
 
-Underneath the tree, each union keeps a leaf table: the parameters of its
-disks, ovals and points as arrays, so that its slack is one (leaves x
-points) pass of the union-slack kernel that the stacked pass below also
-runs, and an intersection's is one such pass per union; an intersection
-sections the leaves of all its unions at once.  The four builders fill
-their tables with array arithmetic.  A classical builder returns one
-union; a row-sum builder returns the intersection of one union per
-deflation row, each a view of one row of the builder's arrays.  A
-builder's union makes its ``children`` from its table when they are first
-read.
+Each union keeps its leaves as rows of arrays, the parameters of its
+disks, ovals and points, so that its slack is one (leaves x points) pass
+of the union-slack kernel that the stacked pass below also runs, and an
+intersection's is one such pass per union; an intersection sections the
+rows of all its unions at once.  A leaf slacks and sections as the union
+of itself alone.  The four builders fill their rows with array
+arithmetic.  A classical builder returns one union; a row-sum builder
+returns the intersection of one union per deflation row, each a view of
+one row of the builder's arrays.  A builder's union makes its
+``children`` from its rows when they are first read.
 
 :class:`MatrixFacts` is a stack of matrices of one size, such as the two
 or three matrices of a graph, and owns what the builders read of them:
@@ -195,91 +195,12 @@ _TOO_FAR = "an oval's foci are too far apart: their distance is past the float r
 _DISK, _OVAL, _POINT = 0, 1, 2
 
 
-class _LeafTable:
-    """The leaves of one union as rows of arrays.
-
-    With ``d`` a point's distances to each of ``anchors`` followed by an
-    exact 1.0 (index -1), row k's slack is
-    ``bounds[k] - d[first[k]] * d[second[k]]``, which rounds exactly like
-    the leaf's own inequality:
-
-    - a disk (``kinds[k] == _DISK``): first its centre, second -1, bound its radius;
-    - an oval (``_OVAL``): first and second its foci, bound its radius product;
-    - a point (``_POINT``): first the point, second -1, bound -0.0, so that
-      the slack is the negated distance, -0.0 on the point itself.
-
-    The ovals of a builder share their foci, so a point's distance to each
-    focus is taken once, not once per oval.  ``nested`` holds the union's
-    children that are not leaves, whose slack is taken from the node.
-    """
-
-    def __init__(self, anchors, first, second, bounds, kinds, nested: tuple = ()) -> None:
-        self.anchors, self.first, self.second = anchors, first, second
-        self.bounds, self.kinds, self.nested = bounds, kinds, nested
-
-    @classmethod
-    def of(cls, nodes) -> "_LeafTable":
-        """The table of a union of ``nodes``, which are already validated."""
-        anchors: list[complex] = []
-        rows: list[tuple[int, int, int, float]] = []
-        for node in nodes:
-            at = len(anchors)
-            if isinstance(node, Disk):
-                anchors.append(node.center)
-                rows.append((_DISK, at, -1, node.radius))
-            elif isinstance(node, CassiniOval):
-                anchors += [node.focus_a, node.focus_b]
-                rows.append((_OVAL, at, at + 1, node.radius_product))
-            elif isinstance(node, PointSet):
-                anchors += node.points
-                rows += [(_POINT, at + k, -1, -0.0) for k in range(len(node.points))]
-        kinds, first, second, bounds = zip(*rows) if rows else ((), (), (), ())
-        return cls(
-            np.array(anchors, dtype=complex),
-            np.array(first, dtype=np.intp),
-            np.array(second, dtype=np.intp),
-            np.array(bounds, dtype=float),
-            kinds,
-            tuple(node for node in nodes if isinstance(node, _Combination)),
-        )
-
-    def leaves(self) -> tuple:
-        """Leaf objects of every row, in row order, a point set for each point."""
-        anchors = self.anchors.tolist()
-        return tuple(_leaf(kind, anchors[a], anchors[b], bound) for kind, a, b, bound in zip(
-            self.kinds, self.first.tolist(), self.second.tolist(), self.bounds.tolist()))
-
-    @np.errstate(over="ignore")
-    def slack(self, z):
-        """The union's slack at ``z``, a point or an array of points."""
-        z = np.asarray(z)
-        axes = (-1,) + (1,) * z.ndim  # the rows, then the points' axes
-        slack = _union_slacks(_reach(z, self.anchors.reshape(axes)), self.first, self.second,
-                              self.bounds.reshape(axes))
-        for node in self.nested:
-            slack = np.maximum(slack, node.slack(z))
-        return slack
-
-    def section(self) -> RealSection:
-        """The union's real section: disks in closed form, points within
-        ``_NEAR_AXIS`` of the axis, and each oval where ``q(x) = |x-a|^2
-        |x-b|^2 - p^2`` is <= 0, cut at the real roots of q and q'.
-
-        A point where an oval only touches the axis (a double root of q) and
-        the real point of each focus are kept as isolated points when their
-        slack is at least ``-_NEAR_AXIS`` (a touch's in the oval's units);
-        the foci keep a lobe too narrow for the quartic to resolve at their
-        magnitude.  Isolated points merge only where they are equal.
-        """
-        return _sections([self])[0]
-
-
-def _sections(tables: list[_LeafTable]) -> list[RealSection]:
-    """:meth:`_LeafTable.section` of each table, all tables' rows at once."""
-    owner = np.repeat(np.arange(len(tables)), [len(t.kinds) for t in tables])
-    kinds = np.array([kind for t in tables for kind in t.kinds], dtype=int)
-    at = np.concatenate([t.anchors[t.first] for t in tables])
-    bound = np.concatenate([t.bounds for t in tables])
+def _sections(unions: list[RegionUnion]) -> list[RealSection]:
+    """:meth:`RegionUnion.section` of each union, all unions' rows at once."""
+    owner = np.repeat(np.arange(len(unions)), [len(u._kinds) for u in unions])
+    kinds = np.array([kind for u in unions for kind in u._kinds], dtype=int)
+    at = np.concatenate([u._anchors[u._first] for u in unions])
+    bound = np.concatenate([u._bounds for u in unions])
     disk = np.flatnonzero(kinds == _DISK)
     # r^2 - y^2, taken where a square overflows in units of a power of two
     # near r (at most 2**1023, as 2**1024 is inf), so that a huge disk keeps
@@ -299,16 +220,16 @@ def _sections(tables: list[_LeafTable]) -> list[RealSection]:
         pieces = [(disk, at[disk].real - half, at[disk].real + half, point, at[point].real)]
     oval = np.flatnonzero(kinds == _OVAL)
     if len(oval):
-        to = np.concatenate([t.anchors[t.second] for t in tables])[oval]
+        to = np.concatenate([u._anchors[u._second] for u in unions])[oval]
         span, low, high, mark, x = _oval_sections(at[oval], to, bound[oval])
         pieces.append((oval[span], low, high, oval[mark], x))
     spans, lows, highs, marks, xs = (np.concatenate(part) for part in zip(*pieces))
     spans, marks = owner[spans], owner[marks]
     sections = []
-    for k, table in enumerate(tables):
+    for k, union in enumerate(unions):
         intervals = list(zip(lows[spans == k].tolist(), highs[spans == k].tolist()))
         isolated = xs[marks == k].tolist()
-        for node in table.nested:
+        for node in union._nested:
             nested = node.section()
             intervals += nested.intervals
             isolated += nested.isolated_points
@@ -414,7 +335,7 @@ def _oval_sections(a, b, p):
 
 
 def _leaf(kind: int, a: complex, b: complex, bound: float):
-    """The leaf of a table row of ``kind`` with anchors ``a``, ``b`` and ``bound``."""
+    """The leaf of a union's row of ``kind`` with anchors ``a``, ``b`` and ``bound``."""
     if kind == _DISK:
         return Disk(a, bound)
     if kind == _OVAL:
@@ -423,14 +344,14 @@ def _leaf(kind: int, a: complex, b: complex, bound: float):
 
 
 class _Leaf:
-    """Slack and section are those of a table of the leaf alone; extent()
+    """Slack and section are those of the union of the leaf alone; extent()
     bounds the leaf's drawing."""
 
     def slack(self, z):
-        return _LeafTable.of((self,)).slack(z)
+        return RegionUnion((self,)).slack(z)
 
     def section(self) -> RealSection:
-        return _LeafTable.of((self,)).section()
+        return RegionUnion((self,)).section()
 
     def leaves(self) -> tuple:
         return (self,)
@@ -517,35 +438,88 @@ class PointSet(_Leaf):
 class RegionUnion(_Combination):
     """Points in some child; slack is the largest child slack.
 
-    Slack and section come from the union's leaf table, made from
-    ``children`` or, for a builder's union, by the builder; such a union
-    makes ``children`` from its table when they are first read.
+    The union keeps its leaves as rows of arrays.  With ``d`` a point's
+    distances to each of ``_anchors`` followed by an exact 1.0 (index -1),
+    row k's slack is ``_bounds[k] - d[_first[k]] * d[_second[k]]``, which
+    rounds exactly like the leaf's own inequality:
+
+    - a disk (``_kinds[k] == _DISK``): first its centre, second -1, bound its radius;
+    - an oval (``_OVAL``): first and second its foci, bound its radius product;
+    - a point (``_POINT``): first the point, second -1, bound -0.0, so that
+      the slack is the negated distance, -0.0 on the point itself.
+
+    The ovals of a builder share their foci, so a point's distance to each
+    focus is taken once, not once per oval.  ``_nested`` holds the children
+    that are not leaves, whose slack is taken from the node.  The rows are
+    made from ``children``, or by a builder (:meth:`_of_rows`), whose union
+    makes ``children`` from its rows when they are first read.
     """
 
     children: tuple["Region", ...]
     _op = "union"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", _LeafTable.of(self.children))
+        anchors: list[complex] = []
+        rows: list[tuple[int, int, int, float]] = []
+        for node in self.children:
+            at = len(anchors)
+            if isinstance(node, Disk):
+                anchors.append(node.center)
+                rows.append((_DISK, at, -1, node.radius))
+            elif isinstance(node, CassiniOval):
+                anchors += [node.focus_a, node.focus_b]
+                rows.append((_OVAL, at, at + 1, node.radius_product))
+            elif isinstance(node, PointSet):
+                anchors += node.points
+                rows += [(_POINT, at + k, -1, -0.0) for k in range(len(node.points))]
+        kinds, first, second, bounds = zip(*rows) if rows else ((), (), (), ())
+        self.__dict__.update(
+            _anchors=np.array(anchors, dtype=complex), _first=np.array(first, dtype=np.intp),
+            _second=np.array(second, dtype=np.intp), _bounds=np.array(bounds, dtype=float),
+            _kinds=kinds, _nested=tuple(node for node in self.children if isinstance(node, _Combination)),
+        )
 
     @classmethod
-    def _from_table(cls, table: _LeafTable) -> "RegionUnion":
-        node = object.__new__(cls)
-        object.__setattr__(node, "_table", table)
-        return node
+    def _of_rows(cls, anchors, first, second, bounds, kinds) -> "RegionUnion":
+        """A builder's union of leaf rows alone, which may be views of its arrays."""
+        union = object.__new__(cls)
+        union.__dict__.update(_anchors=anchors, _first=first, _second=second, _bounds=bounds,
+                              _kinds=kinds, _nested=())
+        return union
 
     def __getattr__(self, name: str):
-        # only reached when normal lookup fails: a table-made union's children
-        if name != "children" or "_table" not in self.__dict__:
+        # only reached when normal lookup fails: a builder's union's children,
+        # one leaf a row, a point set for each point
+        if name != "children" or "_kinds" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__["children"] = children = self._table.leaves()
+        anchors = self._anchors.tolist()
+        self.__dict__["children"] = children = tuple(
+            _leaf(kind, anchors[a], anchors[b], bound) for kind, a, b, bound in zip(
+                self._kinds, self._first.tolist(), self._second.tolist(), self._bounds.tolist()))
         return children
 
+    @np.errstate(over="ignore")
     def slack(self, z):
-        return self._table.slack(z)
+        z = np.asarray(z)
+        axes = (-1,) + (1,) * z.ndim  # the rows, then the points' axes
+        slack = _union_slacks(_reach(z, self._anchors.reshape(axes)), self._first, self._second,
+                              self._bounds.reshape(axes))
+        for node in self._nested:
+            slack = np.maximum(slack, node.slack(z))
+        return slack
 
     def section(self) -> RealSection:
-        return self._table.section()
+        """Disks in closed form, points within ``_NEAR_AXIS`` of the axis, and
+        each oval where ``q(x) = |x-a|^2 |x-b|^2 - p^2`` is <= 0, cut at the
+        real roots of q and q'.
+
+        A point where an oval only touches the axis (a double root of q) and
+        the real point of each focus are kept as isolated points when their
+        slack is at least ``-_NEAR_AXIS`` (a touch's in the oval's units);
+        the foci keep a lobe too narrow for the quartic to resolve at their
+        magnitude.  Isolated points merge only where they are equal.
+        """
+        return _sections([self])[0]
 
 
 @dataclass(frozen=True)
@@ -570,9 +544,9 @@ class RegionIntersection(_Combination):
     def section(self) -> RealSection:
         if not self.children:
             return RealSection((), ())
-        # the children's tables, a union's own or one holding the child
-        tables = [getattr(c, "_table", None) or _LeafTable.of((c,)) for c in self.children]
-        return functools.reduce(self._section_op, _sections(tables))
+        # each child as a union: itself, or one holding the child
+        unions = [c if isinstance(c, RegionUnion) else RegionUnion((c,)) for c in self.children]
+        return functools.reduce(self._section_op, _sections(unions))
 
     def slack(self, z):
         if not self.children:
@@ -780,7 +754,7 @@ def real_section(region: Region) -> RealSection:
     """The region's intersection with the real axis as intervals + points.
 
     Disks section analytically and ovals in closed form, every leaf of an
-    intersection's unions at once (see :meth:`_LeafTable.section`); the
+    intersection's unions at once (see :meth:`RegionUnion.section`); the
     sections combine by interval algebra, where a point of one union within
     ``_NEAR_AXIS`` of another's section survives.  Tangent disks keep their
     zero-width interval, and distinct isolated points stay distinct.
@@ -1126,16 +1100,16 @@ def _region(matrix, method: str):
 def _table_region(centers, radii, kind: int, gamma: complex | None = None):
     """The union of the disks (centre k, radius r_k) or the ovals (foci
     j < k in the order of combinations(), radius product r_j r_k), made
-    from one leaf table; given gamma, the intersection of such a union with
-    the point gamma for each row of a leading deflation axis, each union's
-    table a view of that row."""
+    from one set of leaf rows; given gamma, the intersection of such a union
+    with the point gamma for each row of a leading deflation axis, each
+    union's rows a view of that row."""
     _check_source(centers, radii, kind, gamma)
     stacked = gamma is not None
     first, second = _rows(centers.shape[-1], kind, stacked)
     kinds = (kind,) * (len(first) - stacked) + (_POINT,) * stacked
     anchors = _anchors(centers, gamma).astype(complex)
     bounds = _products(_padded(radii, stacked), first, second)
-    unions = tuple(RegionUnion._from_table(_LeafTable(a, first, second, b, kinds)) for a, b in zip(
+    unions = tuple(RegionUnion._of_rows(a, first, second, b, kinds) for a, b in zip(
         anchors.reshape(-1, anchors.shape[-1]), bounds.reshape(-1, bounds.shape[-1])))
     return RegionIntersection(unions) if stacked else unions[0]
 

@@ -765,17 +765,24 @@ class TestBadInputExitCodes:
         assert main(argv + ["--edges", str(path)]) == 1
         assert "integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "window", ["a:b:c:d", "0:1:0", "0:0:0:0", "1:0:1:0", "0:inf:0:1", "-1e308:1e308:-1:1",
-                   "0:1:-1e308:1e308"]
-    )
-    def test_bad_svg_window_exits_1(self, window, tmp_path, capsys):
+    @pytest.mark.parametrize("window, matrix, method", [
+        *(pytest.param(window, ROWSUM_3X3, "gersgorin", id=window) for window in [
+            "a:b:c:d", "0:1:0", "0:0:0:0", "1:0:1:0", "0:inf:0:1", "-1e308:1e308:-1:1",
+            "0:1:-1e308:1e308"]),
+        # windows so narrow that a pixel coordinate is past the float range:
+        # inf and nan were once printed, with exit 0
+        pytest.param("0:1e-320:0:1e-320", [[1, 2, 0], [0, 2, 1], [2, 0, 1]], "brauer", id="narrow-brauer"),
+        pytest.param("0:1e-300:0:1e-300", [[1e10, 1], [1, 2]], "gersgorin", id="narrow-gersgorin"),
+    ])
+    def test_bad_svg_window_exits_1(self, window, matrix, method, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(matrix_to_json(ROWSUM_3X3))
-        argv = ["regions", "--matrix-file", str(path), "--method", "gersgorin", "--emit", "svg"]
-        assert main(argv + [f"--window={window}"]) == 1
+        path.write_text(matrix_to_json(matrix))
+        argv = ["regions", "--matrix-file", str(path), "--method", method, "--emit", "svg"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [f"--window={window}"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error: window")
         assert captured.out == ""
 
     @pytest.mark.parametrize("window", ["a:b:c:d", "0:1:0:y", "0:1:0", "0:1:0:1:2"])
@@ -925,6 +932,28 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert made == [] and captured.out == ""
         assert captured.err == "error: bad sweep spec 'foo:1..3': unknown graph family 'foo'\n"
+
+    @pytest.mark.parametrize("spec, n", [
+        ("cycle:2049..2049", 2049), ("cycle:2040..2049", 2049), ("cycle:2047..2050:2", 2049),
+        ("path:3..10000000000000000000000", 10**22),
+    ])
+    def test_a_range_past_the_vertex_cap_is_refused_before_any_work(self, spec, n, capsys, monkeypatch):
+        # every size of every spec up to the cap was once solved before the
+        # first size past it was refused, and a vast range was first made
+        # into a list
+        import eigenloc.oracle as oracle
+
+        solved = []
+        monkeypatch.setattr(oracle, "symmetric_eigenvalues", solved.append)
+        assert main(["sweep", "cycle:3..5", spec, "--matrix", "adjacency", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert solved == [] and captured.out == ""
+        assert captured.err == (f"error: bad sweep spec {spec!r}: vertex count {n} exceeds the "
+                                f"{MAX_VERTICES} cap\n")
+
+    def test_a_step_that_stops_at_the_cap_is_taken(self):
+        assert cli._parse_sweep_spec(f"cycle:{MAX_VERTICES - 2}..{MAX_VERTICES + 1}:2") == (
+            "cycle", [MAX_VERTICES - 2, MAX_VERTICES])
 
     def test_family_names_are_normalized_as_generate_does(self, capsys):
         assert main(["sweep", "Complete-Bipartite:4..4", "--matrix", "adjacency", "--out", "-"]) == 0
@@ -1341,14 +1370,23 @@ def test_reader_closing_stdout_exits_1_silently(tmp_path):
     assert err == b""
 
 
-@pytest.mark.parametrize(
-    "window", [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0),
-               (-1e308, 1e308, -1.0, 1.0)]
-)
-def test_svg_rejects_bad_window(window):
+@pytest.mark.parametrize("region, eigenvalues, window", [
+    *(pytest.param(Disk(0.0j, 1.0), (), window, id=f"window{k}") for k, window in enumerate([
+        (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0), (-1e308, 1e308, -1.0, 1.0)])),
+    # a leaf's extent or an eigenvalue past the float range in pixels once
+    # printed inf or nan
+    pytest.param(brauer_region(np.array([[1.0, 2, 0], [0, 2, 1], [2, 0, 1]])), (), (0.0, 1e-320, 0.0, 1e-320),
+                 id="narrow-brauer"),
+    pytest.param(gersgorin_region(np.array([[1e10, 1], [1, 2]])), (), (0.0, 1e-300, 0.0, 1e-300),
+                 id="narrow-gersgorin"),
+    pytest.param(Disk(0.0j, 1.0), (1e10 + 0j,), (0.0, 1e-300, 0.0, 1e-300), id="narrow-eigenvalue"),
+])
+def test_svg_rejects_bad_window(region, eigenvalues, window):
     # (0, 0, 0, 0) once divided by zero and (1, 0, 1, 0) drew negative radii
-    with pytest.raises(ValueError, match="window"):
-        region_to_svg(Disk(0.0j, 1.0), window=window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="window"):
+            region_to_svg(region, eigenvalues, window)
 
 
 def test_svg_of_an_empty_region_draws_nothing():
@@ -1420,7 +1458,7 @@ def _drawn_oval_loops(region, window):
     svg = region_to_svg(region, (), window)
     leaves, unit = region.leaves(), 1.0
     if window is None:
-        window, unit = cli._auto_window(leaves, ())
+        window, unit = cli._auto_window([z for leaf in leaves for z in leaf.extent()])
     x0, x1, y0, y1 = window
     scale = 640 / max(x1 - x0, y1 - y0)
 

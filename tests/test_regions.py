@@ -1413,6 +1413,21 @@ def test_min_slack_makes_no_component_of_a_builders_region(builder):
         assert _made_no_leaf(region)
 
 
+def test_a_builders_unions_share_its_arrays():
+    # each union's rows are views of one row of the builder's arrays, so n
+    # unions hold no n copies of them, and share one pair of row indices
+    a, _ = random_constant_rowsum_matrix(np.random.default_rng(86), 7)
+    region = rowsum_brauer_region(a)
+    unions = region.children
+    assert len(unions) == 7
+    for name in ("_anchors", "_bounds"):
+        whole = getattr(unions[0], name).base
+        assert whole is not None and whole.nbytes == sum(getattr(u, name).nbytes for u in unions)
+        assert all(np.shares_memory(getattr(u, name), whole) for u in unions)
+    assert all(u._first is unions[0]._first and u._second is unions[0]._second for u in unions)
+    assert _made_no_leaf(region)
+
+
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_built_region_equals_the_node_made_from_its_children(builder):
     for a in _table_cases():
